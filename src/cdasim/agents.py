@@ -124,7 +124,11 @@ class MemoryOrder:
 
 
 class HblMemory:
-    """Classified order history with prefix sums for fast belief queries."""
+    """Classified order history with prefix sums for fast belief queries.
+
+    Holds any weights in [0, 1]; the simulation uses it for fractional mode,
+    where the weights are not integers.
+    """
 
     def __init__(self, records: tuple[MemoryOrder, ...], transaction_count: int):
         self._records = records
@@ -195,25 +199,6 @@ class HblMemory:
         first_of_run[1:] = merged[1:] != merged[:-1]
         return merged[first_of_run].tolist()
 
-    def bid_components(self, p: int) -> tuple[float, float, float]:
-        """(asks at <= p, successful-bid weight at <= p, failed-bid weight at >= p)."""
-        asks_le = np.searchsorted(self._ask_prices, p, side="right")
-        n_le = np.searchsorted(self._bid_prices_sorted, p, side="right")
-        succ_le = self._bid_succ_prefix[n_le]
-        n_lt = np.searchsorted(self._bid_prices_sorted, p, side="left")
-        fail_ge = self._bid_fail_suffix[len(self._bid_prices_sorted) - n_lt]
-        return float(asks_le), float(succ_le), float(fail_ge)
-
-    def ask_components(self, p: int) -> tuple[float, float, float]:
-        """(bids at >= p, successful-ask weight at >= p, failed-ask weight at <= p)."""
-        bids_ge = len(self._bid_prices_sorted) - np.searchsorted(
-            self._bid_prices_sorted, p, side="left")
-        n_lt = np.searchsorted(self._ask_prices, p, side="left")
-        succ_ge = self._ask_succ_suffix[len(self._ask_prices) - n_lt]
-        n_le = np.searchsorted(self._ask_prices, p, side="right")
-        fail_le = self._ask_fail_prefix[n_le]
-        return float(bids_ge), float(succ_ge), float(fail_le)
-
     def belief_array(self, prices, side: Side) -> np.ndarray:
         """Vectorized ``hbl_belief`` over an array of candidate prices."""
         p = np.asarray(prices, dtype=np.int64)
@@ -234,6 +219,52 @@ class HblMemory:
             fail = self._ask_fail_prefix[np.searchsorted(self._ask_prices, p,
                                                          side="right")]
         numerator = favorable + succ
+        denominator = numerator + fail
+        return np.divide(numerator, denominator,
+                         out=np.zeros_like(numerator), where=denominator > 0.0)
+
+
+class TickMemory:
+    """Binary-mode memory held as per-tick order counts from tick ``lo`` up.
+
+    ``counts`` rows are successful bids, failed bids, successful asks and
+    failed asks.  The counts are exact integers, so the beliefs match the
+    ones ``HblMemory`` builds from the same orders bit for bit.
+    """
+
+    def __init__(self, counts: np.ndarray, lo: int, transaction_count: int):
+        self.transaction_count = transaction_count
+        self._lo = lo
+        # _prefix[row, k] = orders of that row at ticks below lo + k
+        self._prefix = np.zeros((4, counts.shape[1] + 1), dtype=np.int64)
+        np.cumsum(counts, axis=1, out=self._prefix[:, 1:])
+
+    def __len__(self) -> int:
+        return int(self._prefix[:, -1].sum())
+
+    @property
+    def prices(self) -> list[int]:
+        occupied = np.diff(self._prefix.sum(axis=0)) > 0
+        return (np.flatnonzero(occupied) + self._lo).tolist()
+
+    def belief_array(self, prices, side: Side) -> np.ndarray:
+        """Vectorized ``hbl_belief`` over an array of candidate prices."""
+        k = np.asarray(prices, dtype=np.int64) - self._lo
+        span = self._prefix.shape[1] - 1
+        at_or_below = self._prefix[:, np.clip(k + 1, 0, span)]
+        below = self._prefix[:, np.clip(k, 0, span)]
+        total = self._prefix[:, -1]
+        bid_succ, bid_fail, ask_succ, ask_fail = range(4)
+        if side is Side.BID:
+            favorable = at_or_below[ask_succ] + at_or_below[ask_fail]
+            succ = at_or_below[bid_succ]
+            fail = total[bid_fail] - below[bid_fail]
+        else:
+            favorable = (total[bid_succ] - below[bid_succ]
+                         + total[bid_fail] - below[bid_fail])
+            succ = total[ask_succ] - below[ask_succ]
+            fail = at_or_below[ask_fail]
+        numerator = (favorable + succ).astype(np.float64)
         denominator = numerator + fail
         return np.divide(numerator, denominator,
                          out=np.zeros_like(numerator), where=denominator > 0.0)
@@ -312,15 +343,27 @@ def _classify_order(placed_at, executed_at, cancelled_at, now, grace, mode):
 
 
 class OrderHistory:
-    """Incremental array-backed order ledger for fast memory construction.
+    """Array-backed order ledger that answers the HBL memory queries.
 
     The simulation loop appends placements and marks outcomes as they
-    happen, so building an agent's memory becomes a slice plus vectorized
-    classification instead of a rescan of the raw event log.  Produces the
-    same memories as ``hbl_classify`` over the matching event window.
+    happen.  From its first binary-mode query on, the ledger also keeps
+    per-tick counts of the successful and failed bids and asks placed at
+    or after the current window start, so a query costs a few cumulative
+    sums over the tick span instead of a sort of the window:
+
+    - an execution or a cancellation moves one order between classes;
+    - a forward cursor fails the pending orders that outlive the grace
+      period (placement times never decrease, so no heap is needed);
+    - a moved window start re-counts only the orders it passes over.
+
+    Fractional weights are floats whose sums depend on the order of
+    addition, so that mode slices and rebuilds the window on every query
+    (``rebuild_memory``), which is also the binary ledger's oracle.  Both
+    produce the same beliefs as ``hbl_classify`` over the matching events.
     """
 
     _FIELDS = ("_placed", "_price", "_is_bid", "_executed", "_cancelled")
+    _MARGIN = 64  # ticks of headroom added whenever the counts widen
 
     def __init__(self) -> None:
         self._capacity = 256
@@ -331,6 +374,8 @@ class OrderHistory:
         self._cancelled = np.empty(self._capacity, dtype=np.float64)
         self._index: dict[int, int] = {}
         self._n = 0
+        self._now = 0  # time of the last binary query
+        self._reset_ledger(None)  # inactive until the first binary query
 
     def __len__(self) -> int:
         return self._n
@@ -357,15 +402,43 @@ class OrderHistory:
 
     def mark_executed(self, order_id: int, now: int) -> None:
         i = self._index[order_id]
-        if np.isnan(self._executed[i]):  # keep the first execution time
-            self._executed[i] = now
+        if not np.isnan(self._executed[i]):  # keep the first execution time
+            return
+        counted = self._grace is not None and i >= self._start
+        if counted and self._classified(i):
+            self._tally(i, failed=True, delta=-1)  # an expired order can still fill
+        self._executed[i] = now
+        if counted:
+            self._tally(i, failed=False, delta=1)
 
     def mark_cancelled(self, order_id: int, now: int) -> None:
-        self._cancelled[self._index[order_id]] = now
+        i = self._index[order_id]
+        newly_failed = (self._grace is not None and i >= self._start
+                        and not self._classified(i))
+        self._cancelled[i] = now
+        if newly_failed:
+            self._tally(i, failed=True, delta=1)
 
     def memory(self, window_start: int, now: int, params: HblParams,
-               transaction_count: int) -> HblMemory:
+               transaction_count: int) -> HblMemory | TickMemory:
         """Classified memory of all orders placed at or after ``window_start``."""
+        if params.success_mode != "binary":
+            return self.rebuild_memory(window_start, now, params, transaction_count)
+        if self._grace != params.grace_period or now < self._now:
+            self._reset_ledger(params.grace_period)
+        self._expire(now)
+        start = int(np.searchsorted(self._placed[: self._n], window_start, side="left"))
+        if start < self._start:
+            self._count_range(start, self._start, 1)
+        elif start > self._start:
+            self._count_range(self._start, start, -1)
+        self._start = start
+        self._now = now
+        return TickMemory(self._counts, self._lo, transaction_count)
+
+    def rebuild_memory(self, window_start: int, now: int, params: HblParams,
+                       transaction_count: int) -> HblMemory:
+        """The window sliced, classified and sorted from scratch."""
         i0 = int(np.searchsorted(self._placed[: self._n], window_start, side="left"))
         placed = self._placed[i0: self._n]
         price = self._price[i0: self._n]
@@ -394,26 +467,86 @@ class OrderHistory:
         return HblMemory.from_arrays(is_bid[include], price[include],
                                      success, failure, transaction_count)
 
+    # -- binary ledger ------------------------------------------------------
 
-def hbl_belief(memory: HblMemory, p: int, side: Side) -> float:
+    def _reset_ledger(self, grace: int | None) -> None:
+        """Empty the window; the next query counts it from scratch."""
+        self._grace = grace
+        self._expired = 0  # orders [0, _expired) were placed over grace ago
+        self._start = self._n  # index of the first order in the window
+        self._lo = 0  # tick of column 0 of _counts
+        self._counts = np.zeros((4, 0), dtype=np.int64)  # rows as in TickMemory
+
+    def _expired_before(self, now: int) -> int:
+        """Number of orders with ``now - placed > grace``."""
+        return int(np.searchsorted(self._placed[: self._n], now - self._grace,
+                                   side="left"))
+
+    def _classified(self, i: int) -> bool:
+        """Whether order ``i`` is executed, cancelled or past its grace."""
+        return (i < self._expired or not np.isnan(self._executed[i])
+                or not np.isnan(self._cancelled[i]))
+
+    def _expire(self, now: int) -> None:
+        """Move the cursor to ``now``, failing the pending orders it passes."""
+        end = self._expired_before(now)
+        first = max(self._expired, self._start)
+        if end > first:
+            pending = (np.isnan(self._executed[first:end])
+                       & np.isnan(self._cancelled[first:end]))
+            self._add_counts(self._price[first:end][pending],
+                             self._is_bid[first:end][pending], True, 1)
+        self._expired = end
+
+    def _count_range(self, a: int, b: int, delta: int) -> None:
+        """Add ``delta`` times the classified orders ``[a, b)`` to the counts."""
+        executed = ~np.isnan(self._executed[a:b])
+        failed = ~executed & ~np.isnan(self._cancelled[a:b])
+        expired = max(0, self._expired - a)
+        failed[:expired] = ~executed[:expired]
+        keep = executed | failed
+        self._add_counts(self._price[a:b][keep], self._is_bid[a:b][keep],
+                         failed[keep], delta)
+
+    def _add_counts(self, price, is_bid, failed, delta: int) -> None:
+        if price.size == 0:
+            return
+        self._cover(int(price.min()), int(price.max()))
+        span = self._counts.shape[1]
+        rows = 2 * ~is_bid + failed
+        tally = np.bincount(rows * span + (price - self._lo), minlength=4 * span)
+        self._counts += delta * tally.reshape(4, span)
+
+    def _tally(self, i: int, failed: bool, delta: int) -> None:
+        price = int(self._price[i])
+        self._cover(price, price)
+        row = 2 * (not self._is_bid[i]) + failed
+        self._counts[row, price - self._lo] += delta
+
+    def _cover(self, lo: int, hi: int) -> None:
+        """Widen the counts so they span ticks ``lo`` to ``hi``."""
+        old_lo, old_span = self._lo, self._counts.shape[1]
+        if old_span and old_lo <= lo and hi < old_lo + old_span:
+            return
+        if old_span:
+            lo, hi = min(lo, old_lo), max(hi, old_lo + old_span - 1)
+        new_lo = lo - self._MARGIN
+        counts = np.zeros((4, hi + self._MARGIN + 1 - new_lo), dtype=np.int64)
+        counts[:, old_lo - new_lo: old_lo - new_lo + old_span] = self._counts
+        self._lo, self._counts = new_lo, counts
+
+
+def hbl_belief(memory: HblMemory | TickMemory, p: int, side: Side) -> float:
     """Heuristic probability that a limit order at price ``p`` transacts.
 
     For a bid: favorable mass is ask volume and successful bids at <= p,
     unfavorable mass is failed bids at >= p.  Mirrored for an ask.  Returns
     0 when the denominator is empty.
     """
-    if side is Side.BID:
-        favorable_volume, succ, fail = memory.bid_components(p)
-    else:
-        favorable_volume, succ, fail = memory.ask_components(p)
-    numerator = favorable_volume + succ
-    denominator = numerator + fail
-    if denominator == 0.0:
-        return 0.0
-    return numerator / denominator
+    return float(memory.belief_array([p], side)[0])
 
 
-def hbl_candidate_grid(memory: HblMemory, mode: str = "observed", extend: int = 1) -> list[int]:
+def hbl_candidate_grid(memory: HblMemory | TickMemory, mode: str = "observed", extend: int = 1) -> list[int]:
     """Candidate limit prices: observed distinct prices, or every tick across
     the observed range, each extended ``extend`` ticks beyond the extremes."""
     observed = memory.prices
@@ -427,28 +560,26 @@ def hbl_candidate_grid(memory: HblMemory, mode: str = "observed", extend: int = 
     return grid
 
 
-def hbl_belief_spline(memory: HblMemory, side: Side):
+def hbl_belief_spline(memory: HblMemory | TickMemory, side: Side):
     """Natural cubic spline through the observed (price, belief) points,
-    clamped to [0, 1]; degenerates to the raw belief with < 2 points."""
+    clamped to [0, 1]; degenerates to the raw belief with < 2 points.
+
+    Returns a function of an array of prices.
+    """
     from scipy.interpolate import CubicSpline
 
     points = memory.prices
     if len(points) < 2:
-        return lambda p: hbl_belief(memory, p, side)
-    values = [hbl_belief(memory, p, side) for p in points]
-    spline = CubicSpline(points, values, bc_type="natural")
-
-    def belief(p: int) -> float:
-        return min(1.0, max(0.0, float(spline(p))))
-
-    return belief
+        return lambda prices: memory.belief_array(prices, side)
+    spline = CubicSpline(points, memory.belief_array(points, side), bc_type="natural")
+    return lambda prices: np.clip(spline(prices), 0.0, 1.0)
 
 
 def hbl_decide(
     q_held: int,
     pv: PrivateValues,
     r_hat: float,
-    memory: HblMemory | None,
+    memory: HblMemory | TickMemory | None,
     candidate_prices: list[int],
     params: HblParams,
     rng: np.random.Generator,
@@ -473,20 +604,11 @@ def hbl_decide(
         valuation = pv.sell_valuation(q_held, r_hat)
         ordered = sorted(candidate_prices, reverse=True)  # ties resolve to the highest ask
     sign = 1.0 if side is Side.BID else -1.0
+    prices = np.array(ordered, dtype=np.int64)
     if params.grid_mode == "spline":
-        belief = hbl_belief_spline(memory, side)
-        best_price = None
-        best_expected = -float("inf")
-        for p in ordered:
-            expected = sign * (valuation - grid.to_value(p)) * belief(p)
-            if expected > best_expected:
-                best_expected = expected
-                best_price = p
+        beliefs = hbl_belief_spline(memory, side)(prices)
     else:
-        prices = np.array(ordered, dtype=np.int64)
         beliefs = memory.belief_array(prices, side)
-        values = np.fromiter((grid.to_value(int(p)) for p in prices),
-                             dtype=np.float64, count=len(prices))
-        expected = sign * (valuation - values) * beliefs
-        best_price = int(prices[np.argmax(expected)])  # first max keeps tie order
+    expected = sign * (valuation - prices * grid.tick_size) * beliefs
+    best_price = int(prices[np.argmax(expected)])  # first max keeps tie order
     return AgentAction(ActionKind.PLACE, side, max(0, best_price))

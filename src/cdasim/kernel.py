@@ -207,19 +207,28 @@ def run(config: SimConfig) -> SimResult:
     book = OrderBook()
     history = strategies.OrderHistory()
     order_ids = count(1)
-    order_owner: dict[int, int] = {}
     estimator_trace: list[tuple] = []
     decision_trace: list[tuple] = []
     invariants_ok = True
     breaches: list[str] = []
 
-    def check_invariants(t: int) -> None:
+    q_max = config.zi_params.q_max
+
+    def check_invariants(t: int, trades) -> None:
         nonlocal invariants_ok
         cash_total = sum(r.cash for r in records)
         q_total = sum(r.q_held for r in records)
         if abs(cash_total) > 1e-6 or q_total != 0:
             invariants_ok = False
             breaches.append(f"t={t}: cash={cash_total!r} q={q_total}")
+        # only the agents that just traded can have moved past the limit
+        for agent_id in sorted({a for trade in trades
+                                for a in (trade.buyer_id, trade.seller_id)}):
+            q_held = records[agent_id].q_held
+            if abs(q_held) > q_max:
+                invariants_ok = False
+                breaches.append(f"t={t}: agent {agent_id} holds q={q_held} "
+                                f"beyond q_max={q_max}")
 
     for t, agent_id in wakes:
         record = records[agent_id]
@@ -250,7 +259,6 @@ def run(config: SimConfig) -> SimResult:
 
         order = Order(next(order_ids), agent_id, action.side, action.limit_price,
                       quantity=1, placed_at=t)
-        order_owner[order.order_id] = agent_id
         history.add(order.order_id, order.side, order.limit_price, t)
         trades_before = len(book.trades)
         book.place_limit(order, t)
@@ -265,14 +273,13 @@ def run(config: SimConfig) -> SimResult:
             buyer.q_held += trade.quantity
             seller.cash += value
             seller.q_held -= trade.quantity
-            for oid in (trade.buy_order_id, trade.sell_order_id):
-                owner = records[order_owner[oid]]
+            for oid, owner in ((trade.buy_order_id, buyer), (trade.sell_order_id, seller)):
                 if owner.open_order_id == oid and book.placed_order(oid) is None:
                     owner.open_order_id = None
         if book.placed_order(order.order_id) is not None:
             record.open_order_id = order.order_id
         if new_trades:
-            check_invariants(t)
+            check_invariants(t, new_trades)
 
     final_ticks = fundamental.value_at(config.horizon_T)
     final_value = grid.to_value(final_ticks)

@@ -12,6 +12,7 @@ from cdasim.agents import (
     hbl_candidate_grid,
     hbl_classify,
     hbl_decide,
+    OrderHistory,
     zi_decide,
 )
 from cdasim.orderbook import BookEvent, EventKind, Order, OrderBook, Side
@@ -494,52 +495,252 @@ def test_spline_mode_decision_runs(grid_01):
     assert 995 <= action.limit_price <= 1005
 
 
+class LedgerMarket:
+    """A book and an ``OrderHistory`` driven in lockstep, as the kernel does."""
+
+    def __init__(self, params):
+        self.params = params
+        self.book = OrderBook()
+        self.history = OrderHistory()
+        self.next_id = 1
+
+    def place(self, side, price, t):
+        oid = self.next_id
+        self.next_id += 1
+        before = len(self.book.trades)
+        self.history.add(oid, side, price, t)
+        self.book.place_limit(Order(oid, oid, side, price, 1, placed_at=t), t)
+        for trade in self.book.trades[before:]:
+            self.history.mark_executed(trade.buy_order_id, t)
+            self.history.mark_executed(trade.sell_order_id, t)
+        return oid
+
+    def cancel(self, oid, t):
+        if self.book.cancel(oid, t) is not None:
+            self.history.mark_cancelled(oid, t)
+
+    def window_start(self):
+        """Placement time of the oldest order in the last L trades, as in the kernel."""
+        return min(self.book.placement_time(oid)
+                   for trade in self.book.trades[-self.params.memory_length:]
+                   for oid in (trade.buy_order_id, trade.sell_order_id))
+
+    def memory(self, window_start, now):
+        return self.history.memory(window_start, now, self.params, len(self.book.trades))
+
+
+def window_oracle(events, window_start, now, grace):
+    """Binary classification of the orders placed at or after ``window_start``,
+    read straight off the event log."""
+    placed, executed, cancelled = {}, set(), set()
+    for event in events:
+        if event.kind is EventKind.PLACED:
+            placed[event.order_id] = event
+        elif event.kind is EventKind.EXECUTED:
+            executed.add(event.order_id)
+        else:
+            cancelled.add(event.order_id)
+    records = []
+    for oid, event in placed.items():
+        if event.time < window_start:
+            continue
+        if oid in executed:
+            records.append(MemoryOrder(event.side, event.price, 1.0, 0.0))
+        elif oid in cancelled or now - event.time > grace:
+            records.append(MemoryOrder(event.side, event.price, 0.0, 1.0))
+    return HblMemory(tuple(records), transaction_count=0)
+
+
+def assert_same_memory(got, expected, prices):
+    """Exact equality of the length, the observed prices and every belief."""
+    assert len(got) == len(expected)
+    assert got.prices == expected.prices
+    assert all(type(p) is int for p in got.prices)
+    for side in Side:
+        assert np.array_equal(got.belief_array(prices, side),
+                              expected.belief_array(prices, side)), side
+
+
+def scalar_choice_oracle(memory, candidates, side, valuation, grid, grid_mode):
+    """The per-candidate decision loop: a scalar belief per price, strict ``>``."""
+    from scipy.interpolate import CubicSpline
+
+    def belief(p):
+        return hbl_belief(memory, p, side)
+
+    points = memory.prices
+    if grid_mode == "spline" and len(points) >= 2:
+        spline = CubicSpline(points, [hbl_belief(memory, p, side) for p in points],
+                             bc_type="natural")
+
+        def belief(p):
+            return min(1.0, max(0.0, float(spline(p))))
+
+    sign = 1.0 if side is Side.BID else -1.0
+    best_price, best_expected = None, -float("inf")
+    for p in sorted(candidates, reverse=side is Side.ASK):
+        expected = sign * (valuation - grid.to_value(p)) * belief(p)
+        if expected > best_expected:
+            best_price, best_expected = p, expected
+    return best_price
+
+
+@pytest.mark.parametrize("grid_mode", ["observed", "spline"])
+def test_hbl_decide_matches_scalar_loop(grid_mode, rng, grid_01, grid_001):
+    params = HblParams(zi=ZI, memory_length=1, grace_period=5, grid_mode=grid_mode)
+    for trial in range(400):
+        memory = random_memory(rng)
+        candidates = hbl_candidate_grid(memory, grid_mode)
+        if not candidates:
+            continue
+        grid = grid_01 if trial % 2 else grid_001
+        r_hat = float(rng.uniform(98.5, 101.5)) * (1.0 if trial % 2 else 0.1)
+        for side, coin in ((Side.BID, 0.0), (Side.ASK, 0.9)):
+            action = hbl_decide(0, PV, r_hat, memory, candidates, params,
+                                FixedRng(random_value=coin), grid)
+            valuation = (PV.buy_valuation(0, r_hat) if side is Side.BID
+                         else PV.sell_valuation(0, r_hat))
+            assert action.side is side
+            assert action.limit_price == scalar_choice_oracle(
+                memory, candidates, side, valuation, grid, grid_mode), (trial, side)
+
+
 @pytest.mark.parametrize("mode", ["binary", "fractional"])
 def test_order_history_matches_event_classification(mode, rng):
-    # the incremental ledger and the event-log rescan agree on every belief
-    from cdasim.agents import OrderHistory
-    from cdasim.orderbook import Order, OrderBook
-
+    # the incremental ledger and the event-log rescan agree on every belief;
+    # the binary ledger is queried after every step and must match exactly
     params = HblParams(zi=ZI, memory_length=3, grace_period=7, success_mode=mode)
+    grid = np.arange(993, 1008)
+    queried = 0
     for trial in range(30):
-        book = OrderBook()
-        history = OrderHistory()
+        market = LedgerMarket(params)
         live = []
-        t = 0
-        for oid in range(1, 60):
+        t = now = 0
+        for _ in range(60):
             t += int(rng.integers(1, 4))
             if live and rng.random() < 0.25:
-                victim = live.pop(int(rng.integers(len(live))))
-                if book.cancel(victim, t) is not None:
-                    history.mark_cancelled(victim, t)
+                market.cancel(live.pop(int(rng.integers(len(live)))), t)
+            else:
+                side = Side.BID if rng.random() < 0.5 else Side.ASK
+                oid = market.place(side, int(rng.integers(995, 1006)), t)
+                live = [o for o in live if market.book.placed_order(o) is not None]
+                if market.book.placed_order(oid) is not None:
+                    live.append(oid)
+            if mode != "binary" or not market.book.trades:
                 continue
-            side = Side.BID if rng.random() < 0.5 else Side.ASK
-            price = int(rng.integers(995, 1006))
-            before = len(book.trades)
-            history.add(oid, side, price, t)
-            book.place_limit(Order(oid, oid, side, price, 1, placed_at=t), t)
-            for trade in book.trades[before:]:
-                history.mark_executed(trade.buy_order_id, t)
-                history.mark_executed(trade.sell_order_id, t)
-            live = [o for o in live if book.placed_order(o) is not None]
-            if book.placed_order(oid) is not None:
-                live.append(oid)
-        if len(book.trades) < params.memory_length:
+            now = max(now, t + int(rng.integers(0, 4)))  # queries never go back in time
+            window_start = market.window_start()
+            reference = hbl_classify(market.book.events_from(window_start), now, params)
+            assert_same_memory(market.memory(window_start, now), reference, grid)
+            queried += 1
+        if len(market.book.trades) < params.memory_length:
             continue
-        window_start = min(
-            book.placement_time(oid)
-            for trade in book.trades[-params.memory_length:]
-            for oid in (trade.buy_order_id, trade.sell_order_id)
-        )
-        now = t + int(rng.integers(0, 12))
-        reference = hbl_classify(book.events_from(window_start), now, params)
-        fast = history.memory(window_start, now, params, len(book.trades))
+        window_start = market.window_start()
+        now = max(now, t + int(rng.integers(0, 12)))
+        reference = hbl_classify(market.book.events_from(window_start), now, params)
+        fast = market.memory(window_start, now)
         assert len(fast) == len(reference)
         for p in range(993, 1008):
             for side in Side:
                 assert hbl_belief(fast, p, side) == pytest.approx(
                     hbl_belief(reference, p, side), abs=1e-12), (trial, p, side)
         assert fast.prices == reference.prices
+    assert mode != "binary" or queried > 500
+
+
+BINARY = HblParams(zi=ZI, memory_length=1, grace_period=5)
+
+
+def assert_ledger_exact(market, window_start, now, prices=range(990, 1012)):
+    """The ledger against the event-log oracle and against the full rebuild."""
+    got = market.memory(window_start, now)
+    prices = np.asarray(prices)
+    assert_same_memory(got, window_oracle(market.book.events, window_start, now,
+                                          market.params.grace_period), prices)
+    rebuilt = market.history.rebuild_memory(window_start, now, market.params, 0)
+    assert_same_memory(got, rebuilt, prices)
+    return got
+
+
+def test_ledger_expired_order_that_executes_turns_success():
+    market = LedgerMarket(BINARY)
+    market.place(Side.BID, 1000, 0)
+    assert assert_ledger_exact(market, 0, 20).belief_array([1000], Side.BID)[0] == 0.0
+    market.place(Side.ASK, 1000, 21)  # fills the expired bid
+    assert len(market.book.trades) == 1
+    memory = assert_ledger_exact(market, 0, 21)
+    assert len(memory) == 2
+    assert memory.belief_array([1000], Side.BID)[0] == 1.0
+
+
+def test_ledger_window_start_moves_backward():
+    market = LedgerMarket(BINARY)
+    market.place(Side.ASK, 1004, 0)
+    market.place(Side.BID, 990, 2)
+    market.place(Side.BID, 1004, 5)  # trades with the ask placed at 0
+    assert market.window_start() == 0
+    assert_ledger_exact(market, market.window_start(), 5)
+    market.place(Side.ASK, 1000, 6)
+    market.place(Side.BID, 1000, 8)  # window moves forward to 6
+    assert market.window_start() == 6
+    assert len(assert_ledger_exact(market, market.window_start(), 8)) == 2
+    market.place(Side.ASK, 990, 10)  # hits the bid resting since 2: back to 2
+    assert market.window_start() == 2
+    assert len(assert_ledger_exact(market, market.window_start(), 10)) == 5
+    for window_start in (0, 9, 3, 11, 6, 0):
+        assert_ledger_exact(market, window_start, 12)
+
+
+def test_ledger_cancel_after_expiry_counts_once():
+    market = LedgerMarket(BINARY)
+    market.place(Side.BID, 1000, 0)
+    market.place(Side.ASK, 1003, 1)
+    assert len(assert_ledger_exact(market, 0, 10)) == 2  # both expired
+    market.cancel(1, 11)
+    market.cancel(2, 12)
+    assert len(assert_ledger_exact(market, 0, 12)) == 2
+
+
+def test_ledger_empty_window():
+    market = LedgerMarket(BINARY)
+    empty = assert_ledger_exact(market, 0, 0)  # nothing placed yet
+    assert len(empty) == 0 and empty.prices == []
+    assert not empty.belief_array(np.arange(990, 1010), Side.ASK).any()
+    market.place(Side.BID, 1000, 1)
+    market.place(Side.ASK, 1000, 2)
+    assert len(assert_ledger_exact(market, 0, 2)) == 2
+    empty = assert_ledger_exact(market, 3, 3)  # window starts after every order
+    assert len(empty) == 0 and hbl_candidate_grid(empty) == []
+    assert len(assert_ledger_exact(market, 1, 3)) == 2
+
+
+def test_ledger_query_back_in_time_and_new_grace_recount():
+    market = LedgerMarket(BINARY)
+    market.place(Side.BID, 1000, 0)
+    market.place(Side.ASK, 1002, 1)
+    assert len(assert_ledger_exact(market, 0, 50)) == 2
+    assert len(assert_ledger_exact(market, 0, 3)) == 0  # now moved back: pending again
+    longer = HblParams(zi=ZI, memory_length=1, grace_period=30)
+    market.params = longer
+    assert len(assert_ledger_exact(market, 0, 20)) == 0
+    assert len(assert_ledger_exact(market, 0, 31)) == 1  # 31 - 1 > 30 is false
+    assert len(assert_ledger_exact(market, 0, 32)) == 2
+
+
+def test_ledger_at_cent_ticks_matches_oracle(rng):
+    # tick_size 0.01: prices near 100.00 are ~10^4 ticks and spread over a
+    # span wider than the ledger's headroom, so its counts widen repeatedly
+    params = HblParams(zi=ZI, memory_length=2, grace_period=9)
+    prices = np.arange(9880, 10121)
+    for _ in range(10):
+        market = LedgerMarket(params)
+        t = 0
+        for _ in range(80):
+            t += int(rng.integers(0, 3))
+            side = Side.BID if rng.random() < 0.5 else Side.ASK
+            market.place(side, int(rng.integers(9900, 10101)), t)
+            if market.book.trades:
+                assert_ledger_exact(market, market.window_start(), t, prices)
 
 
 def test_params_validation():

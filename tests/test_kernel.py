@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cdasim import estimator as est
-from cdasim.agents import HblParams, ZiParams
+from cdasim.agents import HblParams, OrderHistory, TickMemory, ZiParams
+from cdasim.cli import parse_config, run_one
 from cdasim.fundamental import DmrParams, MegashockParams, OuParams, ou_mean_var
 from cdasim.kernel import (
     OutputOptions,
@@ -284,3 +286,68 @@ def test_config_validation():
         make_config(fundamental_variant="brownian")
     with pytest.raises(ValueError, match="fundamental_file"):
         make_config(fundamental_variant="file", fundamental_params=None)
+
+
+def test_holdings_breach_is_reported(monkeypatch):
+    # agents whose private values allow q_max + 3 units outrun the configured
+    # q_max; the kernel must flag each agent that does, with the time
+    draw = PrivateValues.draw.__func__
+    monkeypatch.setattr(PrivateValues, "draw", classmethod(
+        lambda cls, q_max, sigma_pv_sq, rng: draw(cls, q_max + 3, sigma_pv_sq, rng)))
+    result = run(make_config(zi_params=ZiParams(r_min=0.0, r_max=1.0, eta=1.0,
+                                                sigma_n_sq=10.0, q_max=1,
+                                                sigma_pv_sq=25.0),
+                             n_hbl=0, hbl_params=None, horizon_T=4000,
+                             arrival_rate=0.02))
+    assert not result.invariants_ok
+    breaches = result.invariant_summary["breaches"]
+    assert breaches
+    assert all(re.fullmatch(r"t=\d+: agent \d+ holds q=-?\d+ beyond q_max=1", b)
+               for b in breaches), breaches
+    held = {a.agent_id: 0 for a in result.agents}
+    expected = []
+    for trade in result.trades:
+        held[trade.buyer_id] += 1
+        held[trade.seller_id] -= 1
+        for agent_id in sorted({trade.buyer_id, trade.seller_id}):
+            if abs(held[agent_id]) > 1:
+                expected.append(f"t={trade.time}: agent {agent_id} holds "
+                                f"q={held[agent_id]} beyond q_max=1")
+    assert breaches == expected
+
+
+E2E_OVERRIDES = {
+    "binary-observed": {},
+    "binary-spline": {"agents": {"grid_mode": "spline"}},
+    "all-hbl": {"agents": {"zi_count": "0", "hbl_count": "30"}},
+    "cent-ticks": {"agents": {"grid_mode": "spline"}, "market": {"tick_size": "0.01"}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(E2E_OVERRIDES))
+def test_binary_ledger_run_matches_rebuild(name, tmp_path, monkeypatch):
+    # the running per-tick counts and a full rebuild of the memory on every
+    # HBL wake write the same four CSVs, byte for byte
+    resolved = parse_config("[market]\nhorizon = 4000\nseed = 5\n")
+    for section, keys in E2E_OVERRIDES[name].items():
+        resolved[section].update(keys)
+    ledger = OrderHistory.memory
+    kinds = []
+
+    def memory(self, *args):
+        result = ledger(self, *args)
+        kinds.append(type(result))
+        return result
+
+    def rebuild(self, *args):
+        kinds.append("rebuild")
+        return OrderHistory.rebuild_memory(self, *args)
+
+    for label, method in (("ledger", memory), ("rebuild", rebuild)):
+        monkeypatch.setattr(OrderHistory, "memory", method)
+        assert run_one({s: dict(k) for s, k in resolved.items()}, str(tmp_path / label))
+    assert set(kinds) == {TickMemory, "rebuild"}
+    assert kinds.count(TickMemory) == kinds.count("rebuild") > 50
+    for fname in ("events.csv", "trades.csv", "agents.csv", "fundamental.csv"):
+        assert ((tmp_path / "ledger" / fname).read_bytes()
+                == (tmp_path / "rebuild" / fname).read_bytes()), fname
