@@ -556,8 +556,92 @@ def hbl_candidate_grid(memory: HblMemory | TickMemory, mode: str = "observed", e
     hi = observed[-1] + extend
     if mode == "spline":
         return list(range(lo, hi + 1))
-    grid = sorted(set(observed) | {lo, hi})
-    return grid
+    # observed is sorted and distinct, so only the two ends can be new
+    if lo < observed[0]:
+        observed.insert(0, lo)
+    if hi > observed[-1]:
+        observed.append(hi)
+    return observed
+
+
+def _solve_tridiagonal(dl: list, d: list, du: list, b: list) -> list:
+    """Solve a tridiagonal system in place, as LAPACK ``dgtsv`` does.
+
+    ``dl``, ``d`` and ``du`` are the sub-, main and super-diagonal.  The
+    elimination with partial pivoting and the back-substitution follow the
+    reference routine step for step, so the solution matches it bit for bit.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise ValueError("singular tridiagonal system")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:  # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise ValueError("singular tridiagonal system")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+def natural_cubic_spline(knots, values):
+    """Natural cubic spline through ``(knots, values)``, extrapolated from the
+    end pieces; returns a function of an array of points.
+
+    Bit for bit the reference spline that ``tests/test_agents.py`` compares
+    against: the same tridiagonal system for the slopes, the same Hermite
+    coefficients and the same evaluation order, without the reference
+    library's import cost.  Needs at least two strictly increasing knots.
+    """
+    x = np.asarray(knots, dtype=np.float64)
+    y = np.asarray(values, dtype=np.float64)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # slope equations; the natural ends set the second derivative to zero
+    d = np.empty(len(x))
+    d[0], d[-1] = 2 * dx[0], 2 * dx[-1]
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    rhs = np.empty(len(x))
+    rhs[0], rhs[-1] = 3 * (y[1] - y[0]), 3 * (y[-1] - y[-2])
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    dl = np.append(dx[1:], dx[-1])
+    du = np.append(dx[0], dx[:-1])
+    s = np.array(_solve_tridiagonal(dl.tolist(), d.tolist(), du.tolist(), rhs.tolist()))
+    # Hermite form: y + s*h + c1*h^2 + c0*h^3 on each interval
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0 = t / dx
+    c1 = (slope - s[:-1]) / dx - t
+    c2 = s[:-1]
+    c3 = y[:-1]
+    last = len(x) - 2
+
+    def evaluate(points):
+        p = np.asarray(points, dtype=np.float64)
+        i = np.clip(np.searchsorted(x, p, side="right") - 1, 0, last)
+        h = p - x[i]
+        h2 = h * h
+        # term by term with rising powers, the reference's order (not Horner)
+        return c3[i] + c2[i] * h + c1[i] * h2 + c0[i] * (h2 * h)
+
+    return evaluate
 
 
 def hbl_belief_spline(memory: HblMemory | TickMemory, side: Side):
@@ -566,12 +650,10 @@ def hbl_belief_spline(memory: HblMemory | TickMemory, side: Side):
 
     Returns a function of an array of prices.
     """
-    from scipy.interpolate import CubicSpline
-
     points = memory.prices
     if len(points) < 2:
         return lambda prices: memory.belief_array(prices, side)
-    spline = CubicSpline(points, memory.belief_array(points, side), bc_type="natural")
+    spline = natural_cubic_spline(points, memory.belief_array(points, side))
     return lambda prices: np.clip(spline(prices), 0.0, 1.0)
 
 
@@ -597,14 +679,13 @@ def hbl_decide(
     side = _choose_side(q_held, pv, rng)
     if side is None:
         return SKIP
+    prices = np.sort(np.asarray(candidate_prices, dtype=np.int64))  # ties resolve to the lowest bid
     if side is Side.BID:
         valuation = pv.buy_valuation(q_held, r_hat)
-        ordered = sorted(candidate_prices)  # ties resolve to the lowest bid
     else:
         valuation = pv.sell_valuation(q_held, r_hat)
-        ordered = sorted(candidate_prices, reverse=True)  # ties resolve to the highest ask
+        prices = prices[::-1]  # ties resolve to the highest ask
     sign = 1.0 if side is Side.BID else -1.0
-    prices = np.array(ordered, dtype=np.int64)
     if params.grid_mode == "spline":
         beliefs = hbl_belief_spline(memory, side)(prices)
     else:

@@ -77,7 +77,6 @@ class OrderBook:
         self._sorted_prices: dict[Side, list[int]] = {Side.BID: [], Side.ASK: []}
         self._resting: dict[int, list] = {}  # order_id -> [order, remaining]
         self._placement_times: dict[int, int] = {}
-        self._seen_ids: set[int] = set()
         self._events: list[BookEvent] = []
         self._event_times: list[int] = []
         self._trades: list[Trade] = []
@@ -138,11 +137,10 @@ class OrderBook:
     # -- mutations --------------------------------------------------------
 
     def place_limit(self, order: Order, now: int) -> list[BookEvent]:
-        if order.order_id in self._seen_ids:
+        if order.order_id in self._placement_times:
             raise ValueError(f"duplicate order_id {order.order_id}")
         if now < self._last_time:
             raise ValueError(f"event time regression: {now} < {self._last_time}")
-        self._seen_ids.add(order.order_id)
         self._placement_times[order.order_id] = now
         self._last_time = now
 

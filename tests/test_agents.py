@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,7 +16,9 @@ from cdasim.agents import (
     hbl_candidate_grid,
     hbl_classify,
     hbl_decide,
+    natural_cubic_spline,
     OrderHistory,
+    TickMemory,
     zi_decide,
 )
 from cdasim.orderbook import BookEvent, EventKind, Order, OrderBook, Side
@@ -185,6 +191,25 @@ def test_script_candidate_grid():
     assert grid == [995, 996, 998, 999, 1000, 1001, 1002, 1003, 1004, 1005]
     dense = hbl_candidate_grid(memory, mode="spline")
     assert dense == list(range(995, 1006))
+
+
+def test_candidate_grid_matches_union_oracle(rng):
+    for _ in range(300):
+        memory = random_memory(rng)
+        if rng.random() < 0.2:  # prices at the bottom of the tick range
+            counts = np.zeros((4, 4), dtype=np.int64)
+            counts[0, rng.integers(0, 4, size=2)] = 1
+            memory = TickMemory(counts, 0, 0)
+        observed = memory.prices
+        for extend in (0, 1, 3):
+            grid = hbl_candidate_grid(memory, extend=extend)
+            if not observed:
+                assert grid == []
+                continue
+            lo, hi = max(0, observed[0] - extend), observed[-1] + extend
+            assert grid == sorted(set(observed) | {lo, hi})
+            assert all(type(p) is int for p in grid)
+            assert hbl_candidate_grid(memory, "spline", extend) == list(range(lo, hi + 1))
 
 
 def test_script_buyer_decision(grid_01):
@@ -493,6 +518,108 @@ def test_spline_mode_decision_runs(grid_01):
     assert action.kind is ActionKind.PLACE
     assert action.side is Side.BID
     assert 995 <= action.limit_price <= 1005
+
+
+def scipy_natural_spline(points, values, prices):
+    """The spline belief as scipy computes it: the differential oracle."""
+    from scipy.interpolate import CubicSpline
+
+    return np.clip(CubicSpline(points, values, bc_type="natural")(prices), 0.0, 1.0)
+
+
+def assert_bitwise_equal(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def spline_cases(rng, tick_size):
+    """Knot sets around 100.0 in ticks: 2 and 3 knots, even gaps, gaps that
+    force a row interchange in the tridiagonal solve, and random gaps."""
+    base = round(100.0 / tick_size)
+    gap_sets = [[1], [7], [1, 1], [1, 5], [9, 1], [1, 1, 1, 1], [1, 3, 1, 40],
+                [2, 9, 1, 30, 1, 1, 25], [1, 60], [3, 1, 1, 1, 80]]
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        scale = int(rng.choice([2, 4, 30, 300]))
+        gap_sets.append(rng.integers(1, scale, size=n - 1).tolist())
+    for gaps in gap_sets:
+        start = base + int(rng.integers(-50, 50))
+        points = np.concatenate(([start], start + np.cumsum(gaps))).tolist()
+        values = rng.random(len(points))
+        values[rng.random(len(points)) < 0.3] = 0.0
+        values[rng.random(len(points)) < 0.3] = 1.0
+        yield points, values
+
+
+@pytest.mark.parametrize("tick_size", [0.1, 0.01])
+def test_natural_spline_matches_scipy_bitwise(tick_size, rng):
+    interchanges = 0
+    knot_counts = set()
+    for points, values in spline_cases(rng, tick_size):
+        knot_counts.add(len(points))
+        # dgtsv swaps rows 0 and 1 when the sub-diagonal entry dx[1]
+        # exceeds the first pivot 2 * dx[0]
+        interchanges += len(points) > 2 and points[2] - points[1] > 2 * (points[1] - points[0])
+        spline = natural_cubic_spline(points, values)
+        for prices in (points,
+                       [points[0] - 1, points[-1] + 1],
+                       np.arange(points[0] - 1, points[-1] + 2)):
+            assert_bitwise_equal(np.clip(spline(prices), 0.0, 1.0),
+                                 scipy_natural_spline(points, values, prices))
+    assert {2, 3} <= knot_counts
+    assert interchanges > 0
+
+
+@pytest.mark.parametrize("side", list(Side))
+def test_spline_belief_matches_scipy_on_memories(side, rng):
+    checked = 0
+    for _ in range(300):
+        memory = random_memory(rng)
+        points = memory.prices
+        if len(points) < 2:
+            continue
+        prices = np.array(hbl_candidate_grid(memory, mode="spline"))
+        expected = scipy_natural_spline(points, memory.belief_array(points, side), prices)
+        assert_bitwise_equal(hbl_belief_spline(memory, side)(prices), expected)
+        checked += 1
+    assert checked > 100
+
+
+SPLINE_PATH = """
+import json, sys
+sys.path[:] = {path!r}
+from dataclasses import replace
+from cdasim import agents
+from cdasim.agents import HblParams, hbl_candidate_grid, hbl_classify, hbl_decide
+from cdasim.kernel import run
+from cdasim.prices import PriceGrid
+from conftest import FixedRng
+from test_agents import ZI, PV, build_script_book
+from test_kernel import HBL_PARAMS, make_config
+fits = []
+fit = agents.natural_cubic_spline
+agents.natural_cubic_spline = lambda *args: fits.append(1) or fit(*args)
+params = HblParams(zi=ZI, memory_length=4, grace_period=5, grid_mode="spline")
+memory = hbl_classify(build_script_book().events, now=100, params=params)
+candidates = hbl_candidate_grid(memory, mode="spline")
+hbl_decide(-1, PV, 100.0, memory, candidates, params, FixedRng(0.0), PriceGrid(0.1))
+run(make_config(hbl_params=replace(HBL_PARAMS, grid_mode="spline")))
+print(json.dumps({{"fits": len(fits),
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}}))
+"""
+
+
+def test_spline_path_leaves_scipy_unimported():
+    # importing scipy.interpolate costs a fresh process far more than the
+    # spline fits themselves; a fresh interpreter keeps the check independent
+    # of test order
+    child = subprocess.run(
+        [sys.executable, "-c", SPLINE_PATH.format(path=sys.path)],
+        capture_output=True, text=True, check=True)
+    report = json.loads(child.stdout)
+    assert report["fits"] > 10
+    assert report["scipy"] == []
 
 
 class LedgerMarket:
