@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import __version__
 from .agents import HblParams, ZiParams
 from .estimator import EstimatorParams
-from .fundamental import DmrParams, MegashockParams, OuParams
+from .fundamental import DmrParams, MegashockParams, OuParams, dump_series
 from .kernel import OutputOptions, SimConfig, SimResult, run
 
 
@@ -140,7 +141,8 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
     """Validate the resolved mapping and construct the simulation config."""
     variant = resolved["fundamental"]["variant"]
     horizon = _as_int(resolved, "market", "horizon", lambda v: v >= 1, "horizon >= 1")
-    tick_size = _as_float(resolved, "market", "tick_size", lambda v: v > 0, "tick_size > 0")
+    tick_size = _as_float(resolved, "market", "tick_size",
+                          lambda v: math.isfinite(v) and v > 0, "tick_size > 0 and finite")
     seed = _as_int(resolved, "market", "seed")
 
     fundamental_params = None
@@ -259,10 +261,7 @@ def emit_outputs(result: SimResult, resolved: dict[str, dict[str, str]], outdir:
             fh.write(f"{t.time},{grid.format(t.price)},{t.quantity},"
                      f"{t.buy_order_id},{t.sell_order_id}\n")
 
-    with open(path("fundamental.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("timestamp,value\n")
-        for t, ticks in result.fundamental_trace:
-            fh.write(f"{t},{grid.format(ticks)}\n")
+    dump_series(result.fundamental_trace, path("fundamental.csv"), grid)
 
     with open(path("agents.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("agent_id,strategy,cash,q_held,payoff\n")
@@ -282,10 +281,7 @@ def emit_outputs(result: SimResult, resolved: dict[str, dict[str, str]], outdir:
                 fh.write(",".join(str(x) for x in row) + "\n")
 
     if _BOOL[resolved["output"]["dump_fundamental"].lower()]:
-        with open(path("fundamental_dump.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("timestamp,value\n")
-            for t, ticks in result.fundamental_trace:
-                fh.write(f"{t},{grid.format(ticks)}\n")
+        dump_series(result.fundamental_trace, path("fundamental_dump.csv"), grid)
 
     with open(path("manifest.ini"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("[meta]\n")

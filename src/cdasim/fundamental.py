@@ -311,9 +311,9 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def dump_series(source, path: str, grid: PriceGrid) -> None:
-    """Write the evaluated series in the same two-column format we load."""
+def dump_series(series, path: str, grid: PriceGrid) -> None:
+    """Write (t, ticks) pairs, e.g. ``evaluations()``, in the two-column format we load."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("timestamp,value\n")
-        for t, ticks in source.evaluations():
+        for t, ticks in series:
             fh.write(f"{t},{grid.format(ticks)}\n")

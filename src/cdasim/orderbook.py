@@ -78,7 +78,6 @@ class OrderBook:
         self._resting: dict[int, list] = {}  # order_id -> [order, remaining]
         self._placement_times: dict[int, int] = {}
         self._events: list[BookEvent] = []
-        self._event_times: list[int] = []
         self._trades: list[Trade] = []
         self._last_time = 0
 
@@ -104,18 +103,6 @@ class OrderBook:
 
     def placement_time(self, order_id: int) -> int:
         return self._placement_times[order_id]
-
-    def event_history(self, start: int | None = None, end: int | None = None) -> tuple[BookEvent, ...]:
-        """Immutable view of the log, optionally restricted to [start, end]."""
-        events = self._events
-        if start is not None:
-            events = events[bisect_left(self._event_times, start):]
-        if end is not None:
-            events = [e for e in events if e.time <= end]
-        return tuple(events)
-
-    def events_from(self, start: int) -> list[BookEvent]:
-        return self._events[bisect_left(self._event_times, start):]
 
     def placed_order(self, order_id: int) -> Order | None:
         entry = self._resting.get(order_id)
@@ -219,7 +206,6 @@ class OrderBook:
 
     def _append(self, events: list[BookEvent]) -> None:
         self._events.extend(events)
-        self._event_times.extend(e.time for e in events)
 
 
 def replay(events) -> OrderBook:

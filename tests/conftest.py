@@ -1,3 +1,5 @@
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,14 @@ class FixedRng:
 
     def normal(self, loc=0.0, scale=1.0):
         return loc + scale * self._normal
+
+
+def events_in_window(book, start, end=None):
+    """The book's events with ``start <= time`` (and ``time <= end``), in log order."""
+    events = book.events
+    lo = bisect_left(events, start, key=lambda e: e.time)
+    hi = len(events) if end is None else bisect_right(events, end, key=lambda e: e.time)
+    return events[lo:hi]
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -24,7 +24,7 @@ from cdasim.agents import (
 from cdasim.orderbook import BookEvent, EventKind, Order, OrderBook, Side
 from cdasim.preferences import PrivateValues
 
-from conftest import FixedRng
+from conftest import FixedRng, events_in_window
 
 
 PV = PrivateValues(q_max=3, values=(0.5, 0.3, 0.2, 0.1, -0.2, -0.4))
@@ -757,14 +757,14 @@ def test_order_history_matches_event_classification(mode, rng):
                 continue
             now = max(now, t + int(rng.integers(0, 4)))  # queries never go back in time
             window_start = market.window_start()
-            reference = hbl_classify(market.book.events_from(window_start), now, params)
+            reference = hbl_classify(events_in_window(market.book, window_start), now, params)
             assert_same_memory(market.memory(window_start, now), reference, grid)
             queried += 1
         if len(market.book.trades) < params.memory_length:
             continue
         window_start = market.window_start()
         now = max(now, t + int(rng.integers(0, 12)))
-        reference = hbl_classify(market.book.events_from(window_start), now, params)
+        reference = hbl_classify(events_in_window(market.book, window_start), now, params)
         fast = market.memory(window_start, now)
         assert len(fast) == len(reference)
         for p in range(993, 1008):

@@ -177,6 +177,14 @@ def test_fundamental_dump_is_loadable(tmp_path):
     assert reloaded.value_at(600) >= 0
 
 
+def test_fundamental_dump_matches_fundamental_csv(tmp_path):
+    resolved = parse_config(SMALL + "\n[output]\ndump_fundamental = true\n")
+    run_one(resolved, str(tmp_path / "run"))
+    dump = (tmp_path / "run" / "fundamental_dump.csv").read_bytes()
+    assert dump == (tmp_path / "run" / "fundamental.csv").read_bytes()
+    assert dump.count(b"\n") > 2
+
+
 def test_trace_outputs(tmp_path):
     resolved = parse_config(SMALL)
     resolved["output"]["trace_estimator"] = "true"
@@ -198,6 +206,13 @@ def test_main_default_run(tmp_path, capsys):
     assert code == 0
     manifest = read(tmp_path / "out" / "manifest.ini")
     assert "master_seed = 9" in manifest
+
+
+@pytest.mark.parametrize("tick", ["inf", "-inf", "nan", "0", "-0.1"])
+def test_non_finite_or_non_positive_tick_size_rejected(tick):
+    resolved = parse_config(f"[market]\ntick_size = {tick}\n")
+    with pytest.raises(ConfigError, match="market.tick_size: tick_size > 0 and finite"):
+        build_config(resolved)
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):

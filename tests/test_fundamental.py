@@ -351,6 +351,6 @@ def test_dump_and_reload_round_trip(tmp_path, grid_01):
     fund = DmrFundamental(params, grid_01, seed=4, horizon_T=40)
     original = [fund.value_at(t) for t in range(41)]
     path = tmp_path / "fund.csv"
-    dump_series(fund, str(path), grid_01)
+    dump_series(fund.evaluations(), str(path), grid_01)
     reloaded = FileFundamental.from_path(str(path), grid_01)
     assert [reloaded.value_at(t) for t in range(41)] == original

@@ -11,6 +11,8 @@ from cdasim.orderbook import (
     replay,
 )
 
+from conftest import events_in_window
+
 
 def place(book, oid, agent, side, price, now, qty=1):
     return book.place_limit(Order(oid, agent, side, price, qty, placed_at=now), now)
@@ -130,9 +132,9 @@ def test_event_history_window():
     book = OrderBook()
     for t, oid in enumerate([1, 2, 3, 4], start=1):
         place(book, oid, 0, Side.BID, 900 + oid, now=t)
-    window = book.event_history(start=2, end=3)
+    window = events_in_window(book, 2, 3)
     assert [e.order_id for e in window] == [2, 3]
-    assert [e.order_id for e in book.events_from(3)] == [3, 4]
+    assert [e.order_id for e in events_in_window(book, 3)] == [3, 4]
 
 
 def test_paper_script_pairings():
