@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orderbook import BookEvent, EventKind, Side
+from .orderbook import EventKind, OrderBook, Side
 from .preferences import PrivateValues
 from .prices import PriceGrid
 
@@ -115,62 +115,20 @@ def zi_decide(
     return AgentAction(ActionKind.PLACE, Side.ASK, limit)
 
 
-@dataclass(frozen=True)
-class MemoryOrder:
-    side: Side
-    price: int
-    success: float  # weight in [0, 1]
-    failure: float  # weight in [0, 1]; success + failure may be < 1 while pending
-
-
 class HblMemory:
     """Classified order history with prefix sums for fast belief queries.
 
-    Holds any weights in [0, 1]; the simulation uses it for fractional mode,
-    where the weights are not integers.
+    Built from parallel arrays of sides, prices and success and failure
+    weights in [0, 1]; the simulation uses it for fractional mode, where
+    the weights are not integers.
     """
 
-    def __init__(self, records: tuple[MemoryOrder, ...], transaction_count: int):
-        self._records = records
+    def __init__(self, is_bid, prices, success, failure, transaction_count: int):
         self.transaction_count = transaction_count
-        is_bid = np.fromiter((r.side is Side.BID for r in records), dtype=bool,
-                             count=len(records))
-        prices = np.fromiter((r.price for r in records), dtype=np.int64,
-                             count=len(records))
-        success = np.fromiter((r.success for r in records), dtype=np.float64,
-                              count=len(records))
-        failure = np.fromiter((r.failure for r in records), dtype=np.float64,
-                              count=len(records))
-        self._build(is_bid, prices, success, failure)
-
-    @classmethod
-    def from_arrays(cls, is_bid, prices, success, failure,
-                    transaction_count: int) -> "HblMemory":
-        """Construct directly from parallel arrays, skipping record objects."""
-        memory = cls.__new__(cls)
-        memory._records = None
-        memory.transaction_count = transaction_count
-        memory._build(np.asarray(is_bid, dtype=bool),
-                      np.asarray(prices, dtype=np.int64),
-                      np.asarray(success, dtype=np.float64),
-                      np.asarray(failure, dtype=np.float64))
-        return memory
-
-    @property
-    def records(self) -> tuple[MemoryOrder, ...]:
-        if self._records is None:
-            # rebuilt from the arrays on demand; order is bids-then-asks by price
-            self._records = tuple(
-                [MemoryOrder(Side.BID, int(p), float(s), float(f))
-                 for p, s, f in zip(self._bid_prices_sorted, self._bid_succ,
-                                    self._bid_fail)]
-                + [MemoryOrder(Side.ASK, int(p), float(s), float(f))
-                   for p, s, f in zip(self._ask_prices, self._ask_succ,
-                                      self._ask_fail)]
-            )
-        return self._records
-
-    def _build(self, is_bid, prices, success, failure) -> None:
+        is_bid = np.asarray(is_bid, dtype=bool)
+        prices = np.asarray(prices, dtype=np.int64)
+        success = np.asarray(success, dtype=np.float64)
+        failure = np.asarray(failure, dtype=np.float64)
         self._count = len(prices)
         bid_order = np.argsort(prices[is_bid], kind="stable")
         ask_mask = ~is_bid
@@ -178,15 +136,15 @@ class HblMemory:
         # BID-side query ingredients
         self._bid_prices_sorted = prices[is_bid][bid_order]
         self._ask_prices = prices[ask_mask][ask_order]
-        self._bid_succ = success[is_bid][bid_order]
-        self._bid_fail = failure[is_bid][bid_order]
-        self._bid_succ_prefix = np.concatenate(([0.0], np.cumsum(self._bid_succ)))
-        self._bid_fail_suffix = np.concatenate(([0.0], np.cumsum(self._bid_fail[::-1])))
+        bid_succ = success[is_bid][bid_order]
+        bid_fail = failure[is_bid][bid_order]
+        self._bid_succ_prefix = np.concatenate(([0.0], np.cumsum(bid_succ)))
+        self._bid_fail_suffix = np.concatenate(([0.0], np.cumsum(bid_fail[::-1])))
         # ASK-side (mirrored) query ingredients
-        self._ask_succ = success[ask_mask][ask_order]
-        self._ask_fail = failure[ask_mask][ask_order]
-        self._ask_succ_suffix = np.concatenate(([0.0], np.cumsum(self._ask_succ[::-1])))
-        self._ask_fail_prefix = np.concatenate(([0.0], np.cumsum(self._ask_fail)))
+        ask_succ = success[ask_mask][ask_order]
+        ask_fail = failure[ask_mask][ask_order]
+        self._ask_succ_suffix = np.concatenate(([0.0], np.cumsum(ask_succ[::-1])))
+        self._ask_fail_prefix = np.concatenate(([0.0], np.cumsum(ask_fail)))
 
     def __len__(self) -> int:
         return self._count
@@ -200,7 +158,13 @@ class HblMemory:
         return merged[first_of_run].tolist()
 
     def belief_array(self, prices, side: Side) -> np.ndarray:
-        """Vectorized ``hbl_belief`` over an array of candidate prices."""
+        """Heuristic probability that a limit order at each of ``prices``
+        transacts.
+
+        For a bid: favorable mass is ask volume and successful bids at <= p,
+        unfavorable mass is failed bids at >= p.  Mirrored for an ask.  The
+        belief is 0 where the denominator is empty.
+        """
         p = np.asarray(prices, dtype=np.int64)
         if side is Side.BID:
             favorable = np.searchsorted(self._ask_prices, p, side="right").astype(float)
@@ -248,7 +212,7 @@ class TickMemory:
         return (np.flatnonzero(occupied) + self._lo).tolist()
 
     def belief_array(self, prices, side: Side) -> np.ndarray:
-        """Vectorized ``hbl_belief`` over an array of candidate prices."""
+        """The beliefs of ``HblMemory.belief_array`` over these counts."""
         k = np.asarray(prices, dtype=np.int64) - self._lo
         span = self._prefix.shape[1] - 1
         at_or_below = self._prefix[:, np.clip(k + 1, 0, span)]
@@ -270,83 +234,14 @@ class TickMemory:
                          out=np.zeros_like(numerator), where=denominator > 0.0)
 
 
-def hbl_classify(events, now: int, params: HblParams) -> HblMemory:
-    """Build the classified memory covering the last L observed transactions.
-
-    The memory spans every order placed at or after the placement time of
-    the oldest order involved in those transactions.  Binary mode scores an
-    order 1/0 on whether any part of it executed (unexecuted orders count
-    as failures only once they outlived the grace period or were
-    cancelled); fractional mode ramps the weights linearly with the time
-    the order sat in the book.
-    """
-    placed: dict[int, BookEvent] = {}
-    exec_time: dict[int, int] = {}
-    cancel_time: dict[int, int] = {}
-    transactions: list[tuple[int, int]] = []  # (order_id, counterparty), time-ordered
-    seen_pairs: set[tuple[int, int, int]] = set()
-    for event in events:
-        if event.kind is EventKind.PLACED:
-            placed[event.order_id] = event
-        elif event.kind is EventKind.EXECUTED:
-            exec_time.setdefault(event.order_id, event.time)
-            key = (event.time, min(event.order_id, event.counterparty),
-                   max(event.order_id, event.counterparty))
-            if key not in seen_pairs:
-                seen_pairs.add(key)
-                transactions.append((event.order_id, event.counterparty))
-        elif event.kind is EventKind.CANCELLED:
-            cancel_time[event.order_id] = event.time
-
-    recent = transactions[-params.memory_length:]
-    if not recent:
-        return HblMemory((), transaction_count=0)
-    involved = {oid for pair in recent for oid in pair}
-    missing = involved - placed.keys()
-    if missing:
-        raise ValueError(f"malformed event stream: executions without placements {sorted(missing)}")
-    window_start = min(placed[oid].time for oid in involved)
-
-    grace = params.grace_period
-    records = []
-    for oid, event in placed.items():
-        if event.time < window_start:
-            continue
-        weights = _classify_order(event.time, exec_time.get(oid), cancel_time.get(oid),
-                                  now, grace, params.success_mode)
-        if weights is None:
-            continue
-        success, failure = weights
-        records.append(MemoryOrder(event.side, event.price, success, failure))
-    return HblMemory(tuple(records), transaction_count=len(transactions))
-
-
-def _classify_order(placed_at, executed_at, cancelled_at, now, grace, mode):
-    if mode == "binary":
-        if executed_at is not None:
-            return 1.0, 0.0
-        if cancelled_at is not None:
-            return 0.0, 1.0
-        if now - placed_at > grace:
-            return 0.0, 1.0
-        return None  # still pending within grace; contributes nothing
-    # fractional
-    if executed_at is not None:
-        alive = executed_at - placed_at
-        success = max(0.0, 1.0 - alive / grace)
-        return success, 1.0 - success
-    alive = (cancelled_at if cancelled_at is not None else now) - placed_at
-    failure = min(1.0, alive / grace)
-    if failure == 0.0:
-        return None
-    return 0.0, failure
-
-
 class OrderHistory:
     """Array-backed order ledger that answers the HBL memory queries.
 
-    The simulation loop appends placements and marks outcomes as they
-    happen.  From its first binary-mode query on, the ledger also keeps
+    Its one input is the book's event log: each query first reads the
+    events logged since the previous query, so a run without HBL agents
+    never fills it.  The memory covers every order placed at or after the
+    placement of the oldest order in the book's last ``memory_length``
+    trades.  From its first binary-mode query on, the ledger also keeps
     per-tick counts of the successful and failed bids and asks placed at
     or after the current window start, so a query costs a few cumulative
     sums over the tick span instead of a sort of the window:
@@ -358,8 +253,7 @@ class OrderHistory:
 
     Fractional weights are floats whose sums depend on the order of
     addition, so that mode slices and rebuilds the window on every query
-    (``rebuild_memory``), which is also the binary ledger's oracle.  Both
-    produce the same beliefs as ``hbl_classify`` over the matching events.
+    (``rebuild_memory``), which is also the binary ledger's oracle.
     """
 
     _FIELDS = ("_placed", "_price", "_is_bid", "_executed", "_cancelled")
@@ -374,11 +268,9 @@ class OrderHistory:
         self._cancelled = np.empty(self._capacity, dtype=np.float64)
         self._index: dict[int, int] = {}
         self._n = 0
+        self._read_events = 0  # events of the book's log read so far
         self._now = 0  # time of the last binary query
         self._reset_ledger(None)  # inactive until the first binary query
-
-    def __len__(self) -> int:
-        return self._n
 
     def _grow(self) -> None:
         self._capacity *= 2
@@ -388,58 +280,27 @@ class OrderHistory:
             grown[: self._n] = old[: self._n]
             setattr(self, name, grown)
 
-    def add(self, order_id: int, side: Side, price: int, now: int) -> None:
-        if self._n == self._capacity:
-            self._grow()
-        i = self._n
-        self._placed[i] = now
-        self._price[i] = price
-        self._is_bid[i] = side is Side.BID
-        self._executed[i] = np.nan
-        self._cancelled[i] = np.nan
-        self._index[order_id] = i
-        self._n += 1
-
-    def mark_executed(self, order_id: int, now: int) -> None:
-        i = self._index[order_id]
-        if not np.isnan(self._executed[i]):  # keep the first execution time
-            return
-        counted = self._grace is not None and i >= self._start
-        if counted and self._classified(i):
-            self._tally(i, failed=True, delta=-1)  # an expired order can still fill
-        self._executed[i] = now
-        if counted:
-            self._tally(i, failed=False, delta=1)
-
-    def mark_cancelled(self, order_id: int, now: int) -> None:
-        i = self._index[order_id]
-        newly_failed = (self._grace is not None and i >= self._start
-                        and not self._classified(i))
-        self._cancelled[i] = now
-        if newly_failed:
-            self._tally(i, failed=True, delta=1)
-
-    def memory(self, window_start: int, now: int, params: HblParams,
-               transaction_count: int) -> HblMemory | TickMemory:
-        """Classified memory of all orders placed at or after ``window_start``."""
+    def memory(self, book: OrderBook, now: int,
+               params: HblParams) -> HblMemory | TickMemory:
+        """Classified memory of the orders in the window of ``book``'s last
+        ``memory_length`` trades."""
         if params.success_mode != "binary":
-            return self.rebuild_memory(window_start, now, params, transaction_count)
+            return self.rebuild_memory(book, now, params)
+        start = self._read(book, params.memory_length)
         if self._grace != params.grace_period or now < self._now:
             self._reset_ledger(params.grace_period)
         self._expire(now)
-        start = int(np.searchsorted(self._placed[: self._n], window_start, side="left"))
         if start < self._start:
             self._count_range(start, self._start, 1)
         elif start > self._start:
             self._count_range(self._start, start, -1)
         self._start = start
         self._now = now
-        return TickMemory(self._counts, self._lo, transaction_count)
+        return TickMemory(self._counts, self._lo, len(book.trades))
 
-    def rebuild_memory(self, window_start: int, now: int, params: HblParams,
-                       transaction_count: int) -> HblMemory:
+    def rebuild_memory(self, book: OrderBook, now: int, params: HblParams) -> HblMemory:
         """The window sliced, classified and sorted from scratch."""
-        i0 = int(np.searchsorted(self._placed[: self._n], window_start, side="left"))
+        i0 = self._read(book, params.memory_length)
         placed = self._placed[i0: self._n]
         price = self._price[i0: self._n]
         is_bid = self._is_bid[i0: self._n]
@@ -464,8 +325,47 @@ class OrderHistory:
             include = exec_mask | (failure > 0.0)
             success = success[include]
             failure = failure[include]
-        return HblMemory.from_arrays(is_bid[include], price[include],
-                                     success, failure, transaction_count)
+        return HblMemory(is_bid[include], price[include], success, failure,
+                         len(book.trades))
+
+    def _read(self, book: OrderBook, memory_length: int) -> int:
+        """Take in the events logged since the last read and return the
+        index of the first order in the window."""
+        events = book.events
+        for event in events[self._read_events:]:
+            if event.kind is EventKind.PLACED:
+                if self._n == self._capacity:
+                    self._grow()
+                i = self._n
+                self._placed[i] = event.time
+                self._price[i] = event.price
+                self._is_bid[i] = event.side is Side.BID
+                self._executed[i] = np.nan
+                self._cancelled[i] = np.nan
+                self._index[event.order_id] = i
+                self._n += 1
+                continue
+            i = self._index[event.order_id]
+            counted = self._grace is not None and i >= self._start
+            if event.kind is EventKind.EXECUTED:
+                if not np.isnan(self._executed[i]):  # keep the first execution time
+                    continue
+                if counted and self._classified(i):
+                    self._tally(i, failed=True, delta=-1)  # an expired order can still fill
+                self._executed[i] = event.time
+                if counted:
+                    self._tally(i, failed=False, delta=1)
+            else:
+                if counted and not self._classified(i):
+                    self._tally(i, failed=True, delta=1)
+                self._cancelled[i] = event.time
+        self._read_events = len(events)
+        trades = book.trades[-memory_length:]
+        if not trades:  # no transaction to remember: the window is empty
+            return self._n
+        window_start = min(self._placed[self._index[oid]] for trade in trades
+                           for oid in (trade.buy_order_id, trade.sell_order_id))
+        return int(np.searchsorted(self._placed[: self._n], window_start, side="left"))
 
     # -- binary ledger ------------------------------------------------------
 
@@ -534,16 +434,6 @@ class OrderHistory:
         counts = np.zeros((4, hi + self._MARGIN + 1 - new_lo), dtype=np.int64)
         counts[:, old_lo - new_lo: old_lo - new_lo + old_span] = self._counts
         self._lo, self._counts = new_lo, counts
-
-
-def hbl_belief(memory: HblMemory | TickMemory, p: int, side: Side) -> float:
-    """Heuristic probability that a limit order at price ``p`` transacts.
-
-    For a bid: favorable mass is ask volume and successful bids at <= p,
-    unfavorable mass is failed bids at >= p.  Mirrored for an ask.  Returns
-    0 when the denominator is empty.
-    """
-    return float(memory.belief_array([p], side)[0])
 
 
 def hbl_candidate_grid(memory: HblMemory | TickMemory, mode: str = "observed", extend: int = 1) -> list[int]:

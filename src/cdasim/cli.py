@@ -116,6 +116,8 @@ def _as_float(resolved, section, key, constraint=None, describe=""):
         raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from None
     if constraint is not None and not constraint(value):
         raise ConfigError(f"{section}.{key}: {describe}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}")
     return value
 
 

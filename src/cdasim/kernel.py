@@ -3,8 +3,10 @@
 Agents wake on Poisson schedules; each wake draws a noisy fundamental
 observation, updates the agent's belief, projects the final fundamental,
 cancels any outstanding order and routes the strategy's new order to the
-book.  At the horizon every agent's payoff marks its holdings at the final
-fundamental plus the realized private values of the units held.
+book.  The book's event log is the only order record: an HBL agent's
+memory reads it when the agent decides, so a run without HBL agents keeps
+no HBL ledger.  At the horizon every agent's payoff marks its holdings at
+the final fundamental plus the realized private values of the units held.
 
 Everything is a pure function of (config, master seed): two runs with the
 same inputs produce bit-identical logs, and the fundamental path is
@@ -89,7 +91,7 @@ class AgentRecord:
     rng: np.random.Generator
     cash: float = 0.0
     q_held: int = 0
-    open_order_id: int | None = None
+    last_order_id: int | None = None
 
 
 @dataclass(frozen=True)
@@ -243,10 +245,9 @@ def run(config: SimConfig) -> SimResult:
             estimator_trace.append((t, agent_id, delta, grid.format(o_ticks),
                                     belief.r_tilde, belief.sigma_tilde_sq, r_hat))
 
-        if record.open_order_id is not None:
-            if book.cancel(record.open_order_id, t) is not None:
-                history.mark_cancelled(record.open_order_id, t)
-            record.open_order_id = None
+        if record.last_order_id is not None:
+            book.cancel(record.last_order_id, t)  # no-op once the order has filled
+            record.last_order_id = None
 
         action = _decide(record, r_hat, book, history, config, grid, t)
         if config.output.trace_decisions:
@@ -258,14 +259,12 @@ def run(config: SimConfig) -> SimResult:
             continue
 
         order = Order(next(order_ids), agent_id, action.side, action.limit_price,
-                      quantity=1, placed_at=t)
-        history.add(order.order_id, order.side, order.limit_price, t)
+                      quantity=1)
+        record.last_order_id = order.order_id
         trades_before = len(book.trades)
         book.place_limit(order, t)
         new_trades = book.trades[trades_before:]
         for trade in new_trades:
-            history.mark_executed(trade.buy_order_id, t)
-            history.mark_executed(trade.sell_order_id, t)
             value = grid.to_value(trade.price) * trade.quantity
             buyer = records[trade.buyer_id]
             seller = records[trade.seller_id]
@@ -273,11 +272,6 @@ def run(config: SimConfig) -> SimResult:
             buyer.q_held += trade.quantity
             seller.cash += value
             seller.q_held -= trade.quantity
-            for oid, owner in ((trade.buy_order_id, buyer), (trade.sell_order_id, seller)):
-                if owner.open_order_id == oid and book.placed_order(oid) is None:
-                    owner.open_order_id = None
-        if book.placed_order(order.order_id) is not None:
-            record.open_order_id = order.order_id
         if new_trades:
             check_invariants(t, new_trades)
 
@@ -322,18 +316,8 @@ def _decide(record: AgentRecord, r_hat: float, book: OrderBook,
     memory = None
     candidates: list[int] = []
     if len(book.trades) >= hp.memory_length:
-        window_start = _memory_window_start(book, hp.memory_length)
-        memory = history.memory(window_start, now, hp, len(book.trades))
+        memory = history.memory(book, now, hp)
         candidates = strategies.hbl_candidate_grid(memory, hp.grid_mode)
     return strategies.hbl_decide(record.q_held, record.pv, r_hat, memory, candidates,
                                  hp, record.rng, grid, best_bid, best_ask)
 
-
-def _memory_window_start(book: OrderBook, memory_length: int) -> int:
-    start = None
-    for trade in book.trades[-memory_length:]:
-        for oid in (trade.buy_order_id, trade.sell_order_id):
-            placed_at = book.placement_time(oid)
-            if start is None or placed_at < start:
-                start = placed_at
-    return start if start is not None else 0

@@ -38,7 +38,6 @@ class Order:
     side: Side
     limit_price: int  # ticks
     quantity: int = 1
-    placed_at: int = 0
 
     def __post_init__(self) -> None:
         if self.quantity < 1:
@@ -76,7 +75,7 @@ class OrderBook:
         self._levels: dict[Side, dict[int, deque]] = {Side.BID: {}, Side.ASK: {}}
         self._sorted_prices: dict[Side, list[int]] = {Side.BID: [], Side.ASK: []}
         self._resting: dict[int, list] = {}  # order_id -> [order, remaining]
-        self._placement_times: dict[int, int] = {}
+        self._placed_ids: set[int] = set()
         self._events: list[BookEvent] = []
         self._trades: list[Trade] = []
         self._last_time = 0
@@ -101,9 +100,6 @@ class OrderBook:
         """Append-only log; treat as read-only."""
         return self._trades
 
-    def placement_time(self, order_id: int) -> int:
-        return self._placement_times[order_id]
-
     def placed_order(self, order_id: int) -> Order | None:
         entry = self._resting.get(order_id)
         return entry[0] if entry else None
@@ -124,11 +120,11 @@ class OrderBook:
     # -- mutations --------------------------------------------------------
 
     def place_limit(self, order: Order, now: int) -> list[BookEvent]:
-        if order.order_id in self._placement_times:
+        if order.order_id in self._placed_ids:
             raise ValueError(f"duplicate order_id {order.order_id}")
         if now < self._last_time:
             raise ValueError(f"event time regression: {now} < {self._last_time}")
-        self._placement_times[order.order_id] = now
+        self._placed_ids.add(order.order_id)
         self._last_time = now
 
         events = [BookEvent(EventKind.PLACED, now, order.order_id, order.agent_id,
@@ -214,7 +210,7 @@ def replay(events) -> OrderBook:
     for event in events:
         if event.kind is EventKind.PLACED:
             order = Order(event.order_id, event.agent_id, event.side,
-                          event.price, event.quantity, placed_at=event.time)
+                          event.price, event.quantity)
             book.place_limit(order, event.time)
         elif event.kind is EventKind.CANCELLED:
             book.cancel(event.order_id, event.time)

@@ -20,9 +20,7 @@ from cdasim.agents import (
     ActionKind,
     HblParams,
     ZiParams,
-    hbl_belief,
     hbl_candidate_grid,
-    hbl_classify,
     hbl_decide,
     zi_decide,
 )
@@ -34,6 +32,7 @@ from cdasim.orderbook import Order, OrderBook, Side, replay
 from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
 
+from hbl_oracle import hbl_belief, hbl_classify
 from test_agents import HBL, PV, ZI, belief_oracle, build_script_book, random_memory
 from test_estimator import ScalarKalman
 from conftest import FixedRng
@@ -109,9 +108,10 @@ import json, sys
 sys.path[:] = {path!r}
 import numpy
 eager = "numpy.ma" in sys.modules
-from cdasim.agents import hbl_candidate_grid, hbl_classify, hbl_decide
+from cdasim.agents import hbl_candidate_grid, hbl_decide
 from cdasim.prices import PriceGrid
 from conftest import FixedRng
+from hbl_oracle import hbl_classify
 from test_agents import HBL, PV, build_script_book
 memory = hbl_classify(build_script_book().events, now=100, params=HBL)
 candidates = hbl_candidate_grid(memory)
@@ -276,7 +276,7 @@ def test_criterion_7_book_property_suite():
                 oid = op + 1
                 side = Side.BID if sides[op] < 0.5 else Side.ASK
                 price = int(prices[op])
-                book.place_limit(Order(oid, oid, side, price, 1, placed_at=t), t)
+                book.place_limit(Order(oid, oid, side, price, 1), t)
                 expected_trades.extend(_reference_match(shadow, side, price, oid))
                 live = [o for s in Side for (_, o) in shadow[s]]
                 bb, ba = book.best_bid(), book.best_ask()

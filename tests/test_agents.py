@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,22 +10,20 @@ from cdasim.agents import (
     ActionKind,
     HblMemory,
     HblParams,
-    MemoryOrder,
     ZiParams,
-    hbl_belief,
     hbl_belief_spline,
     hbl_candidate_grid,
-    hbl_classify,
     hbl_decide,
     natural_cubic_spline,
     OrderHistory,
     TickMemory,
     zi_decide,
 )
-from cdasim.orderbook import BookEvent, EventKind, Order, OrderBook, Side
+from cdasim.orderbook import BookEvent, EventKind, Order, OrderBook, Side, Trade
 from cdasim.preferences import PrivateValues
 
 from conftest import FixedRng, events_in_window
+from hbl_oracle import MemoryOrder, RecordMemory, hbl_belief, hbl_classify
 
 
 PV = PrivateValues(q_max=3, values=(0.5, 0.3, 0.2, 0.1, -0.2, -0.4))
@@ -157,7 +156,7 @@ def build_script_book():
         (15, 115, Side.BID, 1004),
     ]
     for now, oid, side, price in script:
-        book.place_limit(Order(oid, oid, side, price, 1, placed_at=now), now)
+        book.place_limit(Order(oid, oid, side, price, 1), now)
     return book
 
 
@@ -240,9 +239,9 @@ def test_memory_window_excludes_stale_orders():
     # an order placed before the oldest remembered transaction's orders is
     # not part of the memory
     book = OrderBook()
-    book.place_limit(Order(1, 1, Side.BID, 900, 1, placed_at=1), 1)  # stale
-    book.place_limit(Order(2, 2, Side.ASK, 1000, 1, placed_at=10), 10)
-    book.place_limit(Order(3, 3, Side.BID, 1000, 1, placed_at=11), 11)
+    book.place_limit(Order(1, 1, Side.BID, 900, 1), 1)  # stale
+    book.place_limit(Order(2, 2, Side.ASK, 1000, 1), 10)
+    book.place_limit(Order(3, 3, Side.BID, 1000, 1), 11)
     params = HblParams(zi=ZI, memory_length=1, grace_period=5)
     memory = hbl_classify(book.events, now=12, params=params)
     assert len(memory) == 2
@@ -352,7 +351,7 @@ def random_memory(rng):
             success = float(rng.uniform(0.0, 1.0))
             failure = 1.0 - success
         records.append(MemoryOrder(side, price, success, failure))
-    return HblMemory(tuple(records), transaction_count=len(records))
+    return RecordMemory(records, transaction_count=len(records))
 
 
 def memories_from_prices(bid_prices, ask_prices):
@@ -361,8 +360,8 @@ def memories_from_prices(bid_prices, ask_prices):
     prices = list(bid_prices) + list(ask_prices)
     records = tuple(MemoryOrder(side, price, 1.0, 0.0)
                     for side, price in zip(sides, prices))
-    from_records = HblMemory(records, transaction_count=0)
-    from_arrays = HblMemory.from_arrays(
+    from_records = RecordMemory(records, transaction_count=0)
+    from_arrays = HblMemory(
         [side is Side.BID for side in sides], prices, [1.0] * len(prices),
         [0.0] * len(prices), transaction_count=0)
     return from_records, from_arrays
@@ -420,7 +419,7 @@ def test_belief_mirror_symmetry(rng):
     # reflecting prices and swapping sides leaves beliefs unchanged
     for _ in range(200):
         memory = random_memory(rng)
-        mirrored = HblMemory(
+        mirrored = RecordMemory(
             tuple(MemoryOrder(r.side.opposite, 2000 - r.price, r.success, r.failure)
                   for r in memory.records),
             transaction_count=memory.transaction_count,
@@ -432,7 +431,7 @@ def test_belief_mirror_symmetry(rng):
 
 
 def test_belief_empty_denominator():
-    memory = HblMemory((MemoryOrder(Side.BID, 1000, 1.0, 0.0),), transaction_count=1)
+    memory = RecordMemory((MemoryOrder(Side.BID, 1000, 1.0, 0.0),), transaction_count=1)
     # an ask query here has no bids above, no successful asks, no failed asks
     assert hbl_belief(memory, 1001, Side.ASK) == 0.0
 
@@ -469,14 +468,14 @@ def test_hbl_tie_break_zero_belief(grid_01):
     # lowest candidate and the seller asks the highest
     records = (MemoryOrder(Side.BID, 998, 0.0, 1.0),
                MemoryOrder(Side.BID, 1002, 0.0, 1.0))
-    memory = HblMemory(records, transaction_count=4)
+    memory = RecordMemory(records, transaction_count=4)
     candidates = hbl_candidate_grid(memory)
     buy = hbl_decide(0, PV, 100.0, memory, candidates, HBL,
                      FixedRng(random_value=0.0), grid_01)
     assert buy.limit_price == min(candidates)
     records = (MemoryOrder(Side.ASK, 998, 0.0, 1.0),
                MemoryOrder(Side.ASK, 1002, 0.0, 1.0))
-    memory = HblMemory(records, transaction_count=4)
+    memory = RecordMemory(records, transaction_count=4)
     candidates = hbl_candidate_grid(memory)
     sell = hbl_decide(0, PV, 100.0, memory, candidates, HBL,
                       FixedRng(random_value=0.9), grid_01)
@@ -503,7 +502,7 @@ def test_spline_belief_interpolates_and_clamps(grid_01):
 
 
 def test_spline_single_point_falls_back():
-    memory = HblMemory((MemoryOrder(Side.BID, 1000, 1.0, 0.0),), transaction_count=1)
+    memory = RecordMemory((MemoryOrder(Side.BID, 1000, 1.0, 0.0),), transaction_count=1)
     belief = hbl_belief_spline(memory, Side.BID)
     assert belief(1000) == hbl_belief(memory, 1000, Side.BID)
 
@@ -591,10 +590,11 @@ import json, sys
 sys.path[:] = {path!r}
 from dataclasses import replace
 from cdasim import agents
-from cdasim.agents import HblParams, hbl_candidate_grid, hbl_classify, hbl_decide
+from cdasim.agents import HblParams, hbl_candidate_grid, hbl_decide
 from cdasim.kernel import run
 from cdasim.prices import PriceGrid
 from conftest import FixedRng
+from hbl_oracle import hbl_classify
 from test_agents import ZI, PV, build_script_book
 from test_kernel import HBL_PARAMS, make_config
 fits = []
@@ -623,7 +623,7 @@ def test_spline_path_leaves_scipy_unimported():
 
 
 class LedgerMarket:
-    """A book and an ``OrderHistory`` driven in lockstep, as the kernel does."""
+    """A book and an ``OrderHistory`` that reads its event log, as in the kernel."""
 
     def __init__(self, params):
         self.params = params
@@ -634,26 +634,32 @@ class LedgerMarket:
     def place(self, side, price, t):
         oid = self.next_id
         self.next_id += 1
-        before = len(self.book.trades)
-        self.history.add(oid, side, price, t)
-        self.book.place_limit(Order(oid, oid, side, price, 1, placed_at=t), t)
-        for trade in self.book.trades[before:]:
-            self.history.mark_executed(trade.buy_order_id, t)
-            self.history.mark_executed(trade.sell_order_id, t)
+        self.book.place_limit(Order(oid, oid, side, price, 1), t)
         return oid
 
     def cancel(self, oid, t):
-        if self.book.cancel(oid, t) is not None:
-            self.history.mark_cancelled(oid, t)
+        self.book.cancel(oid, t)
 
     def window_start(self):
-        """Placement time of the oldest order in the last L trades, as in the kernel."""
-        return min(self.book.placement_time(oid)
+        """Placement time of the oldest order in the last L trades, read off the log."""
+        placed = {e.order_id: e.time for e in self.book.events if e.kind is EventKind.PLACED}
+        return min(placed[oid]
                    for trade in self.book.trades[-self.params.memory_length:]
                    for oid in (trade.buy_order_id, trade.sell_order_id))
 
-    def memory(self, window_start, now):
-        return self.history.memory(window_start, now, self.params, len(self.book.trades))
+    def view(self, window_start=None):
+        """The book as the memory reads it.  Given ``window_start``, its trade
+        list is one trade of the first order placed at or after that time, or
+        empty when every order is older, so the window starts there."""
+        if window_start is None:
+            return self.book
+        first = next((e.order_id for e in self.book.events
+                      if e.kind is EventKind.PLACED and e.time >= window_start), None)
+        trades = [] if first is None else [Trade(window_start, 0, 1, first, first, first, first)]
+        return SimpleNamespace(events=self.book.events, trades=trades)
+
+    def memory(self, now, window_start=None):
+        return self.history.memory(self.view(window_start), now, self.params)
 
 
 def window_oracle(events, window_start, now, grace):
@@ -675,7 +681,7 @@ def window_oracle(events, window_start, now, grace):
             records.append(MemoryOrder(event.side, event.price, 1.0, 0.0))
         elif oid in cancelled or now - event.time > grace:
             records.append(MemoryOrder(event.side, event.price, 0.0, 1.0))
-    return HblMemory(tuple(records), transaction_count=0)
+    return RecordMemory(records, transaction_count=0)
 
 
 def assert_same_memory(got, expected, prices):
@@ -758,14 +764,14 @@ def test_order_history_matches_event_classification(mode, rng):
             now = max(now, t + int(rng.integers(0, 4)))  # queries never go back in time
             window_start = market.window_start()
             reference = hbl_classify(events_in_window(market.book, window_start), now, params)
-            assert_same_memory(market.memory(window_start, now), reference, grid)
+            assert_same_memory(market.memory(now), reference, grid)
             queried += 1
         if len(market.book.trades) < params.memory_length:
             continue
         window_start = market.window_start()
         now = max(now, t + int(rng.integers(0, 12)))
         reference = hbl_classify(events_in_window(market.book, window_start), now, params)
-        fast = market.memory(window_start, now)
+        fast = market.memory(now)
         assert len(fast) == len(reference)
         for p in range(993, 1008):
             for side in Side:
@@ -775,16 +781,80 @@ def test_order_history_matches_event_classification(mode, rng):
     assert mode != "binary" or queried > 500
 
 
+def gap_counts(events, placed, previous, now, grace):
+    """Orders that expired, expired orders that filled or were cancelled, in
+    the events a query at ``now`` reads after one at ``previous``."""
+    resolved = {e.order_id: e.time for e in events if e.kind is not EventKind.PLACED}
+    expired = sum(previous - grace <= t < now - grace and resolved.get(oid, now) > t + grace
+                  for oid, t in placed.items())
+    late = [e for e in events if e.kind is not EventKind.PLACED and e.time >= previous
+            and e.time - placed[e.order_id] > grace]
+    return {"expired": expired,
+            "expired fills": sum(e.kind is EventKind.EXECUTED for e in late),
+            "cancels after expiry": sum(e.kind is EventKind.CANCELLED for e in late)}
+
+
+@pytest.mark.parametrize("mode", ["binary", "fractional"])
+def test_order_history_catches_up_at_sparse_queries(mode, rng):
+    # the history reads the log only when queried: the first query comes
+    # after hundreds of events and each later one skips several steps, in
+    # which orders expire, expired orders fill or are cancelled and the
+    # window start may move back; every query equals the event-log oracle
+    params = HblParams(zi=ZI, memory_length=3, grace_period=4, success_mode=mode)
+    grid = np.arange(990, 1012)
+    seen = {"queries": 0, "window moved back": 0, "expired": 0,
+            "expired fills": 0, "cancels after expiry": 0}
+    for _ in range(4):
+        market = LedgerMarket(params)
+        live = []
+        t = previous = 0
+        previous_start = None
+        next_query = 300
+        for step in range(500):
+            t += int(rng.integers(1, 3))
+            if live and rng.random() < 0.25:
+                market.cancel(live.pop(int(rng.integers(len(live)))), t)
+            else:
+                side = Side.BID if rng.random() < 0.5 else Side.ASK
+                oid = market.place(side, int(rng.integers(995, 1006)), t)
+                live = [o for o in live if market.book.placed_order(o) is not None]
+                if market.book.placed_order(oid) is not None:
+                    live.append(oid)
+            if step < next_query:
+                continue
+            next_query = step + int(rng.integers(5, 15))
+            events = market.book.events
+            if previous_start is None:
+                assert len(events) > 300
+            else:
+                placed = {e.order_id: e.time for e in events if e.kind is EventKind.PLACED}
+                for name, n in gap_counts(events, placed, previous, t,
+                                          params.grace_period).items():
+                    seen[name] += n
+            memory = market.memory(t)
+            reference = hbl_classify(events, t, params)
+            assert_same_memory(memory, reference, grid)
+            assert memory.transaction_count == reference.transaction_count
+            window_start = market.window_start()
+            seen["window moved back"] += previous_start is not None and window_start < previous_start
+            seen["queries"] += 1
+            previous, previous_start = t, window_start
+    assert all(seen.values()), seen
+
+
 BINARY = HblParams(zi=ZI, memory_length=1, grace_period=5)
 
 
-def assert_ledger_exact(market, window_start, now, prices=range(990, 1012)):
-    """The ledger against the event-log oracle and against the full rebuild."""
-    got = market.memory(window_start, now)
+def assert_ledger_exact(market, now, window_start=None, prices=range(990, 1012)):
+    """The ledger against the event-log oracle and against the full rebuild,
+    over the book's own window or one that starts at ``window_start``."""
+    got = market.memory(now, window_start)
+    rebuilt = market.history.rebuild_memory(market.view(window_start), now, market.params)
+    if window_start is None:
+        window_start = market.window_start()
     prices = np.asarray(prices)
     assert_same_memory(got, window_oracle(market.book.events, window_start, now,
                                           market.params.grace_period), prices)
-    rebuilt = market.history.rebuild_memory(window_start, now, market.params, 0)
     assert_same_memory(got, rebuilt, prices)
     return got
 
@@ -792,10 +862,10 @@ def assert_ledger_exact(market, window_start, now, prices=range(990, 1012)):
 def test_ledger_expired_order_that_executes_turns_success():
     market = LedgerMarket(BINARY)
     market.place(Side.BID, 1000, 0)
-    assert assert_ledger_exact(market, 0, 20).belief_array([1000], Side.BID)[0] == 0.0
+    assert assert_ledger_exact(market, 20, window_start=0).belief_array([1000], Side.BID)[0] == 0.0
     market.place(Side.ASK, 1000, 21)  # fills the expired bid
     assert len(market.book.trades) == 1
-    memory = assert_ledger_exact(market, 0, 21)
+    memory = assert_ledger_exact(market, 21, window_start=0)
     assert len(memory) == 2
     assert memory.belief_array([1000], Side.BID)[0] == 1.0
 
@@ -806,52 +876,52 @@ def test_ledger_window_start_moves_backward():
     market.place(Side.BID, 990, 2)
     market.place(Side.BID, 1004, 5)  # trades with the ask placed at 0
     assert market.window_start() == 0
-    assert_ledger_exact(market, market.window_start(), 5)
+    assert_ledger_exact(market, 5)
     market.place(Side.ASK, 1000, 6)
     market.place(Side.BID, 1000, 8)  # window moves forward to 6
     assert market.window_start() == 6
-    assert len(assert_ledger_exact(market, market.window_start(), 8)) == 2
+    assert len(assert_ledger_exact(market, 8)) == 2
     market.place(Side.ASK, 990, 10)  # hits the bid resting since 2: back to 2
     assert market.window_start() == 2
-    assert len(assert_ledger_exact(market, market.window_start(), 10)) == 5
+    assert len(assert_ledger_exact(market, 10)) == 5
     for window_start in (0, 9, 3, 11, 6, 0):
-        assert_ledger_exact(market, window_start, 12)
+        assert_ledger_exact(market, 12, window_start=window_start)
 
 
 def test_ledger_cancel_after_expiry_counts_once():
     market = LedgerMarket(BINARY)
     market.place(Side.BID, 1000, 0)
     market.place(Side.ASK, 1003, 1)
-    assert len(assert_ledger_exact(market, 0, 10)) == 2  # both expired
+    assert len(assert_ledger_exact(market, 10, window_start=0)) == 2  # both expired
     market.cancel(1, 11)
     market.cancel(2, 12)
-    assert len(assert_ledger_exact(market, 0, 12)) == 2
+    assert len(assert_ledger_exact(market, 12, window_start=0)) == 2
 
 
 def test_ledger_empty_window():
     market = LedgerMarket(BINARY)
-    empty = assert_ledger_exact(market, 0, 0)  # nothing placed yet
+    empty = assert_ledger_exact(market, 0, window_start=0)  # nothing placed yet
     assert len(empty) == 0 and empty.prices == []
     assert not empty.belief_array(np.arange(990, 1010), Side.ASK).any()
     market.place(Side.BID, 1000, 1)
     market.place(Side.ASK, 1000, 2)
-    assert len(assert_ledger_exact(market, 0, 2)) == 2
-    empty = assert_ledger_exact(market, 3, 3)  # window starts after every order
+    assert len(assert_ledger_exact(market, 2, window_start=0)) == 2
+    empty = assert_ledger_exact(market, 3, window_start=3)  # window starts after every order
     assert len(empty) == 0 and hbl_candidate_grid(empty) == []
-    assert len(assert_ledger_exact(market, 1, 3)) == 2
+    assert len(assert_ledger_exact(market, 3, window_start=1)) == 2
 
 
 def test_ledger_query_back_in_time_and_new_grace_recount():
     market = LedgerMarket(BINARY)
     market.place(Side.BID, 1000, 0)
     market.place(Side.ASK, 1002, 1)
-    assert len(assert_ledger_exact(market, 0, 50)) == 2
-    assert len(assert_ledger_exact(market, 0, 3)) == 0  # now moved back: pending again
+    assert len(assert_ledger_exact(market, 50, window_start=0)) == 2
+    assert len(assert_ledger_exact(market, 3, window_start=0)) == 0  # now moved back: pending again
     longer = HblParams(zi=ZI, memory_length=1, grace_period=30)
     market.params = longer
-    assert len(assert_ledger_exact(market, 0, 20)) == 0
-    assert len(assert_ledger_exact(market, 0, 31)) == 1  # 31 - 1 > 30 is false
-    assert len(assert_ledger_exact(market, 0, 32)) == 2
+    assert len(assert_ledger_exact(market, 20, window_start=0)) == 0
+    assert len(assert_ledger_exact(market, 31, window_start=0)) == 1  # 31 - 1 > 30 is false
+    assert len(assert_ledger_exact(market, 32, window_start=0)) == 2
 
 
 def test_ledger_at_cent_ticks_matches_oracle(rng):
@@ -867,7 +937,7 @@ def test_ledger_at_cent_ticks_matches_oracle(rng):
             side = Side.BID if rng.random() < 0.5 else Side.ASK
             market.place(side, int(rng.integers(9900, 10101)), t)
             if market.book.trades:
-                assert_ledger_exact(market, market.window_start(), t, prices)
+                assert_ledger_exact(market, t, prices=prices)
 
 
 def test_params_validation():

@@ -223,6 +223,25 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert "kappa" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("variant, section, key", [
+    ("dmr", "agents", "sigma_n_sq"),
+    ("dmr", "agents", "r_max"),
+    ("dmr", "fundamental", "sigma_s_sq"),
+    ("dmr", "fundamental", "r_bar"),
+    ("ou", "fundamental", "mu"),
+])
+def test_main_non_finite_value_exit_code(variant, section, key, value, tmp_path, capsys):
+    sections = {"fundamental": {"variant": variant}, "market": {"horizon": "200"}}
+    sections.setdefault(section, {})[key] = value
+    bad = tmp_path / "bad.ini"
+    bad.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for name, keys in sections.items()))
+    code = main(["--config", str(bad), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"config error: {section}.{key}: ")
+
+
 def test_main_missing_config_file(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")])
     assert code == 1
@@ -247,6 +266,13 @@ def test_main_sweep(tmp_path):
     for seed in (1, 2, 3):
         manifest = read(tmp_path / "sweep" / f"seed-{seed}" / "manifest.ini")
         assert f"master_seed = {seed}" in manifest
+        # the pool writes the bytes a serial run of the same seed writes
+        resolved = parse_config(config.read_text())
+        resolved["market"]["seed"] = str(seed)
+        assert run_one(resolved, str(tmp_path / f"serial-{seed}"))
+        for fname in ("events.csv", "trades.csv", "agents.csv", "fundamental.csv"):
+            assert ((tmp_path / "sweep" / f"seed-{seed}" / fname).read_bytes()
+                    == (tmp_path / f"serial-{seed}" / fname).read_bytes()), (seed, fname)
 
 
 def test_sample_config_smoke():

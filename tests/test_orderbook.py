@@ -15,7 +15,7 @@ from conftest import events_in_window
 
 
 def place(book, oid, agent, side, price, now, qty=1):
-    return book.place_limit(Order(oid, agent, side, price, qty, placed_at=now), now)
+    return book.place_limit(Order(oid, agent, side, price, qty), now)
 
 
 def test_empty_book():
