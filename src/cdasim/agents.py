@@ -8,6 +8,11 @@ configured fraction of the requested surplus.  HBL replaces the random
 shading with the price maximizing expected surplus under a success-belief
 function fit to the recently observed order stream, falling back to ZI
 while it has not yet observed enough transactions.
+
+The HBL memory is one per-tick type, ``TickMemory``, in both success
+modes.  ``OrderHistory`` keeps it as running per-tick counts in binary
+mode; in fractional mode it re-sorts the window on each query, to keep one
+float addition order, and lays the sums on the same ticks.
 """
 
 from __future__ import annotations
@@ -115,47 +120,60 @@ def zi_decide(
     return AgentAction(ActionKind.PLACE, Side.ASK, limit)
 
 
-class HblMemory:
-    """Classified order history with prefix sums for fast belief queries.
+class TickMemory:
+    """Classified orders laid on the ticks ``lo`` to ``lo + span - 1``.
 
-    Built from parallel arrays of sides, prices and success and failure
-    weights in [0, 1]; the simulation uses it for fractional mode, where
-    the weights are not integers.
+    It holds, for each side, the number of included orders at each tick,
+    and four cumulative weights indexed by tick, each running in the
+    direction in which ``belief_array`` reads it: successful bids and
+    failed asks at or below a tick, failed bids and successful asks at or
+    above it.  Every order lies inside the span, so a query outside it
+    reads an empty or a full sum.
     """
 
-    def __init__(self, is_bid, prices, success, failure, transaction_count: int):
+    def __init__(self, lo: int, counts: np.ndarray, weights: np.ndarray,
+                 transaction_count: int):
         self.transaction_count = transaction_count
-        is_bid = np.asarray(is_bid, dtype=bool)
-        prices = np.asarray(prices, dtype=np.int64)
-        success = np.asarray(success, dtype=np.float64)
-        failure = np.asarray(failure, dtype=np.float64)
-        self._count = len(prices)
-        bid_order = np.argsort(prices[is_bid], kind="stable")
-        ask_mask = ~is_bid
-        ask_order = np.argsort(prices[ask_mask], kind="stable")
-        # BID-side query ingredients
-        self._bid_prices_sorted = prices[is_bid][bid_order]
-        self._ask_prices = prices[ask_mask][ask_order]
-        bid_succ = success[is_bid][bid_order]
-        bid_fail = failure[is_bid][bid_order]
-        self._bid_succ_prefix = np.concatenate(([0.0], np.cumsum(bid_succ)))
-        self._bid_fail_suffix = np.concatenate(([0.0], np.cumsum(bid_fail[::-1])))
-        # ASK-side (mirrored) query ingredients
-        ask_succ = success[ask_mask][ask_order]
-        ask_fail = failure[ask_mask][ask_order]
-        self._ask_succ_suffix = np.concatenate(([0.0], np.cumsum(ask_succ[::-1])))
-        self._ask_fail_prefix = np.concatenate(([0.0], np.cumsum(ask_fail)))
+        self._lo = lo
+        self._counts = counts  # [bids, asks] at each tick
+        # weights[0:2, j]: bid successes, ask failures at ticks below lo + j
+        # weights[2:4, j]: bid failures, ask successes at ticks from lo + j up
+        self._weights = weights
+
+    @classmethod
+    def from_orders(cls, is_bid, price, success, failure,
+                    transaction_count: int) -> TickMemory:
+        """The memory of these orders, given in placement order.
+
+        Each side's weights are sorted by price, stably, and summed in that
+        order (forwards for "at or below", backwards for "at or above"),
+        then read at the tick boundaries, so fractional weights keep one
+        fixed float addition order.
+        """
+        lo = int(price.min()) if price.size else 0
+        span = int(price.max()) - lo + 1 if price.size else 0
+        ticks = np.arange(lo, lo + span + 1)
+        counts = np.empty((2, span), dtype=np.int64)
+        weights = np.empty((4, span + 1))
+        for row, mask in enumerate((is_bid, ~is_bid)):
+            order = np.argsort(price[mask], kind="stable")
+            below = np.searchsorted(price[mask][order], ticks, side="left")
+            counts[row] = np.diff(below)
+            rising, falling = success[mask][order], failure[mask][order]
+            if row:  # asks: failures count at or below, successes at or above
+                rising, falling = falling, rising
+            weights[row] = np.concatenate(([0.0], np.cumsum(rising)))[below]
+            weights[2 + row] = np.concatenate(
+                ([0.0], np.cumsum(falling[::-1])))[below[-1] - below]
+        return cls(lo, counts, weights, transaction_count)
 
     def __len__(self) -> int:
-        return self._count
+        return int(self._counts.sum())
 
     @property
-    def prices(self) -> list[int]:
-        # not np.union1d/np.unique: in numpy 2.x their first call lazily imports numpy.ma (~10 ms)
-        merged = np.sort(np.concatenate((self._bid_prices_sorted, self._ask_prices)))
-        first_of_run = np.ones(merged.size, dtype=bool)
-        first_of_run[1:] = merged[1:] != merged[:-1]
-        return merged[first_of_run].tolist()
+    def prices(self) -> np.ndarray:
+        """The occupied ticks, ascending, as an int64 array."""
+        return np.flatnonzero(self._counts.sum(axis=0)) + self._lo
 
     def belief_array(self, prices, side: Side) -> np.ndarray:
         """Heuristic probability that a limit order at each of ``prices``
@@ -165,70 +183,22 @@ class HblMemory:
         unfavorable mass is failed bids at >= p.  Mirrored for an ask.  The
         belief is 0 where the denominator is empty.
         """
-        p = np.asarray(prices, dtype=np.int64)
-        if side is Side.BID:
-            favorable = np.searchsorted(self._ask_prices, p, side="right").astype(float)
-            succ = self._bid_succ_prefix[np.searchsorted(self._bid_prices_sorted, p,
-                                                         side="right")]
-            fail = self._bid_fail_suffix[len(self._bid_prices_sorted)
-                                         - np.searchsorted(self._bid_prices_sorted, p,
-                                                           side="left")]
-        else:
-            favorable = (len(self._bid_prices_sorted)
-                         - np.searchsorted(self._bid_prices_sorted, p,
-                                           side="left")).astype(float)
-            succ = self._ask_succ_suffix[len(self._ask_prices)
-                                         - np.searchsorted(self._ask_prices, p,
-                                                           side="left")]
-            fail = self._ask_fail_prefix[np.searchsorted(self._ask_prices, p,
-                                                         side="right")]
-        numerator = favorable + succ
-        denominator = numerator + fail
-        return np.divide(numerator, denominator,
-                         out=np.zeros_like(numerator), where=denominator > 0.0)
-
-
-class TickMemory:
-    """Binary-mode memory held as per-tick order counts from tick ``lo`` up.
-
-    ``counts`` rows are successful bids, failed bids, successful asks and
-    failed asks.  The counts are exact integers, so the beliefs match the
-    ones ``HblMemory`` builds from the same orders bit for bit.
-    """
-
-    def __init__(self, counts: np.ndarray, lo: int, transaction_count: int):
-        self.transaction_count = transaction_count
-        self._lo = lo
-        # _prefix[row, k] = orders of that row at ticks below lo + k
-        self._prefix = np.zeros((4, counts.shape[1] + 1), dtype=np.int64)
-        np.cumsum(counts, axis=1, out=self._prefix[:, 1:])
-
-    def __len__(self) -> int:
-        return int(self._prefix[:, -1].sum())
-
-    @property
-    def prices(self) -> list[int]:
-        occupied = np.diff(self._prefix.sum(axis=0)) > 0
-        return (np.flatnonzero(occupied) + self._lo).tolist()
-
-    def belief_array(self, prices, side: Side) -> np.ndarray:
-        """The beliefs of ``HblMemory.belief_array`` over these counts."""
         k = np.asarray(prices, dtype=np.int64) - self._lo
-        span = self._prefix.shape[1] - 1
-        at_or_below = self._prefix[:, np.clip(k + 1, 0, span)]
-        below = self._prefix[:, np.clip(k, 0, span)]
-        total = self._prefix[:, -1]
-        bid_succ, bid_fail, ask_succ, ask_fail = range(4)
+        span = self._counts.shape[1]
+        at_or_below = np.clip(k + 1, 0, span)
+        at_or_above = np.clip(k, 0, span)
+        favorable = np.zeros(span + 1)
         if side is Side.BID:
-            favorable = at_or_below[ask_succ] + at_or_below[ask_fail]
-            succ = at_or_below[bid_succ]
-            fail = total[bid_fail] - below[bid_fail]
+            np.cumsum(self._counts[1], out=favorable[1:])
+            favorable = favorable[at_or_below]
+            succ = self._weights[0, at_or_below]
+            fail = self._weights[2, at_or_above]
         else:
-            favorable = (total[bid_succ] - below[bid_succ]
-                         + total[bid_fail] - below[bid_fail])
-            succ = total[ask_succ] - below[ask_succ]
-            fail = at_or_below[ask_fail]
-        numerator = (favorable + succ).astype(np.float64)
+            np.cumsum(self._counts[0, ::-1], out=favorable[-2::-1])
+            favorable = favorable[at_or_above]
+            succ = self._weights[3, at_or_above]
+            fail = self._weights[1, at_or_below]
+        numerator = favorable + succ
         denominator = numerator + fail
         return np.divide(numerator, denominator,
                          out=np.zeros_like(numerator), where=denominator > 0.0)
@@ -241,10 +211,13 @@ class OrderHistory:
     events logged since the previous query, so a run without HBL agents
     never fills it.  The memory covers every order placed at or after the
     placement of the oldest order in the book's last ``memory_length``
-    trades.  From its first binary-mode query on, the ledger also keeps
-    per-tick counts of the successful and failed bids and asks placed at
-    or after the current window start, so a query costs a few cumulative
-    sums over the tick span instead of a sort of the window:
+    trades, and is a ``TickMemory`` in both success modes.  A run has one
+    ``HblParams`` and its queries never go back in time.
+
+    In binary mode the ledger keeps per-tick counts of the successful and
+    failed bids and asks placed at or after the current window start, so a
+    query costs a few cumulative sums over the tick span instead of a sort
+    of the window:
 
     - an execution or a cancellation moves one order between classes;
     - a forward cursor fails the pending orders that outlive the grace
@@ -252,14 +225,16 @@ class OrderHistory:
     - a moved window start re-counts only the orders it passes over.
 
     Fractional weights are floats whose sums depend on the order of
-    addition, so that mode slices and rebuilds the window on every query
-    (``rebuild_memory``), which is also the binary ledger's oracle.
+    addition, so that mode classifies and sorts the window again on every
+    query and lays the sums, taken in (price, placement) order, on the
+    same ticks.
     """
 
     _FIELDS = ("_placed", "_price", "_is_bid", "_executed", "_cancelled")
     _MARGIN = 64  # ticks of headroom added whenever the counts widen
 
-    def __init__(self) -> None:
+    def __init__(self, params: HblParams) -> None:
+        self.params = params
         self._capacity = 256
         self._placed = np.empty(self._capacity, dtype=np.int64)
         self._price = np.empty(self._capacity, dtype=np.int64)
@@ -269,8 +244,14 @@ class OrderHistory:
         self._index: dict[int, int] = {}
         self._n = 0
         self._read_events = 0  # events of the book's log read so far
-        self._now = 0  # time of the last binary query
-        self._reset_ledger(None)  # inactive until the first binary query
+        self._now = 0  # time of the last query
+        # binary ledger: counts of the classified orders [_start, _n)
+        self._binary = params.success_mode == "binary"
+        self._expired = 0  # orders [0, _expired) were placed over grace ago
+        self._start = 0  # index of the first order in the window
+        self._lo = 0  # tick of column 0 of _counts
+        # rows: successful bids, failed bids, successful asks, failed asks
+        self._counts = np.zeros((4, 0), dtype=np.int64)
 
     def _grow(self) -> None:
         self._capacity *= 2
@@ -280,55 +261,50 @@ class OrderHistory:
             grown[: self._n] = old[: self._n]
             setattr(self, name, grown)
 
-    def memory(self, book: OrderBook, now: int,
-               params: HblParams) -> HblMemory | TickMemory:
+    def memory(self, book: OrderBook, now: int) -> TickMemory:
         """Classified memory of the orders in the window of ``book``'s last
         ``memory_length`` trades."""
-        if params.success_mode != "binary":
-            return self.rebuild_memory(book, now, params)
-        start = self._read(book, params.memory_length)
-        if self._grace != params.grace_period or now < self._now:
-            self._reset_ledger(params.grace_period)
+        if now < self._now:
+            raise ValueError(f"query at {now} is earlier than the last one at {self._now}")
+        self._now = now
+        start = self._read(book)
+        if not self._binary:
+            return self._weigh(start, now, len(book.trades))
         self._expire(now)
         if start < self._start:
             self._count_range(start, self._start, 1)
         elif start > self._start:
             self._count_range(self._start, start, -1)
         self._start = start
-        self._now = now
-        return TickMemory(self._counts, self._lo, len(book.trades))
+        counts = self._counts
+        weights = np.zeros((4, counts.shape[1] + 1))
+        np.cumsum(counts[[0, 3]], axis=1, out=weights[:2, 1:])
+        np.cumsum(counts[[1, 2], ::-1], axis=1, out=weights[2:, -2::-1])
+        return TickMemory(self._lo, counts[[0, 2]] + counts[[1, 3]], weights,
+                          len(book.trades))
 
-    def rebuild_memory(self, book: OrderBook, now: int, params: HblParams) -> HblMemory:
-        """The window sliced, classified and sorted from scratch."""
-        i0 = self._read(book, params.memory_length)
+    def _weigh(self, i0: int, now: int, transaction_count: int) -> TickMemory:
+        """The fractional memory of orders ``[i0, _n)``, weighed from scratch."""
         placed = self._placed[i0: self._n]
-        price = self._price[i0: self._n]
-        is_bid = self._is_bid[i0: self._n]
         executed = self._executed[i0: self._n]
         cancelled = self._cancelled[i0: self._n]
         exec_mask = ~np.isnan(executed)
-        grace = float(params.grace_period)
-        if params.success_mode == "binary":
-            failed = ~exec_mask & (~np.isnan(cancelled) | (now - placed > grace))
-            include = exec_mask | failed
-            success = exec_mask[include].astype(np.float64)
-            failure = failed[include].astype(np.float64)
-        else:
-            success = np.zeros(len(placed))
-            failure = np.zeros(len(placed))
-            ramp = np.clip(1.0 - (executed - placed) / grace, 0.0, 1.0)
-            success[exec_mask] = ramp[exec_mask]
-            failure[exec_mask] = 1.0 - ramp[exec_mask]
-            resolved_at = np.where(np.isnan(cancelled), float(now), cancelled)
-            stale = np.clip((resolved_at - placed) / grace, 0.0, 1.0)
-            failure[~exec_mask] = stale[~exec_mask]
-            include = exec_mask | (failure > 0.0)
-            success = success[include]
-            failure = failure[include]
-        return HblMemory(is_bid[include], price[include], success, failure,
-                         len(book.trades))
+        grace = float(self.params.grace_period)
+        success = np.zeros(len(placed))
+        failure = np.zeros(len(placed))
+        ramp = np.clip(1.0 - (executed - placed) / grace, 0.0, 1.0)
+        success[exec_mask] = ramp[exec_mask]
+        failure[exec_mask] = 1.0 - ramp[exec_mask]
+        resolved_at = np.where(np.isnan(cancelled), float(now), cancelled)
+        stale = np.clip((resolved_at - placed) / grace, 0.0, 1.0)
+        failure[~exec_mask] = stale[~exec_mask]
+        include = exec_mask | (failure > 0.0)
+        return TickMemory.from_orders(self._is_bid[i0: self._n][include],
+                                      self._price[i0: self._n][include],
+                                      success[include], failure[include],
+                                      transaction_count)
 
-    def _read(self, book: OrderBook, memory_length: int) -> int:
+    def _read(self, book: OrderBook) -> int:
         """Take in the events logged since the last read and return the
         index of the first order in the window."""
         events = book.events
@@ -346,7 +322,7 @@ class OrderHistory:
                 self._n += 1
                 continue
             i = self._index[event.order_id]
-            counted = self._grace is not None and i >= self._start
+            counted = self._binary and i >= self._start
             if event.kind is EventKind.EXECUTED:
                 if not np.isnan(self._executed[i]):  # keep the first execution time
                     continue
@@ -360,7 +336,7 @@ class OrderHistory:
                     self._tally(i, failed=True, delta=1)
                 self._cancelled[i] = event.time
         self._read_events = len(events)
-        trades = book.trades[-memory_length:]
+        trades = book.trades[-self.params.memory_length:]
         if not trades:  # no transaction to remember: the window is empty
             return self._n
         window_start = min(self._placed[self._index[oid]] for trade in trades
@@ -369,17 +345,9 @@ class OrderHistory:
 
     # -- binary ledger ------------------------------------------------------
 
-    def _reset_ledger(self, grace: int | None) -> None:
-        """Empty the window; the next query counts it from scratch."""
-        self._grace = grace
-        self._expired = 0  # orders [0, _expired) were placed over grace ago
-        self._start = self._n  # index of the first order in the window
-        self._lo = 0  # tick of column 0 of _counts
-        self._counts = np.zeros((4, 0), dtype=np.int64)  # rows as in TickMemory
-
     def _expired_before(self, now: int) -> int:
         """Number of orders with ``now - placed > grace``."""
-        return int(np.searchsorted(self._placed[: self._n], now - self._grace,
+        return int(np.searchsorted(self._placed[: self._n], now - self.params.grace_period,
                                    side="left"))
 
     def _classified(self, i: int) -> bool:
@@ -436,22 +404,22 @@ class OrderHistory:
         self._lo, self._counts = new_lo, counts
 
 
-def hbl_candidate_grid(memory: HblMemory | TickMemory, mode: str = "observed", extend: int = 1) -> list[int]:
-    """Candidate limit prices: observed distinct prices, or every tick across
-    the observed range, each extended ``extend`` ticks beyond the extremes."""
+def hbl_candidate_grid(memory: TickMemory, mode: str = "observed",
+                       extend: int = 1) -> np.ndarray:
+    """Candidate limit prices, ascending, as an int64 array: the observed
+    distinct prices, or every tick across the observed range, each extended
+    ``extend`` ticks beyond the extremes."""
     observed = memory.prices
-    if not observed:
-        return []
-    lo = max(0, observed[0] - extend)
-    hi = observed[-1] + extend
+    if not observed.size:
+        return observed
+    first, last = int(observed[0]), int(observed[-1])
+    lo, hi = max(0, first - extend), last + extend
     if mode == "spline":
-        return list(range(lo, hi + 1))
+        return np.arange(lo, hi + 1, dtype=np.int64)
     # observed is sorted and distinct, so only the two ends can be new
-    if lo < observed[0]:
-        observed.insert(0, lo)
-    if hi > observed[-1]:
-        observed.append(hi)
-    return observed
+    grid = np.empty(observed.size + 2, dtype=np.int64)
+    grid[0], grid[1:-1], grid[-1] = lo, observed, hi
+    return grid[lo == first: grid.size - (hi == last)]
 
 
 def _solve_tridiagonal(dl: list, d: list, du: list, b: list) -> list:
@@ -534,7 +502,7 @@ def natural_cubic_spline(knots, values):
     return evaluate
 
 
-def hbl_belief_spline(memory: HblMemory | TickMemory, side: Side):
+def hbl_belief_spline(memory: TickMemory, side: Side):
     """Natural cubic spline through the observed (price, belief) points,
     clamped to [0, 1]; degenerates to the raw belief with < 2 points.
 
@@ -551,8 +519,8 @@ def hbl_decide(
     q_held: int,
     pv: PrivateValues,
     r_hat: float,
-    memory: HblMemory | TickMemory | None,
-    candidate_prices: list[int],
+    memory: TickMemory | None,
+    candidate_prices: np.ndarray | None,
     params: HblParams,
     rng: np.random.Generator,
     grid: PriceGrid,
@@ -561,15 +529,18 @@ def hbl_decide(
 ) -> AgentAction:
     """Expected-surplus-maximizing placement; ZI fallback while uninformed.
 
-    The fallback is checked before any draw so that an uninformed HBL agent
-    consumes its RNG stream exactly like a ZI agent would.
+    ``candidate_prices`` is the ascending int64 array of
+    ``hbl_candidate_grid``.  The fallback is checked before any draw so that
+    an uninformed HBL agent consumes its RNG stream exactly like a ZI agent
+    would.
     """
-    if memory is None or memory.transaction_count < params.memory_length or not candidate_prices:
+    if (memory is None or memory.transaction_count < params.memory_length
+            or not len(candidate_prices)):
         return zi_decide(q_held, pv, r_hat, best_bid, best_ask, params.zi, rng, grid)
     side = _choose_side(q_held, pv, rng)
     if side is None:
         return SKIP
-    prices = np.sort(np.asarray(candidate_prices, dtype=np.int64))  # ties resolve to the lowest bid
+    prices = candidate_prices  # ascending: ties resolve to the lowest bid
     if side is Side.BID:
         valuation = pv.buy_valuation(q_held, r_hat)
     else:

@@ -207,7 +207,7 @@ def run(config: SimConfig) -> SimResult:
     wakes.sort()  # ties broken by agent_id
 
     book = OrderBook()
-    history = strategies.OrderHistory()
+    history = strategies.OrderHistory(config.hbl_params) if config.n_hbl else None
     order_ids = count(1)
     estimator_trace: list[tuple] = []
     decision_trace: list[tuple] = []
@@ -305,7 +305,7 @@ def run(config: SimConfig) -> SimResult:
 
 
 def _decide(record: AgentRecord, r_hat: float, book: OrderBook,
-            history: strategies.OrderHistory, config: SimConfig,
+            history: strategies.OrderHistory | None, config: SimConfig,
             grid: PriceGrid, now: int) -> strategies.AgentAction:
     best_bid = book.best_bid()
     best_ask = book.best_ask()
@@ -313,10 +313,9 @@ def _decide(record: AgentRecord, r_hat: float, book: OrderBook,
         return strategies.zi_decide(record.q_held, record.pv, r_hat, best_bid, best_ask,
                                     config.zi_params, record.rng, grid)
     hp = config.hbl_params
-    memory = None
-    candidates: list[int] = []
+    memory = candidates = None
     if len(book.trades) >= hp.memory_length:
-        memory = history.memory(book, now, hp)
+        memory = history.memory(book, now)
         candidates = strategies.hbl_candidate_grid(memory, hp.grid_mode)
     return strategies.hbl_decide(record.q_held, record.pv, r_hat, memory, candidates,
                                  hp, record.rng, grid, best_bid, best_ask)

@@ -1,10 +1,14 @@
-"""Event-log oracles for the HBL memory.
+"""Oracles for the HBL memory.
 
-``hbl_classify`` classifies the orders of a book's event log from scratch,
-order by order, into ``MemoryOrder`` records; ``RecordMemory`` answers
-belief queries over such records with the package's ``HblMemory``.  The
-tests compare ``OrderHistory``, which keeps its memory incrementally, and
-the decision code against them.
+``HblMemory`` answers belief queries with prefix sums over each side's
+orders sorted by price, the float addition order that fractional mode
+keeps.  ``hbl_classify``
+classifies the orders of a book's event log from scratch, order by order,
+into ``MemoryOrder`` records, and ``RecordMemory`` is an ``HblMemory`` over
+such records.  ``window_oracle`` classifies, in binary mode, the orders
+placed from any given time on.  The tests compare ``OrderHistory``, which
+keeps its memory incrementally, ``TickMemory`` and the decision code
+against them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cdasim.agents import HblMemory, HblParams
+from cdasim.agents import HblParams
 from cdasim.orderbook import BookEvent, EventKind, Side
 
 
@@ -25,18 +29,95 @@ class MemoryOrder:
     failure: float  # weight in [0, 1]; success + failure may be < 1 while pending
 
 
+class HblMemory:
+    """Classified order history with prefix sums for fast belief queries.
+
+    Built from parallel arrays of sides, prices and success and failure
+    weights in [0, 1], with each side's weights summed in (price,
+    placement) order.
+    """
+
+    def __init__(self, is_bid, prices, success, failure, transaction_count: int):
+        self.transaction_count = transaction_count
+        is_bid = np.asarray(is_bid, dtype=bool)
+        prices = np.asarray(prices, dtype=np.int64)
+        success = np.asarray(success, dtype=np.float64)
+        failure = np.asarray(failure, dtype=np.float64)
+        self._count = len(prices)
+        bid_order = np.argsort(prices[is_bid], kind="stable")
+        ask_mask = ~is_bid
+        ask_order = np.argsort(prices[ask_mask], kind="stable")
+        # BID-side query ingredients
+        self._bid_prices_sorted = prices[is_bid][bid_order]
+        self._ask_prices = prices[ask_mask][ask_order]
+        bid_succ = success[is_bid][bid_order]
+        bid_fail = failure[is_bid][bid_order]
+        self._bid_succ_prefix = np.concatenate(([0.0], np.cumsum(bid_succ)))
+        self._bid_fail_suffix = np.concatenate(([0.0], np.cumsum(bid_fail[::-1])))
+        # ASK-side (mirrored) query ingredients
+        ask_succ = success[ask_mask][ask_order]
+        ask_fail = failure[ask_mask][ask_order]
+        self._ask_succ_suffix = np.concatenate(([0.0], np.cumsum(ask_succ[::-1])))
+        self._ask_fail_prefix = np.concatenate(([0.0], np.cumsum(ask_fail)))
+
+    def __len__(self) -> int:
+        return self._count
+
+    @property
+    def prices(self) -> np.ndarray:
+        # not np.union1d/np.unique: in numpy 2.x their first call lazily imports numpy.ma (~10 ms)
+        merged = np.sort(np.concatenate((self._bid_prices_sorted, self._ask_prices)))
+        first_of_run = np.ones(merged.size, dtype=bool)
+        first_of_run[1:] = merged[1:] != merged[:-1]
+        return merged[first_of_run]
+
+    def belief_array(self, prices, side: Side) -> np.ndarray:
+        """Heuristic probability that a limit order at each of ``prices``
+        transacts.
+
+        For a bid: favorable mass is ask volume and successful bids at <= p,
+        unfavorable mass is failed bids at >= p.  Mirrored for an ask.  The
+        belief is 0 where the denominator is empty.
+        """
+        p = np.asarray(prices, dtype=np.int64)
+        if side is Side.BID:
+            favorable = np.searchsorted(self._ask_prices, p, side="right").astype(float)
+            succ = self._bid_succ_prefix[np.searchsorted(self._bid_prices_sorted, p,
+                                                         side="right")]
+            fail = self._bid_fail_suffix[len(self._bid_prices_sorted)
+                                         - np.searchsorted(self._bid_prices_sorted, p,
+                                                           side="left")]
+        else:
+            favorable = (len(self._bid_prices_sorted)
+                         - np.searchsorted(self._bid_prices_sorted, p,
+                                           side="left")).astype(float)
+            succ = self._ask_succ_suffix[len(self._ask_prices)
+                                         - np.searchsorted(self._ask_prices, p,
+                                                           side="left")]
+            fail = self._ask_fail_prefix[np.searchsorted(self._ask_prices, p,
+                                                         side="right")]
+        numerator = favorable + succ
+        denominator = numerator + fail
+        return np.divide(numerator, denominator,
+                         out=np.zeros_like(numerator), where=denominator > 0.0)
+
+
 class RecordMemory(HblMemory):
     """An ``HblMemory`` built from ``MemoryOrder`` records, which it keeps."""
 
     def __init__(self, records, transaction_count: int):
         self.records = tuple(records)
-        n = len(self.records)
-        super().__init__(
-            np.fromiter((r.side is Side.BID for r in self.records), dtype=bool, count=n),
-            np.fromiter((r.price for r in self.records), dtype=np.int64, count=n),
-            np.fromiter((r.success for r in self.records), dtype=np.float64, count=n),
-            np.fromiter((r.failure for r in self.records), dtype=np.float64, count=n),
-            transaction_count)
+        super().__init__(*order_arrays(self.records), transaction_count)
+
+
+def order_arrays(records):
+    """Parallel arrays of sides (``True`` for a bid), prices, successes and
+    failures of ``MemoryOrder`` records."""
+    n = len(records)
+    return (np.fromiter((r.side is Side.BID for r in records), dtype=bool, count=n),
+            np.fromiter((r.price for r in records), dtype=np.int64, count=n),
+            np.fromiter((r.success for r in records), dtype=np.float64, count=n),
+            np.fromiter((r.failure for r in records), dtype=np.float64, count=n))
 
 
 def hbl_belief(memory, p: int, side: Side) -> float:
@@ -114,3 +195,25 @@ def _classify_order(placed_at, executed_at, cancelled_at, now, grace, mode):
     if failure == 0.0:
         return None
     return 0.0, failure
+
+
+def window_oracle(events, window_start, now, grace):
+    """Binary classification of the orders placed at or after ``window_start``,
+    read straight off the event log."""
+    placed, executed, cancelled = {}, set(), set()
+    for event in events:
+        if event.kind is EventKind.PLACED:
+            placed[event.order_id] = event
+        elif event.kind is EventKind.EXECUTED:
+            executed.add(event.order_id)
+        else:
+            cancelled.add(event.order_id)
+    records = []
+    for oid, event in placed.items():
+        if event.time < window_start:
+            continue
+        if oid in executed:
+            records.append(MemoryOrder(event.side, event.price, 1.0, 0.0))
+        elif oid in cancelled or now - event.time > grace:
+            records.append(MemoryOrder(event.side, event.price, 0.0, 1.0))
+    return RecordMemory(records, transaction_count=0)

@@ -8,7 +8,6 @@ import pytest
 
 from cdasim.agents import (
     ActionKind,
-    HblMemory,
     HblParams,
     ZiParams,
     hbl_belief_spline,
@@ -23,7 +22,15 @@ from cdasim.orderbook import BookEvent, EventKind, Order, OrderBook, Side, Trade
 from cdasim.preferences import PrivateValues
 
 from conftest import FixedRng, events_in_window
-from hbl_oracle import MemoryOrder, RecordMemory, hbl_belief, hbl_classify
+from hbl_oracle import (
+    HblMemory,
+    MemoryOrder,
+    RecordMemory,
+    hbl_belief,
+    hbl_classify,
+    order_arrays,
+    window_oracle,
+)
 
 
 PV = PrivateValues(q_max=3, values=(0.5, 0.3, 0.2, 0.1, -0.2, -0.4))
@@ -187,28 +194,30 @@ def test_script_candidate_grid():
     book = build_script_book()
     memory = hbl_classify(book.events, now=100, params=HBL)
     grid = hbl_candidate_grid(memory)
-    assert grid == [995, 996, 998, 999, 1000, 1001, 1002, 1003, 1004, 1005]
+    assert grid.dtype == np.int64
+    assert grid.tolist() == [995, 996, 998, 999, 1000, 1001, 1002, 1003, 1004, 1005]
     dense = hbl_candidate_grid(memory, mode="spline")
-    assert dense == list(range(995, 1006))
+    assert dense.dtype == np.int64
+    assert dense.tolist() == list(range(995, 1006))
 
 
 def test_candidate_grid_matches_union_oracle(rng):
     for _ in range(300):
-        memory = random_memory(rng)
+        memory = tick_memory(random_memory(rng).records)
         if rng.random() < 0.2:  # prices at the bottom of the tick range
-            counts = np.zeros((4, 4), dtype=np.int64)
-            counts[0, rng.integers(0, 4, size=2)] = 1
-            memory = TickMemory(counts, 0, 0)
-        observed = memory.prices
+            memory = tick_memory([MemoryOrder(Side.BID, int(p), 1.0, 0.0)
+                                  for p in rng.integers(0, 4, size=2)])
+        observed = memory.prices.tolist()
         for extend in (0, 1, 3):
             grid = hbl_candidate_grid(memory, extend=extend)
+            dense = hbl_candidate_grid(memory, "spline", extend)
+            assert grid.dtype == dense.dtype == np.int64
             if not observed:
-                assert grid == []
+                assert grid.size == dense.size == 0
                 continue
             lo, hi = max(0, observed[0] - extend), observed[-1] + extend
-            assert grid == sorted(set(observed) | {lo, hi})
-            assert all(type(p) is int for p in grid)
-            assert hbl_candidate_grid(memory, "spline", extend) == list(range(lo, hi + 1))
+            assert grid.tolist() == sorted(set(observed) | {lo, hi})
+            assert dense.tolist() == list(range(lo, hi + 1))
 
 
 def test_script_buyer_decision(grid_01):
@@ -315,7 +324,7 @@ def test_classify_empty_stream():
     memory = hbl_classify([], now=5, params=HBL)
     assert memory.transaction_count == 0
     assert len(memory) == 0
-    assert hbl_candidate_grid(memory) == []
+    assert hbl_candidate_grid(memory).size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +363,13 @@ def random_memory(rng):
     return RecordMemory(records, transaction_count=len(records))
 
 
+def tick_memory(records, transaction_count=0):
+    """The package's ``TickMemory`` of ``MemoryOrder`` records."""
+    return TickMemory.from_orders(*order_arrays(records), transaction_count)
+
+
 def memories_from_prices(bid_prices, ask_prices):
-    """The same memory built from records and from parallel arrays."""
+    """The same memory built from records, from parallel arrays and on ticks."""
     sides = [Side.BID] * len(bid_prices) + [Side.ASK] * len(ask_prices)
     prices = list(bid_prices) + list(ask_prices)
     records = tuple(MemoryOrder(side, price, 1.0, 0.0)
@@ -364,14 +378,68 @@ def memories_from_prices(bid_prices, ask_prices):
     from_arrays = HblMemory(
         [side is Side.BID for side in sides], prices, [1.0] * len(prices),
         [0.0] * len(prices), transaction_count=0)
-    return from_records, from_arrays
+    return from_records, from_arrays, tick_memory(records)
 
 
 def assert_prices_match_union_oracle(memory, bid_prices, ask_prices):
     expected = sorted(set(bid_prices) | set(ask_prices))
     got = memory.prices
-    assert got == expected
-    assert all(type(p) is int for p in got)
+    assert got.tolist() == expected
+    assert got.dtype == np.int64
+
+
+def edge_orders(case, rng):
+    """Sides and prices of one random memory of an edge case."""
+    n = int(rng.integers(1, 40))
+    if case == "empty":
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+    if case == "bids only":
+        return np.ones(n, dtype=bool), rng.integers(995, 1006, size=n)
+    if case == "asks only":
+        return np.zeros(n, dtype=bool), rng.integers(995, 1006, size=n)
+    is_bid = rng.random(n) < 0.5
+    if case == "single tick":
+        return is_bid, np.full(n, 1000)
+    if case == "tick zero":
+        return is_bid, rng.integers(0, 4, size=n)
+    # cent ticks: prices near 100.00 spread wider than the ledger's 64-tick margin
+    return is_bid, rng.integers(9900, 10101, size=n)
+
+
+def edge_weights(rng, n, grace):
+    """Binary weights, or fractional ones as the classification gives them:
+    an executed order's success ramps from 1 to 0 over the grace period and
+    any other order fails by the share of it that it sat in the book."""
+    executed = rng.random(n) < 0.5
+    if grace is None:
+        return executed.astype(np.float64), (~executed).astype(np.float64)
+    alive = rng.integers(0, 2 * grace, size=n)
+    success = np.where(executed, np.maximum(0.0, 1.0 - alive / grace), 0.0)
+    failure = np.where(executed, 1.0 - success, np.minimum(1.0, (alive + 1) / grace))
+    return success, failure
+
+
+@pytest.mark.parametrize("grace", [None, 3, 7, 100])
+@pytest.mark.parametrize("case", ["empty", "bids only", "asks only", "single tick",
+                                  "tick zero", "cent ticks"])
+def test_tick_memory_matches_oracle_edge_cases(case, grace, rng):
+    widest = 0
+    for _ in range(40):
+        is_bid, price = edge_orders(case, rng)
+        success, failure = edge_weights(rng, price.size, grace)
+        got = TickMemory.from_orders(is_bid, price, success, failure, 7)
+        expected = HblMemory(is_bid, price, success, failure, 7)
+        assert len(got) == len(expected) == price.size
+        assert got.transaction_count == 7
+        assert np.array_equal(got.prices, expected.prices)
+        assert got.prices.dtype == np.int64
+        lo, hi = (int(price.min()), int(price.max())) if price.size else (1000, 1000)
+        widest = max(widest, hi - lo)
+        queries = np.arange(lo - 3, hi + 4)  # three ticks beyond each end
+        for side in Side:
+            assert_bitwise_equal(got.belief_array(queries, side),
+                                 expected.belief_array(queries, side))
+    assert case != "cent ticks" or widest > OrderHistory._MARGIN
 
 
 @pytest.mark.parametrize("bid_prices, ask_prices", [
@@ -628,7 +696,7 @@ class LedgerMarket:
     def __init__(self, params):
         self.params = params
         self.book = OrderBook()
-        self.history = OrderHistory()
+        self.history = OrderHistory(params)
         self.next_id = 1
 
     def place(self, side, price, t):
@@ -659,36 +727,14 @@ class LedgerMarket:
         return SimpleNamespace(events=self.book.events, trades=trades)
 
     def memory(self, now, window_start=None):
-        return self.history.memory(self.view(window_start), now, self.params)
-
-
-def window_oracle(events, window_start, now, grace):
-    """Binary classification of the orders placed at or after ``window_start``,
-    read straight off the event log."""
-    placed, executed, cancelled = {}, set(), set()
-    for event in events:
-        if event.kind is EventKind.PLACED:
-            placed[event.order_id] = event
-        elif event.kind is EventKind.EXECUTED:
-            executed.add(event.order_id)
-        else:
-            cancelled.add(event.order_id)
-    records = []
-    for oid, event in placed.items():
-        if event.time < window_start:
-            continue
-        if oid in executed:
-            records.append(MemoryOrder(event.side, event.price, 1.0, 0.0))
-        elif oid in cancelled or now - event.time > grace:
-            records.append(MemoryOrder(event.side, event.price, 0.0, 1.0))
-    return RecordMemory(records, transaction_count=0)
+        return self.history.memory(self.view(window_start), now)
 
 
 def assert_same_memory(got, expected, prices):
     """Exact equality of the length, the observed prices and every belief."""
     assert len(got) == len(expected)
-    assert got.prices == expected.prices
-    assert all(type(p) is int for p in got.prices)
+    assert np.array_equal(got.prices, expected.prices)
+    assert got.prices.dtype == np.int64
     for side in Side:
         assert np.array_equal(got.belief_array(prices, side),
                               expected.belief_array(prices, side)), side
@@ -722,9 +768,10 @@ def scalar_choice_oracle(memory, candidates, side, valuation, grid, grid_mode):
 def test_hbl_decide_matches_scalar_loop(grid_mode, rng, grid_01, grid_001):
     params = HblParams(zi=ZI, memory_length=1, grace_period=5, grid_mode=grid_mode)
     for trial in range(400):
-        memory = random_memory(rng)
+        reference = random_memory(rng)
+        memory = tick_memory(reference.records, reference.transaction_count)
         candidates = hbl_candidate_grid(memory, grid_mode)
-        if not candidates:
+        if not candidates.size:
             continue
         grid = grid_01 if trial % 2 else grid_001
         r_hat = float(rng.uniform(98.5, 101.5)) * (1.0 if trial % 2 else 0.1)
@@ -735,7 +782,7 @@ def test_hbl_decide_matches_scalar_loop(grid_mode, rng, grid_01, grid_001):
                          else PV.sell_valuation(0, r_hat))
             assert action.side is side
             assert action.limit_price == scalar_choice_oracle(
-                memory, candidates, side, valuation, grid, grid_mode), (trial, side)
+                reference, candidates, side, valuation, grid, grid_mode), (trial, side)
 
 
 @pytest.mark.parametrize("mode", ["binary", "fractional"])
@@ -777,7 +824,7 @@ def test_order_history_matches_event_classification(mode, rng):
             for side in Side:
                 assert hbl_belief(fast, p, side) == pytest.approx(
                     hbl_belief(reference, p, side), abs=1e-12), (trial, p, side)
-        assert fast.prices == reference.prices
+        assert np.array_equal(fast.prices, reference.prices)
     assert mode != "binary" or queried > 500
 
 
@@ -846,16 +893,15 @@ BINARY = HblParams(zi=ZI, memory_length=1, grace_period=5)
 
 
 def assert_ledger_exact(market, now, window_start=None, prices=range(990, 1012)):
-    """The ledger against the event-log oracle and against the full rebuild,
-    over the book's own window or one that starts at ``window_start``."""
+    """The ledger against the event-log oracles, over the book's own window
+    or one that starts at ``window_start``."""
     got = market.memory(now, window_start)
-    rebuilt = market.history.rebuild_memory(market.view(window_start), now, market.params)
-    if window_start is None:
-        window_start = market.window_start()
     prices = np.asarray(prices)
+    if window_start is None:
+        assert_same_memory(got, hbl_classify(market.book.events, now, market.params), prices)
+        window_start = market.window_start()
     assert_same_memory(got, window_oracle(market.book.events, window_start, now,
                                           market.params.grace_period), prices)
-    assert_same_memory(got, rebuilt, prices)
     return got
 
 
@@ -901,25 +947,35 @@ def test_ledger_cancel_after_expiry_counts_once():
 def test_ledger_empty_window():
     market = LedgerMarket(BINARY)
     empty = assert_ledger_exact(market, 0, window_start=0)  # nothing placed yet
-    assert len(empty) == 0 and empty.prices == []
+    assert len(empty) == 0 and empty.prices.size == 0
     assert not empty.belief_array(np.arange(990, 1010), Side.ASK).any()
     market.place(Side.BID, 1000, 1)
     market.place(Side.ASK, 1000, 2)
     assert len(assert_ledger_exact(market, 2, window_start=0)) == 2
     empty = assert_ledger_exact(market, 3, window_start=3)  # window starts after every order
-    assert len(empty) == 0 and hbl_candidate_grid(empty) == []
+    assert len(empty) == 0 and hbl_candidate_grid(empty).size == 0
     assert len(assert_ledger_exact(market, 3, window_start=1)) == 2
 
 
-def test_ledger_query_back_in_time_and_new_grace_recount():
-    market = LedgerMarket(BINARY)
+@pytest.mark.parametrize("mode", ["binary", "fractional"])
+def test_ledger_query_back_in_time_raises(mode):
+    # a run's wake times never decrease, so an earlier query is a caller error
+    market = LedgerMarket(HblParams(zi=ZI, memory_length=1, grace_period=5,
+                                    success_mode=mode))
     market.place(Side.BID, 1000, 0)
     market.place(Side.ASK, 1002, 1)
-    assert len(assert_ledger_exact(market, 50, window_start=0)) == 2
-    assert len(assert_ledger_exact(market, 3, window_start=0)) == 0  # now moved back: pending again
-    longer = HblParams(zi=ZI, memory_length=1, grace_period=30)
-    market.params = longer
+    assert len(market.memory(50, window_start=0)) == 2
+    with pytest.raises(ValueError, match="earlier than the last one"):
+        market.memory(3, window_start=0)
+    assert len(market.memory(50, window_start=0)) == 2  # the same time again is fine
+
+
+def test_ledger_longer_grace_counts_later():
+    market = LedgerMarket(HblParams(zi=ZI, memory_length=1, grace_period=30))
+    market.place(Side.BID, 1000, 0)
+    market.place(Side.ASK, 1002, 1)
     assert len(assert_ledger_exact(market, 20, window_start=0)) == 0
+    assert len(assert_ledger_exact(market, 30, window_start=0)) == 0  # 30 - 0 > 30 is false
     assert len(assert_ledger_exact(market, 31, window_start=0)) == 1  # 31 - 1 > 30 is false
     assert len(assert_ledger_exact(market, 32, window_start=0)) == 2
 

@@ -21,6 +21,8 @@ from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
 
+from hbl_oracle import RecordMemory, hbl_classify
+
 
 ZI_PARAMS = ZiParams(r_min=0.0, r_max=1.0, eta=1.0, sigma_n_sq=10.0,
                      q_max=5, sigma_pv_sq=25.0)
@@ -323,31 +325,52 @@ E2E_OVERRIDES = {
     "cent-ticks": {"agents": {"grid_mode": "spline"}, "market": {"tick_size": "0.01"}},
 }
 
+FRACTIONAL_OVERRIDES = {
+    "fractional-observed": {"agents": {"success_mode": "fractional"}},
+    "fractional-spline": {"agents": {"success_mode": "fractional", "grid_mode": "spline"}},
+    "fractional-cent-ticks": {"agents": {"success_mode": "fractional", "grid_mode": "spline"},
+                              "market": {"tick_size": "0.01"}},
+}
 
-@pytest.mark.parametrize("name", sorted(E2E_OVERRIDES))
-def test_binary_ledger_run_matches_rebuild(name, tmp_path, monkeypatch):
-    # the running per-tick counts and a full rebuild of the memory on every
-    # HBL wake write the same four CSVs, byte for byte
+
+def assert_run_matches_oracle(overrides, tmp_path, monkeypatch):
+    """A run with the package's memory and one with ``hbl_classify``'s
+    event-log classification patched in on every HBL wake write the same
+    four CSVs, byte for byte."""
     resolved = parse_config("[market]\nhorizon = 4000\nseed = 5\n")
-    for section, keys in E2E_OVERRIDES[name].items():
+    for section, keys in overrides.items():
         resolved[section].update(keys)
-    ledger = OrderHistory.memory
+    package = OrderHistory.memory
     kinds = []
 
     def memory(self, *args):
-        result = ledger(self, *args)
+        result = package(self, *args)
         kinds.append(type(result))
         return result
 
-    def rebuild(self, *args):
-        kinds.append("rebuild")
-        return OrderHistory.rebuild_memory(self, *args)
+    def oracle(self, book, now):
+        result = hbl_classify(book.events, now, self.params)
+        kinds.append(type(result))
+        return result
 
-    for label, method in (("ledger", memory), ("rebuild", rebuild)):
+    for label, method in (("package", memory), ("oracle", oracle)):
         monkeypatch.setattr(OrderHistory, "memory", method)
         assert run_one({s: dict(k) for s, k in resolved.items()}, str(tmp_path / label))
-    assert set(kinds) == {TickMemory, "rebuild"}
-    assert kinds.count(TickMemory) == kinds.count("rebuild") > 50
+    assert set(kinds) == {TickMemory, RecordMemory}
+    assert kinds.count(TickMemory) == kinds.count(RecordMemory) > 50
     for fname in ("events.csv", "trades.csv", "agents.csv", "fundamental.csv"):
-        assert ((tmp_path / "ledger" / fname).read_bytes()
-                == (tmp_path / "rebuild" / fname).read_bytes()), fname
+        assert ((tmp_path / "package" / fname).read_bytes()
+                == (tmp_path / "oracle" / fname).read_bytes()), fname
+
+
+@pytest.mark.parametrize("name", sorted(E2E_OVERRIDES))
+def test_binary_ledger_run_matches_rebuild(name, tmp_path, monkeypatch):
+    # the running per-tick counts against a classification rebuilt from
+    # the event log on every HBL wake
+    assert_run_matches_oracle(E2E_OVERRIDES[name], tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(FRACTIONAL_OVERRIDES))
+def test_fractional_memory_run_matches_oracle(name, tmp_path, monkeypatch):
+    # the fractional sums laid on ticks against the sorted-array oracle
+    assert_run_matches_oracle(FRACTIONAL_OVERRIDES[name], tmp_path, monkeypatch)
