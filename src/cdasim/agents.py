@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,7 @@ class ActionKind(enum.Enum):
     SKIP = "SKIP"
 
 
-@dataclass(frozen=True)
-class AgentAction:
+class AgentAction(NamedTuple):
     kind: ActionKind
     side: Side | None = None
     limit_price: int | None = None  # ticks

@@ -252,16 +252,15 @@ def emit_outputs(result: SimResult, resolved: dict[str, dict[str, str]], outdir:
 
     with open(path("events.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time,kind,order_id,agent_id,side,price,qty,counterparty\n")
-        for e in result.events:
-            cp = "" if e.counterparty is None else str(e.counterparty)
-            fh.write(f"{e.time},{e.kind.value},{e.order_id},{e.agent_id},"
-                     f"{e.side.value},{grid.format(e.price)},{e.quantity},{cp}\n")
+        for kind, time, order_id, agent_id, side, price, qty, cp in result.events:
+            cp = "" if cp is None else str(cp)
+            fh.write(f"{time},{kind.value},{order_id},{agent_id},"
+                     f"{side.value},{grid.format(price)},{qty},{cp}\n")
 
     with open(path("trades.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time,price,qty,buy_order,sell_order\n")
-        for t in result.trades:
-            fh.write(f"{t.time},{grid.format(t.price)},{t.quantity},"
-                     f"{t.buy_order_id},{t.sell_order_id}\n")
+        for time, price, qty, buy_order, sell_order, _, _ in result.trades:
+            fh.write(f"{time},{grid.format(price)},{qty},{buy_order},{sell_order}\n")
 
     dump_series(result.fundamental_trace, path("fundamental.csv"), grid)
 

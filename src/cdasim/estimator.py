@@ -14,6 +14,7 @@ ever rounded to ticks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,7 @@ class EstimatorParams:
             raise ValueError("variances must be >= 0")
 
 
-@dataclass(frozen=True)
-class BeliefState:
+class BeliefState(NamedTuple):
     r_tilde: float
     sigma_tilde_sq: float
     last_wake: int

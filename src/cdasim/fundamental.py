@@ -117,6 +117,10 @@ def ou_sample(
 class DmrFundamental:
     """Memoizing discrete mean reverting source; r_0 = r_bar exactly.
 
+    A query beyond the memoized prefix draws the shocks of all the missing
+    steps in one batch from the series' own stream, then runs ``dmr_step``
+    over them in order.
+
     ``r0_override`` is a test hook for starting away from the mean (used to
     check the geometric contraction rate); production configs leave it None.
     """
@@ -140,10 +144,15 @@ class DmrFundamental:
             raise ValueError(f"t={t} beyond horizon T={self.horizon_T}")
         if t < 0:
             raise ValueError("t must be >= 0")
-        while len(self._values) <= t:
-            noise = self._rng.normal(0.0, self._sigma_s)
-            self._values.append(dmr_step(self._values[-1], self.params, noise, self.grid))
-        return self._values[t]
+        values = self._values
+        if len(values) <= t:
+            # One batched draw yields the same shocks as one scalar draw per step.
+            shocks = self._rng.normal(0.0, self._sigma_s, size=t + 1 - len(values))
+            prev = values[-1]
+            for noise in shocks.tolist():
+                prev = dmr_step(prev, self.params, noise, self.grid)
+                values.append(prev)
+        return values[t]
 
     def evaluations(self) -> list[tuple[int, int]]:
         return list(enumerate(self._values))

@@ -215,8 +215,9 @@ def run(config: SimConfig) -> SimResult:
     breaches: list[str] = []
 
     q_max = config.zi_params.q_max
+    trades = book.trades  # the book's append-only list
 
-    def check_invariants(t: int, trades) -> None:
+    def check_invariants(t: int, new_trades) -> None:
         nonlocal invariants_ok
         cash_total = sum(r.cash for r in records)
         q_total = sum(r.q_held for r in records)
@@ -224,7 +225,7 @@ def run(config: SimConfig) -> SimResult:
             invariants_ok = False
             breaches.append(f"t={t}: cash={cash_total!r} q={q_total}")
         # only the agents that just traded can have moved past the limit
-        for agent_id in sorted({a for trade in trades
+        for agent_id in sorted({a for trade in new_trades
                                 for a in (trade.buyer_id, trade.seller_id)}):
             q_held = records[agent_id].q_held
             if abs(q_held) > q_max:
@@ -232,48 +233,73 @@ def run(config: SimConfig) -> SimResult:
                 breaches.append(f"t={t}: agent {agent_id} holds q={q_held} "
                                 f"beyond q_max={q_max}")
 
+    # Loop invariants, looked up once per run; a wrapper installed on any of
+    # these functions before the run starts still sees every call.
+    trace_estimator = config.output.trace_estimator
+    trace_decisions = config.output.trace_decisions
+    zi_params, hbl_params = config.zi_params, config.hbl_params
+    sigma_n_sq = zi_params.sigma_n_sq
+    value_at = fundamental.value_at
+    advance, observe, project_final = est.advance, est.observe, est.project_final
+    place_limit, cancel = book.place_limit, book.cancel
+    zi_decide = strategies.zi_decide
+    to_value = grid.to_value
+    skip = strategies.ActionKind.SKIP
+
     for t, agent_id in wakes:
         record = records[agent_id]
-        r_ticks = fundamental.value_at(t)
-        o_ticks = mark_observation(r_ticks, config.zi_params.sigma_n_sq, record.rng, grid)
-        delta = t - record.belief.last_wake
-        belief = est.advance(record.belief, t, ep)
-        belief = est.observe(belief, grid.to_value(o_ticks), ep)
+        r_ticks = value_at(t)
+        o_ticks = mark_observation(r_ticks, sigma_n_sq, record.rng, grid)
+        prior = record.belief
+        belief = advance(prior, t, ep)
+        belief = observe(belief, to_value(o_ticks), ep)
         record.belief = belief
-        r_hat = est.project_final(belief, ep)
-        if config.output.trace_estimator:
-            estimator_trace.append((t, agent_id, delta, grid.format(o_ticks),
+        r_hat = project_final(belief, ep)
+        if trace_estimator:
+            estimator_trace.append((t, agent_id, t - prior.last_wake, grid.format(o_ticks),
                                     belief.r_tilde, belief.sigma_tilde_sq, r_hat))
 
         if record.last_order_id is not None:
-            book.cancel(record.last_order_id, t)  # no-op once the order has filled
+            cancel(record.last_order_id, t)  # still resting: a fill clears the id
             record.last_order_id = None
 
-        action = _decide(record, r_hat, book, history, config, grid, t)
-        if config.output.trace_decisions:
+        best_bid, best_ask = book.best_bid(), book.best_ask()
+        if record.strategy == ZI:
+            action = zi_decide(record.q_held, record.pv, r_hat, best_bid, best_ask,
+                               zi_params, record.rng, grid)
+        else:
+            action = _hbl_decide(record, r_hat, best_bid, best_ask, book, history,
+                                 hbl_params, grid, t)
+        if trace_decisions:
             decision_trace.append((t, agent_id, record.strategy, action.kind.value,
                                    action.side.value if action.side else "",
                                    grid.format(action.limit_price)
                                    if action.limit_price is not None else ""))
-        if action.kind is strategies.ActionKind.SKIP:
+        if action.kind is skip:
             continue
 
         order = Order(next(order_ids), agent_id, action.side, action.limit_price,
                       quantity=1)
         record.last_order_id = order.order_id
-        trades_before = len(book.trades)
-        book.place_limit(order, t)
-        new_trades = book.trades[trades_before:]
-        for trade in new_trades:
-            value = grid.to_value(trade.price) * trade.quantity
+        first_trade = len(trades)
+        place_limit(order, t)
+        if len(trades) == first_trade:
+            continue
+        for i in range(first_trade, len(trades)):
+            trade = trades[i]
+            value = to_value(trade.price) * trade.quantity
             buyer = records[trade.buyer_id]
             seller = records[trade.seller_id]
             buyer.cash -= value
             buyer.q_held += trade.quantity
             seller.cash += value
             seller.q_held -= trade.quantity
-        if new_trades:
-            check_invariants(t, new_trades)
+            # every order has quantity 1, so a trade fills both of its orders
+            if buyer.last_order_id == trade.buy_order_id:
+                buyer.last_order_id = None
+            if seller.last_order_id == trade.sell_order_id:
+                seller.last_order_id = None
+        check_invariants(t, trades[first_trade:])
 
     final_ticks = fundamental.value_at(config.horizon_T)
     final_value = grid.to_value(final_ticks)
@@ -292,11 +318,11 @@ def run(config: SimConfig) -> SimResult:
         final_fundamental=final_ticks,
         agents=summaries,
         events=book.events,
-        trades=book.trades,
+        trades=trades,
         fundamental_trace=fundamental.evaluations(),
         grid=grid,
         invariants_ok=invariants_ok,
-        invariant_summary={"breaches": breaches, "trades": len(book.trades),
+        invariant_summary={"breaches": breaches, "trades": len(trades),
                            "events": len(book.events), "wakes": len(wakes)},
         private_values={r.agent_id: r.pv.values for r in records},
         estimator_trace=estimator_trace,
@@ -304,19 +330,12 @@ def run(config: SimConfig) -> SimResult:
     )
 
 
-def _decide(record: AgentRecord, r_hat: float, book: OrderBook,
-            history: strategies.OrderHistory | None, config: SimConfig,
-            grid: PriceGrid, now: int) -> strategies.AgentAction:
-    best_bid = book.best_bid()
-    best_ask = book.best_ask()
-    if record.strategy == ZI:
-        return strategies.zi_decide(record.q_held, record.pv, r_hat, best_bid, best_ask,
-                                    config.zi_params, record.rng, grid)
-    hp = config.hbl_params
+def _hbl_decide(record: AgentRecord, r_hat: float, best_bid: int | None,
+                best_ask: int | None, book: OrderBook, history: strategies.OrderHistory,
+                hp: strategies.HblParams, grid: PriceGrid, now: int) -> strategies.AgentAction:
     memory = candidates = None
     if len(book.trades) >= hp.memory_length:
         memory = history.memory(book, now)
         candidates = strategies.hbl_candidate_grid(memory, hp.grid_mode)
     return strategies.hbl_decide(record.q_held, record.pv, r_hat, memory, candidates,
                                  hp, record.rng, grid, best_bid, best_ask)
-

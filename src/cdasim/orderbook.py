@@ -14,6 +14,7 @@ import enum
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Side(enum.Enum):
@@ -46,8 +47,7 @@ class Order:
             raise ValueError("limit_price must be >= 0")
 
 
-@dataclass(frozen=True)
-class BookEvent:
+class BookEvent(NamedTuple):
     kind: EventKind
     time: int
     order_id: int
@@ -58,8 +58,7 @@ class BookEvent:
     counterparty: int | None = None
 
 
-@dataclass(frozen=True)
-class Trade:
+class Trade(NamedTuple):
     time: int
     price: int
     quantity: int
@@ -71,9 +70,12 @@ class Trade:
 
 class OrderBook:
     def __init__(self) -> None:
-        # price level -> FIFO queue of [order, remaining]
-        self._levels: dict[Side, dict[int, deque]] = {Side.BID: {}, Side.ASK: {}}
-        self._sorted_prices: dict[Side, list[int]] = {Side.BID: [], Side.ASK: []}
+        # per side: price level -> FIFO queue of [order, remaining], and the
+        # occupied prices in ascending order
+        self._bid_levels: dict[int, deque] = {}
+        self._ask_levels: dict[int, deque] = {}
+        self._bid_prices: list[int] = []
+        self._ask_prices: list[int] = []
         self._resting: dict[int, list] = {}  # order_id -> [order, remaining]
         self._placed_ids: set[int] = set()
         self._events: list[BookEvent] = []
@@ -83,11 +85,11 @@ class OrderBook:
     # -- queries ----------------------------------------------------------
 
     def best_bid(self) -> int | None:
-        prices = self._sorted_prices[Side.BID]
+        prices = self._bid_prices
         return prices[-1] if prices else None
 
     def best_ask(self) -> int | None:
-        prices = self._sorted_prices[Side.ASK]
+        prices = self._ask_prices
         return prices[0] if prices else None
 
     @property
@@ -100,70 +102,66 @@ class OrderBook:
         """Append-only log; treat as read-only."""
         return self._trades
 
-    def placed_order(self, order_id: int) -> Order | None:
-        entry = self._resting.get(order_id)
-        return entry[0] if entry else None
-
     def depth_snapshot(self) -> dict:
         """Resting orders per side, in priority order (for replay comparison)."""
         snap = {}
         for side in Side:
-            levels = []
-            prices = self._sorted_prices[side]
-            ordered = reversed(prices) if side is Side.BID else iter(prices)
-            for price in ordered:
-                queue = [(o.order_id, rem) for o, rem in self._levels[side][price]]
-                levels.append((price, queue))
-            snap[side.value] = levels
+            levels, prices = self._side_book(side)
+            ordered = reversed(prices) if side is Side.BID else prices
+            snap[side.value] = [(price, [(o.order_id, rem) for o, rem in levels[price]])
+                                for price in ordered]
         return snap
 
     # -- mutations --------------------------------------------------------
 
     def place_limit(self, order: Order, now: int) -> list[BookEvent]:
-        if order.order_id in self._placed_ids:
-            raise ValueError(f"duplicate order_id {order.order_id}")
+        order_id = order.order_id
+        if order_id in self._placed_ids:
+            raise ValueError(f"duplicate order_id {order_id}")
         if now < self._last_time:
             raise ValueError(f"event time regression: {now} < {self._last_time}")
-        self._placed_ids.add(order.order_id)
+        self._placed_ids.add(order_id)
         self._last_time = now
 
-        events = [BookEvent(EventKind.PLACED, now, order.order_id, order.agent_id,
-                            order.side, order.limit_price, order.quantity)]
+        side, limit, agent_id = order.side, order.limit_price, order.agent_id
+        events = [BookEvent(EventKind.PLACED, now, order_id, agent_id, side, limit,
+                            order.quantity)]
         remaining = order.quantity
-        opposite = order.side.opposite
-        while remaining > 0:
-            best = self.best_ask() if order.side is Side.BID else self.best_bid()
-            if best is None:
+        is_bid = side is Side.BID
+        # the side this order trades against, and the index of its touch
+        levels, prices = self._side_book(Side.ASK if is_bid else Side.BID)
+        touch = 0 if is_bid else -1
+        while remaining > 0 and prices:
+            best = prices[touch]
+            if (best > limit) if is_bid else (best < limit):
                 break
-            crosses = best <= order.limit_price if order.side is Side.BID else best >= order.limit_price
-            if not crosses:
-                break
-            queue = self._levels[opposite][best]
-            resting, resting_rem = queue[0]
+            queue = levels[best]
+            entry = queue[0]
+            resting, resting_rem = entry
             qty = min(remaining, resting_rem)
             price = resting.limit_price  # maker price
-            events.append(BookEvent(EventKind.EXECUTED, now, order.order_id, order.agent_id,
-                                    order.side, price, qty, counterparty=resting.order_id))
-            events.append(BookEvent(EventKind.EXECUTED, now, resting.order_id, resting.agent_id,
-                                    resting.side, price, qty, counterparty=order.order_id))
-            if order.side is Side.BID:
-                trade = Trade(now, price, qty, order.order_id, resting.order_id,
-                              order.agent_id, resting.agent_id)
+            events.append(BookEvent(EventKind.EXECUTED, now, order_id, agent_id,
+                                    side, price, qty, resting.order_id))
+            events.append(BookEvent(EventKind.EXECUTED, now, resting.order_id,
+                                    resting.agent_id, resting.side, price, qty, order_id))
+            if is_bid:
+                trade = Trade(now, price, qty, order_id, resting.order_id,
+                              agent_id, resting.agent_id)
             else:
-                trade = Trade(now, price, qty, resting.order_id, order.order_id,
-                              resting.agent_id, order.agent_id)
+                trade = Trade(now, price, qty, resting.order_id, order_id,
+                              resting.agent_id, agent_id)
             self._trades.append(trade)
             remaining -= qty
-            queue[0][1] -= qty
-            if queue[0][1] == 0:
+            entry[1] -= qty
+            if entry[1] == 0:
                 queue.popleft()
                 del self._resting[resting.order_id]
                 if not queue:
-                    del self._levels[opposite][best]
-                    self._sorted_prices[opposite].remove(best)
+                    del levels[best]
+                    del prices[touch]
         if remaining > 0:
             self._rest(order, remaining)
-        self._append(events)
+        self._events.extend(events)
         return events
 
     def cancel(self, order_id: int, now: int) -> BookEvent | None:
@@ -174,34 +172,40 @@ class OrderBook:
         if entry is None:
             return None
         order, remaining = entry
-        queue = self._levels[order.side][order.limit_price]
+        price = order.limit_price
+        levels, prices = self._side_book(order.side)
+        queue = levels[price]
         for i, item in enumerate(queue):
-            if item[0].order_id == order_id:
+            if item is entry:
                 del queue[i]
                 break
         if not queue:
-            del self._levels[order.side][order.limit_price]
-            self._sorted_prices[order.side].remove(order.limit_price)
+            del levels[price]
+            del prices[bisect_left(prices, price)]
         self._last_time = now
         event = BookEvent(EventKind.CANCELLED, now, order_id, order.agent_id,
-                          order.side, order.limit_price, remaining)
-        self._append([event])
+                          order.side, price, remaining)
+        self._events.append(event)
         return event
 
     # -- internals --------------------------------------------------------
 
-    def _rest(self, order: Order, remaining: int) -> None:
-        levels = self._levels[order.side]
-        if order.limit_price not in levels:
-            levels[order.limit_price] = deque()
-            prices = self._sorted_prices[order.side]
-            prices.insert(bisect_left(prices, order.limit_price), order.limit_price)
-        entry = [order, remaining]
-        levels[order.limit_price].append(entry)
-        self._resting[order.order_id] = entry
+    def _side_book(self, side: Side) -> tuple[dict[int, deque], list[int]]:
+        """One side's price levels and their prices in ascending order."""
+        if side is Side.BID:
+            return self._bid_levels, self._bid_prices
+        return self._ask_levels, self._ask_prices
 
-    def _append(self, events: list[BookEvent]) -> None:
-        self._events.extend(events)
+    def _rest(self, order: Order, remaining: int) -> None:
+        price = order.limit_price
+        levels, prices = self._side_book(order.side)
+        queue = levels.get(price)
+        if queue is None:
+            queue = levels[price] = deque()
+            prices.insert(bisect_left(prices, price), price)
+        entry = [order, remaining]
+        queue.append(entry)
+        self._resting[order.order_id] = entry
 
 
 def replay(events) -> OrderBook:

@@ -21,7 +21,7 @@ from cdasim.agents import (
 from cdasim.orderbook import BookEvent, EventKind, Order, OrderBook, Side, Trade
 from cdasim.preferences import PrivateValues
 
-from conftest import FixedRng, events_in_window
+from conftest import FixedRng, events_in_window, resting_ids
 from hbl_oracle import (
     HblMemory,
     MemoryOrder,
@@ -803,8 +803,9 @@ def test_order_history_matches_event_classification(mode, rng):
             else:
                 side = Side.BID if rng.random() < 0.5 else Side.ASK
                 oid = market.place(side, int(rng.integers(995, 1006)), t)
-                live = [o for o in live if market.book.placed_order(o) is not None]
-                if market.book.placed_order(oid) is not None:
+                resting = resting_ids(market.book)
+                live = [o for o in live if o in resting]
+                if oid in resting:
                     live.append(oid)
             if mode != "binary" or not market.book.trades:
                 continue
@@ -864,8 +865,9 @@ def test_order_history_catches_up_at_sparse_queries(mode, rng):
             else:
                 side = Side.BID if rng.random() < 0.5 else Side.ASK
                 oid = market.place(side, int(rng.integers(995, 1006)), t)
-                live = [o for o in live if market.book.placed_order(o) is not None]
-                if market.book.placed_order(oid) is not None:
+                resting = resting_ids(market.book)
+                live = [o for o in live if o in resting]
+                if oid in resting:
                     live.append(oid)
             if step < next_query:
                 continue

@@ -50,6 +50,46 @@ def test_dmr_reference_loop_oracle(grid_01):
     assert series == expected
 
 
+def scalar_dmr_series(params, grid, seed, horizon_T, r0=None):
+    """The DMR series stepped one scalar shock draw at a time."""
+    rng = child_stream(seed, FUNDAMENTAL_STREAM)
+    sigma_s = math.sqrt(params.sigma_s_sq)
+    values = [grid.to_ticks(params.r_bar if r0 is None else r0)]
+    for _ in range(horizon_T):
+        values.append(dmr_step(values[-1], params, rng.normal(0.0, sigma_s), grid))
+    return list(enumerate(values))
+
+
+@pytest.mark.parametrize("params, r0", [
+    (DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0), None),
+    (DmrParams(r_bar=100.0, kappa=0.0, sigma_s_sq=2.0), None),
+    (DmrParams(r_bar=100.0, kappa=1.0, sigma_s_sq=1.0), None),
+    (DmrParams(r_bar=100.0, kappa=0.2, sigma_s_sq=0.0), None),
+    (DmrParams(r_bar=100.0, kappa=0.2, sigma_s_sq=0.5), 180.0),
+    (DmrParams(r_bar=0.5, kappa=0.01, sigma_s_sq=4.0), None),  # floors at zero
+])
+@pytest.mark.parametrize("seed", [1, 11, 401, 1000014])
+@pytest.mark.parametrize("queries", [
+    "horizon-first",  # one batch for the whole series
+    "ascending",  # a batch of one step per query
+    "irregular",  # batches of varied length, repeats and earlier queries
+])
+def test_dmr_batched_shocks_match_scalar_draws(params, r0, seed, queries):
+    grid = PriceGrid(0.01)
+    horizon_T = 2000
+    fund = DmrFundamental(params, grid, seed=seed, horizon_T=horizon_T, r0_override=r0)
+    if queries == "horizon-first":
+        times = [horizon_T, 0, 1000]
+    elif queries == "ascending":
+        times = range(horizon_T + 1)
+    else:
+        times = [0, 0, 3, 2, 3, 17, 900, 899, 901, 1500, 4, 1999, horizon_T, horizon_T]
+    oracle = scalar_dmr_series(params, grid, seed, horizon_T, r0)
+    for t in times:
+        assert fund.value_at(t) == oracle[t][1]
+    assert fund.evaluations() == oracle
+
+
 def test_dmr_contraction_toward_mean():
     grid = PriceGrid(0.01)
     params = DmrParams(r_bar=100.0, kappa=0.2, sigma_s_sq=0.0)

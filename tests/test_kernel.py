@@ -4,10 +4,17 @@ import re
 import numpy as np
 import pytest
 
+from cdasim import agents, kernel
 from cdasim import estimator as est
 from cdasim.agents import HblParams, OrderHistory, TickMemory, ZiParams
 from cdasim.cli import parse_config, run_one
-from cdasim.fundamental import DmrParams, MegashockParams, OuParams, ou_mean_var
+from cdasim.fundamental import (
+    DmrFundamental,
+    DmrParams,
+    MegashockParams,
+    OuParams,
+    ou_mean_var,
+)
 from cdasim.kernel import (
     OutputOptions,
     SimConfig,
@@ -16,7 +23,7 @@ from cdasim.kernel import (
     run,
     schedule_arrivals,
 )
-from cdasim.orderbook import EventKind
+from cdasim.orderbook import EventKind, OrderBook
 from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
@@ -253,6 +260,73 @@ def test_run_traces_enabled():
         assert delta > 0
         assert var >= 0.0
         assert math.isfinite(r_hat)
+
+
+def test_wake_call_structure(monkeypatch):
+    # Per-layer tracing wraps these public names from outside the package and
+    # counts wakes by mark_observation calls; every wake must call each of
+    # them through its name, in this order.
+    targets = [
+        (DmrFundamental, "value_at"),
+        (kernel, "mark_observation"),
+        (est, "advance"),
+        (est, "observe"),
+        (est, "project_final"),
+        (agents, "zi_decide"),
+        (agents, "hbl_decide"),
+        (OrderHistory, "memory"),
+        (OrderBook, "place_limit"),
+        (OrderBook, "cancel"),
+    ]
+    calls = []  # (name, nesting depth, result) in call order
+    depth = [0]
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            i = len(calls)
+            calls.append(None)
+            depth[0] += 1
+            try:
+                result = fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            calls[i] = (name, depth[0], result)
+            return result
+        return wrapper
+
+    for owner, attr in targets:
+        monkeypatch.setattr(owner, attr, counted(getattr(owner, attr), attr))
+    config = make_config(n_zi=10, n_hbl=5, horizon_T=3000, arrival_rate=0.02)
+    result = run(config)
+
+    top = [(name, res) for name, d, res in calls if d == 0]
+    names = [name for name, _ in top]
+    marks = [i for i, name in enumerate(names) if name == "mark_observation"]
+    assert len(marks) == result.invariant_summary["wakes"]
+    # the final settlement reads the fundamental once, after the last wake
+    assert names[marks[-1] + 1:].count("value_at") == 1
+    assert names[-1] == "value_at"
+    wake_starts = [i - 1 for i in marks] + [len(names) - 1]
+    memory_calls = 0
+    for start, end in zip(wake_starts, wake_starts[1:]):
+        wake = names[start:end]
+        assert wake[:5] == ["value_at", "mark_observation", "advance", "observe",
+                            "project_final"]
+        rest = wake[5:]
+        if rest[:1] == ["cancel"]:
+            rest = rest[1:]
+        if rest[:1] == ["memory"]:
+            memory_calls += 1
+            rest = rest[1:]
+            assert rest[:1] == ["hbl_decide"]
+        assert rest[:1] in (["zi_decide"], ["hbl_decide"])
+        assert rest[1:] in ([], ["place_limit"])
+    assert names.count("zi_decide") + names.count("hbl_decide") == len(marks)
+    assert names.count("hbl_decide") > 0 and memory_calls > 0
+    # a filled order is never cancelled: every cancel removes a resting order
+    cancels = [res for name, res in top if name == "cancel"]
+    assert cancels and all(res is not None for res in cancels)
+    assert len(cancels) == sum(e.kind is EventKind.CANCELLED for e in result.events)
 
 
 def test_run_megashock_variant():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cdasim.estimator import BeliefState
 from cdasim.orderbook import (
     BookEvent,
     EventKind,
@@ -11,7 +12,7 @@ from cdasim.orderbook import (
     replay,
 )
 
-from conftest import events_in_window
+from conftest import events_in_window, resting_ids
 
 
 def place(book, oid, agent, side, price, now, qty=1):
@@ -55,6 +56,20 @@ def test_trade_at_resting_price():
     assert book.best_ask() is None
 
 
+@pytest.mark.parametrize("record, field", [
+    (BookEvent(EventKind.EXECUTED, 2, 2, 1, Side.BID, 1000, 1, counterparty=1), "price"),
+    (Trade(2, 1000, 1, 2, 1, 1, 0), "quantity"),
+    (BeliefState(100.0, 1.5, 3), "r_tilde"),
+])
+def test_records_are_immutable_and_hashable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    copy = type(record)(*record)
+    assert copy == record and copy is not record
+    assert hash(copy) == hash(record)
+    assert {record: "seen"}[copy] == "seen"
+
+
 def test_fifo_within_level():
     book = OrderBook()
     place(book, 1, 0, Side.BID, 1000, now=1)
@@ -84,7 +99,7 @@ def test_partial_fill_walks_the_book():
     # fills at 1000 then 1001, remainder rests at its own limit
     assert [(t.price, t.quantity) for t in book.trades] == [(1000, 1), (1001, 1)]
     assert book.best_bid() == 1001
-    assert book.placed_order(4) is not None
+    assert 4 in resting_ids(book)
     assert book.best_ask() == 1003
 
 
@@ -182,9 +197,10 @@ def random_book_run(seed, steps=400):
         price = int(rng.integers(980, 1021))
         qty = int(rng.integers(1, 4))
         place(book, oid, oid % 7, side, price, t, qty=qty)
-        if book.placed_order(oid) is not None:
+        resting = resting_ids(book)
+        if oid in resting:
             live.append(oid)
-        live = [o for o in live if book.placed_order(o) is not None]
+        live = [o for o in live if o in resting]
     return book
 
 
