@@ -11,13 +11,14 @@ while it has not yet observed enough transactions.
 
 The HBL memory is one per-tick type, ``TickMemory``, in both success
 modes.  ``OrderHistory`` keeps it as running per-tick counts in binary
-mode; in fractional mode it re-sorts the window on each query, to keep one
-float addition order, and lays the sums on the same ticks.
+mode; in fractional mode it keeps the window sorted across queries, to
+keep one float addition order, and lays the sums on the same ticks.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -140,33 +141,6 @@ class TickMemory:
         # weights[2:4, j]: bid failures, ask successes at ticks from lo + j up
         self._weights = weights
 
-    @classmethod
-    def from_orders(cls, is_bid, price, success, failure,
-                    transaction_count: int) -> TickMemory:
-        """The memory of these orders, given in placement order.
-
-        Each side's weights are sorted by price, stably, and summed in that
-        order (forwards for "at or below", backwards for "at or above"),
-        then read at the tick boundaries, so fractional weights keep one
-        fixed float addition order.
-        """
-        lo = int(price.min()) if price.size else 0
-        span = int(price.max()) - lo + 1 if price.size else 0
-        ticks = np.arange(lo, lo + span + 1)
-        counts = np.empty((2, span), dtype=np.int64)
-        weights = np.empty((4, span + 1))
-        for row, mask in enumerate((is_bid, ~is_bid)):
-            order = np.argsort(price[mask], kind="stable")
-            below = np.searchsorted(price[mask][order], ticks, side="left")
-            counts[row] = np.diff(below)
-            rising, falling = success[mask][order], failure[mask][order]
-            if row:  # asks: failures count at or below, successes at or above
-                rising, falling = falling, rising
-            weights[row] = np.concatenate(([0.0], np.cumsum(rising)))[below]
-            weights[2 + row] = np.concatenate(
-                ([0.0], np.cumsum(falling[::-1])))[below[-1] - below]
-        return cls(lo, counts, weights, transaction_count)
-
     def __len__(self) -> int:
         return int(self._counts.sum())
 
@@ -212,7 +186,8 @@ class OrderHistory:
     never fills it.  The memory covers every order placed at or after the
     placement of the oldest order in the book's last ``memory_length``
     trades, and is a ``TickMemory`` in both success modes.  A run has one
-    ``HblParams`` and its queries never go back in time.
+    ``HblParams`` and its queries never go back in time.  An order's
+    weights are fixed when it first fills or is cancelled.
 
     In binary mode the ledger keeps per-tick counts of the successful and
     failed bids and asks placed at or after the current window start, so a
@@ -225,41 +200,39 @@ class OrderHistory:
     - a moved window start re-counts only the orders it passes over.
 
     Fractional weights are floats whose sums depend on the order of
-    addition, so that mode classifies and sorts the window again on every
-    query and lays the sums, taken in (price, placement) order, on the
-    same ticks.
+    addition, so that mode keeps each side's window sorted by (price,
+    placement) across queries, re-weighs only the pending orders, and sums
+    the weights in that order on each query.
     """
 
-    _FIELDS = ("_placed", "_price", "_is_bid", "_executed", "_cancelled")
+    _FIELDS = ("_price", "_is_bid", "_success", "_failure")
     _MARGIN = 64  # ticks of headroom added whenever the counts widen
 
     def __init__(self, params: HblParams) -> None:
         self.params = params
-        self._capacity = 256
-        self._placed = np.empty(self._capacity, dtype=np.int64)
-        self._price = np.empty(self._capacity, dtype=np.int64)
-        self._is_bid = np.empty(self._capacity, dtype=bool)
-        self._executed = np.empty(self._capacity, dtype=np.float64)
-        self._cancelled = np.empty(self._capacity, dtype=np.float64)
-        self._index: dict[int, int] = {}
+        self._binary = params.success_mode == "binary"
+        self._grace = float(params.grace_period)
+        self._placed: list[int] = []  # placement times, never decreasing
+        # per entry; a pending order's weights are 0 but for its failure so far
+        # in fractional mode, and are fixed when it fills or is cancelled
+        self._price, self._is_bid = np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+        self._success = self._failure = np.empty(0)
+        self._index: dict[int, int] = {}  # order id -> entry
+        self._open: dict[int, int] = {}  # entry -> placement time, until it fills or is cancelled
         self._n = 0
         self._read_events = 0  # events of the book's log read so far
         self._now = 0  # time of the last query
-        # binary ledger: counts of the classified orders [_start, _n)
-        self._binary = params.success_mode == "binary"
-        self._expired = 0  # orders [0, _expired) were placed over grace ago
         self._start = 0  # index of the first order in the window
+        # fractional: each side's orders [_start, _end), sorted by (price,
+        # placement), and the orders cancelled when placed, which have no weight
+        self._end = 0
+        self._orders = [np.empty(0, dtype=np.int64)] * 2
+        self._cancelled_at_once: list[int] = []
+        # binary ledger: counts of the classified orders [_start, _n)
+        self._expired = 0  # orders [0, _expired) were placed over grace ago
         self._lo = 0  # tick of column 0 of _counts
         # rows: successful bids, failed bids, successful asks, failed asks
         self._counts = np.zeros((4, 0), dtype=np.int64)
-
-    def _grow(self) -> None:
-        self._capacity *= 2
-        for name in self._FIELDS:
-            old = getattr(self, name)
-            grown = np.empty(self._capacity, dtype=old.dtype)
-            grown[: self._n] = old[: self._n]
-            setattr(self, name, grown)
 
     def memory(self, book: OrderBook, now: int) -> TickMemory:
         """Classified memory of the orders in the window of ``book``'s last
@@ -269,7 +242,7 @@ class OrderHistory:
         self._now = now
         start = self._read(book)
         if not self._binary:
-            return self._weigh(start, now, len(book.trades))
+            return self._fractional_memory(start, now, len(book.trades))
         self._expire(now)
         if start < self._start:
             self._count_range(start, self._start, 1)
@@ -283,93 +256,120 @@ class OrderHistory:
         return TickMemory(self._lo, counts[[0, 2]] + counts[[1, 3]], weights,
                           len(book.trades))
 
-    def _weigh(self, i0: int, now: int, transaction_count: int) -> TickMemory:
-        """The fractional memory of orders ``[i0, _n)``, weighed from scratch."""
-        placed = self._placed[i0: self._n]
-        executed = self._executed[i0: self._n]
-        cancelled = self._cancelled[i0: self._n]
-        exec_mask = ~np.isnan(executed)
-        grace = float(self.params.grace_period)
-        success = np.zeros(len(placed))
-        failure = np.zeros(len(placed))
-        ramp = np.clip(1.0 - (executed - placed) / grace, 0.0, 1.0)
-        success[exec_mask] = ramp[exec_mask]
-        failure[exec_mask] = 1.0 - ramp[exec_mask]
-        resolved_at = np.where(np.isnan(cancelled), float(now), cancelled)
-        stale = np.clip((resolved_at - placed) / grace, 0.0, 1.0)
-        failure[~exec_mask] = stale[~exec_mask]
-        include = exec_mask | (failure > 0.0)
-        return TickMemory.from_orders(self._is_bid[i0: self._n][include],
-                                      self._price[i0: self._n][include],
-                                      success[include], failure[include],
-                                      transaction_count)
-
     def _read(self, book: OrderBook) -> int:
         """Take in the events logged since the last read and return the
-        index of the first order in the window."""
+        index of the first order in the window.  New orders are stored first,
+        in one batch, as a fill or a cancellation changes only its own order."""
         events = book.events
+        placed, resolved = [], []
         for event in events[self._read_events:]:
-            if event.kind is EventKind.PLACED:
-                if self._n == self._capacity:
-                    self._grow()
-                i = self._n
-                self._placed[i] = event.time
-                self._price[i] = event.price
-                self._is_bid[i] = event.side is Side.BID
-                self._executed[i] = np.nan
-                self._cancelled[i] = np.nan
-                self._index[event.order_id] = i
-                self._n += 1
+            (placed if event.kind is EventKind.PLACED else resolved).append(event)
+        self._read_events = len(events)
+        if placed:
+            n, k = self._n, len(placed)
+            if n + k > self._price.size:
+                for name in self._FIELDS:
+                    grown = np.zeros(max(256, 2 * (n + k)), dtype=getattr(self, name).dtype)
+                    grown[:n] = getattr(self, name)[:n]
+                    setattr(self, name, grown)
+            _, times, ids, _, sides, prices, _, _ = zip(*placed)
+            self._placed += times
+            self._price[n: n + k] = prices
+            self._is_bid[n: n + k] = [side is Side.BID for side in sides]
+            self._index.update(zip(ids, range(n, n + k)))
+            self._open.update(zip(range(n, n + k), times))
+            self._n = n + k
+        binary, grace = self._binary, self._grace
+        for kind, time, order_id, _, _, _, _, _ in resolved:
+            i = self._index[order_id]
+            placed_at = self._open.pop(i, None)
+            if placed_at is None:  # filled before: the first fill counts
                 continue
-            i = self._index[event.order_id]
-            counted = self._binary and i >= self._start
-            if event.kind is EventKind.EXECUTED:
-                if not np.isnan(self._executed[i]):  # keep the first execution time
-                    continue
-                if counted and self._classified(i):
-                    self._tally(i, failed=True, delta=-1)  # an expired order can still fill
-                self._executed[i] = event.time
-                if counted:
+            if kind is EventKind.EXECUTED:
+                success = 1.0 if binary else max(0.0, 1.0 - (time - placed_at) / grace)
+                self._success[i], self._failure[i] = success, 1.0 - success
+                if binary and i >= self._start:
+                    if i < self._expired:  # an expired order can still fill
+                        self._tally(i, failed=True, delta=-1)
                     self._tally(i, failed=False, delta=1)
             else:
-                if counted and not self._classified(i):
+                self._failure[i] = 1.0 if binary else min(1.0, (time - placed_at) / grace)
+                if not binary and time == placed_at:  # it stays without weight
+                    self._cancelled_at_once.append(i)
+                elif binary and i >= max(self._start, self._expired):
                     self._tally(i, failed=True, delta=1)
-                self._cancelled[i] = event.time
-        self._read_events = len(events)
         trades = book.trades[-self.params.memory_length:]
         if not trades:  # no transaction to remember: the window is empty
             return self._n
         window_start = min(self._placed[self._index[oid]] for trade in trades
                            for oid in (trade.buy_order_id, trade.sell_order_id))
-        return int(np.searchsorted(self._placed[: self._n], window_start, side="left"))
+        return bisect_left(self._placed, window_start)
+
+    # -- fractional memory --------------------------------------------------
+
+    def _fractional_memory(self, start: int, now: int, transaction_count: int) -> TickMemory:
+        """The memory of orders ``[start, _n)``, each side's weights summed
+        in (price, placement) order as ``TickMemory`` reads them.  Orders
+        without weight (cancelled when placed, or placed at ``now`` and
+        pending) add 0.0, which changes no float sum, and are not counted."""
+        pending = np.fromiter(self._open, dtype=np.int64, count=len(self._open))
+        placed = np.fromiter(self._open.values(), dtype=np.int64, count=len(self._open))
+        self._failure[pending] = failure = np.minimum(1.0, (now - placed) / self._grace)
+        weightless = pending[(failure == 0.0) & (pending >= start)].tolist()
+        weightless += [i for i in self._cancelled_at_once if i >= start]
+        # the orders that join each side's sorted window, in placement order:
+        # those a window start that moved back passes over, then the new ones
+        joining = np.arange(max(start, self._end), self._n)
+        if start < self._start:
+            joining = np.concatenate((np.arange(start, self._start), joining))
+        is_bid = self._is_bid[joining]
+        for row, join in enumerate((joining[is_bid], joining[~is_bid])):
+            order = self._orders[row]
+            if start > self._start:
+                order = order[order >= start]
+            if join.size:  # older, kept and newer orders, stably sorted by price
+                k = join.searchsorted(self._start)
+                order = np.concatenate((join[:k], order, join[k:]))
+                order = order[self._price[order].argsort(kind="stable")]
+            self._orders[row] = order
+        self._start, self._end = start, self._n
+        prices = [self._price[order] for order in self._orders]
+        ends = [int(p) for price in prices if price.size for p in (price[0], price[-1])]
+        lo, hi = (min(ends), max(ends)) if ends else (0, -1)
+        ticks = np.arange(lo, hi + 2)
+        counts = np.empty((2, ticks.size - 1), dtype=np.int64)
+        weights = np.empty((4, ticks.size))
+        for row, (order, price) in enumerate(zip(self._orders, prices)):
+            below = price.searchsorted(ticks)
+            np.subtract(below[1:], below[:-1], out=counts[row])
+            rising, falling = self._success[order], self._failure[order]
+            if row:  # asks: failures count at or below, successes at or above
+                rising, falling = falling, rising
+            sums = np.zeros(order.size + 1)
+            rising.cumsum(out=sums[1:])
+            weights[row] = sums[below]
+            falling[::-1].cumsum(out=sums[1:])
+            weights[2 + row] = sums[order.size - below]
+        for i in weightless:
+            counts[int(not self._is_bid[i]), self._price[i] - lo] -= 1
+        return TickMemory(lo, counts, weights, transaction_count)
 
     # -- binary ledger ------------------------------------------------------
 
-    def _expired_before(self, now: int) -> int:
-        """Number of orders with ``now - placed > grace``."""
-        return int(np.searchsorted(self._placed[: self._n], now - self.params.grace_period,
-                                   side="left"))
-
-    def _classified(self, i: int) -> bool:
-        """Whether order ``i`` is executed, cancelled or past its grace."""
-        return (i < self._expired or not np.isnan(self._executed[i])
-                or not np.isnan(self._cancelled[i]))
-
     def _expire(self, now: int) -> None:
         """Move the cursor to ``now``, failing the pending orders it passes."""
-        end = self._expired_before(now)
+        end = bisect_left(self._placed, now - self.params.grace_period)
         first = max(self._expired, self._start)
         if end > first:
-            pending = (np.isnan(self._executed[first:end])
-                       & np.isnan(self._cancelled[first:end]))
+            pending = self._success[first:end] + self._failure[first:end] == 0.0
             self._add_counts(self._price[first:end][pending],
                              self._is_bid[first:end][pending], True, 1)
         self._expired = end
 
     def _count_range(self, a: int, b: int, delta: int) -> None:
         """Add ``delta`` times the classified orders ``[a, b)`` to the counts."""
-        executed = ~np.isnan(self._executed[a:b])
-        failed = ~executed & ~np.isnan(self._cancelled[a:b])
+        executed = self._success[a:b] > 0.0
+        failed = self._failure[a:b] > 0.0
         expired = max(0, self._expired - a)
         failed[:expired] = ~executed[:expired]
         keep = executed | failed

@@ -2,13 +2,13 @@
 
 ``HblMemory`` answers belief queries with prefix sums over each side's
 orders sorted by price, the float addition order that fractional mode
-keeps.  ``hbl_classify``
-classifies the orders of a book's event log from scratch, order by order,
-into ``MemoryOrder`` records, and ``RecordMemory`` is an ``HblMemory`` over
-such records.  ``window_oracle`` classifies, in binary mode, the orders
-placed from any given time on.  The tests compare ``OrderHistory``, which
-keeps its memory incrementally, ``TickMemory`` and the decision code
-against them.
+keeps, and ``tick_memory_from_orders`` lays the same sums on ticks as a
+``TickMemory``, from scratch.  ``hbl_classify`` classifies the orders of a
+book's event log from scratch, order by order, into ``MemoryOrder``
+records, and ``RecordMemory`` is an ``HblMemory`` over such records.
+``window_oracle`` classifies the orders placed from any given time on.
+The tests compare ``OrderHistory``, which keeps its memory incrementally,
+``TickMemory`` and the decision code against them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cdasim.agents import HblParams
+from cdasim.agents import HblParams, TickMemory
 from cdasim.orderbook import BookEvent, EventKind, Side
 
 
@@ -197,23 +197,57 @@ def _classify_order(placed_at, executed_at, cancelled_at, now, grace, mode):
     return 0.0, failure
 
 
-def window_oracle(events, window_start, now, grace):
-    """Binary classification of the orders placed at or after ``window_start``,
+def window_oracle(events, window_start, now, params: HblParams) -> RecordMemory:
+    """The classification of the orders placed at or after ``window_start``,
     read straight off the event log."""
-    placed, executed, cancelled = {}, set(), set()
+    placed, executed, cancelled = {}, {}, {}
     for event in events:
         if event.kind is EventKind.PLACED:
             placed[event.order_id] = event
         elif event.kind is EventKind.EXECUTED:
-            executed.add(event.order_id)
+            executed.setdefault(event.order_id, event.time)
         else:
-            cancelled.add(event.order_id)
+            cancelled[event.order_id] = event.time
+    grace = params.grace_period
     records = []
     for oid, event in placed.items():
         if event.time < window_start:
             continue
-        if oid in executed:
+        if params.success_mode == "fractional":
+            weights = _classify_order(event.time, executed.get(oid), cancelled.get(oid),
+                                      now, grace, "fractional")
+            if weights is not None:
+                records.append(MemoryOrder(event.side, event.price, *weights))
+        elif oid in executed:
             records.append(MemoryOrder(event.side, event.price, 1.0, 0.0))
         elif oid in cancelled or now - event.time > grace:
             records.append(MemoryOrder(event.side, event.price, 0.0, 1.0))
     return RecordMemory(records, transaction_count=0)
+
+
+def tick_memory_from_orders(is_bid, price, success, failure,
+                            transaction_count: int) -> TickMemory:
+    """The ``TickMemory`` of these orders, given in placement order, built
+    from scratch.
+
+    Each side's weights are sorted by price, stably, and summed in that
+    order (forwards for "at or below", backwards for "at or above"), then
+    read at the tick boundaries, so fractional weights keep one fixed float
+    addition order.
+    """
+    lo = int(price.min()) if price.size else 0
+    span = int(price.max()) - lo + 1 if price.size else 0
+    ticks = np.arange(lo, lo + span + 1)
+    counts = np.empty((2, span), dtype=np.int64)
+    weights = np.empty((4, span + 1))
+    for row, mask in enumerate((is_bid, ~is_bid)):
+        order = np.argsort(price[mask], kind="stable")
+        below = np.searchsorted(price[mask][order], ticks, side="left")
+        counts[row] = np.diff(below)
+        rising, falling = success[mask][order], failure[mask][order]
+        if row:  # asks: failures count at or below, successes at or above
+            rising, falling = falling, rising
+        weights[row] = np.concatenate(([0.0], np.cumsum(rising)))[below]
+        weights[2 + row] = np.concatenate(
+            ([0.0], np.cumsum(falling[::-1])))[below[-1] - below]
+    return TickMemory(lo, counts, weights, transaction_count)

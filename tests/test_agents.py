@@ -15,7 +15,6 @@ from cdasim.agents import (
     hbl_decide,
     natural_cubic_spline,
     OrderHistory,
-    TickMemory,
     zi_decide,
 )
 from cdasim.orderbook import BookEvent, EventKind, Order, OrderBook, Side, Trade
@@ -29,6 +28,7 @@ from hbl_oracle import (
     hbl_belief,
     hbl_classify,
     order_arrays,
+    tick_memory_from_orders,
     window_oracle,
 )
 
@@ -365,7 +365,7 @@ def random_memory(rng):
 
 def tick_memory(records, transaction_count=0):
     """The package's ``TickMemory`` of ``MemoryOrder`` records."""
-    return TickMemory.from_orders(*order_arrays(records), transaction_count)
+    return tick_memory_from_orders(*order_arrays(records), transaction_count)
 
 
 def memories_from_prices(bid_prices, ask_prices):
@@ -427,7 +427,7 @@ def test_tick_memory_matches_oracle_edge_cases(case, grace, rng):
     for _ in range(40):
         is_bid, price = edge_orders(case, rng)
         success, failure = edge_weights(rng, price.size, grace)
-        got = TickMemory.from_orders(is_bid, price, success, failure, 7)
+        got = tick_memory_from_orders(is_bid, price, success, failure, 7)
         expected = HblMemory(is_bid, price, success, failure, 7)
         assert len(got) == len(expected) == price.size
         assert got.transaction_count == 7
@@ -787,8 +787,8 @@ def test_hbl_decide_matches_scalar_loop(grid_mode, rng, grid_01, grid_001):
 
 @pytest.mark.parametrize("mode", ["binary", "fractional"])
 def test_order_history_matches_event_classification(mode, rng):
-    # the incremental ledger and the event-log rescan agree on every belief;
-    # the binary ledger is queried after every step and must match exactly
+    # the incremental ledger and the event-log rescan agree exactly on every
+    # belief, queried after every step and once more after a longer gap
     params = HblParams(zi=ZI, memory_length=3, grace_period=7, success_mode=mode)
     grid = np.arange(993, 1008)
     queried = 0
@@ -807,7 +807,7 @@ def test_order_history_matches_event_classification(mode, rng):
                 live = [o for o in live if o in resting]
                 if oid in resting:
                     live.append(oid)
-            if mode != "binary" or not market.book.trades:
+            if not market.book.trades:
                 continue
             now = max(now, t + int(rng.integers(0, 4)))  # queries never go back in time
             window_start = market.window_start()
@@ -819,14 +819,8 @@ def test_order_history_matches_event_classification(mode, rng):
         window_start = market.window_start()
         now = max(now, t + int(rng.integers(0, 12)))
         reference = hbl_classify(events_in_window(market.book, window_start), now, params)
-        fast = market.memory(now)
-        assert len(fast) == len(reference)
-        for p in range(993, 1008):
-            for side in Side:
-                assert hbl_belief(fast, p, side) == pytest.approx(
-                    hbl_belief(reference, p, side), abs=1e-12), (trial, p, side)
-        assert np.array_equal(fast.prices, reference.prices)
-    assert mode != "binary" or queried > 500
+        assert_same_memory(market.memory(now), reference, grid)
+    assert queried > 500
 
 
 def gap_counts(events, placed, previous, now, grace):
@@ -892,6 +886,9 @@ def test_order_history_catches_up_at_sparse_queries(mode, rng):
 
 
 BINARY = HblParams(zi=ZI, memory_length=1, grace_period=5)
+FRACTIONAL = HblParams(zi=ZI, memory_length=1, grace_period=5, success_mode="fractional")
+BOTH_MODES = pytest.mark.parametrize("params", [BINARY, FRACTIONAL],
+                                     ids=["binary", "fractional"])
 
 
 def assert_ledger_exact(market, now, window_start=None, prices=range(990, 1012)):
@@ -903,7 +900,7 @@ def assert_ledger_exact(market, now, window_start=None, prices=range(990, 1012))
         assert_same_memory(got, hbl_classify(market.book.events, now, market.params), prices)
         window_start = market.window_start()
     assert_same_memory(got, window_oracle(market.book.events, window_start, now,
-                                          market.params.grace_period), prices)
+                                          market.params), prices)
     return got
 
 
@@ -918,8 +915,9 @@ def test_ledger_expired_order_that_executes_turns_success():
     assert memory.belief_array([1000], Side.BID)[0] == 1.0
 
 
-def test_ledger_window_start_moves_backward():
-    market = LedgerMarket(BINARY)
+@BOTH_MODES
+def test_ledger_window_start_moves_backward(params):
+    market = LedgerMarket(params)
     market.place(Side.ASK, 1004, 0)
     market.place(Side.BID, 990, 2)
     market.place(Side.BID, 1004, 5)  # trades with the ask placed at 0
@@ -936,8 +934,9 @@ def test_ledger_window_start_moves_backward():
         assert_ledger_exact(market, 12, window_start=window_start)
 
 
-def test_ledger_cancel_after_expiry_counts_once():
-    market = LedgerMarket(BINARY)
+@BOTH_MODES
+def test_ledger_cancel_after_expiry_counts_once(params):
+    market = LedgerMarket(params)
     market.place(Side.BID, 1000, 0)
     market.place(Side.ASK, 1003, 1)
     assert len(assert_ledger_exact(market, 10, window_start=0)) == 2  # both expired
@@ -946,8 +945,9 @@ def test_ledger_cancel_after_expiry_counts_once():
     assert len(assert_ledger_exact(market, 12, window_start=0)) == 2
 
 
-def test_ledger_empty_window():
-    market = LedgerMarket(BINARY)
+@BOTH_MODES
+def test_ledger_empty_window(params):
+    market = LedgerMarket(params)
     empty = assert_ledger_exact(market, 0, window_start=0)  # nothing placed yet
     assert len(empty) == 0 and empty.prices.size == 0
     assert not empty.belief_array(np.arange(990, 1010), Side.ASK).any()
@@ -957,6 +957,22 @@ def test_ledger_empty_window():
     empty = assert_ledger_exact(market, 3, window_start=3)  # window starts after every order
     assert len(empty) == 0 and hbl_candidate_grid(empty).size == 0
     assert len(assert_ledger_exact(market, 3, window_start=1)) == 2
+
+
+@BOTH_MODES
+def test_ledger_partial_fills_keep_the_first_fill(params):
+    # a bid for two units fills at 1 and at 9 and its rest is cancelled:
+    # its weights come from the first fill alone
+    market = LedgerMarket(params)
+    market.book.place_limit(Order(100, 100, Side.BID, 1000, 2), 0)
+    market.place(Side.ASK, 1000, 1)
+    assert_ledger_exact(market, 3, window_start=0)
+    market.place(Side.ASK, 1000, 9)
+    market.book.place_limit(Order(101, 101, Side.BID, 1000, 3), 10)
+    market.place(Side.ASK, 1000, 11)
+    market.cancel(101, 12)
+    for now in (12, 30):
+        assert len(assert_ledger_exact(market, now, window_start=0)) == 5
 
 
 @pytest.mark.parametrize("mode", ["binary", "fractional"])
@@ -982,10 +998,11 @@ def test_ledger_longer_grace_counts_later():
     assert len(assert_ledger_exact(market, 32, window_start=0)) == 2
 
 
-def test_ledger_at_cent_ticks_matches_oracle(rng):
+@pytest.mark.parametrize("mode", ["binary", "fractional"])
+def test_ledger_at_cent_ticks_matches_oracle(mode, rng):
     # tick_size 0.01: prices near 100.00 are ~10^4 ticks and spread over a
     # span wider than the ledger's headroom, so its counts widen repeatedly
-    params = HblParams(zi=ZI, memory_length=2, grace_period=9)
+    params = HblParams(zi=ZI, memory_length=2, grace_period=9, success_mode=mode)
     prices = np.arange(9880, 10121)
     for _ in range(10):
         market = LedgerMarket(params)
@@ -996,6 +1013,92 @@ def test_ledger_at_cent_ticks_matches_oracle(rng):
             market.place(side, int(rng.integers(9900, 10101)), t)
             if market.book.trades:
                 assert_ledger_exact(market, t, prices=prices)
+
+
+def fractional_market():
+    """A fractional ledger whose window starts with a trade at 1: a bid
+    placed at 0 and an ask placed at 1, both at 1000."""
+    market = LedgerMarket(FRACTIONAL)
+    market.place(Side.BID, 1000, 0)
+    market.place(Side.ASK, 1000, 1)
+    assert market.window_start() == 0
+    return market
+
+
+def test_fractional_ledger_cancel_when_placed_stays_out():
+    # a cancellation at the placement time leaves the order without weight,
+    # whether or not a query saw it pending first; it is the lowest price
+    market = fractional_market()
+    market.cancel(market.place(Side.BID, 995, 2), 2)
+    assert assert_ledger_exact(market, 3).prices.tolist() == [1000]
+    oid = market.place(Side.ASK, 1008, 4)
+    assert assert_ledger_exact(market, 4).prices.tolist() == [1000]  # pending since now
+    market.cancel(oid, 4)
+    for now in (4, 5, 30):
+        memory = assert_ledger_exact(market, now)
+        assert len(memory) == 2 and memory.prices.tolist() == [1000]
+
+
+def test_fractional_ledger_order_placed_now_counts_at_next_query():
+    market = fractional_market()
+    market.place(Side.ASK, 1010, 4)
+    memory = assert_ledger_exact(market, 4)
+    assert len(memory) == 2 and memory.prices.tolist() == [1000]
+    assert assert_ledger_exact(market, 4).prices.tolist() == [1000]  # same time again
+    memory = assert_ledger_exact(market, 5)  # failure 1/5 now
+    assert len(memory) == 3 and memory.prices.tolist() == [1000, 1010]
+    assert memory.belief_array([1010], Side.BID)[0] == 1.0
+
+
+def test_fractional_ledger_fill_after_grace_fails():
+    # a fill after the grace period: success 0, failure 1
+    market = fractional_market()
+    market.place(Side.BID, 1002, 2)
+    market.place(Side.ASK, 1001, 9)  # fills the bid placed at 2, 7 > 5 steps later
+    memory = assert_ledger_exact(market, 9)
+    assert market.window_start() == 2 and len(memory) == 2
+    # favorable: the ask at or below 1002; unfavorable: the failed bid
+    assert memory.belief_array([1002], Side.BID)[0] == 0.5
+
+
+def test_fractional_ledger_pending_failure_caps_at_one():
+    # a bid resting at 1005 since 2 fails by (now - 2) / 5, capped at 1 from
+    # now = 7 on; the bid belief at 1005 is (1 ask + success 0.8 of the bid
+    # filled after 1 step) over that plus the pending bid's failure
+    market = fractional_market()
+    market.place(Side.BID, 1005, 2)
+    beliefs = {now: assert_ledger_exact(market, now).belief_array([1005], Side.BID)[0]
+               for now in (3, 5, 7, 8, 40)}
+    assert beliefs[3] > beliefs[5] > beliefs[7] == beliefs[8] == beliefs[40]
+    assert beliefs[40] == pytest.approx(1.8 / 2.8, abs=1e-15)
+
+
+@pytest.mark.parametrize("step", [1, 3])
+def test_fractional_ledger_window_jumps_back_and_forth(step, rng):
+    # window starts that jump back and forth, with orders placed, filled and
+    # cancelled between the queries
+    market = LedgerMarket(FRACTIONAL)
+    t = previous = 0
+    live = []
+    jumps = 0
+    for _ in range(120):
+        t += int(rng.integers(0, 2))
+        if live and rng.random() < 0.2:
+            market.cancel(live.pop(int(rng.integers(len(live)))), t)
+        else:
+            side = Side.BID if rng.random() < 0.5 else Side.ASK
+            oid = market.place(side, int(rng.integers(996, 1005)), t)
+            resting = resting_ids(market.book)
+            live = [o for o in live if o in resting]
+            if oid in resting:
+                live.append(oid)
+        if int(rng.integers(step)):
+            continue
+        window_start = int(rng.integers(0, t + 2))
+        assert_ledger_exact(market, t, window_start=window_start)
+        jumps += window_start < previous
+        previous = window_start
+    assert jumps > 10
 
 
 def test_params_validation():

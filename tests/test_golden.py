@@ -3,8 +3,10 @@
 Each config runs through the CLI's own parse/build/run/emit path and every
 output file listed in ``GOLDEN_FILES`` is checked against a sha256 digest
 recorded before the per-wake optimisations of the kernel, book, estimator
-and DMR fundamental. Together the configs cover every fundamental variant,
-both HBL success modes, both candidate grids, a cent tick and a ZI-only
+and DMR fundamental, or, for the longer fractional run whose memory window
+start moves back several times, before the fractional memory was kept
+across wakes. Together the configs cover every fundamental variant, both
+HBL success modes, both candidate grids, a cent tick and a ZI-only
 population. A digest may change only with a stated behaviour change.
 """
 
@@ -157,10 +159,27 @@ eta = 0.0
 success_mode = binary
 grid_mode = spline
 """,
+    "megashock-fractional-spline-window-back": """
+[fundamental]
+variant = megashock
+shock_arrival_rate = 0.002
+[market]
+horizon = 4000
+seed = 1000014
+[agents]
+zi_count = 30
+hbl_count = 8
+arrival_rate = 0.03
+success_mode = fractional
+grid_mode = spline
+memory_length = 1
+grace_period = 40
+""",
 }
 
 # sha256 of each GOLDEN_FILES entry, recorded from the code before the
-# tuple-backed records, the side-split book and the batched DMR shocks.
+# tuple-backed records, the side-split book and the batched DMR shocks
+# (the window-back run: before the fractional memory was kept across wakes).
 DIGESTS: dict[str, dict[str, str]] = {
     "dmr-binary-observed": {
         "events.csv":
@@ -245,6 +264,20 @@ DIGESTS: dict[str, dict[str, str]] = {
             "dd0b4f41ac4a6187ee1d2834458cf3d8d4c359aa9b54aa9d903cfdaed4d9371b",
         "estimator_trace.csv":
             "f1cdb66dc99c7e0557d608813ed1e2587aa5de18841c82f90616f31a2df9ef94",
+    },
+    "megashock-fractional-spline-window-back": {
+        "events.csv":
+            "fafbea5b4735928ccc4e531567f78e123aeac6bb197c0057d5b29ae8abf7e7f0",
+        "trades.csv":
+            "5d902c83a4c70880d1938c09b9f97f6480754d0d3a6177a5c2726e5d497d5295",
+        "agents.csv":
+            "58429d85701ecc2101b59ecef8b71d3a6fb3c9b353045b1a4b2106946ab8c3e4",
+        "fundamental.csv":
+            "38dd5a6f5a6288c9d7b7c3481fa764c9755640679647ddfe214245e18aaa51fc",
+        "decisions.csv":
+            "36e5550789f6b4fb22dfdf01204aeb81f14b3c7cc7b2436088de664cfd976276",
+        "estimator_trace.csv":
+            "4288ea21c4681b7bf571f19a5e26f2c88269001e023c451982232601e9b6130b",
     },
     "megashock-fractional-observed": {
         "events.csv":
