@@ -15,6 +15,7 @@ import argparse
 import configparser
 import math
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -23,6 +24,7 @@ from .agents import HblParams, ZiParams
 from .estimator import EstimatorParams
 from .fundamental import DmrParams, MegashockParams, OuParams, dump_series
 from .kernel import OutputOptions, SimConfig, SimResult, run
+from .prices import TickStrings
 
 
 class ConfigError(Exception):
@@ -244,62 +246,59 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
 
 
 def emit_outputs(result: SimResult, resolved: dict[str, dict[str, str]], outdir: str) -> None:
+    """Write every output file; the CSV rows are streamed, never joined in memory."""
     os.makedirs(outdir, exist_ok=True)
-    grid = result.grid
+    prices = TickStrings(result.grid)
 
     def path(name: str) -> str:
         return os.path.join(outdir, name)
 
     with open(path("events.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time,kind,order_id,agent_id,side,price,qty,counterparty\n")
-        for kind, time, order_id, agent_id, side, price, qty, cp in result.events:
-            cp = "" if cp is None else str(cp)
-            fh.write(f"{time},{kind.value},{order_id},{agent_id},"
-                     f"{side.value},{grid.format(price)},{qty},{cp}\n")
+        fh.writelines(
+            f"{time},{kind._value_},{order_id},{agent_id},{side._value_},{prices[price]},"
+            f"{qty},{'' if cp is None else cp}\n"
+            for kind, time, order_id, agent_id, side, price, qty, cp in result.events)
 
     with open(path("trades.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("time,price,qty,buy_order,sell_order\n")
-        for time, price, qty, buy_order, sell_order, _, _ in result.trades:
-            fh.write(f"{time},{grid.format(price)},{qty},{buy_order},{sell_order}\n")
+        fh.writelines(f"{time},{prices[price]},{qty},{buy_order},{sell_order}\n"
+                      for time, price, qty, buy_order, sell_order, _, _ in result.trades)
 
-    dump_series(result.fundamental_trace, path("fundamental.csv"), grid)
+    dump_series(result.fundamental_trace, path("fundamental.csv"), prices)
+    if _BOOL[resolved["output"]["dump_fundamental"].lower()]:
+        shutil.copyfile(path("fundamental.csv"), path("fundamental_dump.csv"))
 
     with open(path("agents.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("agent_id,strategy,cash,q_held,payoff\n")
-        for a in result.agents:
-            fh.write(f"{a.agent_id},{a.strategy},{a.cash!r},{a.q_held},{a.payoff!r}\n")
+        fh.writelines(f"{a.agent_id},{a.strategy},{a.cash!r},{a.q_held},{a.payoff!r}\n"
+                      for a in result.agents)
 
-    if result.estimator_trace:
-        with open(path("estimator_trace.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("time,agent_id,delta,observation,r_tilde,sigma_tilde_sq,r_hat\n")
-            for row in result.estimator_trace:
-                fh.write(",".join(str(x) for x in row) + "\n")
-
-    if result.decision_trace:
-        with open(path("decisions.csv"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("time,agent_id,strategy,action,side,limit_price\n")
-            for row in result.decision_trace:
-                fh.write(",".join(str(x) for x in row) + "\n")
-
-    if _BOOL[resolved["output"]["dump_fundamental"].lower()]:
-        dump_series(result.fundamental_trace, path("fundamental_dump.csv"), grid)
+    for name, header, rows in (
+            ("estimator_trace.csv", "time,agent_id,delta,observation,r_tilde,sigma_tilde_sq,r_hat",
+             result.estimator_trace),
+            ("decisions.csv", "time,agent_id,strategy,action,side,limit_price",
+             result.decision_trace)):
+        if rows:
+            with open(path(name), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(header + "\n")
+                fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
     with open(path("manifest.ini"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("[meta]\n")
         fh.write(f"version = {__version__}\n")
         fh.write(f"master_seed = {resolved['market']['seed']}\n")
         fh.write(f"invariants_ok = {str(result.invariants_ok).lower()}\n")
-        for key, value in sorted(result.invariant_summary.items()):
-            fh.write(f"{key} = {value}\n")
+        fh.writelines(f"{key} = {value}\n"
+                      for key, value in sorted(result.invariant_summary.items()))
         fh.write("\n")
         for section, keys in resolved.items():
             fh.write(f"[{section}]\n")
-            for key, value in keys.items():
-                fh.write(f"{key} = {value}\n")
+            fh.writelines(f"{key} = {value}\n" for key, value in keys.items())
             fh.write("\n")
         fh.write("[private_values]\n")
-        for agent_id, theta in sorted(result.private_values.items()):
-            fh.write(f"agent-{agent_id} = {' '.join(repr(v) for v in theta)}\n")
+        fh.writelines(f"agent-{agent_id} = {' '.join(map(repr, theta))}\n"
+                      for agent_id, theta in sorted(result.private_values.items()))
 
 
 def run_one(resolved: dict[str, dict[str, str]], outdir: str) -> bool:
@@ -362,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
                 per_seed["market"]["seed"] = str(seed)
                 jobs.append((per_seed, os.path.join(args.out, f"seed-{seed}")))
             with ProcessPoolExecutor() as pool:
-                oks = list(pool.map(_run_one_star, jobs))
+                oks = list(pool.map(run_one, *zip(*jobs)))
             return 0 if all(oks) else 2
         ok = run_one(resolved, args.out)
         return 0 if ok else 2
@@ -372,10 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-
-
-def _run_one_star(job: tuple) -> bool:
-    return run_one(*job)
 
 
 if __name__ == "__main__":

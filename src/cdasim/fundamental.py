@@ -21,7 +21,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .prices import PriceGrid
+from .prices import PriceGrid, TickStrings
 from .rng import child_stream
 
 FUNDAMENTAL_STREAM = "fundamental"
@@ -117,9 +117,9 @@ def ou_sample(
 class DmrFundamental:
     """Memoizing discrete mean reverting source; r_0 = r_bar exactly.
 
-    A query beyond the memoized prefix draws the shocks of all the missing
-    steps in one batch from the series' own stream, then runs ``dmr_step``
-    over them in order.
+    All ``horizon_T`` shocks are drawn at construction, in one call on the
+    series' own stream; ``shocks[i]`` moves step i to step i + 1.  A query
+    beyond the memoized prefix steps through the missing shocks in order.
 
     ``r0_override`` is a test hook for starting away from the mean (used to
     check the geometric contraction rate); production configs leave it None.
@@ -134,10 +134,10 @@ class DmrFundamental:
     variant = "dmr"
 
     def __post_init__(self) -> None:
-        self._rng = child_stream(self.seed, FUNDAMENTAL_STREAM)
         r0 = self.params.r_bar if self.r0_override is None else self.r0_override
         self._values: list[int] = [self.grid.to_ticks(r0)]
-        self._sigma_s = math.sqrt(self.params.sigma_s_sq)
+        self._shocks = child_stream(self.seed, FUNDAMENTAL_STREAM).normal(
+            0.0, math.sqrt(self.params.sigma_s_sq), size=self.horizon_T)
 
     def value_at(self, t: int) -> int:
         if t > self.horizon_T:
@@ -146,10 +146,8 @@ class DmrFundamental:
             raise ValueError("t must be >= 0")
         values = self._values
         if len(values) <= t:
-            # One batched draw yields the same shocks as one scalar draw per step.
-            shocks = self._rng.normal(0.0, self._sigma_s, size=t + 1 - len(values))
             prev = values[-1]
-            for noise in shocks.tolist():
+            for noise in self._shocks[len(values) - 1:t].tolist():
                 prev = dmr_step(prev, self.params, noise, self.grid)
                 values.append(prev)
         return values[t]
@@ -320,9 +318,8 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def dump_series(series, path: str, grid: PriceGrid) -> None:
+def dump_series(series, path: str, prices: TickStrings) -> None:
     """Write (t, ticks) pairs, e.g. ``evaluations()``, in the two-column format we load."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("timestamp,value\n")
-        for t, ticks in series:
-            fh.write(f"{t},{grid.format(ticks)}\n")
+        fh.writelines(f"{t},{prices[ticks]}\n" for t, ticks in series)

@@ -95,10 +95,6 @@ class PriceGrid:
     def to_value(self, ticks: int) -> float:
         return ticks * self.tick_size
 
-    @property
-    def decimals(self) -> int:
-        return self._decimals
-
     def format(self, ticks: int) -> str:
         """Exact decimal rendering for CSV output (bit-stable across runs)."""
         n = ticks * self._mantissa
@@ -110,3 +106,15 @@ class PriceGrid:
         digits = str(abs(n)).zfill(d + 1)
         sign = "-" if n < 0 else ""
         return f"{sign}{digits[:-d]}.{digits[-d:]}"
+
+
+class TickStrings(dict):
+    """Per-run cache of ``PriceGrid.format`` strings: each tick is formatted once."""
+
+    def __init__(self, grid: PriceGrid) -> None:
+        super().__init__()
+        self.grid = grid
+
+    def __missing__(self, ticks: int) -> str:
+        self[ticks] = text = self.grid.format(ticks)
+        return text

@@ -1,5 +1,6 @@
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -7,11 +8,13 @@ from cdasim.cli import (
     ConfigError,
     _parse_sweep,
     build_config,
+    emit_outputs,
     main,
     parse_config,
     run_one,
 )
 from cdasim.fundamental import FileFundamental
+from cdasim.kernel import run
 from cdasim.prices import PriceGrid
 
 
@@ -183,6 +186,26 @@ def test_fundamental_dump_matches_fundamental_csv(tmp_path):
     dump = (tmp_path / "run" / "fundamental_dump.csv").read_bytes()
     assert dump == (tmp_path / "run" / "fundamental.csv").read_bytes()
     assert dump.count(b"\n") > 2
+
+
+def test_emit_streams_rows(tmp_path):
+    # 300 ZI traders at seed 5 log 8542 events, a 292 KB events.csv. Writing
+    # the outputs row by row peaks near 85 KB, most of it the text layer's
+    # pending rows while the 3001-row fundamental.csv is written; joining the
+    # rows of any CSV into one string would allocate well past the bound.
+    resolved = parse_config("[market]\nhorizon = 3000\nseed = 5\n"
+                            "[agents]\nzi_count = 300\nhbl_count = 0\n"
+                            "arrival_rate = 0.005\n")
+    result = run(build_config(resolved))
+    tracemalloc.start()
+    try:
+        emit_outputs(result, resolved, str(tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "events.csv").stat().st_size
+    assert size > 250_000
+    assert peak < size / 2
 
 
 def test_trace_outputs(tmp_path):

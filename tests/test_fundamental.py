@@ -20,7 +20,7 @@ from cdasim.fundamental import (
     ou_mean_var,
     ou_sample,
 )
-from cdasim.prices import PriceGrid
+from cdasim.prices import PriceGrid, TickStrings
 from cdasim.rng import child_stream
 
 
@@ -88,6 +88,16 @@ def test_dmr_batched_shocks_match_scalar_draws(params, r0, seed, queries):
     for t in times:
         assert fund.value_at(t) == oracle[t][1]
     assert fund.evaluations() == oracle
+
+
+def test_dmr_evaluations_are_the_queried_prefix(grid_01):
+    params = DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0)
+    fund = DmrFundamental(params, grid_01, seed=3, horizon_T=5000)
+    oracle = scalar_dmr_series(params, grid_01, 3, 5000)
+    assert fund.evaluations() == oracle[:1]
+    fund.value_at(40)
+    fund.value_at(12)
+    assert fund.evaluations() == oracle[:41]
 
 
 def test_dmr_contraction_toward_mean():
@@ -391,6 +401,6 @@ def test_dump_and_reload_round_trip(tmp_path, grid_01):
     fund = DmrFundamental(params, grid_01, seed=4, horizon_T=40)
     original = [fund.value_at(t) for t in range(41)]
     path = tmp_path / "fund.csv"
-    dump_series(fund.evaluations(), str(path), grid_01)
+    dump_series(fund.evaluations(), str(path), TickStrings(grid_01))
     reloaded = FileFundamental.from_path(str(path), grid_01)
     assert [reloaded.value_at(t) for t in range(41)] == original

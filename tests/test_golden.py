@@ -5,9 +5,13 @@ output file listed in ``GOLDEN_FILES`` is checked against a sha256 digest
 recorded before the per-wake optimisations of the kernel, book, estimator
 and DMR fundamental, or, for the longer fractional run whose memory window
 start moves back several times, before the fractional memory was kept
-across wakes. Together the configs cover every fundamental variant, both
-HBL success modes, both candidate grids, a cent tick and a ZI-only
-population. A digest may change only with a stated behaviour change.
+across wakes, or, for the unit-tick run, before the output CSVs were
+streamed from a tick-string cache. Together the configs cover every
+fundamental variant, both HBL success modes, both candidate grids, a cent
+tick, a unit tick (whose prices have no decimal point) and a ZI-only
+population. A config may digest extra files, such as the unit-tick run's
+``fundamental_dump.csv``. A digest may change only with a stated
+behaviour change.
 """
 
 from __future__ import annotations
@@ -21,12 +25,6 @@ from cdasim.kernel import run
 
 GOLDEN_FILES = ("events.csv", "trades.csv", "agents.csv", "fundamental.csv",
                 "decisions.csv", "estimator_trace.csv")
-
-_TRACES = """
-[output]
-trace_decisions = true
-trace_estimator = true
-"""
 
 # A step series for the file variant: 100.0 moving by a fixed walk every 37 steps.
 FILE_SERIES = "timestamp,value\n" + "".join(
@@ -175,11 +173,29 @@ grid_mode = spline
 memory_length = 1
 grace_period = 40
 """,
+    "dmr-unit-tick-dump": """
+[fundamental]
+variant = dmr
+sigma_s_sq = 4.0
+[market]
+horizon = 3000
+tick_size = 1
+seed = 17
+[agents]
+zi_count = 20
+hbl_count = 6
+arrival_rate = 0.02
+r_max = 2.0
+sigma_pv_sq = 9.0
+[output]
+dump_fundamental = true
+""",
 }
 
 # sha256 of each GOLDEN_FILES entry, recorded from the code before the
 # tuple-backed records, the side-split book and the batched DMR shocks
-# (the window-back run: before the fractional memory was kept across wakes).
+# (the window-back run: before the fractional memory was kept across wakes;
+# the unit-tick run: before the CSVs were streamed from a tick-string cache).
 DIGESTS: dict[str, dict[str, str]] = {
     "dmr-binary-observed": {
         "events.csv":
@@ -307,6 +323,22 @@ DIGESTS: dict[str, dict[str, str]] = {
         "estimator_trace.csv":
             "17861e8db118cda91c42f4d7c2026670b148fb4590b644c38e17e6e103c26237",
     },
+    "dmr-unit-tick-dump": {
+        "events.csv":
+            "5cf5f7a1a5c04a09106e62a75d408048a9cd9c9d3cfa4ac58cb799af51d24de9",
+        "trades.csv":
+            "3833915abc84162d483bbb5bbc8f66bc397042631389da301481fec152eb337f",
+        "agents.csv":
+            "f8ee8d14e5fb694b99c5cd035fc200554961fb47f7fa26ea4e1659f4f31f1328",
+        "fundamental.csv":
+            "f68522051a6978c25eebe23e08e3a4e520357e0fe75f130e103ac4a9f50bcfb7",
+        "decisions.csv":
+            "18447d5016059e4bfb7bf6450b05abe90dca2bc7e9e6a14fadd3f09fc15b6a36",
+        "estimator_trace.csv":
+            "3a9245a2e8c01a9e4b9fd3a7746b9d1beee9bc805fa807f7bfcddde3a7b6061e",
+        "fundamental_dump.csv":
+            "f68522051a6978c25eebe23e08e3a4e520357e0fe75f130e103ac4a9f50bcfb7",
+    },
     "ou-binary-spline": {
         "events.csv":
             "9655750020728a7cd2e31fe1db2f5cb7b026e7e82110b20e107f511586f41b4a",
@@ -328,18 +360,19 @@ def run_config(name: str, outdir) -> None:
     """Run one golden config and write its outputs into ``outdir``."""
     fundamental = outdir / "series.csv"
     fundamental.write_text(FILE_SERIES, encoding="utf-8")
-    text = CONFIGS[name].format(file=fundamental) + _TRACES
-    resolved = parse_config(text)
+    resolved = parse_config(CONFIGS[name].format(file=fundamental))
+    resolved["output"].update(trace_decisions="true", trace_estimator="true")
     result = run(build_config(resolved))
     assert result.invariants_ok
     emit_outputs(result, resolved, str(outdir))
 
 
-def digests(outdir) -> dict[str, str]:
-    return {f: hashlib.sha256((outdir / f).read_bytes()).hexdigest() for f in GOLDEN_FILES}
+def digests(outdir, files) -> dict[str, str]:
+    return {f: hashlib.sha256((outdir / f).read_bytes()).hexdigest() for f in files}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_output_bytes(name, tmp_path):
+    assert set(GOLDEN_FILES) <= set(DIGESTS[name])
     run_config(name, tmp_path)
-    assert digests(tmp_path) == DIGESTS[name]
+    assert digests(tmp_path, DIGESTS[name]) == DIGESTS[name]

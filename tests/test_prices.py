@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdasim.prices import PriceGrid
+from cdasim.prices import PriceGrid, TickStrings
 
 METHODS = ("to_ticks", "to_ticks_down", "to_ticks_up")
 TICKS = (0.1, 0.01, 0.25, 1.0, 0.3, 100.0, 1e-7)
@@ -116,7 +116,7 @@ def test_golden_cent_grid(value, nearest, down, up):
 @pytest.mark.parametrize("tick", TICKS + (1e16, 0.123456789, 5e-324))
 def test_decimals_and_format_match_decimal(tick):
     grid, oracle = PriceGrid(tick), DecimalGrid(tick)
-    assert grid.decimals == oracle.decimals
+    assert grid._decimals == oracle.decimals
     counts = list(range(-1200, 1201)) + [10**k + j for k in range(3, 33) for j in (-1, 1)]
     for ticks in counts + [-t for t in counts]:
         assert grid.format(ticks) == oracle.format(ticks), (tick, ticks)
@@ -131,9 +131,24 @@ def test_decimals_and_format_match_decimal(tick):
 ])
 def test_format_pads_and_signs(tick, decimals, cases):
     grid = PriceGrid(tick)
-    assert grid.decimals == decimals
+    assert grid._decimals == decimals
     for ticks, text in cases.items():
         assert grid.format(ticks) == text
+
+
+@pytest.mark.parametrize("tick", [0.1, 0.01, 1.0, 100.0, 1e16])
+def test_tick_strings_format_each_tick_once(tick, monkeypatch):
+    grid, original, calls = PriceGrid(tick), PriceGrid.format, []
+
+    def counting_format(self, ticks):
+        calls.append(ticks)
+        return original(self, ticks)
+
+    monkeypatch.setattr(PriceGrid, "format", counting_format)
+    prices = TickStrings(grid)
+    queries = [0, 7, -7, 10**20, 7, 0, 3, -7, 10**20] * 3
+    assert [prices[t] for t in queries] == [original(grid, t) for t in queries]
+    assert sorted(calls) == sorted(set(queries))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
