@@ -18,6 +18,7 @@ keep one float addition order, and lays the sums on the same ticks.
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,6 +57,8 @@ class ZiParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.r_min <= self.r_max:
             raise ValueError("require 0 <= r_min <= r_max")
+        if not all(map(math.isfinite, (self.r_max, self.sigma_n_sq, self.sigma_pv_sq))):
+            raise ValueError("r_max, sigma_n_sq and sigma_pv_sq must be finite")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
         if self.sigma_n_sq < 0.0 or self.sigma_pv_sq < 0.0:
@@ -106,7 +109,8 @@ def zi_decide(
     side = _choose_side(q_held, pv, rng)
     if side is None:
         return SKIP
-    requested = rng.uniform(params.r_min, params.r_max)
+    # numpy's own uniform(r_min, r_max), drawn from the cheaper random() call
+    requested = params.r_min + (params.r_max - params.r_min) * rng.random()
     if side is Side.BID:
         valuation = pv.buy_valuation(q_held, r_hat)
         # Strategic threshold: lock in eta * R immediately if the touch allows it.

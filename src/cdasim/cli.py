@@ -17,7 +17,6 @@ import math
 import os
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .agents import HblParams, ZiParams
@@ -329,6 +328,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--sweep-seeds", metavar="A..B",
                         help="run one simulation per seed in [A, B]")
+    parser.add_argument("--jobs", type=int, metavar="N",
+                        help="worker processes for --sweep-seeds (default: one per "
+                             "CPU; 1 runs the seeds in this process)")
     parser.add_argument("--trace-estimator", action="store_true",
                         help="write per-wake belief rows to estimator_trace.csv")
     parser.add_argument("--trace-decisions", action="store_true",
@@ -352,6 +354,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.fundamental_dump:
             resolved["output"]["dump_fundamental"] = "true"
         build_config(resolved)  # fail fast before any run starts
+        if args.jobs is not None and args.jobs < 1:
+            raise ConfigError("--jobs must be >= 1")
 
         if args.sweep_seeds:
             seeds = _parse_sweep(args.sweep_seeds)
@@ -360,8 +364,16 @@ def main(argv: list[str] | None = None) -> int:
                 per_seed = {s: dict(k) for s, k in resolved.items()}
                 per_seed["market"]["seed"] = str(seed)
                 jobs.append((per_seed, os.path.join(args.out, f"seed-{seed}")))
-            with ProcessPoolExecutor() as pool:
-                oks = list(pool.map(run_one, *zip(*jobs)))
+            if args.jobs == 1:
+                oks = [run_one(*job) for job in jobs]
+            else:
+                # imported here: it is a sizeable share of the cdasim import
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+
+                workers = None if args.jobs is None else min(args.jobs, len(jobs))
+                with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
+                    oks = list(pool.map(run_one, *zip(*jobs)))
             return 0 if all(oks) else 2
         ok = run_one(resolved, args.out)
         return 0 if ok else 2

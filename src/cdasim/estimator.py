@@ -40,7 +40,7 @@ class BeliefState(NamedTuple):
 
 def initial_belief(params: EstimatorParams) -> BeliefState:
     # At t=0 the fundamental is known exactly: r_0 = r_bar.
-    return BeliefState(r_tilde=params.r_bar, sigma_tilde_sq=0.0, last_wake=0)
+    return BeliefState(params.r_bar, 0.0, 0)
 
 
 def advance(belief: BeliefState, now: int, params: EstimatorParams) -> BeliefState:
@@ -64,7 +64,7 @@ def advance(belief: BeliefState, now: int, params: EstimatorParams) -> BeliefSta
         decay_sq = (1.0 - params.kappa) ** (2 * delta)
         shock_weight = (1.0 - decay_sq) / (1.0 - (1.0 - params.kappa) ** 2)
         var = decay_sq * belief.sigma_tilde_sq + shock_weight * params.sigma_s_sq
-    return BeliefState(r_tilde=r_tilde, sigma_tilde_sq=var, last_wake=now)
+    return BeliefState(r_tilde, var, now)
 
 
 def observe(belief: BeliefState, o_t: float, params: EstimatorParams) -> BeliefState:
@@ -77,11 +77,11 @@ def observe(belief: BeliefState, o_t: float, params: EstimatorParams) -> BeliefS
     """
     total = params.sigma_n_sq + belief.sigma_tilde_sq
     if total == 0.0:
-        return BeliefState(r_tilde=o_t, sigma_tilde_sq=0.0, last_wake=belief.last_wake)
+        return BeliefState(o_t, 0.0, belief.last_wake)
     obs_weight = belief.sigma_tilde_sq / total
     r_tilde = (1.0 - obs_weight) * belief.r_tilde + obs_weight * o_t
     var = params.sigma_n_sq * belief.sigma_tilde_sq / total
-    return BeliefState(r_tilde=r_tilde, sigma_tilde_sq=var, last_wake=belief.last_wake)
+    return BeliefState(r_tilde, var, belief.last_wake)
 
 
 def project_final(belief: BeliefState, params: EstimatorParams) -> float:

@@ -34,7 +34,7 @@ from .fundamental import (
 )
 from .orderbook import Order, OrderBook, Side
 from .preferences import PrivateValues
-from .prices import PriceGrid
+from .prices import PriceGrid, TickStrings
 from .rng import child_stream
 
 ZI = "ZI"
@@ -69,7 +69,7 @@ class SimConfig:
             raise ValueError("horizon_T must be >= 1")
         if self.n_zi + self.n_hbl < 1:
             raise ValueError("population must contain at least one agent")
-        if self.arrival_rate <= 0.0:
+        if not self.arrival_rate > 0.0:  # NaN too
             raise ValueError("arrival_rate must be > 0")
         if self.n_hbl > 0 and self.hbl_params is None:
             raise ValueError("hbl_params required when n_hbl > 0")
@@ -118,32 +118,56 @@ class SimResult:
     decision_trace: list[tuple] = field(default_factory=list)
 
 
-def schedule_arrivals(arrival_rate: float, horizon_T: int, rng: np.random.Generator) -> list[int]:
+def schedule_arrivals(arrival_rate: float, horizon_T: int,
+                      rng: np.random.Generator) -> np.ndarray:
     """Strictly increasing integer wake times from exponential inter-arrivals.
 
     Real-valued cumulative arrival times are rounded up to the next step;
-    collisions after rounding are bumped forward by one step.
+    collisions after rounding are bumped forward by one step.  The gaps are
+    drawn in bulk, a chunk sized a little above the expected number of
+    wakes left, and a chunk that stops short of the horizon is followed by
+    another.  A bulk draw takes the same values, in order, as one scalar
+    draw per gap, and the clock adds them in that order, so the times match
+    a scalar loop's.  The gaps drawn past the horizon are wasted, which is
+    safe because the stream feeds nothing else.
     """
-    if arrival_rate <= 0.0:
+    if not arrival_rate > 0.0:  # NaN too
         raise ValueError("arrival_rate must be > 0")
-    times: list[int] = []
+    scale = 1.0 / arrival_rate
+    chunks = []
     clock = 0.0
-    prev = 0
+    floor = 1  # the earliest step the next wake may take
     while True:
-        clock += rng.exponential(1.0 / arrival_rate)
-        step = math.ceil(clock)
-        if step <= prev:
-            step = prev + 1
-        if step > horizon_T:
-            return times
-        times.append(step)
-        prev = step
+        expected = arrival_rate * (horizon_T - clock)
+        # wakes take distinct steps, so horizon_T - floor + 2 gaps always pass it
+        size = int(min(expected + 3.0 * math.sqrt(expected), horizon_T - floor + 1)) + 1
+        clocks = rng.exponential(scale, size)
+        clocks[0] += clock
+        np.cumsum(clocks, out=clocks)
+        # ceil of a clock clipped just past the horizon: it stays past it and fits int64
+        ceil = np.ceil(np.minimum(clocks, horizon_T + 1.0)).astype(np.int64)
+        # step_i = max(ceil_i, step_{i-1} + 1), so step_i - i is a running maximum
+        idx = np.arange(len(ceil))
+        steps = ceil - idx
+        steps[0] = max(steps[0], floor)
+        np.maximum.accumulate(steps, out=steps)
+        steps += idx
+        inside = int(np.searchsorted(steps, horizon_T, side="right"))
+        chunks.append(steps[:inside])
+        if inside < len(steps):
+            return np.concatenate(chunks)
+        clock = float(clocks[-1])
+        floor = int(steps[-1]) + 1
 
 
-def mark_observation(r_ticks: int, sigma_n_sq: float, rng: np.random.Generator,
+def mark_observation(r_ticks: int, noise_sd: float, rng: np.random.Generator,
                      grid: PriceGrid) -> int:
-    """Noisy fundamental observation, rounded to tick and floored at zero."""
-    o = grid.to_value(r_ticks) + rng.normal(0.0, math.sqrt(sigma_n_sq))
+    """Noisy fundamental observation, rounded to tick and floored at zero.
+
+    ``0.0 + noise_sd * z`` is numpy's own ``normal(0.0, noise_sd)``, drawn
+    from the cheaper ``standard_normal`` call.
+    """
+    o = grid.to_value(r_ticks) + (0.0 + noise_sd * rng.standard_normal())
     return max(0, grid.to_ticks(o))
 
 
@@ -199,12 +223,13 @@ def run(config: SimConfig) -> SimResult:
         pv = PrivateValues.draw(config.zi_params.q_max, config.zi_params.sigma_pv_sq, rng)
         records.append(AgentRecord(i, strategy, pv, est.initial_belief(ep), rng))
 
-    wakes: list[tuple[int, int]] = []
-    for record in records:
-        arrivals_rng = child_stream(config.master_seed, f"arrivals-{record.agent_id}")
-        for t in schedule_arrivals(config.arrival_rate, config.horizon_T, arrivals_rng):
-            wakes.append((t, record.agent_id))
-    wakes.sort()  # ties broken by agent_id
+    schedules = [schedule_arrivals(config.arrival_rate, config.horizon_T,
+                                   child_stream(config.master_seed, f"arrivals-{i}"))
+                 for i in range(n_agents)]
+    wake_ids = np.repeat(np.arange(n_agents), [len(s) for s in schedules])
+    wake_times = np.concatenate(schedules)
+    order = np.lexsort((wake_ids, wake_times))  # by time, ties by agent_id
+    wake_times, wake_ids = wake_times[order], wake_ids[order]
 
     book = OrderBook()
     history = strategies.OrderHistory(config.hbl_params) if config.n_hbl else None
@@ -238,25 +263,26 @@ def run(config: SimConfig) -> SimResult:
     trace_estimator = config.output.trace_estimator
     trace_decisions = config.output.trace_decisions
     zi_params, hbl_params = config.zi_params, config.hbl_params
-    sigma_n_sq = zi_params.sigma_n_sq
+    noise_sd = math.sqrt(zi_params.sigma_n_sq)
     value_at = fundamental.value_at
     advance, observe, project_final = est.advance, est.observe, est.project_final
     place_limit, cancel = book.place_limit, book.cancel
     zi_decide = strategies.zi_decide
     to_value = grid.to_value
+    prices = TickStrings(grid)  # the trace rows' price strings
     skip = strategies.ActionKind.SKIP
 
-    for t, agent_id in wakes:
+    for t, agent_id in zip(wake_times.tolist(), wake_ids.tolist()):
         record = records[agent_id]
         r_ticks = value_at(t)
-        o_ticks = mark_observation(r_ticks, sigma_n_sq, record.rng, grid)
+        o_ticks = mark_observation(r_ticks, noise_sd, record.rng, grid)
         prior = record.belief
         belief = advance(prior, t, ep)
         belief = observe(belief, to_value(o_ticks), ep)
         record.belief = belief
         r_hat = project_final(belief, ep)
         if trace_estimator:
-            estimator_trace.append((t, agent_id, t - prior.last_wake, grid.format(o_ticks),
+            estimator_trace.append((t, agent_id, t - prior.last_wake, prices[o_ticks],
                                     belief.r_tilde, belief.sigma_tilde_sq, r_hat))
 
         if record.last_order_id is not None:
@@ -273,7 +299,7 @@ def run(config: SimConfig) -> SimResult:
         if trace_decisions:
             decision_trace.append((t, agent_id, record.strategy, action.kind.value,
                                    action.side.value if action.side else "",
-                                   grid.format(action.limit_price)
+                                   prices[action.limit_price]
                                    if action.limit_price is not None else ""))
         if action.kind is skip:
             continue
@@ -323,7 +349,7 @@ def run(config: SimConfig) -> SimResult:
         grid=grid,
         invariants_ok=invariants_ok,
         invariant_summary={"breaches": breaches, "trades": len(trades),
-                           "events": len(book.events), "wakes": len(wakes)},
+                           "events": len(book.events), "wakes": len(wake_times)},
         private_values={r.agent_id: r.pv.values for r in records},
         estimator_trace=estimator_trace,
         decision_trace=decision_trace,

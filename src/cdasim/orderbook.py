@@ -104,13 +104,11 @@ class OrderBook:
 
     def depth_snapshot(self) -> dict:
         """Resting orders per side, in priority order (for replay comparison)."""
-        snap = {}
-        for side in Side:
-            levels, prices = self._side_book(side)
-            ordered = reversed(prices) if side is Side.BID else prices
-            snap[side.value] = [(price, [(o.order_id, rem) for o, rem in levels[price]])
-                                for price in ordered]
-        return snap
+        sides = ((Side.BID, self._bid_levels, reversed(self._bid_prices)),
+                 (Side.ASK, self._ask_levels, self._ask_prices))
+        return {side.value: [(price, [(o.order_id, rem) for o, rem in levels[price]])
+                             for price in ordered]
+                for side, levels, ordered in sides}
 
     # -- mutations --------------------------------------------------------
 
@@ -129,8 +127,10 @@ class OrderBook:
         remaining = order.quantity
         is_bid = side is Side.BID
         # the side this order trades against, and the index of its touch
-        levels, prices = self._side_book(Side.ASK if is_bid else Side.BID)
-        touch = 0 if is_bid else -1
+        if is_bid:
+            levels, prices, touch = self._ask_levels, self._ask_prices, 0
+        else:
+            levels, prices, touch = self._bid_levels, self._bid_prices, -1
         while remaining > 0 and prices:
             best = prices[touch]
             if (best > limit) if is_bid else (best < limit):
@@ -173,7 +173,10 @@ class OrderBook:
             return None
         order, remaining = entry
         price = order.limit_price
-        levels, prices = self._side_book(order.side)
+        if order.side is Side.BID:
+            levels, prices = self._bid_levels, self._bid_prices
+        else:
+            levels, prices = self._ask_levels, self._ask_prices
         queue = levels[price]
         for i, item in enumerate(queue):
             if item is entry:
@@ -190,15 +193,12 @@ class OrderBook:
 
     # -- internals --------------------------------------------------------
 
-    def _side_book(self, side: Side) -> tuple[dict[int, deque], list[int]]:
-        """One side's price levels and their prices in ascending order."""
-        if side is Side.BID:
-            return self._bid_levels, self._bid_prices
-        return self._ask_levels, self._ask_prices
-
     def _rest(self, order: Order, remaining: int) -> None:
         price = order.limit_price
-        levels, prices = self._side_book(order.side)
+        if order.side is Side.BID:
+            levels, prices = self._bid_levels, self._bid_prices
+        else:
+            levels, prices = self._ask_levels, self._ask_prices
         queue = levels.get(price)
         if queue is None:
             queue = levels[price] = deque()

@@ -7,21 +7,26 @@ from cdasim.prices import PriceGrid
 
 
 class FixedRng:
-    """Deterministic stand-in for a numpy Generator in golden tests."""
+    """Deterministic stand-in for a numpy Generator in golden tests.
 
-    def __init__(self, random_value=0.0, uniform_value=None, normal_value=0.0):
-        self._random = random_value
-        self._uniform = uniform_value
+    ``random()`` serves a queue, first the side coin and then the ZI surplus
+    fraction (``r_min + (r_max - r_min) * fraction`` is the requested
+    surplus), and starts over once both are served.  ``standard_normal()``
+    always returns ``normal_value``.
+    """
+
+    def __init__(self, random_value=0.0, surplus_fraction=0.0, normal_value=0.0):
+        self._queue = (random_value, surplus_fraction)
+        self._served = 0
         self._normal = normal_value
 
     def random(self):
-        return self._random
+        value = self._queue[self._served % 2]
+        self._served += 1
+        return value
 
-    def uniform(self, low, high):
-        return self._uniform if self._uniform is not None else low
-
-    def normal(self, loc=0.0, scale=1.0):
-        return loc + scale * self._normal
+    def standard_normal(self):
+        return self._normal
 
 
 def events_in_window(book, start, end=None):

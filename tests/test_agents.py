@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -47,7 +48,7 @@ HBL = HblParams(zi=ZI, memory_length=4, grace_period=5)
 def test_zi_buy_golden(grid_001):
     # holdings 1, estimate 100.0 -> valuation 100.0 - 0.2 = 99.8; requested
     # surplus 0.25 shades the bid to 99.55
-    rng = FixedRng(random_value=0.0, uniform_value=0.25)
+    rng = FixedRng(random_value=0.0, surplus_fraction=0.25)
     action = zi_decide(1, PV, 100.0, best_bid=None, best_ask=None,
                        params=ZI, rng=rng, grid=grid_001)
     assert action.kind is ActionKind.PLACE
@@ -58,12 +59,12 @@ def test_zi_buy_golden(grid_001):
 def test_zi_buy_threshold_take(grid_001):
     # eta = 0.5: take the touch whenever it leaves at least 0.125 surplus,
     # i.e. any offer at or below 99.67(5)
-    rng = FixedRng(random_value=0.0, uniform_value=0.25)
+    rng = FixedRng(random_value=0.0, surplus_fraction=0.25)
     take = zi_decide(1, PV, 100.0, best_bid=None, best_ask=9967,
                      params=ZI, rng=rng, grid=grid_001)
     assert take.kind is ActionKind.TAKE
     assert take.limit_price == 9967
-    rng = FixedRng(random_value=0.0, uniform_value=0.25)
+    rng = FixedRng(random_value=0.0, surplus_fraction=0.25)
     place = zi_decide(1, PV, 100.0, best_bid=None, best_ask=9968,
                       params=ZI, rng=rng, grid=grid_001)
     assert place.kind is ActionKind.PLACE
@@ -72,12 +73,12 @@ def test_zi_buy_threshold_take(grid_001):
 
 def test_zi_sell_golden(grid_001):
     # holdings 2, sell valuation 99.8; ask shades up to 100.05
-    rng = FixedRng(random_value=0.9, uniform_value=0.25)
+    rng = FixedRng(random_value=0.9, surplus_fraction=0.25)
     action = zi_decide(2, PV, 100.0, best_bid=None, best_ask=None,
                        params=ZI, rng=rng, grid=grid_001)
     assert action.side is Side.ASK
     assert action.limit_price == 10005
-    rng = FixedRng(random_value=0.9, uniform_value=0.25)
+    rng = FixedRng(random_value=0.9, surplus_fraction=0.25)
     take = zi_decide(2, PV, 100.0, best_bid=9993, best_ask=None,
                      params=ZI, rng=rng, grid=grid_001)
     assert take.kind is ActionKind.TAKE
@@ -86,38 +87,38 @@ def test_zi_sell_golden(grid_001):
 
 def test_zi_rounding_directions(grid_001):
     # bids round down to the grid, asks round up (never cross the valuation)
-    rng = FixedRng(random_value=0.0, uniform_value=0.246)
+    rng = FixedRng(random_value=0.0, surplus_fraction=0.246)
     bid = zi_decide(1, PV, 100.0, None, None, ZI, rng, grid_001)
     assert bid.limit_price == 9955  # 99.554 floors
-    rng = FixedRng(random_value=0.9, uniform_value=0.246)
+    rng = FixedRng(random_value=0.9, surplus_fraction=0.246)
     ask = zi_decide(2, PV, 100.0, None, None, ZI, rng, grid_001)
     assert ask.limit_price == 10005  # 100.046 ceils
 
 
 def test_zi_side_flip_at_holdings_limit(grid_001):
     # coin says buy but the agent is at +q_max, so it sells instead
-    rng = FixedRng(random_value=0.0, uniform_value=0.5)
+    rng = FixedRng(random_value=0.0, surplus_fraction=0.5)
     action = zi_decide(3, PV, 100.0, None, None, ZI, rng, grid_001)
     assert action.side is Side.ASK
-    rng = FixedRng(random_value=0.9, uniform_value=0.5)
+    rng = FixedRng(random_value=0.9, surplus_fraction=0.5)
     action = zi_decide(-3, PV, 100.0, None, None, ZI, rng, grid_001)
     assert action.side is Side.BID
 
 
 def test_zi_threshold_uses_real_arithmetic(grid_001):
     # the eta comparison happens before any tick rounding
-    rng = FixedRng(random_value=0.0, uniform_value=0.25)
+    rng = FixedRng(random_value=0.0, surplus_fraction=0.25)
     # valuation 99.8, ask 99.675 exactly: 0.125 >= 0.125 takes
     action = zi_decide(1, PV, 100.0, None, 9968, ZI, rng, grid_001)
     assert action.kind is ActionKind.PLACE  # 99.8 - 99.68 = 0.12 < 0.125
     eta_one = ZiParams(0.0, 1.0, 1.0, 10.0, 3, 25.0)
-    rng = FixedRng(random_value=0.0, uniform_value=0.19)
+    rng = FixedRng(random_value=0.0, surplus_fraction=0.19)
     action = zi_decide(1, PV, 100.0, None, 9960, eta_one, rng, grid_001)
     assert action.kind is ActionKind.TAKE  # full surplus available at the touch
 
 
 def test_zi_limit_floors_at_zero(grid_001):
-    rng = FixedRng(random_value=0.0, uniform_value=1.0)
+    rng = FixedRng(random_value=0.0, surplus_fraction=1.0)
     pv = PrivateValues(q_max=1, values=(0.0, 0.0))
     action = zi_decide(0, pv, 0.5, None, None, ZiParams(0.0, 1.0, 1.0, 0.0, 1, 0.0),
                        rng, grid_001)
@@ -1112,3 +1113,27 @@ def test_params_validation():
         HblParams(zi=ZI, memory_length=4, grace_period=5, success_mode="soft")
     with pytest.raises(ValueError, match="grid_mode"):
         HblParams(zi=ZI, memory_length=4, grace_period=5, grid_mode="dense")
+
+
+@pytest.mark.parametrize("field", ["r_max", "sigma_n_sq", "sigma_pv_sq"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_zi_params_reject_non_finite(field, value):
+    # an infinite r_max would otherwise make every requested surplus inf
+    values = dict(r_min=0.0, r_max=1.0, eta=0.5, sigma_n_sq=10.0, q_max=3,
+                  sigma_pv_sq=25.0)
+    values[field] = value
+    with pytest.raises(ValueError):
+        ZiParams(**values)
+
+
+def test_zi_surplus_is_numpy_uniform():
+    # zi_decide draws r_min + (r_max - r_min) * random(), numpy's own formula
+    # for uniform(r_min, r_max): twin generators give the same surpluses and
+    # leave their streams in step
+    ours, numpys = np.random.default_rng(2024), np.random.default_rng(2024)
+    for i in range(100_000):
+        lo = (i % 7) * 0.37
+        hi = lo + (i % 13) * 0.91
+        surplus = lo + (hi - lo) * ours.random()
+        assert surplus == numpys.uniform(lo, hi), i
+    assert ours.random() == numpys.random()

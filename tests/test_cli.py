@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -284,7 +286,7 @@ def test_main_sweep(tmp_path):
     config = tmp_path / "c.ini"
     config.write_text(SMALL.replace("horizon = 600", "horizon = 300"))
     code = main(["--config", str(config), "--out", str(tmp_path / "sweep"),
-                 "--sweep-seeds", "1..3"])
+                 "--sweep-seeds", "1..3", "--jobs", "2"])
     assert code == 0
     for seed in (1, 2, 3):
         manifest = read(tmp_path / "sweep" / f"seed-{seed}" / "manifest.ini")
@@ -296,6 +298,39 @@ def test_main_sweep(tmp_path):
         for fname in ("events.csv", "trades.csv", "agents.csv", "fundamental.csv"):
             assert ((tmp_path / "sweep" / f"seed-{seed}" / fname).read_bytes()
                     == (tmp_path / f"serial-{seed}" / fname).read_bytes()), (seed, fname)
+
+
+def test_sweep_jobs_write_identical_bytes(tmp_path):
+    # a serial sweep and a pooled one write the same files, byte for byte
+    config = tmp_path / "c.ini"
+    config.write_text(SMALL.replace("horizon = 600", "horizon = 300"))
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs-{jobs}"
+        assert main(["--config", str(config), "--out", str(out), "--sweep-seeds", "4..6",
+                     "--jobs", jobs, "--trace-decisions"]) == 0
+        trees.append({path.relative_to(out): path.read_bytes()
+                      for path in sorted(out.rglob("*")) if path.is_file()})
+    assert len(trees[0]) == 3 * 6  # events, trades, fundamental, agents, decisions, manifest
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_jobs_below_one(tmp_path, jobs, capsys):
+    code = main(["--out", str(tmp_path / "out"), "--sweep-seeds", "1..2", "--jobs", jobs])
+    assert code == 1
+    assert "config error: --jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # the pool's module is imported only when a sweep runs in parallel
+    code = ("import sys, cdasim.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_sample_config_smoke():

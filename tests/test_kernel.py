@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdasim import agents, kernel
 from cdasim import estimator as est
@@ -76,13 +78,107 @@ def test_schedule_arrivals_deterministic():
     a = schedule_arrivals(0.02, 3000, child_stream(5, "arrivals-0"))
     b = schedule_arrivals(0.02, 3000, child_stream(5, "arrivals-0"))
     c = schedule_arrivals(0.02, 3000, child_stream(6, "arrivals-0"))
-    assert a == b
-    assert a != c
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_schedule_arrivals_rejects_bad_rate(rng):
     with pytest.raises(ValueError):
         schedule_arrivals(0.0, 100, rng)
+
+
+def test_nan_arrival_rate_rejected(rng):
+    with pytest.raises(ValueError, match="arrival_rate"):
+        schedule_arrivals(math.nan, 100, rng)
+    with pytest.raises(ValueError, match="arrival_rate"):
+        make_config(arrival_rate=math.nan)
+
+
+def scalar_arrivals(arrival_rate, horizon_T, rng):
+    """Oracle: one exponential draw per gap, ceil, bump collisions by one step."""
+    times = []
+    clock = 0.0
+    prev = 0
+    while True:
+        clock += rng.exponential(1.0 / arrival_rate)
+        step = math.ceil(clock)
+        if step <= prev:
+            step = prev + 1
+        if step > horizon_T:
+            return times
+        times.append(step)
+        prev = step
+
+
+class CappedDraws:
+    """A Generator whose bulk exponential draws stop at ``cap`` values.
+
+    A bulk draw takes its values from the stream in order, so a short chunk
+    leaves the stream where the same number of scalar draws would; it makes
+    ``schedule_arrivals`` take its refill path.
+    """
+
+    def __init__(self, rng, cap):
+        self.rng, self.cap, self.calls = rng, cap, 0
+
+    def exponential(self, scale, size):
+        self.calls += 1
+        return self.rng.exponential(scale, min(size, self.cap))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(rate=st.floats(0.001, 2.0), horizon=st.integers(1, 3000),
+       seed=st.integers(0, 2**32 - 1), cap=st.one_of(st.none(), st.integers(1, 40)))
+def test_schedule_arrivals_matches_scalar_oracle(rate, horizon, seed, cap):
+    rng = np.random.default_rng(seed)
+    drawn = rng if cap is None else CappedDraws(rng, cap)
+    times = schedule_arrivals(rate, horizon, drawn)
+    assert times.dtype == np.int64
+    assert times.tolist() == scalar_arrivals(rate, horizon, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize(("rate", "horizon"), [(2.0, 50), (1.0, 400), (0.3, 2000),
+                                               (0.01, 20_000), (0.001, 5000),
+                                               (math.inf, 60)])
+def test_schedule_arrivals_refills_like_scalar_oracle(rate, horizon):
+    # short chunks force many refills; rates above 1 make rounding collide
+    oracle = scalar_arrivals(rate, horizon, np.random.default_rng(31))
+    for cap in (1, 2, 7):
+        drawn = CappedDraws(np.random.default_rng(31), cap)
+        assert schedule_arrivals(rate, horizon, drawn).tolist() == oracle
+        assert drawn.calls > len(oracle) // cap
+    if rate > 1.0:
+        # about two arrivals per step: only the collision bump keeps the
+        # steps distinct, and it fills nearly every step
+        assert len(oracle) > 0.9 * horizon
+
+
+def test_schedule_arrivals_draws_once_when_unchunked():
+    drawn = CappedDraws(np.random.default_rng(8), cap=10**9)
+    times = schedule_arrivals(0.01, 30_000, drawn)
+    assert drawn.calls == 1 and len(times) > 200
+
+
+def test_observation_noise_is_numpy_normal():
+    # 0.0 + sd * standard_normal() is numpy's own normal(0.0, sd): twin
+    # generators give the same noise and leave their streams in step
+    ours, numpys = np.random.default_rng(77), np.random.default_rng(77)
+    for i in range(100_000):
+        sd = math.sqrt((i % 17) * 0.83)
+        noise = 0.0 + sd * ours.standard_normal()
+        assert noise == numpys.normal(0.0, sd), i
+    assert ours.random() == numpys.random()
+
+
+def test_mark_observation_matches_normal_draw(grid_01, grid_001):
+    ours, numpys = np.random.default_rng(5), np.random.default_rng(5)
+    for i in range(2000):
+        grid = grid_01 if i % 2 else grid_001
+        sigma_n_sq = (i % 9) * 1.7
+        r_ticks = 900 + i % 300
+        expected = max(0, grid.to_ticks(grid.to_value(r_ticks)
+                                        + numpys.normal(0.0, math.sqrt(sigma_n_sq))))
+        assert mark_observation(r_ticks, math.sqrt(sigma_n_sq), ours, grid) == expected
 
 
 def test_mark_observation_noiseless(grid_01):
@@ -92,13 +188,13 @@ def test_mark_observation_noiseless(grid_01):
 
 def test_mark_observation_floors_at_zero(grid_01):
     rng = np.random.default_rng(0)
-    lows = [mark_observation(1, 100.0, rng, grid_01) for _ in range(200)]
+    lows = [mark_observation(1, 10.0, rng, grid_01) for _ in range(200)]
     assert min(lows) == 0
 
 
 def test_mark_observation_unbiased(grid_01):
     rng = np.random.default_rng(1)
-    obs = [mark_observation(1000, 4.0, rng, grid_01) for _ in range(20_000)]
+    obs = [mark_observation(1000, 2.0, rng, grid_01) for _ in range(20_000)]
     assert np.mean(obs) * 0.1 == pytest.approx(100.0, abs=0.05)
     assert np.var([o * 0.1 for o in obs]) == pytest.approx(4.0, rel=0.05)
 
@@ -260,6 +356,18 @@ def test_run_traces_enabled():
         assert delta > 0
         assert var >= 0.0
         assert math.isfinite(r_hat)
+
+
+def test_trace_rows_format_each_tick_once(monkeypatch):
+    # the trace rows take their price strings from a per-run cache
+    formatted = []
+    fmt = PriceGrid.format
+    monkeypatch.setattr(PriceGrid, "format",
+                        lambda grid, ticks: formatted.append(ticks) or fmt(grid, ticks))
+    result = run(make_config(output=OutputOptions(trace_estimator=True,
+                                                  trace_decisions=True)))
+    assert len(formatted) == len(set(formatted))
+    assert len(formatted) < len(result.estimator_trace)
 
 
 def test_wake_call_structure(monkeypatch):
