@@ -15,15 +15,13 @@ import argparse
 import configparser
 import math
 import os
-import shutil
 import sys
 
 from . import __version__
 from .agents import HblParams, ZiParams
-from .estimator import EstimatorParams
-from .fundamental import DmrParams, MegashockParams, OuParams, dump_series
+from .fundamental import DmrParams, FileFundamental, FileParams, MegashockParams, OuParams
 from .kernel import OutputOptions, SimConfig, SimResult, run
-from .prices import TickStrings
+from .prices import PriceGrid, TickStrings
 
 
 class ConfigError(Exception):
@@ -51,7 +49,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "grid_mode": "observed",
     },
     "output": {
-        "dump_fundamental": "false",
         "trace_estimator": "false",
         "trace_decisions": "false",
     },
@@ -148,12 +145,9 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
                           lambda v: math.isfinite(v) and v > 0, "tick_size > 0 and finite")
     seed = _as_int(resolved, "market", "seed")
 
-    fundamental_params = None
-    fundamental_file = None
-    file_estimator = None
     try:
         if variant == "dmr":
-            fundamental_params = DmrParams(
+            fundamental = DmrParams(
                 r_bar=_as_float(resolved, "fundamental", "r_bar",
                                 lambda v: v >= 0, "r_bar >= 0"),
                 kappa=_as_float(resolved, "fundamental", "kappa",
@@ -171,7 +165,7 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
                 q0=_as_float(resolved, "fundamental", "q0"),
             )
             if variant == "megashock":
-                fundamental_params = MegashockParams(
+                fundamental = MegashockParams(
                     ou=ou,
                     arrival_rate=_as_float(resolved, "fundamental", "shock_arrival_rate",
                                            lambda v: v > 0, "shock_arrival_rate > 0"),
@@ -181,20 +175,20 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
                                         lambda v: v > 0, "shock_var > 0"),
                 )
             else:
-                fundamental_params = ou
+                fundamental = ou
         else:
-            fundamental_file = resolved["fundamental"]["path"]
-            if not fundamental_file:
+            path = resolved["fundamental"]["path"]
+            if not path:
                 raise ConfigError("fundamental.path: required for the file variant")
-            file_estimator = EstimatorParams(
+            fundamental = FileParams(
+                path=path,
                 r_bar=_as_float(resolved, "fundamental", "est_r_bar"),
                 kappa=_as_float(resolved, "fundamental", "est_kappa",
                                 lambda v: 0 <= v <= 1, "est_kappa in [0,1]"),
                 sigma_s_sq=_as_float(resolved, "fundamental", "est_sigma_s_sq",
                                      lambda v: v >= 0, "est_sigma_s_sq >= 0"),
-                sigma_n_sq=0.0,  # per-agent noise comes from the agents section
-                horizon_T=horizon,
             )
+            _check_series(path, PriceGrid(tick_size))
 
         zi = ZiParams(
             r_min=_as_float(resolved, "agents", "r_min", lambda v: v >= 0, "r_min >= 0"),
@@ -220,8 +214,7 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
             )
         return SimConfig(
             horizon_T=horizon,
-            fundamental_variant=variant,
-            fundamental_params=fundamental_params,
+            fundamental=fundamental,
             n_zi=_as_int(resolved, "agents", "zi_count", lambda v: v >= 0, "zi_count >= 0"),
             n_hbl=n_hbl,
             zi_params=zi,
@@ -230,12 +223,9 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
                                    lambda v: v > 0, "arrival_rate > 0"),
             master_seed=seed,
             tick_size=tick_size,
-            fundamental_file=fundamental_file,
-            file_estimator=file_estimator,
             output=OutputOptions(
                 trace_estimator=_as_bool(resolved, "output", "trace_estimator"),
                 trace_decisions=_as_bool(resolved, "output", "trace_decisions"),
-                dump_fundamental=_as_bool(resolved, "output", "dump_fundamental"),
             ),
         )
     except ConfigError:
@@ -244,44 +234,57 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_series(path: str, grid: PriceGrid) -> None:
+    """Load the file variant's series, so that a bad file fails before any
+    run starts; the series must start at timestamp 0."""
+    try:
+        first = FileFundamental.from_path(path, grid).series[0][0]
+    except (ValueError, OverflowError) as exc:  # OverflowError: an infinite number
+        raise ConfigError(f"fundamental.path: {exc}") from None
+    if first != 0:
+        raise ConfigError(f"fundamental.path: the series starts at timestamp {first}, "
+                          f"not 0")
+
+
 def emit_outputs(result: SimResult, resolved: dict[str, dict[str, str]], outdir: str) -> None:
-    """Write every output file; the CSV rows are streamed, never joined in memory."""
+    """Write every output file.  Each distinct tick is formatted once per run,
+    and the CSV rows are streamed, never joined in memory."""
     os.makedirs(outdir, exist_ok=True)
     prices = TickStrings(result.grid)
 
     def path(name: str) -> str:
         return os.path.join(outdir, name)
 
-    with open(path("events.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time,kind,order_id,agent_id,side,price,qty,counterparty\n")
-        fh.writelines(
-            f"{time},{kind._value_},{order_id},{agent_id},{side._value_},{prices[price]},"
-            f"{qty},{'' if cp is None else cp}\n"
-            for kind, time, order_id, agent_id, side, price, qty, cp in result.events)
+    def write_csv(name: str, header: str, lines) -> None:
+        with open(path(name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            fh.writelines(lines)
 
-    with open(path("trades.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("time,price,qty,buy_order,sell_order\n")
-        fh.writelines(f"{time},{prices[price]},{qty},{buy_order},{sell_order}\n"
-                      for time, price, qty, buy_order, sell_order, _, _ in result.trades)
-
-    dump_series(result.fundamental_trace, path("fundamental.csv"), prices)
-    if _BOOL[resolved["output"]["dump_fundamental"].lower()]:
-        shutil.copyfile(path("fundamental.csv"), path("fundamental_dump.csv"))
-
-    with open(path("agents.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("agent_id,strategy,cash,q_held,payoff\n")
-        fh.writelines(f"{a.agent_id},{a.strategy},{a.cash!r},{a.q_held},{a.payoff!r}\n"
-                      for a in result.agents)
-
-    for name, header, rows in (
-            ("estimator_trace.csv", "time,agent_id,delta,observation,r_tilde,sigma_tilde_sq,r_hat",
-             result.estimator_trace),
-            ("decisions.csv", "time,agent_id,strategy,action,side,limit_price",
-             result.decision_trace)):
-        if rows:
-            with open(path(name), "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(header + "\n")
-                fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+    write_csv("events.csv", "time,kind,order_id,agent_id,side,price,qty,counterparty", (
+        f"{time},{kind._value_},{order_id},{agent_id},{side._value_},{prices[price]},"
+        f"{qty},{'' if cp is None else cp}\n"
+        for kind, time, order_id, agent_id, side, price, qty, cp in result.events))
+    write_csv("trades.csv", "time,price,qty,buy_order,sell_order", (
+        f"{time},{prices[price]},{qty},{buy_order},{sell_order}\n"
+        for time, price, qty, buy_order, sell_order, _, _ in result.trades))
+    # the format the file variant loads
+    write_csv("fundamental.csv", "timestamp,value", (
+        f"{t},{prices[ticks]}\n" for t, ticks in result.fundamental_trace))
+    write_csv("agents.csv", "agent_id,strategy,cash,q_held,payoff", (
+        f"{a.agent_id},{a.strategy},{a.cash!r},{a.q_held},{a.payoff!r}\n"
+        for a in result.agents))
+    if result.estimator_trace:
+        write_csv("estimator_trace.csv",
+                  "time,agent_id,delta,observation,r_tilde,sigma_tilde_sq,r_hat", (
+                      f"{t},{agent_id},{delta},{prices[o]},{r_tilde},{var},{r_hat}\n"
+                      for t, agent_id, delta, o, r_tilde, var, r_hat
+                      in result.estimator_trace))
+    if result.decision_trace:
+        write_csv("decisions.csv", "time,agent_id,strategy,action,side,limit_price", (
+            f"{t},{agent_id},{strategy},{kind._value_},"
+            f"{'' if side is None else side._value_},"
+            f"{'' if limit is None else prices[limit]}\n"
+            for t, agent_id, strategy, kind, side, limit in result.decision_trace))
 
     with open(path("manifest.ini"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("[meta]\n")
@@ -335,8 +338,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="write per-wake belief rows to estimator_trace.csv")
     parser.add_argument("--trace-decisions", action="store_true",
                         help="write per-wake decision rows to decisions.csv")
-    parser.add_argument("--fundamental-dump", action="store_true",
-                        help="also write the fundamental series in loadable form")
     args = parser.parse_args(argv)
 
     try:
@@ -351,8 +352,6 @@ def main(argv: list[str] | None = None) -> int:
             resolved["output"]["trace_estimator"] = "true"
         if args.trace_decisions:
             resolved["output"]["trace_decisions"] = "true"
-        if args.fundamental_dump:
-            resolved["output"]["dump_fundamental"] = "true"
         build_config(resolved)  # fail fast before any run starts
         if args.jobs is not None and args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")

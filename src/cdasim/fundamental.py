@@ -21,7 +21,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .prices import PriceGrid, TickStrings
+from .prices import PriceGrid
 from .rng import child_stream
 
 FUNDAMENTAL_STREAM = "fundamental"
@@ -84,6 +84,26 @@ class MegashockParams:
             )
 
 
+@dataclass(frozen=True)
+class FileParams:
+    """A series replayed from the CSV at ``path``, and the discrete mean
+    reverting model the agents' estimator assumes for it: the file says
+    nothing about the process that generated it."""
+
+    path: str
+    r_bar: float
+    kappa: float
+    sigma_s_sq: float
+
+    def __post_init__(self) -> None:
+        if not self.path:
+            raise ValueError("path must name the series file")
+        if not 0.0 <= self.kappa <= 1.0:
+            raise ValueError("kappa must lie in [0, 1]")
+        if self.sigma_s_sq < 0.0:
+            raise ValueError("sigma_s_sq must be >= 0")
+
+
 def dmr_step(prev: int, params: DmrParams, noise_draw: float, grid: PriceGrid) -> int:
     """One reversion step from tick price ``prev``; floored at zero."""
     nxt = params.kappa * params.r_bar + (1.0 - params.kappa) * grid.to_value(prev)
@@ -99,18 +119,6 @@ def ou_mean_var(q_prev: float, elapsed: float, params: OuParams) -> tuple[float,
     mean = params.mu + (q_prev - params.mu) * decay
     var = params.sigma_sq / (2.0 * params.gamma) * (1.0 - decay * decay)
     return mean, var
-
-
-def ou_sample(
-    q_prev: float,
-    elapsed: float,
-    params: OuParams,
-    std_normal_draw: float,
-    grid: PriceGrid,
-) -> int:
-    """Skip-ahead sample of the OU value, rounded to tick and floored at zero."""
-    mean, var = ou_mean_var(q_prev, elapsed, params)
-    return max(0, grid.to_ticks(mean + math.sqrt(var) * std_normal_draw))
 
 
 @dataclass
@@ -130,8 +138,6 @@ class DmrFundamental:
     seed: int
     horizon_T: int
     r0_override: float | None = None
-
-    variant = "dmr"
 
     def __post_init__(self) -> None:
         r0 = self.params.r_bar if self.r0_override is None else self.r0_override
@@ -168,8 +174,6 @@ class OuFundamental:
     grid: PriceGrid
     seed: int
     horizon_T: int
-
-    variant = "ou"
 
     def __post_init__(self) -> None:
         self._rng = child_stream(self.seed, FUNDAMENTAL_STREAM)
@@ -208,8 +212,6 @@ class MegashockFundamental:
     grid: PriceGrid
     seed: int
     horizon_T: int
-
-    variant = "megashock"
 
     def __post_init__(self) -> None:
         self._rng = child_stream(self.seed, FUNDAMENTAL_STREAM)
@@ -268,8 +270,6 @@ class FileFundamental:
     grid: PriceGrid
     _trace: list[tuple[int, int]] = field(default_factory=list)
 
-    variant = "file"
-
     @classmethod
     def from_text(cls, text: str, grid: PriceGrid) -> "FileFundamental":
         series: list[tuple[int, int]] = []
@@ -316,10 +316,3 @@ def _is_number(token: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-def dump_series(series, path: str, prices: TickStrings) -> None:
-    """Write (t, ticks) pairs, e.g. ``evaluations()``, in the two-column format we load."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("timestamp,value\n")
-        fh.writelines(f"{t},{prices[ticks]}\n" for t, ticks in series)

@@ -27,6 +27,7 @@ from .fundamental import (
     DmrFundamental,
     DmrParams,
     FileFundamental,
+    FileParams,
     MegashockFundamental,
     MegashockParams,
     OuFundamental,
@@ -34,7 +35,7 @@ from .fundamental import (
 )
 from .orderbook import Order, OrderBook, Side
 from .preferences import PrivateValues
-from .prices import PriceGrid, TickStrings
+from .prices import PriceGrid
 from .rng import child_stream
 
 ZI = "ZI"
@@ -45,14 +46,17 @@ HBL = "HBL"
 class OutputOptions:
     trace_estimator: bool = False
     trace_decisions: bool = False
-    dump_fundamental: bool = False
+
+
+# The generated source of each params type; FileParams replays a file instead.
+_GENERATED = {DmrParams: DmrFundamental, OuParams: OuFundamental,
+              MegashockParams: MegashockFundamental}
 
 
 @dataclass(frozen=True)
 class SimConfig:
     horizon_T: int
-    fundamental_variant: str  # dmr | ou | megashock | file
-    fundamental_params: object  # DmrParams | OuParams | MegashockParams | None
+    fundamental: DmrParams | OuParams | MegashockParams | FileParams
     n_zi: int
     n_hbl: int
     zi_params: strategies.ZiParams
@@ -60,8 +64,6 @@ class SimConfig:
     arrival_rate: float
     master_seed: int
     tick_size: float = 0.1
-    fundamental_file: str | None = None
-    file_estimator: est.EstimatorParams | None = None
     output: OutputOptions = field(default_factory=OutputOptions)
 
     def __post_init__(self) -> None:
@@ -73,13 +75,8 @@ class SimConfig:
             raise ValueError("arrival_rate must be > 0")
         if self.n_hbl > 0 and self.hbl_params is None:
             raise ValueError("hbl_params required when n_hbl > 0")
-        if self.fundamental_variant not in ("dmr", "ou", "megashock", "file"):
-            raise ValueError(f"unknown fundamental variant {self.fundamental_variant!r}")
-        if self.fundamental_variant == "file":
-            if self.fundamental_file is None:
-                raise ValueError("file variant requires fundamental_file")
-            if self.file_estimator is None:
-                raise ValueError("file variant requires estimator parameters")
+        if type(self.fundamental) not in (*_GENERATED, FileParams):
+            raise ValueError(f"unknown fundamental params {self.fundamental!r}")
 
 
 @dataclass
@@ -114,7 +111,9 @@ class SimResult:
     invariants_ok: bool
     invariant_summary: dict
     private_values: dict[int, tuple[float, ...]]
+    # (t, agent_id, delta, observation ticks, r_tilde, sigma_tilde_sq, r_hat)
     estimator_trace: list[tuple] = field(default_factory=list)
+    # (t, agent_id, strategy, ActionKind, Side or None, limit ticks or None)
     decision_trace: list[tuple] = field(default_factory=list)
 
 
@@ -172,42 +171,30 @@ def mark_observation(r_ticks: int, noise_sd: float, rng: np.random.Generator,
 
 
 def build_fundamental(config: SimConfig, grid: PriceGrid):
-    variant = config.fundamental_variant
-    if variant == "dmr":
-        return DmrFundamental(config.fundamental_params, grid, config.master_seed,
-                              config.horizon_T)
-    if variant == "ou":
-        return OuFundamental(config.fundamental_params, grid, config.master_seed,
-                             config.horizon_T)
-    if variant == "megashock":
-        return MegashockFundamental(config.fundamental_params, grid, config.master_seed,
-                                    config.horizon_T)
-    return FileFundamental.from_path(config.fundamental_file, grid)
+    params = config.fundamental
+    if type(params) is FileParams:
+        return FileFundamental.from_path(params.path, grid)
+    return _GENERATED[type(params)](params, grid, config.master_seed, config.horizon_T)
 
 
 def estimator_params(config: SimConfig) -> est.EstimatorParams:
     """Agent-side model of the fundamental process.
 
-    The discrete parameters are used as-is.  The continuous variants map to
-    the discrete model with kappa = 1 - exp(-gamma) and the matching
-    one-step transition variance, which makes the unit-step means and
-    variances of the two processes coincide.
+    The discrete parameters (``DmrParams``, or the model given with a
+    ``FileParams``) are used as-is.  The continuous variants map to the
+    discrete model with kappa = 1 - exp(-gamma) and the matching one-step
+    transition variance, which makes the unit-step means and variances of
+    the two processes coincide; a megashock series uses its base OU.
     """
-    variant = config.fundamental_variant
+    p = config.fundamental
     sigma_n_sq = config.zi_params.sigma_n_sq
-    if variant == "dmr":
-        p: DmrParams = config.fundamental_params
-        return est.EstimatorParams(p.r_bar, p.kappa, p.sigma_s_sq, sigma_n_sq,
-                                   config.horizon_T)
-    if variant in ("ou", "megashock"):
-        ou: OuParams = (config.fundamental_params.ou if variant == "megashock"
-                        else config.fundamental_params)
-        kappa = 1.0 - math.exp(-ou.gamma)
-        sigma_s_sq = ou.sigma_sq / (2.0 * ou.gamma) * (1.0 - math.exp(-2.0 * ou.gamma))
-        return est.EstimatorParams(ou.mu, kappa, sigma_s_sq, sigma_n_sq, config.horizon_T)
-    base = config.file_estimator
-    return est.EstimatorParams(base.r_bar, base.kappa, base.sigma_s_sq, sigma_n_sq,
-                               config.horizon_T)
+    if type(p) is MegashockParams:
+        p = p.ou
+    if type(p) is OuParams:
+        kappa = 1.0 - math.exp(-p.gamma)
+        sigma_s_sq = p.sigma_sq / (2.0 * p.gamma) * (1.0 - math.exp(-2.0 * p.gamma))
+        return est.EstimatorParams(p.mu, kappa, sigma_s_sq, sigma_n_sq, config.horizon_T)
+    return est.EstimatorParams(p.r_bar, p.kappa, p.sigma_s_sq, sigma_n_sq, config.horizon_T)
 
 
 def run(config: SimConfig) -> SimResult:
@@ -269,7 +256,6 @@ def run(config: SimConfig) -> SimResult:
     place_limit, cancel = book.place_limit, book.cancel
     zi_decide = strategies.zi_decide
     to_value = grid.to_value
-    prices = TickStrings(grid)  # the trace rows' price strings
     skip = strategies.ActionKind.SKIP
 
     for t, agent_id in zip(wake_times.tolist(), wake_ids.tolist()):
@@ -282,7 +268,7 @@ def run(config: SimConfig) -> SimResult:
         record.belief = belief
         r_hat = project_final(belief, ep)
         if trace_estimator:
-            estimator_trace.append((t, agent_id, t - prior.last_wake, prices[o_ticks],
+            estimator_trace.append((t, agent_id, t - prior.last_wake, o_ticks,
                                     belief.r_tilde, belief.sigma_tilde_sq, r_hat))
 
         if record.last_order_id is not None:
@@ -297,10 +283,8 @@ def run(config: SimConfig) -> SimResult:
             action = _hbl_decide(record, r_hat, best_bid, best_ask, book, history,
                                  hbl_params, grid, t)
         if trace_decisions:
-            decision_trace.append((t, agent_id, record.strategy, action.kind.value,
-                                   action.side.value if action.side else "",
-                                   prices[action.limit_price]
-                                   if action.limit_price is not None else ""))
+            decision_trace.append((t, agent_id, record.strategy, action.kind,
+                                   action.side, action.limit_price))
         if action.kind is skip:
             continue
 

@@ -21,10 +21,6 @@ class Side(enum.Enum):
     BID = "BID"
     ASK = "ASK"
 
-    @property
-    def opposite(self) -> "Side":
-        return Side.ASK if self is Side.BID else Side.BID
-
 
 class EventKind(enum.Enum):
     PLACED = "PLACED"

@@ -25,7 +25,7 @@ from cdasim.agents import (
     zi_decide,
 )
 from cdasim.cli import parse_config, run_one
-from cdasim.fundamental import OuParams, ou_mean_var, ou_sample
+from cdasim.fundamental import OuParams, ou_mean_var
 from cdasim.kernel import SimConfig, run
 from cdasim.fundamental import DmrParams
 from cdasim.orderbook import Order, OrderBook, Side, replay
@@ -35,6 +35,7 @@ from cdasim.prices import PriceGrid
 from hbl_oracle import hbl_belief, hbl_classify
 from test_agents import HBL, PV, ZI, belief_oracle, build_script_book, random_memory
 from test_estimator import ScalarKalman
+from test_fundamental import ou_sample
 from conftest import FixedRng
 
 
@@ -346,8 +347,7 @@ def test_criterion_9_hbl_fallback_equivalence():
     with criterion(9, "uninformed HBL trades exactly like ZI"):
         base = dict(
             horizon_T=5000,
-            fundamental_variant="dmr",
-            fundamental_params=DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0),
+            fundamental=DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0),
             zi_params=ZI,
             arrival_rate=0.02,
             master_seed=23,

@@ -489,7 +489,7 @@ def test_belief_mirror_symmetry(rng):
     for _ in range(200):
         memory = random_memory(rng)
         mirrored = RecordMemory(
-            tuple(MemoryOrder(r.side.opposite, 2000 - r.price, r.success, r.failure)
+            tuple(MemoryOrder(Side.ASK if r.side is Side.BID else Side.BID, 2000 - r.price, r.success, r.failure)
                   for r in memory.records),
             transaction_count=memory.transaction_count,
         )

@@ -1,10 +1,16 @@
+import io
+import itertools
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
+from contextlib import redirect_stderr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdasim.cli import (
     ConfigError,
@@ -175,19 +181,22 @@ def test_different_seeds_differ(tmp_path):
 
 
 def test_fundamental_dump_is_loadable(tmp_path):
-    resolved = parse_config(SMALL + "\n[output]\ndump_fundamental = true\n")
+    # fundamental.csv is the file variant's input format
+    resolved = parse_config(SMALL)
     run_one(resolved, str(tmp_path / "run"))
-    dump = tmp_path / "run" / "fundamental_dump.csv"
+    dump = tmp_path / "run" / "fundamental.csv"
     reloaded = FileFundamental.from_path(str(dump), PriceGrid(0.1))
-    assert reloaded.value_at(600) >= 0
+    assert reloaded.series == run(build_config(resolved)).fundamental_trace
+    assert reloaded.series[0][0] == 0 and reloaded.series[-1][0] == 600
 
 
-def test_fundamental_dump_matches_fundamental_csv(tmp_path):
-    resolved = parse_config(SMALL + "\n[output]\ndump_fundamental = true\n")
-    run_one(resolved, str(tmp_path / "run"))
-    dump = (tmp_path / "run" / "fundamental_dump.csv").read_bytes()
-    assert dump == (tmp_path / "run" / "fundamental.csv").read_bytes()
-    assert dump.count(b"\n") > 2
+def test_removed_fundamental_dump_key_and_flag(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="unknown key output.dump_fundamental"):
+        parse_config("[output]\ndump_fundamental = false\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "out"), "--fundamental-dump"])
+    assert exc.value.code == 2
+    assert "--fundamental-dump" in capsys.readouterr().err
 
 
 def test_emit_streams_rows(tmp_path):
@@ -272,14 +281,34 @@ def test_main_missing_config_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("sweep", [[], ["--sweep-seeds", "1..2", "--jobs", "1"]],
+                         ids=["single", "sweep"])
+@pytest.mark.parametrize("series, message", [
+    ("timestamp,value\n0,100.0\n5,abc\n", "malformed fundamental file at line 3"),
+    ("timestamp,value\n5,100.0\n9,101.0\n", "starts at timestamp 5, not 0"),
+    ("", "contains no data rows"),
+], ids=["malformed-row", "late-start", "empty"])
+def test_main_bad_fundamental_file_exit_code(series, message, sweep, tmp_path, capsys):
+    series_path = tmp_path / "series.csv"
+    series_path.write_text(series)
+    config = tmp_path / "c.ini"
+    config.write_text(f"[fundamental]\nvariant = file\npath = {series_path}\n" + SMALL)
+    code = main(["--config", str(config), "--out", str(tmp_path / "out"), *sweep])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: fundamental.path: ")
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # no run started
+
+
 def test_main_trace_flags(tmp_path):
     config = tmp_path / "c.ini"
     config.write_text(SMALL)
     code = main(["--config", str(config), "--out", str(tmp_path / "out"),
-                 "--trace-estimator", "--fundamental-dump"])
+                 "--trace-estimator"])
     assert code == 0
     assert (tmp_path / "out" / "estimator_trace.csv").exists()
-    assert (tmp_path / "out" / "fundamental_dump.csv").exists()
+    assert not (tmp_path / "out" / "decisions.csv").exists()
 
 
 def test_main_sweep(tmp_path):
@@ -342,3 +371,96 @@ def test_sample_config_smoke():
         assert code == 0
         assert os.path.exists(os.path.join(tmp, "trades.csv"))
     assert time.monotonic() - start < 10.0
+
+
+# ---------------------------------------------------------------------------
+# generated configs
+# ---------------------------------------------------------------------------
+
+# Edge values for each variant's keys: zero variances, kappa at both ends.
+VARIANT_VALUES = {
+    "dmr": {"kappa": ("0.0", "0.05", "1.0"), "sigma_s_sq": ("0.0", "1.0")},
+    "ou": {"gamma": ("0.05", "1.0"), "sigma_sq": ("0.0", "1.0")},
+    "megashock": {"sigma_sq": ("0.0", "1.0"), "shock_arrival_rate": ("0.001", "0.05")},
+    "file": {"est_kappa": ("0.0", "0.05", "1.0"), "est_sigma_s_sq": ("0.0", "1.0")},
+}
+
+# Ways to spoil a series file, each of which the file variant must reject.
+SERIES_FAULTS = (None, "late", "text", "one-column", "repeat", "fraction", "inf", "empty")
+
+
+@st.composite
+def series_files(draw):
+    """The text of a step series from timestamp 0, sometimes malformed."""
+    times = [0, *itertools.accumulate(draw(st.lists(st.integers(1, 80), max_size=6)))]
+    values = [f"{v / 100}" for v in draw(st.lists(st.integers(0, 20_000),
+                                                   min_size=len(times),
+                                                   max_size=len(times)))]
+    fault = draw(st.sampled_from(SERIES_FAULTS))
+    if fault == "late":
+        times = [t + 5 for t in times]
+    rows = [f"{t},{v}" for t, v in zip(times, values)]
+    end = times[-1]
+    spoiled = {"text": f"{end + 1},abc", "one-column": f"{end + 1}",
+               "repeat": rows[-1], "fraction": f"{end}.5,100.0", "inf": f"{end + 1},inf"}
+    if fault in spoiled:
+        rows.insert(draw(st.integers(1, len(rows))), spoiled[fault])
+    if fault == "empty":
+        rows = []
+    header = draw(st.sampled_from(["", "timestamp,value\n"]))
+    return header + "".join(row + "\n" for row in rows)
+
+
+@st.composite
+def generated_configs(draw):
+    """INI sections of a small run at edge parameters, and a series file's text."""
+    variant = draw(st.sampled_from(sorted(VARIANT_VALUES)))
+    fundamental = {"variant": variant}
+    fundamental.update({key: draw(st.sampled_from(values))
+                        for key, values in VARIANT_VALUES[variant].items()})
+    pick = lambda *values: draw(st.sampled_from(values))  # noqa: E731
+    sections = {
+        "fundamental": fundamental,
+        "market": {"horizon": str(draw(st.integers(1, 300))),
+                   "tick_size": pick("0.01", "1"),
+                   "seed": str(draw(st.integers(0, 2**31)))},
+        "agents": {"zi_count": str(draw(st.integers(0, 5))),
+                   "hbl_count": str(draw(st.integers(0, 4))),
+                   "arrival_rate": pick("0.02", "0.1", "0.5"),
+                   "eta": pick("0.0", "0.5", "1.0"),
+                   "q_max": pick("1", "3"),
+                   "sigma_n_sq": pick("0.0", "10.0"),
+                   "sigma_pv_sq": pick("0.0", "25.0"),
+                   "memory_length": str(draw(st.integers(1, 4))),
+                   "grace_period": str(draw(st.integers(1, 50))),
+                   "success_mode": pick("binary", "fractional"),
+                   "grid_mode": pick("observed", "spline")},
+        "output": {"trace_estimator": pick("false", "true"),
+                   "trace_decisions": pick("false", "true")},
+    }
+    return sections, draw(series_files()) if variant == "file" else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(generated_configs())
+def test_main_exits_cleanly_on_generated_configs(case):
+    # every config the parser accepts either runs or fails with a one-line
+    # error; nothing raises
+    sections, series = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if series is not None:
+            sections["fundamental"]["path"] = os.path.join(tmp, "series.csv")
+            with open(sections["fundamental"]["path"], "w", encoding="utf-8") as fh:
+                fh.write(series)
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                       for name, keys in sections.items())
+        parse_config(text)  # accepted
+        config = os.path.join(tmp, "config.ini")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(["--config", config, "--out", os.path.join(tmp, "out")])
+    message = err.getvalue()
+    assert code == 0 or (code == 1 and message.startswith(("config error:", "i/o error:"))), \
+        (code, message, text, series)

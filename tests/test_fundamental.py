@@ -15,13 +15,19 @@ from cdasim.fundamental import (
     OuFundamental,
     OuParams,
     dmr_step,
-    dump_series,
     file_value_at,
     ou_mean_var,
-    ou_sample,
 )
-from cdasim.prices import PriceGrid, TickStrings
+from cdasim.cli import parse_config, run_one
+from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
+
+
+def ou_sample(q_prev, elapsed, params, std_normal_draw, grid):
+    """Skip-ahead sample of the OU value, rounded to tick and floored at zero:
+    the exact conditional distribution that ``OuFundamental`` draws from."""
+    mean, var = ou_mean_var(q_prev, elapsed, params)
+    return max(0, grid.to_ticks(mean + math.sqrt(var) * std_normal_draw))
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +403,12 @@ def test_file_value_at_empty_series():
 
 
 def test_dump_and_reload_round_trip(tmp_path, grid_01):
+    # the fundamental.csv a run writes replays the series it was made from
     params = DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0)
     fund = DmrFundamental(params, grid_01, seed=4, horizon_T=40)
     original = [fund.value_at(t) for t in range(41)]
-    path = tmp_path / "fund.csv"
-    dump_series(fund.evaluations(), str(path), TickStrings(grid_01))
-    reloaded = FileFundamental.from_path(str(path), grid_01)
+    run_one(parse_config("[fundamental]\nr_bar = 100.0\nkappa = 0.05\nsigma_s_sq = 1.0\n"
+                         "[market]\nhorizon = 40\ntick_size = 0.1\nseed = 4\n"),
+            str(tmp_path))
+    reloaded = FileFundamental.from_path(str(tmp_path / "fundamental.csv"), grid_01)
     assert [reloaded.value_at(t) for t in range(41)] == original

@@ -9,9 +9,7 @@ across wakes, or, for the unit-tick run, before the output CSVs were
 streamed from a tick-string cache. Together the configs cover every
 fundamental variant, both HBL success modes, both candidate grids, a cent
 tick, a unit tick (whose prices have no decimal point) and a ZI-only
-population. A config may digest extra files, such as the unit-tick run's
-``fundamental_dump.csv``. A digest may change only with a stated
-behaviour change.
+population. A digest may change only with a stated behaviour change.
 """
 
 from __future__ import annotations
@@ -187,8 +185,6 @@ hbl_count = 6
 arrival_rate = 0.02
 r_max = 2.0
 sigma_pv_sq = 9.0
-[output]
-dump_fundamental = true
 """,
 }
 
@@ -336,8 +332,6 @@ DIGESTS: dict[str, dict[str, str]] = {
             "18447d5016059e4bfb7bf6450b05abe90dca2bc7e9e6a14fadd3f09fc15b6a36",
         "estimator_trace.csv":
             "3a9245a2e8c01a9e4b9fd3a7746b9d1beee9bc805fa807f7bfcddde3a7b6061e",
-        "fundamental_dump.csv":
-            "f68522051a6978c25eebe23e08e3a4e520357e0fe75f130e103ac4a9f50bcfb7",
     },
     "ou-binary-spline": {
         "events.csv":

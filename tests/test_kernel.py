@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 import re
 
 import numpy as np
@@ -13,6 +15,7 @@ from cdasim.cli import parse_config, run_one
 from cdasim.fundamental import (
     DmrFundamental,
     DmrParams,
+    FileParams,
     MegashockParams,
     OuParams,
     ou_mean_var,
@@ -41,8 +44,7 @@ HBL_PARAMS = HblParams(zi=ZI_PARAMS, memory_length=4, grace_period=100)
 def make_config(**overrides):
     base = dict(
         horizon_T=2000,
-        fundamental_variant="dmr",
-        fundamental_params=DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0),
+        fundamental=DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0),
         n_zi=10,
         n_hbl=3,
         zi_params=ZI_PARAMS,
@@ -214,7 +216,7 @@ def test_estimator_params_dmr_passthrough():
 
 def test_estimator_params_ou_matches_unit_step_moments():
     ou = OuParams(mu=100.0, gamma=0.2, sigma_sq=3.0, q0=90.0)
-    config = make_config(fundamental_variant="ou", fundamental_params=ou)
+    config = make_config(fundamental=ou)
     ep = estimator_params(config)
     assert ep.kappa == pytest.approx(1.0 - math.exp(-0.2))
     # advancing the belief one step reproduces the OU conditional moments
@@ -228,21 +230,15 @@ def test_estimator_params_ou_matches_unit_step_moments():
 def test_estimator_params_megashock_uses_base_ou():
     ou = OuParams(mu=100.0, gamma=0.2, sigma_sq=3.0, q0=90.0)
     ms = MegashockParams(ou=ou, arrival_rate=0.001, shock_mean=40.0, shock_var=50.0)
-    a = estimator_params(make_config(fundamental_variant="megashock",
-                                     fundamental_params=ms))
-    b = estimator_params(make_config(fundamental_variant="ou", fundamental_params=ou))
+    a = estimator_params(make_config(fundamental=ms))
+    b = estimator_params(make_config(fundamental=ou))
     assert a == b
 
 
 def test_estimator_params_file_variant(tmp_path):
     path = tmp_path / "fund.csv"
     path.write_text("0,100.0\n10,101.0\n")
-    config = make_config(
-        fundamental_variant="file",
-        fundamental_params=None,
-        fundamental_file=str(path),
-        file_estimator=est.EstimatorParams(100.0, 0.05, 1.0, 0.0, 2000),
-    )
+    config = make_config(fundamental=FileParams(str(path), 100.0, 0.05, 1.0))
     ep = estimator_params(config)
     assert ep.kappa == 0.05
     assert ep.sigma_n_sq == ZI_PARAMS.sigma_n_sq  # agent noise overrides
@@ -358,16 +354,21 @@ def test_run_traces_enabled():
         assert math.isfinite(r_hat)
 
 
-def test_trace_rows_format_each_tick_once(monkeypatch):
-    # the trace rows take their price strings from a per-run cache
+def test_trace_rows_format_each_tick_once(monkeypatch, tmp_path):
+    # every CSV of a run, trace rows included, takes its price strings from
+    # one per-run cache
     formatted = []
     fmt = PriceGrid.format
     monkeypatch.setattr(PriceGrid, "format",
                         lambda grid, ticks: formatted.append(ticks) or fmt(grid, ticks))
-    result = run(make_config(output=OutputOptions(trace_estimator=True,
-                                                  trace_decisions=True)))
+    resolved = parse_config("[market]\nhorizon = 2000\nseed = 7\n"
+                            "[agents]\nzi_count = 10\nhbl_count = 3\nq_max = 5\n"
+                            "[output]\ntrace_estimator = true\ntrace_decisions = true\n")
+    assert run_one(resolved, str(tmp_path))
     assert len(formatted) == len(set(formatted))
-    assert len(formatted) < len(result.estimator_trace)
+    rows = (tmp_path / "estimator_trace.csv").read_text().count("\n") - 1
+    assert 0 < len(formatted) < rows
+    assert (tmp_path / "decisions.csv").exists()
 
 
 def test_wake_call_structure(monkeypatch):
@@ -437,11 +438,33 @@ def test_wake_call_structure(monkeypatch):
     assert len(cancels) == sum(e.kind is EventKind.CANCELLED for e in result.events)
 
 
+def load_bench_tracer():
+    """``bench/tracer.py`` as a module, loaded from its file without installing it."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_targets_resolve():
+    # The benchmark's tracer replaces each target in its holder's own
+    # __dict__, so a renamed, moved or inherited target breaks it; every
+    # target must resolve here the way the tracer resolves it.
+    targets = load_bench_tracer().TARGETS
+    assert targets
+    for name, module_name, owner, attr in targets:
+        holder = importlib.import_module(module_name)
+        if owner is not None:
+            holder = getattr(holder, owner)
+        assert callable(holder.__dict__.get(attr)), (name, module_name, owner, attr)
+
+
 def test_run_megashock_variant():
     ou = OuParams(mu=100.0, gamma=0.01, sigma_sq=0.5, q0=100.0)
     ms = MegashockParams(ou=ou, arrival_rate=0.002, shock_mean=40.0, shock_var=50.0)
-    result = run(make_config(fundamental_variant="megashock", fundamental_params=ms,
-                             horizon_T=3000))
+    result = run(make_config(fundamental=ms, horizon_T=3000))
     assert result.invariants_ok
 
 
@@ -449,12 +472,7 @@ def test_run_file_variant(tmp_path):
     path = tmp_path / "fund.csv"
     rows = ["timestamp,value"] + [f"{t},{100 + 0.01 * t:.2f}" for t in range(0, 2001, 50)]
     path.write_text("\n".join(rows) + "\n")
-    result = run(make_config(
-        fundamental_variant="file",
-        fundamental_params=None,
-        fundamental_file=str(path),
-        file_estimator=est.EstimatorParams(100.0, 0.05, 1.0, 0.0, 2000),
-    ))
+    result = run(make_config(fundamental=FileParams(str(path), 100.0, 0.05, 1.0)))
     assert result.invariants_ok
     assert result.final_fundamental == result.grid.to_ticks(120.0)
 
@@ -466,10 +484,12 @@ def test_config_validation():
         make_config(arrival_rate=0.0)
     with pytest.raises(ValueError, match="hbl_params"):
         make_config(hbl_params=None)
-    with pytest.raises(ValueError, match="variant"):
-        make_config(fundamental_variant="brownian")
-    with pytest.raises(ValueError, match="fundamental_file"):
-        make_config(fundamental_variant="file", fundamental_params=None)
+    with pytest.raises(ValueError, match="fundamental params"):
+        make_config(fundamental="brownian")
+    with pytest.raises(ValueError, match="fundamental params"):
+        make_config(fundamental=None)
+    with pytest.raises(ValueError, match="path"):
+        FileParams("", 100.0, 0.05, 1.0)
 
 
 def test_holdings_breach_is_reported(monkeypatch):
