@@ -10,9 +10,9 @@ function fit to the recently observed order stream, falling back to ZI
 while it has not yet observed enough transactions.
 
 The HBL memory is one per-tick type, ``TickMemory``, in both success
-modes.  ``OrderHistory`` keeps it as running per-tick counts in binary
-mode; in fractional mode it keeps the window sorted across queries, to
-keep one float addition order, and lays the sums on the same ticks.
+modes.  ``OrderHistory`` keeps it as running int64 counts in binary mode;
+in fractional mode it keeps the window sorted across queries, to keep one
+float addition order, and lays the sums on the same ticks.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ class TickMemory:
     direction in which ``belief_array`` reads it: successful bids and
     failed asks at or below a tick, failed bids and successful asks at or
     above it.  Every order lies inside the span, so a query outside it
-    reads an empty or a full sum.
+    reads an empty or a full sum.  Binary weights are int64 counts, so a
+    binary belief is one division of two exact integers.
     """
 
     def __init__(self, lo: int, counts: np.ndarray, weights: np.ndarray,
@@ -151,7 +152,7 @@ class TickMemory:
     @property
     def prices(self) -> np.ndarray:
         """The occupied ticks, ascending, as an int64 array."""
-        return np.flatnonzero(self._counts.sum(axis=0)) + self._lo
+        return (self._counts[0] + self._counts[1]).nonzero()[0] + self._lo
 
     def belief_array(self, prices, side: Side) -> np.ndarray:
         """Heuristic probability that a limit order at each of ``prices``
@@ -163,23 +164,23 @@ class TickMemory:
         """
         k = np.asarray(prices, dtype=np.int64) - self._lo
         span = self._counts.shape[1]
-        at_or_below = np.clip(k + 1, 0, span)
-        at_or_above = np.clip(k, 0, span)
-        favorable = np.zeros(span + 1)
+        at_or_below = np.minimum(np.maximum(k + 1, 0), span)
+        at_or_above = np.minimum(np.maximum(k, 0), span)
+        favorable = np.zeros(span + 1, dtype=np.int64)
         if side is Side.BID:
-            np.cumsum(self._counts[1], out=favorable[1:])
+            np.add.accumulate(self._counts[1], out=favorable[1:])
             favorable = favorable[at_or_below]
-            succ = self._weights[0, at_or_below]
-            fail = self._weights[2, at_or_above]
+            succ = self._weights[0][at_or_below]
+            fail = self._weights[2][at_or_above]
         else:
-            np.cumsum(self._counts[0, ::-1], out=favorable[-2::-1])
+            np.add.accumulate(self._counts[0, ::-1], out=favorable[-2::-1])
             favorable = favorable[at_or_above]
-            succ = self._weights[3, at_or_above]
-            fail = self._weights[1, at_or_below]
+            succ = self._weights[3][at_or_above]
+            fail = self._weights[1][at_or_below]
         numerator = favorable + succ
         denominator = numerator + fail
         return np.divide(numerator, denominator,
-                         out=np.zeros_like(numerator), where=denominator > 0.0)
+                         out=np.zeros(numerator.shape), where=denominator > 0)
 
 
 class OrderHistory:
@@ -193,14 +194,14 @@ class OrderHistory:
     ``HblParams`` and its queries never go back in time.  An order's
     weights are fixed when it first fills or is cancelled.
 
-    In binary mode the ledger keeps per-tick counts of the successful and
-    failed bids and asks placed at or after the current window start, so a
-    query costs a few cumulative sums over the tick span instead of a sort
-    of the window:
+    In binary mode the ledger keeps int64 per-tick counts of the classified
+    orders placed at or after the current window start, in the row order
+    of ``TickMemory``'s weights, so a query is two cumulative sums of two
+    rows each instead of a sort of the window:
 
     - an execution or a cancellation moves one order between classes;
-    - a forward cursor fails the pending orders that outlive the grace
-      period (placement times never decrease, so no heap is needed);
+    - a forward cursor fails, one at a time, the pending orders that
+      outlive the grace period (placement times never decrease);
     - a moved window start re-counts only the orders it passes over.
 
     Fractional weights are floats whose sums depend on the order of
@@ -235,7 +236,7 @@ class OrderHistory:
         # binary ledger: counts of the classified orders [_start, _n)
         self._expired = 0  # orders [0, _expired) were placed over grace ago
         self._lo = 0  # tick of column 0 of _counts
-        # rows: successful bids, failed bids, successful asks, failed asks
+        # rows: bid successes, ask failures, bid failures, ask successes
         self._counts = np.zeros((4, 0), dtype=np.int64)
 
     def memory(self, book: OrderBook, now: int) -> TickMemory:
@@ -254,11 +255,10 @@ class OrderHistory:
             self._count_range(self._start, start, -1)
         self._start = start
         counts = self._counts
-        weights = np.zeros((4, counts.shape[1] + 1))
-        np.cumsum(counts[[0, 3]], axis=1, out=weights[:2, 1:])
-        np.cumsum(counts[[1, 2], ::-1], axis=1, out=weights[2:, -2::-1])
-        return TickMemory(self._lo, counts[[0, 2]] + counts[[1, 3]], weights,
-                          len(book.trades))
+        weights = np.zeros((4, counts.shape[1] + 1), dtype=np.int64)
+        np.add.accumulate(counts[:2], axis=1, out=weights[:2, 1:])
+        np.add.accumulate(counts[2:, ::-1], axis=1, out=weights[2:, -2::-1])
+        return TickMemory(self._lo, counts[:2] + counts[2:], weights, len(book.trades))
 
     def _read(self, book: OrderBook) -> int:
         """Take in the events logged since the last read and return the
@@ -283,25 +283,27 @@ class OrderHistory:
             self._index.update(zip(ids, range(n, n + k)))
             self._open.update(zip(range(n, n + k), times))
             self._n = n + k
-        binary, grace = self._binary, self._grace
+        binary, grace, executed = self._binary, self._grace, EventKind.EXECUTED
+        index, pop, tally = self._index, self._open.pop, self._tally
+        start, expired = self._start, self._expired
         for kind, time, order_id, _, _, _, _, _ in resolved:
-            i = self._index[order_id]
-            placed_at = self._open.pop(i, None)
+            i = index[order_id]
+            placed_at = pop(i, None)
             if placed_at is None:  # filled before: the first fill counts
                 continue
-            if kind is EventKind.EXECUTED:
+            if kind is executed:
                 success = 1.0 if binary else max(0.0, 1.0 - (time - placed_at) / grace)
                 self._success[i], self._failure[i] = success, 1.0 - success
-                if binary and i >= self._start:
-                    if i < self._expired:  # an expired order can still fill
-                        self._tally(i, failed=True, delta=-1)
-                    self._tally(i, failed=False, delta=1)
+                if binary and i >= start:
+                    if i < expired:  # an expired order can still fill
+                        tally(i, failed=True, delta=-1)
+                    tally(i, failed=False, delta=1)
             else:
                 self._failure[i] = 1.0 if binary else min(1.0, (time - placed_at) / grace)
                 if not binary and time == placed_at:  # it stays without weight
                     self._cancelled_at_once.append(i)
-                elif binary and i >= max(self._start, self._expired):
-                    self._tally(i, failed=True, delta=1)
+                elif binary and i >= max(start, expired):
+                    tally(i, failed=True, delta=1)
         trades = book.trades[-self.params.memory_length:]
         if not trades:  # no transaction to remember: the window is empty
             return self._n
@@ -363,11 +365,10 @@ class OrderHistory:
     def _expire(self, now: int) -> None:
         """Move the cursor to ``now``, failing the pending orders it passes."""
         end = bisect_left(self._placed, now - self.params.grace_period)
-        first = max(self._expired, self._start)
-        if end > first:
-            pending = self._success[first:end] + self._failure[first:end] == 0.0
-            self._add_counts(self._price[first:end][pending],
-                             self._is_bid[first:end][pending], True, 1)
+        pending = self._open
+        for i in range(max(self._expired, self._start), end):
+            if i in pending:
+                self._tally(i, failed=True, delta=1)
         self._expired = end
 
     def _count_range(self, a: int, b: int, delta: int) -> None:
@@ -377,23 +378,20 @@ class OrderHistory:
         expired = max(0, self._expired - a)
         failed[:expired] = ~executed[:expired]
         keep = executed | failed
-        self._add_counts(self._price[a:b][keep], self._is_bid[a:b][keep],
-                         failed[keep], delta)
-
-    def _add_counts(self, price, is_bid, failed, delta: int) -> None:
-        if price.size == 0:
+        price = self._price[a:b][keep]
+        if not price.size:
             return
         self._cover(int(price.min()), int(price.max()))
-        span = self._counts.shape[1]
-        rows = 2 * ~is_bid + failed
-        tally = np.bincount(rows * span + (price - self._lo), minlength=4 * span)
-        self._counts += delta * tally.reshape(4, span)
+        is_bid = self._is_bid[a:b][keep]
+        rows = 2 * (failed[keep] == is_bid) + ~is_bid
+        np.add.at(self._counts.reshape(-1),
+                  rows * self._counts.shape[1] + (price - self._lo), delta)
 
     def _tally(self, i: int, failed: bool, delta: int) -> None:
         price = int(self._price[i])
         self._cover(price, price)
-        row = 2 * (not self._is_bid[i]) + failed
-        self._counts[row, price - self._lo] += delta
+        is_bid = bool(self._is_bid[i])
+        self._counts[2 * (failed == is_bid) + (not is_bid), price - self._lo] += delta
 
     def _cover(self, lo: int, hi: int) -> None:
         """Widen the counts so they span ticks ``lo`` to ``hi``."""

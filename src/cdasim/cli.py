@@ -16,10 +16,11 @@ import configparser
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .agents import HblParams, ZiParams
-from .fundamental import DmrParams, FileFundamental, FileParams, MegashockParams, OuParams
+from .fundamental import DmrParams, FileParams, MegashockParams, OuParams
 from .kernel import OutputOptions, SimConfig, SimResult, run
 from .prices import PriceGrid, TickStrings
 
@@ -188,7 +189,10 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
                 sigma_s_sq=_as_float(resolved, "fundamental", "est_sigma_s_sq",
                                      lambda v: v >= 0, "est_sigma_s_sq >= 0"),
             )
-            _check_series(path, PriceGrid(tick_size))
+            try:  # a bad file fails here, before any run starts; the runs replay it
+                fundamental.load(PriceGrid(tick_size))
+            except (ValueError, OverflowError) as exc:  # OverflowError: an infinite number
+                raise ConfigError(f"fundamental.path: {exc}") from None
 
         zi = ZiParams(
             r_min=_as_float(resolved, "agents", "r_min", lambda v: v >= 0, "r_min >= 0"),
@@ -232,18 +236,6 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _check_series(path: str, grid: PriceGrid) -> None:
-    """Load the file variant's series, so that a bad file fails before any
-    run starts; the series must start at timestamp 0."""
-    try:
-        first = FileFundamental.from_path(path, grid).series[0][0]
-    except (ValueError, OverflowError) as exc:  # OverflowError: an infinite number
-        raise ConfigError(f"fundamental.path: {exc}") from None
-    if first != 0:
-        raise ConfigError(f"fundamental.path: the series starts at timestamp {first}, "
-                          f"not 0")
 
 
 def emit_outputs(result: SimResult, resolved: dict[str, dict[str, str]], outdir: str) -> None:
@@ -303,9 +295,11 @@ def emit_outputs(result: SimResult, resolved: dict[str, dict[str, str]], outdir:
                       for agent_id, theta in sorted(result.private_values.items()))
 
 
-def run_one(resolved: dict[str, dict[str, str]], outdir: str) -> bool:
-    """Run a single simulation and write all outputs; True if invariants held."""
-    result = run(build_config(resolved))
+def run_one(resolved: dict[str, dict[str, str]], outdir: str,
+            config: SimConfig | None = None) -> bool:
+    """Run a single simulation and write all outputs; True if invariants held.
+    ``config`` is ``build_config(resolved)``, when that is built already."""
+    result = run(build_config(resolved) if config is None else config)
     emit_outputs(result, resolved, outdir)
     return result.invariants_ok
 
@@ -352,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
             resolved["output"]["trace_estimator"] = "true"
         if args.trace_decisions:
             resolved["output"]["trace_decisions"] = "true"
-        build_config(resolved)  # fail fast before any run starts
+        config = build_config(resolved)  # fail fast before any run starts
         if args.jobs is not None and args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
 
@@ -362,7 +356,8 @@ def main(argv: list[str] | None = None) -> int:
             for seed in seeds:
                 per_seed = {s: dict(k) for s, k in resolved.items()}
                 per_seed["market"]["seed"] = str(seed)
-                jobs.append((per_seed, os.path.join(args.out, f"seed-{seed}")))
+                jobs.append((per_seed, os.path.join(args.out, f"seed-{seed}"),
+                             replace(config, master_seed=seed)))
             if args.jobs == 1:
                 oks = [run_one(*job) for job in jobs]
             else:
@@ -374,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
                 with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
                     oks = list(pool.map(run_one, *zip(*jobs)))
             return 0 if all(oks) else 2
-        ok = run_one(resolved, args.out)
+        ok = run_one(resolved, args.out, config)
         return 0 if ok else 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

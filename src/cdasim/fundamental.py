@@ -94,6 +94,7 @@ class FileParams:
     r_bar: float
     kappa: float
     sigma_s_sq: float
+    _series: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.path:
@@ -102,6 +103,18 @@ class FileParams:
             raise ValueError("kappa must lie in [0, 1]")
         if self.sigma_s_sq < 0.0:
             raise ValueError("sigma_s_sq must be >= 0")
+
+    def load(self, grid: PriceGrid) -> "FileFundamental":
+        """A fresh replay of the series in ``path``, which must start at
+        timestamp 0.  The first load on ``grid`` reads and parses the file;
+        a config's check and its runs share that series."""
+        if grid not in self._series:
+            with open(self.path, encoding="utf-8") as fh:
+                series = FileFundamental.from_text(fh.read(), grid).series
+            if series[0][0] != 0:
+                raise ValueError(f"the series starts at timestamp {series[0][0]}, not 0")
+            self._series[grid] = series
+        return FileFundamental(list(self._series[grid]), grid)  # a copy per replay
 
 
 def dmr_step(prev: int, params: DmrParams, noise_draw: float, grid: PriceGrid) -> int:
@@ -294,11 +307,6 @@ class FileFundamental:
         if not series:
             raise ValueError("fundamental file contains no data rows")
         return cls(series=series, grid=grid)
-
-    @classmethod
-    def from_path(cls, path: str, grid: PriceGrid) -> "FileFundamental":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read(), grid)
 
     def value_at(self, t: int) -> int:
         value = file_value_at(t, self.series)

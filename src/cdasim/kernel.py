@@ -26,7 +26,6 @@ from . import estimator as est
 from .fundamental import (
     DmrFundamental,
     DmrParams,
-    FileFundamental,
     FileParams,
     MegashockFundamental,
     MegashockParams,
@@ -173,7 +172,7 @@ def mark_observation(r_ticks: int, noise_sd: float, rng: np.random.Generator,
 def build_fundamental(config: SimConfig, grid: PriceGrid):
     params = config.fundamental
     if type(params) is FileParams:
-        return FileFundamental.from_path(params.path, grid)
+        return params.load(grid)
     return _GENERATED[type(params)](params, grid, config.master_seed, config.horizon_T)
 
 

@@ -7,13 +7,16 @@ keeps, and ``tick_memory_from_orders`` lays the same sums on ticks as a
 book's event log from scratch, order by order, into ``MemoryOrder``
 records, and ``RecordMemory`` is an ``HblMemory`` over such records.
 ``window_oracle`` classifies the orders placed from any given time on.
-The tests compare ``OrderHistory``, which keeps its memory incrementally,
-``TickMemory`` and the decision code against them.
+``exact_beliefs`` sums the weights of such records as ``Fraction``s, so a
+binary belief is a quotient of two exact counts.  The tests compare
+``OrderHistory``, which keeps its memory incrementally, ``TickMemory``
+and the decision code against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -125,6 +128,34 @@ def hbl_belief(memory, p: int, side: Side) -> float:
     return float(memory.belief_array([p], side)[0])
 
 
+def exact_beliefs(records, prices, side: Side) -> list[Fraction]:
+    """The belief at each of ``prices`` in exact arithmetic: the favorable
+    and unfavorable masses of ``MemoryOrder`` records summed as
+    ``Fraction``s, and 0 where the denominator is empty.
+
+    A binary record weighs 0 or 1, so its belief is a quotient of two
+    integer counts, and ``float`` of it is the correctly rounded quotient.
+    """
+    beliefs = []
+    for p in prices:
+        if side is Side.BID:
+            favorable = sum(r.side is Side.ASK and r.price <= p for r in records)
+            succ = sum(Fraction(r.success) for r in records
+                       if r.side is Side.BID and r.price <= p)
+            fail = sum(Fraction(r.failure) for r in records
+                       if r.side is Side.BID and r.price >= p)
+        else:
+            favorable = sum(r.side is Side.BID and r.price >= p for r in records)
+            succ = sum(Fraction(r.success) for r in records
+                       if r.side is Side.ASK and r.price >= p)
+            fail = sum(Fraction(r.failure) for r in records
+                       if r.side is Side.ASK and r.price <= p)
+        numerator = favorable + succ
+        denominator = numerator + fail
+        beliefs.append(Fraction(numerator) / denominator if denominator else Fraction(0))
+    return beliefs
+
+
 def hbl_classify(events, now: int, params: HblParams) -> RecordMemory:
     """Build the classified memory covering the last L observed transactions.
 
@@ -233,13 +264,14 @@ def tick_memory_from_orders(is_bid, price, success, failure,
     Each side's weights are sorted by price, stably, and summed in that
     order (forwards for "at or below", backwards for "at or above"), then
     read at the tick boundaries, so fractional weights keep one fixed float
-    addition order.
+    addition order.  Integer weights give int64 sums, as the binary ledger
+    keeps them.
     """
     lo = int(price.min()) if price.size else 0
     span = int(price.max()) - lo + 1 if price.size else 0
     ticks = np.arange(lo, lo + span + 1)
     counts = np.empty((2, span), dtype=np.int64)
-    weights = np.empty((4, span + 1))
+    weights = np.empty((4, span + 1), dtype=np.result_type(success, failure))
     for row, mask in enumerate((is_bid, ~is_bid)):
         order = np.argsort(price[mask], kind="stable")
         below = np.searchsorted(price[mask][order], ticks, side="left")
@@ -247,7 +279,7 @@ def tick_memory_from_orders(is_bid, price, success, failure,
         rising, falling = success[mask][order], failure[mask][order]
         if row:  # asks: failures count at or below, successes at or above
             rising, falling = falling, rising
-        weights[row] = np.concatenate(([0.0], np.cumsum(rising)))[below]
+        weights[row] = np.concatenate(([0], np.cumsum(rising)))[below]
         weights[2 + row] = np.concatenate(
-            ([0.0], np.cumsum(falling[::-1])))[below[-1] - below]
+            ([0], np.cumsum(falling[::-1])))[below[-1] - below]
     return TickMemory(lo, counts, weights, transaction_count)

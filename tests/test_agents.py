@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdasim.agents import (
     ActionKind,
@@ -26,6 +28,7 @@ from hbl_oracle import (
     HblMemory,
     MemoryOrder,
     RecordMemory,
+    exact_beliefs,
     hbl_belief,
     hbl_classify,
     order_arrays,
@@ -443,6 +446,30 @@ def test_tick_memory_matches_oracle_edge_cases(case, grace, rng):
     assert case != "cent ticks" or widest > OrderHistory._MARGIN
 
 
+def assert_exact_quotients(memory, records, prices):
+    """Every belief of ``memory`` is, bit for bit, the float of the exact
+    ``Fraction`` belief of ``records``."""
+    for side in Side:
+        expected = [float(belief) for belief in exact_beliefs(records, prices, side)]
+        assert_bitwise_equal(memory.belief_array(prices, side), expected)
+
+
+@pytest.mark.parametrize("case", ["empty", "bids only", "asks only", "single tick",
+                                  "tick zero", "cent ticks"])
+def test_binary_tick_memory_is_the_exact_quotient_edge_cases(case, rng):
+    # the edge memories with int64 weights, as the binary ledger keeps them
+    for _ in range(40):
+        is_bid, price = edge_orders(case, rng)
+        success, failure = edge_weights(rng, price.size, None)
+        memory = tick_memory_from_orders(is_bid, price, success.astype(np.int64),
+                                         failure.astype(np.int64), 7)
+        assert memory._weights.dtype == np.int64
+        records = [MemoryOrder(Side.BID if bid else Side.ASK, int(p), s, f)
+                   for bid, p, s, f in zip(is_bid, price, success, failure)]
+        lo, hi = (int(price.min()), int(price.max())) if price.size else (1000, 1000)
+        assert_exact_quotients(memory, records, np.arange(lo - 3, hi + 4))
+
+
 @pytest.mark.parametrize("bid_prices, ask_prices", [
     ([], []),                                   # empty memory
     ([1000, 998, 1003], []),                    # bids only
@@ -699,6 +726,7 @@ class LedgerMarket:
         self.book = OrderBook()
         self.history = OrderHistory(params)
         self.next_id = 1
+        self.live = []  # orders that rest in the book, as far as act_at_random saw
 
     def place(self, side, price, t):
         oid = self.next_id
@@ -708,6 +736,19 @@ class LedgerMarket:
 
     def cancel(self, oid, t):
         self.book.cancel(oid, t)
+
+    def act_at_random(self, t, rng):
+        """Cancel a live order one time in four, or else place a unit order on
+        a random side at a random price from 995 to 1005."""
+        if self.live and rng.random() < 0.25:
+            self.cancel(self.live.pop(int(rng.integers(len(self.live)))), t)
+            return
+        side = Side.BID if rng.random() < 0.5 else Side.ASK
+        oid = self.place(side, int(rng.integers(995, 1006)), t)
+        resting = resting_ids(self.book)
+        self.live = [o for o in self.live if o in resting]
+        if oid in resting:
+            self.live.append(oid)
 
     def window_start(self):
         """Placement time of the oldest order in the last L trades, read off the log."""
@@ -795,19 +836,10 @@ def test_order_history_matches_event_classification(mode, rng):
     queried = 0
     for trial in range(30):
         market = LedgerMarket(params)
-        live = []
         t = now = 0
         for _ in range(60):
             t += int(rng.integers(1, 4))
-            if live and rng.random() < 0.25:
-                market.cancel(live.pop(int(rng.integers(len(live)))), t)
-            else:
-                side = Side.BID if rng.random() < 0.5 else Side.ASK
-                oid = market.place(side, int(rng.integers(995, 1006)), t)
-                resting = resting_ids(market.book)
-                live = [o for o in live if o in resting]
-                if oid in resting:
-                    live.append(oid)
+            market.act_at_random(t, rng)
             if not market.book.trades:
                 continue
             now = max(now, t + int(rng.integers(0, 4)))  # queries never go back in time
@@ -849,21 +881,12 @@ def test_order_history_catches_up_at_sparse_queries(mode, rng):
             "expired fills": 0, "cancels after expiry": 0}
     for _ in range(4):
         market = LedgerMarket(params)
-        live = []
         t = previous = 0
         previous_start = None
         next_query = 300
         for step in range(500):
             t += int(rng.integers(1, 3))
-            if live and rng.random() < 0.25:
-                market.cancel(live.pop(int(rng.integers(len(live)))), t)
-            else:
-                side = Side.BID if rng.random() < 0.5 else Side.ASK
-                oid = market.place(side, int(rng.integers(995, 1006)), t)
-                resting = resting_ids(market.book)
-                live = [o for o in live if o in resting]
-                if oid in resting:
-                    live.append(oid)
+            market.act_at_random(t, rng)
             if step < next_query:
                 continue
             next_query = step + int(rng.integers(5, 15))
@@ -886,6 +909,93 @@ def test_order_history_catches_up_at_sparse_queries(mode, rng):
     assert all(seen.values()), seen
 
 
+def test_binary_ledger_beliefs_are_exact_quotients(rng):
+    # random binary ledgers read off an event log: each belief is the
+    # correctly rounded quotient of the two exact counts of the classification
+    params = HblParams(zi=ZI, memory_length=3, grace_period=6)
+    prices = np.arange(990, 1012)
+    checked = 0
+    for _ in range(12):
+        market = LedgerMarket(params)
+        t = 0
+        for step in range(100):
+            t += int(rng.integers(1, 3))
+            market.act_at_random(t, rng)
+            if step % 3 or not market.book.trades:
+                continue
+            memory = market.memory(t)
+            assert memory._weights.dtype == np.int64
+            assert_exact_quotients(memory, hbl_classify(market.book.events, t, params).records,
+                                   prices)
+            checked += 1
+    assert checked > 300
+
+
+# one action of a generated order stream: steps since the last action, the
+# action, the side, a limit price, which live order a cancel picks, and
+# whether the memory is queried after it (one value in four)
+STREAM_ACTION = st.tuples(st.integers(0, 3), st.sampled_from(["place", "take", "cancel"]),
+                          st.booleans(), st.integers(995, 1005), st.integers(0, 99),
+                          st.integers(0, 3))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(mode=st.sampled_from(["binary", "fractional"]), grace=st.integers(1, 10),
+       memory_length=st.integers(1, 5), before=st.lists(STREAM_ACTION, max_size=40),
+       burst=st.integers(100, 300), gap=st.integers(1, 40),
+       after=st.lists(STREAM_ACTION, max_size=25))
+def test_order_history_matches_classification_on_generated_streams(
+        mode, grace, memory_length, before, burst, gap, after):
+    # placements, cancellations and fills at sparse query times; between the
+    # two streams a burst of resting orders that one gap expires at once
+    params = HblParams(zi=ZI, memory_length=memory_length, grace_period=grace,
+                       success_mode=mode)
+    market = LedgerMarket(params)
+    prices = np.arange(984, 1017)
+    live = []
+
+    def check(now):
+        got = market.memory(now)
+        reference = hbl_classify(market.book.events, now, params)
+        assert_same_memory(got, reference, prices)
+        assert got.transaction_count == reference.transaction_count
+        return len(got)
+
+    def replay(stream, t):
+        for dt, action, is_bid, price, pick, query in stream:
+            t += dt
+            side = Side.BID if is_bid else Side.ASK
+            if action == "cancel" and live:
+                market.cancel(live.pop(pick % len(live)), t)
+            else:
+                touch = market.book.best_ask() if is_bid else market.book.best_bid()
+                if action == "take" and touch is not None:
+                    price = touch  # fills at least one resting order
+                oid = market.place(side, price, t)
+                resting = resting_ids(market.book)
+                live[:] = [o for o in live if o in resting]
+                if oid in resting:
+                    live.append(oid)
+            if not query:
+                check(t)
+        return t
+
+    t = replay(before, 0) + 1
+    market.place(Side.BID, 1000, t)  # a trade, so that the window holds the burst
+    market.place(Side.ASK, 1000, t)
+    t += grace + 1
+    check(t)  # the expiry cursor passes every earlier order
+    for k in range(burst):  # away from every other price: none of them fills
+        is_bid = k % 2 == 1
+        live.append(market.place(Side.BID if is_bid else Side.ASK,
+                                 985 + k % 5 if is_bid else 1012 + k % 5, t))
+    counted = check(t)
+    t += grace + gap
+    assert check(t) - counted >= burst  # the whole burst expired at one query
+    replay(after, t)  # which may fill or cancel expired orders of the burst
+
+
+BINARY = HblParams(zi=ZI, memory_length=1, grace_period=5)
 BINARY = HblParams(zi=ZI, memory_length=1, grace_period=5)
 FRACTIONAL = HblParams(zi=ZI, memory_length=1, grace_period=5, success_mode="fractional")
 BOTH_MODES = pytest.mark.parametrize("params", [BINARY, FRACTIONAL],

@@ -185,7 +185,7 @@ def test_fundamental_dump_is_loadable(tmp_path):
     resolved = parse_config(SMALL)
     run_one(resolved, str(tmp_path / "run"))
     dump = tmp_path / "run" / "fundamental.csv"
-    reloaded = FileFundamental.from_path(str(dump), PriceGrid(0.1))
+    reloaded = FileFundamental.from_text(read(dump), PriceGrid(0.1))
     assert reloaded.series == run(build_config(resolved)).fundamental_trace
     assert reloaded.series[0][0] == 0 and reloaded.series[-1][0] == 600
 
@@ -299,6 +299,36 @@ def test_main_bad_fundamental_file_exit_code(series, message, sweep, tmp_path, c
     assert err.startswith("config error: fundamental.path: ")
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()  # no run started
+
+
+def test_file_series_is_parsed_once(tmp_path, monkeypatch):
+    # the config check parses the series, and every run of that config,
+    # a sweep's too, replays it without reading the file again
+    series_path = tmp_path / "series.csv"
+    series_path.write_text("timestamp,value\n0,100.0\n150,101.5\n400,99.2\n")
+    config = tmp_path / "c.ini"
+    config.write_text(f"[fundamental]\nvariant = file\npath = {series_path}\n"
+                      + SMALL.replace("horizon = 600", "horizon = 300"))
+    parsed = []
+    from_text = FileFundamental.from_text.__func__
+
+    def counting(cls, text, grid):
+        parsed.append(text)
+        return from_text(cls, text, grid)
+
+    monkeypatch.setattr(FileFundamental, "from_text", classmethod(counting))
+    assert run_one(parse_config(config.read_text()), str(tmp_path / "one"))
+    assert len(parsed) == 1
+    for label, extra in (("main", []), ("sweep", ["--sweep-seeds", "3..5", "--jobs", "1"])):
+        parsed.clear()
+        assert main(["--config", str(config), "--out", str(tmp_path / label), *extra]) == 0
+        assert len(parsed) == 1, label
+    for out in (tmp_path / "main", tmp_path / "sweep" / "seed-3"):
+        for fname in ("events.csv", "trades.csv", "agents.csv", "fundamental.csv"):
+            assert (out / fname).read_bytes() == (tmp_path / "one" / fname).read_bytes()
+    rows = [line.split(",") for line in read(tmp_path / "one" / "fundamental.csv").split()[1:]]
+    assert rows[-1][0] == "300"  # the series' step values at the evaluated times
+    assert all(value == ("100.0" if int(t) < 150 else "101.5") for t, value in rows)
 
 
 def test_main_trace_flags(tmp_path):

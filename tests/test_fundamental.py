@@ -10,6 +10,7 @@ from cdasim.fundamental import (
     DmrFundamental,
     DmrParams,
     FileFundamental,
+    FileParams,
     MegashockFundamental,
     MegashockParams,
     OuFundamental,
@@ -410,5 +411,5 @@ def test_dump_and_reload_round_trip(tmp_path, grid_01):
     run_one(parse_config("[fundamental]\nr_bar = 100.0\nkappa = 0.05\nsigma_s_sq = 1.0\n"
                          "[market]\nhorizon = 40\ntick_size = 0.1\nseed = 4\n"),
             str(tmp_path))
-    reloaded = FileFundamental.from_path(str(tmp_path / "fundamental.csv"), grid_01)
+    reloaded = FileParams(str(tmp_path / "fundamental.csv"), 100.0, 0.05, 1.0).load(grid_01)
     assert [reloaded.value_at(t) for t in range(41)] == original
