@@ -21,6 +21,7 @@ import enum
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -149,9 +150,10 @@ class TickMemory:
     def __len__(self) -> int:
         return int(self._counts.sum())
 
-    @property
+    @cached_property
     def prices(self) -> np.ndarray:
-        """The occupied ticks, ascending, as an int64 array."""
+        """The occupied ticks, ascending, as an int64 array that the
+        candidate grid and the spline knots share; do not modify it."""
         return (self._counts[0] + self._counts[1]).nonzero()[0] + self._lo
 
     def belief_array(self, prices, side: Side) -> np.ndarray:
@@ -191,8 +193,9 @@ class OrderHistory:
     never fills it.  The memory covers every order placed at or after the
     placement of the oldest order in the book's last ``memory_length``
     trades, and is a ``TickMemory`` in both success modes.  A run has one
-    ``HblParams`` and its queries never go back in time.  An order's
-    weights are fixed when it first fills or is cancelled.
+    ``HblParams`` and its queries never go back in time.  An order is one
+    unit, so it fills or is cancelled at most once, and its weights are
+    fixed then.
 
     In binary mode the ledger keeps int64 per-tick counts of the classified
     orders placed at or after the current window start, in the row order
@@ -288,9 +291,7 @@ class OrderHistory:
         start, expired = self._start, self._expired
         for kind, time, order_id, _, _, _, _, _ in resolved:
             i = index[order_id]
-            placed_at = pop(i, None)
-            if placed_at is None:  # filled before: the first fill counts
-                continue
+            placed_at = pop(i)  # a one-unit order resolves once
             if kind is executed:
                 success = 1.0 if binary else max(0.0, 1.0 - (time - placed_at) / grace)
                 self._success[i], self._failure[i] = success, 1.0 - success

@@ -131,6 +131,14 @@ def _as_int(resolved, section, key, constraint=None, describe=""):
     return value
 
 
+def _as_choice(resolved, section, key, choices):
+    value = resolved[section][key]
+    if value not in choices:
+        raise ConfigError(f"{section}.{key}: {key} must be "
+                          + " or ".join(map(repr, choices)))
+    return value
+
+
 def _as_bool(resolved, section, key):
     raw = resolved[section][key].lower()
     if raw not in _BOOL:
@@ -194,9 +202,11 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
             except (ValueError, OverflowError) as exc:  # OverflowError: an infinite number
                 raise ConfigError(f"fundamental.path: {exc}") from None
 
+        r_min = _as_float(resolved, "agents", "r_min", lambda v: v >= 0, "r_min >= 0")
         zi = ZiParams(
-            r_min=_as_float(resolved, "agents", "r_min", lambda v: v >= 0, "r_min >= 0"),
-            r_max=_as_float(resolved, "agents", "r_max"),
+            r_min=r_min,
+            r_max=_as_float(resolved, "agents", "r_max", lambda v: v >= r_min,
+                            "r_max >= r_min"),
             eta=_as_float(resolved, "agents", "eta", lambda v: 0 <= v <= 1, "eta in [0,1]"),
             sigma_n_sq=_as_float(resolved, "agents", "sigma_n_sq",
                                  lambda v: v >= 0, "sigma_n_sq >= 0"),
@@ -213,8 +223,9 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
                                       lambda v: v >= 1, "memory_length >= 1"),
                 grace_period=_as_int(resolved, "agents", "grace_period",
                                      lambda v: v >= 1, "grace_period >= 1"),
-                success_mode=resolved["agents"]["success_mode"],
-                grid_mode=resolved["agents"]["grid_mode"],
+                success_mode=_as_choice(resolved, "agents", "success_mode",
+                                        ("binary", "fractional")),
+                grid_mode=_as_choice(resolved, "agents", "grid_mode", ("observed", "spline")),
             )
         return SimConfig(
             horizon_T=horizon,

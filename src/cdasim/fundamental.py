@@ -141,20 +141,15 @@ class DmrFundamental:
     All ``horizon_T`` shocks are drawn at construction, in one call on the
     series' own stream; ``shocks[i]`` moves step i to step i + 1.  A query
     beyond the memoized prefix steps through the missing shocks in order.
-
-    ``r0_override`` is a test hook for starting away from the mean (used to
-    check the geometric contraction rate); production configs leave it None.
     """
 
     params: DmrParams
     grid: PriceGrid
     seed: int
     horizon_T: int
-    r0_override: float | None = None
 
     def __post_init__(self) -> None:
-        r0 = self.params.r_bar if self.r0_override is None else self.r0_override
-        self._values: list[int] = [self.grid.to_ticks(r0)]
+        self._values: list[int] = [self.grid.to_ticks(self.params.r_bar)]
         self._shocks = child_stream(self.seed, FUNDAMENTAL_STREAM).normal(
             0.0, math.sqrt(self.params.sigma_s_sq), size=self.horizon_T)
 

@@ -32,7 +32,7 @@ from .fundamental import (
     OuFundamental,
     OuParams,
 )
-from .orderbook import Order, OrderBook, Side
+from .orderbook import OrderBook, Side
 from .preferences import PrivateValues
 from .prices import PriceGrid
 from .rng import child_stream
@@ -228,16 +228,15 @@ def run(config: SimConfig) -> SimResult:
     q_max = config.zi_params.q_max
     trades = book.trades  # the book's append-only list
 
-    def check_invariants(t: int, new_trades) -> None:
+    def check_invariants(t: int, trade) -> None:
         nonlocal invariants_ok
         cash_total = sum(r.cash for r in records)
         q_total = sum(r.q_held for r in records)
         if abs(cash_total) > 1e-6 or q_total != 0:
             invariants_ok = False
             breaches.append(f"t={t}: cash={cash_total!r} q={q_total}")
-        # only the agents that just traded can have moved past the limit
-        for agent_id in sorted({a for trade in new_trades
-                                for a in (trade.buyer_id, trade.seller_id)}):
+        # only the two parties to the trade can have moved past the limit
+        for agent_id in sorted({trade.buyer_id, trade.seller_id}):
             q_held = records[agent_id].q_held
             if abs(q_held) > q_max:
                 invariants_ok = False
@@ -287,28 +286,21 @@ def run(config: SimConfig) -> SimResult:
         if action.kind is skip:
             continue
 
-        order = Order(next(order_ids), agent_id, action.side, action.limit_price,
-                      quantity=1)
-        record.last_order_id = order.order_id
-        first_trade = len(trades)
-        place_limit(order, t)
-        if len(trades) == first_trade:
+        order_id = next(order_ids)
+        if len(place_limit(order_id, agent_id, action.side, action.limit_price, t)) == 1:
+            record.last_order_id = order_id  # it rests
             continue
-        for i in range(first_trade, len(trades)):
-            trade = trades[i]
-            value = to_value(trade.price) * trade.quantity
-            buyer = records[trade.buyer_id]
-            seller = records[trade.seller_id]
-            buyer.cash -= value
-            buyer.q_held += trade.quantity
-            seller.cash += value
-            seller.q_held -= trade.quantity
-            # every order has quantity 1, so a trade fills both of its orders
-            if buyer.last_order_id == trade.buy_order_id:
-                buyer.last_order_id = None
-            if seller.last_order_id == trade.sell_order_id:
-                seller.last_order_id = None
-        check_invariants(t, trades[first_trade:])
+        trade = trades[-1]
+        value = to_value(trade.price)
+        buyer = records[trade.buyer_id]
+        seller = records[trade.seller_id]
+        buyer.cash -= value
+        buyer.q_held += 1
+        seller.cash += value
+        seller.q_held -= 1
+        # the trade filled both parties' one-unit orders
+        buyer.last_order_id = seller.last_order_id = None
+        check_invariants(t, trade)
 
     final_ticks = fundamental.value_at(config.horizon_T)
     final_value = grid.to_value(final_ticks)

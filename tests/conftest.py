@@ -40,7 +40,7 @@ def events_in_window(book, start, end=None):
 def resting_ids(book) -> set[int]:
     """Ids of the orders resting in ``book``, read from its depth snapshot."""
     return {order_id for levels in book.depth_snapshot().values()
-            for _, queue in levels for order_id, _ in queue}
+            for _, queue in levels for order_id in queue}
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -20,7 +20,7 @@ from cdasim.agents import (
     OrderHistory,
     zi_decide,
 )
-from cdasim.orderbook import BookEvent, EventKind, Order, OrderBook, Side, Trade
+from cdasim.orderbook import BookEvent, EventKind, OrderBook, Side, Trade
 from cdasim.preferences import PrivateValues
 
 from conftest import FixedRng, events_in_window, resting_ids
@@ -167,7 +167,7 @@ def build_script_book():
         (15, 115, Side.BID, 1004),
     ]
     for now, oid, side, price in script:
-        book.place_limit(Order(oid, oid, side, price, 1), now)
+        book.place_limit(oid, oid, side, price, now)
     return book
 
 
@@ -252,9 +252,9 @@ def test_memory_window_excludes_stale_orders():
     # an order placed before the oldest remembered transaction's orders is
     # not part of the memory
     book = OrderBook()
-    book.place_limit(Order(1, 1, Side.BID, 900, 1), 1)  # stale
-    book.place_limit(Order(2, 2, Side.ASK, 1000, 1), 10)
-    book.place_limit(Order(3, 3, Side.BID, 1000, 1), 11)
+    book.place_limit(1, 1, Side.BID, 900, 1)  # stale
+    book.place_limit(2, 2, Side.ASK, 1000, 10)
+    book.place_limit(3, 3, Side.BID, 1000, 11)
     params = HblParams(zi=ZI, memory_length=1, grace_period=5)
     memory = hbl_classify(book.events, now=12, params=params)
     assert len(memory) == 2
@@ -731,7 +731,7 @@ class LedgerMarket:
     def place(self, side, price, t):
         oid = self.next_id
         self.next_id += 1
-        self.book.place_limit(Order(oid, oid, side, price, 1), t)
+        self.book.place_limit(oid, oid, side, price, t)
         return oid
 
     def cancel(self, oid, t):
@@ -1068,22 +1068,6 @@ def test_ledger_empty_window(params):
     empty = assert_ledger_exact(market, 3, window_start=3)  # window starts after every order
     assert len(empty) == 0 and hbl_candidate_grid(empty).size == 0
     assert len(assert_ledger_exact(market, 3, window_start=1)) == 2
-
-
-@BOTH_MODES
-def test_ledger_partial_fills_keep_the_first_fill(params):
-    # a bid for two units fills at 1 and at 9 and its rest is cancelled:
-    # its weights come from the first fill alone
-    market = LedgerMarket(params)
-    market.book.place_limit(Order(100, 100, Side.BID, 1000, 2), 0)
-    market.place(Side.ASK, 1000, 1)
-    assert_ledger_exact(market, 3, window_start=0)
-    market.place(Side.ASK, 1000, 9)
-    market.book.place_limit(Order(101, 101, Side.BID, 1000, 3), 10)
-    market.place(Side.ASK, 1000, 11)
-    market.cancel(101, 12)
-    for now in (12, 30):
-        assert len(assert_ledger_exact(market, now, window_start=0)) == 5
 
 
 @pytest.mark.parametrize("mode", ["binary", "fractional"])

@@ -109,6 +109,26 @@ def test_constraint_errors_name_key_and_rule():
         build_config(resolved)
 
 
+@pytest.mark.parametrize("agents, message", [
+    ("hbl_count = 2\nsuccess_mode = exact",
+     "agents.success_mode: success_mode must be 'binary' or 'fractional'"),
+    ("hbl_count = 2\ngrid_mode = linear",
+     "agents.grid_mode: grid_mode must be 'observed' or 'spline'"),
+    ("hbl_count = 2\nr_min = 2.0\nr_max = 1.0", "agents.r_max: r_max >= r_min"),
+    ("hbl_count = 0\nr_min = 2.0\nr_max = 1.0", "agents.r_max: r_max >= r_min"),
+], ids=["success_mode", "grid_mode", "r_max", "r_max-zi-only"])
+def test_agent_constraint_errors_name_key(agents, message):
+    resolved = parse_config(f"[agents]\n{agents}\n")
+    with pytest.raises(ConfigError) as raised:
+        build_config(resolved)
+    assert str(raised.value) == message
+
+
+def test_hbl_modes_are_not_checked_without_hbl_agents():
+    resolved = parse_config("[agents]\nhbl_count = 0\nsuccess_mode = exact\n")
+    assert build_config(resolved).hbl_params is None
+
+
 def test_build_config_defaults():
     config = build_config(parse_config(""))
     assert config.horizon_T == 1000

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -57,17 +58,17 @@ def test_dmr_reference_loop_oracle(grid_01):
     assert series == expected
 
 
-def scalar_dmr_series(params, grid, seed, horizon_T, r0=None):
+def scalar_dmr_series(params, grid, seed, horizon_T):
     """The DMR series stepped one scalar shock draw at a time."""
     rng = child_stream(seed, FUNDAMENTAL_STREAM)
     sigma_s = math.sqrt(params.sigma_s_sq)
-    values = [grid.to_ticks(params.r_bar if r0 is None else r0)]
+    values = [grid.to_ticks(params.r_bar)]
     for _ in range(horizon_T):
         values.append(dmr_step(values[-1], params, rng.normal(0.0, sigma_s), grid))
     return list(enumerate(values))
 
 
-@pytest.mark.parametrize("params, r0", [
+@pytest.mark.parametrize("params, r_bar", [  # r_bar, when given, replaces params.r_bar
     (DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0), None),
     (DmrParams(r_bar=100.0, kappa=0.0, sigma_s_sq=2.0), None),
     (DmrParams(r_bar=100.0, kappa=1.0, sigma_s_sq=1.0), None),
@@ -81,17 +82,19 @@ def scalar_dmr_series(params, grid, seed, horizon_T, r0=None):
     "ascending",  # a batch of one step per query
     "irregular",  # batches of varied length, repeats and earlier queries
 ])
-def test_dmr_batched_shocks_match_scalar_draws(params, r0, seed, queries):
+def test_dmr_batched_shocks_match_scalar_draws(params, r_bar, seed, queries):
     grid = PriceGrid(0.01)
     horizon_T = 2000
-    fund = DmrFundamental(params, grid, seed=seed, horizon_T=horizon_T, r0_override=r0)
+    if r_bar is not None:
+        params = dataclasses.replace(params, r_bar=r_bar)
+    fund = DmrFundamental(params, grid, seed=seed, horizon_T=horizon_T)
     if queries == "horizon-first":
         times = [horizon_T, 0, 1000]
     elif queries == "ascending":
         times = range(horizon_T + 1)
     else:
         times = [0, 0, 3, 2, 3, 17, 900, 899, 901, 1500, 4, 1999, horizon_T, horizon_T]
-    oracle = scalar_dmr_series(params, grid, seed, horizon_T, r0)
+    oracle = scalar_dmr_series(params, grid, seed, horizon_T)
     for t in times:
         assert fund.value_at(t) == oracle[t][1]
     assert fund.evaluations() == oracle
@@ -108,18 +111,21 @@ def test_dmr_evaluations_are_the_queried_prefix(grid_01):
 
 
 def test_dmr_contraction_toward_mean():
+    # noiseless steps from 200.0, away from the mean of 100.0
     grid = PriceGrid(0.01)
     params = DmrParams(r_bar=100.0, kappa=0.2, sigma_s_sq=0.0)
-    fund = DmrFundamental(params, grid, seed=1, horizon_T=60, r0_override=200.0)
-    prev_gap = fund.value_at(0) - 10000
-    for t in range(1, 61):
-        gap = fund.value_at(t) - 10000
+    series = [grid.to_ticks(200.0)]
+    for _ in range(60):
+        series.append(dmr_step(series[-1], params, 0.0, grid))
+    prev_gap = series[0] - 10000
+    for value in series[1:]:
+        gap = value - 10000
         assert 0 <= gap <= prev_gap
         if prev_gap > 10:  # strict until rounding pins the gap near zero
             assert gap < prev_gap
         prev_gap = gap
     # geometric rate: gap after one step is 0.8 of the previous (to the tick)
-    assert fund.value_at(1) == grid.to_ticks(100.0 + 0.8 * 100.0)
+    assert series[1] == grid.to_ticks(100.0 + 0.8 * 100.0)
 
 
 def test_dmr_floors_at_zero(grid_01):

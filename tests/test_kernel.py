@@ -28,11 +28,12 @@ from cdasim.kernel import (
     run,
     schedule_arrivals,
 )
-from cdasim.orderbook import EventKind, OrderBook
+from cdasim.orderbook import EventKind, OrderBook, replay
 from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
 
+from conftest import resting_ids
 from hbl_oracle import RecordMemory, hbl_classify
 
 
@@ -324,6 +325,66 @@ def test_run_one_open_order_per_agent():
             if agent is not None:
                 open_by_agent[agent] = None
     # fully filled aggressive orders never rest; drop them as they execute
+
+
+SMALL_OU = OuParams(mu=100.0, gamma=0.05, sigma_sq=2.0, q0=95.0)
+SMALL_FUNDAMENTALS = (DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0), SMALL_OU,
+                      MegashockParams(ou=SMALL_OU, arrival_rate=0.01, shock_mean=5.0,
+                                      shock_var=4.0))
+
+
+@st.composite
+def small_configs(draw):
+    """Short runs of a few ZI and HBL agents, in every HBL mode, on each
+    generated fundamental and three tick sizes."""
+    n_zi, n_hbl = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    zi = ZiParams(r_min=0.0, r_max=draw(st.sampled_from([0.2, 1.0, 4.0])),
+                  eta=draw(st.sampled_from([0.0, 0.5, 1.0])), sigma_n_sq=10.0,
+                  q_max=draw(st.integers(1, 3)),
+                  sigma_pv_sq=draw(st.sampled_from([100.0, 25.0])))
+    hbl = HblParams(zi=zi, memory_length=draw(st.integers(1, 4)),
+                    grace_period=draw(st.integers(1, 60)),
+                    success_mode=draw(st.sampled_from(["binary", "fractional"])),
+                    grid_mode=draw(st.sampled_from(["observed", "spline"])))
+    return make_config(horizon_T=draw(st.sampled_from([800, 300, 60])),
+                       n_zi=max(n_zi, 1 - n_hbl), n_hbl=n_hbl, zi_params=zi, hbl_params=hbl,
+                       arrival_rate=draw(st.sampled_from([0.2, 0.5, 0.05])),
+                       fundamental=draw(st.sampled_from(SMALL_FUNDAMENTALS)),
+                       tick_size=draw(st.sampled_from([0.1, 1.0, 0.01])),
+                       master_seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(config=small_configs())
+def test_run_resolves_each_unit_order_at_most_once(config):
+    result = run(config)
+    assert result.invariants_ok
+    placed, resolved = {}, {}
+    executions = []
+    for event in result.events:
+        assert event.quantity == 1
+        if event.kind is EventKind.PLACED:
+            assert event.order_id not in placed
+            placed[event.order_id] = event
+        else:
+            assert event.order_id in placed and event.order_id not in resolved
+            resolved[event.order_id] = event
+            if event.kind is EventKind.EXECUTED:
+                executions.append(event)
+    # two executions per trade, in trade order: the taker's, then the maker's
+    assert len(executions) == 2 * len(result.trades)
+    for trade, taker, maker in zip(result.trades, executions[::2], executions[1::2]):
+        assert {taker.order_id, maker.order_id} == {trade.buy_order_id, trade.sell_order_id}
+        assert (taker.counterparty, maker.counterparty) == (maker.order_id, taker.order_id)
+        assert taker.price == maker.price == trade.price == placed[maker.order_id].price
+        assert taker.time == maker.time == trade.time == placed[taker.order_id].time
+    # the book the log rebuilds rests exactly the unresolved orders, one per agent at most
+    book = replay(result.events)
+    assert book.trades == result.trades
+    unresolved = placed.keys() - resolved.keys()
+    assert resting_ids(book) == unresolved
+    agents_resting = [placed[order_id].agent_id for order_id in unresolved]
+    assert len(agents_resting) == len(set(agents_resting))
 
 
 def test_fundamental_path_independent_of_population():

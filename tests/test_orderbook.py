@@ -5,7 +5,6 @@ from cdasim.estimator import BeliefState
 from cdasim.orderbook import (
     BookEvent,
     EventKind,
-    Order,
     OrderBook,
     Side,
     Trade,
@@ -13,10 +12,6 @@ from cdasim.orderbook import (
 )
 
 from conftest import events_in_window, resting_ids
-
-
-def place(book, oid, agent, side, price, now, qty=1):
-    return book.place_limit(Order(oid, agent, side, price, qty), now)
 
 
 def test_empty_book():
@@ -29,10 +24,10 @@ def test_empty_book():
 
 def test_rest_and_touch():
     book = OrderBook()
-    place(book, 1, 0, Side.BID, 998, now=1)
-    place(book, 2, 1, Side.ASK, 1003, now=2)
-    place(book, 3, 2, Side.BID, 1000, now=3)
-    place(book, 4, 3, Side.ASK, 1001, now=4)
+    book.place_limit(1, 0, Side.BID, 998, now=1)
+    book.place_limit(2, 1, Side.ASK, 1003, now=2)
+    book.place_limit(3, 2, Side.BID, 1000, now=3)
+    book.place_limit(4, 3, Side.ASK, 1001, now=4)
     assert book.best_bid() == 1000
     assert book.best_ask() == 1001
     assert book.trades == []
@@ -40,8 +35,8 @@ def test_rest_and_touch():
 
 def test_trade_at_resting_price():
     book = OrderBook()
-    place(book, 1, 0, Side.ASK, 1000, now=1)
-    events = place(book, 2, 1, Side.BID, 1004, now=2)
+    book.place_limit(1, 0, Side.ASK, 1000, now=1)
+    events = book.place_limit(2, 1, Side.BID, 1004, now=2)
     # the aggressive bid pays the maker's price, not its own limit
     assert len(book.trades) == 1
     trade = book.trades[0]
@@ -54,6 +49,9 @@ def test_trade_at_resting_price():
     assert events[2].counterparty == 2
     assert book.best_bid() is None
     assert book.best_ask() is None
+    # both orders are filled, so neither can be cancelled
+    assert book.cancel(1, now=3) is None and book.cancel(2, now=3) is None
+    assert len(book.events) == 4
 
 
 @pytest.mark.parametrize("record, field", [
@@ -72,73 +70,94 @@ def test_records_are_immutable_and_hashable(record, field):
 
 def test_fifo_within_level():
     book = OrderBook()
-    place(book, 1, 0, Side.BID, 1000, now=1)
-    place(book, 2, 1, Side.BID, 1000, now=2)
-    place(book, 3, 2, Side.ASK, 999, now=3)
+    book.place_limit(1, 0, Side.BID, 1000, now=1)
+    book.place_limit(2, 1, Side.BID, 1000, now=2)
+    book.place_limit(3, 2, Side.ASK, 999, now=3)
     assert book.trades[0].buy_order_id == 1  # earlier order at the level first
-    place(book, 4, 3, Side.ASK, 999, now=4)
+    book.place_limit(4, 3, Side.ASK, 999, now=4)
     assert book.trades[1].buy_order_id == 2
 
 
 def test_best_price_before_time():
     book = OrderBook()
-    place(book, 1, 0, Side.BID, 998, now=1)
-    place(book, 2, 1, Side.BID, 1000, now=2)
-    place(book, 3, 2, Side.ASK, 997, now=3)
+    book.place_limit(1, 0, Side.BID, 998, now=1)
+    book.place_limit(2, 1, Side.BID, 1000, now=2)
+    book.place_limit(3, 2, Side.ASK, 997, now=3)
     # the later but better-priced bid trades first
     assert book.trades[0].buy_order_id == 2
     assert book.best_bid() == 998
 
 
-def test_partial_fill_walks_the_book():
+def test_crossing_order_trades_once_with_the_touch():
     book = OrderBook()
-    place(book, 1, 0, Side.ASK, 1000, now=1)
-    place(book, 2, 1, Side.ASK, 1001, now=2)
-    place(book, 3, 2, Side.ASK, 1003, now=3)
-    place(book, 4, 3, Side.BID, 1001, now=4, qty=3)
-    # fills at 1000 then 1001, remainder rests at its own limit
-    assert [(t.price, t.quantity) for t in book.trades] == [(1000, 1), (1001, 1)]
-    assert book.best_bid() == 1001
-    assert 4 in resting_ids(book)
-    assert book.best_ask() == 1003
+    book.place_limit(1, 0, Side.ASK, 1000, now=1)
+    book.place_limit(2, 1, Side.ASK, 1001, now=2)
+    events = book.place_limit(3, 2, Side.BID, 1005, now=3)
+    # one unit: it fills against the best ask alone and does not rest
+    assert book.trades == [Trade(3, 1000, 1, 3, 1, 2, 0)]
+    assert [e.kind for e in events] == [EventKind.PLACED, EventKind.EXECUTED,
+                                        EventKind.EXECUTED]
+    assert all(e.quantity == 1 for e in events)
+    assert book.best_bid() is None
+    assert book.depth_snapshot() == {"BID": [], "ASK": [(1001, [2])]}
 
 
-def test_partial_fill_of_resting_order():
+def test_negative_limit_price_rejected():
     book = OrderBook()
-    place(book, 1, 0, Side.ASK, 1000, now=1, qty=5)
-    place(book, 2, 1, Side.BID, 1000, now=2, qty=2)
-    assert book.trades[0].quantity == 2
-    assert book.best_ask() == 1000
-    snap = book.depth_snapshot()
-    assert snap["ASK"] == [(1000, [(1, 3)])]
+    with pytest.raises(ValueError, match="limit price must be >= 0"):
+        book.place_limit(1, 0, Side.BID, -1, now=1)
+    assert book.events == []
+    book.place_limit(1, 0, Side.BID, 0, now=1)  # the id was not taken
+    assert book.best_bid() == 0
+
+
+def test_depth_snapshot_lists_ids_in_priority_order():
+    book = OrderBook()
+    for oid, (side, price) in enumerate([(Side.BID, 998), (Side.BID, 999), (Side.BID, 998),
+                                         (Side.ASK, 1002), (Side.ASK, 1001),
+                                         (Side.ASK, 1001)], start=1):
+        book.place_limit(oid, oid, side, price, now=oid)
+    assert book.depth_snapshot() == {"BID": [(999, [2]), (998, [1, 3])],
+                                     "ASK": [(1001, [5, 6]), (1002, [4])]}
 
 
 def test_cancel():
     book = OrderBook()
-    place(book, 1, 0, Side.BID, 1000, now=1)
+    book.place_limit(1, 0, Side.BID, 1000, now=1)
     event = book.cancel(1, now=2)
-    assert event.kind is EventKind.CANCELLED
+    assert event == BookEvent(EventKind.CANCELLED, 2, 1, 0, Side.BID, 1000, 1)
     assert book.best_bid() is None
     assert book.cancel(1, now=3) is None  # already gone
     assert book.cancel(99, now=3) is None  # never existed
 
 
+def test_cancel_inside_a_level_keeps_the_others_in_order():
+    book = OrderBook()
+    for oid in (1, 2, 3):
+        book.place_limit(oid, oid, Side.ASK, 1001, now=oid)
+    book.cancel(2, now=4)
+    assert book.depth_snapshot()["ASK"] == [(1001, [1, 3])]
+    book.cancel(1, now=5)
+    book.cancel(3, now=6)
+    assert book.depth_snapshot()["ASK"] == [] and book.best_ask() is None
+
+
 def test_cancel_then_trade_skips_cancelled():
     book = OrderBook()
-    place(book, 1, 0, Side.BID, 1000, now=1)
-    place(book, 2, 1, Side.BID, 1000, now=2)
+    book.place_limit(1, 0, Side.BID, 1000, now=1)
+    book.place_limit(2, 1, Side.BID, 1000, now=2)
     book.cancel(1, now=3)
-    place(book, 3, 2, Side.ASK, 999, now=4)
+    book.place_limit(3, 2, Side.ASK, 999, now=4)
     assert book.trades[0].buy_order_id == 2
 
 
 def test_duplicate_id_and_time_regression():
     book = OrderBook()
-    place(book, 1, 0, Side.BID, 1000, now=5)
+    book.place_limit(1, 0, Side.BID, 1000, now=5)
     with pytest.raises(ValueError, match="duplicate"):
-        place(book, 1, 1, Side.ASK, 1001, now=6)
+        book.place_limit(1, 1, Side.ASK, 1001, now=6)
     with pytest.raises(ValueError, match="regression"):
-        place(book, 2, 1, Side.ASK, 1001, now=4)
+        book.place_limit(2, 1, Side.ASK, 1001, now=4)
     with pytest.raises(ValueError, match="regression"):
         book.cancel(1, now=4)
 
@@ -146,7 +165,7 @@ def test_duplicate_id_and_time_regression():
 def test_event_history_window():
     book = OrderBook()
     for t, oid in enumerate([1, 2, 3, 4], start=1):
-        place(book, oid, 0, Side.BID, 900 + oid, now=t)
+        book.place_limit(oid, 0, Side.BID, 900 + oid, now=t)
     window = events_in_window(book, 2, 3)
     assert [e.order_id for e in window] == [2, 3]
     assert [e.order_id for e in events_in_window(book, 3)] == [3, 4]
@@ -173,7 +192,7 @@ def test_paper_script_pairings():
         (15, 115, Side.BID, 1004),
     ]
     for now, oid, side, price in script:
-        place(book, oid, oid, side, price, now=now)
+        book.place_limit(oid, oid, side, price, now=now)
     assert [(t.price, t.buy_order_id, t.sell_order_id) for t in book.trades] == [
         (1000, 105, 101),
         (1002, 110, 106),
@@ -195,8 +214,7 @@ def random_book_run(seed, steps=400):
         oid += 1
         side = Side.BID if rng.random() < 0.5 else Side.ASK
         price = int(rng.integers(980, 1021))
-        qty = int(rng.integers(1, 4))
-        place(book, oid, oid % 7, side, price, t, qty=qty)
+        book.place_limit(oid, oid % 7, side, price, t)
         resting = resting_ids(book)
         if oid in resting:
             live.append(oid)
@@ -210,24 +228,13 @@ def test_random_stream_invariants(seed):
     # book never crossed
     if book.best_bid() is not None and book.best_ask() is not None:
         assert book.best_bid() < book.best_ask()
-    # conservation: every order's placed quantity equals executions plus
-    # cancellation remainder plus what still rests
-    placed, executed, cancelled = {}, {}, {}
-    for e in book.events:
-        if e.kind is EventKind.PLACED:
-            placed[e.order_id] = e.quantity
-        elif e.kind is EventKind.EXECUTED:
-            executed[e.order_id] = executed.get(e.order_id, 0) + e.quantity
-        else:
-            cancelled[e.order_id] = e.quantity
-    resting = {}
-    for levels in book.depth_snapshot().values():
-        for _, queue in levels:
-            for order_id, rem in queue:
-                resting[order_id] = rem
-    for order_id, qty in placed.items():
-        total = executed.get(order_id, 0) + cancelled.get(order_id, 0) + resting.get(order_id, 0)
-        assert total == qty, order_id
+    # every unit order is resolved at most once, and rests exactly when it
+    # is not resolved
+    resolved = [e.order_id for e in book.events if e.kind is not EventKind.PLACED]
+    assert len(resolved) == len(set(resolved))
+    placed = {e.order_id for e in book.events if e.kind is EventKind.PLACED}
+    assert resting_ids(book) == placed - set(resolved)
+    assert all(e.quantity == 1 for e in book.events)
     # each trade produced exactly two EXECUTED events at the maker price
     exec_events = [e for e in book.events if e.kind is EventKind.EXECUTED]
     assert len(exec_events) == 2 * len(book.trades)
