@@ -6,8 +6,9 @@ coin, shades its limit away from its valuation by a randomly requested
 surplus, and may instead take the touch when that locks in at least a
 configured fraction of the requested surplus.  HBL replaces the random
 shading with the price maximizing expected surplus under a success-belief
-function fit to the recently observed order stream, falling back to ZI
-while it has not yet observed enough transactions.
+function fit to the recently observed order stream.  The kernel asks for
+that memory only once the book holds enough transactions; until then HBL
+falls back to ZI.
 
 The HBL memory is one per-tick type, ``TickMemory``, in both success
 modes.  ``OrderHistory`` keeps it as running int64 counts in binary mode;
@@ -70,7 +71,6 @@ class ZiParams:
 
 @dataclass(frozen=True)
 class HblParams:
-    zi: ZiParams
     memory_length: int  # transactions remembered (L)
     grace_period: int  # steps an order may rest before counting as rejected
     success_mode: str = "binary"  # or "fractional"
@@ -138,9 +138,7 @@ class TickMemory:
     binary belief is one division of two exact integers.
     """
 
-    def __init__(self, lo: int, counts: np.ndarray, weights: np.ndarray,
-                 transaction_count: int):
-        self.transaction_count = transaction_count
+    def __init__(self, lo: int, counts: np.ndarray, weights: np.ndarray):
         self._lo = lo
         self._counts = counts  # [bids, asks] at each tick
         # weights[0:2, j]: bid successes, ask failures at ticks below lo + j
@@ -250,7 +248,7 @@ class OrderHistory:
         self._now = now
         start = self._read(book)
         if not self._binary:
-            return self._fractional_memory(start, now, len(book.trades))
+            return self._fractional_memory(start, now)
         self._expire(now)
         if start < self._start:
             self._count_range(start, self._start, 1)
@@ -261,7 +259,7 @@ class OrderHistory:
         weights = np.zeros((4, counts.shape[1] + 1), dtype=np.int64)
         np.add.accumulate(counts[:2], axis=1, out=weights[:2, 1:])
         np.add.accumulate(counts[2:, ::-1], axis=1, out=weights[2:, -2::-1])
-        return TickMemory(self._lo, counts[:2] + counts[2:], weights, len(book.trades))
+        return TickMemory(self._lo, counts[:2] + counts[2:], weights)
 
     def _read(self, book: OrderBook) -> int:
         """Take in the events logged since the last read and return the
@@ -314,7 +312,7 @@ class OrderHistory:
 
     # -- fractional memory --------------------------------------------------
 
-    def _fractional_memory(self, start: int, now: int, transaction_count: int) -> TickMemory:
+    def _fractional_memory(self, start: int, now: int) -> TickMemory:
         """The memory of orders ``[start, _n)``, each side's weights summed
         in (price, placement) order as ``TickMemory`` reads them.  Orders
         without weight (cancelled when placed, or placed at ``now`` and
@@ -359,7 +357,7 @@ class OrderHistory:
             weights[2 + row] = sums[order.size - below]
         for i in weightless:
             counts[int(not self._is_bid[i]), self._price[i] - lo] -= 1
-        return TickMemory(lo, counts, weights, transaction_count)
+        return TickMemory(lo, counts, weights)
 
     # -- binary ledger ------------------------------------------------------
 
@@ -407,16 +405,15 @@ class OrderHistory:
         self._lo, self._counts = new_lo, counts
 
 
-def hbl_candidate_grid(memory: TickMemory, mode: str = "observed",
-                       extend: int = 1) -> np.ndarray:
+def hbl_candidate_grid(memory: TickMemory, mode: str = "observed") -> np.ndarray:
     """Candidate limit prices, ascending, as an int64 array: the observed
     distinct prices, or every tick across the observed range, each extended
-    ``extend`` ticks beyond the extremes."""
+    one tick beyond the extremes."""
     observed = memory.prices
     if not observed.size:
         return observed
     first, last = int(observed[0]), int(observed[-1])
-    lo, hi = max(0, first - extend), last + extend
+    lo, hi = max(0, first - 1), last + 1
     if mode == "spline":
         return np.arange(lo, hi + 1, dtype=np.int64)
     # observed is sorted and distinct, so only the two ends can be new
@@ -463,9 +460,9 @@ def _solve_tridiagonal(dl: list, d: list, du: list, b: list) -> list:
     return b
 
 
-def natural_cubic_spline(knots, values):
-    """Natural cubic spline through ``(knots, values)``, extrapolated from the
-    end pieces; returns a function of an array of points.
+def natural_cubic_spline(knots, values, points) -> np.ndarray:
+    """Natural cubic spline through ``(knots, values)`` at ``points``,
+    extrapolated from the end pieces.
 
     Bit for bit the reference spline that ``tests/test_agents.py`` compares
     against: the same tridiagonal system for the slopes, the same Hermite
@@ -492,30 +489,23 @@ def natural_cubic_spline(knots, values):
     c1 = (slope - s[:-1]) / dx - t
     c2 = s[:-1]
     c3 = y[:-1]
-    last = len(x) - 2
-
-    def evaluate(points):
-        p = np.asarray(points, dtype=np.float64)
-        i = np.clip(np.searchsorted(x, p, side="right") - 1, 0, last)
-        h = p - x[i]
-        h2 = h * h
-        # term by term with rising powers, the reference's order (not Horner)
-        return c3[i] + c2[i] * h + c1[i] * h2 + c0[i] * (h2 * h)
-
-    return evaluate
+    p = np.asarray(points, dtype=np.float64)
+    i = np.clip(np.searchsorted(x, p, side="right") - 1, 0, len(x) - 2)
+    h = p - x[i]
+    h2 = h * h
+    # term by term with rising powers, the reference's order (not Horner)
+    return c3[i] + c2[i] * h + c1[i] * h2 + c0[i] * (h2 * h)
 
 
-def hbl_belief_spline(memory: TickMemory, side: Side):
-    """Natural cubic spline through the observed (price, belief) points,
-    clamped to [0, 1]; degenerates to the raw belief with < 2 points.
-
-    Returns a function of an array of prices.
-    """
+def hbl_belief_spline(memory: TickMemory, side: Side, prices) -> np.ndarray:
+    """The belief at ``prices`` read off a natural cubic spline through the
+    observed (price, belief) points, clipped to [0, 1]; the raw belief with
+    fewer than two points."""
     points = memory.prices
     if len(points) < 2:
-        return lambda prices: memory.belief_array(prices, side)
-    spline = natural_cubic_spline(points, memory.belief_array(points, side))
-    return lambda prices: np.clip(spline(prices), 0.0, 1.0)
+        return memory.belief_array(prices, side)
+    spline = natural_cubic_spline(points, memory.belief_array(points, side), prices)
+    return np.clip(spline, 0.0, 1.0)
 
 
 def hbl_decide(
@@ -525,6 +515,7 @@ def hbl_decide(
     memory: TickMemory | None,
     candidate_prices: np.ndarray | None,
     params: HblParams,
+    zi: ZiParams,
     rng: np.random.Generator,
     grid: PriceGrid,
     best_bid: int | None = None,
@@ -532,14 +523,16 @@ def hbl_decide(
 ) -> AgentAction:
     """Expected-surplus-maximizing placement; ZI fallback while uninformed.
 
-    ``candidate_prices`` is the ascending int64 array of
-    ``hbl_candidate_grid``.  The fallback is checked before any draw so that
-    an uninformed HBL agent consumes its RNG stream exactly like a ZI agent
-    would.
+    ``memory`` is ``None`` while the book holds fewer than ``memory_length``
+    transactions: the kernel alone applies that gate, and the agent then
+    decides as ZI with ``zi``.  The fallback comes before any draw, so an
+    uninformed HBL agent consumes its RNG stream exactly like a ZI agent
+    would.  An informed memory holds the orders of at least one trade, so
+    ``candidate_prices``, the ascending int64 array of
+    ``hbl_candidate_grid``, is never empty.
     """
-    if (memory is None or memory.transaction_count < params.memory_length
-            or not len(candidate_prices)):
-        return zi_decide(q_held, pv, r_hat, best_bid, best_ask, params.zi, rng, grid)
+    if memory is None:
+        return zi_decide(q_held, pv, r_hat, best_bid, best_ask, zi, rng, grid)
     side = _choose_side(q_held, pv, rng)
     if side is None:
         return SKIP
@@ -551,9 +544,9 @@ def hbl_decide(
         prices = prices[::-1]  # ties resolve to the highest ask
     sign = 1.0 if side is Side.BID else -1.0
     if params.grid_mode == "spline":
-        beliefs = hbl_belief_spline(memory, side)(prices)
+        beliefs = hbl_belief_spline(memory, side, prices)
     else:
         beliefs = memory.belief_array(prices, side)
     expected = sign * (valuation - prices * grid.tick_size) * beliefs
     best_price = int(prices[np.argmax(expected)])  # first max keeps tie order
-    return AgentAction(ActionKind.PLACE, side, max(0, best_price))
+    return AgentAction(ActionKind.PLACE, side, best_price)

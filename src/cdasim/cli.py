@@ -218,7 +218,6 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
         hbl = None
         if n_hbl > 0:
             hbl = HblParams(
-                zi=zi,
                 memory_length=_as_int(resolved, "agents", "memory_length",
                                       lambda v: v >= 1, "memory_length >= 1"),
                 grace_period=_as_int(resolved, "agents", "grace_period",

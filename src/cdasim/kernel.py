@@ -32,7 +32,7 @@ from .fundamental import (
     OuFundamental,
     OuParams,
 )
-from .orderbook import OrderBook, Side
+from .orderbook import OrderBook
 from .preferences import PrivateValues
 from .prices import PriceGrid
 from .rng import child_stream
@@ -68,6 +68,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.horizon_T < 1:
             raise ValueError("horizon_T must be >= 1")
+        if self.n_zi < 0 or self.n_hbl < 0:
+            raise ValueError("n_zi and n_hbl must be >= 0")
         if self.n_zi + self.n_hbl < 1:
             raise ValueError("population must contain at least one agent")
         if not self.arrival_rate > 0.0:  # NaN too
@@ -252,7 +254,8 @@ def run(config: SimConfig) -> SimResult:
     value_at = fundamental.value_at
     advance, observe, project_final = est.advance, est.observe, est.project_final
     place_limit, cancel = book.place_limit, book.cancel
-    zi_decide = strategies.zi_decide
+    zi_decide, hbl_decide = strategies.zi_decide, strategies.hbl_decide
+    hbl_candidate_grid = strategies.hbl_candidate_grid
     to_value = grid.to_value
     skip = strategies.ActionKind.SKIP
 
@@ -278,8 +281,13 @@ def run(config: SimConfig) -> SimResult:
             action = zi_decide(record.q_held, record.pv, r_hat, best_bid, best_ask,
                                zi_params, record.rng, grid)
         else:
-            action = _hbl_decide(record, r_hat, best_bid, best_ask, book, history,
-                                 hbl_params, grid, t)
+            memory = candidates = None
+            # the one "informed" gate: hbl_decide falls back to ZI without a memory
+            if len(trades) >= hbl_params.memory_length:
+                memory = history.memory(book, t)
+                candidates = hbl_candidate_grid(memory, hbl_params.grid_mode)
+            action = hbl_decide(record.q_held, record.pv, r_hat, memory, candidates,
+                                hbl_params, zi_params, record.rng, grid, best_bid, best_ask)
         if trace_decisions:
             decision_trace.append((t, agent_id, record.strategy, action.kind,
                                    action.side, action.limit_price))
@@ -330,13 +338,3 @@ def run(config: SimConfig) -> SimResult:
         decision_trace=decision_trace,
     )
 
-
-def _hbl_decide(record: AgentRecord, r_hat: float, best_bid: int | None,
-                best_ask: int | None, book: OrderBook, history: strategies.OrderHistory,
-                hp: strategies.HblParams, grid: PriceGrid, now: int) -> strategies.AgentAction:
-    memory = candidates = None
-    if len(book.trades) >= hp.memory_length:
-        memory = history.memory(book, now)
-        candidates = strategies.hbl_candidate_grid(memory, hp.grid_mode)
-    return strategies.hbl_decide(record.q_held, record.pv, r_hat, memory, candidates,
-                                 hp, record.rng, grid, best_bid, best_ask)

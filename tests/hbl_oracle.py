@@ -40,8 +40,7 @@ class HblMemory:
     placement) order.
     """
 
-    def __init__(self, is_bid, prices, success, failure, transaction_count: int):
-        self.transaction_count = transaction_count
+    def __init__(self, is_bid, prices, success, failure):
         is_bid = np.asarray(is_bid, dtype=bool)
         prices = np.asarray(prices, dtype=np.int64)
         success = np.asarray(success, dtype=np.float64)
@@ -108,9 +107,9 @@ class HblMemory:
 class RecordMemory(HblMemory):
     """An ``HblMemory`` built from ``MemoryOrder`` records, which it keeps."""
 
-    def __init__(self, records, transaction_count: int):
+    def __init__(self, records):
         self.records = tuple(records)
-        super().__init__(*order_arrays(self.records), transaction_count)
+        super().__init__(*order_arrays(self.records))
 
 
 def order_arrays(records):
@@ -186,7 +185,7 @@ def hbl_classify(events, now: int, params: HblParams) -> RecordMemory:
 
     recent = transactions[-params.memory_length:]
     if not recent:
-        return RecordMemory((), transaction_count=0)
+        return RecordMemory(())
     involved = {oid for pair in recent for oid in pair}
     missing = involved - placed.keys()
     if missing:
@@ -204,7 +203,7 @@ def hbl_classify(events, now: int, params: HblParams) -> RecordMemory:
             continue
         success, failure = weights
         records.append(MemoryOrder(event.side, event.price, success, failure))
-    return RecordMemory(records, transaction_count=len(transactions))
+    return RecordMemory(records)
 
 
 def _classify_order(placed_at, executed_at, cancelled_at, now, grace, mode):
@@ -253,11 +252,10 @@ def window_oracle(events, window_start, now, params: HblParams) -> RecordMemory:
             records.append(MemoryOrder(event.side, event.price, 1.0, 0.0))
         elif oid in cancelled or now - event.time > grace:
             records.append(MemoryOrder(event.side, event.price, 0.0, 1.0))
-    return RecordMemory(records, transaction_count=0)
+    return RecordMemory(records)
 
 
-def tick_memory_from_orders(is_bid, price, success, failure,
-                            transaction_count: int) -> TickMemory:
+def tick_memory_from_orders(is_bid, price, success, failure) -> TickMemory:
     """The ``TickMemory`` of these orders, given in placement order, built
     from scratch.
 
@@ -282,4 +280,4 @@ def tick_memory_from_orders(is_bid, price, success, failure,
         weights[row] = np.concatenate(([0], np.cumsum(rising)))[below]
         weights[2 + row] = np.concatenate(
             ([0], np.cumsum(falling[::-1])))[below[-1] - below]
-    return TickMemory(lo, counts, weights, transaction_count)
+    return TickMemory(lo, counts, weights)

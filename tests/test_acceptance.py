@@ -94,7 +94,7 @@ def test_criterion_2_hbl_golden():
             else:
                 assert got == prob, price
         candidates = hbl_candidate_grid(memory)
-        action = hbl_decide(-1, PV, 100.0, memory, candidates, HBL,
+        action = hbl_decide(-1, PV, 100.0, memory, candidates, HBL, ZI,
                             FixedRng(0.0), grid)
         assert action.side is Side.BID
         assert grid.to_value(action.limit_price) == 100.0
@@ -113,10 +113,10 @@ from cdasim.agents import hbl_candidate_grid, hbl_decide
 from cdasim.prices import PriceGrid
 from conftest import FixedRng
 from hbl_oracle import hbl_classify
-from test_agents import HBL, PV, build_script_book
+from test_agents import HBL, PV, ZI, build_script_book
 memory = hbl_classify(build_script_book().events, now=100, params=HBL)
 candidates = hbl_candidate_grid(memory)
-hbl_decide(-1, PV, 100.0, memory, candidates, HBL, FixedRng(0.0), PriceGrid(0.1))
+hbl_decide(-1, PV, 100.0, memory, candidates, HBL, ZI, FixedRng(0.0), PriceGrid(0.1))
 print(json.dumps({{"eager": eager, "loaded": "numpy.ma" in sys.modules}}))
 """
 
@@ -353,7 +353,7 @@ def test_criterion_9_hbl_fallback_equivalence():
             master_seed=23,
         )
         as_zi = run(SimConfig(n_zi=12, n_hbl=0, hbl_params=None, **base))
-        never_informed = HblParams(zi=ZI, memory_length=10**6, grace_period=100)
+        never_informed = HblParams(memory_length=10**6, grace_period=100)
         as_hbl = run(SimConfig(n_zi=0, n_hbl=12, hbl_params=never_informed, **base))
         assert as_zi.trades == as_hbl.trades
         assert as_zi.events == as_hbl.events

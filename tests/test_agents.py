@@ -40,7 +40,7 @@ from hbl_oracle import (
 PV = PrivateValues(q_max=3, values=(0.5, 0.3, 0.2, 0.1, -0.2, -0.4))
 
 ZI = ZiParams(r_min=0.0, r_max=1.0, eta=0.5, sigma_n_sq=10.0, q_max=3, sigma_pv_sq=25.0)
-HBL = HblParams(zi=ZI, memory_length=4, grace_period=5)
+HBL = HblParams(memory_length=4, grace_period=5)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,6 @@ def test_script_memory_beliefs(grid_01):
     # resolved the bid belief takes these exact values on the ten-point grid
     book = build_script_book()
     memory = hbl_classify(book.events, now=100, params=HBL)
-    assert memory.transaction_count == 4
     assert len(memory) == 15
     expected = {
         995: 0.0,
@@ -212,16 +211,15 @@ def test_candidate_grid_matches_union_oracle(rng):
             memory = tick_memory([MemoryOrder(Side.BID, int(p), 1.0, 0.0)
                                   for p in rng.integers(0, 4, size=2)])
         observed = memory.prices.tolist()
-        for extend in (0, 1, 3):
-            grid = hbl_candidate_grid(memory, extend=extend)
-            dense = hbl_candidate_grid(memory, "spline", extend)
-            assert grid.dtype == dense.dtype == np.int64
-            if not observed:
-                assert grid.size == dense.size == 0
-                continue
-            lo, hi = max(0, observed[0] - extend), observed[-1] + extend
-            assert grid.tolist() == sorted(set(observed) | {lo, hi})
-            assert dense.tolist() == list(range(lo, hi + 1))
+        grid = hbl_candidate_grid(memory)
+        dense = hbl_candidate_grid(memory, "spline")
+        assert grid.dtype == dense.dtype == np.int64
+        if not observed:
+            assert grid.size == dense.size == 0
+            continue
+        lo, hi = max(0, observed[0] - 1), observed[-1] + 1
+        assert grid.tolist() == sorted(set(observed) | {lo, hi})
+        assert dense.tolist() == list(range(lo, hi + 1))
 
 
 def test_script_buyer_decision(grid_01):
@@ -231,7 +229,7 @@ def test_script_buyer_decision(grid_01):
     memory = hbl_classify(book.events, now=100, params=HBL)
     candidates = hbl_candidate_grid(memory)
     rng = FixedRng(random_value=0.0)
-    action = hbl_decide(-1, PV, 100.0, memory, candidates, HBL, rng, grid_01)
+    action = hbl_decide(-1, PV, 100.0, memory, candidates, HBL, ZI, rng, grid_01)
     assert action.kind is ActionKind.PLACE
     assert action.side is Side.BID
     assert action.limit_price == 1000
@@ -243,7 +241,7 @@ def test_script_seller_decision(grid_01):
     memory = hbl_classify(book.events, now=100, params=HBL)
     candidates = hbl_candidate_grid(memory)
     rng = FixedRng(random_value=0.9)
-    action = hbl_decide(2, PV, 100.0, memory, candidates, HBL, rng, grid_01)
+    action = hbl_decide(2, PV, 100.0, memory, candidates, HBL, ZI, rng, grid_01)
     assert action.side is Side.ASK
     assert action.limit_price == 1002
 
@@ -255,7 +253,7 @@ def test_memory_window_excludes_stale_orders():
     book.place_limit(1, 1, Side.BID, 900, 1)  # stale
     book.place_limit(2, 2, Side.ASK, 1000, 10)
     book.place_limit(3, 3, Side.BID, 1000, 11)
-    params = HblParams(zi=ZI, memory_length=1, grace_period=5)
+    params = HblParams(memory_length=1, grace_period=5)
     memory = hbl_classify(book.events, now=12, params=params)
     assert len(memory) == 2
     assert all(r.price == 1000 for r in memory.records)
@@ -263,11 +261,10 @@ def test_memory_window_excludes_stale_orders():
 
 def test_memory_limits_to_last_l_transactions():
     book = build_script_book()
-    params = HblParams(zi=ZI, memory_length=2, grace_period=5)
+    params = HblParams(memory_length=2, grace_period=5)
     memory = hbl_classify(book.events, now=100, params=params)
     # last two trades involve orders 109/112 (placed 9, 12) and 115/103
     # (placed 15, 3); window starts at the ask placed at t=3
-    assert memory.transaction_count == 4
     assert len(memory) == 13  # drops the two orders placed before t=3
 
 
@@ -281,7 +278,7 @@ def test_classify_binary_pending_within_grace():
         BookEvent(EventKind.PLACED, 4, 4, 4, Side.BID, 991, 1),
         BookEvent(EventKind.CANCELLED, 5, 4, 4, Side.BID, 991, 1),
     ]
-    params = HblParams(zi=ZI, memory_length=1, grace_period=5)
+    params = HblParams(memory_length=1, grace_period=5)
     memory = hbl_classify(events, now=6, params=params)
     by_price = {r.price: r for r in memory.records}
     assert by_price[1000].success == 1.0  # both sides of the trade
@@ -301,7 +298,7 @@ def test_classify_fractional_ramp():
         BookEvent(EventKind.PLACED, 3, 4, 4, Side.BID, 991, 1),
         BookEvent(EventKind.CANCELLED, 5, 4, 4, Side.BID, 991, 1),
     ]
-    params = HblParams(zi=ZI, memory_length=1, grace_period=10,
+    params = HblParams(memory_length=1, grace_period=10,
                        success_mode="fractional")
     memory = hbl_classify(events, now=7, params=params)
     by_price = {r.price: r for r in memory.records}
@@ -326,7 +323,6 @@ def test_classify_rejects_orphan_execution():
 
 def test_classify_empty_stream():
     memory = hbl_classify([], now=5, params=HBL)
-    assert memory.transaction_count == 0
     assert len(memory) == 0
     assert hbl_candidate_grid(memory).size == 0
 
@@ -364,12 +360,12 @@ def random_memory(rng):
             success = float(rng.uniform(0.0, 1.0))
             failure = 1.0 - success
         records.append(MemoryOrder(side, price, success, failure))
-    return RecordMemory(records, transaction_count=len(records))
+    return RecordMemory(records)
 
 
-def tick_memory(records, transaction_count=0):
+def tick_memory(records):
     """The package's ``TickMemory`` of ``MemoryOrder`` records."""
-    return tick_memory_from_orders(*order_arrays(records), transaction_count)
+    return tick_memory_from_orders(*order_arrays(records))
 
 
 def memories_from_prices(bid_prices, ask_prices):
@@ -378,10 +374,10 @@ def memories_from_prices(bid_prices, ask_prices):
     prices = list(bid_prices) + list(ask_prices)
     records = tuple(MemoryOrder(side, price, 1.0, 0.0)
                     for side, price in zip(sides, prices))
-    from_records = RecordMemory(records, transaction_count=0)
+    from_records = RecordMemory(records)
     from_arrays = HblMemory(
         [side is Side.BID for side in sides], prices, [1.0] * len(prices),
-        [0.0] * len(prices), transaction_count=0)
+        [0.0] * len(prices))
     return from_records, from_arrays, tick_memory(records)
 
 
@@ -431,10 +427,9 @@ def test_tick_memory_matches_oracle_edge_cases(case, grace, rng):
     for _ in range(40):
         is_bid, price = edge_orders(case, rng)
         success, failure = edge_weights(rng, price.size, grace)
-        got = tick_memory_from_orders(is_bid, price, success, failure, 7)
-        expected = HblMemory(is_bid, price, success, failure, 7)
+        got = tick_memory_from_orders(is_bid, price, success, failure)
+        expected = HblMemory(is_bid, price, success, failure)
         assert len(got) == len(expected) == price.size
-        assert got.transaction_count == 7
         assert np.array_equal(got.prices, expected.prices)
         assert got.prices.dtype == np.int64
         lo, hi = (int(price.min()), int(price.max())) if price.size else (1000, 1000)
@@ -462,7 +457,7 @@ def test_binary_tick_memory_is_the_exact_quotient_edge_cases(case, rng):
         is_bid, price = edge_orders(case, rng)
         success, failure = edge_weights(rng, price.size, None)
         memory = tick_memory_from_orders(is_bid, price, success.astype(np.int64),
-                                         failure.astype(np.int64), 7)
+                                         failure.astype(np.int64))
         assert memory._weights.dtype == np.int64
         records = [MemoryOrder(Side.BID if bid else Side.ASK, int(p), s, f)
                    for bid, p, s, f in zip(is_bid, price, success, failure)]
@@ -517,9 +512,7 @@ def test_belief_mirror_symmetry(rng):
         memory = random_memory(rng)
         mirrored = RecordMemory(
             tuple(MemoryOrder(Side.ASK if r.side is Side.BID else Side.BID, 2000 - r.price, r.success, r.failure)
-                  for r in memory.records),
-            transaction_count=memory.transaction_count,
-        )
+                  for r in memory.records))
         for p in range(990, 1011):
             assert hbl_belief(memory, p, Side.BID) == pytest.approx(
                 hbl_belief(mirrored, 2000 - p, Side.ASK), abs=1e-12
@@ -527,7 +520,7 @@ def test_belief_mirror_symmetry(rng):
 
 
 def test_belief_empty_denominator():
-    memory = RecordMemory((MemoryOrder(Side.BID, 1000, 1.0, 0.0),), transaction_count=1)
+    memory = RecordMemory((MemoryOrder(Side.BID, 1000, 1.0, 0.0),))
     # an ask query here has no bids above, no successful asks, no failed asks
     assert hbl_belief(memory, 1001, Side.ASK) == 0.0
 
@@ -540,7 +533,7 @@ def test_belief_empty_denominator():
 def test_hbl_fallback_consumes_rng_like_zi(grid_01):
     pv = PV
     for seed in range(30):
-        a = hbl_decide(0, pv, 100.0, None, [], HBL,
+        a = hbl_decide(0, pv, 100.0, None, None, HBL, ZI,
                        np.random.default_rng(seed), grid_01,
                        best_bid=995, best_ask=1005)
         b = zi_decide(0, pv, 100.0, 995, 1005, ZI,
@@ -548,32 +541,21 @@ def test_hbl_fallback_consumes_rng_like_zi(grid_01):
         assert a == b
 
 
-def test_hbl_falls_back_until_enough_transactions(grid_01):
-    book = build_script_book()
-    thin = HblParams(zi=ZI, memory_length=5, grace_period=5)  # only 4 seen
-    memory = hbl_classify(book.events, now=100, params=thin)
-    candidates = hbl_candidate_grid(memory)
-    a = hbl_decide(0, PV, 100.0, memory, candidates, thin,
-                   np.random.default_rng(1), grid_01)
-    b = zi_decide(0, PV, 100.0, None, None, ZI, np.random.default_rng(1), grid_01)
-    assert a == b
-
-
 def test_hbl_tie_break_zero_belief(grid_01):
     # all-zero beliefs tie at zero expected surplus; the buyer then bids the
     # lowest candidate and the seller asks the highest
     records = (MemoryOrder(Side.BID, 998, 0.0, 1.0),
                MemoryOrder(Side.BID, 1002, 0.0, 1.0))
-    memory = RecordMemory(records, transaction_count=4)
+    memory = RecordMemory(records)
     candidates = hbl_candidate_grid(memory)
-    buy = hbl_decide(0, PV, 100.0, memory, candidates, HBL,
+    buy = hbl_decide(0, PV, 100.0, memory, candidates, HBL, ZI,
                      FixedRng(random_value=0.0), grid_01)
     assert buy.limit_price == min(candidates)
     records = (MemoryOrder(Side.ASK, 998, 0.0, 1.0),
                MemoryOrder(Side.ASK, 1002, 0.0, 1.0))
-    memory = RecordMemory(records, transaction_count=4)
+    memory = RecordMemory(records)
     candidates = hbl_candidate_grid(memory)
-    sell = hbl_decide(0, PV, 100.0, memory, candidates, HBL,
+    sell = hbl_decide(0, PV, 100.0, memory, candidates, HBL, ZI,
                       FixedRng(random_value=0.9), grid_01)
     assert sell.limit_price == max(candidates)
 
@@ -582,7 +564,7 @@ def test_hbl_side_flip_at_limit(grid_01):
     book = build_script_book()
     memory = hbl_classify(book.events, now=100, params=HBL)
     candidates = hbl_candidate_grid(memory)
-    action = hbl_decide(3, PV, 100.0, memory, candidates, HBL,
+    action = hbl_decide(3, PV, 100.0, memory, candidates, HBL, ZI,
                         FixedRng(random_value=0.0), grid_01)
     assert action.side is Side.ASK
 
@@ -590,25 +572,24 @@ def test_hbl_side_flip_at_limit(grid_01):
 def test_spline_belief_interpolates_and_clamps(grid_01):
     book = build_script_book()
     memory = hbl_classify(book.events, now=100, params=HBL)
-    belief = hbl_belief_spline(memory, Side.BID)
-    for p in memory.prices:
-        assert belief(p) == pytest.approx(hbl_belief(memory, p, Side.BID), abs=1e-9)
-    for p in range(990, 1011):
-        assert 0.0 <= belief(p) <= 1.0
+    at_knots = hbl_belief_spline(memory, Side.BID, memory.prices)
+    assert at_knots == pytest.approx(memory.belief_array(memory.prices, Side.BID), abs=1e-9)
+    between = hbl_belief_spline(memory, Side.BID, np.arange(990, 1011))
+    assert ((0.0 <= between) & (between <= 1.0)).all()
 
 
 def test_spline_single_point_falls_back():
-    memory = RecordMemory((MemoryOrder(Side.BID, 1000, 1.0, 0.0),), transaction_count=1)
-    belief = hbl_belief_spline(memory, Side.BID)
-    assert belief(1000) == hbl_belief(memory, 1000, Side.BID)
+    memory = RecordMemory((MemoryOrder(Side.BID, 1000, 1.0, 0.0),))
+    belief = hbl_belief_spline(memory, Side.BID, [999, 1000, 1001])
+    assert belief.tolist() == memory.belief_array([999, 1000, 1001], Side.BID).tolist()
 
 
 def test_spline_mode_decision_runs(grid_01):
     book = build_script_book()
-    params = HblParams(zi=ZI, memory_length=4, grace_period=5, grid_mode="spline")
+    params = HblParams(memory_length=4, grace_period=5, grid_mode="spline")
     memory = hbl_classify(book.events, now=100, params=params)
     candidates = hbl_candidate_grid(memory, mode="spline")
-    action = hbl_decide(-1, PV, 100.0, memory, candidates, params,
+    action = hbl_decide(-1, PV, 100.0, memory, candidates, params, ZI,
                         FixedRng(random_value=0.0), grid_01)
     assert action.kind is ActionKind.PLACE
     assert action.side is Side.BID
@@ -656,11 +637,10 @@ def test_natural_spline_matches_scipy_bitwise(tick_size, rng):
         # dgtsv swaps rows 0 and 1 when the sub-diagonal entry dx[1]
         # exceeds the first pivot 2 * dx[0]
         interchanges += len(points) > 2 and points[2] - points[1] > 2 * (points[1] - points[0])
-        spline = natural_cubic_spline(points, values)
         for prices in (points,
                        [points[0] - 1, points[-1] + 1],
                        np.arange(points[0] - 1, points[-1] + 2)):
-            assert_bitwise_equal(np.clip(spline(prices), 0.0, 1.0),
+            assert_bitwise_equal(np.clip(natural_cubic_spline(points, values, prices), 0.0, 1.0),
                                  scipy_natural_spline(points, values, prices))
     assert {2, 3} <= knot_counts
     assert interchanges > 0
@@ -676,7 +656,7 @@ def test_spline_belief_matches_scipy_on_memories(side, rng):
             continue
         prices = np.array(hbl_candidate_grid(memory, mode="spline"))
         expected = scipy_natural_spline(points, memory.belief_array(points, side), prices)
-        assert_bitwise_equal(hbl_belief_spline(memory, side)(prices), expected)
+        assert_bitwise_equal(hbl_belief_spline(memory, side, prices), expected)
         checked += 1
     assert checked > 100
 
@@ -696,10 +676,10 @@ from test_kernel import HBL_PARAMS, make_config
 fits = []
 fit = agents.natural_cubic_spline
 agents.natural_cubic_spline = lambda *args: fits.append(1) or fit(*args)
-params = HblParams(zi=ZI, memory_length=4, grace_period=5, grid_mode="spline")
+params = HblParams(memory_length=4, grace_period=5, grid_mode="spline")
 memory = hbl_classify(build_script_book().events, now=100, params=params)
 candidates = hbl_candidate_grid(memory, mode="spline")
-hbl_decide(-1, PV, 100.0, memory, candidates, params, FixedRng(0.0), PriceGrid(0.1))
+hbl_decide(-1, PV, 100.0, memory, candidates, params, ZI, FixedRng(0.0), PriceGrid(0.1))
 run(make_config(hbl_params=replace(HBL_PARAMS, grid_mode="spline")))
 print(json.dumps({{"fits": len(fits),
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}}))
@@ -808,17 +788,17 @@ def scalar_choice_oracle(memory, candidates, side, valuation, grid, grid_mode):
 
 @pytest.mark.parametrize("grid_mode", ["observed", "spline"])
 def test_hbl_decide_matches_scalar_loop(grid_mode, rng, grid_01, grid_001):
-    params = HblParams(zi=ZI, memory_length=1, grace_period=5, grid_mode=grid_mode)
+    params = HblParams(memory_length=1, grace_period=5, grid_mode=grid_mode)
     for trial in range(400):
         reference = random_memory(rng)
-        memory = tick_memory(reference.records, reference.transaction_count)
+        memory = tick_memory(reference.records)
         candidates = hbl_candidate_grid(memory, grid_mode)
         if not candidates.size:
             continue
         grid = grid_01 if trial % 2 else grid_001
         r_hat = float(rng.uniform(98.5, 101.5)) * (1.0 if trial % 2 else 0.1)
         for side, coin in ((Side.BID, 0.0), (Side.ASK, 0.9)):
-            action = hbl_decide(0, PV, r_hat, memory, candidates, params,
+            action = hbl_decide(0, PV, r_hat, memory, candidates, params, ZI,
                                 FixedRng(random_value=coin), grid)
             valuation = (PV.buy_valuation(0, r_hat) if side is Side.BID
                          else PV.sell_valuation(0, r_hat))
@@ -831,7 +811,7 @@ def test_hbl_decide_matches_scalar_loop(grid_mode, rng, grid_01, grid_001):
 def test_order_history_matches_event_classification(mode, rng):
     # the incremental ledger and the event-log rescan agree exactly on every
     # belief, queried after every step and once more after a longer gap
-    params = HblParams(zi=ZI, memory_length=3, grace_period=7, success_mode=mode)
+    params = HblParams(memory_length=3, grace_period=7, success_mode=mode)
     grid = np.arange(993, 1008)
     queried = 0
     for trial in range(30):
@@ -875,7 +855,7 @@ def test_order_history_catches_up_at_sparse_queries(mode, rng):
     # after hundreds of events and each later one skips several steps, in
     # which orders expire, expired orders fill or are cancelled and the
     # window start may move back; every query equals the event-log oracle
-    params = HblParams(zi=ZI, memory_length=3, grace_period=4, success_mode=mode)
+    params = HblParams(memory_length=3, grace_period=4, success_mode=mode)
     grid = np.arange(990, 1012)
     seen = {"queries": 0, "window moved back": 0, "expired": 0,
             "expired fills": 0, "cancels after expiry": 0}
@@ -901,7 +881,6 @@ def test_order_history_catches_up_at_sparse_queries(mode, rng):
             memory = market.memory(t)
             reference = hbl_classify(events, t, params)
             assert_same_memory(memory, reference, grid)
-            assert memory.transaction_count == reference.transaction_count
             window_start = market.window_start()
             seen["window moved back"] += previous_start is not None and window_start < previous_start
             seen["queries"] += 1
@@ -912,7 +891,7 @@ def test_order_history_catches_up_at_sparse_queries(mode, rng):
 def test_binary_ledger_beliefs_are_exact_quotients(rng):
     # random binary ledgers read off an event log: each belief is the
     # correctly rounded quotient of the two exact counts of the classification
-    params = HblParams(zi=ZI, memory_length=3, grace_period=6)
+    params = HblParams(memory_length=3, grace_period=6)
     prices = np.arange(990, 1012)
     checked = 0
     for _ in range(12):
@@ -948,7 +927,7 @@ def test_order_history_matches_classification_on_generated_streams(
         mode, grace, memory_length, before, burst, gap, after):
     # placements, cancellations and fills at sparse query times; between the
     # two streams a burst of resting orders that one gap expires at once
-    params = HblParams(zi=ZI, memory_length=memory_length, grace_period=grace,
+    params = HblParams(memory_length=memory_length, grace_period=grace,
                        success_mode=mode)
     market = LedgerMarket(params)
     prices = np.arange(984, 1017)
@@ -958,7 +937,6 @@ def test_order_history_matches_classification_on_generated_streams(
         got = market.memory(now)
         reference = hbl_classify(market.book.events, now, params)
         assert_same_memory(got, reference, prices)
-        assert got.transaction_count == reference.transaction_count
         return len(got)
 
     def replay(stream, t):
@@ -995,9 +973,8 @@ def test_order_history_matches_classification_on_generated_streams(
     replay(after, t)  # which may fill or cancel expired orders of the burst
 
 
-BINARY = HblParams(zi=ZI, memory_length=1, grace_period=5)
-BINARY = HblParams(zi=ZI, memory_length=1, grace_period=5)
-FRACTIONAL = HblParams(zi=ZI, memory_length=1, grace_period=5, success_mode="fractional")
+BINARY = HblParams(memory_length=1, grace_period=5)
+FRACTIONAL = HblParams(memory_length=1, grace_period=5, success_mode="fractional")
 BOTH_MODES = pytest.mark.parametrize("params", [BINARY, FRACTIONAL],
                                      ids=["binary", "fractional"])
 
@@ -1073,7 +1050,7 @@ def test_ledger_empty_window(params):
 @pytest.mark.parametrize("mode", ["binary", "fractional"])
 def test_ledger_query_back_in_time_raises(mode):
     # a run's wake times never decrease, so an earlier query is a caller error
-    market = LedgerMarket(HblParams(zi=ZI, memory_length=1, grace_period=5,
+    market = LedgerMarket(HblParams(memory_length=1, grace_period=5,
                                     success_mode=mode))
     market.place(Side.BID, 1000, 0)
     market.place(Side.ASK, 1002, 1)
@@ -1084,7 +1061,7 @@ def test_ledger_query_back_in_time_raises(mode):
 
 
 def test_ledger_longer_grace_counts_later():
-    market = LedgerMarket(HblParams(zi=ZI, memory_length=1, grace_period=30))
+    market = LedgerMarket(HblParams(memory_length=1, grace_period=30))
     market.place(Side.BID, 1000, 0)
     market.place(Side.ASK, 1002, 1)
     assert len(assert_ledger_exact(market, 20, window_start=0)) == 0
@@ -1097,7 +1074,7 @@ def test_ledger_longer_grace_counts_later():
 def test_ledger_at_cent_ticks_matches_oracle(mode, rng):
     # tick_size 0.01: prices near 100.00 are ~10^4 ticks and spread over a
     # span wider than the ledger's headroom, so its counts widen repeatedly
-    params = HblParams(zi=ZI, memory_length=2, grace_period=9, success_mode=mode)
+    params = HblParams(memory_length=2, grace_period=9, success_mode=mode)
     prices = np.arange(9880, 10121)
     for _ in range(10):
         market = LedgerMarket(params)
@@ -1202,11 +1179,11 @@ def test_params_validation():
     with pytest.raises(ValueError, match="r_min"):
         ZiParams(2.0, 1.0, 0.5, 10.0, 3, 25.0)
     with pytest.raises(ValueError, match="memory_length"):
-        HblParams(zi=ZI, memory_length=0, grace_period=5)
+        HblParams(memory_length=0, grace_period=5)
     with pytest.raises(ValueError, match="success_mode"):
-        HblParams(zi=ZI, memory_length=4, grace_period=5, success_mode="soft")
+        HblParams(memory_length=4, grace_period=5, success_mode="soft")
     with pytest.raises(ValueError, match="grid_mode"):
-        HblParams(zi=ZI, memory_length=4, grace_period=5, grid_mode="dense")
+        HblParams(memory_length=4, grace_period=5, grid_mode="dense")
 
 
 @pytest.mark.parametrize("field", ["r_max", "sigma_n_sq", "sigma_pv_sq"])

@@ -1,6 +1,7 @@
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdasim import agents
+from cdasim.agents import ActionKind, AgentAction
 from cdasim.cli import (
     ConfigError,
     _parse_sweep,
@@ -23,6 +26,7 @@ from cdasim.cli import (
 )
 from cdasim.fundamental import FileFundamental
 from cdasim.kernel import run
+from cdasim.orderbook import Side
 from cdasim.prices import PriceGrid
 
 
@@ -260,6 +264,39 @@ def test_main_default_run(tmp_path, capsys):
     assert code == 0
     manifest = read(tmp_path / "out" / "manifest.ini")
     assert "master_seed = 9" in manifest
+
+
+def test_main_breach_exit_code(tmp_path, monkeypatch):
+    # the first ZI agent to wake takes every ask until it holds one unit past
+    # q_max, then sells back down to it, so the settlement can value its
+    # holdings: the run still writes its files, the manifest names the
+    # breach, and main exits 2
+    zi_decide = agents.zi_decide
+    greedy = {}
+
+    def decide(q_held, pv, r_hat, best_bid, best_ask, params, rng, grid):
+        greedy.setdefault("pv", pv)
+        if pv is greedy["pv"] and q_held > params.q_max:
+            greedy["breached"] = True
+            if best_bid is None:
+                return agents.SKIP
+            return AgentAction(ActionKind.TAKE, Side.ASK, best_bid)
+        if pv is greedy["pv"] and best_ask is not None and "breached" not in greedy:
+            return AgentAction(ActionKind.TAKE, Side.BID, best_ask)
+        return zi_decide(q_held, pv, r_hat, best_bid, best_ask, params, rng, grid)
+
+    monkeypatch.setattr(agents, "zi_decide", decide)
+    config = tmp_path / "c.ini"
+    config.write_text("[market]\nhorizon = 2000\nseed = 3\n"
+                      "[agents]\nzi_count = 8\nhbl_count = 0\nq_max = 1\n"
+                      "arrival_rate = 0.05\n")
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert greedy["breached"]
+    manifest = read(tmp_path / "out" / "manifest.ini")
+    assert "invariants_ok = false" in manifest
+    breaches = re.search(r"^breaches = (.*)$", manifest, re.M).group(1)
+    assert re.fullmatch(r"\['t=\d+: agent \d+ holds q=2 beyond q_max=1'\]", breaches), breaches
+    assert (tmp_path / "out" / "trades.csv").exists()
 
 
 @pytest.mark.parametrize("tick", ["inf", "-inf", "nan", "0", "-0.1"])

@@ -39,7 +39,7 @@ from hbl_oracle import RecordMemory, hbl_classify
 
 ZI_PARAMS = ZiParams(r_min=0.0, r_max=1.0, eta=1.0, sigma_n_sq=10.0,
                      q_max=5, sigma_pv_sq=25.0)
-HBL_PARAMS = HblParams(zi=ZI_PARAMS, memory_length=4, grace_period=100)
+HBL_PARAMS = HblParams(memory_length=4, grace_period=100)
 
 
 def make_config(**overrides):
@@ -342,7 +342,7 @@ def small_configs(draw):
                   eta=draw(st.sampled_from([0.0, 0.5, 1.0])), sigma_n_sq=10.0,
                   q_max=draw(st.integers(1, 3)),
                   sigma_pv_sq=draw(st.sampled_from([100.0, 25.0])))
-    hbl = HblParams(zi=zi, memory_length=draw(st.integers(1, 4)),
+    hbl = HblParams(memory_length=draw(st.integers(1, 4)),
                     grace_period=draw(st.integers(1, 60)),
                     success_mode=draw(st.sampled_from(["binary", "fractional"])),
                     grid_mode=draw(st.sampled_from(["observed", "spline"])))
@@ -499,6 +499,48 @@ def test_wake_call_structure(monkeypatch):
     assert len(cancels) == sum(e.kind is EventKind.CANCELLED for e in result.events)
 
 
+def test_hbl_falls_back_until_enough_transactions(monkeypatch):
+    # the kernel alone gates the HBL memory: a wake queries it exactly when
+    # the book holds at least memory_length trades, and hbl_decide falls
+    # back to zi_decide exactly when it gets no memory
+    books, queried, wakes, fallbacks = [], [], [], []
+
+    class LoggedBook(OrderBook):
+        def __init__(self):
+            super().__init__()
+            books.append(self)
+
+    memory, decide, zi_decide = OrderHistory.memory, agents.hbl_decide, agents.zi_decide
+
+    def logged_memory(self, book, now):
+        queried.append(len(book.trades))
+        return memory(self, book, now)
+
+    def logged_decide(*args):
+        before = len(fallbacks)
+        action = decide(*args)
+        wakes.append((len(books[0].trades), args[3] is not None, len(fallbacks) > before))
+        return action
+
+    monkeypatch.setattr(kernel, "OrderBook", LoggedBook)
+    monkeypatch.setattr(OrderHistory, "memory", logged_memory)
+    monkeypatch.setattr(agents, "hbl_decide", logged_decide)
+    monkeypatch.setattr(agents, "zi_decide",
+                        lambda *args: fallbacks.append(1) or zi_decide(*args))
+    for memory_length in (1, 4):
+        for log in (books, queried, wakes):
+            log.clear()
+        hbl = HblParams(memory_length=memory_length, grace_period=100)
+        run(make_config(n_zi=10, n_hbl=5, horizon_T=3000, arrival_rate=0.02, hbl_params=hbl))
+        assert queried and all(n >= memory_length for n in queried)
+        assert len(queried) == sum(informed for _, informed, _ in wakes)
+        for trades, informed, fell_back in wakes:
+            assert informed == (trades >= memory_length)
+            assert fell_back == (not informed)
+        # wakes before, exactly at and past the gate
+        assert {np.sign(trades - memory_length) for trades, _, _ in wakes} == {-1, 0, 1}
+
+
 def load_bench_tracer():
     """``bench/tracer.py`` as a module, loaded from its file without installing it."""
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -541,6 +583,10 @@ def test_run_file_variant(tmp_path):
 def test_config_validation():
     with pytest.raises(ValueError, match="population"):
         make_config(n_zi=0, n_hbl=0)
+    # a negative count would otherwise shrink the market and shift the labels
+    for n_zi, n_hbl in ((-2, 3), (3, -1), (-1, 0)):
+        with pytest.raises(ValueError, match="n_zi and n_hbl must be >= 0"):
+            make_config(n_zi=n_zi, n_hbl=n_hbl)
     with pytest.raises(ValueError, match="arrival_rate"):
         make_config(arrival_rate=0.0)
     with pytest.raises(ValueError, match="hbl_params"):
