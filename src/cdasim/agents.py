@@ -277,7 +277,7 @@ class OrderHistory:
                     grown = np.zeros(max(256, 2 * (n + k)), dtype=getattr(self, name).dtype)
                     grown[:n] = getattr(self, name)[:n]
                     setattr(self, name, grown)
-            _, times, ids, _, sides, prices, _, _ = zip(*placed)
+            _, times, ids, _, sides, prices, _ = zip(*placed)
             self._placed += times
             self._price[n: n + k] = prices
             self._is_bid[n: n + k] = [side is Side.BID for side in sides]
@@ -287,7 +287,7 @@ class OrderHistory:
         binary, grace, executed = self._binary, self._grace, EventKind.EXECUTED
         index, pop, tally = self._index, self._open.pop, self._tally
         start, expired = self._start, self._expired
-        for kind, time, order_id, _, _, _, _, _ in resolved:
+        for kind, time, order_id, _, _, _, _ in resolved:
             i = index[order_id]
             placed_at = pop(i)  # a one-unit order resolves once
             if kind is executed:

@@ -264,11 +264,11 @@ def emit_outputs(result: SimResult, resolved: dict[str, dict[str, str]], outdir:
 
     write_csv("events.csv", "time,kind,order_id,agent_id,side,price,qty,counterparty", (
         f"{time},{kind._value_},{order_id},{agent_id},{side._value_},{prices[price]},"
-        f"{qty},{'' if cp is None else cp}\n"
-        for kind, time, order_id, agent_id, side, price, qty, cp in result.events))
+        f"1,{'' if cp is None else cp}\n"
+        for kind, time, order_id, agent_id, side, price, cp in result.events))
     write_csv("trades.csv", "time,price,qty,buy_order,sell_order", (
-        f"{time},{prices[price]},{qty},{buy_order},{sell_order}\n"
-        for time, price, qty, buy_order, sell_order, _, _ in result.trades))
+        f"{time},{prices[price]},1,{buy_order},{sell_order}\n"
+        for time, price, buy_order, sell_order, _, _ in result.trades))
     # the format the file variant loads
     write_csv("fundamental.csv", "timestamp,value", (
         f"{t},{prices[ticks]}\n" for t, ticks in result.fundamental_trace))

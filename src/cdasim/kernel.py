@@ -5,8 +5,10 @@ observation, updates the agent's belief, projects the final fundamental,
 cancels any outstanding order and routes the strategy's new order to the
 book.  The book's event log is the only order record: an HBL agent's
 memory reads it when the agent decides, so a run without HBL agents keeps
-no HBL ledger.  At the horizon every agent's payoff marks its holdings at
-the final fundamental plus the realized private values of the units held.
+no HBL ledger.  A trade moves only the two parties' holdings; at the
+horizon the trade log settles every agent's cash, and its payoff adds its
+holdings marked at the final fundamental and the private values of the
+units held, up to q_max.
 
 Everything is a pure function of (config, master seed): two runs with the
 same inputs produce bit-identical logs, and the fundamental path is
@@ -87,7 +89,6 @@ class AgentRecord:
     pv: PrivateValues
     belief: est.BeliefState
     rng: np.random.Generator
-    cash: float = 0.0
     q_held: int = 0
     last_order_id: int | None = None
 
@@ -224,26 +225,10 @@ def run(config: SimConfig) -> SimResult:
     order_ids = count(1)
     estimator_trace: list[tuple] = []
     decision_trace: list[tuple] = []
-    invariants_ok = True
     breaches: list[str] = []
 
     q_max = config.zi_params.q_max
     trades = book.trades  # the book's append-only list
-
-    def check_invariants(t: int, trade) -> None:
-        nonlocal invariants_ok
-        cash_total = sum(r.cash for r in records)
-        q_total = sum(r.q_held for r in records)
-        if abs(cash_total) > 1e-6 or q_total != 0:
-            invariants_ok = False
-            breaches.append(f"t={t}: cash={cash_total!r} q={q_total}")
-        # only the two parties to the trade can have moved past the limit
-        for agent_id in sorted({trade.buyer_id, trade.seller_id}):
-            q_held = records[agent_id].q_held
-            if abs(q_held) > q_max:
-                invariants_ok = False
-                breaches.append(f"t={t}: agent {agent_id} holds q={q_held} "
-                                f"beyond q_max={q_max}")
 
     # Loop invariants, looked up once per run; a wrapper installed on any of
     # these functions before the run starts still sees every call.
@@ -299,29 +284,40 @@ def run(config: SimConfig) -> SimResult:
             record.last_order_id = order_id  # it rests
             continue
         trade = trades[-1]
-        value = to_value(trade.price)
         buyer = records[trade.buyer_id]
         seller = records[trade.seller_id]
-        buyer.cash -= value
         buyer.q_held += 1
-        seller.cash += value
         seller.q_held -= 1
         # the trade filled both parties' one-unit orders
         buyer.last_order_id = seller.last_order_id = None
-        check_invariants(t, trade)
+        # only the two parties to the trade can have moved past the limit
+        for party in sorted({trade.buyer_id, trade.seller_id}):
+            q_held = records[party].q_held
+            if abs(q_held) > q_max:
+                breaches.append(f"t={t}: agent {party} holds q={q_held} beyond q_max={q_max}")
+
+    # Settle cash from the trade log: in floats, adding each price in trade
+    # order, for agents.csv, and exactly, in ticks, for the conservation check.
+    cash, cash_ticks = [0.0] * n_agents, [0] * n_agents
+    for _, price, _, _, buyer_id, seller_id in trades:
+        value = to_value(price)
+        cash[buyer_id] -= value
+        cash[seller_id] += value
+        cash_ticks[buyer_id] -= price
+        cash_ticks[seller_id] += price
+    q_total = sum(r.q_held for r in records)
+    if sum(cash_ticks) != 0 or q_total != 0:
+        breaches.append(f"settlement: cash={sum(cash_ticks)} ticks q={q_total}")
 
     final_ticks = fundamental.value_at(config.horizon_T)
     final_value = grid.to_value(final_ticks)
     summaries = []
-    for record in records:
-        realized_pv = 0.0
-        if record.q_held > 0:
-            realized_pv = sum(record.pv.theta(k) for k in range(1, record.q_held + 1))
-        elif record.q_held < 0:
-            realized_pv = -sum(record.pv.theta(k) for k in range(record.q_held + 1, 1))
-        payoff = record.cash + record.q_held * final_value + realized_pv
-        summaries.append(AgentSummary(record.agent_id, record.strategy, record.cash,
-                                      record.q_held, payoff))
+    for record, agent_cash in zip(records, cash):
+        # units past q_max realize no private value: the slices stop at the vector's ends
+        q, values, m = record.q_held, record.pv.values, record.pv.q_max
+        realized_pv = sum(values[m:m + q]) if q >= 0 else -sum(values[max(m + q, 0):m])
+        payoff = agent_cash + q * final_value + realized_pv
+        summaries.append(AgentSummary(record.agent_id, record.strategy, agent_cash, q, payoff))
 
     return SimResult(
         final_fundamental=final_ticks,
@@ -330,7 +326,7 @@ def run(config: SimConfig) -> SimResult:
         trades=trades,
         fundamental_trace=fundamental.evaluations(),
         grid=grid,
-        invariants_ok=invariants_ok,
+        invariants_ok=not breaches,
         invariant_summary={"breaches": breaches, "trades": len(trades),
                            "events": len(book.events), "wakes": len(wake_times)},
         private_values={r.agent_id: r.pv.values for r in records},

@@ -34,14 +34,12 @@ class BookEvent(NamedTuple):
     agent_id: int
     side: Side
     price: int
-    quantity: int  # always 1
     counterparty: int | None = None
 
 
 class Trade(NamedTuple):
     time: int
     price: int
-    quantity: int  # always 1
     buy_order_id: int
     sell_order_id: int
     buyer_id: int
@@ -107,7 +105,7 @@ class OrderBook:
         self._placed_ids.add(order_id)
         self._last_time = now
 
-        placed = BookEvent(EventKind.PLACED, now, order_id, agent_id, side, price, 1)
+        placed = BookEvent(EventKind.PLACED, now, order_id, agent_id, side, price)
         is_bid = side is Side.BID
         # the side this order trades against, and the index of its touch
         if is_bid:
@@ -133,13 +131,12 @@ class OrderBook:
             del levels[best]
             del prices[touch]
         events = [placed,
-                  BookEvent(EventKind.EXECUTED, now, order_id, agent_id, side, best, 1,
-                            maker_id),
+                  BookEvent(EventKind.EXECUTED, now, order_id, agent_id, side, best, maker_id),
                   maker._replace(kind=EventKind.EXECUTED, time=now, counterparty=order_id)]
         if is_bid:
-            trade = Trade(now, best, 1, order_id, maker_id, agent_id, maker_agent)
+            trade = Trade(now, best, order_id, maker_id, agent_id, maker_agent)
         else:
-            trade = Trade(now, best, 1, maker_id, order_id, maker_agent, agent_id)
+            trade = Trade(now, best, maker_id, order_id, maker_agent, agent_id)
         self._trades.append(trade)
         self._events.extend(events)
         return events
@@ -162,8 +159,7 @@ class OrderBook:
             del levels[price]
             del prices[bisect_left(prices, price)]
         self._last_time = now
-        event = BookEvent(EventKind.CANCELLED, now, order_id, placed.agent_id, side,
-                          price, 1)
+        event = BookEvent(EventKind.CANCELLED, now, order_id, placed.agent_id, side, price)
         self._events.append(event)
         return event
 

@@ -43,7 +43,7 @@ class PrivateValues:
         """Incremental value of unit index q; offset = q + q_max - 1."""
         index = q + self.q_max - 1
         if not 0 <= index < len(self.values):
-            raise HoldingsLimitError(f"unit index {q} outside [-{self.q_max - 1}, {self.q_max}]")
+            raise HoldingsLimitError(f"unit index {q} outside [{1 - self.q_max}, {self.q_max}]")
         return self.values[index]
 
     def buy_valuation(self, q_held: int, r_hat: float) -> float:

@@ -3,6 +3,9 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 import pytest
 
+from cdasim import agents
+from cdasim.orderbook import Side
+from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
 
 
@@ -41,6 +44,37 @@ def resting_ids(book) -> set[int]:
     """Ids of the orders resting in ``book``, read from its depth snapshot."""
     return {order_id for levels in book.depth_snapshot().values()
             for _, queue in levels for order_id in queue}
+
+
+def greedy_buyer(monkeypatch) -> dict:
+    """Patch ``agents.zi_decide`` so that the first ZI agent to wake takes
+    every ask, past q_max and up to the horizon, and skips a wake with no
+    ask.  Returns a dict that holds that agent's private values as "pv"."""
+    zi_decide = agents.zi_decide
+    greedy = {}
+
+    def decide(q_held, pv, r_hat, best_bid, best_ask, params, rng, grid):
+        greedy.setdefault("pv", pv)
+        if pv is not greedy["pv"]:
+            return zi_decide(q_held, pv, r_hat, best_bid, best_ask, params, rng, grid)
+        if best_ask is None:
+            return agents.SKIP
+        return agents.AgentAction(agents.ActionKind.TAKE, Side.BID, best_ask)
+
+    monkeypatch.setattr(agents, "zi_decide", decide)
+    return greedy
+
+
+def settled_payoff(cash, q_held, final, values):
+    """Oracle for the settlement: cash + q_held * final plus the private
+    values of the first q_max units held, summed unit by unit from the one
+    nearest zero; ``values`` is the agent's descending vector of 2 * q_max."""
+    pv = PrivateValues(q_max=len(values) // 2, values=tuple(values))
+    if q_held > 0:
+        realized = sum(pv.theta(k) for k in range(1, min(q_held, pv.q_max) + 1))
+    else:
+        realized = -sum(pv.theta(k) for k in range(max(q_held, -pv.q_max) + 1, 1))
+    return cash + q_held * final + realized
 
 
 def pytest_terminal_summary(terminalreporter):

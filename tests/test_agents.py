@@ -270,13 +270,13 @@ def test_memory_limits_to_last_l_transactions():
 
 def test_classify_binary_pending_within_grace():
     events = [
-        BookEvent(EventKind.PLACED, 1, 1, 1, Side.ASK, 1000, 1),
-        BookEvent(EventKind.PLACED, 2, 2, 2, Side.BID, 1000, 1),
-        BookEvent(EventKind.EXECUTED, 2, 2, 2, Side.BID, 1000, 1, counterparty=1),
-        BookEvent(EventKind.EXECUTED, 2, 1, 1, Side.ASK, 1000, 1, counterparty=2),
-        BookEvent(EventKind.PLACED, 3, 3, 3, Side.BID, 990, 1),
-        BookEvent(EventKind.PLACED, 4, 4, 4, Side.BID, 991, 1),
-        BookEvent(EventKind.CANCELLED, 5, 4, 4, Side.BID, 991, 1),
+        BookEvent(EventKind.PLACED, 1, 1, 1, Side.ASK, 1000),
+        BookEvent(EventKind.PLACED, 2, 2, 2, Side.BID, 1000),
+        BookEvent(EventKind.EXECUTED, 2, 2, 2, Side.BID, 1000, counterparty=1),
+        BookEvent(EventKind.EXECUTED, 2, 1, 1, Side.ASK, 1000, counterparty=2),
+        BookEvent(EventKind.PLACED, 3, 3, 3, Side.BID, 990),
+        BookEvent(EventKind.PLACED, 4, 4, 4, Side.BID, 991),
+        BookEvent(EventKind.CANCELLED, 5, 4, 4, Side.BID, 991),
     ]
     params = HblParams(memory_length=1, grace_period=5)
     memory = hbl_classify(events, now=6, params=params)
@@ -290,13 +290,13 @@ def test_classify_binary_pending_within_grace():
 
 def test_classify_fractional_ramp():
     events = [
-        BookEvent(EventKind.PLACED, 0, 1, 1, Side.ASK, 1000, 1),
-        BookEvent(EventKind.PLACED, 3, 2, 2, Side.BID, 1000, 1),
-        BookEvent(EventKind.EXECUTED, 3, 2, 2, Side.BID, 1000, 1, counterparty=1),
-        BookEvent(EventKind.EXECUTED, 3, 1, 1, Side.ASK, 1000, 1, counterparty=2),
-        BookEvent(EventKind.PLACED, 3, 3, 3, Side.BID, 990, 1),
-        BookEvent(EventKind.PLACED, 3, 4, 4, Side.BID, 991, 1),
-        BookEvent(EventKind.CANCELLED, 5, 4, 4, Side.BID, 991, 1),
+        BookEvent(EventKind.PLACED, 0, 1, 1, Side.ASK, 1000),
+        BookEvent(EventKind.PLACED, 3, 2, 2, Side.BID, 1000),
+        BookEvent(EventKind.EXECUTED, 3, 2, 2, Side.BID, 1000, counterparty=1),
+        BookEvent(EventKind.EXECUTED, 3, 1, 1, Side.ASK, 1000, counterparty=2),
+        BookEvent(EventKind.PLACED, 3, 3, 3, Side.BID, 990),
+        BookEvent(EventKind.PLACED, 3, 4, 4, Side.BID, 991),
+        BookEvent(EventKind.CANCELLED, 5, 4, 4, Side.BID, 991),
     ]
     params = HblParams(memory_length=1, grace_period=10,
                        success_mode="fractional")
@@ -314,8 +314,8 @@ def test_classify_fractional_ramp():
 
 def test_classify_rejects_orphan_execution():
     events = [
-        BookEvent(EventKind.EXECUTED, 2, 2, 2, Side.BID, 1000, 1, counterparty=1),
-        BookEvent(EventKind.EXECUTED, 2, 1, 1, Side.ASK, 1000, 1, counterparty=2),
+        BookEvent(EventKind.EXECUTED, 2, 2, 2, Side.BID, 1000, counterparty=1),
+        BookEvent(EventKind.EXECUTED, 2, 1, 1, Side.ASK, 1000, counterparty=2),
     ]
     with pytest.raises(ValueError, match="malformed event stream"):
         hbl_classify(events, now=3, params=HBL)
@@ -745,7 +745,7 @@ class LedgerMarket:
             return self.book
         first = next((e.order_id for e in self.book.events
                       if e.kind is EventKind.PLACED and e.time >= window_start), None)
-        trades = [] if first is None else [Trade(window_start, 0, 1, first, first, first, first)]
+        trades = [] if first is None else [Trade(window_start, 0, first, first, first, first)]
         return SimpleNamespace(events=self.book.events, trades=trades)
 
     def memory(self, now, window_start=None):

@@ -6,10 +6,12 @@ recorded before the per-wake optimisations of the kernel, book, estimator
 and DMR fundamental, or, for the longer fractional run whose memory window
 start moves back several times, before the fractional memory was kept
 across wakes, or, for the unit-tick run, before the output CSVs were
-streamed from a tick-string cache. Together the configs cover every
+streamed from a tick-string cache, or, for the large-price run, before
+cash was settled from the trade log. Together the configs cover every
 fundamental variant, both HBL success modes, both candidate grids, a cent
-tick, a unit tick (whose prices have no decimal point) and a ZI-only
-population. A digest may change only with a stated behaviour change.
+tick, a unit tick (whose prices have no decimal point), prices near 1.2e10
+and a ZI-only population. A digest may change only with a stated behaviour
+change.
 """
 
 from __future__ import annotations
@@ -171,6 +173,23 @@ grid_mode = spline
 memory_length = 1
 grace_period = 40
 """,
+    # prices near 1.2e10 in cents: a float cash sum misses zero by about 2e-6
+    "dmr-large-price-zi-only": """
+[fundamental]
+variant = dmr
+r_bar = 12345678901.23
+[market]
+horizon = 300
+tick_size = 0.01
+seed = 3
+[agents]
+zi_count = 60
+hbl_count = 0
+arrival_rate = 0.02
+eta = 0.0
+r_max = 1.0
+sigma_n_sq = 0.0
+""",
     "dmr-unit-tick-dump": """
 [fundamental]
 variant = dmr
@@ -191,7 +210,8 @@ sigma_pv_sq = 9.0
 # sha256 of each GOLDEN_FILES entry, recorded from the code before the
 # tuple-backed records, the side-split book and the batched DMR shocks
 # (the window-back run: before the fractional memory was kept across wakes;
-# the unit-tick run: before the CSVs were streamed from a tick-string cache).
+# the unit-tick run: before the CSVs were streamed from a tick-string cache;
+# the large-price run: before cash was settled from the trade log).
 DIGESTS: dict[str, dict[str, str]] = {
     "dmr-binary-observed": {
         "events.csv":
@@ -318,6 +338,20 @@ DIGESTS: dict[str, dict[str, str]] = {
             "b2135cb154eb912dd08ddb93860fb2c671084134f77f510e6702b41c639da99e",
         "estimator_trace.csv":
             "17861e8db118cda91c42f4d7c2026670b148fb4590b644c38e17e6e103c26237",
+    },
+    "dmr-large-price-zi-only": {
+        "events.csv":
+            "59639f8f303154c0c68364d6e49c7b3025ed243ddb01829b026f886c94af33c4",
+        "trades.csv":
+            "f855997c76990297f9a606d0e04d5f821d88b7b0ba0fcceb4494087581a53222",
+        "agents.csv":
+            "2c1f3bd3404c336157b232f5b521c34e8042c264caf4256a306e4e7cbe9fcbc7",
+        "fundamental.csv":
+            "a59adb03bf1a095928003f904d0e75497252fab765f404e4039b0e2802c068fa",
+        "decisions.csv":
+            "0220a86cbc9b336f478e6aa4afa0fb059b5f8801c5409a79fc1917a8781854e8",
+        "estimator_trace.csv":
+            "80cb2e1dd0d9f9b19e51c4d70947857d668ccc148366046250e3356d30bfef56",
     },
     "dmr-unit-tick-dump": {
         "events.csv":

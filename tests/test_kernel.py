@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cdasim import agents, kernel
 from cdasim import estimator as est
 from cdasim.agents import HblParams, OrderHistory, TickMemory, ZiParams
-from cdasim.cli import parse_config, run_one
+from cdasim.cli import build_config, emit_outputs, parse_config, run_one
 from cdasim.fundamental import (
     DmrFundamental,
     DmrParams,
@@ -29,11 +29,10 @@ from cdasim.kernel import (
     schedule_arrivals,
 )
 from cdasim.orderbook import EventKind, OrderBook, replay
-from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
 
-from conftest import resting_ids
+from conftest import greedy_buyer, resting_ids, settled_payoff
 from hbl_oracle import RecordMemory, hbl_classify
 
 
@@ -261,47 +260,52 @@ def test_run_is_deterministic():
     assert c.events != a.events
 
 
+def assert_cash_conserved_in_ticks(result):
+    # each agent's cash rounds to the whole ticks its trades moved, and
+    # those cancel exactly
+    ticks = {a.agent_id: 0 for a in result.agents}
+    for trade in result.trades:
+        ticks[trade.buyer_id] -= trade.price
+        ticks[trade.seller_id] += trade.price
+    assert {a.agent_id: result.grid.to_ticks(a.cash) for a in result.agents} == ticks
+    assert sum(ticks.values()) == 0
+    assert sum(a.q_held for a in result.agents) == 0
+
+
 def test_run_zero_sum_and_invariants():
     result = run(make_config())
     assert result.invariants_ok
     assert result.invariant_summary["breaches"] == []
     assert result.invariant_summary["trades"] > 0
-    assert sum(a.cash for a in result.agents) == pytest.approx(0.0, abs=1e-6)
-    assert sum(a.q_held for a in result.agents) == 0
+    assert_cash_conserved_in_ticks(result)
 
 
 def test_run_payoffs_recomputable_from_logs():
-    # independent accounting pass over the trade log
+    # independent accounting pass over the trade log, making the same float
+    # additions in the same order as the settlement
     result = run(make_config())
     final = result.grid.to_value(result.final_fundamental)
     cash = {a.agent_id: 0.0 for a in result.agents}
     held = {a.agent_id: 0 for a in result.agents}
     for trade in result.trades:
-        value = result.grid.to_value(trade.price) * trade.quantity
+        value = result.grid.to_value(trade.price)
         cash[trade.buyer_id] -= value
-        held[trade.buyer_id] += trade.quantity
+        held[trade.buyer_id] += 1
         cash[trade.seller_id] += value
-        held[trade.seller_id] -= trade.quantity
+        held[trade.seller_id] -= 1
     for summary in result.agents:
-        assert summary.cash == pytest.approx(cash[summary.agent_id], abs=1e-9)
+        assert summary.cash == cash[summary.agent_id]
         assert summary.q_held == held[summary.agent_id]
-        pv = PrivateValues(q_max=ZI_PARAMS.q_max,
-                           values=result.private_values[summary.agent_id])
-        q = summary.q_held
-        if q > 0:
-            realized = sum(pv.theta(k) for k in range(1, q + 1))
-        else:
-            realized = -sum(pv.theta(k) for k in range(q + 1, 1))
-        expected = summary.cash + q * final + realized
-        assert summary.payoff == pytest.approx(expected, abs=1e-9)
+        assert summary.payoff == settled_payoff(summary.cash, summary.q_held, final,
+                                                result.private_values[summary.agent_id])
 
 
 def test_run_holdings_never_exceed_limit():
     result = run(make_config(horizon_T=4000, arrival_rate=0.02))
     held = {a.agent_id: 0 for a in result.agents}
     for trade in result.trades:
-        held[trade.buyer_id] += trade.quantity
-        held[trade.seller_id] -= trade.quantity
+        held[trade.buyer_id] += 1
+        held[trade.seller_id] -= 1
         assert abs(held[trade.buyer_id]) <= ZI_PARAMS.q_max
         assert abs(held[trade.seller_id]) <= ZI_PARAMS.q_max
 
@@ -330,18 +334,30 @@ def test_run_one_open_order_per_agent():
 SMALL_OU = OuParams(mu=100.0, gamma=0.05, sigma_sq=2.0, q0=95.0)
 SMALL_FUNDAMENTALS = (DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0), SMALL_OU,
                       MegashockParams(ou=SMALL_OU, arrival_rate=0.01, shock_mean=5.0,
-                                      shock_var=4.0))
+                                      shock_var=4.0),
+                      DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=0.0),
+                      OuParams(mu=100.0, gamma=0.05, sigma_sq=0.0, q0=95.0))
+
+
+@pytest.fixture(scope="module")
+def small_series(tmp_path_factory):
+    """A stepped series for the file variant, past the longest small horizon."""
+    path = tmp_path_factory.mktemp("series") / "fund.csv"
+    path.write_text("timestamp,value\n" + "".join(
+        f"{t},{100.0 + ((t * 7919) % 13 - 6) * 0.5:.1f}\n" for t in range(0, 801, 40)))
+    return FileParams(str(path), 100.0, 0.05, 1.0)
 
 
 @st.composite
-def small_configs(draw):
-    """Short runs of a few ZI and HBL agents, in every HBL mode, on each
-    generated fundamental and three tick sizes."""
+def small_configs(draw, file_params):
+    """Short runs of a few ZI and HBL agents, in every HBL mode, on every
+    fundamental variant, with and without variance, and three tick sizes."""
     n_zi, n_hbl = draw(st.integers(0, 6)), draw(st.integers(0, 4))
     zi = ZiParams(r_min=0.0, r_max=draw(st.sampled_from([0.2, 1.0, 4.0])),
-                  eta=draw(st.sampled_from([0.0, 0.5, 1.0])), sigma_n_sq=10.0,
+                  eta=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                  sigma_n_sq=draw(st.sampled_from([10.0, 0.0])),
                   q_max=draw(st.integers(1, 3)),
-                  sigma_pv_sq=draw(st.sampled_from([100.0, 25.0])))
+                  sigma_pv_sq=draw(st.sampled_from([100.0, 25.0, 0.0])))
     hbl = HblParams(memory_length=draw(st.integers(1, 4)),
                     grace_period=draw(st.integers(1, 60)),
                     success_mode=draw(st.sampled_from(["binary", "fractional"])),
@@ -349,20 +365,20 @@ def small_configs(draw):
     return make_config(horizon_T=draw(st.sampled_from([800, 300, 60])),
                        n_zi=max(n_zi, 1 - n_hbl), n_hbl=n_hbl, zi_params=zi, hbl_params=hbl,
                        arrival_rate=draw(st.sampled_from([0.2, 0.5, 0.05])),
-                       fundamental=draw(st.sampled_from(SMALL_FUNDAMENTALS)),
+                       fundamental=draw(st.sampled_from(SMALL_FUNDAMENTALS + (file_params,))),
                        tick_size=draw(st.sampled_from([0.1, 1.0, 0.01])),
                        master_seed=draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(config=small_configs())
-def test_run_resolves_each_unit_order_at_most_once(config):
-    result = run(config)
+@given(data=st.data())
+def test_run_resolves_each_unit_order_at_most_once(small_series, data):
+    result = run(data.draw(small_configs(small_series)))
     assert result.invariants_ok
+    assert_cash_conserved_in_ticks(result)
     placed, resolved = {}, {}
     executions = []
     for event in result.events:
-        assert event.quantity == 1
         if event.kind is EventKind.PLACED:
             assert event.order_id not in placed
             placed[event.order_id] = event
@@ -599,32 +615,43 @@ def test_config_validation():
         FileParams("", 100.0, 0.05, 1.0)
 
 
-def test_holdings_breach_is_reported(monkeypatch):
-    # agents whose private values allow q_max + 3 units outrun the configured
-    # q_max; the kernel must flag each agent that does, with the time
-    draw = PrivateValues.draw.__func__
-    monkeypatch.setattr(PrivateValues, "draw", classmethod(
-        lambda cls, q_max, sigma_pv_sq, rng: draw(cls, q_max + 3, sigma_pv_sq, rng)))
-    result = run(make_config(zi_params=ZiParams(r_min=0.0, r_max=1.0, eta=1.0,
-                                                sigma_n_sq=10.0, q_max=1,
-                                                sigma_pv_sq=25.0),
-                             n_hbl=0, hbl_params=None, horizon_T=4000,
-                             arrival_rate=0.02))
+def test_holdings_breach_is_reported(monkeypatch, tmp_path):
+    # one agent buys past q_max and holds on to the horizon: the kernel flags
+    # each trade that leaves a party beyond the limit, with the time, and
+    # the settlement values only the first q_max units, so the run ends and
+    # writes every output
+    greedy_buyer(monkeypatch)
+    resolved = parse_config("[market]\nhorizon = 4000\nseed = 7\n[agents]\nzi_count = 10\n"
+                            "hbl_count = 0\nq_max = 1\narrival_rate = 0.02\n")
+    result = run(build_config(resolved))
     assert not result.invariants_ok
     breaches = result.invariant_summary["breaches"]
     assert breaches
     assert all(re.fullmatch(r"t=\d+: agent \d+ holds q=-?\d+ beyond q_max=1", b)
                for b in breaches), breaches
     held = {a.agent_id: 0 for a in result.agents}
+    cash = {a.agent_id: 0.0 for a in result.agents}
     expected = []
     for trade in result.trades:
         held[trade.buyer_id] += 1
         held[trade.seller_id] -= 1
+        cash[trade.buyer_id] -= result.grid.to_value(trade.price)
+        cash[trade.seller_id] += result.grid.to_value(trade.price)
         for agent_id in sorted({trade.buyer_id, trade.seller_id}):
             if abs(held[agent_id]) > 1:
                 expected.append(f"t={trade.time}: agent {agent_id} holds "
                                 f"q={held[agent_id]} beyond q_max=1")
     assert breaches == expected
+    assert max(held.values()) > 1  # the breach lasts to the horizon
+    final = result.grid.to_value(result.final_fundamental)
+    for summary in result.agents:
+        assert (summary.cash, summary.q_held) == (cash[summary.agent_id],
+                                                  held[summary.agent_id])
+        assert summary.payoff == settled_payoff(summary.cash, summary.q_held, final,
+                                                result.private_values[summary.agent_id])
+    emit_outputs(result, resolved, str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == ["agents.csv", "events.csv", "fundamental.csv",
+                                            "manifest.ini", "trades.csv"]
 
 
 E2E_OVERRIDES = {

@@ -40,8 +40,8 @@ def test_trade_at_resting_price():
     # the aggressive bid pays the maker's price, not its own limit
     assert len(book.trades) == 1
     trade = book.trades[0]
-    assert trade == Trade(time=2, price=1000, quantity=1, buy_order_id=2,
-                          sell_order_id=1, buyer_id=1, seller_id=0)
+    assert trade == Trade(time=2, price=1000, buy_order_id=2, sell_order_id=1,
+                          buyer_id=1, seller_id=0)
     # one PLACED plus one EXECUTED per party
     kinds = [e.kind for e in events]
     assert kinds == [EventKind.PLACED, EventKind.EXECUTED, EventKind.EXECUTED]
@@ -55,8 +55,8 @@ def test_trade_at_resting_price():
 
 
 @pytest.mark.parametrize("record, field", [
-    (BookEvent(EventKind.EXECUTED, 2, 2, 1, Side.BID, 1000, 1, counterparty=1), "price"),
-    (Trade(2, 1000, 1, 2, 1, 1, 0), "quantity"),
+    (BookEvent(EventKind.EXECUTED, 2, 2, 1, Side.BID, 1000, counterparty=1), "price"),
+    (Trade(2, 1000, 2, 1, 1, 0), "price"),
     (BeliefState(100.0, 1.5, 3), "r_tilde"),
 ])
 def test_records_are_immutable_and_hashable(record, field):
@@ -94,10 +94,9 @@ def test_crossing_order_trades_once_with_the_touch():
     book.place_limit(2, 1, Side.ASK, 1001, now=2)
     events = book.place_limit(3, 2, Side.BID, 1005, now=3)
     # one unit: it fills against the best ask alone and does not rest
-    assert book.trades == [Trade(3, 1000, 1, 3, 1, 2, 0)]
+    assert book.trades == [Trade(3, 1000, 3, 1, 2, 0)]
     assert [e.kind for e in events] == [EventKind.PLACED, EventKind.EXECUTED,
                                         EventKind.EXECUTED]
-    assert all(e.quantity == 1 for e in events)
     assert book.best_bid() is None
     assert book.depth_snapshot() == {"BID": [], "ASK": [(1001, [2])]}
 
@@ -125,7 +124,7 @@ def test_cancel():
     book = OrderBook()
     book.place_limit(1, 0, Side.BID, 1000, now=1)
     event = book.cancel(1, now=2)
-    assert event == BookEvent(EventKind.CANCELLED, 2, 1, 0, Side.BID, 1000, 1)
+    assert event == BookEvent(EventKind.CANCELLED, 2, 1, 0, Side.BID, 1000)
     assert book.best_bid() is None
     assert book.cancel(1, now=3) is None  # already gone
     assert book.cancel(99, now=3) is None  # never existed
@@ -234,7 +233,6 @@ def test_random_stream_invariants(seed):
     assert len(resolved) == len(set(resolved))
     placed = {e.order_id for e in book.events if e.kind is EventKind.PLACED}
     assert resting_ids(book) == placed - set(resolved)
-    assert all(e.quantity == 1 for e in book.events)
     # each trade produced exactly two EXECUTED events at the maker price
     exec_events = [e for e in book.events if e.kind is EventKind.EXECUTED]
     assert len(exec_events) == 2 * len(book.trades)

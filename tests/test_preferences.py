@@ -29,10 +29,13 @@ def test_theta_index_offset():
 
 
 def test_theta_out_of_range():
-    with pytest.raises(HoldingsLimitError):
+    with pytest.raises(HoldingsLimitError, match=r"^unit index -3 outside \[-2, 3\]$"):
         EXAMPLE.theta(-3)
-    with pytest.raises(HoldingsLimitError):
+    with pytest.raises(HoldingsLimitError, match=r"^unit index 4 outside \[-2, 3\]$"):
         EXAMPLE.theta(4)
+    # the lower bound is 1 - q_max, printed without a stray sign at q_max = 1
+    with pytest.raises(HoldingsLimitError, match=r"^unit index 2 outside \[0, 1\]$"):
+        PrivateValues(q_max=1, values=(0.5, -0.5)).theta(2)
 
 
 def test_buy_never_valued_above_sell_at_same_holdings():
