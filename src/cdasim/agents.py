@@ -193,7 +193,8 @@ class OrderHistory:
     trades, and is a ``TickMemory`` in both success modes.  A run has one
     ``HblParams`` and its queries never go back in time.  An order is one
     unit, so it fills or is cancelled at most once, and its weights are
-    fixed then.
+    fixed then.  The book numbers orders 1, 2, 3, ... in placement order,
+    so the ledger entry of order ``order_id`` is ``order_id - 1``.
 
     In binary mode the ledger keeps int64 per-tick counts of the classified
     orders placed at or after the current window start, in the row order
@@ -223,7 +224,6 @@ class OrderHistory:
         # in fractional mode, and are fixed when it fills or is cancelled
         self._price, self._is_bid = np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
         self._success = self._failure = np.empty(0)
-        self._index: dict[int, int] = {}  # order id -> entry
         self._open: dict[int, int] = {}  # entry -> placement time, until it fills or is cancelled
         self._n = 0
         self._read_events = 0  # events of the book's log read so far
@@ -277,18 +277,17 @@ class OrderHistory:
                     grown = np.zeros(max(256, 2 * (n + k)), dtype=getattr(self, name).dtype)
                     grown[:n] = getattr(self, name)[:n]
                     setattr(self, name, grown)
-            _, times, ids, _, sides, prices, _ = zip(*placed)
+            _, times, _, _, sides, prices, _ = zip(*placed)
             self._placed += times
             self._price[n: n + k] = prices
             self._is_bid[n: n + k] = [side is Side.BID for side in sides]
-            self._index.update(zip(ids, range(n, n + k)))
             self._open.update(zip(range(n, n + k), times))
             self._n = n + k
         binary, grace, executed = self._binary, self._grace, EventKind.EXECUTED
-        index, pop, tally = self._index, self._open.pop, self._tally
+        pop, tally = self._open.pop, self._tally
         start, expired = self._start, self._expired
         for kind, time, order_id, _, _, _, _ in resolved:
-            i = index[order_id]
+            i = order_id - 1
             placed_at = pop(i)  # a one-unit order resolves once
             if kind is executed:
                 success = 1.0 if binary else max(0.0, 1.0 - (time - placed_at) / grace)
@@ -306,7 +305,7 @@ class OrderHistory:
         trades = book.trades[-self.params.memory_length:]
         if not trades:  # no transaction to remember: the window is empty
             return self._n
-        window_start = min(self._placed[self._index[oid]] for trade in trades
+        window_start = min(self._placed[oid - 1] for trade in trades
                            for oid in (trade.buy_order_id, trade.sell_order_id))
         return bisect_left(self._placed, window_start)
 

@@ -152,7 +152,7 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
     horizon = _as_int(resolved, "market", "horizon", lambda v: v >= 1, "horizon >= 1")
     tick_size = _as_float(resolved, "market", "tick_size",
                           lambda v: math.isfinite(v) and v > 0, "tick_size > 0 and finite")
-    seed = _as_int(resolved, "market", "seed")
+    seed = _as_int(resolved, "market", "seed", lambda v: v >= 0, "seed >= 0")
 
     try:
         if variant == "dmr":
@@ -320,6 +320,8 @@ def _parse_sweep(spec: str) -> list[int]:
         lo_i, hi_i = int(lo), int(hi)
     except ValueError:
         raise ConfigError(f"--sweep-seeds expects 'a..b', got {spec!r}") from None
+    if lo_i < 0:
+        raise ConfigError("--sweep-seeds: seeds must be >= 0")
     if hi_i < lo_i:
         raise ConfigError("--sweep-seeds range is empty")
     return list(range(lo_i, hi_i + 1))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import count
 
 import numpy as np
 
@@ -76,6 +75,8 @@ class SimConfig:
             raise ValueError("population must contain at least one agent")
         if not self.arrival_rate > 0.0:  # NaN too
             raise ValueError("arrival_rate must be > 0")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if self.n_hbl > 0 and self.hbl_params is None:
             raise ValueError("hbl_params required when n_hbl > 0")
         if type(self.fundamental) not in (*_GENERATED, FileParams):
@@ -222,7 +223,6 @@ def run(config: SimConfig) -> SimResult:
 
     book = OrderBook()
     history = strategies.OrderHistory(config.hbl_params) if config.n_hbl else None
-    order_ids = count(1)
     estimator_trace: list[tuple] = []
     decision_trace: list[tuple] = []
     breaches: list[str] = []
@@ -279,9 +279,9 @@ def run(config: SimConfig) -> SimResult:
         if action.kind is skip:
             continue
 
-        order_id = next(order_ids)
-        if len(place_limit(order_id, agent_id, action.side, action.limit_price, t)) == 1:
-            record.last_order_id = order_id  # it rests
+        events = place_limit(agent_id, action.side, action.limit_price, t)
+        if len(events) == 1:
+            record.last_order_id = events[0].order_id  # it rests
             continue
         trade = trades[-1]
         buyer = records[trade.buyer_id]

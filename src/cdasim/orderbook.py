@@ -3,9 +3,10 @@
 Matching follows standard continuous double auction conventions for
 one-unit orders: an incoming order that crosses the opposite touch trades
 once, at the resting order's limit price, with the oldest order at the
-best price; otherwise it rests.  Every placement, execution and cancellation is appended to an
-immutable event log; the log is sufficient to rebuild the book by replay
-and is the observation feed for belief-learning agents.
+best price; otherwise it rests.  The book numbers the orders 1, 2, 3, ...
+in placement order.  Every placement, execution and cancellation is
+appended to an immutable event log; the log is sufficient to rebuild the
+book by replay and is the observation feed for belief-learning agents.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class OrderBook:
         self._bid_prices: list[int] = []
         self._ask_prices: list[int] = []
         self._resting: dict[int, BookEvent] = {}  # order_id -> its PLACED event
-        self._placed_ids: set[int] = set()
+        self._n_placed = 0  # the last order id taken
         self._events: list[BookEvent] = []
         self._trades: list[Trade] = []
         self._last_time = 0
@@ -80,29 +81,19 @@ class OrderBook:
         """Append-only log; treat as read-only."""
         return self._trades
 
-    def depth_snapshot(self) -> dict:
-        """Resting order ids per side and level, in priority order (for
-        replay comparison)."""
-        sides = ((Side.BID, self._bid_levels, reversed(self._bid_prices)),
-                 (Side.ASK, self._ask_levels, self._ask_prices))
-        return {side.value: [(price, [placed.order_id for placed in levels[price]])
-                             for price in ordered]
-                for side, levels, ordered in sides}
-
     # -- mutations --------------------------------------------------------
 
-    def place_limit(self, order_id: int, agent_id: int, side: Side, price: int,
+    def place_limit(self, agent_id: int, side: Side, price: int,
                     now: int) -> list[BookEvent]:
-        """Place a one-unit limit order at ``price`` ticks.  If it crosses the
-        touch of the other side it trades with that level's oldest order, at
-        the resting price; otherwise it rests.  Returns the events logged."""
+        """Place a one-unit limit order at ``price`` ticks under the next id.
+        If it crosses the touch of the other side it trades with that level's
+        oldest order, at the resting price; otherwise it rests.  Returns the
+        events logged, PLACED first; a rejected placement takes no id."""
         if price < 0:
             raise ValueError("limit price must be >= 0")
-        if order_id in self._placed_ids:
-            raise ValueError(f"duplicate order_id {order_id}")
         if now < self._last_time:
             raise ValueError(f"event time regression: {now} < {self._last_time}")
-        self._placed_ids.add(order_id)
+        self._n_placed = order_id = self._n_placed + 1
         self._last_time = now
 
         placed = BookEvent(EventKind.PLACED, now, order_id, agent_id, side, price)
@@ -169,15 +160,3 @@ class OrderBook:
         if side is Side.BID:
             return self._bid_levels, self._bid_prices
         return self._ask_levels, self._ask_prices
-
-
-def replay(events) -> OrderBook:
-    """Rebuild a book by re-driving placements and cancellations from a log."""
-    book = OrderBook()
-    for event in events:
-        if event.kind is EventKind.PLACED:
-            book.place_limit(event.order_id, event.agent_id, event.side, event.price,
-                             event.time)
-        elif event.kind is EventKind.CANCELLED:
-            book.cancel(event.order_id, event.time)
-    return book

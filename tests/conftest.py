@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdasim import agents
-from cdasim.orderbook import Side
+from cdasim.orderbook import EventKind, OrderBook, Side
 from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
 
@@ -40,9 +40,30 @@ def events_in_window(book, start, end=None):
     return events[lo:hi]
 
 
+def replay(events) -> OrderBook:
+    """Rebuild a book by re-driving placements and cancellations from a log.
+    The book numbers the placements in log order, so they take their ids again."""
+    book = OrderBook()
+    for event in events:
+        if event.kind is EventKind.PLACED:
+            book.place_limit(event.agent_id, event.side, event.price, event.time)
+        elif event.kind is EventKind.CANCELLED:
+            book.cancel(event.order_id, event.time)
+    return book
+
+
+def depth_snapshot(book) -> dict:
+    """Resting order ids of ``book`` per side and level, in priority order."""
+    sides = ((Side.BID, book._bid_levels, reversed(book._bid_prices)),
+             (Side.ASK, book._ask_levels, book._ask_prices))
+    return {side.value: [(price, [placed.order_id for placed in levels[price]])
+                         for price in ordered]
+            for side, levels, ordered in sides}
+
+
 def resting_ids(book) -> set[int]:
     """Ids of the orders resting in ``book``, read from its depth snapshot."""
-    return {order_id for levels in book.depth_snapshot().values()
+    return {order_id for levels in depth_snapshot(book).values()
             for _, queue in levels for order_id in queue}
 
 

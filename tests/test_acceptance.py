@@ -28,7 +28,7 @@ from cdasim.cli import parse_config, run_one
 from cdasim.fundamental import OuParams, ou_mean_var
 from cdasim.kernel import SimConfig, run
 from cdasim.fundamental import DmrParams
-from cdasim.orderbook import OrderBook, Side, replay
+from cdasim.orderbook import OrderBook, Side
 from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
 
@@ -36,7 +36,7 @@ from hbl_oracle import hbl_belief, hbl_classify
 from test_agents import HBL, PV, ZI, belief_oracle, build_script_book, random_memory
 from test_estimator import ScalarKalman
 from test_fundamental import ou_sample
-from conftest import FixedRng
+from conftest import FixedRng, depth_snapshot, replay
 
 
 CRITERION_LINES = []
@@ -274,10 +274,9 @@ def test_criterion_7_book_property_suite():
                     for side in Side:
                         shadow[side] = [o for o in shadow[side] if o[1] != victim]
                     continue
-                oid = op + 1
                 side = Side.BID if sides[op] < 0.5 else Side.ASK
                 price = int(prices[op])
-                book.place_limit(oid, oid, side, price, t)
+                oid = book.place_limit(op + 1, side, price, t)[0].order_id
                 expected_trades.extend(_reference_match(shadow, side, price, oid))
                 live = [o for s in Side for (_, o) in shadow[s]]
                 bb, ba = book.best_bid(), book.best_ask()
@@ -297,14 +296,14 @@ def test_criterion_7_book_property_suite():
                     exec_qty += 1
                 else:
                     cancel_qty += 1
-            for levels in book.depth_snapshot().values():
+            for levels in depth_snapshot(book).values():
                 for _, queue in levels:
                     rest_qty += len(queue)  # one unit per resting order
             assert exec_qty % 2 == 0  # two execution events per trade
             assert placed == exec_qty + cancel_qty + rest_qty
             # replay equivalence
             rebuilt = replay(book.events)
-            assert rebuilt.depth_snapshot() == book.depth_snapshot()
+            assert depth_snapshot(rebuilt) == depth_snapshot(book)
             assert rebuilt.trades == book.trades
         assert time.perf_counter() - start < 30.0
 

@@ -149,7 +149,7 @@ def test_zi_statistical_shading(grid_01, rng):
 
 def build_script_book():
     book = OrderBook()
-    script = [
+    script = [  # (time, agent, side, price); order ids are the times
         (1, 101, Side.ASK, 1000),
         (2, 102, Side.BID, 998),
         (3, 103, Side.ASK, 1003),
@@ -166,8 +166,8 @@ def build_script_book():
         (14, 114, Side.ASK, 1004),
         (15, 115, Side.BID, 1004),
     ]
-    for now, oid, side, price in script:
-        book.place_limit(oid, oid, side, price, now)
+    for now, agent, side, price in script:
+        book.place_limit(agent, side, price, now)
     return book
 
 
@@ -250,9 +250,9 @@ def test_memory_window_excludes_stale_orders():
     # an order placed before the oldest remembered transaction's orders is
     # not part of the memory
     book = OrderBook()
-    book.place_limit(1, 1, Side.BID, 900, 1)  # stale
-    book.place_limit(2, 2, Side.ASK, 1000, 10)
-    book.place_limit(3, 3, Side.BID, 1000, 11)
+    book.place_limit(1, Side.BID, 900, 1)  # stale
+    book.place_limit(2, Side.ASK, 1000, 10)
+    book.place_limit(3, Side.BID, 1000, 11)
     params = HblParams(memory_length=1, grace_period=5)
     memory = hbl_classify(book.events, now=12, params=params)
     assert len(memory) == 2
@@ -263,7 +263,7 @@ def test_memory_limits_to_last_l_transactions():
     book = build_script_book()
     params = HblParams(memory_length=2, grace_period=5)
     memory = hbl_classify(book.events, now=100, params=params)
-    # last two trades involve orders 109/112 (placed 9, 12) and 115/103
+    # last two trades involve orders 9/12 (placed 9, 12) and 15/3
     # (placed 15, 3); window starts at the ask placed at t=3
     assert len(memory) == 13  # drops the two orders placed before t=3
 
@@ -705,14 +705,11 @@ class LedgerMarket:
         self.params = params
         self.book = OrderBook()
         self.history = OrderHistory(params)
-        self.next_id = 1
         self.live = []  # orders that rest in the book, as far as act_at_random saw
 
     def place(self, side, price, t):
-        oid = self.next_id
-        self.next_id += 1
-        self.book.place_limit(oid, oid, side, price, t)
-        return oid
+        """Place a unit order for agent 0 and return its id."""
+        return self.book.place_limit(0, side, price, t)[0].order_id
 
     def cancel(self, oid, t):
         self.book.cancel(oid, t)

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdasim.cli import (
+    DEFAULTS,
+    VARIANT_KEYS,
     ConfigError,
     _parse_sweep,
     build_config,
@@ -64,6 +66,31 @@ def test_empty_config_resolves_to_documented_defaults():
     assert resolved["agents"]["zi_count"] == "25"
     assert resolved["agents"]["hbl_count"] == "5"
     assert resolved["output"]["trace_estimator"] == "false"
+
+
+def documented_keys():
+    """Key -> default of each key table in docs/config.md, by the section
+    (``[market]``) or variant (``variant = ou``) heading it sits under."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "config.md")
+    tables, heading = {}, None
+    for line in read(path).splitlines():
+        if line.startswith("#"):
+            match = re.match(r"#+ (?:\[(\w+)\]|variant = (\w+)\b)", line)
+            heading = match and (match[1] or match[2])
+            continue
+        row = re.match(r"\| `(\w+)` \| (?:`([^`]*)`|\(none\)) \|", line)
+        if row:
+            tables.setdefault(heading, {})[row[1]] = row[2] or ""
+    return tables
+
+
+def test_config_docs_list_every_key_and_default():
+    tables = documented_keys()
+    assert {section: tables.get(section) for section in DEFAULTS} == DEFAULTS
+    # the megashock table lists its own keys and takes the four OU keys
+    tables["megashock"] = {**tables["ou"], **tables["megashock"]}
+    assert {variant: tables.get(variant) for variant in VARIANT_KEYS} == VARIANT_KEYS
+    assert tables.keys() == DEFAULTS.keys() | VARIANT_KEYS.keys()
 
 
 def test_partial_config_merges_with_defaults():
@@ -158,6 +185,8 @@ def test_parse_sweep():
         _parse_sweep("3-5")
     with pytest.raises(ConfigError, match="empty"):
         _parse_sweep("5..3")
+    with pytest.raises(ConfigError, match="seeds must be >= 0"):
+        _parse_sweep("-3..-1")
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +374,21 @@ def test_main_non_finite_value_exit_code(variant, section, key, value, tmp_path,
     assert capsys.readouterr().err.startswith(f"config error: {section}.{key}: ")
 
 
+@pytest.mark.parametrize("ini, args", [
+    ("[market]\nseed = -5\n", []),
+    ("", ["--seed", "-1"]),
+    ("", ["--sweep-seeds=-3..-1", "--jobs", "1"]),
+], ids=["ini", "flag", "sweep"])
+def test_main_negative_seed_exit_code(ini, args, tmp_path, capsys):
+    # numpy's seed sequence takes no negative entropy: refused before any run
+    config = tmp_path / "c.ini"
+    config.write_text(ini)
+    code = main(["--config", str(config), "--out", str(tmp_path / "out"), *args])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_missing_config_file(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")])
     assert code == 1
@@ -522,7 +566,7 @@ def generated_configs(draw):
         "fundamental": fundamental,
         "market": {"horizon": str(draw(st.integers(1, 300))),
                    "tick_size": pick("0.01", "1"),
-                   "seed": str(draw(st.integers(0, 2**31)))},
+                   "seed": str(draw(st.integers(-2**31, 2**31)))},
         "agents": {"zi_count": str(draw(st.integers(0, 5))),
                    "hbl_count": str(draw(st.integers(0, 4))),
                    "arrival_rate": pick("0.02", "0.1", "0.5"),

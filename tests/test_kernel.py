@@ -28,11 +28,11 @@ from cdasim.kernel import (
     run,
     schedule_arrivals,
 )
-from cdasim.orderbook import EventKind, OrderBook, replay
+from cdasim.orderbook import EventKind, OrderBook
 from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
 
-from conftest import greedy_buyer, resting_ids, settled_payoff
+from conftest import greedy_buyer, replay, resting_ids, settled_payoff
 from hbl_oracle import RecordMemory, hbl_classify
 
 
@@ -394,8 +394,10 @@ def test_run_resolves_each_unit_order_at_most_once(small_series, data):
         assert (taker.counterparty, maker.counterparty) == (maker.order_id, taker.order_id)
         assert taker.price == maker.price == trade.price == placed[maker.order_id].price
         assert taker.time == maker.time == trade.time == placed[taker.order_id].time
-    # the book the log rebuilds rests exactly the unresolved orders, one per agent at most
+    # the book the log rebuilds, numbering the orders as the run did, logs the
+    # same events and rests exactly the unresolved orders, one per agent at most
     book = replay(result.events)
+    assert book.events == result.events
     assert book.trades == result.trades
     unresolved = placed.keys() - resolved.keys()
     assert resting_ids(book) == unresolved
@@ -605,6 +607,8 @@ def test_config_validation():
             make_config(n_zi=n_zi, n_hbl=n_hbl)
     with pytest.raises(ValueError, match="arrival_rate"):
         make_config(arrival_rate=0.0)
+    with pytest.raises(ValueError, match="master_seed must be >= 0"):
+        make_config(master_seed=-1)
     with pytest.raises(ValueError, match="hbl_params"):
         make_config(hbl_params=None)
     with pytest.raises(ValueError, match="fundamental params"):

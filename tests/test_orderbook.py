@@ -8,10 +8,9 @@ from cdasim.orderbook import (
     OrderBook,
     Side,
     Trade,
-    replay,
 )
 
-from conftest import events_in_window, resting_ids
+from conftest import depth_snapshot, events_in_window, replay, resting_ids
 
 
 def test_empty_book():
@@ -24,10 +23,10 @@ def test_empty_book():
 
 def test_rest_and_touch():
     book = OrderBook()
-    book.place_limit(1, 0, Side.BID, 998, now=1)
-    book.place_limit(2, 1, Side.ASK, 1003, now=2)
-    book.place_limit(3, 2, Side.BID, 1000, now=3)
-    book.place_limit(4, 3, Side.ASK, 1001, now=4)
+    book.place_limit(0, Side.BID, 998, now=1)
+    book.place_limit(1, Side.ASK, 1003, now=2)
+    book.place_limit(2, Side.BID, 1000, now=3)
+    book.place_limit(3, Side.ASK, 1001, now=4)
     assert book.best_bid() == 1000
     assert book.best_ask() == 1001
     assert book.trades == []
@@ -35,8 +34,8 @@ def test_rest_and_touch():
 
 def test_trade_at_resting_price():
     book = OrderBook()
-    book.place_limit(1, 0, Side.ASK, 1000, now=1)
-    events = book.place_limit(2, 1, Side.BID, 1004, now=2)
+    book.place_limit(0, Side.ASK, 1000, now=1)
+    events = book.place_limit(1, Side.BID, 1004, now=2)
     # the aggressive bid pays the maker's price, not its own limit
     assert len(book.trades) == 1
     trade = book.trades[0]
@@ -70,19 +69,19 @@ def test_records_are_immutable_and_hashable(record, field):
 
 def test_fifo_within_level():
     book = OrderBook()
-    book.place_limit(1, 0, Side.BID, 1000, now=1)
-    book.place_limit(2, 1, Side.BID, 1000, now=2)
-    book.place_limit(3, 2, Side.ASK, 999, now=3)
+    book.place_limit(0, Side.BID, 1000, now=1)
+    book.place_limit(1, Side.BID, 1000, now=2)
+    book.place_limit(2, Side.ASK, 999, now=3)
     assert book.trades[0].buy_order_id == 1  # earlier order at the level first
-    book.place_limit(4, 3, Side.ASK, 999, now=4)
+    book.place_limit(3, Side.ASK, 999, now=4)
     assert book.trades[1].buy_order_id == 2
 
 
 def test_best_price_before_time():
     book = OrderBook()
-    book.place_limit(1, 0, Side.BID, 998, now=1)
-    book.place_limit(2, 1, Side.BID, 1000, now=2)
-    book.place_limit(3, 2, Side.ASK, 997, now=3)
+    book.place_limit(0, Side.BID, 998, now=1)
+    book.place_limit(1, Side.BID, 1000, now=2)
+    book.place_limit(2, Side.ASK, 997, now=3)
     # the later but better-priced bid trades first
     assert book.trades[0].buy_order_id == 2
     assert book.best_bid() == 998
@@ -90,23 +89,23 @@ def test_best_price_before_time():
 
 def test_crossing_order_trades_once_with_the_touch():
     book = OrderBook()
-    book.place_limit(1, 0, Side.ASK, 1000, now=1)
-    book.place_limit(2, 1, Side.ASK, 1001, now=2)
-    events = book.place_limit(3, 2, Side.BID, 1005, now=3)
+    book.place_limit(0, Side.ASK, 1000, now=1)
+    book.place_limit(1, Side.ASK, 1001, now=2)
+    events = book.place_limit(2, Side.BID, 1005, now=3)
     # one unit: it fills against the best ask alone and does not rest
     assert book.trades == [Trade(3, 1000, 3, 1, 2, 0)]
     assert [e.kind for e in events] == [EventKind.PLACED, EventKind.EXECUTED,
                                         EventKind.EXECUTED]
     assert book.best_bid() is None
-    assert book.depth_snapshot() == {"BID": [], "ASK": [(1001, [2])]}
+    assert depth_snapshot(book) == {"BID": [], "ASK": [(1001, [2])]}
 
 
 def test_negative_limit_price_rejected():
     book = OrderBook()
     with pytest.raises(ValueError, match="limit price must be >= 0"):
-        book.place_limit(1, 0, Side.BID, -1, now=1)
+        book.place_limit(0, Side.BID, -1, now=1)
     assert book.events == []
-    book.place_limit(1, 0, Side.BID, 0, now=1)  # the id was not taken
+    assert book.place_limit(0, Side.BID, 0, now=1)[0].order_id == 1  # the id was not taken
     assert book.best_bid() == 0
 
 
@@ -115,14 +114,14 @@ def test_depth_snapshot_lists_ids_in_priority_order():
     for oid, (side, price) in enumerate([(Side.BID, 998), (Side.BID, 999), (Side.BID, 998),
                                          (Side.ASK, 1002), (Side.ASK, 1001),
                                          (Side.ASK, 1001)], start=1):
-        book.place_limit(oid, oid, side, price, now=oid)
-    assert book.depth_snapshot() == {"BID": [(999, [2]), (998, [1, 3])],
+        book.place_limit(oid, side, price, now=oid)
+    assert depth_snapshot(book) == {"BID": [(999, [2]), (998, [1, 3])],
                                      "ASK": [(1001, [5, 6]), (1002, [4])]}
 
 
 def test_cancel():
     book = OrderBook()
-    book.place_limit(1, 0, Side.BID, 1000, now=1)
+    book.place_limit(0, Side.BID, 1000, now=1)
     event = book.cancel(1, now=2)
     assert event == BookEvent(EventKind.CANCELLED, 2, 1, 0, Side.BID, 1000)
     assert book.best_bid() is None
@@ -133,38 +132,54 @@ def test_cancel():
 def test_cancel_inside_a_level_keeps_the_others_in_order():
     book = OrderBook()
     for oid in (1, 2, 3):
-        book.place_limit(oid, oid, Side.ASK, 1001, now=oid)
+        book.place_limit(oid, Side.ASK, 1001, now=oid)
     book.cancel(2, now=4)
-    assert book.depth_snapshot()["ASK"] == [(1001, [1, 3])]
+    assert depth_snapshot(book)["ASK"] == [(1001, [1, 3])]
     book.cancel(1, now=5)
     book.cancel(3, now=6)
-    assert book.depth_snapshot()["ASK"] == [] and book.best_ask() is None
+    assert depth_snapshot(book)["ASK"] == [] and book.best_ask() is None
 
 
 def test_cancel_then_trade_skips_cancelled():
     book = OrderBook()
-    book.place_limit(1, 0, Side.BID, 1000, now=1)
-    book.place_limit(2, 1, Side.BID, 1000, now=2)
+    book.place_limit(0, Side.BID, 1000, now=1)
+    book.place_limit(1, Side.BID, 1000, now=2)
     book.cancel(1, now=3)
-    book.place_limit(3, 2, Side.ASK, 999, now=4)
+    book.place_limit(2, Side.ASK, 999, now=4)
     assert book.trades[0].buy_order_id == 2
 
 
-def test_duplicate_id_and_time_regression():
+def test_ids_number_placements_in_order():
+    # resting, filled and cancelled orders alike take 1, 2, 3, ... as placed
     book = OrderBook()
-    book.place_limit(1, 0, Side.BID, 1000, now=5)
-    with pytest.raises(ValueError, match="duplicate"):
-        book.place_limit(1, 1, Side.ASK, 1001, now=6)
+    ids = [book.place_limit(0, Side.BID, 1000, now=1)[0].order_id,
+           book.place_limit(1, Side.ASK, 1002, now=2)[0].order_id]
+    book.cancel(1, now=3)
+    ids += [book.place_limit(2, Side.BID, 1002, now=3)[0].order_id,  # fills order 2
+            book.place_limit(3, Side.ASK, 1001, now=4)[0].order_id]
+    assert ids == [1, 2, 3, 4]
+    placed = [e.order_id for e in book.events if e.kind is EventKind.PLACED]
+    assert placed == ids
+    assert book.trades == [Trade(3, 1002, 3, 2, 2, 1)]
+
+
+def test_rejected_placement_takes_no_id():
+    book = OrderBook()
+    book.place_limit(0, Side.BID, 1000, now=5)
+    with pytest.raises(ValueError, match="limit price must be >= 0"):
+        book.place_limit(1, Side.ASK, -1, now=6)
     with pytest.raises(ValueError, match="regression"):
-        book.place_limit(2, 1, Side.ASK, 1001, now=4)
+        book.place_limit(1, Side.ASK, 1001, now=4)
     with pytest.raises(ValueError, match="regression"):
         book.cancel(1, now=4)
+    assert len(book.events) == 1
+    assert book.place_limit(1, Side.ASK, 1001, now=6)[0].order_id == 2
 
 
 def test_event_history_window():
     book = OrderBook()
     for t, oid in enumerate([1, 2, 3, 4], start=1):
-        book.place_limit(oid, 0, Side.BID, 900 + oid, now=t)
+        book.place_limit(0, Side.BID, 900 + oid, now=t)
     window = events_in_window(book, 2, 3)
     assert [e.order_id for e in window] == [2, 3]
     assert [e.order_id for e in events_in_window(book, 3)] == [3, 4]
@@ -173,7 +188,7 @@ def test_event_history_window():
 def test_paper_script_pairings():
     # fifteen-order script at tick 0.1; four trades with known pairings
     book = OrderBook()
-    script = [
+    script = [  # (time, agent, side, price); order ids are the times
         (1, 101, Side.ASK, 1000),
         (2, 102, Side.BID, 998),
         (3, 103, Side.ASK, 1003),
@@ -190,14 +205,16 @@ def test_paper_script_pairings():
         (14, 114, Side.ASK, 1004),
         (15, 115, Side.BID, 1004),
     ]
-    for now, oid, side, price in script:
-        book.place_limit(oid, oid, side, price, now=now)
+    for now, agent, side, price in script:
+        book.place_limit(agent, side, price, now=now)
     assert [(t.price, t.buy_order_id, t.sell_order_id) for t in book.trades] == [
-        (1000, 105, 101),
-        (1002, 110, 106),
-        (1001, 109, 112),  # FIFO: 109 rested before 111 at the 1001 level
-        (1003, 115, 103),
+        (1000, 5, 1),
+        (1002, 10, 6),
+        (1001, 9, 12),  # FIFO: 9 rested before 11 at the 1001 level
+        (1003, 15, 3),
     ]
+    assert [(t.buyer_id, t.seller_id) for t in book.trades] == [
+        (105, 101), (110, 106), (109, 112), (115, 103)]
 
 
 def random_book_run(seed, steps=400):
@@ -213,7 +230,7 @@ def random_book_run(seed, steps=400):
         oid += 1
         side = Side.BID if rng.random() < 0.5 else Side.ASK
         price = int(rng.integers(980, 1021))
-        book.place_limit(oid, oid % 7, side, price, t)
+        assert book.place_limit(oid % 7, side, price, t)[0].order_id == oid
         resting = resting_ids(book)
         if oid in resting:
             live.append(oid)
@@ -247,6 +264,6 @@ def test_random_stream_invariants(seed):
 def test_replay_reconstructs_book(seed):
     book = random_book_run(seed)
     rebuilt = replay(book.events)
-    assert rebuilt.depth_snapshot() == book.depth_snapshot()
+    assert depth_snapshot(rebuilt) == depth_snapshot(book)
     assert rebuilt.trades == book.trades
     assert rebuilt.events == book.events
