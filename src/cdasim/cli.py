@@ -198,7 +198,7 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
                                      lambda v: v >= 0, "est_sigma_s_sq >= 0"),
             )
             try:  # a bad file fails here, before any run starts; the runs replay it
-                fundamental.load(PriceGrid(tick_size))
+                fundamental.source(PriceGrid(tick_size), seed, horizon)
             except (ValueError, OverflowError) as exc:  # OverflowError: an infinite number
                 raise ConfigError(f"fundamental.path: {exc}") from None
 

@@ -10,8 +10,11 @@ Three generated variants plus a file-backed one:
   Gaussian mixture
 * step-interpolated historical data loaded from a two-column file
 
-The sparse variants accept queries in nondecreasing time order only; the
-discrete variant memoizes its prefix so repeated queries are cheap.
+Each params type owns its variant: ``source(grid, seed, horizon_T)`` builds
+the series, and ``belief_model()`` gives the ``(r_bar, kappa, sigma_s_sq)``
+the agents' estimator assumes for it.  The sparse variants accept queries in
+nondecreasing time order only; the discrete variant memoizes its prefix so
+repeated queries are cheap.
 """
 
 from __future__ import annotations
@@ -45,6 +48,12 @@ class DmrParams:
         if self.r_bar < 0.0:
             raise ValueError("r_bar must be >= 0")
 
+    def source(self, grid: PriceGrid, seed: int, horizon_T: int) -> "DmrFundamental":
+        return DmrFundamental(self, grid, seed, horizon_T)
+
+    def belief_model(self) -> tuple[float, float, float]:
+        return self.r_bar, self.kappa, self.sigma_s_sq
+
 
 @dataclass(frozen=True)
 class OuParams:
@@ -60,6 +69,17 @@ class OuParams:
             raise ValueError("gamma must be > 0")
         if self.sigma_sq < 0.0:
             raise ValueError("sigma_sq must be >= 0")
+
+    def source(self, grid: PriceGrid, seed: int, horizon_T: int) -> "OuFundamental":
+        return OuFundamental(self, grid, seed, horizon_T)
+
+    def belief_model(self) -> tuple[float, float, float]:
+        """The discrete model with kappa = 1 - exp(-gamma) and the matching
+        one-step transition variance, so that the unit-step means and
+        variances of the two processes coincide."""
+        kappa = 1.0 - math.exp(-self.gamma)
+        sigma_s_sq = self.sigma_sq / (2.0 * self.gamma) * (1.0 - math.exp(-2.0 * self.gamma))
+        return self.mu, kappa, sigma_s_sq
 
 
 @dataclass(frozen=True)
@@ -83,6 +103,12 @@ class MegashockParams:
                 stacklevel=2,
             )
 
+    def source(self, grid: PriceGrid, seed: int, horizon_T: int) -> "MegashockFundamental":
+        return MegashockFundamental(self, grid, seed, horizon_T)
+
+    def belief_model(self) -> tuple[float, float, float]:
+        return self.ou.belief_model()
+
 
 @dataclass(frozen=True)
 class FileParams:
@@ -104,17 +130,17 @@ class FileParams:
         if self.sigma_s_sq < 0.0:
             raise ValueError("sigma_s_sq must be >= 0")
 
-    def load(self, grid: PriceGrid) -> "FileFundamental":
-        """A fresh replay of the series in ``path``, which must start at
-        timestamp 0.  The first load on ``grid`` reads and parses the file;
+    def source(self, grid: PriceGrid, seed: int, horizon_T: int) -> "FileFundamental":
+        """A fresh replay of the series in ``path``; ``seed`` and ``horizon_T``
+        play no part.  The first call on ``grid`` reads and parses the file;
         a config's check and its runs share that series."""
         if grid not in self._series:
             with open(self.path, encoding="utf-8") as fh:
-                series = FileFundamental.from_text(fh.read(), grid).series
-            if series[0][0] != 0:
-                raise ValueError(f"the series starts at timestamp {series[0][0]}, not 0")
-            self._series[grid] = series
+                self._series[grid] = FileFundamental.from_text(fh.read(), grid).series
         return FileFundamental(list(self._series[grid]), grid)  # a copy per replay
+
+    def belief_model(self) -> tuple[float, float, float]:
+        return self.r_bar, self.kappa, self.sigma_s_sq
 
 
 def dmr_step(prev: int, params: DmrParams, noise_draw: float, grid: PriceGrid) -> int:
@@ -174,8 +200,8 @@ class DmrFundamental:
 class OuFundamental:
     """Sparse OU source; queries must arrive in nondecreasing time order.
 
-    Internal state is kept in real arithmetic; rounding to tick happens only
-    on return.
+    Internal state is kept in real arithmetic, at the real time ``_clock``;
+    rounding to tick happens only on return.
     """
 
     params: OuParams
@@ -184,29 +210,46 @@ class OuFundamental:
     horizon_T: int
 
     def __post_init__(self) -> None:
+        self._start(self.params)
+
+    def _start(self, ou: OuParams) -> None:
+        self._ou = ou
         self._rng = child_stream(self.seed, FUNDAMENTAL_STREAM)
-        self._state = self.params.q0
-        self._last_t = 0
+        self._state = ou.q0
+        self._clock = 0.0
         self._trace: list[tuple[int, int]] = [(0, max(0, self.grid.to_ticks(self._state)))]
 
-    def value_at(self, t: int) -> int:
+    def _advance_to(self, when: float) -> None:
+        if when > self._clock:
+            mean, var = ou_mean_var(self._state, when - self._clock, self._ou)
+            self._state = mean + math.sqrt(var) * self._rng.standard_normal()
+            self._clock = when
+
+    def _jump_until(self, t: int) -> None:
+        """Apply the jumps that arrive by ``t``; a plain OU series has none."""
+
+    def _query(self, t: int) -> int:
+        last = self._trace[-1][0]
         if t > self.horizon_T:
             raise ValueError(f"t={t} beyond horizon T={self.horizon_T}")
-        if t < self._last_t:
-            raise ValueError(f"queries must be nondecreasing (got {t} after {self._last_t})")
-        if t > self._last_t:
-            mean, var = ou_mean_var(self._state, t - self._last_t, self.params)
-            self._state = mean + math.sqrt(var) * self._rng.standard_normal()
-            self._last_t = t
+        if t < last:
+            raise ValueError(f"queries must be nondecreasing (got {t} after {last})")
+        if t > last:
+            self._jump_until(t)
+            self._advance_to(float(t))
             self._trace.append((t, max(0, self.grid.to_ticks(self._state))))
         return self._trace[-1][1]
+
+    # each class defines its own value_at, so a per-class wrapper sees one call per query
+    def value_at(self, t: int) -> int:
+        return self._query(t)
 
     def evaluations(self) -> list[tuple[int, int]]:
         return list(self._trace)
 
 
 @dataclass
-class MegashockFundamental:
+class MegashockFundamental(OuFundamental):
     """OU source with Poisson-arriving bimodal jumps layered on top.
 
     Arrivals occur at real-valued times; each shock is applied as an
@@ -217,47 +260,24 @@ class MegashockFundamental:
     """
 
     params: MegashockParams
-    grid: PriceGrid
-    seed: int
-    horizon_T: int
 
     def __post_init__(self) -> None:
-        self._rng = child_stream(self.seed, FUNDAMENTAL_STREAM)
+        self._start(self.params.ou)
         self._arrivals = child_stream(self.seed, MEGASHOCK_ARRIVALS_STREAM)
         self._sizes = child_stream(self.seed, MEGASHOCK_SIZES_STREAM)
-        self._state = self.params.ou.q0
-        self._clock = 0.0  # real time of the OU state
-        self._last_query = 0
         self._next_arrival = self._arrivals.exponential(1.0 / self.params.arrival_rate)
-        self._trace: list[tuple[int, int]] = [(0, max(0, self.grid.to_ticks(self._state)))]
 
-    def _advance_to(self, when: float) -> None:
-        if when > self._clock:
-            mean, var = ou_mean_var(self._state, when - self._clock, self.params.ou)
-            self._state = mean + math.sqrt(var) * self._rng.standard_normal()
-            self._clock = when
-
-    def _draw_shock(self) -> float:
-        sign = 1.0 if self._sizes.random() < 0.5 else -1.0
-        return self._sizes.normal(sign * self.params.shock_mean, math.sqrt(self.params.shock_var))
+    def _jump_until(self, t: int) -> None:
+        while self._next_arrival <= t:
+            self._advance_to(self._next_arrival)
+            sign = 1.0 if self._sizes.random() < 0.5 else -1.0
+            shock = self._sizes.normal(sign * self.params.shock_mean,
+                                       math.sqrt(self.params.shock_var))
+            self._state = max(0.0, self._state + shock)
+            self._next_arrival += self._arrivals.exponential(1.0 / self.params.arrival_rate)
 
     def value_at(self, t: int) -> int:
-        if t > self.horizon_T:
-            raise ValueError(f"t={t} beyond horizon T={self.horizon_T}")
-        if t < self._last_query:
-            raise ValueError(f"queries must be nondecreasing (got {t} after {self._last_query})")
-        if t > self._last_query:
-            while self._next_arrival <= t:
-                self._advance_to(self._next_arrival)
-                self._state = max(0.0, self._state + self._draw_shock())
-                self._next_arrival += self._arrivals.exponential(1.0 / self.params.arrival_rate)
-            self._advance_to(float(t))
-            self._last_query = t
-            self._trace.append((t, max(0, self.grid.to_ticks(self._state))))
-        return self._trace[-1][1]
-
-    def evaluations(self) -> list[tuple[int, int]]:
-        return list(self._trace)
+        return self._query(t)
 
 
 def file_value_at(t: int, series: list[tuple[int, int]]) -> int:
@@ -276,10 +296,14 @@ class FileFundamental:
 
     series: list[tuple[int, int]]
     grid: PriceGrid
-    _trace: list[tuple[int, int]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self._trace = [(0, file_value_at(0, self.series))]
 
     @classmethod
     def from_text(cls, text: str, grid: PriceGrid) -> "FileFundamental":
+        """Parse a series of tick values, each >= 0, at integer timestamps
+        that start at 0 and strictly increase."""
         series: list[tuple[int, int]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -295,17 +319,22 @@ class FileFundamental:
                 raise ValueError(f"malformed fundamental file at line {lineno}: "
                                  f"timestamp must be an integer")
             value = grid.to_ticks(float(parts[1]))
+            if value < 0:
+                raise ValueError(f"malformed fundamental file at line {lineno}: "
+                                 f"values must be >= 0")
             if series and ts <= series[-1][0]:
                 raise ValueError(f"malformed fundamental file at line {lineno}: "
                                  f"timestamps must be strictly increasing")
             series.append((ts, value))
         if not series:
             raise ValueError("fundamental file contains no data rows")
+        if series[0][0] != 0:
+            raise ValueError(f"the series starts at timestamp {series[0][0]}, not 0")
         return cls(series=series, grid=grid)
 
     def value_at(self, t: int) -> int:
         value = file_value_at(t, self.series)
-        if not self._trace or self._trace[-1][0] != t:
+        if self._trace[-1][0] != t:
             self._trace.append((t, value))
         return value
 

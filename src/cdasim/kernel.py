@@ -3,12 +3,14 @@
 Agents wake on Poisson schedules; each wake draws a noisy fundamental
 observation, updates the agent's belief, projects the final fundamental,
 cancels any outstanding order and routes the strategy's new order to the
-book.  The book's event log is the only order record: an HBL agent's
-memory reads it when the agent decides, so a run without HBL agents keeps
-no HBL ledger.  A trade moves only the two parties' holdings; at the
-horizon the trade log settles every agent's cash, and its payoff adds its
-holdings marked at the final fundamental and the private values of the
-units held, up to q_max.
+book.  The kernel does not branch on the fundamental variant: the config's
+params build the series (``source``) and name the model the agents'
+estimator assumes (``belief_model``).  The book's event log is the only
+order record: an HBL agent's memory reads it when the agent decides, so a
+run without HBL agents keeps no HBL ledger.  A trade moves only the two
+parties' holdings; at the horizon the trade log settles every agent's
+cash, and its payoff adds its holdings marked at the final fundamental and
+the private values of the units held, up to q_max.
 
 Everything is a pure function of (config, master seed): two runs with the
 same inputs produce bit-identical logs, and the fundamental path is
@@ -24,15 +26,7 @@ import numpy as np
 
 from . import agents as strategies
 from . import estimator as est
-from .fundamental import (
-    DmrFundamental,
-    DmrParams,
-    FileParams,
-    MegashockFundamental,
-    MegashockParams,
-    OuFundamental,
-    OuParams,
-)
+from .fundamental import DmrParams, FileParams, MegashockParams, OuParams
 from .orderbook import OrderBook
 from .preferences import PrivateValues
 from .prices import PriceGrid
@@ -46,11 +40,6 @@ HBL = "HBL"
 class OutputOptions:
     trace_estimator: bool = False
     trace_decisions: bool = False
-
-
-# The generated source of each params type; FileParams replays a file instead.
-_GENERATED = {DmrParams: DmrFundamental, OuParams: OuFundamental,
-              MegashockParams: MegashockFundamental}
 
 
 @dataclass(frozen=True)
@@ -79,7 +68,7 @@ class SimConfig:
             raise ValueError("master_seed must be >= 0")
         if self.n_hbl > 0 and self.hbl_params is None:
             raise ValueError("hbl_params required when n_hbl > 0")
-        if type(self.fundamental) not in (*_GENERATED, FileParams):
+        if type(self.fundamental) not in (DmrParams, OuParams, MegashockParams, FileParams):
             raise ValueError(f"unknown fundamental params {self.fundamental!r}")
 
 
@@ -173,37 +162,11 @@ def mark_observation(r_ticks: int, noise_sd: float, rng: np.random.Generator,
     return max(0, grid.to_ticks(o))
 
 
-def build_fundamental(config: SimConfig, grid: PriceGrid):
-    params = config.fundamental
-    if type(params) is FileParams:
-        return params.load(grid)
-    return _GENERATED[type(params)](params, grid, config.master_seed, config.horizon_T)
-
-
-def estimator_params(config: SimConfig) -> est.EstimatorParams:
-    """Agent-side model of the fundamental process.
-
-    The discrete parameters (``DmrParams``, or the model given with a
-    ``FileParams``) are used as-is.  The continuous variants map to the
-    discrete model with kappa = 1 - exp(-gamma) and the matching one-step
-    transition variance, which makes the unit-step means and variances of
-    the two processes coincide; a megashock series uses its base OU.
-    """
-    p = config.fundamental
-    sigma_n_sq = config.zi_params.sigma_n_sq
-    if type(p) is MegashockParams:
-        p = p.ou
-    if type(p) is OuParams:
-        kappa = 1.0 - math.exp(-p.gamma)
-        sigma_s_sq = p.sigma_sq / (2.0 * p.gamma) * (1.0 - math.exp(-2.0 * p.gamma))
-        return est.EstimatorParams(p.mu, kappa, sigma_s_sq, sigma_n_sq, config.horizon_T)
-    return est.EstimatorParams(p.r_bar, p.kappa, p.sigma_s_sq, sigma_n_sq, config.horizon_T)
-
-
 def run(config: SimConfig) -> SimResult:
     grid = PriceGrid(config.tick_size)
-    fundamental = build_fundamental(config, grid)
-    ep = estimator_params(config)
+    fundamental = config.fundamental.source(grid, config.master_seed, config.horizon_T)
+    ep = est.EstimatorParams(*config.fundamental.belief_model(),
+                             config.zi_params.sigma_n_sq, config.horizon_T)
     n_agents = config.n_zi + config.n_hbl
 
     records: list[AgentRecord] = []
@@ -313,10 +276,8 @@ def run(config: SimConfig) -> SimResult:
     final_value = grid.to_value(final_ticks)
     summaries = []
     for record, agent_cash in zip(records, cash):
-        # units past q_max realize no private value: the slices stop at the vector's ends
-        q, values, m = record.q_held, record.pv.values, record.pv.q_max
-        realized_pv = sum(values[m:m + q]) if q >= 0 else -sum(values[max(m + q, 0):m])
-        payoff = agent_cash + q * final_value + realized_pv
+        q = record.q_held
+        payoff = agent_cash + q * final_value + record.pv.realized(q)
         summaries.append(AgentSummary(record.agent_id, record.strategy, agent_cash, q, payoff))
 
     return SimResult(

@@ -46,6 +46,13 @@ class PrivateValues:
             raise HoldingsLimitError(f"unit index {q} outside [{1 - self.q_max}, {self.q_max}]")
         return self.values[index]
 
+    def realized(self, q: int) -> float:
+        """Private value realized by holding q units: the entries of units 1..q,
+        or minus those of q+1..0 when short.  Units past q_max realize
+        nothing; the slices stop at the vector's ends."""
+        values, m = self.values, self.q_max
+        return sum(values[m:m + q]) if q >= 0 else -sum(values[max(m + q, 0):m])
+
     def buy_valuation(self, q_held: int, r_hat: float) -> float:
         return r_hat + self.theta(q_held + 1)
 

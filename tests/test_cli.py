@@ -529,7 +529,8 @@ VARIANT_VALUES = {
 }
 
 # Ways to spoil a series file, each of which the file variant must reject.
-SERIES_FAULTS = (None, "late", "text", "one-column", "repeat", "fraction", "inf", "empty")
+SERIES_FAULTS = (None, "late", "text", "one-column", "repeat", "fraction", "inf", "negative",
+                 "empty")
 
 
 @st.composite
@@ -545,7 +546,8 @@ def series_files(draw):
     rows = [f"{t},{v}" for t, v in zip(times, values)]
     end = times[-1]
     spoiled = {"text": f"{end + 1},abc", "one-column": f"{end + 1}",
-               "repeat": rows[-1], "fraction": f"{end}.5,100.0", "inf": f"{end + 1},inf"}
+               "repeat": rows[-1], "fraction": f"{end}.5,100.0", "inf": f"{end + 1},inf",
+               "negative": f"{end + 1},-3.0"}
     if fault in spoiled:
         rows.insert(draw(st.integers(1, len(rows))), spoiled[fault])
     if fault == "empty":

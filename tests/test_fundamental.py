@@ -20,7 +20,9 @@ from cdasim.fundamental import (
     file_value_at,
     ou_mean_var,
 )
-from cdasim.cli import parse_config, run_one
+from cdasim import estimator as est
+from cdasim.cli import build_config, emit_outputs, parse_config, run_one
+from cdasim.kernel import run
 from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
 
@@ -386,9 +388,22 @@ def test_file_header_is_optional(grid_01):
 
 
 def test_file_before_first_timestamp(grid_01):
-    fund = FileFundamental.from_text("3,100.0\n", grid_01)
+    # a series file starts at 0; a series built by hand may start later
+    with pytest.raises(ValueError, match="starts at timestamp 3, not 0"):
+        FileFundamental.from_text("3,100.0\n", grid_01)
     with pytest.raises(ValueError, match="precedes"):
-        fund.value_at(2)
+        file_value_at(2, [(3, 1000)])
+    with pytest.raises(ValueError, match="precedes"):
+        FileFundamental.from_text(SAMPLE, grid_01).value_at(-1)
+
+
+def test_file_trace_starts_at_zero(grid_01):
+    # like the generated series, the trace holds the value at 0 before any query
+    fund = FileFundamental.from_text(SAMPLE, grid_01)
+    assert fund.evaluations() == [(0, 1000)]
+    fund.value_at(7)
+    fund.value_at(7)
+    assert fund.evaluations() == [(0, 1000), (7, 1013)]
 
 
 def test_file_parse_errors(grid_01):
@@ -402,6 +417,10 @@ def test_file_parse_errors(grid_01):
         FileFundamental.from_text("0,100.0\n1.5,101.0\n", grid_01)
     with pytest.raises(ValueError, match="no data"):
         FileFundamental.from_text("timestamp,value\n", grid_01)
+    with pytest.raises(ValueError, match="line 2: values must be >= 0"):
+        FileFundamental.from_text("0,5.0\n10,-3.0\n", grid_01)
+    # a value that rounds to 0 ticks is not below 0
+    assert FileFundamental.from_text("0,-0.04\n", grid_01).series == [(0, 0)]
 
 
 def test_file_value_at_empty_series():
@@ -417,5 +436,86 @@ def test_dump_and_reload_round_trip(tmp_path, grid_01):
     run_one(parse_config("[fundamental]\nr_bar = 100.0\nkappa = 0.05\nsigma_s_sq = 1.0\n"
                          "[market]\nhorizon = 40\ntick_size = 0.1\nseed = 4\n"),
             str(tmp_path))
-    reloaded = FileParams(str(tmp_path / "fundamental.csv"), 100.0, 0.05, 1.0).load(grid_01)
+    reloaded = FileParams(str(tmp_path / "fundamental.csv"), 100.0, 0.05, 1.0).source(
+        grid_01, 4, 40)
     assert [reloaded.value_at(t) for t in range(41)] == original
+
+
+ROUND_TRIP_FUNDAMENTALS = {
+    "dmr": "variant = dmr\n",
+    "ou": "variant = ou\nsigma_sq = 4.0\n",
+    "megashock": "variant = megashock\nshock_arrival_rate = 0.02\n",
+    "file": "variant = file\npath = {series}\n",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(ROUND_TRIP_FUNDAMENTALS))
+def test_written_series_reloads_through_file_variant(tmp_path, variant):
+    # every variant's fundamental.csv starts at 0 and loads back, through the
+    # file variant's config check, to the series the run evaluated
+    series = tmp_path / "series.csv"
+    series.write_text("0,5.0\n10,7.0\n")
+    market = ("[market]\nhorizon = 200\nseed = 3\n"
+              "[agents]\nzi_count = 5\nhbl_count = 0\narrival_rate = 0.1\n")
+    fundamental = ROUND_TRIP_FUNDAMENTALS[variant].format(series=series)
+    resolved = parse_config("[fundamental]\n" + fundamental + market)
+    result = run(build_config(resolved))
+    emit_outputs(result, resolved, str(tmp_path / "run"))
+    dump = tmp_path / "run" / "fundamental.csv"
+    config = build_config(parse_config(f"[fundamental]\nvariant = file\npath = {dump}\n"
+                                       + market))
+    reloaded = config.fundamental.source(result.grid, config.master_seed, config.horizon_T)
+    assert reloaded.series == result.fundamental_trace
+    assert reloaded.series[0][0] == 0 and reloaded.series[-1][0] == 200
+
+
+# ---------------------------------------------------------------------------
+# each params type's series and belief model
+# ---------------------------------------------------------------------------
+
+
+BASE_OU = OuParams(mu=100.0, gamma=0.2, sigma_sq=3.0, q0=90.0)
+
+
+def test_belief_model_dmr_passthrough():
+    assert DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0).belief_model() == (100.0, 0.05, 1.0)
+
+
+def test_belief_model_ou_matches_unit_step_moments():
+    r_bar, kappa, sigma_s_sq = BASE_OU.belief_model()
+    assert kappa == pytest.approx(1.0 - math.exp(-0.2))
+    # advancing the belief one step reproduces the OU conditional moments
+    ep = est.EstimatorParams(r_bar, kappa, sigma_s_sq, sigma_n_sq=10.0, horizon_T=2000)
+    belief = est.BeliefState(r_tilde=90.0, sigma_tilde_sq=0.0, last_wake=0)
+    advanced = est.advance(belief, 1, ep)
+    mean, var = ou_mean_var(90.0, 1.0, BASE_OU)
+    assert advanced.r_tilde == pytest.approx(mean, rel=1e-12)
+    assert advanced.sigma_tilde_sq == pytest.approx(var, rel=1e-12)
+
+
+def test_belief_model_megashock_uses_base_ou():
+    ms = MegashockParams(ou=BASE_OU, arrival_rate=0.001, shock_mean=40.0, shock_var=50.0)
+    assert ms.belief_model() == BASE_OU.belief_model()
+
+
+def test_belief_model_file_variant(tmp_path):
+    # the file says nothing about its process: the model is the one given
+    path = tmp_path / "fund.csv"
+    path.write_text("0,100.0\n10,101.0\n")
+    assert FileParams(str(path), 100.0, 0.05, 1.0).belief_model() == (100.0, 0.05, 1.0)
+
+
+def test_source_builds_each_variant(tmp_path, grid_01):
+    path = tmp_path / "fund.csv"
+    path.write_text("0,100.0\n10,101.0\n")
+    ms = MegashockParams(ou=BASE_OU, arrival_rate=0.001, shock_mean=40.0, shock_var=50.0)
+    for params, cls in ((DmrParams(100.0, 0.05, 1.0), DmrFundamental),
+                        (BASE_OU, OuFundamental), (ms, MegashockFundamental)):
+        fund = params.source(grid_01, 3, 50)
+        assert type(fund) is cls
+        assert (fund.params, fund.grid, fund.seed, fund.horizon_T) == (params, grid_01, 3, 50)
+    file_params = FileParams(str(path), 100.0, 0.05, 1.0)
+    a, b = file_params.source(grid_01, 3, 50), file_params.source(grid_01, 3, 50)
+    assert type(a) is FileFundamental
+    assert a.series == b.series == [(0, 1000), (10, 1010)]
+    assert a.series is not b.series  # a fresh replay each time

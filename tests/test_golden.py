@@ -277,7 +277,7 @@ DIGESTS: dict[str, dict[str, str]] = {
         "agents.csv":
             "6dd97b85b281867fb6c0ecfc8d2695f6641e37122ab648481252d04c4871ab34",
         "fundamental.csv":
-            "01221baa5274193d7611c6c6a7cbe4dfbfde5dac2fc08388c384befc8259ab09",
+            "72296899e3a64308a0c6564deb52bf352f282cef3bf4c1b4d0007f1ea6cd483c",
         "decisions.csv":
             "d86644b36fa4bed3cb9713dada1ac800e821b080f08f7dbd7f7ab40d39d6e661",
         "estimator_trace.csv":

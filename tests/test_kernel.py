@@ -18,12 +18,10 @@ from cdasim.fundamental import (
     FileParams,
     MegashockParams,
     OuParams,
-    ou_mean_var,
 )
 from cdasim.kernel import (
     OutputOptions,
     SimConfig,
-    estimator_params,
     mark_observation,
     run,
     schedule_arrivals,
@@ -199,49 +197,6 @@ def test_mark_observation_unbiased(grid_01):
     obs = [mark_observation(1000, 2.0, rng, grid_01) for _ in range(20_000)]
     assert np.mean(obs) * 0.1 == pytest.approx(100.0, abs=0.05)
     assert np.var([o * 0.1 for o in obs]) == pytest.approx(4.0, rel=0.05)
-
-
-# ---------------------------------------------------------------------------
-# estimator parameter mapping
-# ---------------------------------------------------------------------------
-
-
-def test_estimator_params_dmr_passthrough():
-    config = make_config()
-    ep = estimator_params(config)
-    assert (ep.r_bar, ep.kappa, ep.sigma_s_sq) == (100.0, 0.05, 1.0)
-    assert ep.sigma_n_sq == ZI_PARAMS.sigma_n_sq
-    assert ep.horizon_T == 2000
-
-
-def test_estimator_params_ou_matches_unit_step_moments():
-    ou = OuParams(mu=100.0, gamma=0.2, sigma_sq=3.0, q0=90.0)
-    config = make_config(fundamental=ou)
-    ep = estimator_params(config)
-    assert ep.kappa == pytest.approx(1.0 - math.exp(-0.2))
-    # advancing the belief one step reproduces the OU conditional moments
-    belief = est.BeliefState(r_tilde=90.0, sigma_tilde_sq=0.0, last_wake=0)
-    advanced = est.advance(belief, 1, ep)
-    mean, var = ou_mean_var(90.0, 1.0, ou)
-    assert advanced.r_tilde == pytest.approx(mean, rel=1e-12)
-    assert advanced.sigma_tilde_sq == pytest.approx(var, rel=1e-12)
-
-
-def test_estimator_params_megashock_uses_base_ou():
-    ou = OuParams(mu=100.0, gamma=0.2, sigma_sq=3.0, q0=90.0)
-    ms = MegashockParams(ou=ou, arrival_rate=0.001, shock_mean=40.0, shock_var=50.0)
-    a = estimator_params(make_config(fundamental=ms))
-    b = estimator_params(make_config(fundamental=ou))
-    assert a == b
-
-
-def test_estimator_params_file_variant(tmp_path):
-    path = tmp_path / "fund.csv"
-    path.write_text("0,100.0\n10,101.0\n")
-    config = make_config(fundamental=FileParams(str(path), 100.0, 0.05, 1.0))
-    ep = estimator_params(config)
-    assert ep.kappa == 0.05
-    assert ep.sigma_n_sq == ZI_PARAMS.sigma_n_sq  # agent noise overrides
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +386,27 @@ def test_run_traces_enabled():
         assert delta > 0
         assert var >= 0.0
         assert math.isfinite(r_hat)
+
+
+@pytest.mark.parametrize("fundamental", [
+    DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0),
+    MegashockParams(ou=OuParams(mu=100.0, gamma=0.2, sigma_sq=3.0, q0=90.0),
+                    arrival_rate=0.001, shock_mean=40.0, shock_var=50.0),
+])
+def test_estimator_uses_belief_model_agent_noise_and_horizon(fundamental):
+    # every agent's beliefs follow the params' belief model, the agents'
+    # observation noise and the run's horizon, from the first wake on
+    config = make_config(fundamental=fundamental, horizon_T=1500,
+                         output=OutputOptions(trace_estimator=True))
+    result = run(config)
+    ep = est.EstimatorParams(*fundamental.belief_model(), ZI_PARAMS.sigma_n_sq, 1500)
+    beliefs = {}
+    for t, agent_id, _, o, r_tilde, var, r_hat in result.estimator_trace:
+        belief = est.advance(beliefs.get(agent_id, est.initial_belief(ep)), t, ep)
+        belief = beliefs[agent_id] = est.observe(belief, result.grid.to_value(o), ep)
+        assert (belief.r_tilde, belief.sigma_tilde_sq) == (r_tilde, var)
+        assert est.project_final(belief, ep) == r_hat
+    assert len(beliefs) == config.n_zi + config.n_hbl
 
 
 def test_trace_rows_format_each_tick_once(monkeypatch, tmp_path):

@@ -3,6 +3,8 @@ import pytest
 
 from cdasim.preferences import HoldingsLimitError, PrivateValues
 
+from conftest import settled_payoff
+
 
 EXAMPLE = PrivateValues(q_max=3, values=(0.5, 0.3, 0.2, 0.1, -0.2, -0.4))
 
@@ -72,6 +74,16 @@ def test_valuations_shift_with_fundamental_estimate():
     for q in range(-2, 3):
         base = EXAMPLE.buy_valuation(q, 100.0)
         assert EXAMPLE.buy_valuation(q, 107.5) == pytest.approx(base + 7.5)
+
+
+def test_realized_sums_the_units_held():
+    # the settlement oracle sums theta unit by unit; holdings past q_max
+    # realize only the first q_max units
+    for pv in (EXAMPLE, PrivateValues(q_max=1, values=(2.5, -1.5))):
+        for q in range(-pv.q_max - 3, pv.q_max + 4):
+            assert pv.realized(q) == settled_payoff(0.0, q, 0.0, pv.values), (pv, q)
+    assert EXAMPLE.realized(2) == 0.1 + -0.2
+    assert EXAMPLE.realized(-5) == -(0.5 + 0.3 + 0.2)
 
 
 def test_holdings_limits():
