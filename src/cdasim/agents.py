@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .orderbook import EventKind, OrderBook, Side
+from .orderbook import ASK, BID, EXECUTED, PLACED, OrderBook, Side
 from .preferences import PrivateValues
 from .prices import PriceGrid
 
@@ -44,6 +44,7 @@ class AgentAction(NamedTuple):
     limit_price: int | None = None  # ticks
 
 
+PLACE, TAKE = ActionKind.PLACE, ActionKind.TAKE
 SKIP = AgentAction(ActionKind.SKIP)
 
 
@@ -89,11 +90,11 @@ class HblParams:
 
 def _choose_side(q_held: int, pv: PrivateValues, rng: np.random.Generator) -> Side | None:
     """Fair coin, flipping to the only legal side at the holdings limit."""
-    side = Side.BID if rng.random() < 0.5 else Side.ASK
-    if side is Side.BID and not pv.can_buy(q_held):
-        side = Side.ASK if pv.can_sell(q_held) else None
-    elif side is Side.ASK and not pv.can_sell(q_held):
-        side = Side.BID if pv.can_buy(q_held) else None
+    side = BID if rng.random() < 0.5 else ASK
+    if side is BID and not pv.can_buy(q_held):
+        side = ASK if pv.can_sell(q_held) else None
+    elif side is ASK and not pv.can_sell(q_held):
+        side = BID if pv.can_buy(q_held) else None
     return side
 
 
@@ -112,18 +113,18 @@ def zi_decide(
         return SKIP
     # numpy's own uniform(r_min, r_max), drawn from the cheaper random() call
     requested = params.r_min + (params.r_max - params.r_min) * rng.random()
-    if side is Side.BID:
+    if side is BID:
         valuation = pv.buy_valuation(q_held, r_hat)
         # Strategic threshold: lock in eta * R immediately if the touch allows it.
         if best_ask is not None and valuation - grid.to_value(best_ask) >= params.eta * requested:
-            return AgentAction(ActionKind.TAKE, Side.BID, best_ask)
+            return tuple.__new__(AgentAction, (TAKE, BID, best_ask))
         limit = max(0, grid.to_ticks_down(valuation - requested))
-        return AgentAction(ActionKind.PLACE, Side.BID, limit)
+        return tuple.__new__(AgentAction, (PLACE, BID, limit))
     valuation = pv.sell_valuation(q_held, r_hat)
     if best_bid is not None and grid.to_value(best_bid) - valuation >= params.eta * requested:
-        return AgentAction(ActionKind.TAKE, Side.ASK, best_bid)
+        return tuple.__new__(AgentAction, (TAKE, ASK, best_bid))
     limit = max(0, grid.to_ticks_up(valuation + requested))
-    return AgentAction(ActionKind.PLACE, Side.ASK, limit)
+    return tuple.__new__(AgentAction, (PLACE, ASK, limit))
 
 
 class TickMemory:
@@ -167,7 +168,7 @@ class TickMemory:
         at_or_below = np.minimum(np.maximum(k + 1, 0), span)
         at_or_above = np.minimum(np.maximum(k, 0), span)
         favorable = np.zeros(span + 1, dtype=np.int64)
-        if side is Side.BID:
+        if side is BID:
             np.add.accumulate(self._counts[1], out=favorable[1:])
             favorable = favorable[at_or_below]
             succ = self._weights[0][at_or_below]
@@ -268,7 +269,7 @@ class OrderHistory:
         events = book.events
         placed, resolved = [], []
         for event in events[self._read_events:]:
-            (placed if event.kind is EventKind.PLACED else resolved).append(event)
+            (placed if event.kind is PLACED else resolved).append(event)
         self._read_events = len(events)
         if placed:
             n, k = self._n, len(placed)
@@ -280,10 +281,10 @@ class OrderHistory:
             _, times, _, _, sides, prices, _ = zip(*placed)
             self._placed += times
             self._price[n: n + k] = prices
-            self._is_bid[n: n + k] = [side is Side.BID for side in sides]
+            self._is_bid[n: n + k] = [side is BID for side in sides]
             self._open.update(zip(range(n, n + k), times))
             self._n = n + k
-        binary, grace, executed = self._binary, self._grace, EventKind.EXECUTED
+        binary, grace, executed = self._binary, self._grace, EXECUTED
         pop, tally = self._open.pop, self._tally
         start, expired = self._start, self._expired
         for kind, time, order_id, _, _, _, _ in resolved:
@@ -536,16 +537,16 @@ def hbl_decide(
     if side is None:
         return SKIP
     prices = candidate_prices  # ascending: ties resolve to the lowest bid
-    if side is Side.BID:
+    if side is BID:
         valuation = pv.buy_valuation(q_held, r_hat)
     else:
         valuation = pv.sell_valuation(q_held, r_hat)
         prices = prices[::-1]  # ties resolve to the highest ask
-    sign = 1.0 if side is Side.BID else -1.0
+    sign = 1.0 if side is BID else -1.0
     if params.grid_mode == "spline":
         beliefs = hbl_belief_spline(memory, side, prices)
     else:
         beliefs = memory.belief_array(prices, side)
     expected = sign * (valuation - prices * grid.tick_size) * beliefs
     best_price = int(prices[np.argmax(expected)])  # first max keeps tie order
-    return AgentAction(ActionKind.PLACE, side, best_price)
+    return tuple.__new__(AgentAction, (PLACE, side, best_price))

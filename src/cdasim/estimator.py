@@ -8,7 +8,9 @@ precision weights.  The final fundamental is then projected by reverting
 the current estimate over the remaining steps.
 
 All belief arithmetic stays in real numbers; only order limit prices are
-ever rounded to ticks.
+ever rounded to ticks.  ``advance`` and ``observe`` run on every wake and
+build their ``BeliefState`` with ``tuple.__new__``, as the order book
+builds its events.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def advance(belief: BeliefState, now: int, params: EstimatorParams) -> BeliefSta
         decay_sq = (1.0 - params.kappa) ** (2 * delta)
         shock_weight = (1.0 - decay_sq) / (1.0 - (1.0 - params.kappa) ** 2)
         var = decay_sq * belief.sigma_tilde_sq + shock_weight * params.sigma_s_sq
-    return BeliefState(r_tilde, var, now)
+    return tuple.__new__(BeliefState, (r_tilde, var, now))
 
 
 def observe(belief: BeliefState, o_t: float, params: EstimatorParams) -> BeliefState:
@@ -77,11 +79,11 @@ def observe(belief: BeliefState, o_t: float, params: EstimatorParams) -> BeliefS
     """
     total = params.sigma_n_sq + belief.sigma_tilde_sq
     if total == 0.0:
-        return BeliefState(o_t, 0.0, belief.last_wake)
+        return tuple.__new__(BeliefState, (o_t, 0.0, belief.last_wake))
     obs_weight = belief.sigma_tilde_sq / total
     r_tilde = (1.0 - obs_weight) * belief.r_tilde + obs_weight * o_t
     var = params.sigma_n_sq * belief.sigma_tilde_sq / total
-    return BeliefState(r_tilde, var, belief.last_wake)
+    return tuple.__new__(BeliefState, (r_tilde, var, belief.last_wake))
 
 
 def project_final(belief: BeliefState, params: EstimatorParams) -> float:

@@ -14,7 +14,8 @@ Each params type owns its variant: ``source(grid, seed, horizon_T)`` builds
 the series, and ``belief_model()`` gives the ``(r_bar, kappa, sigma_s_sq)``
 the agents' estimator assumes for it.  The sparse variants accept queries in
 nondecreasing time order only; the discrete variant memoizes its prefix so
-repeated queries are cheap.
+repeated queries are cheap, and steps the shocks it has not yet applied in
+one loop, with the step's constants computed once per series.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ class OuParams:
     def __post_init__(self) -> None:
         if self.gamma <= 0.0:
             raise ValueError("gamma must be > 0")
+        if 1.0 - math.exp(-self.gamma) == 0.0:
+            # true for gamma up to 2**-54 (about 5.6e-17): the belief model's
+            # kappa would be 0 and the OU variance 0 or NaN
+            raise ValueError(f"gamma = {self.gamma!r} is too small: 1 - exp(-gamma) is 0")
         if self.sigma_sq < 0.0:
             raise ValueError("sigma_sq must be >= 0")
 
@@ -143,13 +148,6 @@ class FileParams:
         return self.r_bar, self.kappa, self.sigma_s_sq
 
 
-def dmr_step(prev: int, params: DmrParams, noise_draw: float, grid: PriceGrid) -> int:
-    """One reversion step from tick price ``prev``; floored at zero."""
-    nxt = params.kappa * params.r_bar + (1.0 - params.kappa) * grid.to_value(prev)
-    nxt += noise_draw
-    return max(0, grid.to_ticks(max(0.0, nxt)))
-
-
 def ou_mean_var(q_prev: float, elapsed: float, params: OuParams) -> tuple[float, float]:
     """Exact conditional mean and variance of the OU value after ``elapsed``."""
     if elapsed <= 0.0:
@@ -166,7 +164,9 @@ class DmrFundamental:
 
     All ``horizon_T`` shocks are drawn at construction, in one call on the
     series' own stream; ``shocks[i]`` moves step i to step i + 1.  A query
-    beyond the memoized prefix steps through the missing shocks in order.
+    beyond the memoized prefix steps through the missing shocks in order:
+    ``max{0, kappa*r_bar + (1-kappa)*r_{t-1} + u_t}`` in real numbers from
+    the previous tick value, rounded once to the tick.
     """
 
     params: DmrParams
@@ -175,9 +175,13 @@ class DmrFundamental:
     horizon_T: int
 
     def __post_init__(self) -> None:
-        self._values: list[int] = [self.grid.to_ticks(self.params.r_bar)]
+        params = self.params
+        self._values: list[int] = [self.grid.to_ticks(params.r_bar)]
         self._shocks = child_stream(self.seed, FUNDAMENTAL_STREAM).normal(
-            0.0, math.sqrt(self.params.sigma_s_sq), size=self.horizon_T)
+            0.0, math.sqrt(params.sigma_s_sq), size=self.horizon_T)
+        # most queries step once or not at all, so the step's constants are
+        # read once per series, not once per query
+        self._step = (params.kappa * params.r_bar, 1.0 - params.kappa, self.grid.tick_size)
 
     def value_at(self, t: int) -> int:
         if t > self.horizon_T:
@@ -186,9 +190,12 @@ class DmrFundamental:
             raise ValueError("t must be >= 0")
         values = self._values
         if len(values) <= t:
-            prev = values[-1]
+            base, keep, tick = self._step
+            grid, prev = self.grid, values[-1]
             for noise in self._shocks[len(values) - 1:t].tolist():
-                prev = dmr_step(prev, self.params, noise, self.grid)
+                nxt = base + keep * (prev * tick)
+                nxt += noise
+                prev = max(0, grid.to_ticks(max(0.0, nxt)))
                 values.append(prev)
         return values[t]
 

@@ -205,7 +205,7 @@ def run(config: SimConfig) -> SimResult:
     zi_decide, hbl_decide = strategies.zi_decide, strategies.hbl_decide
     hbl_candidate_grid = strategies.hbl_candidate_grid
     to_value = grid.to_value
-    skip = strategies.ActionKind.SKIP
+    skip = strategies.SKIP.kind
 
     for t, agent_id in zip(wake_times.tolist(), wake_ids.tolist()):
         record = records[agent_id]

@@ -7,6 +7,13 @@ best price; otherwise it rests.  The book numbers the orders 1, 2, 3, ...
 in placement order.  Every placement, execution and cancellation is
 appended to an immutable event log; the log is sufficient to rebuild the
 book by replay and is the observation feed for belief-learning agents.
+
+Each enum member is also bound to a module name (``BID is Side.BID``): on
+CPython 3.11 a member lookup through its class goes through
+``EnumType.__getattr__`` and costs about ten global reads, so the wake path
+reads the bound names.  For the same reason the records built on every
+wake are made with ``tuple.__new__``, which skips the NamedTuple's
+Python-level ``__new__``; each such call lists every field.
 """
 
 from __future__ import annotations
@@ -22,10 +29,16 @@ class Side(enum.Enum):
     ASK = "ASK"
 
 
+BID, ASK = Side.BID, Side.ASK
+
+
 class EventKind(enum.Enum):
     PLACED = "PLACED"
     EXECUTED = "EXECUTED"
     CANCELLED = "CANCELLED"
+
+
+PLACED, EXECUTED, CANCELLED = EventKind.PLACED, EventKind.EXECUTED, EventKind.CANCELLED
 
 
 class BookEvent(NamedTuple):
@@ -96,8 +109,8 @@ class OrderBook:
         self._n_placed = order_id = self._n_placed + 1
         self._last_time = now
 
-        placed = BookEvent(EventKind.PLACED, now, order_id, agent_id, side, price)
-        is_bid = side is Side.BID
+        placed = tuple.__new__(BookEvent, (PLACED, now, order_id, agent_id, side, price, None))
+        is_bid = side is BID
         # the side this order trades against, and the index of its touch
         if is_bid:
             levels, prices, touch = self._ask_levels, self._ask_prices, 0
@@ -122,8 +135,9 @@ class OrderBook:
             del levels[best]
             del prices[touch]
         events = [placed,
-                  BookEvent(EventKind.EXECUTED, now, order_id, agent_id, side, best, maker_id),
-                  maker._replace(kind=EventKind.EXECUTED, time=now, counterparty=order_id)]
+                  tuple.__new__(BookEvent,
+                                (EXECUTED, now, order_id, agent_id, side, best, maker_id)),
+                  maker._replace(kind=EXECUTED, time=now, counterparty=order_id)]
         if is_bid:
             trade = Trade(now, best, order_id, maker_id, agent_id, maker_agent)
         else:
@@ -150,13 +164,14 @@ class OrderBook:
             del levels[price]
             del prices[bisect_left(prices, price)]
         self._last_time = now
-        event = BookEvent(EventKind.CANCELLED, now, order_id, placed.agent_id, side, price)
+        event = tuple.__new__(BookEvent,
+                              (CANCELLED, now, order_id, placed.agent_id, side, price, None))
         self._events.append(event)
         return event
 
     # -- internals --------------------------------------------------------
 
     def _side(self, side: Side) -> tuple[dict[int, deque[BookEvent]], list[int]]:
-        if side is Side.BID:
+        if side is BID:
             return self._bid_levels, self._bid_prices
         return self._ask_levels, self._ask_prices

@@ -389,6 +389,22 @@ def test_main_negative_seed_exit_code(ini, args, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("variant", ["ou", "megashock"])
+@pytest.mark.parametrize("gamma", ["1e-310", "1e-200"])
+def test_main_tiny_gamma_exit_code(variant, gamma, tmp_path, capsys):
+    # 1 - exp(-gamma) is 0: 1e-310 used to crash on a NaN variance and 1e-200
+    # to run with a frozen series and a belief model with kappa 0
+    config = tmp_path / "c.ini"
+    config.write_text(f"[fundamental]\nvariant = {variant}\ngamma = {gamma}\n"
+                      "[market]\nhorizon = 200\nseed = 3\n"
+                      "[agents]\nzi_count = 5\nhbl_count = 0\narrival_rate = 0.1\n")
+    code = main(["--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ") and "gamma" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_missing_config_file(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")])
     assert code == 1

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdasim.fundamental import (
     FUNDAMENTAL_STREAM,
@@ -16,7 +18,6 @@ from cdasim.fundamental import (
     MegashockParams,
     OuFundamental,
     OuParams,
-    dmr_step,
     file_value_at,
     ou_mean_var,
 )
@@ -37,6 +38,14 @@ def ou_sample(q_prev, elapsed, params, std_normal_draw, grid):
 # ---------------------------------------------------------------------------
 # discrete mean reverting
 # ---------------------------------------------------------------------------
+
+
+def dmr_step(prev, params, noise_draw, grid):
+    """One reversion step from tick price ``prev``, floored at zero: the
+    step-by-step oracle for ``DmrFundamental``."""
+    nxt = params.kappa * params.r_bar + (1.0 - params.kappa) * grid.to_value(prev)
+    nxt += noise_draw
+    return max(0, grid.to_ticks(max(0.0, nxt)))
 
 
 def test_dmr_zero_noise_stays_at_mean(grid_01):
@@ -176,6 +185,38 @@ def test_dmr_step_rounding(grid_01):
     assert dmr_step(1000, params, -200.0, grid_01) == 0
 
 
+def test_dmr_series_ties_and_floor():
+    # 100 + 0.5 and 101 - 0.5 land on the half-tick 100.5, which the float
+    # guard sends to the Decimal rounding (half up); 101 - 250.5 floors at 0
+    params = DmrParams(r_bar=100.0, kappa=0.0, sigma_s_sq=1.0)
+    fund = DmrFundamental(params, PriceGrid(1.0), seed=0, horizon_T=4)
+    fund._shocks = np.array([0.5, -0.5, -250.5, 7.25])
+    assert [fund.value_at(t) for t in range(5)] == [100, 101, 101, 0, 7]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(r_bar=st.floats(0.0, 500.0),
+       kappa=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       sigma_s_sq=st.one_of(st.just(0.0), st.floats(0.0, 400.0)),
+       tick_size=st.sampled_from([0.01, 0.1, 0.25, 1.0]),
+       seed=st.integers(0, 2**32), horizon_T=st.integers(1, 300),
+       ties=st.booleans())
+def test_dmr_value_at_matches_step_oracle(r_bar, kappa, sigma_s_sq, tick_size, seed,
+                                          horizon_T, ties):
+    grid = PriceGrid(tick_size)
+    params = DmrParams(r_bar, kappa, sigma_s_sq)
+    fund = DmrFundamental(params, grid, seed=seed, horizon_T=horizon_T)
+    if ties:  # shocks on the half-tick lattice, so steps land on ties and on zero
+        fund._shocks = np.round(fund._shocks / (tick_size / 2)) * (tick_size / 2)
+    shocks = fund._shocks.tolist()
+    oracle = [grid.to_ticks(r_bar)]
+    for noise in shocks:
+        oracle.append(dmr_step(oracle[-1], params, noise, grid))
+    assert fund.value_at(horizon_T // 2) == oracle[horizon_T // 2]
+    assert fund.value_at(horizon_T) == oracle[horizon_T]
+    assert fund.evaluations() == list(enumerate(oracle))
+
+
 # ---------------------------------------------------------------------------
 # Ornstein-Uhlenbeck
 # ---------------------------------------------------------------------------
@@ -273,6 +314,14 @@ def test_ou_params_validation():
         OuParams(100.0, 0.0, 1.0, 100.0)
     with pytest.raises(ValueError, match="sigma_sq"):
         OuParams(100.0, 0.1, -1.0, 100.0)
+    # 1 - exp(-gamma) is 0.0 up to 2**-54, which would make the belief
+    # model's kappa 0 and the OU variance sigma_sq / (2 gamma) * 0 NaN or 0
+    for gamma in (1e-310, 1e-200, 2.0 ** -54):
+        with pytest.raises(ValueError, match="gamma .* too small"):
+            OuParams(100.0, gamma, 1.0, 100.0)
+    _, kappa, sigma_s_sq = OuParams(100.0, math.nextafter(2.0 ** -54, 1.0), 1.0,
+                                    100.0).belief_model()
+    assert kappa > 0.0 and sigma_s_sq > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import math
 import os
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdasim import agents, kernel
+from cdasim import agents, kernel, orderbook
 from cdasim import estimator as est
 from cdasim.agents import HblParams, OrderHistory, TickMemory, ZiParams
 from cdasim.cli import build_config, emit_outputs, parse_config, run_one
@@ -27,6 +28,7 @@ from cdasim.kernel import (
     schedule_arrivals,
 )
 from cdasim.orderbook import EventKind, OrderBook
+from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
 
@@ -556,6 +558,98 @@ def test_bench_tracer_targets_resolve():
         if owner is not None:
             holder = getattr(holder, owner)
         assert callable(holder.__dict__.get(attr)), (name, module_name, owner, attr)
+
+
+ENUMS = ("Side", "EventKind", "ActionKind")
+
+
+def test_no_function_looks_up_an_enum_member_through_its_class():
+    # on CPython 3.11 Side.BID goes through EnumType.__getattr__, about ten
+    # times a global read; functions read the module-level bound names
+    src = os.path.dirname(kernel.__file__)
+    offenders = []
+    for fname in sorted(os.listdir(src)):
+        if not fname.endswith(".py"):
+            continue
+        path = os.path.join(src, fname)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                owner = node.value
+                name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+                if name in ENUMS:
+                    offenders.append((fname, node.lineno, f"{name}.{node.attr}"))
+    assert not offenders, "\n".join(f"{f}:{line}: {lookup}"
+                                     for f, line, lookup in sorted(set(offenders)))
+
+
+def assert_record_shape(record, record_type):
+    assert type(record) is record_type
+    assert len(record) == len(record_type._fields)
+    assert record == record_type(*record)
+
+
+def test_bound_enum_members_are_the_members():
+    for module, enum_type in ((orderbook, orderbook.Side), (orderbook, orderbook.EventKind),
+                              (agents, agents.ActionKind)):
+        for member in enum_type:
+            if member.name != "SKIP":  # agents.SKIP is the skip action
+                assert getattr(module, member.name) is member
+    assert agents.BID is orderbook.BID and agents.ASK is orderbook.ASK
+    assert agents.SKIP.kind is agents.ActionKind.SKIP
+
+
+def test_wake_records_have_their_full_shape():
+    # the wake path builds these records with tuple.__new__, which checks
+    # neither the type nor the number of fields
+    result = run(make_config())
+    kinds = set()
+    for event in result.events:
+        assert_record_shape(event, orderbook.BookEvent)
+        kinds.add(event.kind)
+    assert kinds == set(EventKind)
+
+    params = est.EstimatorParams(100.0, 0.05, 1.0, 4.0, 1000)
+    flat = est.EstimatorParams(100.0, 0.0, 1.0, 0.0, 1000)
+    for p in (params, flat):  # both variance branches of advance
+        belief = est.advance(est.initial_belief(p), 7, p)
+        assert_record_shape(belief, est.BeliefState)
+        assert_record_shape(est.observe(belief, 101.0, p), est.BeliefState)
+    exact = est.BeliefState(100.0, 0.0, 3)
+    assert_record_shape(est.observe(exact, 101.0, flat), est.BeliefState)  # no variance
+
+    grid = PriceGrid(0.1)
+    pv = PrivateValues(q_max=2, values=(0.5, 0.2, -0.1, -0.3))
+    zi = ZiParams(r_min=0.0, r_max=2.0, eta=0.5, sigma_n_sq=1.0, q_max=2, sigma_pv_sq=1.0)
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(200):
+        for best_bid, best_ask in ((None, None), (1010, 990)):
+            action = agents.zi_decide(0, pv, 100.0, best_bid, best_ask, zi, rng, grid)
+            assert_record_shape(action, agents.AgentAction)
+            seen.add((action.kind, action.side))
+    assert seen == {(kind, side) for kind in (agents.PLACE, agents.TAKE)
+                    for side in (orderbook.BID, orderbook.ASK)}
+
+    book = OrderBook()
+    book.place_limit(0, orderbook.BID, 1000, now=1)
+    book.place_limit(1, orderbook.ASK, 1000, now=2)
+    book.place_limit(2, orderbook.BID, 990, now=3)
+    memory = OrderHistory(HBL_PARAMS).memory(book, 5)
+    candidates = agents.hbl_candidate_grid(memory)
+    sides = set()
+    for _ in range(20):
+        action = agents.hbl_decide(0, pv, 100.0, memory, candidates, HBL_PARAMS, zi,
+                                   rng, grid)
+        assert_record_shape(action, agents.AgentAction)
+        assert action.kind is agents.PLACE
+        sides.add(action.side)
+    assert sides == {orderbook.BID, orderbook.ASK}
 
 
 def test_run_megashock_variant():
