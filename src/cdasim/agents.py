@@ -58,16 +58,18 @@ class ZiParams:
     sigma_pv_sq: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.r_min <= self.r_max:
-            raise ValueError("require 0 <= r_min <= r_max")
-        if not all(map(math.isfinite, (self.r_max, self.sigma_n_sq, self.sigma_pv_sq))):
-            raise ValueError("r_max, sigma_n_sq and sigma_pv_sq must be finite")
+        if not 0.0 <= self.r_min < math.inf:
+            raise ValueError("r_min must be >= 0 and finite")
+        if not self.r_min <= self.r_max < math.inf:
+            raise ValueError("r_max must be >= r_min and finite")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
-        if self.sigma_n_sq < 0.0 or self.sigma_pv_sq < 0.0:
-            raise ValueError("variances must be >= 0")
+        if not 0.0 <= self.sigma_n_sq < math.inf:
+            raise ValueError("sigma_n_sq must be >= 0 and finite")
         if self.q_max < 1:
             raise ValueError("q_max must be >= 1")
+        if not 0.0 <= self.sigma_pv_sq < math.inf:
+            raise ValueError("sigma_pv_sq must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Configs are INI files with four sections (fundamental, agents, market,
 output); every key has a documented default and the resolved value of
 every key, defaulted or not, is echoed into the run manifest so no default
 is ever silent.  The manifest's config sections reparse to an identical
-simulation config.
+simulation config.  ``build_config`` only parses the strings; each params
+type checks its own values, and a value it rejects is a config error that
+names the value's ``section.key``.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime invariant breach.
 """
@@ -13,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 from . import __version__
 from .agents import HblParams, ZiParams
@@ -107,36 +109,13 @@ def parse_config(text: str) -> dict[str, dict[str, str]]:
     return resolved
 
 
-def _as_float(resolved, section, key, constraint=None, describe=""):
+def _as_number(resolved, section, key, kind=float):
     raw = resolved[section][key]
     try:
-        value = float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from None
-    if constraint is not None and not constraint(value):
-        raise ConfigError(f"{section}.{key}: {describe}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}")
-    return value
-
-
-def _as_int(resolved, section, key, constraint=None, describe=""):
-    raw = resolved[section][key]
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: expected an integer, got {raw!r}") from None
-    if constraint is not None and not constraint(value):
-        raise ConfigError(f"{section}.{key}: {describe}")
-    return value
-
-
-def _as_choice(resolved, section, key, choices):
-    value = resolved[section][key]
-    if value not in choices:
-        raise ConfigError(f"{section}.{key}: {key} must be "
-                          + " or ".join(map(repr, choices)))
-    return value
+        expected = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{section}.{key}: expected {expected}, got {raw!r}") from None
 
 
 def _as_bool(resolved, section, key):
@@ -146,106 +125,85 @@ def _as_bool(resolved, section, key):
     return _BOOL[raw]
 
 
-def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
-    """Validate the resolved mapping and construct the simulation config."""
-    variant = resolved["fundamental"]["variant"]
-    horizon = _as_int(resolved, "market", "horizon", lambda v: v >= 1, "horizon >= 1")
-    tick_size = _as_float(resolved, "market", "tick_size",
-                          lambda v: math.isfinite(v) and v > 0, "tick_size > 0 and finite")
-    seed = _as_int(resolved, "market", "seed", lambda v: v >= 0, "seed >= 0")
+# The INI key of each params field whose key is not ``<section>.<field>``.
+_RENAMED = {
+    (FileParams, "r_bar"): "fundamental.est_r_bar",
+    (FileParams, "kappa"): "fundamental.est_kappa",
+    (FileParams, "sigma_s_sq"): "fundamental.est_sigma_s_sq",
+    (MegashockParams, "arrival_rate"): "fundamental.shock_arrival_rate",
+    (SimConfig, "horizon_T"): "market.horizon",
+    (SimConfig, "master_seed"): "market.seed",
+    (SimConfig, "n_zi"): "agents.zi_count",
+    (SimConfig, "n_hbl"): "agents.hbl_count",
+    (SimConfig, "arrival_rate"): "agents.arrival_rate",
+}
 
+
+def _params(params_type, section, **fields):
+    """``params_type(**fields)``; the type checks every value.  Its
+    ``ValueError`` starts with the field it rejects, and becomes a config
+    error that names the field's INI key."""
     try:
-        if variant == "dmr":
-            fundamental = DmrParams(
-                r_bar=_as_float(resolved, "fundamental", "r_bar",
-                                lambda v: v >= 0, "r_bar >= 0"),
-                kappa=_as_float(resolved, "fundamental", "kappa",
-                                lambda v: 0 <= v <= 1, "kappa in [0,1]"),
-                sigma_s_sq=_as_float(resolved, "fundamental", "sigma_s_sq",
-                                     lambda v: v >= 0, "sigma_s_sq >= 0"),
-            )
-        elif variant in ("ou", "megashock"):
-            ou = OuParams(
-                mu=_as_float(resolved, "fundamental", "mu"),
-                gamma=_as_float(resolved, "fundamental", "gamma",
-                                lambda v: v > 0, "gamma > 0"),
-                sigma_sq=_as_float(resolved, "fundamental", "sigma_sq",
-                                   lambda v: v >= 0, "sigma_sq >= 0"),
-                q0=_as_float(resolved, "fundamental", "q0"),
-            )
-            if variant == "megashock":
-                fundamental = MegashockParams(
-                    ou=ou,
-                    arrival_rate=_as_float(resolved, "fundamental", "shock_arrival_rate",
-                                           lambda v: v > 0, "shock_arrival_rate > 0"),
-                    shock_mean=_as_float(resolved, "fundamental", "shock_mean",
-                                         lambda v: v > 0, "shock_mean > 0"),
-                    shock_var=_as_float(resolved, "fundamental", "shock_var",
-                                        lambda v: v > 0, "shock_var > 0"),
-                )
-            else:
-                fundamental = ou
-        else:
-            path = resolved["fundamental"]["path"]
-            if not path:
-                raise ConfigError("fundamental.path: required for the file variant")
-            fundamental = FileParams(
-                path=path,
-                r_bar=_as_float(resolved, "fundamental", "est_r_bar"),
-                kappa=_as_float(resolved, "fundamental", "est_kappa",
-                                lambda v: 0 <= v <= 1, "est_kappa in [0,1]"),
-                sigma_s_sq=_as_float(resolved, "fundamental", "est_sigma_s_sq",
-                                     lambda v: v >= 0, "est_sigma_s_sq >= 0"),
-            )
-            try:  # a bad file fails here, before any run starts; the runs replay it
-                fundamental.source(PriceGrid(tick_size), seed, horizon)
-            except (ValueError, OverflowError) as exc:  # OverflowError: an infinite number
-                raise ConfigError(f"fundamental.path: {exc}") from None
-
-        r_min = _as_float(resolved, "agents", "r_min", lambda v: v >= 0, "r_min >= 0")
-        zi = ZiParams(
-            r_min=r_min,
-            r_max=_as_float(resolved, "agents", "r_max", lambda v: v >= r_min,
-                            "r_max >= r_min"),
-            eta=_as_float(resolved, "agents", "eta", lambda v: 0 <= v <= 1, "eta in [0,1]"),
-            sigma_n_sq=_as_float(resolved, "agents", "sigma_n_sq",
-                                 lambda v: v >= 0, "sigma_n_sq >= 0"),
-            q_max=_as_int(resolved, "agents", "q_max", lambda v: v >= 1, "q_max >= 1"),
-            sigma_pv_sq=_as_float(resolved, "agents", "sigma_pv_sq",
-                                  lambda v: v >= 0, "sigma_pv_sq >= 0"),
-        )
-        n_hbl = _as_int(resolved, "agents", "hbl_count", lambda v: v >= 0, "hbl_count >= 0")
-        hbl = None
-        if n_hbl > 0:
-            hbl = HblParams(
-                memory_length=_as_int(resolved, "agents", "memory_length",
-                                      lambda v: v >= 1, "memory_length >= 1"),
-                grace_period=_as_int(resolved, "agents", "grace_period",
-                                     lambda v: v >= 1, "grace_period >= 1"),
-                success_mode=_as_choice(resolved, "agents", "success_mode",
-                                        ("binary", "fractional")),
-                grid_mode=_as_choice(resolved, "agents", "grid_mode", ("observed", "spline")),
-            )
-        return SimConfig(
-            horizon_T=horizon,
-            fundamental=fundamental,
-            n_zi=_as_int(resolved, "agents", "zi_count", lambda v: v >= 0, "zi_count >= 0"),
-            n_hbl=n_hbl,
-            zi_params=zi,
-            hbl_params=hbl,
-            arrival_rate=_as_float(resolved, "agents", "arrival_rate",
-                                   lambda v: v > 0, "arrival_rate > 0"),
-            master_seed=seed,
-            tick_size=tick_size,
-            output=OutputOptions(
-                trace_estimator=_as_bool(resolved, "output", "trace_estimator"),
-                trace_decisions=_as_bool(resolved, "output", "trace_decisions"),
-            ),
-        )
-    except ConfigError:
-        raise
+        return params_type(**fields)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        field = str(exc).split(maxsplit=1)[0]
+        key = _RENAMED.get((params_type, field), f"{section}.{field}")
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
+    """Parse the resolved mapping into the simulation config."""
+    fund, agents, market = (partial(_as_number, resolved, section)
+                            for section in ("fundamental", "agents", "market"))
+    variant = resolved["fundamental"]["variant"]
+    if variant == "dmr":
+        fundamental = _params(DmrParams, "fundamental", r_bar=fund("r_bar"),
+                              kappa=fund("kappa"), sigma_s_sq=fund("sigma_s_sq"))
+    elif variant == "file":
+        fundamental = _params(FileParams, "fundamental",
+                              path=resolved["fundamental"]["path"], r_bar=fund("est_r_bar"),
+                              kappa=fund("est_kappa"), sigma_s_sq=fund("est_sigma_s_sq"))
+    else:
+        fundamental = _params(OuParams, "fundamental", mu=fund("mu"), gamma=fund("gamma"),
+                              sigma_sq=fund("sigma_sq"), q0=fund("q0"))
+        if variant == "megashock":
+            fundamental = _params(MegashockParams, "fundamental",
+                                  ou=fundamental, arrival_rate=fund("shock_arrival_rate"),
+                                  shock_mean=fund("shock_mean"), shock_var=fund("shock_var"))
+
+    zi = _params(ZiParams, "agents", r_min=agents("r_min"), r_max=agents("r_max"),
+                 eta=agents("eta"), sigma_n_sq=agents("sigma_n_sq"),
+                 q_max=agents("q_max", int), sigma_pv_sq=agents("sigma_pv_sq"))
+    n_hbl = agents("hbl_count", int)
+    hbl = None
+    if n_hbl > 0:
+        hbl = _params(HblParams, "agents", memory_length=agents("memory_length", int),
+                      grace_period=agents("grace_period", int),
+                      success_mode=resolved["agents"]["success_mode"],
+                      grid_mode=resolved["agents"]["grid_mode"])
+    config = _params(
+        SimConfig, "market",
+        horizon_T=market("horizon", int),
+        fundamental=fundamental,
+        n_zi=agents("zi_count", int),
+        n_hbl=n_hbl,
+        zi_params=zi,
+        hbl_params=hbl,
+        arrival_rate=agents("arrival_rate"),
+        master_seed=market("seed", int),
+        tick_size=market("tick_size"),
+        output=OutputOptions(
+            trace_estimator=_as_bool(resolved, "output", "trace_estimator"),
+            trace_decisions=_as_bool(resolved, "output", "trace_decisions"),
+        ),
+    )
+    if variant == "file":
+        try:  # a bad file fails here, before any run starts; the runs replay it
+            fundamental.source(PriceGrid(config.tick_size), config.master_seed,
+                               config.horizon_T)
+        except (ValueError, OverflowError) as exc:  # OverflowError: an infinite number
+            raise ConfigError(f"fundamental.path: {exc}") from None
+    return config
 
 
 def emit_outputs(result: SimResult, resolved: dict[str, dict[str, str]], outdir: str) -> None:

@@ -21,17 +21,14 @@ from typing import NamedTuple
 
 @dataclass(frozen=True)
 class EstimatorParams:
+    """A fundamental params type's ``belief_model()`` and ZI's ``sigma_n_sq``;
+    those types check the values."""
+
     r_bar: float
     kappa: float
     sigma_s_sq: float
     sigma_n_sq: float
     horizon_T: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError("kappa must lie in [0, 1]")
-        if self.sigma_s_sq < 0.0 or self.sigma_n_sq < 0.0:
-            raise ValueError("variances must be >= 0")
 
 
 class BeliefState(NamedTuple):

@@ -42,12 +42,12 @@ class DmrParams:
     sigma_s_sq: float
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.r_bar < math.inf:
+            raise ValueError("r_bar must be >= 0 and finite")
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError("kappa must lie in [0, 1]")
-        if self.sigma_s_sq < 0.0:
-            raise ValueError("sigma_s_sq must be >= 0")
-        if self.r_bar < 0.0:
-            raise ValueError("r_bar must be >= 0")
+        if not 0.0 <= self.sigma_s_sq < math.inf:
+            raise ValueError("sigma_s_sq must be >= 0 and finite")
 
     def source(self, grid: PriceGrid, seed: int, horizon_T: int) -> "DmrFundamental":
         return DmrFundamental(self, grid, seed, horizon_T)
@@ -66,14 +66,18 @@ class OuParams:
     q0: float
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be > 0")
-        if 1.0 - math.exp(-self.gamma) == 0.0:
-            # true for gamma up to 2**-54 (about 5.6e-17): the belief model's
-            # kappa would be 0 and the OU variance 0 or NaN
-            raise ValueError(f"gamma = {self.gamma!r} is too small: 1 - exp(-gamma) is 0")
-        if self.sigma_sq < 0.0:
-            raise ValueError("sigma_sq must be >= 0")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be > 0 and finite")
+        if math.exp(-self.gamma) == 1.0:
+            # true for gamma up to 2**-54 (about 5.6e-17): 1 - kappa rounds to
+            # 1, and the estimator's variance weight would divide by 0
+            raise ValueError(f"gamma = {self.gamma!r} is too small: exp(-gamma) rounds to 1")
+        if not 0.0 <= self.sigma_sq < math.inf:
+            raise ValueError("sigma_sq must be >= 0 and finite")
+        if not math.isfinite(self.q0):
+            raise ValueError("q0 must be finite")
 
     def source(self, grid: PriceGrid, seed: int, horizon_T: int) -> "OuFundamental":
         return OuFundamental(self, grid, seed, horizon_T)
@@ -81,9 +85,10 @@ class OuParams:
     def belief_model(self) -> tuple[float, float, float]:
         """The discrete model with kappa = 1 - exp(-gamma) and the matching
         one-step transition variance, so that the unit-step means and
-        variances of the two processes coincide."""
-        kappa = 1.0 - math.exp(-self.gamma)
-        sigma_s_sq = self.sigma_sq / (2.0 * self.gamma) * (1.0 - math.exp(-2.0 * self.gamma))
+        variances of the two processes coincide.  Both use ``-expm1``, which
+        keeps full precision where ``1 - exp`` cancels."""
+        kappa = -math.expm1(-self.gamma)
+        sigma_s_sq = self.sigma_sq / (2.0 * self.gamma) * -math.expm1(-2.0 * self.gamma)
         return self.mu, kappa, sigma_s_sq
 
 
@@ -95,12 +100,12 @@ class MegashockParams:
     shock_var: float
 
     def __post_init__(self) -> None:
-        if self.arrival_rate <= 0.0:
-            raise ValueError("arrival_rate must be > 0")
-        if self.shock_mean <= 0.0:
-            raise ValueError("shock_mean must be > 0")
-        if self.shock_var <= 0.0:
-            raise ValueError("shock_var must be > 0")
+        if not 0.0 < self.arrival_rate < math.inf:
+            raise ValueError("arrival_rate must be > 0 and finite")
+        if not 0.0 < self.shock_mean < math.inf:
+            raise ValueError("shock_mean must be > 0 and finite")
+        if not 0.0 < self.shock_var < math.inf:
+            raise ValueError("shock_var must be > 0 and finite")
         if self.shock_var <= self.ou.sigma_sq:
             # Recommended configuration, not a hard constraint.
             warnings.warn(
@@ -130,10 +135,12 @@ class FileParams:
     def __post_init__(self) -> None:
         if not self.path:
             raise ValueError("path must name the series file")
+        if not math.isfinite(self.r_bar):
+            raise ValueError("r_bar must be finite")
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError("kappa must lie in [0, 1]")
-        if self.sigma_s_sq < 0.0:
-            raise ValueError("sigma_s_sq must be >= 0")
+        if not 0.0 <= self.sigma_s_sq < math.inf:
+            raise ValueError("sigma_s_sq must be >= 0 and finite")
 
     def source(self, grid: PriceGrid, seed: int, horizon_T: int) -> "FileFundamental":
         """A fresh replay of the series in ``path``; ``seed`` and ``horizon_T``
@@ -152,9 +159,8 @@ def ou_mean_var(q_prev: float, elapsed: float, params: OuParams) -> tuple[float,
     """Exact conditional mean and variance of the OU value after ``elapsed``."""
     if elapsed <= 0.0:
         raise ValueError("elapsed must be > 0")
-    decay = math.exp(-params.gamma * elapsed)
-    mean = params.mu + (q_prev - params.mu) * decay
-    var = params.sigma_sq / (2.0 * params.gamma) * (1.0 - decay * decay)
+    mean = params.mu + (q_prev - params.mu) * math.exp(-params.gamma * elapsed)
+    var = params.sigma_sq / (2.0 * params.gamma) * -math.expm1(-2.0 * params.gamma * elapsed)
     return mean, var
 
 

@@ -58,14 +58,17 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.horizon_T < 1:
             raise ValueError("horizon_T must be >= 1")
-        if self.n_zi < 0 or self.n_hbl < 0:
-            raise ValueError("n_zi and n_hbl must be >= 0")
+        if self.n_zi < 0:
+            raise ValueError("n_zi must be >= 0")
+        if self.n_hbl < 0:
+            raise ValueError("n_hbl must be >= 0")
         if self.n_zi + self.n_hbl < 1:
-            raise ValueError("population must contain at least one agent")
-        if not self.arrival_rate > 0.0:  # NaN too
-            raise ValueError("arrival_rate must be > 0")
+            raise ValueError("n_zi + n_hbl must be >= 1: the population needs an agent")
+        if not 0.0 < self.arrival_rate < math.inf:
+            raise ValueError("arrival_rate must be > 0 and finite")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
+        PriceGrid(self.tick_size)  # raises for a tick_size that is not > 0 and finite
         if self.n_hbl > 0 and self.hbl_params is None:
             raise ValueError("hbl_params required when n_hbl > 0")
         if type(self.fundamental) not in (DmrParams, OuParams, MegashockParams, FileParams):

@@ -51,7 +51,7 @@ class PriceGrid:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tick_size) and self.tick_size > 0):
-            raise ValueError("tick_size must be positive and finite")
+            raise ValueError("tick_size must be > 0 and finite")
         _, digits, exponent = Decimal(str(self.tick_size)).normalize().as_tuple()
         mantissa = int("".join(map(str, digits)))
         if exponent >= 0:

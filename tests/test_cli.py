@@ -93,6 +93,17 @@ def test_config_docs_list_every_key_and_default():
     assert tables.keys() == DEFAULTS.keys() | VARIANT_KEYS.keys()
 
 
+def test_config_docs_say_every_float_key_is_finite():
+    # every float rule rejects NaN and both infinities; "in [0, 1]" says so
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "config.md")
+    rows = re.findall(r"^\| `(\w+)` \| `\d+\.\d+` \| ([^|]*) \|", read(path), re.MULTILINE)
+    assert {key for key, _ in rows} == {
+        key for defaults in (*DEFAULTS.values(), *VARIANT_KEYS.values())
+        for key, default in defaults.items() if re.fullmatch(r"\d+\.\d+", default)}
+    for key, constraint in rows:
+        assert "finite" in constraint or constraint == "in [0, 1]", key
+
+
 def test_partial_config_merges_with_defaults():
     resolved = parse_config(SMALL)
     assert resolved["market"]["horizon"] == "600"
@@ -129,10 +140,11 @@ def test_non_ini_input():
 
 def test_constraint_errors_name_key_and_rule():
     resolved = parse_config("[fundamental]\nkappa = 1.5\n")
-    with pytest.raises(ConfigError, match=r"fundamental.kappa: kappa in \[0,1\]"):
+    with pytest.raises(ConfigError, match=r"fundamental.kappa: kappa must lie in \[0, 1\]"):
         build_config(resolved)
     resolved = parse_config("[agents]\narrival_rate = 0\n")
-    with pytest.raises(ConfigError, match="agents.arrival_rate: arrival_rate > 0"):
+    with pytest.raises(ConfigError,
+                       match="agents.arrival_rate: arrival_rate must be > 0 and finite"):
         build_config(resolved)
     resolved = parse_config("[market]\nhorizon = soon\n")
     with pytest.raises(ConfigError, match="expected an integer"):
@@ -147,8 +159,10 @@ def test_constraint_errors_name_key_and_rule():
      "agents.success_mode: success_mode must be 'binary' or 'fractional'"),
     ("hbl_count = 2\ngrid_mode = linear",
      "agents.grid_mode: grid_mode must be 'observed' or 'spline'"),
-    ("hbl_count = 2\nr_min = 2.0\nr_max = 1.0", "agents.r_max: r_max >= r_min"),
-    ("hbl_count = 0\nr_min = 2.0\nr_max = 1.0", "agents.r_max: r_max >= r_min"),
+    ("hbl_count = 2\nr_min = 2.0\nr_max = 1.0",
+     "agents.r_max: r_max must be >= r_min and finite"),
+    ("hbl_count = 0\nr_min = 2.0\nr_max = 1.0",
+     "agents.r_max: r_max must be >= r_min and finite"),
 ], ids=["success_mode", "grid_mode", "r_max", "r_max-zi-only"])
 def test_agent_constraint_errors_name_key(agents, message):
     resolved = parse_config(f"[agents]\n{agents}\n")
@@ -343,7 +357,7 @@ def test_main_large_prices_conserve_cash_exactly(tmp_path):
 @pytest.mark.parametrize("tick", ["inf", "-inf", "nan", "0", "-0.1"])
 def test_non_finite_or_non_positive_tick_size_rejected(tick):
     resolved = parse_config(f"[market]\ntick_size = {tick}\n")
-    with pytest.raises(ConfigError, match="market.tick_size: tick_size > 0 and finite"):
+    with pytest.raises(ConfigError, match="market.tick_size: tick_size must be > 0 and finite"):
         build_config(resolved)
 
 
@@ -355,23 +369,52 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert "kappa" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
-@pytest.mark.parametrize("variant, section, key", [
-    ("dmr", "agents", "sigma_n_sq"),
-    ("dmr", "agents", "r_max"),
-    ("dmr", "fundamental", "sigma_s_sq"),
-    ("dmr", "fundamental", "r_bar"),
-    ("ou", "fundamental", "mu"),
-])
-def test_main_non_finite_value_exit_code(variant, section, key, value, tmp_path, capsys):
+def numeric_keys(kind):
+    """(variant, section, key) of every key whose default is an integer
+    (``kind`` int) or a decimal number (``kind`` float)."""
+    pattern = r"\d+" if kind is int else r"\d+\.\d+"
+    keys = [("dmr", section, key, default) for section, defaults in DEFAULTS.items()
+            for key, default in defaults.items()]
+    keys += [(variant, "fundamental", key, default) for variant, defaults in VARIANT_KEYS.items()
+             for key, default in defaults.items()]
+    return [(variant, section, key) for variant, section, key, default in keys
+            if re.fullmatch(pattern, default)]
+
+
+def test_numeric_keys_cover_every_key():
+    numeric = {(section, key) for kind in (int, float) for _, section, key in numeric_keys(kind)}
+    strings = {("fundamental", "variant"), ("fundamental", "path"), ("agents", "success_mode"),
+               ("agents", "grid_mode"), ("output", "trace_estimator"),
+               ("output", "trace_decisions")}
+    every = {(s, k) for s, d in DEFAULTS.items() for k in d}
+    every |= {("fundamental", k) for d in VARIANT_KEYS.values() for k in d}
+    assert numeric == every - strings
+
+
+def assert_main_rejects_key(variant, section, key, value, tmp_path, capsys):
+    # the params type names the field it rejects; the message names its INI key
     sections = {"fundamental": {"variant": variant}, "market": {"horizon": "200"}}
     sections.setdefault(section, {})[key] = value
+    if variant == "file":
+        sections["fundamental"]["path"] = str(tmp_path / "series.csv")
     bad = tmp_path / "bad.ini"
     bad.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                            for name, keys in sections.items()))
     code = main(["--config", str(bad), "--out", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"config error: {section}.{key}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("variant, section, key", numeric_keys(float))
+def test_main_non_finite_value_exit_code(variant, section, key, value, tmp_path, capsys):
+    assert_main_rejects_key(variant, section, key, value, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("variant, section, key", numeric_keys(int))
+def test_main_negative_integer_exit_code(variant, section, key, tmp_path, capsys):
+    assert_main_rejects_key(variant, section, key, "-1", tmp_path, capsys)
 
 
 @pytest.mark.parametrize("ini, args", [

@@ -324,6 +324,22 @@ def test_ou_params_validation():
     assert kappa > 0.0 and sigma_s_sq > 0.0
 
 
+def test_estimator_finite_at_smallest_accepted_gamma():
+    # at 2**-54 itself 1 - kappa rounds to 1 and advance's variance weight
+    # divides by 0; one step above, every belief stays finite
+    gamma = math.nextafter(2.0 ** -54, 1.0)
+    horizon = 10 ** 6
+    ep = est.EstimatorParams(*OuParams(100.0, gamma, 1.0, 100.0).belief_model(),
+                             sigma_n_sq=10.0, horizon_T=horizon)
+    belief = est.initial_belief(ep)
+    for now in (1, 2, 1000, horizon):
+        belief = est.advance(belief, now, ep)
+        assert math.isfinite(belief.r_tilde) and math.isfinite(belief.sigma_tilde_sq)
+        assert belief.sigma_tilde_sq > 0.0
+        belief = est.observe(belief, 101.0, ep)
+        assert math.isfinite(est.project_final(belief, ep))
+
+
 # ---------------------------------------------------------------------------
 # megashock OU
 # ---------------------------------------------------------------------------

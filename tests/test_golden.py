@@ -211,7 +211,9 @@ sigma_pv_sq = 9.0
 # tuple-backed records, the side-split book and the batched DMR shocks
 # (the window-back run: before the fractional memory was kept across wakes;
 # the unit-tick run: before the CSVs were streamed from a tick-string cache;
-# the large-price run: before cash was settled from the trade log).
+# the large-price run: before cash was settled from the trade log; the
+# estimator_trace.csv of the OU and megashock runs: from the code that
+# computes 1 - exp(-x) as -expm1(-x)).
 DIGESTS: dict[str, dict[str, str]] = {
     "dmr-binary-observed": {
         "events.csv":
@@ -295,7 +297,7 @@ DIGESTS: dict[str, dict[str, str]] = {
         "decisions.csv":
             "dd0b4f41ac4a6187ee1d2834458cf3d8d4c359aa9b54aa9d903cfdaed4d9371b",
         "estimator_trace.csv":
-            "f1cdb66dc99c7e0557d608813ed1e2587aa5de18841c82f90616f31a2df9ef94",
+            "bf4f22f010741bacebdb979e8b6b0b49de455cd3f7c849b13c134a2ce674cbf9",
     },
     "megashock-fractional-spline-window-back": {
         "events.csv":
@@ -309,7 +311,7 @@ DIGESTS: dict[str, dict[str, str]] = {
         "decisions.csv":
             "36e5550789f6b4fb22dfdf01204aeb81f14b3c7cc7b2436088de664cfd976276",
         "estimator_trace.csv":
-            "4288ea21c4681b7bf571f19a5e26f2c88269001e023c451982232601e9b6130b",
+            "f8750edf2ac2979d723eee122e74aeb8a892e780ac66fbdee3da3b45be04ed68",
     },
     "megashock-fractional-observed": {
         "events.csv":
@@ -323,7 +325,7 @@ DIGESTS: dict[str, dict[str, str]] = {
         "decisions.csv":
             "79a210e146b8db6bddaa35ffdbedbf938d30dffe72797e029eb6a735eeb074bb",
         "estimator_trace.csv":
-            "a2abf846a2a4da7c3c45a233b255a1f78d1573a3573917864fa224bc8afded9f",
+            "91705ad3dd6f96d1a89a65f42b251a9c969a91569062120f330e98ebfdfcfd1e",
     },
     "ou-all-hbl-cent-tick-binary-observed": {
         "events.csv":
@@ -337,7 +339,7 @@ DIGESTS: dict[str, dict[str, str]] = {
         "decisions.csv":
             "b2135cb154eb912dd08ddb93860fb2c671084134f77f510e6702b41c639da99e",
         "estimator_trace.csv":
-            "17861e8db118cda91c42f4d7c2026670b148fb4590b644c38e17e6e103c26237",
+            "3ec1d62b8d0148c96ae1e1c31c4753eeef47a6e3fcc6e3f0af62bc102d4c2fef",
     },
     "dmr-large-price-zi-only": {
         "events.csv":
@@ -379,7 +381,7 @@ DIGESTS: dict[str, dict[str, str]] = {
         "decisions.csv":
             "4d0932b008766543f0b7bd0d49d3f2cec0d36ad6ffb5e44f53f8b720c43149e5",
         "estimator_trace.csv":
-            "7fd5b3d46c3020ddc113409efab20051f3bbcfbd38da44faab42ed531c796ad2",
+            "3042df4c57364ae94808abcd57d0d7745163af5792ed14538471b8ac72cdf33e",
     },
 }
 

@@ -672,13 +672,15 @@ def test_config_validation():
     with pytest.raises(ValueError, match="population"):
         make_config(n_zi=0, n_hbl=0)
     # a negative count would otherwise shrink the market and shift the labels
-    for n_zi, n_hbl in ((-2, 3), (3, -1), (-1, 0)):
-        with pytest.raises(ValueError, match="n_zi and n_hbl must be >= 0"):
+    for n_zi, n_hbl, field in ((-2, 3, "n_zi"), (3, -1, "n_hbl"), (-1, 0, "n_zi")):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0$"):
             make_config(n_zi=n_zi, n_hbl=n_hbl)
     with pytest.raises(ValueError, match="arrival_rate"):
         make_config(arrival_rate=0.0)
     with pytest.raises(ValueError, match="master_seed must be >= 0"):
         make_config(master_seed=-1)
+    with pytest.raises(ValueError, match="^tick_size "):
+        make_config(tick_size=0)
     with pytest.raises(ValueError, match="hbl_params"):
         make_config(hbl_params=None)
     with pytest.raises(ValueError, match="fundamental params"):
