@@ -212,7 +212,8 @@ class OrderHistory:
     Fractional weights are floats whose sums depend on the order of
     addition, so that mode keeps each side's window sorted by (price,
     placement) across queries, re-weighs only the pending orders, and sums
-    the weights in that order on each query.
+    the weights in that order on each query, leaving out the orders
+    without weight.
     """
 
     _FIELDS = ("_price", "_is_bid", "_success", "_failure")
@@ -232,11 +233,9 @@ class OrderHistory:
         self._read_events = 0  # events of the book's log read so far
         self._now = 0  # time of the last query
         self._start = 0  # index of the first order in the window
-        # fractional: each side's orders [_start, _end), sorted by (price,
-        # placement), and the orders cancelled when placed, which have no weight
+        # fractional: each side's orders [_start, _end), sorted by (price, placement)
         self._end = 0
         self._orders = [np.empty(0, dtype=np.int64)] * 2
-        self._cancelled_at_once: list[int] = []
         # binary ledger: counts of the classified orders [_start, _n)
         self._expired = 0  # orders [0, _expired) were placed over grace ago
         self._lo = 0  # tick of column 0 of _counts
@@ -301,9 +300,7 @@ class OrderHistory:
                     tally(i, failed=False, delta=1)
             else:
                 self._failure[i] = 1.0 if binary else min(1.0, (time - placed_at) / grace)
-                if not binary and time == placed_at:  # it stays without weight
-                    self._cancelled_at_once.append(i)
-                elif binary and i >= max(start, expired):
+                if binary and i >= max(start, expired):
                     tally(i, failed=True, delta=1)
         trades = book.trades[-self.params.memory_length:]
         if not trades:  # no transaction to remember: the window is empty
@@ -316,14 +313,13 @@ class OrderHistory:
 
     def _fractional_memory(self, start: int, now: int) -> TickMemory:
         """The memory of orders ``[start, _n)``, each side's weights summed
-        in (price, placement) order as ``TickMemory`` reads them.  Orders
-        without weight (cancelled when placed, or placed at ``now`` and
-        pending) add 0.0, which changes no float sum, and are not counted."""
+        in (price, placement) order as ``TickMemory`` reads them.  An order
+        whose success and failure are both 0 (cancelled when placed, or placed
+        at ``now`` and pending) is left out: it is not counted, and leaving
+        out its 0.0 changes no float sum."""
         pending = np.fromiter(self._open, dtype=np.int64, count=len(self._open))
         placed = np.fromiter(self._open.values(), dtype=np.int64, count=len(self._open))
-        self._failure[pending] = failure = np.minimum(1.0, (now - placed) / self._grace)
-        weightless = pending[(failure == 0.0) & (pending >= start)].tolist()
-        weightless += [i for i in self._cancelled_at_once if i >= start]
+        self._failure[pending] = np.minimum(1.0, (now - placed) / self._grace)
         # the orders that join each side's sorted window, in placement order:
         # those a window start that moved back passes over, then the new ones
         joining = np.arange(max(start, self._end), self._n)
@@ -340,16 +336,18 @@ class OrderHistory:
                 order = order[self._price[order].argsort(kind="stable")]
             self._orders[row] = order
         self._start, self._end = start, self._n
-        prices = [self._price[order] for order in self._orders]
+        success, failure = self._success, self._failure
+        orders = [order[success[order] + failure[order] > 0.0] for order in self._orders]
+        prices = [self._price[order] for order in orders]
         ends = [int(p) for price in prices if price.size for p in (price[0], price[-1])]
         lo, hi = (min(ends), max(ends)) if ends else (0, -1)
         ticks = np.arange(lo, hi + 2)
         counts = np.empty((2, ticks.size - 1), dtype=np.int64)
         weights = np.empty((4, ticks.size))
-        for row, (order, price) in enumerate(zip(self._orders, prices)):
+        for row, (order, price) in enumerate(zip(orders, prices)):
             below = price.searchsorted(ticks)
             np.subtract(below[1:], below[:-1], out=counts[row])
-            rising, falling = self._success[order], self._failure[order]
+            rising, falling = success[order], failure[order]
             if row:  # asks: failures count at or below, successes at or above
                 rising, falling = falling, rising
             sums = np.zeros(order.size + 1)
@@ -357,8 +355,6 @@ class OrderHistory:
             weights[row] = sums[below]
             falling[::-1].cumsum(out=sums[1:])
             weights[2 + row] = sums[order.size - below]
-        for i in weightless:
-            counts[int(not self._is_bid[i]), self._price[i] - lo] -= 1
         return TickMemory(lo, counts, weights)
 
     # -- binary ledger ------------------------------------------------------

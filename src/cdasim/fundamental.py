@@ -13,9 +13,8 @@ Three generated variants plus a file-backed one:
 Each params type owns its variant: ``source(grid, seed, horizon_T)`` builds
 the series, and ``belief_model()`` gives the ``(r_bar, kappa, sigma_s_sq)``
 the agents' estimator assumes for it.  The sparse variants accept queries in
-nondecreasing time order only; the discrete variant memoizes its prefix so
-repeated queries are cheap, and steps the shocks it has not yet applied in
-one loop, with the step's constants computed once per series.
+nondecreasing time order only; the discrete variant builds its whole series,
+steps 0 to the horizon, when it is made, and answers any query from it.
 """
 
 from __future__ import annotations
@@ -24,6 +23,8 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .prices import PriceGrid
 from .rng import child_stream
@@ -164,15 +165,24 @@ def ou_mean_var(q_prev: float, elapsed: float, params: OuParams) -> tuple[float,
     return mean, var
 
 
+def dmr_series(params: DmrParams, grid: PriceGrid, shocks: np.ndarray) -> list[int]:
+    """The discrete mean reverting series in ticks from r_0 = r_bar: step
+    i + 1 is ``max{0, kappa*r_bar + (1-kappa)*r_i + shocks[i]}`` in real
+    numbers from the tick value of step i, rounded once to the tick."""
+    base, keep, tick = params.kappa * params.r_bar, 1.0 - params.kappa, grid.tick_size
+    values = [grid.to_ticks(params.r_bar)]
+    for noise in shocks.tolist():
+        values.append(max(0, grid.to_ticks(max(0.0, base + keep * (values[-1] * tick) + noise))))
+    return values
+
+
 @dataclass
 class DmrFundamental:
-    """Memoizing discrete mean reverting source; r_0 = r_bar exactly.
+    """Discrete mean reverting source over steps 0 to ``horizon_T``.
 
     All ``horizon_T`` shocks are drawn at construction, in one call on the
-    series' own stream; ``shocks[i]`` moves step i to step i + 1.  A query
-    beyond the memoized prefix steps through the missing shocks in order:
-    ``max{0, kappa*r_bar + (1-kappa)*r_{t-1} + u_t}`` in real numbers from
-    the previous tick value, rounded once to the tick.
+    series' own stream, and ``dmr_series`` steps through them once; a run
+    reads the value at the horizon, so every step is needed anyway.
     """
 
     params: DmrParams
@@ -181,29 +191,16 @@ class DmrFundamental:
     horizon_T: int
 
     def __post_init__(self) -> None:
-        params = self.params
-        self._values: list[int] = [self.grid.to_ticks(params.r_bar)]
-        self._shocks = child_stream(self.seed, FUNDAMENTAL_STREAM).normal(
-            0.0, math.sqrt(params.sigma_s_sq), size=self.horizon_T)
-        # most queries step once or not at all, so the step's constants are
-        # read once per series, not once per query
-        self._step = (params.kappa * params.r_bar, 1.0 - params.kappa, self.grid.tick_size)
+        shocks = child_stream(self.seed, FUNDAMENTAL_STREAM).normal(
+            0.0, math.sqrt(self.params.sigma_s_sq), size=self.horizon_T)
+        self._values = dmr_series(self.params, self.grid, shocks)
 
     def value_at(self, t: int) -> int:
         if t > self.horizon_T:
             raise ValueError(f"t={t} beyond horizon T={self.horizon_T}")
         if t < 0:
             raise ValueError("t must be >= 0")
-        values = self._values
-        if len(values) <= t:
-            base, keep, tick = self._step
-            grid, prev = self.grid, values[-1]
-            for noise in self._shocks[len(values) - 1:t].tolist():
-                nxt = base + keep * (prev * tick)
-                nxt += noise
-                prev = max(0, grid.to_ticks(max(0.0, nxt)))
-                values.append(prev)
-        return values[t]
+        return self._values[t]
 
     def evaluations(self) -> list[tuple[int, int]]:
         return list(enumerate(self._values))

@@ -123,10 +123,9 @@ def schedule_arrivals(arrival_rate: float, horizon_T: int,
     another.  A bulk draw takes the same values, in order, as one scalar
     draw per gap, and the clock adds them in that order, so the times match
     a scalar loop's.  The gaps drawn past the horizon are wasted, which is
-    safe because the stream feeds nothing else.
+    safe because the stream feeds nothing else.  ``SimConfig`` checks that
+    ``arrival_rate`` is > 0 and finite.
     """
-    if not arrival_rate > 0.0:  # NaN too
-        raise ValueError("arrival_rate must be > 0")
     scale = 1.0 / arrival_rate
     chunks = []
     clock = 0.0

@@ -31,10 +31,8 @@ class PrivateValues:
 
     @classmethod
     def draw(cls, q_max: int, sigma_pv_sq: float, rng: np.random.Generator) -> "PrivateValues":
-        if q_max < 1:
-            raise ValueError("q_max must be >= 1")
-        if sigma_pv_sq < 0.0:
-            raise ValueError("sigma_pv_sq must be >= 0")
+        """``2 * q_max`` i.i.d. normal draws, sorted descending; ``ZiParams``
+        checks both arguments."""
         draws = rng.normal(0.0, np.sqrt(sigma_pv_sq), size=2 * q_max)
         ordered = tuple(sorted((float(x) for x in draws), reverse=True))
         return cls(q_max=q_max, values=ordered)

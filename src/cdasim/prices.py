@@ -17,18 +17,19 @@ differs from the exact quotient by at most about 3 * 2**-53 relative
 (2**-53 for each shortest repr and for the division), plus 2**-53
 absolute for a subnormal value.  It answers only when ``x`` lies more than
 ``2**-30 * (abs(x) + 1)`` from the rounding boundary (a half-integer for
-``to_ticks``, an integer for ``to_ticks_down``/``_up``), a band millions of
-times wider than that error, so the exact quotient lies on the same side
-of the boundary and rounds to the same integer.  Exact ties, grid points,
-non-finite input and large ``abs(x)`` (the band reaches 0.5 at
-``abs(x) = 2**29``) all take the exact path.
+``to_ticks``, an integer for ``to_ticks_down``, which ``to_ticks_up``
+calls on ``-value``), a band millions of times wider than that error, so
+the exact quotient lies on the same side of the boundary and rounds to
+the same integer.  Exact ties, grid points, non-finite input and large
+``abs(x)`` (the band reaches 0.5 at ``abs(x) = 2**29``) all take the
+exact path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_UP, Decimal
+from decimal import ROUND_FLOOR, ROUND_HALF_UP, Decimal
 
 _GUARD = 2.0 ** -30
 # |x| beyond this is always inside the guard band; the test also rejects NaN and inf.
@@ -84,13 +85,13 @@ class PriceGrid:
         return int(self._ratio(value).to_integral_value(rounding=ROUND_FLOOR))
 
     def to_ticks_up(self, value: float) -> int:
-        x = value / self._fast_tick
-        if -_FAST_LIMIT < x < _FAST_LIMIT:
-            n = math.floor(x)
-            guard = _GUARD * (abs(x) + 1)
-            if guard < x - n < 1 - guard:
-                return n + 1
-        return int(self._ratio(value).to_integral_value(rounding=ROUND_CEILING))
+        """The ceiling, as minus the floor of ``-value``.  Negation is exact
+        in both of ``to_ticks_down``'s quotients: IEEE division rounds
+        symmetrically, so ``-value / tick_size`` is ``-(value / tick_size)``
+        bit for bit, and ``Decimal(str(-value))`` is ``-Decimal(str(value))``,
+        whose quotient the decimal context also rounds symmetrically.  The
+        floor of ``-q`` is minus the ceiling of ``q``."""
+        return -self.to_ticks_down(-value)
 
     def to_value(self, ticks: int) -> float:
         return ticks * self.tick_size

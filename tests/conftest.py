@@ -1,4 +1,6 @@
+import types
 from bisect import bisect_left, bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,16 @@ class FixedRng:
 
     def standard_normal(self):
         return self._normal
+
+
+def load_bench(name: str) -> types.ModuleType:
+    """``bench/<name>.py`` as a module, run from its source: nothing is
+    installed or imported by name, and no bytecode is written beside it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
 def events_in_window(book, start, end=None):

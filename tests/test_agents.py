@@ -1119,6 +1119,66 @@ def test_fractional_ledger_order_placed_now_counts_at_next_query():
     assert memory.belief_array([1010], Side.BID)[0] == 1.0
 
 
+def resting_price(book, is_bid, price):
+    """``price``, moved just inside the touch if a new order there would trade."""
+    if is_bid:
+        ask = book.best_ask()
+        return price if ask is None else min(price, ask - 1)
+    bid = book.best_bid()
+    return price if bid is None else max(price, bid + 1)
+
+
+# one step of a generated fractional stream: steps since the last one, a
+# side, a price, which live order a cancel picks (a cancel when it is below
+# 25), the sides and prices of the weightless orders added after the step,
+# and whether the memory is queried then
+WEIGHTLESS_STEP = st.tuples(st.integers(0, 2), st.booleans(), st.integers(995, 1005),
+                            st.integers(0, 99),
+                            st.lists(st.tuples(st.booleans(), st.integers(900, 1100)),
+                                     max_size=3),
+                            st.booleans())
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(grace=st.integers(1, 10), memory_length=st.integers(1, 4),
+       stream=st.lists(WEIGHTLESS_STEP, min_size=1, max_size=60))
+def test_fractional_ledger_weightless_orders_change_nothing(grace, memory_length, stream):
+    # orders pending at the query time, then cancelled in their placement
+    # step, have success and failure 0: a ledger that also reads them gives
+    # the length, prices and belief bits of the stream without them
+    params = HblParams(memory_length=memory_length, grace_period=grace,
+                       success_mode="fractional")
+    plain, padded = LedgerMarket(params), LedgerMarket(params)
+    prices = np.arange(890, 1111)
+    live = []  # (plain id, padded id) of the stream's resting orders
+    t = 0
+    for dt, is_bid, price, pick, weightless, query in stream:
+        t += dt
+        if live and pick < 25:
+            plain_id, padded_id = live.pop(pick % len(live))
+            plain.cancel(plain_id, t)
+            padded.cancel(padded_id, t)
+        else:
+            side = Side.BID if is_bid else Side.ASK
+            ids = plain.place(side, price, t), padded.place(side, price, t)
+            resting = resting_ids(plain.book)
+            live = [pair for pair in live if pair[0] in resting]
+            if ids[0] in resting:
+                live.append(ids)
+        added = [padded.place(Side.BID if bid else Side.ASK,
+                              resting_price(padded.book, bid, p), t) for bid, p in weightless]
+        assert len(resting_ids(padded.book)) == len(resting_ids(plain.book)) + len(added)
+        if query:  # the added orders are pending at now
+            reference = hbl_classify(plain.book.events, t, params)
+            assert_same_memory(padded.memory(t), reference, prices)
+        for oid in added:
+            padded.cancel(oid, t)
+        if query:  # and now cancelled in their placement step
+            assert_same_memory(padded.memory(t), reference, prices)
+    assert_same_memory(padded.memory(t + grace), hbl_classify(plain.book.events, t + grace,
+                                                              params), prices)
+
+
 def test_fractional_ledger_fill_after_grace_fails():
     # a fill after the grace period: success 0, failure 1
     market = fractional_market()

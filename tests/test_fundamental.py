@@ -18,6 +18,7 @@ from cdasim.fundamental import (
     MegashockParams,
     OuFundamental,
     OuParams,
+    dmr_series,
     file_value_at,
     ou_mean_var,
 )
@@ -111,14 +112,15 @@ def test_dmr_batched_shocks_match_scalar_draws(params, r_bar, seed, queries):
     assert fund.evaluations() == oracle
 
 
-def test_dmr_evaluations_are_the_queried_prefix(grid_01):
+def test_dmr_evaluations_are_the_whole_series(grid_01):
+    # the series covers steps 0 to the horizon, whatever was queried
     params = DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0)
     fund = DmrFundamental(params, grid_01, seed=3, horizon_T=5000)
     oracle = scalar_dmr_series(params, grid_01, 3, 5000)
-    assert fund.evaluations() == oracle[:1]
+    assert fund.evaluations() == oracle
     fund.value_at(40)
     fund.value_at(12)
-    assert fund.evaluations() == oracle[:41]
+    assert fund.evaluations() == oracle
 
 
 def test_dmr_contraction_toward_mean():
@@ -156,7 +158,7 @@ def test_dmr_determinism_and_memoization(grid_01):
     sc = [c.value_at(t) for t in range(101)]
     assert sa == sb
     assert sa != sc
-    # querying out of order and repeatedly gives the memoized values
+    # querying out of order and repeatedly gives the same values
     assert a.value_at(50) == sa[50]
     assert a.value_at(3) == sa[3]
     assert a.evaluations() == list(enumerate(sa))
@@ -189,9 +191,8 @@ def test_dmr_series_ties_and_floor():
     # 100 + 0.5 and 101 - 0.5 land on the half-tick 100.5, which the float
     # guard sends to the Decimal rounding (half up); 101 - 250.5 floors at 0
     params = DmrParams(r_bar=100.0, kappa=0.0, sigma_s_sq=1.0)
-    fund = DmrFundamental(params, PriceGrid(1.0), seed=0, horizon_T=4)
-    fund._shocks = np.array([0.5, -0.5, -250.5, 7.25])
-    assert [fund.value_at(t) for t in range(5)] == [100, 101, 101, 0, 7]
+    shocks = np.array([0.5, -0.5, -250.5, 7.25])
+    assert dmr_series(params, PriceGrid(1.0), shocks) == [100, 101, 101, 0, 7]
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -206,15 +207,18 @@ def test_dmr_value_at_matches_step_oracle(r_bar, kappa, sigma_s_sq, tick_size, s
     grid = PriceGrid(tick_size)
     params = DmrParams(r_bar, kappa, sigma_s_sq)
     fund = DmrFundamental(params, grid, seed=seed, horizon_T=horizon_T)
+    shocks = child_stream(seed, FUNDAMENTAL_STREAM).normal(
+        0.0, math.sqrt(sigma_s_sq), size=horizon_T)
     if ties:  # shocks on the half-tick lattice, so steps land on ties and on zero
-        fund._shocks = np.round(fund._shocks / (tick_size / 2)) * (tick_size / 2)
-    shocks = fund._shocks.tolist()
+        shocks = np.round(shocks / (tick_size / 2)) * (tick_size / 2)
     oracle = [grid.to_ticks(r_bar)]
-    for noise in shocks:
+    for noise in shocks.tolist():
         oracle.append(dmr_step(oracle[-1], params, noise, grid))
-    assert fund.value_at(horizon_T // 2) == oracle[horizon_T // 2]
-    assert fund.value_at(horizon_T) == oracle[horizon_T]
-    assert fund.evaluations() == list(enumerate(oracle))
+    assert dmr_series(params, grid, shocks) == oracle
+    if not ties:  # the source steps its own stream's shocks through the same seam
+        assert fund.value_at(horizon_T // 2) == oracle[horizon_T // 2]
+        assert fund.value_at(horizon_T) == oracle[horizon_T]
+        assert fund.evaluations() == list(enumerate(oracle))
 
 
 # ---------------------------------------------------------------------------

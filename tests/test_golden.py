@@ -20,8 +20,10 @@ import hashlib
 
 import pytest
 
-from cdasim.cli import build_config, emit_outputs, parse_config
+from cdasim.cli import build_config, emit_outputs, main, parse_config
 from cdasim.kernel import run
+
+from conftest import load_bench
 
 GOLDEN_FILES = ("events.csv", "trades.csv", "agents.csv", "fundamental.csv",
                 "decisions.csv", "estimator_trace.csv")
@@ -406,3 +408,17 @@ def test_golden_output_bytes(name, tmp_path):
     assert set(GOLDEN_FILES) <= set(DIGESTS[name])
     run_config(name, tmp_path)
     assert digests(tmp_path, DIGESTS[name]) == DIGESTS[name]
+
+
+BENCH_WORKLOADS = load_bench("workloads")
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS.WORKLOADS))
+def test_bench_workload_bytes(workload, tmp_path):
+    # the benchmark checks its workloads' outputs against these digests; a
+    # byte break fails here, before the benchmark runs
+    bench = BENCH_WORKLOADS
+    config = tmp_path / "config.ini"
+    config.write_text(bench.config_text(workload, bench.DEFAULT_SEED), encoding="utf-8")
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert digests(tmp_path / "out", bench.OUTPUT_FILES) == bench.DIGESTS[workload]

@@ -1,5 +1,5 @@
 import ast
-import importlib.util
+import importlib
 import math
 import os
 import re
@@ -32,7 +32,7 @@ from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
 
-from conftest import greedy_buyer, replay, resting_ids, settled_payoff
+from conftest import greedy_buyer, load_bench, replay, resting_ids, settled_payoff
 from hbl_oracle import RecordMemory, hbl_classify
 
 
@@ -84,15 +84,15 @@ def test_schedule_arrivals_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_schedule_arrivals_rejects_bad_rate(rng):
-    with pytest.raises(ValueError):
-        schedule_arrivals(0.0, 100, rng)
+def test_schedule_arrivals_rejects_bad_rate():
+    # schedule_arrivals takes its rate from SimConfig, which owns the rule
+    for rate in (0.0, -0.5, math.inf):
+        with pytest.raises(ValueError, match="arrival_rate must be > 0 and finite"):
+            make_config(arrival_rate=rate)
 
 
-def test_nan_arrival_rate_rejected(rng):
-    with pytest.raises(ValueError, match="arrival_rate"):
-        schedule_arrivals(math.nan, 100, rng)
-    with pytest.raises(ValueError, match="arrival_rate"):
+def test_nan_arrival_rate_rejected():
+    with pytest.raises(ValueError, match="arrival_rate must be > 0 and finite"):
         make_config(arrival_rate=math.nan)
 
 
@@ -537,21 +537,11 @@ def test_hbl_falls_back_until_enough_transactions(monkeypatch):
         assert {np.sign(trades - memory_length) for trades, _, _ in wakes} == {-1, 0, 1}
 
 
-def load_bench_tracer():
-    """``bench/tracer.py`` as a module, loaded from its file without installing it."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "bench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_bench_tracer_targets_resolve():
     # The benchmark's tracer replaces each target in its holder's own
     # __dict__, so a renamed, moved or inherited target breaks it; every
     # target must resolve here the way the tracer resolves it.
-    targets = load_bench_tracer().TARGETS
+    targets = load_bench("tracer").TARGETS
     assert targets
     for name, module_name, owner, attr in targets:
         holder = importlib.import_module(module_name)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cdasim.agents import ZiParams
 from cdasim.preferences import HoldingsLimitError, PrivateValues
 
 from conftest import settled_payoff
@@ -98,8 +99,11 @@ def test_validation():
         PrivateValues(q_max=0, values=())
     with pytest.raises(ValueError, match="2 \\* q_max"):
         PrivateValues(q_max=2, values=(1.0, 0.5, 0.0))
+    # draw takes its arguments from ZiParams, which owns their rules
     with pytest.raises(ValueError, match="sigma_pv_sq"):
-        PrivateValues.draw(q_max=2, sigma_pv_sq=-1.0, rng=np.random.default_rng(0))
+        ZiParams(r_min=0.0, r_max=1.0, eta=0.5, sigma_n_sq=1.0, q_max=2, sigma_pv_sq=-1.0)
+    with pytest.raises(ValueError, match="q_max"):
+        ZiParams(r_min=0.0, r_max=1.0, eta=0.5, sigma_n_sq=1.0, q_max=0, sigma_pv_sq=1.0)
 
 
 def test_zero_variance_draw():
