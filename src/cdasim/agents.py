@@ -12,8 +12,9 @@ falls back to ZI.
 
 The HBL memory is one per-tick type, ``TickMemory``, in both success
 modes.  ``OrderHistory`` keeps it as running int64 counts in binary mode;
-in fractional mode it keeps the window sorted across queries, to keep one
-float addition order, and lays the sums on the same ticks.
+in fractional mode it sorts the window afresh on each query, by side and
+then price, to keep one float addition order, and lays the sums on the same
+ticks.
 """
 
 from __future__ import annotations
@@ -90,13 +91,14 @@ class HblParams:
             raise ValueError("grid_mode must be 'observed' or 'spline'")
 
 
-def _choose_side(q_held: int, pv: PrivateValues, rng: np.random.Generator) -> Side | None:
-    """Fair coin, flipping to the only legal side at the holdings limit."""
+def _choose_side(q_held: int, pv: PrivateValues, rng: np.random.Generator) -> Side:
+    """Fair coin, flipping to the other side at the holdings limit; as
+    ``q_max >= 1``, at most one side is illegal at a time."""
     side = BID if rng.random() < 0.5 else ASK
     if side is BID and not pv.can_buy(q_held):
-        side = ASK if pv.can_sell(q_held) else None
-    elif side is ASK and not pv.can_sell(q_held):
-        side = BID if pv.can_buy(q_held) else None
+        return ASK
+    if side is ASK and not pv.can_sell(q_held):
+        return BID
     return side
 
 
@@ -111,8 +113,6 @@ def zi_decide(
     grid: PriceGrid,
 ) -> AgentAction:
     side = _choose_side(q_held, pv, rng)
-    if side is None:
-        return SKIP
     # numpy's own uniform(r_min, r_max), drawn from the cheaper random() call
     requested = params.r_min + (params.r_max - params.r_min) * rng.random()
     if side is BID:
@@ -210,10 +210,10 @@ class OrderHistory:
     - a moved window start re-counts only the orders it passes over.
 
     Fractional weights are floats whose sums depend on the order of
-    addition, so that mode keeps each side's window sorted by (price,
-    placement) across queries, re-weighs only the pending orders, and sums
-    the weights in that order on each query, leaving out the orders
-    without weight.
+    addition, so that mode keeps no order between queries: each query
+    re-weighs the pending orders, sorts the window's weighted orders with
+    one stable sort by side and price, which leaves each side in (price,
+    placement) order, and sums the weights in that order.
     """
 
     _FIELDS = ("_price", "_is_bid", "_success", "_failure")
@@ -233,9 +233,6 @@ class OrderHistory:
         self._read_events = 0  # events of the book's log read so far
         self._now = 0  # time of the last query
         self._start = 0  # index of the first order in the window
-        # fractional: each side's orders [_start, _end), sorted by (price, placement)
-        self._end = 0
-        self._orders = [np.empty(0, dtype=np.int64)] * 2
         # binary ledger: counts of the classified orders [_start, _n)
         self._expired = 0  # orders [0, _expired) were placed over grace ago
         self._lo = 0  # tick of column 0 of _counts
@@ -320,41 +317,33 @@ class OrderHistory:
         pending = np.fromiter(self._open, dtype=np.int64, count=len(self._open))
         placed = np.fromiter(self._open.values(), dtype=np.int64, count=len(self._open))
         self._failure[pending] = np.minimum(1.0, (now - placed) / self._grace)
-        # the orders that join each side's sorted window, in placement order:
-        # those a window start that moved back passes over, then the new ones
-        joining = np.arange(max(start, self._end), self._n)
-        if start < self._start:
-            joining = np.concatenate((np.arange(start, self._start), joining))
-        is_bid = self._is_bid[joining]
-        for row, join in enumerate((joining[is_bid], joining[~is_bid])):
-            order = self._orders[row]
-            if start > self._start:
-                order = order[order >= start]
-            if join.size:  # older, kept and newer orders, stably sorted by price
-                k = join.searchsorted(self._start)
-                order = np.concatenate((join[:k], order, join[k:]))
-                order = order[self._price[order].argsort(kind="stable")]
-            self._orders[row] = order
-        self._start, self._end = start, self._n
-        success, failure = self._success, self._failure
-        orders = [order[success[order] + failure[order] > 0.0] for order in self._orders]
-        prices = [self._price[order] for order in orders]
-        ends = [int(p) for price in prices if price.size for p in (price[0], price[-1])]
-        lo, hi = (min(ends), max(ends)) if ends else (0, -1)
-        ticks = np.arange(lo, hi + 2)
-        counts = np.empty((2, ticks.size - 1), dtype=np.int64)
-        weights = np.empty((4, ticks.size))
-        for row, (order, price) in enumerate(zip(orders, prices)):
-            below = price.searchsorted(ticks)
-            np.subtract(below[1:], below[:-1], out=counts[row])
-            rising, falling = success[order], failure[order]
+        success, failure = self._success[start:self._n], self._failure[start:self._n]
+        weighted = (success + failure > 0.0).nonzero()[0]  # in placement order
+        price = self._price[start:self._n][weighted]
+        lo, hi = (int(price.min()), int(price.max())) if price.size else (0, -1)
+        span = hi - lo + 1
+        # bids before asks, each by price; a stable sort keeps placement order
+        key = price - lo + span * ~self._is_bid[start:self._n][weighted]
+        if 2 * span <= 1 << 16:
+            key = key.astype(np.uint16)  # numpy radix-sorts 16-bit keys
+        order = weighted[key.argsort(kind="stable")]
+        success, failure = success[order], failure[order]
+        counts = np.bincount(key, minlength=2 * span).reshape(2, span)
+        # below[k]: orders sorted before key k, bids then asks
+        below = np.zeros(2 * span + 1, dtype=np.int64)
+        counts.cumsum(out=below[1:])
+        weights = np.empty((4, span + 1))
+        for row in (0, 1):
+            side = below[row * span: (row + 1) * span + 1]
+            first, last = int(side[0]), int(side[-1])
+            rising, falling = success[first:last], failure[first:last]
             if row:  # asks: failures count at or below, successes at or above
                 rising, falling = falling, rising
-            sums = np.zeros(order.size + 1)
+            sums = np.zeros(last - first + 1)
             rising.cumsum(out=sums[1:])
-            weights[row] = sums[below]
+            weights[row] = sums[side - first]
             falling[::-1].cumsum(out=sums[1:])
-            weights[2 + row] = sums[order.size - below]
+            weights[2 + row] = sums[last - side]
         return TickMemory(lo, counts, weights)
 
     # -- binary ledger ------------------------------------------------------
@@ -532,8 +521,6 @@ def hbl_decide(
     if memory is None:
         return zi_decide(q_held, pv, r_hat, best_bid, best_ask, zi, rng, grid)
     side = _choose_side(q_held, pv, rng)
-    if side is None:
-        return SKIP
     prices = candidate_prices  # ascending: ties resolve to the lowest bid
     if side is BID:
         valuation = pv.buy_valuation(q_held, r_hat)

@@ -156,10 +156,7 @@ class OrderBook:
         price, side = placed.price, placed.side
         levels, prices = self._side(side)
         queue = levels[price]
-        for i, entry in enumerate(queue):
-            if entry is placed:
-                del queue[i]
-                break
+        queue.remove(placed)  # events are equal only if their order ids are
         if not queue:
             del levels[price]
             del prices[bisect_left(prices, price)]

@@ -9,7 +9,7 @@ records, and ``RecordMemory`` is an ``HblMemory`` over such records.
 ``window_oracle`` classifies the orders placed from any given time on.
 ``exact_beliefs`` sums the weights of such records as ``Fraction``s, so a
 binary belief is a quotient of two exact counts.  The tests compare
-``OrderHistory``, which keeps its memory incrementally, ``TickMemory``
+``OrderHistory``, which reads the book's log incrementally, ``TickMemory``
 and the decision code against them.
 """
 

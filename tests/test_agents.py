@@ -569,6 +569,24 @@ def test_hbl_side_flip_at_limit(grid_01):
     assert action.side is Side.ASK
 
 
+@pytest.mark.parametrize("q_max", [1, 3])
+def test_every_holding_has_a_legal_side(q_max, grid_01):
+    # with q_max >= 1 at most one side is illegal, so neither decider skips
+    pv = PrivateValues(q_max=q_max, values=tuple(np.linspace(0.5, -0.5, 2 * q_max).tolist()))
+    zi = ZiParams(r_min=0.0, r_max=1.0, eta=0.5, sigma_n_sq=10.0, q_max=q_max,
+                  sigma_pv_sq=25.0)
+    memory = hbl_classify(build_script_book().events, now=100, params=HBL)
+    candidates = hbl_candidate_grid(memory)
+    for q in range(-q_max, q_max + 1):
+        for coin in (0.0, 0.9):  # the coin says buy, then sell
+            actions = (zi_decide(q, pv, 100.0, None, None, zi, FixedRng(coin, 0.5), grid_01),
+                       hbl_decide(q, pv, 100.0, memory, candidates, HBL, zi,
+                                  FixedRng(coin), grid_01))
+            for action in actions:
+                assert action.kind is ActionKind.PLACE
+                assert pv.can_buy(q) if action.side is Side.BID else pv.can_sell(q)
+
+
 def test_spline_belief_interpolates_and_clamps(grid_01):
     book = build_script_book()
     memory = hbl_classify(book.events, now=100, params=HBL)
@@ -1067,21 +1085,38 @@ def test_ledger_longer_grace_counts_later():
     assert len(assert_ledger_exact(market, 32, window_start=0)) == 2
 
 
-@pytest.mark.parametrize("mode", ["binary", "fractional"])
-def test_ledger_at_cent_ticks_matches_oracle(mode, rng):
+@pytest.mark.parametrize("mode, low, high", [
+    ("binary", 9900, 10101),
+    ("fractional", 9900, 10101),
+    # windows over 32,768 ticks wide: the fractional sort key needs 64 bits
+    ("fractional", 0, 40001),
+], ids=["binary", "fractional", "fractional wide span"])
+def test_ledger_at_cent_ticks_matches_oracle(mode, low, high, rng):
     # tick_size 0.01: prices near 100.00 are ~10^4 ticks and spread over a
     # span wider than the ledger's headroom, so its counts widen repeatedly
     params = HblParams(memory_length=2, grace_period=9, success_mode=mode)
-    prices = np.arange(9880, 10121)
+    prices = np.arange(low - 20, high + 20, 1 + (high - low) // 1000)  # at most ~1,000
+    widest = 0
     for _ in range(10):
         market = LedgerMarket(params)
         t = 0
         for _ in range(80):
             t += int(rng.integers(0, 3))
             side = Side.BID if rng.random() < 0.5 else Side.ASK
-            market.place(side, int(rng.integers(9900, 10101)), t)
-            if market.book.trades:
-                assert_ledger_exact(market, t, prices=prices)
+            market.place(side, int(rng.integers(low, high)), t)
+            if not market.book.trades:
+                continue
+            memory = assert_ledger_exact(market, t, prices=prices)
+            if mode == "fractional":  # the same ticks and sums, byte for byte
+                records = hbl_classify(market.book.events, t, params).records
+                expected = tick_memory_from_orders(*order_arrays(records))
+                assert memory._lo == expected._lo
+                assert np.array_equal(memory._counts, expected._counts)
+                assert np.array_equal(memory._weights.view(np.uint64),
+                                      expected._weights.view(np.uint64))
+            if len(memory):
+                widest = max(widest, int(memory.prices[-1] - memory.prices[0]))
+    assert widest > (32768 if high - low > 32768 else OrderHistory._MARGIN)
 
 
 def fractional_market():
