@@ -4,9 +4,11 @@ Configs are INI files with four sections (fundamental, agents, market,
 output); every key has a documented default and the resolved value of
 every key, defaulted or not, is echoed into the run manifest so no default
 is ever silent.  The manifest's config sections reparse to an identical
-simulation config.  ``build_config`` only parses the strings; each params
-type checks its own values, and a value it rejects is a config error that
-names the value's ``section.key``.
+simulation config.  ``build_config`` only parses the strings: the INI key
+of a params field is ``<section>.<field>`` unless its call renames it, and
+the field's annotation (float, int, str or bool) is its parse type.  Each
+params type checks its own values, and a value it rejects is a config
+error that names the value's ``section.key``.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime invariant breach.
 """
@@ -17,7 +19,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 from . import __version__
@@ -109,99 +111,76 @@ def parse_config(text: str) -> dict[str, dict[str, str]]:
     return resolved
 
 
-def _as_number(resolved, section, key, kind=float):
-    raw = resolved[section][key]
-    try:
-        return kind(raw)
-    except ValueError:
-        expected = "a number" if kind is float else "an integer"
-        raise ConfigError(f"{section}.{key}: expected {expected}, got {raw!r}") from None
-
-
-def _as_bool(resolved, section, key):
-    raw = resolved[section][key].lower()
-    if raw not in _BOOL:
-        raise ConfigError(f"{section}.{key}: expected true/false, got {raw!r}")
-    return _BOOL[raw]
-
-
-# The INI key of each params field whose key is not ``<section>.<field>``.
-_RENAMED = {
-    (FileParams, "r_bar"): "fundamental.est_r_bar",
-    (FileParams, "kappa"): "fundamental.est_kappa",
-    (FileParams, "sigma_s_sq"): "fundamental.est_sigma_s_sq",
-    (MegashockParams, "arrival_rate"): "fundamental.shock_arrival_rate",
-    (SimConfig, "horizon_T"): "market.horizon",
-    (SimConfig, "master_seed"): "market.seed",
-    (SimConfig, "n_zi"): "agents.zi_count",
-    (SimConfig, "n_hbl"): "agents.hbl_count",
-    (SimConfig, "arrival_rate"): "agents.arrival_rate",
+# A field's annotation: how its INI string parses, and what a string that
+# does not parse was expected to be.
+_PARSE = {
+    "float": (float, "a number"),
+    "int": (int, "an integer"),
+    "str": (str, None),
+    "bool": (lambda raw: _BOOL[raw.lower()], "true/false"),
 }
 
 
-def _params(params_type, section, **fields):
-    """``params_type(**fields)``; the type checks every value.  Its
+def _value(resolved, key, field):
+    """The string at INI ``key`` (``section.name``), parsed by ``field``'s
+    annotation."""
+    section, name = key.split(".")
+    raw = resolved[section][name]
+    parse, expected = _PARSE[field.type]
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
+
+
+def _params(resolved, params_type, section, renamed=None, **given):
+    """``params_type`` built from ``given`` and, for each other init field,
+    the value at its INI key: ``<section>.<field>``, or the key that
+    ``renamed`` names for it.  The type checks every value; its
     ``ValueError`` starts with the field it rejects, and becomes a config
     error that names the field's INI key."""
+    keys = {f.name: f"{section}.{f.name}" for f in fields(params_type)}
+    keys.update(renamed or {})
+    for f in fields(params_type):
+        if f.init and f.name not in given:
+            given[f.name] = _value(resolved, keys[f.name], f)
     try:
-        return params_type(**fields)
+        return params_type(**given)
     except ValueError as exc:
-        field = str(exc).split(maxsplit=1)[0]
-        key = _RENAMED.get((params_type, field), f"{section}.{field}")
-        raise ConfigError(f"{key}: {exc}") from None
+        raise ConfigError(f"{keys[str(exc).split(maxsplit=1)[0]]}: {exc}") from None
 
 
 def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
     """Parse the resolved mapping into the simulation config."""
-    fund, agents, market = (partial(_as_number, resolved, section)
-                            for section in ("fundamental", "agents", "market"))
+    params = partial(_params, resolved)
     variant = resolved["fundamental"]["variant"]
     if variant == "dmr":
-        fundamental = _params(DmrParams, "fundamental", r_bar=fund("r_bar"),
-                              kappa=fund("kappa"), sigma_s_sq=fund("sigma_s_sq"))
+        fundamental = params(DmrParams, "fundamental")
     elif variant == "file":
-        fundamental = _params(FileParams, "fundamental",
-                              path=resolved["fundamental"]["path"], r_bar=fund("est_r_bar"),
-                              kappa=fund("est_kappa"), sigma_s_sq=fund("est_sigma_s_sq"))
+        fundamental = params(FileParams, "fundamental", model=params(
+            DmrParams, "fundamental", {"r_bar": "fundamental.est_r_bar",
+                                       "kappa": "fundamental.est_kappa",
+                                       "sigma_s_sq": "fundamental.est_sigma_s_sq"}))
     else:
-        fundamental = _params(OuParams, "fundamental", mu=fund("mu"), gamma=fund("gamma"),
-                              sigma_sq=fund("sigma_sq"), q0=fund("q0"))
+        fundamental = params(OuParams, "fundamental")
         if variant == "megashock":
-            fundamental = _params(MegashockParams, "fundamental",
-                                  ou=fundamental, arrival_rate=fund("shock_arrival_rate"),
-                                  shock_mean=fund("shock_mean"), shock_var=fund("shock_var"))
+            fundamental = params(MegashockParams, "fundamental",
+                                 {"arrival_rate": "fundamental.shock_arrival_rate"},
+                                 ou=fundamental)
 
-    zi = _params(ZiParams, "agents", r_min=agents("r_min"), r_max=agents("r_max"),
-                 eta=agents("eta"), sigma_n_sq=agents("sigma_n_sq"),
-                 q_max=agents("q_max", int), sigma_pv_sq=agents("sigma_pv_sq"))
-    n_hbl = agents("hbl_count", int)
-    hbl = None
-    if n_hbl > 0:
-        hbl = _params(HblParams, "agents", memory_length=agents("memory_length", int),
-                      grace_period=agents("grace_period", int),
-                      success_mode=resolved["agents"]["success_mode"],
-                      grid_mode=resolved["agents"]["grid_mode"])
-    config = _params(
-        SimConfig, "market",
-        horizon_T=market("horizon", int),
-        fundamental=fundamental,
-        n_zi=agents("zi_count", int),
-        n_hbl=n_hbl,
-        zi_params=zi,
-        hbl_params=hbl,
-        arrival_rate=agents("arrival_rate"),
-        master_seed=market("seed", int),
-        tick_size=market("tick_size"),
-        output=OutputOptions(
-            trace_estimator=_as_bool(resolved, "output", "trace_estimator"),
-            trace_decisions=_as_bool(resolved, "output", "trace_decisions"),
-        ),
-    )
+    zi = params(ZiParams, "agents")
+    renamed = {"horizon_T": "market.horizon", "master_seed": "market.seed",
+               "n_zi": "agents.zi_count", "n_hbl": "agents.hbl_count",
+               "arrival_rate": "agents.arrival_rate"}
+    n_hbl = _value(resolved, renamed["n_hbl"], SimConfig.__dataclass_fields__["n_hbl"])
+    config = params(SimConfig, "market", renamed, fundamental=fundamental, n_hbl=n_hbl,
+                    zi_params=zi, hbl_params=params(HblParams, "agents") if n_hbl > 0 else None,
+                    output=params(OutputOptions, "output"))
     if variant == "file":
         try:  # a bad file fails here, before any run starts; the runs replay it
             fundamental.source(PriceGrid(config.tick_size), config.master_seed,
                                config.horizon_T)
-        except (ValueError, OverflowError) as exc:  # OverflowError: an infinite number
+        except ValueError as exc:
             raise ConfigError(f"fundamental.path: {exc}") from None
     return config
 
@@ -233,13 +212,13 @@ def emit_outputs(result: SimResult, resolved: dict[str, dict[str, str]], outdir:
     write_csv("agents.csv", "agent_id,strategy,cash,q_held,payoff", (
         f"{a.agent_id},{a.strategy},{a.cash!r},{a.q_held},{a.payoff!r}\n"
         for a in result.agents))
-    if result.estimator_trace:
+    if result.estimator_trace is not None:
         write_csv("estimator_trace.csv",
                   "time,agent_id,delta,observation,r_tilde,sigma_tilde_sq,r_hat", (
                       f"{t},{agent_id},{delta},{prices[o]},{r_tilde},{var},{r_hat}\n"
                       for t, agent_id, delta, o, r_tilde, var, r_hat
                       in result.estimator_trace))
-    if result.decision_trace:
+    if result.decision_trace is not None:
         write_csv("decisions.csv", "time,agent_id,strategy,action,side,limit_price", (
             f"{t},{agent_id},{strategy},{kind._value_},"
             f"{'' if side is None else side._value_},"

@@ -124,24 +124,16 @@ class MegashockParams:
 @dataclass(frozen=True)
 class FileParams:
     """A series replayed from the CSV at ``path``, and the discrete mean
-    reverting model the agents' estimator assumes for it: the file says
+    reverting ``model`` the agents' estimator assumes for it: the file says
     nothing about the process that generated it."""
 
     path: str
-    r_bar: float
-    kappa: float
-    sigma_s_sq: float
+    model: DmrParams
     _series: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.path:
             raise ValueError("path must name the series file")
-        if not math.isfinite(self.r_bar):
-            raise ValueError("r_bar must be finite")
-        if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError("kappa must lie in [0, 1]")
-        if not 0.0 <= self.sigma_s_sq < math.inf:
-            raise ValueError("sigma_s_sq must be >= 0 and finite")
 
     def source(self, grid: PriceGrid, seed: int, horizon_T: int) -> "FileFundamental":
         """A fresh replay of the series in ``path``; ``seed`` and ``horizon_T``
@@ -153,7 +145,7 @@ class FileParams:
         return FileFundamental(list(self._series[grid]), grid)  # a copy per replay
 
     def belief_model(self) -> tuple[float, float, float]:
-        return self.r_bar, self.kappa, self.sigma_s_sq
+        return self.model.belief_model()
 
 
 def ou_mean_var(q_prev: float, elapsed: float, params: OuParams) -> tuple[float, float]:
@@ -312,8 +304,8 @@ class FileFundamental:
 
     @classmethod
     def from_text(cls, text: str, grid: PriceGrid) -> "FileFundamental":
-        """Parse a series of tick values, each >= 0, at integer timestamps
-        that start at 0 and strictly increase."""
+        """Parse a series of finite tick values, each >= 0, at integer
+        timestamps that start at 0 and strictly increase."""
         series: list[tuple[int, int]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -324,11 +316,15 @@ class FileFundamental:
                 continue  # optional header
             if len(parts) != 2 or not _is_number(parts[0]) or not _is_number(parts[1]):
                 raise ValueError(f"malformed fundamental file at line {lineno}: {raw!r}")
-            ts = int(float(parts[0]))
-            if float(parts[0]) != ts:
+            stamp, real = float(parts[0]), float(parts[1])
+            if not (math.isfinite(stamp) and math.isfinite(real)):
+                raise ValueError(f"malformed fundamental file at line {lineno}: "
+                                 f"timestamp and value must be finite")
+            ts = int(stamp)
+            if stamp != ts:
                 raise ValueError(f"malformed fundamental file at line {lineno}: "
                                  f"timestamp must be an integer")
-            value = grid.to_ticks(float(parts[1]))
+            value = grid.to_ticks(real)
             if value < 0:
                 raise ValueError(f"malformed fundamental file at line {lineno}: "
                                  f"values must be >= 0")

@@ -106,10 +106,12 @@ class SimResult:
     invariants_ok: bool
     invariant_summary: dict
     private_values: dict[int, tuple[float, ...]]
+    # None when the trace is off, so a trace that is on but has no rows
+    # still writes its file.
     # (t, agent_id, delta, observation ticks, r_tilde, sigma_tilde_sq, r_hat)
-    estimator_trace: list[tuple] = field(default_factory=list)
+    estimator_trace: list[tuple] | None = None
     # (t, agent_id, strategy, ActionKind, Side or None, limit ticks or None)
-    decision_trace: list[tuple] = field(default_factory=list)
+    decision_trace: list[tuple] | None = None
 
 
 def schedule_arrivals(arrival_rate: float, horizon_T: int,
@@ -188,8 +190,10 @@ def run(config: SimConfig) -> SimResult:
 
     book = OrderBook()
     history = strategies.OrderHistory(config.hbl_params) if config.n_hbl else None
-    estimator_trace: list[tuple] = []
-    decision_trace: list[tuple] = []
+    trace_estimator = config.output.trace_estimator
+    trace_decisions = config.output.trace_decisions
+    estimator_trace = [] if trace_estimator else None
+    decision_trace = [] if trace_decisions else None
     breaches: list[str] = []
 
     q_max = config.zi_params.q_max
@@ -197,8 +201,6 @@ def run(config: SimConfig) -> SimResult:
 
     # Loop invariants, looked up once per run; a wrapper installed on any of
     # these functions before the run starts still sees every call.
-    trace_estimator = config.output.trace_estimator
-    trace_decisions = config.output.trace_decisions
     zi_params, hbl_params = config.zi_params, config.hbl_params
     noise_sd = math.sqrt(zi_params.sigma_n_sq)
     value_at = fundamental.value_at

@@ -299,6 +299,19 @@ def test_trace_outputs(tmp_path):
     assert len(est_lines) == len(dec_lines)  # one row per wake in both
 
 
+def test_trace_outputs_without_wakes(tmp_path):
+    # a trace that is on writes its file even when no agent ever wakes
+    resolved = parse_config("[market]\nhorizon = 1\n[agents]\nzi_count = 1\n"
+                            "hbl_count = 0\narrival_rate = 0.0001\n"
+                            "[output]\ntrace_estimator = true\ntrace_decisions = true\n")
+    run_one(resolved, str(tmp_path))
+    assert "wakes = 0" in read(tmp_path / "manifest.ini")
+    assert read(tmp_path / "estimator_trace.csv") == (
+        "time,agent_id,delta,observation,r_tilde,sigma_tilde_sq,r_hat\n")
+    assert read(tmp_path / "decisions.csv") == (
+        "time,agent_id,strategy,action,side,limit_price\n")
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -391,8 +404,9 @@ def test_numeric_keys_cover_every_key():
     assert numeric == every - strings
 
 
-def assert_main_rejects_key(variant, section, key, value, tmp_path, capsys):
-    # the params type names the field it rejects; the message names its INI key
+def assert_main_rejects_key(variant, section, key, value, tmp_path, capsys, rule=""):
+    # the params type names the field it rejects; the message names its INI
+    # key and then gives the rule, which starts with ``rule``
     sections = {"fundamental": {"variant": variant}, "market": {"horizon": "200"}}
     sections.setdefault(section, {})[key] = value
     if variant == "file":
@@ -402,7 +416,7 @@ def assert_main_rejects_key(variant, section, key, value, tmp_path, capsys):
                            for name, keys in sections.items()))
     code = main(["--config", str(bad), "--out", str(tmp_path / "out")])
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"config error: {section}.{key}: ")
+    assert capsys.readouterr().err.startswith(f"config error: {section}.{key}: {rule}")
     assert not (tmp_path / "out").exists()
 
 
@@ -415,6 +429,26 @@ def test_main_non_finite_value_exit_code(variant, section, key, value, tmp_path,
 @pytest.mark.parametrize("variant, section, key", numeric_keys(int))
 def test_main_negative_integer_exit_code(variant, section, key, tmp_path, capsys):
     assert_main_rejects_key(variant, section, key, "-1", tmp_path, capsys)
+
+
+# Each key is read from the name of its params field (or its rename), so
+# each key pins its own parse error.
+@pytest.mark.parametrize("variant, section, key", numeric_keys(float))
+def test_main_unparseable_number_exit_code(variant, section, key, tmp_path, capsys):
+    assert_main_rejects_key(variant, section, key, "abc", tmp_path, capsys,
+                            "expected a number, got 'abc'")
+
+
+@pytest.mark.parametrize("variant, section, key", numeric_keys(int))
+def test_main_unparseable_integer_exit_code(variant, section, key, tmp_path, capsys):
+    assert_main_rejects_key(variant, section, key, "1.5", tmp_path, capsys,
+                            "expected an integer, got '1.5'")
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULTS["output"]))
+def test_main_unparseable_bool_exit_code(key, tmp_path, capsys):
+    assert_main_rejects_key("dmr", "output", key, "maybe", tmp_path, capsys,
+                            "expected true/false, got 'maybe'")
 
 
 @pytest.mark.parametrize("ini, args", [
@@ -459,7 +493,8 @@ def test_main_missing_config_file(tmp_path, capsys):
     ("timestamp,value\n0,100.0\n5,abc\n", "malformed fundamental file at line 3"),
     ("timestamp,value\n5,100.0\n9,101.0\n", "starts at timestamp 5, not 0"),
     ("", "contains no data rows"),
-], ids=["malformed-row", "late-start", "empty"])
+    ("timestamp,value\n0,100.0\n5,inf\n", "malformed fundamental file at line 3"),
+], ids=["malformed-row", "late-start", "empty", "infinite-value"])
 def test_main_bad_fundamental_file_exit_code(series, message, sweep, tmp_path, capsys):
     series_path = tmp_path / "series.csv"
     series_path.write_text(series)

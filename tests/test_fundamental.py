@@ -488,6 +488,10 @@ def test_file_parse_errors(grid_01):
         FileFundamental.from_text("timestamp,value\n", grid_01)
     with pytest.raises(ValueError, match="line 2: values must be >= 0"):
         FileFundamental.from_text("0,5.0\n10,-3.0\n", grid_01)
+    # a non-finite timestamp or value (1e400 parses as inf) is named by its line
+    for row in ("5,inf", "5,nan", "5,1e400", "inf,100.0", "nan,100.0"):
+        with pytest.raises(ValueError, match="line 2: timestamp and value must be finite"):
+            FileFundamental.from_text(f"0,100.0\n{row}\n", grid_01)
     # a value that rounds to 0 ticks is not below 0
     assert FileFundamental.from_text("0,-0.04\n", grid_01).series == [(0, 0)]
 
@@ -505,7 +509,7 @@ def test_dump_and_reload_round_trip(tmp_path, grid_01):
     run_one(parse_config("[fundamental]\nr_bar = 100.0\nkappa = 0.05\nsigma_s_sq = 1.0\n"
                          "[market]\nhorizon = 40\ntick_size = 0.1\nseed = 4\n"),
             str(tmp_path))
-    reloaded = FileParams(str(tmp_path / "fundamental.csv"), 100.0, 0.05, 1.0).source(
+    reloaded = FileParams(str(tmp_path / "fundamental.csv"), DmrParams(100.0, 0.05, 1.0)).source(
         grid_01, 4, 40)
     assert [reloaded.value_at(t) for t in range(41)] == original
 
@@ -571,7 +575,7 @@ def test_belief_model_file_variant(tmp_path):
     # the file says nothing about its process: the model is the one given
     path = tmp_path / "fund.csv"
     path.write_text("0,100.0\n10,101.0\n")
-    assert FileParams(str(path), 100.0, 0.05, 1.0).belief_model() == (100.0, 0.05, 1.0)
+    assert FileParams(str(path), DmrParams(100.0, 0.05, 1.0)).belief_model() == (100.0, 0.05, 1.0)
 
 
 def test_source_builds_each_variant(tmp_path, grid_01):
@@ -583,7 +587,7 @@ def test_source_builds_each_variant(tmp_path, grid_01):
         fund = params.source(grid_01, 3, 50)
         assert type(fund) is cls
         assert (fund.params, fund.grid, fund.seed, fund.horizon_T) == (params, grid_01, 3, 50)
-    file_params = FileParams(str(path), 100.0, 0.05, 1.0)
+    file_params = FileParams(str(path), DmrParams(100.0, 0.05, 1.0))
     a, b = file_params.source(grid_01, 3, 50), file_params.source(grid_01, 3, 50)
     assert type(a) is FileFundamental
     assert a.series == b.series == [(0, 1000), (10, 1010)]

@@ -302,7 +302,7 @@ def small_series(tmp_path_factory):
     path = tmp_path_factory.mktemp("series") / "fund.csv"
     path.write_text("timestamp,value\n" + "".join(
         f"{t},{100.0 + ((t * 7919) % 13 - 6) * 0.5:.1f}\n" for t in range(0, 801, 40)))
-    return FileParams(str(path), 100.0, 0.05, 1.0)
+    return FileParams(str(path), DmrParams(100.0, 0.05, 1.0))
 
 
 @st.composite
@@ -653,7 +653,7 @@ def test_run_file_variant(tmp_path):
     path = tmp_path / "fund.csv"
     rows = ["timestamp,value"] + [f"{t},{100 + 0.01 * t:.2f}" for t in range(0, 2001, 50)]
     path.write_text("\n".join(rows) + "\n")
-    result = run(make_config(fundamental=FileParams(str(path), 100.0, 0.05, 1.0)))
+    result = run(make_config(fundamental=FileParams(str(path), DmrParams(100.0, 0.05, 1.0))))
     assert result.invariants_ok
     assert result.final_fundamental == result.grid.to_ticks(120.0)
 
@@ -678,7 +678,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="fundamental params"):
         make_config(fundamental=None)
     with pytest.raises(ValueError, match="path"):
-        FileParams("", 100.0, 0.05, 1.0)
+        FileParams("", DmrParams(100.0, 0.05, 1.0))
 
 
 def test_holdings_breach_is_reported(monkeypatch, tmp_path):
