@@ -14,7 +14,8 @@ The HBL memory is one per-tick type, ``TickMemory``, in both success
 modes.  ``OrderHistory`` keeps it as running int64 counts in binary mode;
 in fractional mode it sorts the window afresh on each query, by side and
 then price, to keep one float addition order, and lays the sums on the same
-ticks.
+ticks.  Its span has an empty tick beyond each end, so a belief query is
+one dense pass over the span and one gather at the clamped price ticks.
 """
 
 from __future__ import annotations
@@ -120,12 +121,16 @@ def zi_decide(
         # Strategic threshold: lock in eta * R immediately if the touch allows it.
         if best_ask is not None and valuation - grid.to_value(best_ask) >= params.eta * requested:
             return tuple.__new__(AgentAction, (TAKE, BID, best_ask))
-        limit = max(0, grid.to_ticks_down(valuation - requested))
+        limit = grid.to_ticks_down(valuation - requested)
+        if limit < 0:
+            limit = 0
         return tuple.__new__(AgentAction, (PLACE, BID, limit))
     valuation = pv.sell_valuation(q_held, r_hat)
     if best_bid is not None and grid.to_value(best_bid) - valuation >= params.eta * requested:
         return tuple.__new__(AgentAction, (TAKE, ASK, best_bid))
-    limit = max(0, grid.to_ticks_up(valuation + requested))
+    limit = grid.to_ticks_up(valuation + requested)
+    if limit < 0:
+        limit = 0
     return tuple.__new__(AgentAction, (PLACE, ASK, limit))
 
 
@@ -136,14 +141,15 @@ class TickMemory:
     and four cumulative weights indexed by tick, each running in the
     direction in which ``belief_array`` reads it: successful bids and
     failed asks at or below a tick, failed bids and successful asks at or
-    above it.  Every order lies inside the span, so a query outside it
-    reads an empty or a full sum.  Binary weights are int64 counts, so a
+    above it.  Every order lies inside the span, and the first and last
+    ticks hold none, so the belief at a price outside the span equals the
+    belief at the nearer end tick.  Binary weights are int64 counts, so a
     binary belief is one division of two exact integers.
     """
 
     def __init__(self, lo: int, counts: np.ndarray, weights: np.ndarray):
         self._lo = lo
-        self._counts = counts  # [bids, asks] at each tick
+        self._counts = counts  # [bids, asks] at each tick; empty end ticks
         # weights[0:2, j]: bid successes, ask failures at ticks below lo + j
         # weights[2:4, j]: bid failures, ask successes at ticks from lo + j up
         self._weights = weights
@@ -163,27 +169,24 @@ class TickMemory:
 
         For a bid: favorable mass is ask volume and successful bids at <= p,
         unfavorable mass is failed bids at >= p.  Mirrored for an ask.  The
-        belief is 0 where the denominator is empty.
+        belief is 0 where the denominator is empty.  It is computed once at
+        every tick of the span and read at each price's tick, clamped to
+        the span, whose end ticks are empty.
         """
-        k = np.asarray(prices, dtype=np.int64) - self._lo
-        span = self._counts.shape[1]
-        at_or_below = np.minimum(np.maximum(k + 1, 0), span)
-        at_or_above = np.minimum(np.maximum(k, 0), span)
-        favorable = np.zeros(span + 1, dtype=np.int64)
+        counts, weights = self._counts, self._weights
         if side is BID:
-            np.add.accumulate(self._counts[1], out=favorable[1:])
-            favorable = favorable[at_or_below]
-            succ = self._weights[0][at_or_below]
-            fail = self._weights[2][at_or_above]
+            favorable = np.add.accumulate(counts[1])
+            numerator = favorable + weights[0, 1:]
+            denominator = numerator + weights[2, :-1]
         else:
-            np.add.accumulate(self._counts[0, ::-1], out=favorable[-2::-1])
-            favorable = favorable[at_or_above]
-            succ = self._weights[3][at_or_above]
-            fail = self._weights[1][at_or_below]
-        numerator = favorable + succ
-        denominator = numerator + fail
-        return np.divide(numerator, denominator,
-                         out=np.zeros(numerator.shape), where=denominator > 0)
+            favorable = np.add.accumulate(counts[0, ::-1])[::-1]
+            numerator = favorable + weights[3, :-1]
+            denominator = numerator + weights[1, 1:]
+        beliefs = np.divide(numerator, denominator,
+                            out=np.zeros(numerator.shape), where=denominator > 0)
+        ticks = np.asarray(prices, dtype=np.int64) - self._lo
+        np.maximum(ticks, 0, out=ticks)
+        return beliefs[np.minimum(ticks, beliefs.size - 1, out=ticks)]
 
 
 class OrderHistory:
@@ -208,6 +211,11 @@ class OrderHistory:
     - a forward cursor fails, one at a time, the pending orders that
       outlive the grace period (placement times never decrease);
     - a moved window start re-counts only the orders it passes over.
+
+    The counts widen, by ``_MARGIN`` ticks, before a price reaches their
+    first or last column, so those columns stay empty as ``TickMemory``
+    needs.  A fill or a cancellation is counted at the price its event
+    carries, except a taker's fill, whose event carries the trade price.
 
     Fractional weights are floats whose sums depend on the order of
     addition, so that mode keeps no order between queries: each query
@@ -238,6 +246,7 @@ class OrderHistory:
         self._lo = 0  # tick of column 0 of _counts
         # rows: bid successes, ask failures, bid failures, ask successes
         self._counts = np.zeros((4, 0), dtype=np.int64)
+        self._flat = self._counts.reshape(-1)  # a view, for one-item writes
 
     def memory(self, book: OrderBook, now: int) -> TickMemory:
         """Classified memory of the orders in the window of ``book``'s last
@@ -254,7 +263,8 @@ class OrderHistory:
         elif start > self._start:
             self._count_range(self._start, start, -1)
         self._start = start
-        counts = self._counts
+        # a ledger that has counted nothing yet reads as one empty tick
+        counts = self._counts if self._counts.shape[1] else np.zeros((4, 1), dtype=np.int64)
         weights = np.zeros((4, counts.shape[1] + 1), dtype=np.int64)
         np.add.accumulate(counts[:2], axis=1, out=weights[:2, 1:])
         np.add.accumulate(counts[2:, ::-1], axis=1, out=weights[2:, -2::-1])
@@ -285,20 +295,23 @@ class OrderHistory:
         binary, grace, executed = self._binary, self._grace, EXECUTED
         pop, tally = self._open.pop, self._tally
         start, expired = self._start, self._expired
-        for kind, time, order_id, _, _, _, _ in resolved:
+        for kind, time, order_id, _, side, price, counterparty in resolved:
             i = order_id - 1
             placed_at = pop(i)  # a one-unit order resolves once
             if kind is executed:
                 success = 1.0 if binary else max(0.0, 1.0 - (time - placed_at) / grace)
                 self._success[i], self._failure[i] = success, 1.0 - success
                 if binary and i >= start:
+                    if counterparty < order_id:  # a taker's event has the trade price
+                        price = int(self._price[i])
+                    is_bid = side is BID
                     if i < expired:  # an expired order can still fill
-                        tally(i, failed=True, delta=-1)
-                    tally(i, failed=False, delta=1)
+                        tally(price, is_bid, failed=True, delta=-1)
+                    tally(price, is_bid, failed=False, delta=1)
             else:
                 self._failure[i] = 1.0 if binary else min(1.0, (time - placed_at) / grace)
                 if binary and i >= max(start, expired):
-                    tally(i, failed=True, delta=1)
+                    tally(price, side is BID, failed=True, delta=1)
         trades = book.trades[-self.params.memory_length:]
         if not trades:  # no transaction to remember: the window is empty
             return self._n
@@ -320,7 +333,8 @@ class OrderHistory:
         success, failure = self._success[start:self._n], self._failure[start:self._n]
         weighted = (success + failure > 0.0).nonzero()[0]  # in placement order
         price = self._price[start:self._n][weighted]
-        lo, hi = (int(price.min()), int(price.max())) if price.size else (0, -1)
+        # one empty tick beyond each end, as TickMemory needs
+        lo, hi = (int(price.min()) - 1, int(price.max()) + 1) if price.size else (0, 0)
         span = hi - lo + 1
         # bids before asks, each by price; a stable sort keeps placement order
         key = price - lo + span * ~self._is_bid[start:self._n][weighted]
@@ -354,7 +368,7 @@ class OrderHistory:
         pending = self._open
         for i in range(max(self._expired, self._start), end):
             if i in pending:
-                self._tally(i, failed=True, delta=1)
+                self._tally(int(self._price[i]), bool(self._is_bid[i]), failed=True, delta=1)
         self._expired = end
 
     def _count_range(self, a: int, b: int, delta: int) -> None:
@@ -370,26 +384,28 @@ class OrderHistory:
         self._cover(int(price.min()), int(price.max()))
         is_bid = self._is_bid[a:b][keep]
         rows = 2 * (failed[keep] == is_bid) + ~is_bid
-        np.add.at(self._counts.reshape(-1),
-                  rows * self._counts.shape[1] + (price - self._lo), delta)
+        np.add.at(self._flat, rows * self._counts.shape[1] + (price - self._lo), delta)
 
-    def _tally(self, i: int, failed: bool, delta: int) -> None:
-        price = int(self._price[i])
-        self._cover(price, price)
-        is_bid = bool(self._is_bid[i])
-        self._counts[2 * (failed == is_bid) + (not is_bid), price - self._lo] += delta
+    def _tally(self, price: int, is_bid: bool, failed: bool, delta: int) -> None:
+        """Add ``delta`` orders of one class at ``price`` to the counts."""
+        column, span = price - self._lo, self._counts.shape[1]
+        if not 0 < column < span - 1:
+            self._cover(price, price)
+            column, span = price - self._lo, self._counts.shape[1]
+        self._flat[(2 * (failed == is_bid) + (not is_bid)) * span + column] += delta
 
     def _cover(self, lo: int, hi: int) -> None:
-        """Widen the counts so they span ticks ``lo`` to ``hi``."""
+        """Widen the counts so they span ticks ``lo`` to ``hi``, with an
+        empty column beyond each end."""
         old_lo, old_span = self._lo, self._counts.shape[1]
-        if old_span and old_lo <= lo and hi < old_lo + old_span:
+        if old_span and old_lo < lo and hi < old_lo + old_span - 1:
             return
         if old_span:
             lo, hi = min(lo, old_lo), max(hi, old_lo + old_span - 1)
         new_lo = lo - self._MARGIN
         counts = np.zeros((4, hi + self._MARGIN + 1 - new_lo), dtype=np.int64)
         counts[:, old_lo - new_lo: old_lo - new_lo + old_span] = self._counts
-        self._lo, self._counts = new_lo, counts
+        self._lo, self._counts, self._flat = new_lo, counts, counts.reshape(-1)
 
 
 def hbl_candidate_grid(memory: TickMemory, mode: str = "observed") -> np.ndarray:

@@ -50,19 +50,20 @@ def advance(belief: BeliefState, now: int, params: EstimatorParams) -> BeliefSta
     closed-form weight is 0/0, so its analytic limit (a pure random walk
     accumulating delta * sigma_s_sq) is used instead.
     """
-    if now < belief.last_wake:
-        raise ValueError(f"time regression: now={now} < last_wake={belief.last_wake}")
-    delta = now - belief.last_wake
+    r_tilde, sigma_tilde_sq, last_wake = belief
+    if now < last_wake:
+        raise ValueError(f"time regression: now={now} < last_wake={last_wake}")
+    delta = now - last_wake
     if delta == 0:
         return belief
     decay = (1.0 - params.kappa) ** delta
-    r_tilde = (1.0 - decay) * params.r_bar + decay * belief.r_tilde
+    r_tilde = (1.0 - decay) * params.r_bar + decay * r_tilde
     if params.kappa == 0.0:
-        var = belief.sigma_tilde_sq + delta * params.sigma_s_sq
+        var = sigma_tilde_sq + delta * params.sigma_s_sq
     else:
         decay_sq = (1.0 - params.kappa) ** (2 * delta)
         shock_weight = (1.0 - decay_sq) / (1.0 - (1.0 - params.kappa) ** 2)
-        var = decay_sq * belief.sigma_tilde_sq + shock_weight * params.sigma_s_sq
+        var = decay_sq * sigma_tilde_sq + shock_weight * params.sigma_s_sq
     return tuple.__new__(BeliefState, (r_tilde, var, now))
 
 
@@ -74,13 +75,14 @@ def observe(belief: BeliefState, o_t: float, params: EstimatorParams) -> BeliefS
     observation more).  When both variances are zero either source is
     exact; the observation is adopted.
     """
-    total = params.sigma_n_sq + belief.sigma_tilde_sq
+    r_tilde, sigma_tilde_sq, last_wake = belief
+    total = params.sigma_n_sq + sigma_tilde_sq
     if total == 0.0:
-        return tuple.__new__(BeliefState, (o_t, 0.0, belief.last_wake))
-    obs_weight = belief.sigma_tilde_sq / total
-    r_tilde = (1.0 - obs_weight) * belief.r_tilde + obs_weight * o_t
-    var = params.sigma_n_sq * belief.sigma_tilde_sq / total
-    return tuple.__new__(BeliefState, (r_tilde, var, belief.last_wake))
+        return tuple.__new__(BeliefState, (o_t, 0.0, last_wake))
+    obs_weight = sigma_tilde_sq / total
+    r_tilde = (1.0 - obs_weight) * r_tilde + obs_weight * o_t
+    var = params.sigma_n_sq * sigma_tilde_sq / total
+    return tuple.__new__(BeliefState, (r_tilde, var, last_wake))
 
 
 def project_final(belief: BeliefState, params: EstimatorParams) -> float:

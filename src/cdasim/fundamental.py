@@ -14,7 +14,9 @@ Each params type owns its variant: ``source(grid, seed, horizon_T)`` builds
 the series, and ``belief_model()`` gives the ``(r_bar, kappa, sigma_s_sq)``
 the agents' estimator assumes for it.  The sparse variants accept queries in
 nondecreasing time order only; the discrete variant builds its whole series,
-steps 0 to the horizon, when it is made, and answers any query from it.
+steps 0 to the horizon, when it is made, and answers any query from it.  It
+builds the series in verified blocks stepped side by side with numpy, and
+steps what they leave one shock at a time; both give the same ticks.
 """
 
 from __future__ import annotations
@@ -160,12 +162,73 @@ def ou_mean_var(q_prev: float, elapsed: float, params: OuParams) -> tuple[float,
 def dmr_series(params: DmrParams, grid: PriceGrid, shocks: np.ndarray) -> list[int]:
     """The discrete mean reverting series in ticks from r_0 = r_bar: step
     i + 1 is ``max{0, kappa*r_bar + (1-kappa)*r_i + shocks[i]}`` in real
-    numbers from the tick value of step i, rounded once to the tick."""
+    numbers from the tick value of step i, rounded once to the tick.
+
+    ``_dmr_blocks`` builds as long a prefix as its verified block passes
+    settle, and this loop steps the rest one shock at a time."""
     base, keep, tick = params.kappa * params.r_bar, 1.0 - params.kappa, grid.tick_size
-    values = [grid.to_ticks(params.r_bar)]
-    for noise in shocks.tolist():
+    values = _dmr_blocks(params, grid, shocks)
+    for noise in shocks[len(values) - 1:].tolist():
         values.append(max(0, grid.to_ticks(max(0.0, base + keep * (values[-1] * tick) + noise))))
     return values
+
+
+_BLOCK = 64  # steps per block of the parallel passes
+_MIN_BLOCKS = 128  # a shorter series is left to the step loop
+
+
+def _dmr_blocks(params: DmrParams, grid: PriceGrid, shocks: np.ndarray) -> list[int]:
+    """A prefix of the series, from step 0, computed in parallel in time.
+
+    The shocks are cut into blocks of ``_BLOCK`` steps, and each pass steps
+    the unsettled blocks side by side with numpy, each from a guessed
+    start: r_bar's tick at first, then its left neighbour's end in the pass
+    before.  Block 0 starts from the true r_0, and a block whose start
+    equals its left neighbour's end is exact if that neighbour is, so the
+    settled blocks are a prefix that each pass extends by at least one.
+    That check alone makes the prefix exact.  Mean reversion only makes it
+    fast: a block shrinks the gap between two paths by ``(1 - kappa) **
+    _BLOCK``, and rounded paths from different starts meet, then agree for
+    good, so the share of unsettled blocks whose start disagrees with its
+    neighbour's end falls with each pass.  The step loop is left the rest
+    when a block would shrink a gap less than eightfold (kappa below about
+    0.032, and kappa = 0), when there are fewer than ``_MIN_BLOCKS`` blocks,
+    when that share stops falling and when a price leaves the float range
+    of ``PriceGrid.to_ticks_array``.
+    """
+    start = grid.to_ticks(params.r_bar)
+    n_blocks = shocks.size // _BLOCK
+    base, keep, tick = params.kappa * params.r_bar, 1.0 - params.kappa, grid.tick_size
+    if n_blocks < _MIN_BLOCKS or keep ** _BLOCK > 0.125:
+        return [start]
+    series = np.empty(n_blocks * _BLOCK + 1, dtype=np.int64)
+    series[0] = start
+    blocks = series[1:].reshape(n_blocks, _BLOCK)  # views: no copy of the shocks
+    noise = shocks[:n_blocks * _BLOCK].reshape(n_blocks, _BLOCK)
+    starts = np.full(n_blocks, start, dtype=np.int64)
+    done = 0  # blocks [0, done) are exact
+    disagreed = math.inf  # share of the unsettled starts that disagreed after the last pass
+    while True:
+        ticks = starts
+        for step in range(_BLOCK):
+            real = ticks * tick
+            real *= keep
+            real += base
+            real += noise[done:, step]
+            ticks = grid.to_ticks_array(np.maximum(real, 0.0, out=real))
+            if ticks is None:
+                return series[:done * _BLOCK + 1].tolist()
+            blocks[done:, step] = ticks
+        ends = blocks[done:, -1]
+        wrong = (starts[1:] != ends[:-1]).nonzero()[0]
+        if not wrong.size:
+            return series.tolist()
+        settled = int(wrong[0]) + 1
+        share = wrong.size / (ends.size - 1)
+        if share >= disagreed:
+            return series[:(done + settled) * _BLOCK + 1].tolist()
+        done, disagreed = done + settled, share
+        starts = ends[settled - 1:-1].copy()
 
 
 @dataclass
@@ -173,8 +236,8 @@ class DmrFundamental:
     """Discrete mean reverting source over steps 0 to ``horizon_T``.
 
     All ``horizon_T`` shocks are drawn at construction, in one call on the
-    series' own stream, and ``dmr_series`` steps through them once; a run
-    reads the value at the horizon, so every step is needed anyway.
+    series' own stream, and ``dmr_series`` builds the series from them; a
+    run reads the value at the horizon, so every step is needed anyway.
     """
 
     params: DmrParams

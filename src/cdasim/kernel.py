@@ -163,7 +163,8 @@ def mark_observation(r_ticks: int, noise_sd: float, rng: np.random.Generator,
     from the cheaper ``standard_normal`` call.
     """
     o = grid.to_value(r_ticks) + (0.0 + noise_sd * rng.standard_normal())
-    return max(0, grid.to_ticks(o))
+    ticks = grid.to_ticks(o)
+    return ticks if ticks > 0 else 0
 
 
 def run(config: SimConfig) -> SimResult:

@@ -153,7 +153,7 @@ class OrderBook:
         placed = self._resting.pop(order_id, None)
         if placed is None:
             return None
-        price, side = placed.price, placed.side
+        _, _, _, agent_id, side, price, _ = placed
         levels, prices = self._side(side)
         queue = levels[price]
         queue.remove(placed)  # events are equal only if their order ids are
@@ -162,7 +162,7 @@ class OrderBook:
             del prices[bisect_left(prices, price)]
         self._last_time = now
         event = tuple.__new__(BookEvent,
-                              (CANCELLED, now, order_id, placed.agent_id, side, price, None))
+                              (CANCELLED, now, order_id, agent_id, side, price, None))
         self._events.append(event)
         return event
 

@@ -22,7 +22,8 @@ calls on ``-value``), a band millions of times wider than that error, so
 the exact quotient lies on the same side of the boundary and rounds to
 the same integer.  Exact ties, grid points, non-finite input and large
 ``abs(x)`` (the band reaches 0.5 at ``abs(x) = 2**29``) all take the
-exact path.
+exact path.  ``to_ticks_array`` applies ``to_ticks``' rule to a numpy array
+at once and sends the elements in the guard band through ``to_ticks``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from decimal import ROUND_FLOOR, ROUND_HALF_UP, Decimal
+
+import numpy as np
 
 _GUARD = 2.0 ** -30
 # |x| beyond this is always inside the guard band; the test also rejects NaN and inf.
@@ -74,6 +77,27 @@ class PriceGrid:
             if abs(r - 0.5) > _GUARD * (abs(x) + 1):
                 return n + (r > 0.5)
         return int(self._ratio(value).to_integral_value(rounding=ROUND_HALF_UP))
+
+    def to_ticks_array(self, values: np.ndarray) -> np.ndarray | None:
+        """``to_ticks`` of each of the floats ``values``, as an int64 array,
+        or ``None`` if any quotient lies outside the float path's range
+        (``abs(x) >= 2**31``, or NaN, as every quotient of a subnormal tick
+        is).  Each element answers by ``to_ticks``' own float rule; those in
+        its guard band go through ``to_ticks`` itself."""
+        x = values / self._fast_tick
+        guard = np.abs(x)
+        if x.size and not guard.max() < _FAST_LIMIT:  # also catches NaN
+            return None
+        n = np.floor(x)
+        r = x - n
+        n += r > 0.5
+        guard += 1.0
+        guard *= _GUARD
+        r -= 0.5
+        slow = (np.abs(r, out=r) <= guard).nonzero()[0]
+        if slow.size:
+            n[slow] = [self.to_ticks(value) for value in values[slow].tolist()]
+        return n.astype(np.int64)
 
     def to_ticks_down(self, value: float) -> int:
         x = value / self._fast_tick

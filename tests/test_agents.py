@@ -28,6 +28,7 @@ from hbl_oracle import (
     HblMemory,
     MemoryOrder,
     RecordMemory,
+    clamped_beliefs,
     exact_beliefs,
     hbl_belief,
     hbl_classify,
@@ -429,6 +430,7 @@ def test_tick_memory_matches_oracle_edge_cases(case, grace, rng):
         success, failure = edge_weights(rng, price.size, grace)
         got = tick_memory_from_orders(is_bid, price, success, failure)
         expected = HblMemory(is_bid, price, success, failure)
+        assert_dense_beliefs(got)
         assert len(got) == len(expected) == price.size
         assert np.array_equal(got.prices, expected.prices)
         assert got.prices.dtype == np.int64
@@ -627,6 +629,18 @@ def assert_bitwise_equal(got, expected):
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+def assert_dense_beliefs(memory):
+    """The end ticks of ``memory`` are empty, and its dense beliefs equal
+    the clamped per-price reading bit for bit at every tick of the span, at
+    its ends and three ticks beyond each."""
+    counts = memory._counts
+    assert counts.shape[1] >= 1 and not counts[:, [0, -1]].any()
+    prices = np.arange(memory._lo - 3, memory._lo + counts.shape[1] + 3)
+    for side in Side:
+        assert_bitwise_equal(memory.belief_array(prices, side),
+                             clamped_beliefs(memory, prices, side))
+
+
 def spline_cases(rng, tick_size):
     """Knot sets around 100.0 in ticks: 2 and 3 knots, even gaps, gaps that
     force a row interchange in the tridiagonal solve, and random gaps."""
@@ -768,7 +782,9 @@ class LedgerMarket:
 
 
 def assert_same_memory(got, expected, prices):
-    """Exact equality of the length, the observed prices and every belief."""
+    """Exact equality of the length, the observed prices and every belief;
+    ``got``, a ledger's memory, also passes ``assert_dense_beliefs``."""
+    assert_dense_beliefs(got)
     assert len(got) == len(expected)
     assert np.array_equal(got.prices, expected.prices)
     assert got.prices.dtype == np.int64
@@ -1060,6 +1076,44 @@ def test_ledger_empty_window(params):
     empty = assert_ledger_exact(market, 3, window_start=3)  # window starts after every order
     assert len(empty) == 0 and hbl_candidate_grid(empty).size == 0
     assert len(assert_ledger_exact(market, 3, window_start=1)) == 2
+
+
+def test_binary_ledger_widens_before_a_price_reaches_an_end_column():
+    # the counts reach 64 ticks beyond the first counted price: a tally one
+    # tick inside either end keeps them, one at an end column widens them,
+    # so the memory's end ticks stay empty
+    market = LedgerMarket(BINARY)
+    history = market.history
+    market.place(Side.BID, 1000, 0)
+    market.place(Side.ASK, 1000, 0)  # a trade, counted at 1000
+    assert_ledger_exact(market, 0, window_start=0)
+    lo, span = history._lo, history._counts.shape[1]
+    assert (lo, span) == (1000 - OrderHistory._MARGIN, 2 * OrderHistory._MARGIN + 1)
+    t = 1
+    for at_end in (False, True):
+        for high in (True, False):
+            lo, span = history._lo, history._counts.shape[1]
+            inside = 0 if at_end else 1
+            price = lo + span - 1 - inside if high else lo + inside
+            market.cancel(market.place(Side.BID, price, t), t)  # a failure at price
+            memory = assert_ledger_exact(market, t, window_start=0)
+            widened = (history._lo, history._counts.shape[1]) != (lo, span)
+            assert widened == at_end
+            assert price in memory.prices.tolist()
+            t += 1
+    edge = history._lo + history._counts.shape[1] - 2
+    market.place(Side.ASK, edge, t)
+    market.place(Side.BID, edge, t)  # a fill one tick inside the widened end
+    assert len(assert_ledger_exact(market, t, window_start=0)) == 8
+
+
+def test_binary_ledger_counts_a_taker_at_its_own_limit():
+    # a bid at 1004 crosses an ask at 1000 and trades at 1000, the price its
+    # execution event carries; the ledger counts it at its limit, as placed
+    market = LedgerMarket(BINARY)
+    market.place(Side.ASK, 1000, 0)
+    market.place(Side.BID, 1004, 1)
+    assert assert_ledger_exact(market, 1).prices.tolist() == [1000, 1004]
 
 
 @pytest.mark.parametrize("mode", ["binary", "fractional"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdasim import fundamental
 from cdasim.fundamental import (
     FUNDAMENTAL_STREAM,
     MEGASHOCK_ARRIVALS_STREAM,
@@ -27,6 +28,7 @@ from cdasim.cli import build_config, emit_outputs, parse_config, run_one
 from cdasim.kernel import run
 from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
+from conftest import load_bench
 
 
 def ou_sample(q_prev, elapsed, params, std_normal_draw, grid):
@@ -219,6 +221,112 @@ def test_dmr_value_at_matches_step_oracle(r_bar, kappa, sigma_s_sq, tick_size, s
         assert fund.value_at(horizon_T // 2) == oracle[horizon_T // 2]
         assert fund.value_at(horizon_T) == oracle[horizon_T]
         assert fund.evaluations() == list(enumerate(oracle))
+
+
+# the shortest horizon that dmr_series builds in blocks, and horizons just
+# under, at and over it and a later block multiple
+BLOCK_THRESHOLD = fundamental._BLOCK * fundamental._MIN_BLOCKS
+BLOCK_HORIZONS = [BLOCK_THRESHOLD + offset
+                  for offset in (-1, 0, 1, 3 * fundamental._BLOCK - 1,
+                                 3 * fundamental._BLOCK, 3 * fundamental._BLOCK + 1)]
+
+
+def step_oracle(params, grid, shocks):
+    """The series stepped over given shocks one at a time, and the real
+    value each step rounds."""
+    values, reals = [grid.to_ticks(params.r_bar)], []
+    for noise in shocks.tolist():
+        reals.append(params.kappa * params.r_bar + (1.0 - params.kappa) * grid.to_value(values[-1])
+                     + noise)
+        values.append(dmr_step(values[-1], params, noise, grid))
+    return values, reals
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(kappa=st.sampled_from([0.0, 1e-5, 0.003, 0.01, 0.05, 0.5, 1.0]),
+       sigma_s_sq=st.sampled_from([0.0, 0.25, 1.0, 4.0]),
+       tick_size=st.sampled_from([0.01, 0.1, 0.25, 1.0]),
+       horizon_T=st.sampled_from(BLOCK_HORIZONS), seed=st.integers(0, 2**32))
+def test_dmr_blocks_match_scalar_draws(kappa, sigma_s_sq, tick_size, horizon_T, seed):
+    # whichever path each series takes, it is the one-draw-a-step series
+    grid = PriceGrid(tick_size)
+    params = DmrParams(100.0, kappa, sigma_s_sq)
+    fund = DmrFundamental(params, grid, seed=seed, horizon_T=horizon_T)
+    assert fund.evaluations() == scalar_dmr_series(params, grid, seed, horizon_T)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0])
+def test_dmr_blocks_on_half_tick_ties(kappa):
+    # r_bar at an odd tick and shocks on the half-tick lattice: steps land
+    # on exact half ticks inside the blocks, which the Decimal rule rounds up
+    grid = PriceGrid(1.0)
+    params = DmrParams(101.0, kappa, 1.0)
+    shocks = child_stream(3, FUNDAMENTAL_STREAM).normal(0.0, 1.0, size=BLOCK_THRESHOLD + 100)
+    shocks = np.round(shocks * 2) / 2
+    values, reals = step_oracle(params, grid, shocks)
+    ties = [t for t, real in enumerate(reals) if real > 0 and real % 1.0 == 0.5]
+    assert len(ties) > 100 and ties[-1] > BLOCK_THRESHOLD // 2
+    assert dmr_series(params, grid, shocks) == values
+
+
+@pytest.mark.parametrize("r_bar, sigma_s_sq", [
+    (2.5e8, 1.0),  # every price past 2**31 ticks of 0.1
+    ((2**31 - 40) * 0.1, 100.0),  # prices that cross 2**31 ticks and back
+])
+def test_dmr_blocks_past_the_float_range(r_bar, sigma_s_sq):
+    grid = PriceGrid(0.1)
+    params = DmrParams(r_bar, 0.05, sigma_s_sq)
+    shocks = child_stream(5, FUNDAMENTAL_STREAM).normal(
+        0.0, math.sqrt(sigma_s_sq), size=BLOCK_THRESHOLD + 1)
+    values, _ = step_oracle(params, grid, shocks)
+    assert max(values) >= 2**31
+    assert dmr_series(params, grid, shocks) == values
+
+
+def test_dmr_blocks_hand_a_settled_prefix_to_the_step_loop():
+    # one shock lifts a step to just under 2**31 ticks from r_bar's tick,
+    # the first pass's guess, and past it from the true value, so a later
+    # pass leaves the float range; the step loop goes on from the blocks
+    # that had settled by then
+    grid = PriceGrid(0.1)
+    params = DmrParams(100.0, 0.5, 1.0)
+    shocks = child_stream(7, FUNDAMENTAL_STREAM).normal(0.0, 1.0, size=BLOCK_THRESHOLD)
+    at = 40 * fundamental._BLOCK  # the first step of block 40
+    true_start = step_oracle(params, grid, shocks[:at])[0][-1]
+    assert true_start > 1000
+    shocks[at] = (2**31 - 0.5) * 0.1 - (50.0 + 0.5 * grid.to_value(1000)) - 0.01
+    values, _ = step_oracle(params, grid, shocks)
+    assert values[at + 1] >= 2**31 > grid.to_ticks(50.0 + 0.5 * grid.to_value(1000) + shocks[at])
+    prefix = fundamental._dmr_blocks(params, grid, shocks)
+    assert 1 < len(prefix) < at and prefix == values[:len(prefix)]
+    assert dmr_series(params, grid, shocks) == values
+
+
+def test_dmr_series_takes_the_block_path_where_it_pays(monkeypatch):
+    # desk's DMR series is built in blocks; a kappa of 0 and prices past the
+    # float range are left to the step loop
+    calls = []
+    to_ticks_array = PriceGrid.to_ticks_array
+
+    def spy(grid, values):
+        got = to_ticks_array(grid, values)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(PriceGrid, "to_ticks_array", spy)
+    desk = build_config(parse_config(load_bench("workloads").WORKLOADS["desk"]["ini"]))
+    assert (desk.fundamental.kappa, desk.horizon_T) == (0.05, 30000)
+    grid = PriceGrid(desk.tick_size)
+    fund = desk.fundamental.source(grid, 11, desk.horizon_T)
+    assert calls and len(calls) % fundamental._BLOCK == 0
+    assert all(got is not None for got in calls)
+    assert fund.evaluations() == scalar_dmr_series(desk.fundamental, grid, 11, desk.horizon_T)
+
+    calls.clear()
+    DmrParams(100.0, 0.0, 1.0).source(grid, 11, desk.horizon_T)
+    assert calls == []
+    DmrParams(1e9, 0.05, 1.0).source(grid, 11, desk.horizon_T)
+    assert [got is None for got in calls] == [True]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_UP, Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +98,62 @@ def test_subnormal_tick_matches_decimal(tick):
         assert_rounds_like_oracle(tick, k * tick)
         assert_rounds_like_oracle(tick, (k + 0.5) * tick)
     assert_rounds_like_oracle(tick, 1.0)
+
+
+def assert_array_rounds_like_scalar(tick, values):
+    """``to_ticks_array`` is ``to_ticks`` element for element while every
+    quotient lies inside the float path's range, and ``None`` otherwise."""
+    grid = PriceGrid(tick)
+    got = grid.to_ticks_array(np.array(values, dtype=np.float64))
+    if not all(-2.0 ** 31 < value / tick < 2.0 ** 31 for value in values):
+        assert got is None
+        return
+    assert got.dtype == np.int64
+    assert got.tolist() == [grid.to_ticks(value) for value in values], tick
+
+
+@pytest.mark.parametrize("tick", TICKS + (0.05, 2.5, 0.001))
+def test_to_ticks_array_matches_to_ticks_on_ties_grid_points_and_guard_band(tick):
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]
+    for k in range(-400, 401):
+        for base in (k * tick, (k + 0.5) * tick, k / (1 / tick)):
+            values += neighbours(base)
+        tie = (k + 0.5) * tick
+        # inside the guard band, and just outside it
+        values += [tie * (1 + 2.0 ** -40), tie * (1 - 2.0 ** -40),
+                   tie * (1 + 2.0 ** -26), tie * (1 - 2.0 ** -26)]
+    assert_array_rounds_like_scalar(tick, values)
+
+
+@pytest.mark.parametrize("tick", TICKS)
+def test_to_ticks_array_near_the_range_end(tick):
+    # quotients near 2**31 lie in the guard band and take the exact path
+    near = [sign * (2.0 ** 31 - d) * tick for sign in (1, -1) for d in (0.5, 1, 1.5, 2, 1000)]
+    assert_array_rounds_like_scalar(tick, near + [1.0])
+    for past in (2.0 ** 31 * tick * (1 + 2.0 ** -20), -2.0 ** 31 * tick * 1.5, 1e300,
+                 math.inf, -math.inf, math.nan):
+        assert PriceGrid(tick).to_ticks_array(np.array(near + [past, 1.0])) is None
+
+
+@pytest.mark.parametrize("tick", [5e-324, 1e-310])
+def test_to_ticks_array_declines_a_subnormal_tick(tick):
+    # every quotient of a subnormal tick is NaN on the float path
+    assert PriceGrid(tick).to_ticks_array(np.array([0.0, tick, 1.0])) is None
+
+
+def test_to_ticks_array_of_no_values():
+    got = PriceGrid(0.1).to_ticks_array(np.empty(0))
+    assert got.dtype == np.int64 and got.size == 0
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(TICKS),
+       st.lists(st.one_of(st.floats(-1e9, 1e9),
+                          st.integers(-10**6, 10**6).map(lambda k: k + 0.5)),
+                max_size=40))
+def test_to_ticks_array_matches_to_ticks_on_any_batch(tick, values):
+    assert_array_rounds_like_scalar(tick, [value * tick if abs(value) <= 10**6 + 1 else value
+                                           for value in values])
 
 
 @pytest.mark.parametrize(("value", "nearest", "down", "up"), [
