@@ -4,11 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cdasim import agents
 from cdasim.orderbook import EventKind, OrderBook, Side
 from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
+
+
+# Every property test draws the same examples on every run, keeps no example
+# database and has no deadline; each test states only its number of examples.
+settings.register_profile("cdasim", derandomize=True, database=None, deadline=None)
+settings.load_profile("cdasim")
 
 
 class FixedRng:

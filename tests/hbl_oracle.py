@@ -1,19 +1,18 @@
 """Oracles for the HBL memory.
 
-``HblMemory`` answers belief queries with prefix sums over each side's
-orders sorted by price, the float addition order that fractional mode
-keeps, and ``tick_memory_from_orders`` lays the same sums on ticks as a
-``TickMemory``, from scratch.  ``clamped_beliefs`` reads a
+``RecordMemory`` answers belief queries with prefix sums over each side's
+``MemoryOrder`` records sorted by price, the float addition order that
+fractional mode keeps, and ``tick_memory_from_orders`` lays the same sums
+on ticks as a ``TickMemory``, from scratch.  ``clamped_beliefs`` reads a
 ``TickMemory``'s beliefs at each price separately, with the span's bounds
 clamped per query, as ``TickMemory`` did before it read one dense pass.
-``hbl_classify`` classifies the orders of a
-book's event log from scratch, order by order, into ``MemoryOrder``
-records, and ``RecordMemory`` is an ``HblMemory`` over such records.
-``window_oracle`` classifies the orders placed from any given time on.
-``exact_beliefs`` sums the weights of such records as ``Fraction``s, so a
-binary belief is a quotient of two exact counts.  The tests compare
-``OrderHistory``, which reads the book's log incrementally, ``TickMemory``
-and the decision code against them.
+``hbl_classify`` classifies the orders of a book's event log from
+scratch, order by order, into ``MemoryOrder`` records: those of the last
+L transactions' window, or those placed from any given time on.
+``exact_beliefs`` sums the weights of such records exactly, so a binary
+belief is a quotient of two exact counts.  The tests compare
+``OrderHistory``, which reads the book's log incrementally, ``TickMemory``,
+the decision code and whole runs against them.
 """
 
 from __future__ import annotations
@@ -35,43 +34,29 @@ class MemoryOrder:
     failure: float  # weight in [0, 1]; success + failure may be < 1 while pending
 
 
-class HblMemory:
-    """Classified order history with prefix sums for fast belief queries.
+class RecordMemory:
+    """``MemoryOrder`` records, which it keeps, and prefix sums of each
+    side's weights in (price, placement) order for its belief queries."""
 
-    Built from parallel arrays of sides, prices and success and failure
-    weights in [0, 1], with each side's weights summed in (price,
-    placement) order.
-    """
-
-    def __init__(self, is_bid, prices, success, failure):
-        is_bid = np.asarray(is_bid, dtype=bool)
-        prices = np.asarray(prices, dtype=np.int64)
-        success = np.asarray(success, dtype=np.float64)
-        failure = np.asarray(failure, dtype=np.float64)
-        self._count = len(prices)
-        bid_order = np.argsort(prices[is_bid], kind="stable")
-        ask_mask = ~is_bid
-        ask_order = np.argsort(prices[ask_mask], kind="stable")
-        # BID-side query ingredients
-        self._bid_prices_sorted = prices[is_bid][bid_order]
-        self._ask_prices = prices[ask_mask][ask_order]
-        bid_succ = success[is_bid][bid_order]
-        bid_fail = failure[is_bid][bid_order]
-        self._bid_succ_prefix = np.concatenate(([0.0], np.cumsum(bid_succ)))
-        self._bid_fail_suffix = np.concatenate(([0.0], np.cumsum(bid_fail[::-1])))
-        # ASK-side (mirrored) query ingredients
-        ask_succ = success[ask_mask][ask_order]
-        ask_fail = failure[ask_mask][ask_order]
-        self._ask_succ_suffix = np.concatenate(([0.0], np.cumsum(ask_succ[::-1])))
-        self._ask_fail_prefix = np.concatenate(([0.0], np.cumsum(ask_fail)))
+    def __init__(self, records):
+        self.records = tuple(records)
+        is_bid, price, success, failure = order_arrays(self.records)
+        self._sides = {}
+        for side, mask in ((Side.BID, is_bid), (Side.ASK, ~is_bid)):
+            order = np.argsort(price[mask], kind="stable")
+            succ, fail = success[mask][order], failure[mask][order]
+            # sums up from the lowest price and down from the highest
+            sums = (np.concatenate(([0.0], np.cumsum(w)))
+                    for w in (succ, succ[::-1], fail, fail[::-1]))
+            self._sides[side] = (price[mask][order], *sums)
 
     def __len__(self) -> int:
-        return self._count
+        return len(self.records)
 
     @property
     def prices(self) -> np.ndarray:
         # not np.union1d/np.unique: in numpy 2.x their first call lazily imports numpy.ma (~10 ms)
-        merged = np.sort(np.concatenate((self._bid_prices_sorted, self._ask_prices)))
+        merged = np.sort(np.concatenate((self._sides[Side.BID][0], self._sides[Side.ASK][0])))
         first_of_run = np.ones(merged.size, dtype=bool)
         first_of_run[1:] = merged[1:] != merged[:-1]
         return merged[first_of_run]
@@ -85,34 +70,20 @@ class HblMemory:
         belief is 0 where the denominator is empty.
         """
         p = np.asarray(prices, dtype=np.int64)
+        own, succ_up, succ_down, fail_up, fail_down = self._sides[side]
+        other = self._sides[Side.ASK if side is Side.BID else Side.BID][0]
+        at_or_below = np.searchsorted(own, p, side="right")
+        at_or_above = own.size - np.searchsorted(own, p, side="left")
         if side is Side.BID:
-            favorable = np.searchsorted(self._ask_prices, p, side="right").astype(float)
-            succ = self._bid_succ_prefix[np.searchsorted(self._bid_prices_sorted, p,
-                                                         side="right")]
-            fail = self._bid_fail_suffix[len(self._bid_prices_sorted)
-                                         - np.searchsorted(self._bid_prices_sorted, p,
-                                                           side="left")]
+            favorable = np.searchsorted(other, p, side="right").astype(float)
+            numerator = favorable + succ_up[at_or_below]
+            denominator = numerator + fail_down[at_or_above]
         else:
-            favorable = (len(self._bid_prices_sorted)
-                         - np.searchsorted(self._bid_prices_sorted, p,
-                                           side="left")).astype(float)
-            succ = self._ask_succ_suffix[len(self._ask_prices)
-                                         - np.searchsorted(self._ask_prices, p,
-                                                           side="left")]
-            fail = self._ask_fail_prefix[np.searchsorted(self._ask_prices, p,
-                                                         side="right")]
-        numerator = favorable + succ
-        denominator = numerator + fail
+            favorable = (other.size - np.searchsorted(other, p, side="left")).astype(float)
+            numerator = favorable + succ_down[at_or_above]
+            denominator = numerator + fail_up[at_or_below]
         return np.divide(numerator, denominator,
                          out=np.zeros_like(numerator), where=denominator > 0.0)
-
-
-class RecordMemory(HblMemory):
-    """An ``HblMemory`` built from ``MemoryOrder`` records, which it keeps."""
-
-    def __init__(self, records):
-        self.records = tuple(records)
-        super().__init__(*order_arrays(self.records))
 
 
 def order_arrays(records):
@@ -125,100 +96,103 @@ def order_arrays(records):
             np.fromiter((r.failure for r in records), dtype=np.float64, count=n))
 
 
+def records_of(is_bid, price, success, failure) -> list[MemoryOrder]:
+    """The ``MemoryOrder`` records of parallel arrays, ``order_arrays``' inverse."""
+    return [MemoryOrder(Side.BID if bid else Side.ASK, int(p), float(s), float(f))
+            for bid, p, s, f in zip(is_bid, price, success, failure)]
+
+
 def hbl_belief(memory, p: int, side: Side) -> float:
     """Heuristic probability that a limit order at price ``p`` transacts."""
     return float(memory.belief_array([p], side)[0])
 
 
+# every finite float is an integer multiple of 2**-1074
+_SCALE = 2 ** 1074
+
+
+def _scaled(weight: float) -> int:
+    """``weight`` times 2**1074, exactly."""
+    numerator, denominator = weight.as_integer_ratio()
+    return numerator * (_SCALE // denominator)
+
+
 def exact_beliefs(records, prices, side: Side) -> list[Fraction]:
     """The belief at each of ``prices`` in exact arithmetic: the favorable
-    and unfavorable masses of ``MemoryOrder`` records summed as
-    ``Fraction``s, and 0 where the denominator is empty.
+    and unfavorable masses of ``MemoryOrder`` records summed exactly, as
+    integer multiples of 2**-1074, and 0 where the denominator is empty.
 
     A binary record weighs 0 or 1, so its belief is a quotient of two
     integer counts, and ``float`` of it is the correctly rounded quotient.
     """
+    mine = [(r.price, _scaled(r.success), _scaled(r.failure)) for r in records
+            if r.side is side]
+    theirs = [r.price for r in records if r.side is not side]
     beliefs = []
-    for p in prices:
-        if side is Side.BID:
-            favorable = sum(r.side is Side.ASK and r.price <= p for r in records)
-            succ = sum(Fraction(r.success) for r in records
-                       if r.side is Side.BID and r.price <= p)
-            fail = sum(Fraction(r.failure) for r in records
-                       if r.side is Side.BID and r.price >= p)
-        else:
-            favorable = sum(r.side is Side.BID and r.price >= p for r in records)
-            succ = sum(Fraction(r.success) for r in records
-                       if r.side is Side.ASK and r.price >= p)
-            fail = sum(Fraction(r.failure) for r in records
-                       if r.side is Side.ASK and r.price <= p)
-        numerator = favorable + succ
+    for p in map(int, prices):
+        if side is Side.BID:  # asks and successful bids at or below p, failed bids at or above
+            favorable = sum(q <= p for q in theirs)
+            succ = sum(s for q, s, _ in mine if q <= p)
+            fail = sum(f for q, _, f in mine if q >= p)
+        else:  # the mirror image
+            favorable = sum(q >= p for q in theirs)
+            succ = sum(s for q, s, _ in mine if q >= p)
+            fail = sum(f for q, _, f in mine if q <= p)
+        numerator = favorable * _SCALE + succ
         denominator = numerator + fail
-        beliefs.append(Fraction(numerator) / denominator if denominator else Fraction(0))
+        beliefs.append(Fraction(numerator, denominator) if denominator else Fraction(0))
     return beliefs
 
 
-def hbl_classify(events, now: int, params: HblParams) -> RecordMemory:
-    """Build the classified memory covering the last L observed transactions.
-
-    The memory spans every order placed at or after the placement time of
-    the oldest order involved in those transactions.  Binary mode scores an
-    order 1/0 on whether any part of it executed (unexecuted orders count
-    as failures only once they outlived the grace period or were
-    cancelled); fractional mode ramps the weights linearly with the time
-    the order sat in the book.
-    """
+def hbl_classify(events, now: int, params: HblParams, window_start=None) -> RecordMemory:
+    """The classified orders placed at or after ``window_start``, by default
+    the placement time of the oldest order in the last L transactions."""
     placed: dict[int, BookEvent] = {}
-    exec_time: dict[int, int] = {}
-    cancel_time: dict[int, int] = {}
-    transactions: list[tuple[int, int]] = []  # (order_id, counterparty), time-ordered
-    seen_pairs: set[tuple[int, int, int]] = set()
+    executed: dict[int, int] = {}
+    cancelled: dict[int, int] = {}
+    transactions: list[tuple[int, int]] = []  # the order pairs of the trades
     for event in events:
         if event.kind is EventKind.PLACED:
             placed[event.order_id] = event
         elif event.kind is EventKind.EXECUTED:
-            exec_time.setdefault(event.order_id, event.time)
-            key = (event.time, min(event.order_id, event.counterparty),
-                   max(event.order_id, event.counterparty))
-            if key not in seen_pairs:
-                seen_pairs.add(key)
+            if event.counterparty not in executed:  # the first of a trade's two executions
                 transactions.append((event.order_id, event.counterparty))
-        elif event.kind is EventKind.CANCELLED:
-            cancel_time[event.order_id] = event.time
-
-    recent = transactions[-params.memory_length:]
-    if not recent:
-        return RecordMemory(())
-    involved = {oid for pair in recent for oid in pair}
-    missing = involved - placed.keys()
-    if missing:
-        raise ValueError(f"malformed event stream: executions without placements {sorted(missing)}")
-    window_start = min(placed[oid].time for oid in involved)
-
-    grace = params.grace_period
+            executed[event.order_id] = event.time  # a one-unit order executes once
+        else:
+            cancelled[event.order_id] = event.time
+    if window_start is None:
+        recent = transactions[-params.memory_length:]
+        if not recent:
+            return RecordMemory(())
+        involved = {oid for pair in recent for oid in pair}
+        missing = involved - placed.keys()
+        if missing:
+            raise ValueError(f"malformed event stream: executions without placements "
+                             f"{sorted(missing)}")
+        window_start = min(placed[oid].time for oid in involved)
     records = []
     for oid, event in placed.items():
         if event.time < window_start:
             continue
-        weights = _classify_order(event.time, exec_time.get(oid), cancel_time.get(oid),
-                                  now, grace, params.success_mode)
-        if weights is None:
-            continue
-        success, failure = weights
-        records.append(MemoryOrder(event.side, event.price, success, failure))
+        weights = _classify_order(event.time, executed.get(oid), cancelled.get(oid),
+                                  now, params.grace_period, params.success_mode)
+        if weights is not None:
+            records.append(MemoryOrder(event.side, event.price, *weights))
     return RecordMemory(records)
 
 
 def _classify_order(placed_at, executed_at, cancelled_at, now, grace, mode):
+    """An order's (success, failure) weights, or ``None`` while it counts
+    for nothing.  Binary mode scores an order 1/0 on whether it executed;
+    an unexecuted order fails once it was cancelled or outlived the grace
+    period.  Fractional mode ramps the weights linearly with the time the
+    order sat in the book."""
     if mode == "binary":
         if executed_at is not None:
             return 1.0, 0.0
-        if cancelled_at is not None:
-            return 0.0, 1.0
-        if now - placed_at > grace:
+        if cancelled_at is not None or now - placed_at > grace:
             return 0.0, 1.0
         return None  # still pending within grace; contributes nothing
-    # fractional
     if executed_at is not None:
         alive = executed_at - placed_at
         success = max(0.0, 1.0 - alive / grace)
@@ -228,34 +202,6 @@ def _classify_order(placed_at, executed_at, cancelled_at, now, grace, mode):
     if failure == 0.0:
         return None
     return 0.0, failure
-
-
-def window_oracle(events, window_start, now, params: HblParams) -> RecordMemory:
-    """The classification of the orders placed at or after ``window_start``,
-    read straight off the event log."""
-    placed, executed, cancelled = {}, {}, {}
-    for event in events:
-        if event.kind is EventKind.PLACED:
-            placed[event.order_id] = event
-        elif event.kind is EventKind.EXECUTED:
-            executed.setdefault(event.order_id, event.time)
-        else:
-            cancelled[event.order_id] = event.time
-    grace = params.grace_period
-    records = []
-    for oid, event in placed.items():
-        if event.time < window_start:
-            continue
-        if params.success_mode == "fractional":
-            weights = _classify_order(event.time, executed.get(oid), cancelled.get(oid),
-                                      now, grace, "fractional")
-            if weights is not None:
-                records.append(MemoryOrder(event.side, event.price, *weights))
-        elif oid in executed:
-            records.append(MemoryOrder(event.side, event.price, 1.0, 0.0))
-        elif oid in cancelled or now - event.time > grace:
-            records.append(MemoryOrder(event.side, event.price, 0.0, 1.0))
-    return RecordMemory(records)
 
 
 def tick_memory_from_orders(is_bid, price, success, failure) -> TickMemory:

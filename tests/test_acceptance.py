@@ -29,14 +29,14 @@ from cdasim.fundamental import OuParams, ou_mean_var
 from cdasim.kernel import SimConfig, run
 from cdasim.fundamental import DmrParams
 from cdasim.orderbook import OrderBook, Side
-from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
 
-from hbl_oracle import hbl_belief, hbl_classify
-from test_agents import HBL, PV, ZI, belief_oracle, build_script_book, random_memory
+from hbl_oracle import exact_beliefs, hbl_belief, hbl_classify
+from reference_run import ListBook
+from test_agents import HBL, PV, ZI, build_script_book, random_memory
 from test_estimator import ScalarKalman
 from test_fundamental import ou_sample
-from conftest import FixedRng, depth_snapshot, replay
+from conftest import FixedRng, depth_snapshot, replay, resting_ids
 
 
 CRITERION_LINES = []
@@ -231,37 +231,13 @@ def test_criterion_6_ou_sparse_dense_equivalence():
         assert time.perf_counter() - start < 10.0
 
 
-def _reference_match(resting, side, price, oid):
-    """Naive price-time matcher used as a FIFO oracle; one-unit orders."""
-    opposite = resting[Side.ASK if side is Side.BID else Side.BID]
-    trades = []
-    while opposite:
-        if side is Side.BID:
-            best = min(o[0] for o in opposite)
-            if best > price:
-                break
-        else:
-            best = max(o[0] for o in opposite)
-            if best < price:
-                break
-        idx = next(i for i, o in enumerate(opposite) if o[0] == best)
-        maker = opposite.pop(idx)
-        trades.append((maker[0], maker[1]))  # maker price, maker order id
-        break  # incoming orders are single-unit
-    if not trades:
-        resting[side].append((price, oid))
-    return trades
-
-
 def test_criterion_7_book_property_suite():
     with criterion(7, "order book property suite (10^4 streams)"):
         start = time.perf_counter()
         rng = np.random.default_rng(7)
         for stream in range(10_000):
-            book = OrderBook()
-            shadow = {Side.BID: [], Side.ASK: []}
+            book, shadow = OrderBook(), ListBook()
             live = []
-            expected_trades = []
             n_ops = int(rng.integers(8, 22))
             sides = rng.random(n_ops)
             prices = rng.integers(990, 1011, size=n_ops)
@@ -271,36 +247,21 @@ def test_criterion_7_book_property_suite():
                 if live and cancels[op] < 0.2:
                     victim = live.pop(int(rng.integers(len(live))))
                     book.cancel(victim, t)
-                    for side in Side:
-                        shadow[side] = [o for o in shadow[side] if o[1] != victim]
+                    shadow.cancel(victim, t)
                     continue
                 side = Side.BID if sides[op] < 0.5 else Side.ASK
                 price = int(prices[op])
-                oid = book.place_limit(op + 1, side, price, t)[0].order_id
-                expected_trades.extend(_reference_match(shadow, side, price, oid))
-                live = [o for s in Side for (_, o) in shadow[s]]
+                book.place_limit(op + 1, side, price, t)
+                shadow.place(op + 1, side, price, t)
+                live = [e.order_id for side in Side for e in shadow.resting if e.side is side]
                 bb, ba = book.best_bid(), book.best_ask()
                 assert bb is None or ba is None or bb < ba  # never crossed
-            # FIFO priority and maker pricing against the reference matcher
-            got = [(tr.price,
-                    tr.sell_order_id if tr.buy_order_id > tr.sell_order_id
-                    else tr.buy_order_id)
-                   for tr in book.trades]
-            assert got == expected_trades, stream
-            # conservation of one-unit orders: placed = executed + cancelled + resting
-            placed = exec_qty = cancel_qty = rest_qty = 0
-            for e in book.events:
-                if e.kind.value == "PLACED":
-                    placed += 1
-                elif e.kind.value == "EXECUTED":
-                    exec_qty += 1
-                else:
-                    cancel_qty += 1
-            for levels in depth_snapshot(book).values():
-                for _, queue in levels:
-                    rest_qty += len(queue)  # one unit per resting order
-            assert exec_qty % 2 == 0  # two execution events per trade
-            assert placed == exec_qty + cancel_qty + rest_qty
+            # FIFO priority, maker pricing and the conservation of one-unit
+            # orders (placed = executed + cancelled + resting) against the
+            # list-scan book
+            assert book.events == shadow.events, stream
+            assert book.trades == shadow.trades, stream
+            assert resting_ids(book) == {e.order_id for e in shadow.resting}, stream
             # replay equivalence
             rebuilt = replay(book.events)
             assert depth_snapshot(rebuilt) == depth_snapshot(book)
@@ -361,13 +322,11 @@ def test_criterion_9_hbl_fallback_equivalence():
 def test_criterion_10_belief_monotonicity_and_oracle():
     with criterion(10, "belief bounds, monotonicity, rescan oracle"):
         rng = np.random.default_rng(10)
+        prices = range(985, 1016)
         for _ in range(1000):
             memory = random_memory(rng)
-            previous = -1.0
-            for p in range(985, 1016):
-                prob = hbl_belief(memory, p, Side.BID)
-                assert 0.0 <= prob <= 1.0
-                assert prob >= previous - 1e-12
-                assert prob == pytest.approx(
-                    belief_oracle(memory.records, p, Side.BID), abs=1e-12)
-                previous = prob
+            beliefs = memory.belief_array(prices, Side.BID)
+            assert ((0.0 <= beliefs) & (beliefs <= 1.0)).all()
+            assert (np.diff(beliefs) >= -1e-12).all()
+            exact = [float(b) for b in exact_beliefs(memory.records, prices, Side.BID)]
+            assert beliefs == pytest.approx(exact, abs=1e-12)

@@ -24,8 +24,8 @@ from cdasim.orderbook import BookEvent, EventKind, OrderBook, Side, Trade
 from cdasim.preferences import PrivateValues
 
 from conftest import FixedRng, events_in_window, resting_ids
+from reference_run import hbl_candidates, scalar_choice_oracle, spline_beliefs
 from hbl_oracle import (
-    HblMemory,
     MemoryOrder,
     RecordMemory,
     clamped_beliefs,
@@ -33,8 +33,8 @@ from hbl_oracle import (
     hbl_belief,
     hbl_classify,
     order_arrays,
+    records_of,
     tick_memory_from_orders,
-    window_oracle,
 )
 
 
@@ -218,9 +218,8 @@ def test_candidate_grid_matches_union_oracle(rng):
         if not observed:
             assert grid.size == dense.size == 0
             continue
-        lo, hi = max(0, observed[0] - 1), observed[-1] + 1
-        assert grid.tolist() == sorted(set(observed) | {lo, hi})
-        assert dense.tolist() == list(range(lo, hi + 1))
+        assert grid.tolist() == hbl_candidates(observed, "observed")
+        assert dense.tolist() == hbl_candidates(observed, "spline")
 
 
 def test_script_buyer_decision(grid_01):
@@ -333,21 +332,6 @@ def test_classify_empty_stream():
 # ---------------------------------------------------------------------------
 
 
-def belief_oracle(records, p, side):
-    """O(n) literal transcription of the belief formula."""
-    if side is Side.BID:
-        favorable = sum(1 for r in records if r.side is Side.ASK and r.price <= p)
-        succ = sum(r.success for r in records if r.side is Side.BID and r.price <= p)
-        fail = sum(r.failure for r in records if r.side is Side.BID and r.price >= p)
-    else:
-        favorable = sum(1 for r in records if r.side is Side.BID and r.price >= p)
-        succ = sum(r.success for r in records if r.side is Side.ASK and r.price >= p)
-        fail = sum(r.failure for r in records if r.side is Side.ASK and r.price <= p)
-    num = favorable + succ
-    den = num + fail
-    return 0.0 if den == 0.0 else num / den
-
-
 def random_memory(rng):
     records = []
     for _ in range(rng.integers(0, 25)):
@@ -370,16 +354,10 @@ def tick_memory(records):
 
 
 def memories_from_prices(bid_prices, ask_prices):
-    """The same memory built from records, from parallel arrays and on ticks."""
-    sides = [Side.BID] * len(bid_prices) + [Side.ASK] * len(ask_prices)
-    prices = list(bid_prices) + list(ask_prices)
-    records = tuple(MemoryOrder(side, price, 1.0, 0.0)
-                    for side, price in zip(sides, prices))
-    from_records = RecordMemory(records)
-    from_arrays = HblMemory(
-        [side is Side.BID for side in sides], prices, [1.0] * len(prices),
-        [0.0] * len(prices))
-    return from_records, from_arrays, tick_memory(records)
+    """The same memory built from records and on ticks."""
+    records = [MemoryOrder(Side.BID, price, 1.0, 0.0) for price in bid_prices]
+    records += [MemoryOrder(Side.ASK, price, 1.0, 0.0) for price in ask_prices]
+    return RecordMemory(records), tick_memory(records)
 
 
 def assert_prices_match_union_oracle(memory, bid_prices, ask_prices):
@@ -429,7 +407,7 @@ def test_tick_memory_matches_oracle_edge_cases(case, grace, rng):
         is_bid, price = edge_orders(case, rng)
         success, failure = edge_weights(rng, price.size, grace)
         got = tick_memory_from_orders(is_bid, price, success, failure)
-        expected = HblMemory(is_bid, price, success, failure)
+        expected = RecordMemory(records_of(is_bid, price, success, failure))
         assert_dense_beliefs(got)
         assert len(got) == len(expected) == price.size
         assert np.array_equal(got.prices, expected.prices)
@@ -461,8 +439,7 @@ def test_binary_tick_memory_is_the_exact_quotient_edge_cases(case, rng):
         memory = tick_memory_from_orders(is_bid, price, success.astype(np.int64),
                                          failure.astype(np.int64))
         assert memory._weights.dtype == np.int64
-        records = [MemoryOrder(Side.BID if bid else Side.ASK, int(p), s, f)
-                   for bid, p, s, f in zip(is_bid, price, success, failure)]
+        records = records_of(is_bid, price, success, failure)
         lo, hi = (int(price.min()), int(price.max())) if price.size else (1000, 1000)
         assert_exact_quotients(memory, records, np.arange(lo - 3, hi + 4))
 
@@ -489,13 +466,12 @@ def test_memory_prices_match_union_oracle(rng):
 
 
 def test_belief_matches_rescan_oracle(rng):
+    prices = [985, 990, 995, 1000, 1005, 1010, 1015]
     for _ in range(1000):
         memory = random_memory(rng)
-        for p in (985, 990, 995, 1000, 1005, 1010, 1015):
-            for side in Side:
-                assert hbl_belief(memory, p, side) == pytest.approx(
-                    belief_oracle(memory.records, p, side), abs=1e-12
-                ), (p, side)
+        for side in Side:
+            expected = [float(b) for b in exact_beliefs(memory.records, prices, side)]
+            assert memory.belief_array(prices, side) == pytest.approx(expected, abs=1e-12), side
 
 
 def test_belief_monotone(rng):
@@ -616,13 +592,6 @@ def test_spline_mode_decision_runs(grid_01):
     assert 995 <= action.limit_price <= 1005
 
 
-def scipy_natural_spline(points, values, prices):
-    """The spline belief as scipy computes it: the differential oracle."""
-    from scipy.interpolate import CubicSpline
-
-    return np.clip(CubicSpline(points, values, bc_type="natural")(prices), 0.0, 1.0)
-
-
 def assert_bitwise_equal(got, expected):
     got, expected = np.asarray(got), np.asarray(expected)
     assert got.shape == expected.shape
@@ -673,7 +642,7 @@ def test_natural_spline_matches_scipy_bitwise(tick_size, rng):
                        [points[0] - 1, points[-1] + 1],
                        np.arange(points[0] - 1, points[-1] + 2)):
             assert_bitwise_equal(np.clip(natural_cubic_spline(points, values, prices), 0.0, 1.0),
-                                 scipy_natural_spline(points, values, prices))
+                                 spline_beliefs(points, values, prices))
     assert {2, 3} <= knot_counts
     assert interchanges > 0
 
@@ -687,7 +656,7 @@ def test_spline_belief_matches_scipy_on_memories(side, rng):
         if len(points) < 2:
             continue
         prices = np.array(hbl_candidate_grid(memory, mode="spline"))
-        expected = scipy_natural_spline(points, memory.belief_array(points, side), prices)
+        expected = spline_beliefs(points, memory.belief_array(points, side), prices)
         assert_bitwise_equal(hbl_belief_spline(memory, side, prices), expected)
         checked += 1
     assert checked > 100
@@ -737,11 +706,19 @@ class LedgerMarket:
         self.params = params
         self.book = OrderBook()
         self.history = OrderHistory(params)
-        self.live = []  # orders that rest in the book, as far as act_at_random saw
+        self.live = []  # orders that rest in the book, as far as place_live saw
 
     def place(self, side, price, t):
         """Place a unit order for agent 0 and return its id."""
         return self.book.place_limit(0, side, price, t)[0].order_id
+
+    def place_live(self, side, price, t):
+        """Place a unit order and keep ``live`` to the orders still resting."""
+        oid = self.place(side, price, t)
+        resting = resting_ids(self.book)
+        self.live = [o for o in self.live if o in resting]
+        if oid in resting:
+            self.live.append(oid)
 
     def cancel(self, oid, t):
         self.book.cancel(oid, t)
@@ -753,11 +730,7 @@ class LedgerMarket:
             self.cancel(self.live.pop(int(rng.integers(len(self.live)))), t)
             return
         side = Side.BID if rng.random() < 0.5 else Side.ASK
-        oid = self.place(side, int(rng.integers(995, 1006)), t)
-        resting = resting_ids(self.book)
-        self.live = [o for o in self.live if o in resting]
-        if oid in resting:
-            self.live.append(oid)
+        self.place_live(side, int(rng.integers(995, 1006)), t)
 
     def window_start(self):
         """Placement time of the oldest order in the last L trades, read off the log."""
@@ -793,30 +766,6 @@ def assert_same_memory(got, expected, prices):
                               expected.belief_array(prices, side)), side
 
 
-def scalar_choice_oracle(memory, candidates, side, valuation, grid, grid_mode):
-    """The per-candidate decision loop: a scalar belief per price, strict ``>``."""
-    from scipy.interpolate import CubicSpline
-
-    def belief(p):
-        return hbl_belief(memory, p, side)
-
-    points = memory.prices
-    if grid_mode == "spline" and len(points) >= 2:
-        spline = CubicSpline(points, [hbl_belief(memory, p, side) for p in points],
-                             bc_type="natural")
-
-        def belief(p):
-            return min(1.0, max(0.0, float(spline(p))))
-
-    sign = 1.0 if side is Side.BID else -1.0
-    best_price, best_expected = None, -float("inf")
-    for p in sorted(candidates, reverse=side is Side.ASK):
-        expected = sign * (valuation - grid.to_value(p)) * belief(p)
-        if expected > best_expected:
-            best_price, best_expected = p, expected
-    return best_price
-
-
 @pytest.mark.parametrize("grid_mode", ["observed", "spline"])
 def test_hbl_decide_matches_scalar_loop(grid_mode, rng, grid_01, grid_001):
     params = HblParams(memory_length=1, grace_period=5, grid_mode=grid_mode)
@@ -835,7 +784,8 @@ def test_hbl_decide_matches_scalar_loop(grid_mode, rng, grid_01, grid_001):
                          else PV.sell_valuation(0, r_hat))
             assert action.side is side
             assert action.limit_price == scalar_choice_oracle(
-                reference, candidates, side, valuation, grid, grid_mode), (trial, side)
+                reference, candidates.tolist(), side, valuation, grid.tick_size,
+                grid_mode), (trial, side)
 
 
 @pytest.mark.parametrize("mode", ["binary", "fractional"])
@@ -949,7 +899,7 @@ STREAM_ACTION = st.tuples(st.integers(0, 3), st.sampled_from(["place", "take", "
                           st.integers(0, 3))
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60)
 @given(mode=st.sampled_from(["binary", "fractional"]), grace=st.integers(1, 10),
        memory_length=st.integers(1, 5), before=st.lists(STREAM_ACTION, max_size=40),
        burst=st.integers(100, 300), gap=st.integers(1, 40),
@@ -962,7 +912,6 @@ def test_order_history_matches_classification_on_generated_streams(
                        success_mode=mode)
     market = LedgerMarket(params)
     prices = np.arange(984, 1017)
-    live = []
 
     def check(now):
         got = market.memory(now)
@@ -974,17 +923,13 @@ def test_order_history_matches_classification_on_generated_streams(
         for dt, action, is_bid, price, pick, query in stream:
             t += dt
             side = Side.BID if is_bid else Side.ASK
-            if action == "cancel" and live:
-                market.cancel(live.pop(pick % len(live)), t)
+            if action == "cancel" and market.live:
+                market.cancel(market.live.pop(pick % len(market.live)), t)
             else:
                 touch = market.book.best_ask() if is_bid else market.book.best_bid()
                 if action == "take" and touch is not None:
                     price = touch  # fills at least one resting order
-                oid = market.place(side, price, t)
-                resting = resting_ids(market.book)
-                live[:] = [o for o in live if o in resting]
-                if oid in resting:
-                    live.append(oid)
+                market.place_live(side, price, t)
             if not query:
                 check(t)
         return t
@@ -996,8 +941,8 @@ def test_order_history_matches_classification_on_generated_streams(
     check(t)  # the expiry cursor passes every earlier order
     for k in range(burst):  # away from every other price: none of them fills
         is_bid = k % 2 == 1
-        live.append(market.place(Side.BID if is_bid else Side.ASK,
-                                 985 + k % 5 if is_bid else 1012 + k % 5, t))
+        market.live.append(market.place(Side.BID if is_bid else Side.ASK,
+                                        985 + k % 5 if is_bid else 1012 + k % 5, t))
     counted = check(t)
     t += grace + gap
     assert check(t) - counted >= burst  # the whole burst expired at one query
@@ -1011,15 +956,11 @@ BOTH_MODES = pytest.mark.parametrize("params", [BINARY, FRACTIONAL],
 
 
 def assert_ledger_exact(market, now, window_start=None, prices=range(990, 1012)):
-    """The ledger against the event-log oracles, over the book's own window
-    or one that starts at ``window_start``."""
+    """The ledger against the event-log classification, over the book's own
+    window or one that starts at ``window_start``."""
     got = market.memory(now, window_start)
-    prices = np.asarray(prices)
-    if window_start is None:
-        assert_same_memory(got, hbl_classify(market.book.events, now, market.params), prices)
-        window_start = market.window_start()
-    assert_same_memory(got, window_oracle(market.book.events, window_start, now,
-                                          market.params), prices)
+    expected = hbl_classify(market.book.events, now, market.params, window_start)
+    assert_same_memory(got, expected, np.asarray(prices))
     return got
 
 
@@ -1078,35 +1019,6 @@ def test_ledger_empty_window(params):
     assert len(assert_ledger_exact(market, 3, window_start=1)) == 2
 
 
-def test_binary_ledger_widens_before_a_price_reaches_an_end_column():
-    # the counts reach 64 ticks beyond the first counted price: a tally one
-    # tick inside either end keeps them, one at an end column widens them,
-    # so the memory's end ticks stay empty
-    market = LedgerMarket(BINARY)
-    history = market.history
-    market.place(Side.BID, 1000, 0)
-    market.place(Side.ASK, 1000, 0)  # a trade, counted at 1000
-    assert_ledger_exact(market, 0, window_start=0)
-    lo, span = history._lo, history._counts.shape[1]
-    assert (lo, span) == (1000 - OrderHistory._MARGIN, 2 * OrderHistory._MARGIN + 1)
-    t = 1
-    for at_end in (False, True):
-        for high in (True, False):
-            lo, span = history._lo, history._counts.shape[1]
-            inside = 0 if at_end else 1
-            price = lo + span - 1 - inside if high else lo + inside
-            market.cancel(market.place(Side.BID, price, t), t)  # a failure at price
-            memory = assert_ledger_exact(market, t, window_start=0)
-            widened = (history._lo, history._counts.shape[1]) != (lo, span)
-            assert widened == at_end
-            assert price in memory.prices.tolist()
-            t += 1
-    edge = history._lo + history._counts.shape[1] - 2
-    market.place(Side.ASK, edge, t)
-    market.place(Side.BID, edge, t)  # a fill one tick inside the widened end
-    assert len(assert_ledger_exact(market, t, window_start=0)) == 8
-
-
 def test_binary_ledger_counts_a_taker_at_its_own_limit():
     # a bid at 1004 crosses an ask at 1000 and trades at 1000, the price its
     # execution event carries; the ledger counts it at its limit, as placed
@@ -1161,13 +1073,6 @@ def test_ledger_at_cent_ticks_matches_oracle(mode, low, high, rng):
             if not market.book.trades:
                 continue
             memory = assert_ledger_exact(market, t, prices=prices)
-            if mode == "fractional":  # the same ticks and sums, byte for byte
-                records = hbl_classify(market.book.events, t, params).records
-                expected = tick_memory_from_orders(*order_arrays(records))
-                assert memory._lo == expected._lo
-                assert np.array_equal(memory._counts, expected._counts)
-                assert np.array_equal(memory._weights.view(np.uint64),
-                                      expected._weights.view(np.uint64))
             if len(memory):
                 widest = max(widest, int(memory.prices[-1] - memory.prices[0]))
     assert widest > (32768 if high - low > 32768 else OrderHistory._MARGIN)
@@ -1228,7 +1133,7 @@ WEIGHTLESS_STEP = st.tuples(st.integers(0, 2), st.booleans(), st.integers(995, 1
                             st.booleans())
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60)
 @given(grace=st.integers(1, 10), memory_length=st.integers(1, 4),
        stream=st.lists(WEIGHTLESS_STEP, min_size=1, max_size=60))
 def test_fractional_ledger_weightless_orders_change_nothing(grace, memory_length, stream):
@@ -1297,19 +1202,14 @@ def test_fractional_ledger_window_jumps_back_and_forth(step, rng):
     # cancelled between the queries
     market = LedgerMarket(FRACTIONAL)
     t = previous = 0
-    live = []
     jumps = 0
     for _ in range(120):
         t += int(rng.integers(0, 2))
-        if live and rng.random() < 0.2:
-            market.cancel(live.pop(int(rng.integers(len(live)))), t)
+        if market.live and rng.random() < 0.2:
+            market.cancel(market.live.pop(int(rng.integers(len(market.live)))), t)
         else:
             side = Side.BID if rng.random() < 0.5 else Side.ASK
-            oid = market.place(side, int(rng.integers(996, 1005)), t)
-            resting = resting_ids(market.book)
-            live = [o for o in live if o in resting]
-            if oid in resting:
-                live.append(oid)
+            market.place_live(side, int(rng.integers(996, 1005)), t)
         if int(rng.integers(step)):
             continue
         window_start = int(rng.integers(0, t + 2))

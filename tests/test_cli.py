@@ -680,7 +680,7 @@ def generated_configs(draw):
     return sections, draw(series_files()) if variant == "file" else None
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(generated_configs())
 def test_main_exits_cleanly_on_generated_configs(case):
     # every config the parser accepts either runs or fails with a one-line

@@ -29,6 +29,7 @@ from cdasim.kernel import run
 from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
 from conftest import load_bench
+from reference_run import dmr_path, dmr_step, scalar_dmr_series
 
 
 def ou_sample(q_prev, elapsed, params, std_normal_draw, grid):
@@ -43,43 +44,10 @@ def ou_sample(q_prev, elapsed, params, std_normal_draw, grid):
 # ---------------------------------------------------------------------------
 
 
-def dmr_step(prev, params, noise_draw, grid):
-    """One reversion step from tick price ``prev``, floored at zero: the
-    step-by-step oracle for ``DmrFundamental``."""
-    nxt = params.kappa * params.r_bar + (1.0 - params.kappa) * grid.to_value(prev)
-    nxt += noise_draw
-    return max(0, grid.to_ticks(max(0.0, nxt)))
-
-
 def test_dmr_zero_noise_stays_at_mean(grid_01):
     params = DmrParams(r_bar=100.0, kappa=0.3, sigma_s_sq=0.0)
     fund = DmrFundamental(params, grid_01, seed=1, horizon_T=50)
     assert all(fund.value_at(t) == 1000 for t in range(51))
-
-
-def test_dmr_reference_loop_oracle(grid_01):
-    # independent loop over the same child stream, full arithmetic spelled out
-    params = DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0)
-    fund = DmrFundamental(params, grid_01, seed=99, horizon_T=300)
-    series = [fund.value_at(t) for t in range(301)]
-
-    rng = child_stream(99, FUNDAMENTAL_STREAM)
-    expected = [grid_01.to_ticks(100.0)]
-    for _ in range(300):
-        u = rng.normal(0.0, 1.0)
-        raw = 0.05 * 100.0 + 0.95 * grid_01.to_value(expected[-1]) + u
-        expected.append(max(0, grid_01.to_ticks(max(0.0, raw))))
-    assert series == expected
-
-
-def scalar_dmr_series(params, grid, seed, horizon_T):
-    """The DMR series stepped one scalar shock draw at a time."""
-    rng = child_stream(seed, FUNDAMENTAL_STREAM)
-    sigma_s = math.sqrt(params.sigma_s_sq)
-    values = [grid.to_ticks(params.r_bar)]
-    for _ in range(horizon_T):
-        values.append(dmr_step(values[-1], params, rng.normal(0.0, sigma_s), grid))
-    return list(enumerate(values))
 
 
 @pytest.mark.parametrize("params, r_bar", [  # r_bar, when given, replaces params.r_bar
@@ -108,7 +76,7 @@ def test_dmr_batched_shocks_match_scalar_draws(params, r_bar, seed, queries):
         times = range(horizon_T + 1)
     else:
         times = [0, 0, 3, 2, 3, 17, 900, 899, 901, 1500, 4, 1999, horizon_T, horizon_T]
-    oracle = scalar_dmr_series(params, grid, seed, horizon_T)
+    oracle = scalar_dmr_series(params, grid.tick_size, seed, horizon_T)
     for t in times:
         assert fund.value_at(t) == oracle[t][1]
     assert fund.evaluations() == oracle
@@ -118,7 +86,7 @@ def test_dmr_evaluations_are_the_whole_series(grid_01):
     # the series covers steps 0 to the horizon, whatever was queried
     params = DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0)
     fund = DmrFundamental(params, grid_01, seed=3, horizon_T=5000)
-    oracle = scalar_dmr_series(params, grid_01, 3, 5000)
+    oracle = scalar_dmr_series(params, 0.1, 3, 5000)
     assert fund.evaluations() == oracle
     fund.value_at(40)
     fund.value_at(12)
@@ -131,7 +99,7 @@ def test_dmr_contraction_toward_mean():
     params = DmrParams(r_bar=100.0, kappa=0.2, sigma_s_sq=0.0)
     series = [grid.to_ticks(200.0)]
     for _ in range(60):
-        series.append(dmr_step(series[-1], params, 0.0, grid))
+        series.append(dmr_step(series[-1], params, 0.0, grid.tick_size)[0])
     prev_gap = series[0] - 10000
     for value in series[1:]:
         gap = value - 10000
@@ -181,12 +149,12 @@ def test_dmr_params_validation():
         DmrParams(100.0, 0.5, -1.0)
 
 
-def test_dmr_step_rounding(grid_01):
+def test_dmr_step_rounding():
     # ties round half up on the grid
     params = DmrParams(r_bar=100.0, kappa=0.0, sigma_s_sq=0.0)
-    assert dmr_step(1000, params, 0.05, grid_01) == 1001
-    assert dmr_step(1000, params, -0.05, grid_01) == 1000
-    assert dmr_step(1000, params, -200.0, grid_01) == 0
+    assert dmr_step(1000, params, 0.05, 0.1)[0] == 1001
+    assert dmr_step(1000, params, -0.05, 0.1)[0] == 1000
+    assert dmr_step(1000, params, -200.0, 0.1)[0] == 0
 
 
 def test_dmr_series_ties_and_floor():
@@ -197,7 +165,7 @@ def test_dmr_series_ties_and_floor():
     assert dmr_series(params, PriceGrid(1.0), shocks) == [100, 101, 101, 0, 7]
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(r_bar=st.floats(0.0, 500.0),
        kappa=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
        sigma_s_sq=st.one_of(st.just(0.0), st.floats(0.0, 400.0)),
@@ -213,9 +181,7 @@ def test_dmr_value_at_matches_step_oracle(r_bar, kappa, sigma_s_sq, tick_size, s
         0.0, math.sqrt(sigma_s_sq), size=horizon_T)
     if ties:  # shocks on the half-tick lattice, so steps land on ties and on zero
         shocks = np.round(shocks / (tick_size / 2)) * (tick_size / 2)
-    oracle = [grid.to_ticks(r_bar)]
-    for noise in shocks.tolist():
-        oracle.append(dmr_step(oracle[-1], params, noise, grid))
+    oracle, _ = dmr_path(params, tick_size, shocks)
     assert dmr_series(params, grid, shocks) == oracle
     if not ties:  # the source steps its own stream's shocks through the same seam
         assert fund.value_at(horizon_T // 2) == oracle[horizon_T // 2]
@@ -231,18 +197,7 @@ BLOCK_HORIZONS = [BLOCK_THRESHOLD + offset
                                  3 * fundamental._BLOCK, 3 * fundamental._BLOCK + 1)]
 
 
-def step_oracle(params, grid, shocks):
-    """The series stepped over given shocks one at a time, and the real
-    value each step rounds."""
-    values, reals = [grid.to_ticks(params.r_bar)], []
-    for noise in shocks.tolist():
-        reals.append(params.kappa * params.r_bar + (1.0 - params.kappa) * grid.to_value(values[-1])
-                     + noise)
-        values.append(dmr_step(values[-1], params, noise, grid))
-    return values, reals
-
-
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60)
 @given(kappa=st.sampled_from([0.0, 1e-5, 0.003, 0.01, 0.05, 0.5, 1.0]),
        sigma_s_sq=st.sampled_from([0.0, 0.25, 1.0, 4.0]),
        tick_size=st.sampled_from([0.01, 0.1, 0.25, 1.0]),
@@ -252,7 +207,7 @@ def test_dmr_blocks_match_scalar_draws(kappa, sigma_s_sq, tick_size, horizon_T, 
     grid = PriceGrid(tick_size)
     params = DmrParams(100.0, kappa, sigma_s_sq)
     fund = DmrFundamental(params, grid, seed=seed, horizon_T=horizon_T)
-    assert fund.evaluations() == scalar_dmr_series(params, grid, seed, horizon_T)
+    assert fund.evaluations() == scalar_dmr_series(params, tick_size, seed, horizon_T)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1.0])
@@ -263,7 +218,7 @@ def test_dmr_blocks_on_half_tick_ties(kappa):
     params = DmrParams(101.0, kappa, 1.0)
     shocks = child_stream(3, FUNDAMENTAL_STREAM).normal(0.0, 1.0, size=BLOCK_THRESHOLD + 100)
     shocks = np.round(shocks * 2) / 2
-    values, reals = step_oracle(params, grid, shocks)
+    values, reals = dmr_path(params, 1.0, shocks)
     ties = [t for t, real in enumerate(reals) if real > 0 and real % 1.0 == 0.5]
     assert len(ties) > 100 and ties[-1] > BLOCK_THRESHOLD // 2
     assert dmr_series(params, grid, shocks) == values
@@ -278,7 +233,7 @@ def test_dmr_blocks_past_the_float_range(r_bar, sigma_s_sq):
     params = DmrParams(r_bar, 0.05, sigma_s_sq)
     shocks = child_stream(5, FUNDAMENTAL_STREAM).normal(
         0.0, math.sqrt(sigma_s_sq), size=BLOCK_THRESHOLD + 1)
-    values, _ = step_oracle(params, grid, shocks)
+    values, _ = dmr_path(params, 0.1, shocks)
     assert max(values) >= 2**31
     assert dmr_series(params, grid, shocks) == values
 
@@ -292,10 +247,10 @@ def test_dmr_blocks_hand_a_settled_prefix_to_the_step_loop():
     params = DmrParams(100.0, 0.5, 1.0)
     shocks = child_stream(7, FUNDAMENTAL_STREAM).normal(0.0, 1.0, size=BLOCK_THRESHOLD)
     at = 40 * fundamental._BLOCK  # the first step of block 40
-    true_start = step_oracle(params, grid, shocks[:at])[0][-1]
+    true_start = dmr_path(params, 0.1, shocks[:at])[0][-1]
     assert true_start > 1000
     shocks[at] = (2**31 - 0.5) * 0.1 - (50.0 + 0.5 * grid.to_value(1000)) - 0.01
-    values, _ = step_oracle(params, grid, shocks)
+    values, _ = dmr_path(params, 0.1, shocks)
     assert values[at + 1] >= 2**31 > grid.to_ticks(50.0 + 0.5 * grid.to_value(1000) + shocks[at])
     prefix = fundamental._dmr_blocks(params, grid, shocks)
     assert 1 < len(prefix) < at and prefix == values[:len(prefix)]
@@ -320,7 +275,8 @@ def test_dmr_series_takes_the_block_path_where_it_pays(monkeypatch):
     fund = desk.fundamental.source(grid, 11, desk.horizon_T)
     assert calls and len(calls) % fundamental._BLOCK == 0
     assert all(got is not None for got in calls)
-    assert fund.evaluations() == scalar_dmr_series(desk.fundamental, grid, 11, desk.horizon_T)
+    assert fund.evaluations() == scalar_dmr_series(desk.fundamental, desk.tick_size, 11,
+                                                   desk.horizon_T)
 
     calls.clear()
     DmrParams(100.0, 0.0, 1.0).source(grid, 11, desk.horizon_T)

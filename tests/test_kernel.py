@@ -1,17 +1,18 @@
 import ast
 import importlib
+import itertools
 import math
 import os
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from cdasim import agents, kernel, orderbook
 from cdasim import estimator as est
-from cdasim.agents import HblParams, OrderHistory, TickMemory, ZiParams
+from cdasim.agents import HblParams, OrderHistory, ZiParams
 from cdasim.cli import build_config, emit_outputs, parse_config, run_one
 from cdasim.fundamental import (
     DmrFundamental,
@@ -33,7 +34,7 @@ from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
 
 from conftest import greedy_buyer, load_bench, replay, resting_ids, settled_payoff
-from hbl_oracle import RecordMemory, hbl_classify
+from reference_run import ListBook, reference_run, scalar_arrivals
 
 
 ZI_PARAMS = ZiParams(r_min=0.0, r_max=1.0, eta=1.0, sigma_n_sq=10.0,
@@ -96,22 +97,6 @@ def test_nan_arrival_rate_rejected():
         make_config(arrival_rate=math.nan)
 
 
-def scalar_arrivals(arrival_rate, horizon_T, rng):
-    """Oracle: one exponential draw per gap, ceil, bump collisions by one step."""
-    times = []
-    clock = 0.0
-    prev = 0
-    while True:
-        clock += rng.exponential(1.0 / arrival_rate)
-        step = math.ceil(clock)
-        if step <= prev:
-            step = prev + 1
-        if step > horizon_T:
-            return times
-        times.append(step)
-        prev = step
-
-
 class CappedDraws:
     """A Generator whose bulk exponential draws stop at ``cap`` values.
 
@@ -128,7 +113,7 @@ class CappedDraws:
         return self.rng.exponential(scale, min(size, self.cap))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(rate=st.floats(0.001, 2.0), horizon=st.integers(1, 3000),
        seed=st.integers(0, 2**32 - 1), cap=st.one_of(st.none(), st.integers(1, 40)))
 def test_schedule_arrivals_matches_scalar_oracle(rate, horizon, seed, cap):
@@ -238,21 +223,14 @@ def test_run_zero_sum_and_invariants():
 
 
 def test_run_payoffs_recomputable_from_logs():
-    # independent accounting pass over the trade log, making the same float
-    # additions in the same order as the settlement
-    result = run(make_config())
+    # the reference run settles cash and holdings from its own trade log, in
+    # the same float order, and each payoff adds the private values of the
+    # first q_max units held, unit by unit
+    config = make_config()
+    result = run(config)
+    assert result.agents == reference_run(config).agents
     final = result.grid.to_value(result.final_fundamental)
-    cash = {a.agent_id: 0.0 for a in result.agents}
-    held = {a.agent_id: 0 for a in result.agents}
-    for trade in result.trades:
-        value = result.grid.to_value(trade.price)
-        cash[trade.buyer_id] -= value
-        held[trade.buyer_id] += 1
-        cash[trade.seller_id] += value
-        held[trade.seller_id] -= 1
     for summary in result.agents:
-        assert summary.cash == cash[summary.agent_id]
-        assert summary.q_held == held[summary.agent_id]
         assert summary.payoff == settled_payoff(summary.cash, summary.q_held, final,
                                                 result.private_values[summary.agent_id])
 
@@ -268,32 +246,35 @@ def test_run_holdings_never_exceed_limit():
 
 
 def test_run_one_open_order_per_agent():
-    # an agent cancels its outstanding order on wake before placing anew,
-    # so it never has two orders resting
-    result = run(make_config())
-    resting = {}
-    open_by_agent = {}
-    for event in result.events:
+    # an agent cancels its outstanding order on wake before placing anew, so
+    # replayed into the list-scan book, no placement finds another resting
+    # order of its agent
+    shadow = ListBook()
+    for event in run(make_config()).events:
         if event.kind is EventKind.PLACED:
-            assert open_by_agent.get(event.agent_id) is None, event
-            resting[event.order_id] = event.agent_id
-            open_by_agent[event.agent_id] = event.order_id
+            assert all(e.agent_id != event.agent_id for e in shadow.resting), event
+            shadow.place(event.agent_id, event.side, event.price, event.time)
         elif event.kind is EventKind.CANCELLED:
-            agent = resting.pop(event.order_id)
-            open_by_agent[agent] = None
-        else:
-            agent = resting.pop(event.order_id, None)
-            if agent is not None:
-                open_by_agent[agent] = None
-    # fully filled aggressive orders never rest; drop them as they execute
+            shadow.cancel(event.order_id, event.time)
 
 
 SMALL_OU = OuParams(mu=100.0, gamma=0.05, sigma_sq=2.0, q0=95.0)
-SMALL_FUNDAMENTALS = (DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0), SMALL_OU,
-                      MegashockParams(ou=SMALL_OU, arrival_rate=0.01, shock_mean=5.0,
-                                      shock_var=4.0),
-                      DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=0.0),
-                      OuParams(mu=100.0, gamma=0.05, sigma_sq=0.0, q0=95.0))
+SMALL_FUNDAMENTALS = {
+    "dmr": DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0),
+    "dmr-flat": DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=0.0),
+    "ou": SMALL_OU,
+    "ou-flat": OuParams(mu=100.0, gamma=0.05, sigma_sq=0.0, q0=95.0),
+    "megashock": MegashockParams(ou=SMALL_OU, arrival_rate=0.01, shock_mean=5.0,
+                                 shock_var=4.0),
+    "file": None,  # the small_series fixture
+}
+TICK_SIZES = (0.1, 1.0, 0.01)
+# every success mode and grid mode on every fundamental; the tick sizes
+# take turns so that each mode and each fundamental meets all three
+CELLS = [(success, grid, variant, TICK_SIZES[(m + v) % 3])
+         for m, (success, grid) in enumerate(itertools.product(("binary", "fractional"),
+                                                               ("observed", "spline")))
+         for v, variant in enumerate(SMALL_FUNDAMENTALS)]
 
 
 @pytest.fixture(scope="module")
@@ -306,10 +287,10 @@ def small_series(tmp_path_factory):
 
 
 @st.composite
-def small_configs(draw, file_params):
-    """Short runs of a few ZI and HBL agents, in every HBL mode, on every
-    fundamental variant, with and without variance, and three tick sizes."""
-    n_zi, n_hbl = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+def small_configs(draw, fundamental, success_mode, grid_mode, tick_size):
+    """Short runs of three to seven agents, one to three of them HBL, at
+    edge parameters; at most about 160 wakes per agent."""
+    n_zi, n_hbl = draw(st.integers(0, 6)), draw(st.integers(1, 3))
     zi = ZiParams(r_min=0.0, r_max=draw(st.sampled_from([0.2, 1.0, 4.0])),
                   eta=draw(st.sampled_from([0.0, 0.5, 1.0])),
                   sigma_n_sq=draw(st.sampled_from([10.0, 0.0])),
@@ -317,49 +298,47 @@ def small_configs(draw, file_params):
                   sigma_pv_sq=draw(st.sampled_from([100.0, 25.0, 0.0])))
     hbl = HblParams(memory_length=draw(st.integers(1, 4)),
                     grace_period=draw(st.integers(1, 60)),
-                    success_mode=draw(st.sampled_from(["binary", "fractional"])),
-                    grid_mode=draw(st.sampled_from(["observed", "spline"])))
-    return make_config(horizon_T=draw(st.sampled_from([800, 300, 60])),
-                       n_zi=max(n_zi, 1 - n_hbl), n_hbl=n_hbl, zi_params=zi, hbl_params=hbl,
-                       arrival_rate=draw(st.sampled_from([0.2, 0.5, 0.05])),
-                       fundamental=draw(st.sampled_from(SMALL_FUNDAMENTALS + (file_params,))),
-                       tick_size=draw(st.sampled_from([0.1, 1.0, 0.01])),
+                    success_mode=success_mode, grid_mode=grid_mode)
+    horizon = draw(st.sampled_from([300, 800, 60]))
+    rate = draw(st.sampled_from([0.2, 0.05] if horizon == 800 else [0.2, 0.05, 0.5]))
+    return make_config(horizon_T=horizon, n_zi=max(n_zi, 3 - n_hbl), n_hbl=n_hbl,
+                       zi_params=zi, hbl_params=hbl, arrival_rate=rate,
+                       fundamental=fundamental, tick_size=tick_size,
                        master_seed=draw(st.integers(0, 2**32 - 1)))
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(data=st.data())
-def test_run_resolves_each_unit_order_at_most_once(small_series, data):
-    result = run(data.draw(small_configs(small_series)))
-    assert result.invariants_ok
-    assert_cash_conserved_in_ticks(result)
-    placed, resolved = {}, {}
-    executions = []
-    for event in result.events:
-        if event.kind is EventKind.PLACED:
-            assert event.order_id not in placed
-            placed[event.order_id] = event
-        else:
-            assert event.order_id in placed and event.order_id not in resolved
-            resolved[event.order_id] = event
-            if event.kind is EventKind.EXECUTED:
-                executions.append(event)
-    # two executions per trade, in trade order: the taker's, then the maker's
-    assert len(executions) == 2 * len(result.trades)
-    for trade, taker, maker in zip(result.trades, executions[::2], executions[1::2]):
-        assert {taker.order_id, maker.order_id} == {trade.buy_order_id, trade.sell_order_id}
-        assert (taker.counterparty, maker.counterparty) == (maker.order_id, taker.order_id)
-        assert taker.price == maker.price == trade.price == placed[maker.order_id].price
-        assert taker.time == maker.time == trade.time == placed[taker.order_id].time
-    # the book the log rebuilds, numbering the orders as the run did, logs the
-    # same events and rests exactly the unresolved orders, one per agent at most
-    book = replay(result.events)
-    assert book.events == result.events
-    assert book.trades == result.trades
-    unresolved = placed.keys() - resolved.keys()
-    assert resting_ids(book) == unresolved
-    agents_resting = [placed[order_id].agent_id for order_id in unresolved]
-    assert len(agents_resting) == len(set(agents_resting))
+@pytest.mark.parametrize("success_mode, grid_mode, variant, tick_size", CELLS)
+def test_run_equals_reference_run(success_mode, grid_mode, variant, tick_size, small_series):
+    # the kernel against the plain reference run on one busy market, whose HBL
+    # wakes must read a memory, and three configs drawn under the cell's seed
+    fundamental = SMALL_FUNDAMENTALS[variant] or small_series
+    index = CELLS.index((success_mode, grid_mode, variant, tick_size))
+    busy = make_config(horizon_T=300, n_zi=4, n_hbl=2, arrival_rate=0.2,
+                       zi_params=ZiParams(0.0, 1.0, 0.5, 10.0, 2, 25.0),
+                       hbl_params=HblParams(1, 20, success_mode, grid_mode),
+                       fundamental=fundamental, tick_size=tick_size, master_seed=index)
+
+    @seed(index)
+    @settings(max_examples=3)
+    @given(small_configs(fundamental, success_mode, grid_mode, tick_size))
+    @example(busy)
+    def check(config):
+        result = run(config)
+        expected = reference_run(config)
+        assert result.events == expected.events
+        assert result.trades == expected.trades
+        assert result.agents == expected.agents
+        assert result.fundamental_trace == expected.fundamental_trace
+        assert result.invariants_ok
+        assert_cash_conserved_in_ticks(result)
+        # the book the log rebuilds, numbering the orders as the run did, logs
+        # the same events and rests the same orders
+        book = replay(result.events)
+        assert (book.events, book.trades) == (result.events, result.trades)
+        assert resting_ids(book) == {placed.order_id for placed in expected.resting}
+        assert config is not busy or expected.informed_wakes > 0
+
+    check()
 
 
 def test_fundamental_path_independent_of_population():
@@ -718,61 +697,3 @@ def test_holdings_breach_is_reported(monkeypatch, tmp_path):
     emit_outputs(result, resolved, str(tmp_path))
     assert sorted(os.listdir(tmp_path)) == ["agents.csv", "events.csv", "fundamental.csv",
                                             "manifest.ini", "trades.csv"]
-
-
-E2E_OVERRIDES = {
-    "binary-observed": {},
-    "binary-spline": {"agents": {"grid_mode": "spline"}},
-    "all-hbl": {"agents": {"zi_count": "0", "hbl_count": "30"}},
-    "cent-ticks": {"agents": {"grid_mode": "spline"}, "market": {"tick_size": "0.01"}},
-}
-
-FRACTIONAL_OVERRIDES = {
-    "fractional-observed": {"agents": {"success_mode": "fractional"}},
-    "fractional-spline": {"agents": {"success_mode": "fractional", "grid_mode": "spline"}},
-    "fractional-cent-ticks": {"agents": {"success_mode": "fractional", "grid_mode": "spline"},
-                              "market": {"tick_size": "0.01"}},
-}
-
-
-def assert_run_matches_oracle(overrides, tmp_path, monkeypatch):
-    """A run with the package's memory and one with ``hbl_classify``'s
-    event-log classification patched in on every HBL wake write the same
-    four CSVs, byte for byte."""
-    resolved = parse_config("[market]\nhorizon = 4000\nseed = 5\n")
-    for section, keys in overrides.items():
-        resolved[section].update(keys)
-    package = OrderHistory.memory
-    kinds = []
-
-    def memory(self, *args):
-        result = package(self, *args)
-        kinds.append(type(result))
-        return result
-
-    def oracle(self, book, now):
-        result = hbl_classify(book.events, now, self.params)
-        kinds.append(type(result))
-        return result
-
-    for label, method in (("package", memory), ("oracle", oracle)):
-        monkeypatch.setattr(OrderHistory, "memory", method)
-        assert run_one({s: dict(k) for s, k in resolved.items()}, str(tmp_path / label))
-    assert set(kinds) == {TickMemory, RecordMemory}
-    assert kinds.count(TickMemory) == kinds.count(RecordMemory) > 50
-    for fname in ("events.csv", "trades.csv", "agents.csv", "fundamental.csv"):
-        assert ((tmp_path / "package" / fname).read_bytes()
-                == (tmp_path / "oracle" / fname).read_bytes()), fname
-
-
-@pytest.mark.parametrize("name", sorted(E2E_OVERRIDES))
-def test_binary_ledger_run_matches_rebuild(name, tmp_path, monkeypatch):
-    # the running per-tick counts against a classification rebuilt from
-    # the event log on every HBL wake
-    assert_run_matches_oracle(E2E_OVERRIDES[name], tmp_path, monkeypatch)
-
-
-@pytest.mark.parametrize("name", sorted(FRACTIONAL_OVERRIDES))
-def test_fractional_memory_run_matches_oracle(name, tmp_path, monkeypatch):
-    # the fractional sums laid on ticks against the sorted-array oracle
-    assert_run_matches_oracle(FRACTIONAL_OVERRIDES[name], tmp_path, monkeypatch)

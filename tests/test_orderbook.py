@@ -11,6 +11,7 @@ from cdasim.orderbook import (
 )
 
 from conftest import depth_snapshot, events_in_window, replay, resting_ids
+from reference_run import ListBook
 
 
 def test_empty_book():
@@ -217,7 +218,9 @@ def test_paper_script_pairings():
         (105, 101), (110, 106), (109, 112), (115, 103)]
 
 
-def random_book_run(seed, steps=400):
+def random_book_run(seed, steps=400, shadow=None):
+    """A book driven by a random stream of placements and cancellations, and
+    the same stream in ``shadow`` if one is given."""
     rng = np.random.default_rng(seed)
     book = OrderBook()
     oid = 0
@@ -226,11 +229,15 @@ def random_book_run(seed, steps=400):
         if live and rng.random() < 0.2:
             victim = live.pop(rng.integers(len(live)))
             book.cancel(victim, now=t)
+            if shadow is not None:
+                shadow.cancel(victim, t)
             continue
         oid += 1
         side = Side.BID if rng.random() < 0.5 else Side.ASK
         price = int(rng.integers(980, 1021))
         assert book.place_limit(oid % 7, side, price, t)[0].order_id == oid
+        if shadow is not None:
+            shadow.place(oid % 7, side, price, t)
         resting = resting_ids(book)
         if oid in resting:
             live.append(oid)
@@ -240,24 +247,16 @@ def random_book_run(seed, steps=400):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_random_stream_invariants(seed):
-    book = random_book_run(seed)
-    # book never crossed
+    # the list-scan book logs the same events and trades and rests the same
+    # orders, so each unit order resolves at most once and rests exactly
+    # when it is not resolved, and each trade logs two executions at the
+    # maker's price
+    shadow = ListBook()
+    book = random_book_run(seed, shadow=shadow)
     if book.best_bid() is not None and book.best_ask() is not None:
-        assert book.best_bid() < book.best_ask()
-    # every unit order is resolved at most once, and rests exactly when it
-    # is not resolved
-    resolved = [e.order_id for e in book.events if e.kind is not EventKind.PLACED]
-    assert len(resolved) == len(set(resolved))
-    placed = {e.order_id for e in book.events if e.kind is EventKind.PLACED}
-    assert resting_ids(book) == placed - set(resolved)
-    # each trade produced exactly two EXECUTED events at the maker price
-    exec_events = [e for e in book.events if e.kind is EventKind.EXECUTED]
-    assert len(exec_events) == 2 * len(book.trades)
-    for trade in book.trades:
-        maker = min(trade.buy_order_id, trade.sell_order_id)
-        assert trade.price == next(
-            e.price for e in exec_events if e.order_id == maker and e.time == trade.time
-        )
+        assert book.best_bid() < book.best_ask()  # book never crossed
+    assert (book.events, book.trades) == (shadow.events, shadow.trades)
+    assert resting_ids(book) == {e.order_id for e in shadow.resting}
 
 
 @pytest.mark.parametrize("seed", range(8))

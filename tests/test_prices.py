@@ -2,7 +2,7 @@
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_UP, Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 
 import numpy as np
 import pytest
@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdasim.prices import PriceGrid, TickStrings
+
+from reference_run import to_ticks
 
 METHODS = ("to_ticks", "to_ticks_down", "to_ticks_up")
 TICKS = (0.1, 0.01, 0.25, 1.0, 0.3, 100.0, 1e-7)
@@ -21,17 +23,14 @@ class DecimalGrid:
 
     tick_size: float = 0.1
 
-    def _ratio(self, value: float) -> Decimal:
-        return Decimal(str(value)) / Decimal(str(self.tick_size))
-
     def to_ticks(self, value: float) -> int:
-        return int(self._ratio(value).to_integral_value(rounding=ROUND_HALF_UP))
+        return to_ticks(value, self.tick_size)
 
     def to_ticks_down(self, value: float) -> int:
-        return int(self._ratio(value).to_integral_value(rounding=ROUND_FLOOR))
+        return to_ticks(value, self.tick_size, ROUND_FLOOR)
 
     def to_ticks_up(self, value: float) -> int:
-        return int(self._ratio(value).to_integral_value(rounding=ROUND_CEILING))
+        return to_ticks(value, self.tick_size, ROUND_CEILING)
 
     @property
     def decimals(self) -> int:
@@ -70,13 +69,13 @@ def tick_and_value(draw):
     return tick, value
 
 
-@settings(max_examples=3000, derandomize=True, database=None, deadline=None)
+@settings(max_examples=3000)
 @given(tick_and_value())
 def test_rounding_matches_decimal_on_grid_ties_and_neighbours(case):
     assert_rounds_like_oracle(*case)
 
 
-@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@settings(max_examples=1000)
 @given(st.sampled_from(TICKS), st.floats(allow_nan=False))
 def test_rounding_matches_decimal_on_any_float(tick, value):
     assert_rounds_like_oracle(tick, value)
@@ -146,7 +145,7 @@ def test_to_ticks_array_of_no_values():
     assert got.dtype == np.int64 and got.size == 0
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(st.sampled_from(TICKS),
        st.lists(st.one_of(st.floats(-1e9, 1e9),
                           st.integers(-10**6, 10**6).map(lambda k: k + 0.5)),
