@@ -179,7 +179,7 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
     if variant == "file":
         try:  # a bad file fails here, before any run starts; the runs replay it
             fundamental.source(PriceGrid(config.tick_size), config.master_seed,
-                               config.horizon_T)
+                               config.horizon_T, ())
         except ValueError as exc:
             raise ConfigError(f"fundamental.path: {exc}") from None
     return config

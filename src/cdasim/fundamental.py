@@ -10,13 +10,14 @@ Three generated variants plus a file-backed one:
   Gaussian mixture
 * step-interpolated historical data loaded from a two-column file
 
-Each params type owns its variant: ``source(grid, seed, horizon_T)`` builds
-the series, and ``belief_model()`` gives the ``(r_bar, kappa, sigma_s_sq)``
-the agents' estimator assumes for it.  The sparse variants accept queries in
-nondecreasing time order only; the discrete variant builds its whole series,
-steps 0 to the horizon, when it is made, and answers any query from it.  It
-builds the series in verified blocks stepped side by side with numpy, and
-steps what they leave one shock at a time; both give the same ticks.
+Each params type owns its variant: ``source(grid, seed, horizon_T, reads)``
+builds a table of the series from the run's read times, in time order, and
+``value_at`` looks a time up in it; ``belief_model()`` gives the ``(r_bar,
+kappa, sigma_s_sq)`` the agents' estimator assumes.  The sparse variants
+hold 0, each read time and the horizon.  The discrete variant holds every
+step from 0 to the horizon, built in verified blocks stepped side by side
+with numpy, and steps what they leave one shock at a time; both give the
+same ticks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -52,7 +55,8 @@ class DmrParams:
         if not 0.0 <= self.sigma_s_sq < math.inf:
             raise ValueError("sigma_s_sq must be >= 0 and finite")
 
-    def source(self, grid: PriceGrid, seed: int, horizon_T: int) -> "DmrFundamental":
+    def source(self, grid: PriceGrid, seed: int, horizon_T: int,
+               reads: Sequence[int]) -> "DmrFundamental":
         return DmrFundamental(self, grid, seed, horizon_T)
 
     def belief_model(self) -> tuple[float, float, float]:
@@ -82,8 +86,9 @@ class OuParams:
         if not math.isfinite(self.q0):
             raise ValueError("q0 must be finite")
 
-    def source(self, grid: PriceGrid, seed: int, horizon_T: int) -> "OuFundamental":
-        return OuFundamental(self, grid, seed, horizon_T)
+    def source(self, grid: PriceGrid, seed: int, horizon_T: int,
+               reads: Sequence[int]) -> "OuFundamental":
+        return OuFundamental(self, grid, seed, horizon_T, reads)
 
     def belief_model(self) -> tuple[float, float, float]:
         """The discrete model with kappa = 1 - exp(-gamma) and the matching
@@ -116,8 +121,9 @@ class MegashockParams:
                 stacklevel=2,
             )
 
-    def source(self, grid: PriceGrid, seed: int, horizon_T: int) -> "MegashockFundamental":
-        return MegashockFundamental(self, grid, seed, horizon_T)
+    def source(self, grid: PriceGrid, seed: int, horizon_T: int,
+               reads: Sequence[int]) -> "MegashockFundamental":
+        return MegashockFundamental(self, grid, seed, horizon_T, reads)
 
     def belief_model(self) -> tuple[float, float, float]:
         return self.ou.belief_model()
@@ -137,14 +143,15 @@ class FileParams:
         if not self.path:
             raise ValueError("path must name the series file")
 
-    def source(self, grid: PriceGrid, seed: int, horizon_T: int) -> "FileFundamental":
-        """A fresh replay of the series in ``path``; ``seed`` and ``horizon_T``
-        play no part.  The first call on ``grid`` reads and parses the file;
-        a config's check and its runs share that series."""
+    def source(self, grid: PriceGrid, seed: int, horizon_T: int,
+               reads: Sequence[int]) -> "FileFundamental":
+        """A replay of the series in ``path``; ``seed`` plays no part.  The
+        first call on ``grid`` reads and parses the file; a config's check
+        and its runs share that series."""
         if grid not in self._series:
             with open(self.path, encoding="utf-8") as fh:
                 self._series[grid] = FileFundamental.from_text(fh.read(), grid).series
-        return FileFundamental(list(self._series[grid]), grid)  # a copy per replay
+        return FileFundamental(self._series[grid], grid, horizon_T, reads)
 
     def belief_model(self) -> tuple[float, float, float]:
         return self.model.belief_model()
@@ -263,26 +270,30 @@ class DmrFundamental:
 
 @dataclass
 class OuFundamental:
-    """Sparse OU source; queries must arrive in nondecreasing time order.
+    """Sparse OU source: the series drawn at 0, at each of ``reads`` and at
+    the horizon, one skip-ahead draw per new time.
 
-    Internal state is kept in real arithmetic, at the real time ``_clock``;
-    rounding to tick happens only on return.
+    The state is kept in real arithmetic, at the real time ``_clock``, and
+    rounded to tick only in the trace.
     """
 
     params: OuParams
     grid: PriceGrid
     seed: int
     horizon_T: int
+    reads: Sequence[int]
 
     def __post_init__(self) -> None:
-        self._start(self.params)
-
-    def _start(self, ou: OuParams) -> None:
-        self._ou = ou
-        self._rng = child_stream(self.seed, FUNDAMENTAL_STREAM)
-        self._state = ou.q0
-        self._clock = 0.0
-        self._trace: list[tuple[int, int]] = [(0, max(0, self.grid.to_ticks(self._state)))]
+        ou = self.params.ou if isinstance(self.params, MegashockParams) else self.params
+        self._ou, self._rng = ou, child_stream(self.seed, FUNDAMENTAL_STREAM)
+        self._state, self._clock = ou.q0, 0.0
+        self._trace = [(0, max(0, self.grid.to_ticks(ou.q0)))]
+        for t in chain(self.reads, (self.horizon_T,)):
+            if t > self._trace[-1][0]:
+                self._jump_until(t)
+                self._advance_to(float(t))
+                self._trace.append((t, max(0, self.grid.to_ticks(self._state))))
+        self._ticks = dict(self._trace)
 
     def _advance_to(self, when: float) -> None:
         if when > self._clock:
@@ -293,21 +304,9 @@ class OuFundamental:
     def _jump_until(self, t: int) -> None:
         """Apply the jumps that arrive by ``t``; a plain OU series has none."""
 
-    def _query(self, t: int) -> int:
-        last = self._trace[-1][0]
-        if t > self.horizon_T:
-            raise ValueError(f"t={t} beyond horizon T={self.horizon_T}")
-        if t < last:
-            raise ValueError(f"queries must be nondecreasing (got {t} after {last})")
-        if t > last:
-            self._jump_until(t)
-            self._advance_to(float(t))
-            self._trace.append((t, max(0, self.grid.to_ticks(self._state))))
-        return self._trace[-1][1]
-
-    # each class defines its own value_at, so a per-class wrapper sees one call per query
+    # each class defines its own value_at, so a per-class wrapper sees one call per read
     def value_at(self, t: int) -> int:
-        return self._query(t)
+        return self._ticks[t]
 
     def evaluations(self) -> list[tuple[int, int]]:
         return list(self._trace)
@@ -319,18 +318,18 @@ class MegashockFundamental(OuFundamental):
 
     Arrivals occur at real-valued times; each shock is applied as an
     instantaneous additive offset to the OU state (the shifted state then
-    keeps reverting toward the mean).  Arrivals falling in (last_query, t]
-    are processed when t is queried.  Draw order per shock: one uniform
+    keeps reverting toward the mean).  The arrivals up to each new time t
+    are applied before the draw at t.  Draw order per shock: one uniform
     selects the lobe, then one normal from the sizes stream gives the jump.
     """
 
     params: MegashockParams
 
     def __post_init__(self) -> None:
-        self._start(self.params.ou)
         self._arrivals = child_stream(self.seed, MEGASHOCK_ARRIVALS_STREAM)
         self._sizes = child_stream(self.seed, MEGASHOCK_SIZES_STREAM)
         self._next_arrival = self._arrivals.exponential(1.0 / self.params.arrival_rate)
+        super().__post_init__()
 
     def _jump_until(self, t: int) -> None:
         while self._next_arrival <= t:
@@ -342,33 +341,34 @@ class MegashockFundamental(OuFundamental):
             self._next_arrival += self._arrivals.exponential(1.0 / self.params.arrival_rate)
 
     def value_at(self, t: int) -> int:
-        return self._query(t)
-
-
-def file_value_at(t: int, series: list[tuple[int, int]]) -> int:
-    """Step interpolation: value at the greatest table timestamp <= t."""
-    if not series:
-        raise ValueError("fundamental series is empty")
-    if t < series[0][0]:
-        raise ValueError(f"t={t} precedes first timestamp {series[0][0]}")
-    idx = bisect_right(series, t, key=lambda row: row[0]) - 1
-    return series[idx][1]
+        return self._ticks[t]
 
 
 @dataclass
 class FileFundamental:
-    """Historical series loaded from delimited text (``timestamp,value``)."""
+    """Historical series loaded from delimited text (``timestamp,value``),
+    read at 0, at each of ``reads`` and at ``horizon_T`` by step interpolation."""
 
     series: list[tuple[int, int]]
     grid: PriceGrid
+    horizon_T: int = 0
+    reads: Sequence[int] = ()
 
     def __post_init__(self) -> None:
-        self._trace = [(0, file_value_at(0, self.series))]
+        if self.series[0][0] != 0:
+            raise ValueError(f"the series starts at timestamp {self.series[0][0]}, not 0")
+        stamps = [stamp for stamp, _ in self.series]
+        self._trace = [self.series[0]]
+        for t in chain(self.reads, (self.horizon_T,)):
+            if t > self._trace[-1][0]:
+                self._trace.append((t, self.series[bisect_right(stamps, t) - 1][1]))
+        self._ticks = dict(self._trace)
 
     @classmethod
     def from_text(cls, text: str, grid: PriceGrid) -> "FileFundamental":
         """Parse a series of finite tick values, each >= 0, at integer
-        timestamps that start at 0 and strictly increase."""
+        timestamps that start at 0 and strictly increase; the source it
+        gives reads the series at 0 only."""
         series: list[tuple[int, int]] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -397,15 +397,10 @@ class FileFundamental:
             series.append((ts, value))
         if not series:
             raise ValueError("fundamental file contains no data rows")
-        if series[0][0] != 0:
-            raise ValueError(f"the series starts at timestamp {series[0][0]}, not 0")
         return cls(series=series, grid=grid)
 
     def value_at(self, t: int) -> int:
-        value = file_value_at(t, self.series)
-        if self._trace[-1][0] != t:
-            self._trace.append((t, value))
-        return value
+        return self._ticks[t]
 
     def evaluations(self) -> list[tuple[int, int]]:
         return list(self._trace)

@@ -13,8 +13,9 @@ cash, and its payoff adds its holdings marked at the final fundamental and
 the private values of the units held, up to q_max.
 
 Everything is a pure function of (config, master seed): two runs with the
-same inputs produce bit-identical logs, and the fundamental path is
-derived from its own RNG stream so the agent population cannot perturb it.
+same inputs produce bit-identical logs.  The fundamental is built on its
+own streams from the merged wake times, before the loop starts, so the
+agents' decisions cannot perturb it.
 """
 
 from __future__ import annotations
@@ -169,7 +170,6 @@ def mark_observation(r_ticks: int, noise_sd: float, rng: np.random.Generator,
 
 def run(config: SimConfig) -> SimResult:
     grid = PriceGrid(config.tick_size)
-    fundamental = config.fundamental.source(grid, config.master_seed, config.horizon_T)
     ep = est.EstimatorParams(*config.fundamental.belief_model(),
                              config.zi_params.sigma_n_sq, config.horizon_T)
     n_agents = config.n_zi + config.n_hbl
@@ -188,6 +188,8 @@ def run(config: SimConfig) -> SimResult:
     wake_times = np.concatenate(schedules)
     order = np.lexsort((wake_ids, wake_times))  # by time, ties by agent_id
     wake_times, wake_ids = wake_times[order], wake_ids[order]
+    reads = wake_times.tolist()
+    fundamental = config.fundamental.source(grid, config.master_seed, config.horizon_T, reads)
 
     book = OrderBook()
     history = strategies.OrderHistory(config.hbl_params) if config.n_hbl else None
@@ -212,7 +214,7 @@ def run(config: SimConfig) -> SimResult:
     to_value = grid.to_value
     skip = strategies.SKIP.kind
 
-    for t, agent_id in zip(wake_times.tolist(), wake_ids.tolist()):
+    for t, agent_id in zip(reads, wake_ids.tolist()):
         record = records[agent_id]
         r_ticks = value_at(t)
         o_ticks = mark_observation(r_ticks, noise_sd, record.rng, grid)

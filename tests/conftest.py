@@ -1,3 +1,4 @@
+import math
 import types
 from bisect import bisect_left, bisect_right
 from pathlib import Path
@@ -7,6 +8,9 @@ import pytest
 from hypothesis import settings
 
 from cdasim import agents
+from cdasim.agents import HblParams, ZiParams
+from cdasim.fundamental import DmrParams, ou_mean_var
+from cdasim.kernel import SimConfig
 from cdasim.orderbook import EventKind, OrderBook, Side
 from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
@@ -16,6 +20,32 @@ from cdasim.prices import PriceGrid
 # database and has no deadline; each test states only its number of examples.
 settings.register_profile("cdasim", derandomize=True, database=None, deadline=None)
 settings.load_profile("cdasim")
+
+
+# The agents' worked examples: one private-value vector and both strategies' params.
+PV = PrivateValues(q_max=3, values=(0.5, 0.3, 0.2, 0.1, -0.2, -0.4))
+ZI = ZiParams(r_min=0.0, r_max=1.0, eta=0.5, sigma_n_sq=10.0, q_max=3, sigma_pv_sq=25.0)
+HBL = HblParams(memory_length=4, grace_period=5)
+
+# The kernel tests' small market, which ``make_config`` varies.
+ZI_PARAMS = ZiParams(r_min=0.0, r_max=1.0, eta=1.0, sigma_n_sq=10.0,
+                     q_max=5, sigma_pv_sq=25.0)
+HBL_PARAMS = HblParams(memory_length=4, grace_period=100)
+
+
+def make_config(**overrides):
+    base = dict(
+        horizon_T=2000,
+        fundamental=DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0),
+        n_zi=10,
+        n_hbl=3,
+        zi_params=ZI_PARAMS,
+        hbl_params=HBL_PARAMS,
+        arrival_rate=0.01,
+        master_seed=7,
+    )
+    base.update(overrides)
+    return SimConfig(**base)
 
 
 class FixedRng:
@@ -117,12 +147,52 @@ def settled_payoff(cash, q_held, final, values):
     return cash + q_held * final + realized
 
 
+# ---------------------------------------------------------------------------
+# Estimator oracle: textbook scalar Kalman filter for the state model
+#   x_t = kappa * r_bar + (1 - kappa) * x_{t-1} + u_t,   u_t ~ N(0, sigma_s_sq)
+#   o_t = x_t + n_t,                                     n_t ~ N(0, sigma_n_sq)
+# Written before (and independently of) the estimator implementation.
+# ---------------------------------------------------------------------------
+
+
+class ScalarKalman:
+    def __init__(self, r_bar, kappa, sigma_s_sq, sigma_n_sq):
+        self.r_bar = r_bar
+        self.kappa = kappa
+        self.sigma_s_sq = sigma_s_sq
+        self.sigma_n_sq = sigma_n_sq
+        self.x = r_bar
+        self.p = 0.0
+
+    def predict(self, steps):
+        a = 1.0 - self.kappa
+        for _ in range(steps):
+            self.x = self.kappa * self.r_bar + a * self.x
+            self.p = a * a * self.p + self.sigma_s_sq
+
+    def update(self, o):
+        total = self.p + self.sigma_n_sq
+        if total == 0.0:
+            self.x = o
+            self.p = 0.0
+            return
+        gain = self.p / total
+        self.x = self.x + gain * (o - self.x)
+        self.p = (1.0 - gain) * self.p
+
+
+def ou_sample(q_prev, elapsed, params, std_normal_draw, grid):
+    """Skip-ahead sample of the OU value, rounded to tick and floored at zero:
+    the exact conditional distribution that ``OuFundamental`` draws from."""
+    mean, var = ou_mean_var(q_prev, elapsed, params)
+    return max(0, grid.to_ticks(mean + math.sqrt(var) * std_normal_draw))
+
+
+CRITERION_LINES: list[str] = []  # test_acceptance adds one line per criterion run
+
+
 def pytest_terminal_summary(terminalreporter):
     """Echo one pass/fail line per acceptance criterion after the run."""
-    try:
-        from test_acceptance import CRITERION_LINES
-    except ImportError:
-        return
     if CRITERION_LINES:
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:

@@ -12,7 +12,8 @@ L transactions' window, or those placed from any given time on.
 ``exact_beliefs`` sums the weights of such records exactly, so a binary
 belief is a quotient of two exact counts.  The tests compare
 ``OrderHistory``, which reads the book's log incrementally, ``TickMemory``,
-the decision code and whole runs against them.
+the decision code and whole runs against them.  ``build_script_book`` and
+``random_memory`` give the memories of the worked examples and properties.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from cdasim.agents import HblParams, TickMemory
-from cdasim.orderbook import BookEvent, EventKind, Side
+from cdasim.orderbook import BookEvent, EventKind, OrderBook, Side
 
 
 @dataclass(frozen=True)
@@ -258,3 +259,43 @@ def clamped_beliefs(memory: TickMemory, prices, side: Side) -> np.ndarray:
     denominator = numerator + fail
     return np.divide(numerator, denominator,
                      out=np.zeros(numerator.shape), where=denominator > 0)
+
+
+def build_script_book():
+    book = OrderBook()
+    script = [  # (time, agent, side, price); order ids are the times
+        (1, 101, Side.ASK, 1000),
+        (2, 102, Side.BID, 998),
+        (3, 103, Side.ASK, 1003),
+        (4, 104, Side.BID, 996),
+        (5, 105, Side.BID, 1000),
+        (6, 106, Side.ASK, 1002),
+        (7, 107, Side.BID, 1000),
+        (8, 108, Side.ASK, 1003),
+        (9, 109, Side.BID, 1001),
+        (10, 110, Side.BID, 1002),
+        (11, 111, Side.BID, 1001),
+        (12, 112, Side.ASK, 999),
+        (13, 113, Side.BID, 1002),
+        (14, 114, Side.ASK, 1004),
+        (15, 115, Side.BID, 1004),
+    ]
+    for now, agent, side, price in script:
+        book.place_limit(agent, side, price, now)
+    return book
+
+
+def random_memory(rng):
+    records = []
+    for _ in range(rng.integers(0, 25)):
+        side = Side.BID if rng.random() < 0.5 else Side.ASK
+        price = int(rng.integers(990, 1011))
+        if rng.random() < 0.5:
+            success, failure = 1.0, 0.0
+        elif rng.random() < 0.5:
+            success, failure = 0.0, 1.0
+        else:
+            success = float(rng.uniform(0.0, 1.0))
+            failure = 1.0 - success
+        records.append(MemoryOrder(side, price, success, failure))
+    return RecordMemory(records)

@@ -31,15 +31,10 @@ from cdasim.fundamental import DmrParams
 from cdasim.orderbook import OrderBook, Side
 from cdasim.prices import PriceGrid
 
-from hbl_oracle import exact_beliefs, hbl_belief, hbl_classify
+from hbl_oracle import build_script_book, exact_beliefs, hbl_belief, hbl_classify, random_memory
 from reference_run import ListBook
-from test_agents import HBL, PV, ZI, build_script_book, random_memory
-from test_estimator import ScalarKalman
-from test_fundamental import ou_sample
-from conftest import FixedRng, depth_snapshot, replay, resting_ids
-
-
-CRITERION_LINES = []
+from conftest import (CRITERION_LINES, HBL, PV, ZI, FixedRng, ScalarKalman, depth_snapshot,
+                      ou_sample, replay, resting_ids)
 
 
 @contextmanager
@@ -111,9 +106,8 @@ import numpy
 eager = "numpy.ma" in sys.modules
 from cdasim.agents import hbl_candidate_grid, hbl_decide
 from cdasim.prices import PriceGrid
-from conftest import FixedRng
-from hbl_oracle import hbl_classify
-from test_agents import HBL, PV, ZI, build_script_book
+from conftest import HBL, PV, ZI, FixedRng
+from hbl_oracle import build_script_book, hbl_classify
 memory = hbl_classify(build_script_book().events, now=100, params=HBL)
 candidates = hbl_candidate_grid(memory)
 hbl_decide(-1, PV, 100.0, memory, candidates, HBL, ZI, FixedRng(0.0), PriceGrid(0.1))

@@ -23,25 +23,21 @@ from cdasim.agents import (
 from cdasim.orderbook import BookEvent, EventKind, OrderBook, Side, Trade
 from cdasim.preferences import PrivateValues
 
-from conftest import FixedRng, events_in_window, resting_ids
+from conftest import HBL, PV, ZI, FixedRng, events_in_window, resting_ids
 from reference_run import hbl_candidates, scalar_choice_oracle, spline_beliefs
 from hbl_oracle import (
     MemoryOrder,
     RecordMemory,
+    build_script_book,
     clamped_beliefs,
     exact_beliefs,
     hbl_belief,
     hbl_classify,
     order_arrays,
+    random_memory,
     records_of,
     tick_memory_from_orders,
 )
-
-
-PV = PrivateValues(q_max=3, values=(0.5, 0.3, 0.2, 0.1, -0.2, -0.4))
-
-ZI = ZiParams(r_min=0.0, r_max=1.0, eta=0.5, sigma_n_sq=10.0, q_max=3, sigma_pv_sq=25.0)
-HBL = HblParams(memory_length=4, grace_period=5)
 
 
 # ---------------------------------------------------------------------------
@@ -146,30 +142,6 @@ def test_zi_statistical_shading(grid_01, rng):
 # ---------------------------------------------------------------------------
 # HBL memory construction (order script reused from the matching tests)
 # ---------------------------------------------------------------------------
-
-
-def build_script_book():
-    book = OrderBook()
-    script = [  # (time, agent, side, price); order ids are the times
-        (1, 101, Side.ASK, 1000),
-        (2, 102, Side.BID, 998),
-        (3, 103, Side.ASK, 1003),
-        (4, 104, Side.BID, 996),
-        (5, 105, Side.BID, 1000),
-        (6, 106, Side.ASK, 1002),
-        (7, 107, Side.BID, 1000),
-        (8, 108, Side.ASK, 1003),
-        (9, 109, Side.BID, 1001),
-        (10, 110, Side.BID, 1002),
-        (11, 111, Side.BID, 1001),
-        (12, 112, Side.ASK, 999),
-        (13, 113, Side.BID, 1002),
-        (14, 114, Side.ASK, 1004),
-        (15, 115, Side.BID, 1004),
-    ]
-    for now, agent, side, price in script:
-        book.place_limit(agent, side, price, now)
-    return book
 
 
 def test_script_memory_beliefs(grid_01):
@@ -330,22 +302,6 @@ def test_classify_empty_stream():
 # ---------------------------------------------------------------------------
 # belief function against a brute-force rescan oracle
 # ---------------------------------------------------------------------------
-
-
-def random_memory(rng):
-    records = []
-    for _ in range(rng.integers(0, 25)):
-        side = Side.BID if rng.random() < 0.5 else Side.ASK
-        price = int(rng.integers(990, 1011))
-        if rng.random() < 0.5:
-            success, failure = 1.0, 0.0
-        elif rng.random() < 0.5:
-            success, failure = 0.0, 1.0
-        else:
-            success = float(rng.uniform(0.0, 1.0))
-            failure = 1.0 - success
-        records.append(MemoryOrder(side, price, success, failure))
-    return RecordMemory(records)
 
 
 def tick_memory(records):
@@ -670,10 +626,8 @@ from cdasim import agents
 from cdasim.agents import HblParams, hbl_candidate_grid, hbl_decide
 from cdasim.kernel import run
 from cdasim.prices import PriceGrid
-from conftest import FixedRng
-from hbl_oracle import hbl_classify
-from test_agents import ZI, PV, build_script_book
-from test_kernel import HBL_PARAMS, make_config
+from conftest import HBL_PARAMS, PV, ZI, FixedRng, make_config
+from hbl_oracle import build_script_book, hbl_classify
 fits = []
 fit = agents.natural_cubic_spline
 agents.natural_cubic_spline = lambda *args: fits.append(1) or fit(*args)

@@ -31,7 +31,6 @@ from cdasim.kernel import run
 from cdasim.prices import PriceGrid
 
 from conftest import greedy_buyer, settled_payoff
-from test_golden import CONFIGS
 
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -354,12 +353,30 @@ def test_main_breach_exit_code(tmp_path, monkeypatch):
         assert float(payoff) == settled_payoff(float(cash), int(q_held), final, values)
 
 
+LARGE_PRICES = """
+[fundamental]
+variant = dmr
+r_bar = 12345678901.23
+[market]
+horizon = 300
+tick_size = 0.01
+seed = 3
+[agents]
+zi_count = 60
+hbl_count = 0
+arrival_rate = 0.02
+eta = 0.0
+r_max = 1.0
+sigma_n_sq = 0.0
+"""
+
+
 def test_main_large_prices_conserve_cash_exactly(tmp_path):
     # near 1.2e10 a float sum of the agents' cash misses zero by about 2e-6,
     # which a tolerance of 1e-6 once reported as a breach from t=45; the
     # settlement checks conservation in whole ticks instead
     config = tmp_path / "c.ini"
-    config.write_text(CONFIGS["dmr-large-price-zi-only"])
+    config.write_text(LARGE_PRICES)
     assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 0
     manifest = read(tmp_path / "out" / "manifest.ini")
     assert "invariants_ok = true" in manifest

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -12,39 +10,7 @@ from cdasim.estimator import (
     project_final,
 )
 
-
-# ---------------------------------------------------------------------------
-# Independent oracle: textbook scalar Kalman filter for the state model
-#   x_t = kappa * r_bar + (1 - kappa) * x_{t-1} + u_t,   u_t ~ N(0, sigma_s_sq)
-#   o_t = x_t + n_t,                                     n_t ~ N(0, sigma_n_sq)
-# Written before (and independently of) the estimator implementation.
-# ---------------------------------------------------------------------------
-
-
-class ScalarKalman:
-    def __init__(self, r_bar, kappa, sigma_s_sq, sigma_n_sq):
-        self.r_bar = r_bar
-        self.kappa = kappa
-        self.sigma_s_sq = sigma_s_sq
-        self.sigma_n_sq = sigma_n_sq
-        self.x = r_bar
-        self.p = 0.0
-
-    def predict(self, steps):
-        a = 1.0 - self.kappa
-        for _ in range(steps):
-            self.x = self.kappa * self.r_bar + a * self.x
-            self.p = a * a * self.p + self.sigma_s_sq
-
-    def update(self, o):
-        total = self.p + self.sigma_n_sq
-        if total == 0.0:
-            self.x = o
-            self.p = 0.0
-            return
-        gain = self.p / total
-        self.x = self.x + gain * (o - self.x)
-        self.p = (1.0 - gain) * self.p
+from conftest import ScalarKalman
 
 
 def make_params(r_bar=100.0, kappa=0.5, sigma_s_sq=1.0, sigma_n_sq=2.0, horizon_T=100):

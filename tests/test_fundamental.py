@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from cdasim.fundamental import (
     OuFundamental,
     OuParams,
     dmr_series,
-    file_value_at,
     ou_mean_var,
 )
 from cdasim import estimator as est
@@ -28,15 +28,8 @@ from cdasim.cli import build_config, emit_outputs, parse_config, run_one
 from cdasim.kernel import run
 from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
-from conftest import load_bench
-from reference_run import dmr_path, dmr_step, scalar_dmr_series
-
-
-def ou_sample(q_prev, elapsed, params, std_normal_draw, grid):
-    """Skip-ahead sample of the OU value, rounded to tick and floored at zero:
-    the exact conditional distribution that ``OuFundamental`` draws from."""
-    mean, var = ou_mean_var(q_prev, elapsed, params)
-    return max(0, grid.to_ticks(mean + math.sqrt(var) * std_normal_draw))
+from conftest import load_bench, ou_sample
+from reference_run import ScalarFile, ScalarOu, dmr_path, dmr_step, scalar_dmr_series
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +265,16 @@ def test_dmr_series_takes_the_block_path_where_it_pays(monkeypatch):
     desk = build_config(parse_config(load_bench("workloads").WORKLOADS["desk"]["ini"]))
     assert (desk.fundamental.kappa, desk.horizon_T) == (0.05, 30000)
     grid = PriceGrid(desk.tick_size)
-    fund = desk.fundamental.source(grid, 11, desk.horizon_T)
+    fund = desk.fundamental.source(grid, 11, desk.horizon_T, ())
     assert calls and len(calls) % fundamental._BLOCK == 0
     assert all(got is not None for got in calls)
     assert fund.evaluations() == scalar_dmr_series(desk.fundamental, desk.tick_size, 11,
                                                    desk.horizon_T)
 
     calls.clear()
-    DmrParams(100.0, 0.0, 1.0).source(grid, 11, desk.horizon_T)
+    DmrParams(100.0, 0.0, 1.0).source(grid, 11, desk.horizon_T, ())
     assert calls == []
-    DmrParams(1e9, 0.05, 1.0).source(grid, 11, desk.horizon_T)
+    DmrParams(1e9, 0.05, 1.0).source(grid, 11, desk.horizon_T, ())
     assert [got is None for got in calls] == [True]
 
 
@@ -340,8 +333,7 @@ def test_ou_two_hop_sampling_matches_one_hop_moments(grid_001):
     params = OuParams(mu=100.0, gamma=0.3, sigma_sq=4.0, q0=120.0)
     finals = []
     for seed in range(20_000):
-        fund = OuFundamental(params, grid_001, seed=seed, horizon_T=10)
-        fund.value_at(1)
+        fund = OuFundamental(params, grid_001, seed=seed, horizon_T=10, reads=[1, 2])
         finals.append(fund.value_at(2) * 0.01)
     finals = np.array(finals)
     mean, var = ou_mean_var(120.0, 2.0, params)
@@ -351,28 +343,17 @@ def test_ou_two_hop_sampling_matches_one_hop_moments(grid_001):
 
 def test_ou_zero_volatility_decays_to_mean(grid_001):
     params = OuParams(mu=100.0, gamma=0.5, sigma_sq=0.0, q0=150.0)
-    fund = OuFundamental(params, grid_001, seed=1, horizon_T=20)
+    fund = OuFundamental(params, grid_001, seed=1, horizon_T=20, reads=[1, 5])
     for t in (1, 5, 20):
         expected = 100.0 + 50.0 * math.exp(-0.5 * t)
         assert fund.value_at(t) == grid_001.to_ticks(expected)
 
 
-def test_ou_nondecreasing_query_contract(grid_01):
-    params = OuParams(mu=100.0, gamma=0.05, sigma_sq=1.0, q0=100.0)
-    fund = OuFundamental(params, grid_01, seed=3, horizon_T=100)
-    v5 = fund.value_at(5)
-    assert fund.value_at(5) == v5  # repeat is cached, consumes no randomness
-    v9 = fund.value_at(9)
-    with pytest.raises(ValueError, match="nondecreasing"):
-        fund.value_at(4)
-    assert fund.value_at(9) == v9
-    assert fund.evaluations() == [(0, fund.evaluations()[0][1]), (5, v5), (9, v9)]
-
-
 def test_ou_sparse_trace_depends_only_on_query_times(grid_01):
     params = OuParams(mu=100.0, gamma=0.05, sigma_sq=1.0, q0=100.0)
-    a = OuFundamental(params, grid_01, seed=3, horizon_T=100)
-    b = OuFundamental(params, grid_01, seed=3, horizon_T=100)
+    a = OuFundamental(params, grid_01, seed=3, horizon_T=100, reads=[2, 7, 30])
+    b = OuFundamental(params, grid_01, seed=3, horizon_T=100, reads=(2, 2, 7, 30, 100))
+    assert a.evaluations() == b.evaluations()
     for t in (2, 7, 30, 100):
         assert a.value_at(t) == b.value_at(t)
 
@@ -423,8 +404,9 @@ def test_megashock_degenerates_to_ou(grid_01):
     # with a vanishing arrival rate no shock ever lands inside the horizon,
     # and the OU draws come from the same child stream
     params = make_ms_params(arrival_rate=1e-12)
-    ms = MegashockFundamental(params, grid_01, seed=11, horizon_T=200)
-    ou = OuFundamental(params.ou, grid_01, seed=11, horizon_T=200)
+    reads = [3, 10, 48]
+    ms = MegashockFundamental(params, grid_01, seed=11, horizon_T=200, reads=reads)
+    ou = OuFundamental(params.ou, grid_01, seed=11, horizon_T=200, reads=reads)
     for t in (3, 10, 48, 200):
         assert ms.value_at(t) == ou.value_at(t)
 
@@ -456,7 +438,7 @@ def test_megashock_two_shock_hand_unrolled_oracle(grid_01):
     state = mean + math.sqrt(var) * fund_rng.standard_normal()
     expected = max(0, grid_01.to_ticks(state))
 
-    ms = MegashockFundamental(params, grid_01, seed=0, horizon_T=10)
+    ms = MegashockFundamental(params, grid_01, seed=0, horizon_T=10, reads=[])
     assert ms.value_at(10) == expected
 
 
@@ -468,19 +450,12 @@ def test_megashock_shocks_are_zero_mean_on_average(grid_01):
     params = MegashockParams(ou=ou, arrival_rate=0.2, shock_mean=40.0, shock_var=50.0)
     finals = []
     for seed in range(400):
-        ms = MegashockFundamental(params, grid_01, seed=seed, horizon_T=50)
+        ms = MegashockFundamental(params, grid_01, seed=seed, horizon_T=50, reads=[])
         finals.append(ms.value_at(50) * 0.1)
     finals = np.array(finals)
     assert finals.min() > 0.0
     sem = finals.std() / math.sqrt(len(finals))
     assert abs(finals.mean() - 500.0) < 4.0 * sem
-
-
-def test_megashock_nondecreasing_contract(grid_01):
-    ms = MegashockFundamental(make_ms_params(), grid_01, seed=2, horizon_T=100)
-    ms.value_at(40)
-    with pytest.raises(ValueError, match="nondecreasing"):
-        ms.value_at(39)
 
 
 def test_megashock_params_validation():
@@ -506,7 +481,8 @@ SAMPLE = """timestamp,value
 
 
 def test_file_step_interpolation(grid_01):
-    fund = FileFundamental.from_text(SAMPLE, grid_01)
+    series = FileFundamental.from_text(SAMPLE, grid_01).series
+    fund = FileFundamental(series, grid_01, horizon_T=1000, reads=[3, 5, 11, 12])
     assert fund.value_at(0) == 1000
     assert fund.value_at(3) == 1000
     assert fund.value_at(5) == 1013
@@ -517,25 +493,22 @@ def test_file_step_interpolation(grid_01):
 
 def test_file_header_is_optional(grid_01):
     no_header = FileFundamental.from_text("0,100.0\n5,101.3\n", grid_01)
-    assert no_header.value_at(5) == 1013
+    assert no_header.series == [(0, 1000), (5, 1013)]
 
 
 def test_file_before_first_timestamp(grid_01):
-    # a series file starts at 0; a series built by hand may start later
+    # a series, from a file or built by hand, starts at 0
     with pytest.raises(ValueError, match="starts at timestamp 3, not 0"):
         FileFundamental.from_text("3,100.0\n", grid_01)
-    with pytest.raises(ValueError, match="precedes"):
-        file_value_at(2, [(3, 1000)])
-    with pytest.raises(ValueError, match="precedes"):
-        FileFundamental.from_text(SAMPLE, grid_01).value_at(-1)
+    with pytest.raises(ValueError, match="starts at timestamp 3, not 0"):
+        FileFundamental([(3, 1000), (8, 1200)], grid_01, horizon_T=10, reads=[1, 2, 5])
 
 
 def test_file_trace_starts_at_zero(grid_01):
-    # like the generated series, the trace holds the value at 0 before any query
+    # like the generated series, the trace holds the value at 0 and one row per read time
     fund = FileFundamental.from_text(SAMPLE, grid_01)
     assert fund.evaluations() == [(0, 1000)]
-    fund.value_at(7)
-    fund.value_at(7)
+    fund = FileFundamental(fund.series, grid_01, horizon_T=7, reads=[7, 7])
     assert fund.evaluations() == [(0, 1000), (7, 1013)]
 
 
@@ -560,11 +533,6 @@ def test_file_parse_errors(grid_01):
     assert FileFundamental.from_text("0,-0.04\n", grid_01).series == [(0, 0)]
 
 
-def test_file_value_at_empty_series():
-    with pytest.raises(ValueError, match="empty"):
-        file_value_at(0, [])
-
-
 def test_dump_and_reload_round_trip(tmp_path, grid_01):
     # the fundamental.csv a run writes replays the series it was made from
     params = DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0)
@@ -574,7 +542,7 @@ def test_dump_and_reload_round_trip(tmp_path, grid_01):
                          "[market]\nhorizon = 40\ntick_size = 0.1\nseed = 4\n"),
             str(tmp_path))
     reloaded = FileParams(str(tmp_path / "fundamental.csv"), DmrParams(100.0, 0.05, 1.0)).source(
-        grid_01, 4, 40)
+        grid_01, 4, 40, range(41))
     assert [reloaded.value_at(t) for t in range(41)] == original
 
 
@@ -601,9 +569,59 @@ def test_written_series_reloads_through_file_variant(tmp_path, variant):
     dump = tmp_path / "run" / "fundamental.csv"
     config = build_config(parse_config(f"[fundamental]\nvariant = file\npath = {dump}\n"
                                        + market))
-    reloaded = config.fundamental.source(result.grid, config.master_seed, config.horizon_T)
+    reloaded = config.fundamental.source(result.grid, config.master_seed, config.horizon_T, ())
     assert reloaded.series == result.fundamental_trace
     assert reloaded.series[0][0] == 0 and reloaded.series[-1][0] == 200
+
+
+# ---------------------------------------------------------------------------
+# the sparse sources against the reference run's scalar ones
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def stepped_series(tmp_path_factory):
+    """A series file whose steps stop before the longest horizon drawn below."""
+    path = tmp_path_factory.mktemp("series") / "fund.csv"
+    path.write_text("timestamp,value\n" + "".join(
+        f"{t},{100.0 + ((t * 7919) % 13 - 6) * 0.35:.2f}\n" for t in range(0, 301, 11)))
+    return path
+
+
+@st.composite
+def read_times(draw):
+    """A horizon and the nondecreasing times a run reads before it: repeats,
+    gaps of every size, and sometimes one or more reads at the horizon."""
+    horizon = draw(st.integers(1, 400))
+    gaps = draw(st.lists(st.sampled_from([0, 0, 1, 2, 5, 17, 60]), max_size=40))
+    start = draw(st.integers(0, 3))
+    reads = [t for t in itertools.accumulate(gaps, initial=start) if t < horizon]
+    return horizon, reads + [horizon] * draw(st.sampled_from([0, 0, 1, 2]))
+
+
+@settings(max_examples=200)
+@given(variant=st.sampled_from(["ou", "megashock", "file"]), times=read_times(),
+       arrival_rate=st.sampled_from([0.005, 0.05, 0.5]),
+       tick_size=st.sampled_from([0.01, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_sparse_sources_equal_scalar_reads(variant, times, arrival_rate, tick_size, seed,
+                                           stepped_series):
+    # built from the read times, each sparse source holds what the scalar
+    # source gives when it is read at those times and then at the horizon
+    horizon, reads = times
+    ou = OuParams(mu=100.0, gamma=0.05, sigma_sq=2.0, q0=95.0)
+    if variant == "ou":
+        params, scalar = ou, ScalarOu(ou, tick_size, seed)
+    elif variant == "megashock":
+        params = MegashockParams(ou=ou, arrival_rate=arrival_rate, shock_mean=8.0,
+                                 shock_var=4.0)
+        scalar = ScalarOu(params, tick_size, seed)
+    else:
+        params = FileParams(str(stepped_series), DmrParams(100.0, 0.05, 1.0))
+        scalar = ScalarFile(str(stepped_series), tick_size)
+    source = params.source(PriceGrid(tick_size), seed, horizon, reads)
+    assert [source.value_at(t) for t in reads] == [scalar.value_at(t) for t in reads]
+    assert source.value_at(horizon) == scalar.value_at(horizon)
+    assert source.evaluations() == scalar.trace
 
 
 # ---------------------------------------------------------------------------
@@ -646,13 +664,15 @@ def test_source_builds_each_variant(tmp_path, grid_01):
     path = tmp_path / "fund.csv"
     path.write_text("0,100.0\n10,101.0\n")
     ms = MegashockParams(ou=BASE_OU, arrival_rate=0.001, shock_mean=40.0, shock_var=50.0)
+    reads = [4, 4, 20]
     for params, cls in ((DmrParams(100.0, 0.05, 1.0), DmrFundamental),
                         (BASE_OU, OuFundamental), (ms, MegashockFundamental)):
-        fund = params.source(grid_01, 3, 50)
+        fund = params.source(grid_01, 3, 50, reads)
         assert type(fund) is cls
         assert (fund.params, fund.grid, fund.seed, fund.horizon_T) == (params, grid_01, 3, 50)
     file_params = FileParams(str(path), DmrParams(100.0, 0.05, 1.0))
-    a, b = file_params.source(grid_01, 3, 50), file_params.source(grid_01, 3, 50)
+    a, b = file_params.source(grid_01, 3, 50, reads), file_params.source(grid_01, 3, 50, ())
     assert type(a) is FileFundamental
     assert a.series == b.series == [(0, 1000), (10, 1010)]
-    assert a.series is not b.series  # a fresh replay each time
+    assert a.evaluations() == [(0, 1000), (4, 1000), (20, 1010), (50, 1010)]
+    assert b.evaluations() == [(0, 1000), (50, 1010)]

@@ -23,7 +23,6 @@ from cdasim.fundamental import (
 )
 from cdasim.kernel import (
     OutputOptions,
-    SimConfig,
     mark_observation,
     run,
     schedule_arrivals,
@@ -33,28 +32,9 @@ from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
 
-from conftest import greedy_buyer, load_bench, replay, resting_ids, settled_payoff
+from conftest import (HBL_PARAMS, ZI_PARAMS, greedy_buyer, load_bench, make_config, replay,
+                      resting_ids, settled_payoff)
 from reference_run import ListBook, reference_run, scalar_arrivals
-
-
-ZI_PARAMS = ZiParams(r_min=0.0, r_max=1.0, eta=1.0, sigma_n_sq=10.0,
-                     q_max=5, sigma_pv_sq=25.0)
-HBL_PARAMS = HblParams(memory_length=4, grace_period=100)
-
-
-def make_config(**overrides):
-    base = dict(
-        horizon_T=2000,
-        fundamental=DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0),
-        n_zi=10,
-        n_hbl=3,
-        zi_params=ZI_PARAMS,
-        hbl_params=HBL_PARAMS,
-        arrival_rate=0.01,
-        master_seed=7,
-    )
-    base.update(overrides)
-    return SimConfig(**base)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +328,19 @@ def test_fundamental_path_independent_of_population():
     assert small.final_fundamental == large.final_fundamental
 
 
+@pytest.mark.parametrize("variant", ["ou", "megashock", "file"])
+def test_sparse_fundamental_independent_of_strategy_split(variant, small_series):
+    # a sparse series is read at the wake times, which depend on the number
+    # of agents but not on their strategies: at one population size the
+    # series is the same whatever the ZI/HBL split
+    fundamental = SMALL_FUNDAMENTALS[variant] or small_series
+    traces = [run(make_config(horizon_T=800, n_zi=6 - n_hbl, n_hbl=n_hbl, arrival_rate=0.05,
+                              fundamental=fundamental)).fundamental_trace
+              for n_hbl in (0, 1, 3)]
+    assert len(traces[0]) > 100
+    assert traces[0] == traces[1] == traces[2]
+
+
 def test_run_zi_only_population():
     result = run(make_config(n_hbl=0, hbl_params=None))
     assert result.invariants_ok
@@ -514,6 +507,28 @@ def test_hbl_falls_back_until_enough_transactions(monkeypatch):
             assert fell_back == (not informed)
         # wakes before, exactly at and past the gate
         assert {np.sign(trades - memory_length) for trades, _, _ in wakes} == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("variant", ["dmr", "ou", "megashock", "file"])
+def test_bench_tracer_wake_ids(variant, small_series):
+    # the tracer opens a wake at the fundamental read just before its
+    # mark_observation; every wake must hold exactly one of each, and the
+    # settlement's read belongs to no wake
+    tracer = load_bench("tracer").Tracer()
+    config = make_config(horizon_T=300, n_zi=4, n_hbl=2, arrival_rate=0.05,
+                         fundamental=SMALL_FUNDAMENTALS[variant] or small_series)
+    tracer.install()
+    try:
+        result = kernel.run(config)  # through the module, so the run's span wraps the wakes
+    finally:
+        tracer.uninstall()
+    spans = tracer.arrays()
+    wakes = result.invariant_summary["wakes"]
+    assert wakes > 50
+    for name, outside in (("kernel.mark_observation", 0), ("fundamental.value_at", 1)):
+        per_wake = np.bincount(spans["wake"][spans["name"] == tracer.names.index(name)],
+                               minlength=wakes + 1)
+        assert per_wake.tolist() == [outside] + [1] * wakes, name
 
 
 def test_bench_tracer_targets_resolve():
