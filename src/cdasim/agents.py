@@ -10,12 +10,13 @@ function fit to the recently observed order stream.  The kernel asks for
 that memory only once the book holds enough transactions; until then HBL
 falls back to ZI.
 
-The HBL memory is one per-tick type, ``TickMemory``, in both success
-modes.  ``OrderHistory`` keeps it as running int64 counts in binary mode;
-in fractional mode it sorts the window afresh on each query, by side and
-then price, to keep one float addition order, and lays the sums on the same
-ticks.  Its span has an empty tick beyond each end, so a belief query is
-one dense pass over the span and one gather at the clamped price ticks.
+The HBL memory is one type, ``TickMemory``, in both success modes, laid on
+the ticks that hold at least one of its orders, so it grows with the
+window's occupied ticks, not with the price span.  ``OrderHistory`` keeps
+it as running int64 counts in binary mode; in fractional mode it sorts the
+window afresh on each query, by price, to keep one float addition order,
+and lays the sums on the same ticks.  A belief query finds each price among
+the occupied ticks and gathers the sums there.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import enum
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -135,33 +135,24 @@ def zi_decide(
 
 
 class TickMemory:
-    """Classified orders laid on the ticks ``lo`` to ``lo + span - 1``.
+    """Classified orders laid on ``prices``, the ticks they occupy, ascending.
 
-    It holds, for each side, the number of included orders at each tick,
-    and four cumulative weights indexed by tick, each running in the
-    direction in which ``belief_array`` reads it: successful bids and
-    failed asks at or below a tick, failed bids and successful asks at or
-    above it.  Every order lies inside the span, and the first and last
-    ticks hold none, so the belief at a price outside the span equals the
-    belief at the nearer end tick.  Binary weights are int64 counts, so a
-    binary belief is one division of two exact integers.
+    It holds, for each side, the number of included orders at each of those
+    ticks, and four cumulative weights at the boundary just below each tick
+    and above the last, each running in the direction in which
+    ``belief_array`` reads it.  Binary weights are int64 counts, so a binary
+    belief is one division of two exact integers.
     """
 
-    def __init__(self, lo: int, counts: np.ndarray, weights: np.ndarray):
-        self._lo = lo
-        self._counts = counts  # [bids, asks] at each tick; empty end ticks
-        # weights[0:2, j]: bid successes, ask failures at ticks below lo + j
-        # weights[2:4, j]: bid failures, ask successes at ticks from lo + j up
+    def __init__(self, prices: np.ndarray, counts: np.ndarray, weights: np.ndarray):
+        self.prices = prices  # int64, shared with the candidate grid; do not modify it
+        self._counts = counts  # [bids, asks] at each of prices
+        # weights[0:2, j]: bid successes, ask failures at ticks below prices[j]
+        # weights[2:4, j]: bid failures, ask successes at ticks from prices[j] up
         self._weights = weights
 
     def __len__(self) -> int:
         return int(self._counts.sum())
-
-    @cached_property
-    def prices(self) -> np.ndarray:
-        """The occupied ticks, ascending, as an int64 array that the
-        candidate grid and the spline knots share; do not modify it."""
-        return (self._counts[0] + self._counts[1]).nonzero()[0] + self._lo
 
     def belief_array(self, prices, side: Side) -> np.ndarray:
         """Heuristic probability that a limit order at each of ``prices``
@@ -169,24 +160,23 @@ class TickMemory:
 
         For a bid: favorable mass is ask volume and successful bids at <= p,
         unfavorable mass is failed bids at >= p.  Mirrored for an ask.  The
-        belief is 0 where the denominator is empty.  It is computed once at
-        every tick of the span and read at each price's tick, clamped to
-        the span, whose end ticks are empty.
+        belief is 0 where the denominator is empty.
         """
-        counts, weights = self._counts, self._weights
+        ticks, counts, weights = self.prices, self._counts, self._weights
+        below = ticks.searchsorted(prices)  # the boundary just below each price
+        # the boundary just above it is the next one where the price is occupied
+        above = below + (ticks.take(below, mode="clip") == prices) if ticks.size else below
+        favorable = np.zeros(ticks.size + 1, dtype=np.int64)
         if side is BID:
-            favorable = np.add.accumulate(counts[1])
-            numerator = favorable + weights[0, 1:]
-            denominator = numerator + weights[2, :-1]
+            np.add.accumulate(counts[1], out=favorable[1:])
+            numerator = (favorable + weights[0])[above]
+            denominator = numerator + weights[2][below]
         else:
-            favorable = np.add.accumulate(counts[0, ::-1])[::-1]
-            numerator = favorable + weights[3, :-1]
-            denominator = numerator + weights[1, 1:]
-        beliefs = np.divide(numerator, denominator,
-                            out=np.zeros(numerator.shape), where=denominator > 0)
-        ticks = np.asarray(prices, dtype=np.int64) - self._lo
-        np.maximum(ticks, 0, out=ticks)
-        return beliefs[np.minimum(ticks, beliefs.size - 1, out=ticks)]
+            np.add.accumulate(counts[0, ::-1], out=favorable[-2::-1])
+            numerator = (favorable + weights[3])[below]
+            denominator = numerator + weights[1][above]
+        # an empty denominator has an empty numerator, so it reads 0 / 1
+        return numerator / np.where(denominator > 0, denominator, 1)
 
 
 class OrderHistory:
@@ -202,30 +192,30 @@ class OrderHistory:
     fixed then.  The book numbers orders 1, 2, 3, ... in placement order,
     so the ledger entry of order ``order_id`` is ``order_id - 1``.
 
-    In binary mode the ledger keeps int64 per-tick counts of the classified
-    orders placed at or after the current window start, in the row order
-    of ``TickMemory``'s weights, so a query is two cumulative sums of two
-    rows each instead of a sort of the window:
+    In binary mode the ledger keeps int64 counts of the classified orders
+    placed at or after the current window start, in the row order of
+    ``TickMemory``'s weights, so a query is two cumulative sums of two rows
+    each instead of a sort of the window:
 
     - an execution or a cancellation moves one order between classes;
     - a forward cursor fails, one at a time, the pending orders that
       outlive the grace period (placement times never decrease);
     - a moved window start re-counts only the orders it passes over.
 
-    The counts widen, by ``_MARGIN`` ticks, before a price reaches their
-    first or last column, so those columns stay empty as ``TickMemory``
-    needs.  A fill or a cancellation is counted at the price its event
-    carries, except a taker's fill, whose event carries the trade price.
+    A tick has a column from when an order there is first counted until a
+    forward move of the window start empties it, so the counts grow with
+    the window's occupied ticks, not with the price span.  A fill or a
+    cancellation is counted at the price its event carries, except a
+    taker's fill, whose event carries the trade price.
 
     Fractional weights are floats whose sums depend on the order of
     addition, so that mode keeps no order between queries: each query
     re-weighs the pending orders, sorts the window's weighted orders with
-    one stable sort by side and price, which leaves each side in (price,
-    placement) order, and sums the weights in that order.
+    one stable sort by price, which leaves each side in (price, placement)
+    order, and sums the weights in that order.
     """
 
     _FIELDS = ("_price", "_is_bid", "_success", "_failure")
-    _MARGIN = 64  # ticks of headroom added whenever the counts widen
 
     def __init__(self, params: HblParams) -> None:
         self.params = params
@@ -243,10 +233,9 @@ class OrderHistory:
         self._start = 0  # index of the first order in the window
         # binary ledger: counts of the classified orders [_start, _n)
         self._expired = 0  # orders [0, _expired) were placed over grace ago
-        self._lo = 0  # tick of column 0 of _counts
+        self._ticks = np.empty(0, dtype=np.int64)  # the tick of each column, ascending
         # rows: bid successes, ask failures, bid failures, ask successes
         self._counts = np.zeros((4, 0), dtype=np.int64)
-        self._flat = self._counts.reshape(-1)  # a view, for one-item writes
 
     def memory(self, book: OrderBook, now: int) -> TickMemory:
         """Classified memory of the orders in the window of ``book``'s last
@@ -263,12 +252,11 @@ class OrderHistory:
         elif start > self._start:
             self._count_range(self._start, start, -1)
         self._start = start
-        # a ledger that has counted nothing yet reads as one empty tick
-        counts = self._counts if self._counts.shape[1] else np.zeros((4, 1), dtype=np.int64)
+        counts = self._counts
         weights = np.zeros((4, counts.shape[1] + 1), dtype=np.int64)
         np.add.accumulate(counts[:2], axis=1, out=weights[:2, 1:])
         np.add.accumulate(counts[2:, ::-1], axis=1, out=weights[2:, -2::-1])
-        return TickMemory(self._lo, counts[:2] + counts[2:], weights)
+        return TickMemory(self._ticks, counts[:2] + counts[2:], weights)
 
     def _read(self, book: OrderBook) -> int:
         """Take in the events logged since the last read and return the
@@ -333,32 +321,33 @@ class OrderHistory:
         success, failure = self._success[start:self._n], self._failure[start:self._n]
         weighted = (success + failure > 0.0).nonzero()[0]  # in placement order
         price = self._price[start:self._n][weighted]
-        # one empty tick beyond each end, as TickMemory needs
-        lo, hi = (int(price.min()) - 1, int(price.max()) + 1) if price.size else (0, 0)
-        span = hi - lo + 1
-        # bids before asks, each by price; a stable sort keeps placement order
-        key = price - lo + span * ~self._is_bid[start:self._n][weighted]
-        if 2 * span <= 1 << 16:
+        lo, hi = (int(price.min()), int(price.max())) if price.size else (0, 0)
+        key = price - lo
+        if hi - lo < 1 << 16:
             key = key.astype(np.uint16)  # numpy radix-sorts 16-bit keys
-        order = weighted[key.argsort(kind="stable")]
+        order = weighted[key.argsort(kind="stable")]  # by price, then placement
+        price, is_bid = self._price[start:self._n][order], self._is_bid[start:self._n][order]
         success, failure = success[order], failure[order]
-        counts = np.bincount(key, minlength=2 * span).reshape(2, span)
-        # below[k]: orders sorted before key k, bids then asks
-        below = np.zeros(2 * span + 1, dtype=np.int64)
-        counts.cumsum(out=below[1:])
-        weights = np.empty((4, span + 1))
-        for row in (0, 1):
-            side = below[row * span: (row + 1) * span + 1]
-            first, last = int(side[0]), int(side[-1])
-            rising, falling = success[first:last], failure[first:last]
+        first = _run_starts(price)
+        ticks = price[first]
+        # below[:, j]: the bids and the asks at ticks below ticks[j]
+        below = np.empty((2, ticks.size + 1), dtype=np.int64)
+        below[1, :-1], below[1, -1] = first.nonzero()[0], price.size
+        bids = np.zeros(price.size + 1, dtype=np.int64)
+        is_bid.cumsum(out=bids[1:])
+        below[0] = bids[below[1]]
+        below[1] -= below[0]
+        weights = np.empty((4, ticks.size + 1))
+        for row, side in enumerate((is_bid, ~is_bid)):
+            rising, falling = success[side], failure[side]  # in (price, placement) order
             if row:  # asks: failures count at or below, successes at or above
                 rising, falling = falling, rising
-            sums = np.zeros(last - first + 1)
+            sums = np.zeros(rising.size + 1)
             rising.cumsum(out=sums[1:])
-            weights[row] = sums[side - first]
+            weights[row] = sums[below[row]]
             falling[::-1].cumsum(out=sums[1:])
-            weights[2 + row] = sums[last - side]
-        return TickMemory(lo, counts, weights)
+            weights[2 + row] = sums[rising.size - below[row]]
+        return TickMemory(ticks, np.diff(below), weights)
 
     # -- binary ledger ------------------------------------------------------
 
@@ -379,45 +368,51 @@ class OrderHistory:
         failed[:expired] = ~executed[:expired]
         keep = executed | failed
         price = self._price[a:b][keep]
-        if not price.size:
-            return
-        self._cover(int(price.min()), int(price.max()))
         is_bid = self._is_bid[a:b][keep]
         rows = 2 * (failed[keep] == is_bid) + ~is_bid
-        np.add.at(self._flat, rows * self._counts.shape[1] + (price - self._lo), delta)
+        if delta > 0:  # a column for each tick not counted yet
+            ticks = np.sort(np.concatenate((self._ticks, price)), kind="stable")
+            ticks = ticks[_run_starts(ticks)]
+            counts = np.zeros((4, ticks.size), dtype=np.int64)
+            counts[:, ticks.searchsorted(self._ticks)] = self._counts
+            self._ticks, self._counts = ticks, counts
+        np.add.at(self._counts, (rows, self._ticks.searchsorted(price)), delta)
+        if delta < 0:  # drop the columns this emptied
+            occupied = self._counts.any(axis=0)  # compress keeps the rows contiguous
+            self._ticks, self._counts = self._ticks[occupied], self._counts.compress(occupied, axis=1)
 
     def _tally(self, price: int, is_bid: bool, failed: bool, delta: int) -> None:
         """Add ``delta`` orders of one class at ``price`` to the counts."""
-        column, span = price - self._lo, self._counts.shape[1]
-        if not 0 < column < span - 1:
-            self._cover(price, price)
-            column, span = price - self._lo, self._counts.shape[1]
-        self._flat[(2 * (failed == is_bid) + (not is_bid)) * span + column] += delta
+        ticks, counts = self._ticks, self._counts
+        column = ticks.searchsorted(price)
+        if column == ticks.size or ticks[column] != price:  # the tick's first order
+            self._ticks = np.concatenate((ticks[:column], [price], ticks[column:]))
+            counts = self._counts = np.concatenate(
+                (counts[:, :column], np.zeros((4, 1), dtype=np.int64), counts[:, column:]), axis=1)
+        counts[2 * (failed == is_bid) + (not is_bid), column] += delta
 
-    def _cover(self, lo: int, hi: int) -> None:
-        """Widen the counts so they span ticks ``lo`` to ``hi``, with an
-        empty column beyond each end."""
-        old_lo, old_span = self._lo, self._counts.shape[1]
-        if old_span and old_lo < lo and hi < old_lo + old_span - 1:
-            return
-        if old_span:
-            lo, hi = min(lo, old_lo), max(hi, old_lo + old_span - 1)
-        new_lo = lo - self._MARGIN
-        counts = np.zeros((4, hi + self._MARGIN + 1 - new_lo), dtype=np.int64)
-        counts[:, old_lo - new_lo: old_lo - new_lo + old_span] = self._counts
-        self._lo, self._counts, self._flat = new_lo, counts, counts.reshape(-1)
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in a sorted array starts, as a mask."""
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
+_SPLINE_GRID_TICKS = 1 << 16  # the most ticks a spline-mode grid lays out one by one
 
 
 def hbl_candidate_grid(memory: TickMemory, mode: str = "observed") -> np.ndarray:
     """Candidate limit prices, ascending, as an int64 array: the observed
-    distinct prices, or every tick across the observed range, each extended
-    one tick beyond the extremes."""
+    distinct prices and one tick beyond each extreme, or in spline mode
+    every tick of that range, unless it holds more than
+    ``_SPLINE_GRID_TICKS`` ticks (as after a price jump)."""
     observed = memory.prices
     if not observed.size:
         return observed
     first, last = int(observed[0]), int(observed[-1])
     lo, hi = max(0, first - 1), last + 1
-    if mode == "spline":
+    if mode == "spline" and hi - lo < _SPLINE_GRID_TICKS:
         return np.arange(lo, hi + 1, dtype=np.int64)
     # observed is sorted and distinct, so only the two ends can be new
     grid = np.empty(observed.size + 2, dtype=np.int64)

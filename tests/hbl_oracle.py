@@ -3,10 +3,7 @@
 ``RecordMemory`` answers belief queries with prefix sums over each side's
 ``MemoryOrder`` records sorted by price, the float addition order that
 fractional mode keeps, and ``tick_memory_from_orders`` lays the same sums
-on ticks as a ``TickMemory``, from scratch.  ``clamped_beliefs`` reads a
-``TickMemory``'s beliefs at each price separately, with the span's bounds
-clamped per query, as ``TickMemory`` did before it read one dense pass.
-``hbl_classify`` classifies the orders of a book's event log from
+on the occupied ticks as a ``TickMemory``, from scratch.  ``hbl_classify`` classifies the orders of a book's event log from
 scratch, order by order, into ``MemoryOrder`` records: those of the last
 L transactions' window, or those placed from any given time on.
 ``exact_beliefs`` sums the weights of such records exactly, so a binary
@@ -210,21 +207,18 @@ def tick_memory_from_orders(is_bid, price, success, failure) -> TickMemory:
     from scratch.
 
     Each side's weights are sorted by price, stably, and summed in that
-    order (forwards for "at or below", backwards for "at or above"), then
-    read at the tick boundaries, so fractional weights keep one fixed float
-    addition order.  Integer weights give int64 sums, as the binary ledger
-    keeps them.  The span runs from one tick below the lowest price to one
-    above the highest, as the fractional ledger lays it.
+    order (forwards for "below", backwards for "at or above"), then read at
+    the boundary below each occupied tick and at the one above the highest,
+    so fractional weights keep one fixed float addition order.  Integer
+    weights give int64 sums, as the binary ledger keeps them.
     """
-    # an empty tick beyond each end, as TickMemory needs; one tick if empty
-    lo = int(price.min()) - 1 if price.size else 0
-    span = int(price.max()) - lo + 2 if price.size else 1
-    ticks = np.arange(lo, lo + span + 1)
-    counts = np.empty((2, span), dtype=np.int64)
-    weights = np.empty((4, span + 1), dtype=np.result_type(success, failure))
+    ticks = np.array(sorted(set(price.tolist())), dtype=np.int64)
+    bounds = np.append(ticks, ticks[-1] + 1 if ticks.size else 0)
+    counts = np.empty((2, ticks.size), dtype=np.int64)
+    weights = np.empty((4, ticks.size + 1), dtype=np.result_type(success, failure))
     for row, mask in enumerate((is_bid, ~is_bid)):
         order = np.argsort(price[mask], kind="stable")
-        below = np.searchsorted(price[mask][order], ticks, side="left")
+        below = np.searchsorted(price[mask][order], bounds, side="left")
         counts[row] = np.diff(below)
         rising, falling = success[mask][order], failure[mask][order]
         if row:  # asks: failures count at or below, successes at or above
@@ -232,33 +226,7 @@ def tick_memory_from_orders(is_bid, price, success, failure) -> TickMemory:
         weights[row] = np.concatenate(([0], np.cumsum(rising)))[below]
         weights[2 + row] = np.concatenate(
             ([0], np.cumsum(falling[::-1])))[below[-1] - below]
-    return TickMemory(lo, counts, weights)
-
-
-def clamped_beliefs(memory: TickMemory, prices, side: Side) -> np.ndarray:
-    """``memory``'s belief at each of ``prices``, each mass gathered at the
-    price's own cumulative bound clamped to the span, so a price outside
-    the span reads an empty or a full sum whatever the end ticks hold."""
-    counts, weights = memory._counts, memory._weights
-    k = np.asarray(prices, dtype=np.int64) - memory._lo
-    span = counts.shape[1]
-    at_or_below = np.minimum(np.maximum(k + 1, 0), span)
-    at_or_above = np.minimum(np.maximum(k, 0), span)
-    favorable = np.zeros(span + 1, dtype=np.int64)
-    if side is Side.BID:
-        np.add.accumulate(counts[1], out=favorable[1:])
-        favorable = favorable[at_or_below]
-        succ = weights[0][at_or_below]
-        fail = weights[2][at_or_above]
-    else:
-        np.add.accumulate(counts[0, ::-1], out=favorable[-2::-1])
-        favorable = favorable[at_or_above]
-        succ = weights[3][at_or_above]
-        fail = weights[1][at_or_below]
-    numerator = favorable + succ
-    denominator = numerator + fail
-    return np.divide(numerator, denominator,
-                     out=np.zeros(numerator.shape), where=denominator > 0)
+    return TickMemory(ticks, counts, weights)
 
 
 def build_script_book():

@@ -202,9 +202,10 @@ def spline_beliefs(points, values, prices) -> np.ndarray:
 
 def hbl_candidates(observed: list[int], grid_mode: str) -> list[int]:
     """The observed prices and one tick beyond each extreme (not below 0),
-    or every tick across that range in spline mode."""
+    or every tick across that range in spline mode, unless that range holds
+    more than 65,536 ticks."""
     lo, hi = max(0, observed[0] - 1), observed[-1] + 1
-    if grid_mode == "spline":
+    if grid_mode == "spline" and hi - lo + 1 <= 65_536:
         return list(range(lo, hi + 1))
     return sorted(set(observed) | {lo, hi})
 

@@ -29,7 +29,6 @@ from hbl_oracle import (
     MemoryOrder,
     RecordMemory,
     build_script_book,
-    clamped_beliefs,
     exact_beliefs,
     hbl_belief,
     hbl_classify,
@@ -183,6 +182,9 @@ def test_candidate_grid_matches_union_oracle(rng):
         if rng.random() < 0.2:  # prices at the bottom of the tick range
             memory = tick_memory([MemoryOrder(Side.BID, int(p), 1.0, 0.0)
                                   for p in rng.integers(0, 4, size=2)])
+        elif rng.random() < 0.1:  # a range about the spline grid's 65,536 ticks
+            memory = tick_memory([MemoryOrder(Side.ASK, p, 1.0, 0.0)
+                                  for p in (1000, 1000 + int(rng.integers(65530, 65540)))])
         observed = memory.prices.tolist()
         grid = hbl_candidate_grid(memory)
         dense = hbl_candidate_grid(memory, "spline")
@@ -337,8 +339,18 @@ def edge_orders(case, rng):
         return is_bid, np.full(n, 1000)
     if case == "tick zero":
         return is_bid, rng.integers(0, 4, size=n)
-    # cent ticks: prices near 100.00 spread wider than the ledger's 64-tick margin
+    if case == "far ticks":  # two clusters 10^12 ticks apart, as after a price jump
+        return is_bid, rng.integers(995, 1006, size=n) + 10**12 * (rng.random(n) < 0.5)
+    # cent ticks: prices near 100.00, over 200 ticks with gaps between orders
     return is_bid, rng.integers(9900, 10101, size=n)
+
+
+def edge_queries(price):
+    """Every tick from three below to three above the memory, or above each
+    cluster of it when its prices lie more than 10^6 ticks apart."""
+    ticks = np.sort(price) if price.size else np.array([1000])
+    clusters = np.split(ticks, np.flatnonzero(np.diff(ticks) > 10**6) + 1)
+    return np.concatenate([np.arange(part[0] - 3, part[-1] + 4) for part in clusters])
 
 
 def edge_weights(rng, n, grace):
@@ -354,9 +366,12 @@ def edge_weights(rng, n, grace):
     return success, failure
 
 
+EDGE_CASES = ["empty", "bids only", "asks only", "single tick", "tick zero", "cent ticks",
+              "far ticks"]
+
+
 @pytest.mark.parametrize("grace", [None, 3, 7, 100])
-@pytest.mark.parametrize("case", ["empty", "bids only", "asks only", "single tick",
-                                  "tick zero", "cent ticks"])
+@pytest.mark.parametrize("case", EDGE_CASES)
 def test_tick_memory_matches_oracle_edge_cases(case, grace, rng):
     widest = 0
     for _ in range(40):
@@ -364,17 +379,16 @@ def test_tick_memory_matches_oracle_edge_cases(case, grace, rng):
         success, failure = edge_weights(rng, price.size, grace)
         got = tick_memory_from_orders(is_bid, price, success, failure)
         expected = RecordMemory(records_of(is_bid, price, success, failure))
-        assert_dense_beliefs(got)
         assert len(got) == len(expected) == price.size
         assert np.array_equal(got.prices, expected.prices)
         assert got.prices.dtype == np.int64
-        lo, hi = (int(price.min()), int(price.max())) if price.size else (1000, 1000)
-        widest = max(widest, hi - lo)
-        queries = np.arange(lo - 3, hi + 4)  # three ticks beyond each end
+        if price.size:
+            widest = max(widest, int(price.max() - price.min()))
+        queries = edge_queries(price)
         for side in Side:
             assert_bitwise_equal(got.belief_array(queries, side),
                                  expected.belief_array(queries, side))
-    assert case != "cent ticks" or widest > OrderHistory._MARGIN
+    assert case != "cent ticks" or widest > 64
 
 
 def assert_exact_quotients(memory, records, prices):
@@ -385,8 +399,7 @@ def assert_exact_quotients(memory, records, prices):
         assert_bitwise_equal(memory.belief_array(prices, side), expected)
 
 
-@pytest.mark.parametrize("case", ["empty", "bids only", "asks only", "single tick",
-                                  "tick zero", "cent ticks"])
+@pytest.mark.parametrize("case", EDGE_CASES)
 def test_binary_tick_memory_is_the_exact_quotient_edge_cases(case, rng):
     # the edge memories with int64 weights, as the binary ledger keeps them
     for _ in range(40):
@@ -396,8 +409,7 @@ def test_binary_tick_memory_is_the_exact_quotient_edge_cases(case, rng):
                                          failure.astype(np.int64))
         assert memory._weights.dtype == np.int64
         records = records_of(is_bid, price, success, failure)
-        lo, hi = (int(price.min()), int(price.max())) if price.size else (1000, 1000)
-        assert_exact_quotients(memory, records, np.arange(lo - 3, hi + 4))
+        assert_exact_quotients(memory, records, edge_queries(price))
 
 
 @pytest.mark.parametrize("bid_prices, ask_prices", [
@@ -554,18 +566,6 @@ def assert_bitwise_equal(got, expected):
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
-def assert_dense_beliefs(memory):
-    """The end ticks of ``memory`` are empty, and its dense beliefs equal
-    the clamped per-price reading bit for bit at every tick of the span, at
-    its ends and three ticks beyond each."""
-    counts = memory._counts
-    assert counts.shape[1] >= 1 and not counts[:, [0, -1]].any()
-    prices = np.arange(memory._lo - 3, memory._lo + counts.shape[1] + 3)
-    for side in Side:
-        assert_bitwise_equal(memory.belief_array(prices, side),
-                             clamped_beliefs(memory, prices, side))
-
-
 def spline_cases(rng, tick_size):
     """Knot sets around 100.0 in ticks: 2 and 3 knots, even gaps, gaps that
     force a row interchange in the tridiagonal solve, and random gaps."""
@@ -709,9 +709,7 @@ class LedgerMarket:
 
 
 def assert_same_memory(got, expected, prices):
-    """Exact equality of the length, the observed prices and every belief;
-    ``got``, a ledger's memory, also passes ``assert_dense_beliefs``."""
-    assert_dense_beliefs(got)
+    """Exact equality of the length, the observed prices and every belief."""
     assert len(got) == len(expected)
     assert np.array_equal(got.prices, expected.prices)
     assert got.prices.dtype == np.int64
@@ -1005,17 +1003,23 @@ def test_ledger_longer_grace_counts_later():
     assert len(assert_ledger_exact(market, 32, window_start=0)) == 2
 
 
-@pytest.mark.parametrize("mode, low, high", [
-    ("binary", 9900, 10101),
-    ("fractional", 9900, 10101),
-    # windows over 32,768 ticks wide: the fractional sort key needs 64 bits
-    ("fractional", 0, 40001),
-], ids=["binary", "fractional", "fractional wide span"])
-def test_ledger_at_cent_ticks_matches_oracle(mode, low, high, rng):
+@pytest.mark.parametrize("mode, low, high, jump, wider_than", [
+    ("binary", 9900, 10101, 0, 64),
+    ("fractional", 9900, 10101, 0, 64),
+    # windows over 65,536 ticks wide: the fractional sort key needs 64 bits
+    ("fractional", 0, 80001, 0, 65536),
+    # half the orders 10^12 ticks up, as after a price jump
+    ("binary", 995, 1006, 10**12, 10**12 - 11),
+    ("fractional", 995, 1006, 10**12, 10**12 - 11),
+], ids=["binary", "fractional", "fractional wide span", "binary far ticks",
+        "fractional far ticks"])
+def test_ledger_at_cent_ticks_matches_oracle(mode, low, high, jump, wider_than, rng):
     # tick_size 0.01: prices near 100.00 are ~10^4 ticks and spread over a
-    # span wider than the ledger's headroom, so its counts widen repeatedly
+    # span much wider than the window's orders fill, so most ticks are empty
     params = HblParams(memory_length=2, grace_period=9, success_mode=mode)
     prices = np.arange(low - 20, high + 20, 1 + (high - low) // 1000)  # at most ~1,000
+    if jump:
+        prices = np.concatenate((prices, prices + jump))
     widest = 0
     for _ in range(10):
         market = LedgerMarket(params)
@@ -1023,13 +1027,14 @@ def test_ledger_at_cent_ticks_matches_oracle(mode, low, high, rng):
         for _ in range(80):
             t += int(rng.integers(0, 3))
             side = Side.BID if rng.random() < 0.5 else Side.ASK
-            market.place(side, int(rng.integers(low, high)), t)
+            price = int(rng.integers(low, high))
+            market.place(side, price + jump if jump and rng.random() < 0.5 else price, t)
             if not market.book.trades:
                 continue
             memory = assert_ledger_exact(market, t, prices=prices)
             if len(memory):
                 widest = max(widest, int(memory.prices[-1] - memory.prices[0]))
-    assert widest > (32768 if high - low > 32768 else OrderHistory._MARGIN)
+    assert widest > wider_than
 
 
 def fractional_market():

@@ -616,6 +616,50 @@ def test_cli_import_leaves_process_pool_unloaded():
     assert out.strip() == "False"
 
 
+PRICE_JUMP_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from cdasim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("success_mode, grid_mode", [
+    ("binary", "observed"), ("fractional", "observed"), ("fractional", "spline")])
+def test_price_jump_runs_in_a_gigabyte(tmp_path, success_mode, grid_mode):
+    # the fundamental jumps from 100 to 1e12, 10^13 ticks: the HBL memory and
+    # the candidate grid must grow with the orders, not with the price span
+    (tmp_path / "series.csv").write_text("0,100.0\n50,1e12\n")
+    config = tmp_path / "jump.ini"
+    config.write_text(f"""\
+[fundamental]
+variant = file
+path = {tmp_path / "series.csv"}
+
+[market]
+horizon = 300
+tick_size = 0.1
+
+[agents]
+zi_count = 5
+hbl_count = 3
+arrival_rate = 0.3
+success_mode = {success_mode}
+grid_mode = {grid_mode}
+""")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"), OPENBLAS_NUM_THREADS="1")
+    child = subprocess.run(
+        [sys.executable, "-c", PRICE_JUMP_RUN, "--config", str(config), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert "invariants_ok = true" in read(out / "manifest.ini")
+    for name in ("events.csv", "trades.csv", "agents.csv", "fundamental.csv"):
+        assert (out / name).stat().st_size > 0, name
+    prices = [float(line.split(",")[1]) for line in read(out / "trades.csv").splitlines()[1:]]
+    assert min(prices) < 1e3 and max(prices) > 1e11  # trades before and after the jump
+
+
 def test_sample_config_smoke():
     start = time.monotonic()
     import tempfile
