@@ -421,46 +421,46 @@ def hbl_candidate_grid(memory: TickMemory, mode: str = "observed") -> np.ndarray
 
 
 def _solve_tridiagonal(dl: list, d: list, du: list, b: list) -> list:
-    """Solve a tridiagonal system in place, as LAPACK ``dgtsv`` does.
+    """Solve a tridiagonal system in place, bit for bit as LAPACK ``dgtsv``.
 
-    ``dl``, ``d`` and ``du`` are the sub-, main and super-diagonal.  The
-    elimination with partial pivoting and the back-substitution follow the
-    reference routine step for step, so the solution matches it bit for bit.
+    ``d`` (the diagonal) and ``b`` (the right-hand side) have ``n`` entries.
+    ``dl[i]`` and ``du[i]`` are the entries below and right of ``d[i]`` for
+    ``i < n - 1``; an entry of theirs from ``n - 1`` on is never read.  All
+    four lists are overwritten, and ``b``, returned, holds the solution.  The
+    float operations, pivoting included, are dgtsv's in its order; a singular
+    system, where dgtsv returns ``info > 0``, raises ``ValueError``.
     """
     n = len(d)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                raise ValueError("singular tridiagonal system")
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            dl[i] = 0.0
-        else:  # interchange rows i and i + 1
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            temp = b[i]
-            b[i] = b[i + 1]
-            b[i + 1] = temp - fact * b[i + 1]
-    if d[n - 1] == 0.0:
-        raise ValueError("singular tridiagonal system")
-    b[n - 1] = b[n - 1] / d[n - 1]
+    pivot, rhs = d[0], b[0]  # row i as eliminated so far
+    try:  # a zero pivot divides by zero, in the loop or at its end
+        for i in range(n - 1):
+            below = dl[i]
+            if abs(pivot) >= abs(below):
+                fact = below / pivot
+                d[i], b[i], dl[i] = pivot, rhs, 0.0
+                pivot = d[i + 1] - fact * du[i]
+                rhs = b[i + 1] - fact * rhs
+            else:  # interchange rows i and i + 1
+                fact = pivot / below
+                d[i], du[i], pivot = below, d[i + 1], du[i] - fact * d[i + 1]
+                if i < n - 2:
+                    dl[i] = du[i + 1]
+                    du[i + 1] = -fact * dl[i]
+                b[i], rhs = b[i + 1], rhs - fact * b[i + 1]
+        b[n - 1] = x2 = rhs / pivot
+    except ZeroDivisionError:
+        raise ValueError("singular tridiagonal system") from None
     if n > 1:
-        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+        b[n - 2] = x1 = (b[n - 2] - du[n - 2] * x2) / d[n - 2]
+    for i in range(n - 3, -1, -1):  # x1, x2: the solution at rows i + 1, i + 2
+        x1, x2 = (b[i] - du[i] * x1 - dl[i] * x2) / d[i], x1
+        b[i] = x1
     return b
 
 
 def natural_cubic_spline(knots, values, points) -> np.ndarray:
     """Natural cubic spline through ``(knots, values)`` at ``points``,
-    extrapolated from the end pieces.
+    extrapolated from the end pieces; its arguments are only read.
 
     Bit for bit the reference spline that ``tests/test_agents.py`` compares
     against: the same tridiagonal system for the slopes, the same Hermite
@@ -469,8 +469,8 @@ def natural_cubic_spline(knots, values, points) -> np.ndarray:
     """
     x = np.asarray(knots, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
+    dx = x[1:] - x[:-1]
+    slope = (y[1:] - y[:-1]) / dx
     # slope equations; the natural ends set the second derivative to zero
     d = np.empty(len(x))
     d[0], d[-1] = 2 * dx[0], 2 * dx[-1]
@@ -478,21 +478,19 @@ def natural_cubic_spline(knots, values, points) -> np.ndarray:
     rhs = np.empty(len(x))
     rhs[0], rhs[-1] = 3 * (y[1] - y[0]), 3 * (y[-1] - y[-2])
     rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    dl = np.append(dx[1:], dx[-1])
-    du = np.append(dx[0], dx[:-1])
-    s = np.array(_solve_tridiagonal(dl.tolist(), d.tolist(), du.tolist(), rhs.tolist()))
+    w = dx.tolist()
+    s = np.array(_solve_tridiagonal(w[1:] + w[-1:], d.tolist(), w[:1] + w[:-1], rhs.tolist()),
+                 dtype=np.float64)
     # Hermite form: y + s*h + c1*h^2 + c0*h^3 on each interval
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c0 = t / dx
     c1 = (slope - s[:-1]) / dx - t
-    c2 = s[:-1]
-    c3 = y[:-1]
     p = np.asarray(points, dtype=np.float64)
-    i = np.clip(np.searchsorted(x, p, side="right") - 1, 0, len(x) - 2)
+    i = x[1:-1].searchsorted(p, side="right")  # each point's piece, the end ones extended
     h = p - x[i]
     h2 = h * h
     # term by term with rising powers, the reference's order (not Horner)
-    return c3[i] + c2[i] * h + c1[i] * h2 + c0[i] * (h2 * h)
+    return y[i] + s[i] * h + c1[i] * h2 + c0[i] * (h2 * h)
 
 
 def hbl_belief_spline(memory: TickMemory, side: Side, prices) -> np.ndarray:
@@ -503,7 +501,7 @@ def hbl_belief_spline(memory: TickMemory, side: Side, prices) -> np.ndarray:
     if len(points) < 2:
         return memory.belief_array(prices, side)
     spline = natural_cubic_spline(points, memory.belief_array(points, side), prices)
-    return np.clip(spline, 0.0, 1.0)
+    return spline.clip(0.0, 1.0, out=spline)
 
 
 def hbl_decide(

@@ -18,6 +18,7 @@ from cdasim.agents import (
     hbl_decide,
     natural_cubic_spline,
     OrderHistory,
+    _solve_tridiagonal,
     zi_decide,
 )
 from cdasim.orderbook import BookEvent, EventKind, OrderBook, Side, Trade
@@ -566,9 +567,22 @@ def assert_bitwise_equal(got, expected):
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+def spline_case(rng, base, gaps):
+    """Knots with these gaps from near ``base``, and values in [0, 1], many
+    of them 0 or 1 as beliefs are."""
+    start = base + int(rng.integers(-50, 50))
+    points = np.concatenate(([start], start + np.cumsum(gaps))).tolist()
+    values = rng.random(len(points))
+    values[rng.random(len(points)) < 0.3] = 0.0
+    values[rng.random(len(points)) < 0.3] = 1.0
+    return points, values
+
+
 def spline_cases(rng, tick_size):
     """Knot sets around 100.0 in ticks: 2 and 3 knots, even gaps, gaps that
-    force a row interchange in the tridiagonal solve, and random gaps."""
+    force a row interchange in the tridiagonal solve, and random gaps; then
+    sets of the sizes the hbl_spline workload fits, 150-400 knots nearly all
+    one tick apart with a few wide gaps."""
     base = round(100.0 / tick_size)
     gap_sets = [[1], [7], [1, 1], [1, 5], [9, 1], [1, 1, 1, 1], [1, 3, 1, 40],
                 [2, 9, 1, 30, 1, 1, 25], [1, 60], [3, 1, 1, 1, 80]]
@@ -577,12 +591,13 @@ def spline_cases(rng, tick_size):
         scale = int(rng.choice([2, 4, 30, 300]))
         gap_sets.append(rng.integers(1, scale, size=n - 1).tolist())
     for gaps in gap_sets:
-        start = base + int(rng.integers(-50, 50))
-        points = np.concatenate(([start], start + np.cumsum(gaps))).tolist()
-        values = rng.random(len(points))
-        values[rng.random(len(points)) < 0.3] = 0.0
-        values[rng.random(len(points)) < 0.3] = 1.0
-        yield points, values
+        yield spline_case(rng, base, gaps)
+    # drawn after all of the above, so those sets keep their numbers
+    for _ in range(20):
+        gaps = np.ones(int(rng.integers(149, 400)), dtype=np.int64)
+        wide = rng.integers(0, gaps.size, size=int(rng.integers(1, 6)))
+        gaps[wide] = rng.integers(2, 50, size=wide.size)
+        yield spline_case(rng, base, gaps.tolist())
 
 
 @pytest.mark.parametrize("tick_size", [0.1, 0.01])
@@ -600,7 +615,69 @@ def test_natural_spline_matches_scipy_bitwise(tick_size, rng):
             assert_bitwise_equal(np.clip(natural_cubic_spline(points, values, prices), 0.0, 1.0),
                                  spline_beliefs(points, values, prices))
     assert {2, 3} <= knot_counts
+    assert sum(150 <= count <= 400 for count in knot_counts) >= 10
     assert interchanges > 0
+
+
+def test_solve_tridiagonal_matches_dgtsv_bitwise(rng):
+    from scipy.linalg.lapack import dgtsv
+
+    interior = 0
+    for _ in range(1000):
+        n = int(rng.integers(2, 401))
+        d = rng.uniform(-4.0, 4.0, n)
+        du = rng.uniform(-2.0, 2.0, n - 1)
+        # a fifth of the sub-diagonal entries are eight times larger, so
+        # rows interchange often, at row 0 and at interior rows
+        dl = rng.uniform(-2.0, 2.0, n - 1) * rng.choice([1.0, 8.0], n - 1, p=[0.8, 0.2])
+        b = rng.uniform(-1.0, 1.0, n)
+        du2, _, _, x, info = dgtsv(dl, d, du, b[:, None])
+        assert info == 0
+        assert_bitwise_equal(
+            _solve_tridiagonal(dl.tolist(), d.tolist(), du.tolist(), b.tolist()), x[:, 0])
+        # dgtsv leaves U's second super-diagonal in dl: nonzero where rows swapped
+        interior += np.count_nonzero(du2[1:n - 2])
+    assert interior > 1000
+
+
+@pytest.mark.parametrize("dl, d, du", [
+    ([0.0, 1.0], [0.0, 2.0, 3.0], [1.0, 1.0]),  # no pivot in column 0
+    ([1.0], [1.0, 1.0], [1.0]),  # the last pivot eliminates to 0
+    ([1.0, 0.0], [2.0, 0.5, 4.0], [1.0, 1.0]),  # an interior pivot does
+])
+def test_solve_tridiagonal_rejects_a_singular_system(dl, d, du):
+    from scipy.linalg.lapack import dgtsv
+
+    b = [1.0] * len(d)
+    assert dgtsv(np.array(dl), np.array(d), np.array(du), np.array(b)[:, None])[-1] > 0
+    with pytest.raises(ValueError, match="singular tridiagonal system"):
+        _solve_tridiagonal(dl, d, du, b)
+
+
+def test_spline_leaves_its_inputs_unchanged(rng):
+    # float64 arrays reach the fit as the caller's own arrays, not as copies
+    checked = 0
+    for _ in range(100):
+        records = random_memory(rng).records
+        memory = tick_memory(records)
+        if len(memory.prices) < 2:
+            continue
+        before = [memory.prices.copy(), memory._counts.copy(), memory._weights.copy()]
+        knots = memory.prices.astype(np.float64)
+        values = memory.belief_array(memory.prices, Side.BID)
+        points = np.arange(knots[0] - 2, knots[-1] + 3)
+        inputs = [knots.copy(), values.copy(), points.copy()]
+        first = natural_cubic_spline(knots, values, points)
+        assert_bitwise_equal(natural_cubic_spline(knots, values, points), first)
+        for side in Side:
+            belief = hbl_belief_spline(memory, side, points)
+            assert_bitwise_equal(hbl_belief_spline(memory, side, points), belief)
+            assert ((0.0 <= belief) & (belief <= 1.0)).all()
+        for array, copy in zip([knots, values, points, memory.prices, memory._counts,
+                                memory._weights], inputs + before):
+            assert_bitwise_equal(array, copy)
+        checked += 1
+    assert checked > 30
 
 
 @pytest.mark.parametrize("side", list(Side))
