@@ -13,10 +13,10 @@ falls back to ZI.
 The HBL memory is one type, ``TickMemory``, in both success modes, laid on
 the ticks that hold at least one of its orders, so it grows with the
 window's occupied ticks, not with the price span.  ``OrderHistory`` keeps
-it as running int64 counts in binary mode; in fractional mode it sorts the
-window afresh on each query, by price, to keep one float addition order,
-and lays the sums on the same ticks.  A belief query finds each price among
-the occupied ticks and gathers the sums there.
+it as running int64 counts in binary mode; in fractional mode
+``TickMemory.from_orders`` lays the window's weighted orders afresh on each
+query, summed in one float addition order.  A belief query finds each price
+among the occupied ticks and gathers the sums there.
 """
 
 from __future__ import annotations
@@ -151,6 +151,41 @@ class TickMemory:
         # weights[2:4, j]: bid failures, ask successes at ticks from prices[j] up
         self._weights = weights
 
+    @classmethod
+    def from_orders(cls, is_bid, price, success, failure) -> TickMemory:
+        """The memory of orders in placement order: parallel arrays of sides
+        (``True`` for a bid), int64 prices, successes and failures.  Float
+        sums depend on the order of addition, so one stable sort by price
+        puts each side in (price, placement) order and its weights are summed
+        in that order; integer weights give int64 sums, as in binary mode."""
+        lo, hi = (int(price.min()), int(price.max())) if price.size else (0, 0)
+        key = price - lo
+        if hi - lo < 1 << 16:
+            key = key.astype(np.uint16)  # numpy radix-sorts 16-bit keys
+        order = key.argsort(kind="stable")  # by price, then placement
+        price, is_bid = price[order], is_bid[order]
+        success, failure = success[order], failure[order]
+        first = _run_starts(price)
+        ticks = price[first]
+        # below[:, j]: the bids and the asks at ticks below ticks[j]
+        below = np.empty((2, ticks.size + 1), dtype=np.int64)
+        below[1, :-1], below[1, -1] = first.nonzero()[0], price.size
+        bids = np.zeros(price.size + 1, dtype=np.int64)
+        is_bid.cumsum(out=bids[1:])
+        below[0] = bids[below[1]]
+        below[1] -= below[0]
+        weights = np.empty((4, ticks.size + 1), dtype=np.result_type(success, failure))
+        for row, side in enumerate((is_bid, ~is_bid)):
+            rising, falling = success[side], failure[side]  # in (price, placement) order
+            if row:  # asks: failures count at or below, successes at or above
+                rising, falling = falling, rising
+            sums = np.zeros(rising.size + 1, dtype=weights.dtype)
+            rising.cumsum(out=sums[1:])
+            weights[row] = sums[below[row]]
+            falling[::-1].cumsum(out=sums[1:])
+            weights[2 + row] = sums[rising.size - below[row]]
+        return cls(ticks, np.diff(below), weights)
+
     def __len__(self) -> int:
         return int(self._counts.sum())
 
@@ -208,11 +243,9 @@ class OrderHistory:
     cancellation is counted at the price its event carries, except a
     taker's fill, whose event carries the trade price.
 
-    Fractional weights are floats whose sums depend on the order of
-    addition, so that mode keeps no order between queries: each query
-    re-weighs the pending orders, sorts the window's weighted orders with
-    one stable sort by price, which leaves each side in (price, placement)
-    order, and sums the weights in that order.
+    Fractional mode keeps no order between queries: each query re-weighs
+    the pending orders and lays the window's weighted orders afresh with
+    ``TickMemory.from_orders``.
     """
 
     _FIELDS = ("_price", "_is_bid", "_success", "_failure")
@@ -244,8 +277,16 @@ class OrderHistory:
             raise ValueError(f"query at {now} is earlier than the last one at {self._now}")
         self._now = now
         start = self._read(book)
-        if not self._binary:
-            return self._fractional_memory(start, now)
+        if not self._binary:  # re-weigh the pending orders, then lay out the window
+            pending = np.fromiter(self._open, dtype=np.int64, count=len(self._open))
+            placed = np.fromiter(self._open.values(), dtype=np.int64, count=len(self._open))
+            self._failure[pending] = np.minimum(1.0, (now - placed) / self._grace)
+            success, failure = self._success[start:self._n], self._failure[start:self._n]
+            # an order of weights 0 and 0 (cancelled when placed, or placed now) is left out
+            weighted = success + failure > 0.0
+            return TickMemory.from_orders(self._is_bid[start:self._n][weighted],
+                                          self._price[start:self._n][weighted],
+                                          success[weighted], failure[weighted])
         self._expire(now)
         if start < self._start:
             self._count_range(start, self._start, 1)
@@ -306,48 +347,6 @@ class OrderHistory:
         window_start = min(self._placed[oid - 1] for trade in trades
                            for oid in (trade.buy_order_id, trade.sell_order_id))
         return bisect_left(self._placed, window_start)
-
-    # -- fractional memory --------------------------------------------------
-
-    def _fractional_memory(self, start: int, now: int) -> TickMemory:
-        """The memory of orders ``[start, _n)``, each side's weights summed
-        in (price, placement) order as ``TickMemory`` reads them.  An order
-        whose success and failure are both 0 (cancelled when placed, or placed
-        at ``now`` and pending) is left out: it is not counted, and leaving
-        out its 0.0 changes no float sum."""
-        pending = np.fromiter(self._open, dtype=np.int64, count=len(self._open))
-        placed = np.fromiter(self._open.values(), dtype=np.int64, count=len(self._open))
-        self._failure[pending] = np.minimum(1.0, (now - placed) / self._grace)
-        success, failure = self._success[start:self._n], self._failure[start:self._n]
-        weighted = (success + failure > 0.0).nonzero()[0]  # in placement order
-        price = self._price[start:self._n][weighted]
-        lo, hi = (int(price.min()), int(price.max())) if price.size else (0, 0)
-        key = price - lo
-        if hi - lo < 1 << 16:
-            key = key.astype(np.uint16)  # numpy radix-sorts 16-bit keys
-        order = weighted[key.argsort(kind="stable")]  # by price, then placement
-        price, is_bid = self._price[start:self._n][order], self._is_bid[start:self._n][order]
-        success, failure = success[order], failure[order]
-        first = _run_starts(price)
-        ticks = price[first]
-        # below[:, j]: the bids and the asks at ticks below ticks[j]
-        below = np.empty((2, ticks.size + 1), dtype=np.int64)
-        below[1, :-1], below[1, -1] = first.nonzero()[0], price.size
-        bids = np.zeros(price.size + 1, dtype=np.int64)
-        is_bid.cumsum(out=bids[1:])
-        below[0] = bids[below[1]]
-        below[1] -= below[0]
-        weights = np.empty((4, ticks.size + 1))
-        for row, side in enumerate((is_bid, ~is_bid)):
-            rising, falling = success[side], failure[side]  # in (price, placement) order
-            if row:  # asks: failures count at or below, successes at or above
-                rising, falling = falling, rising
-            sums = np.zeros(rising.size + 1)
-            rising.cumsum(out=sums[1:])
-            weights[row] = sums[below[row]]
-            falling[::-1].cumsum(out=sums[1:])
-            weights[2 + row] = sums[rising.size - below[row]]
-        return TickMemory(ticks, np.diff(below), weights)
 
     # -- binary ledger ------------------------------------------------------
 
@@ -509,7 +508,6 @@ def hbl_decide(
     pv: PrivateValues,
     r_hat: float,
     memory: TickMemory | None,
-    candidate_prices: np.ndarray | None,
     params: HblParams,
     zi: ZiParams,
     rng: np.random.Generator,
@@ -523,14 +521,14 @@ def hbl_decide(
     transactions: the kernel alone applies that gate, and the agent then
     decides as ZI with ``zi``.  The fallback comes before any draw, so an
     uninformed HBL agent consumes its RNG stream exactly like a ZI agent
-    would.  An informed memory holds the orders of at least one trade, so
-    ``candidate_prices``, the ascending int64 array of
-    ``hbl_candidate_grid``, is never empty.
+    would.  An informed agent builds its candidates from its memory with
+    ``hbl_candidate_grid`` in ``params.grid_mode``; the memory holds the
+    orders of at least one trade, so they are never empty.
     """
     if memory is None:
         return zi_decide(q_held, pv, r_hat, best_bid, best_ask, zi, rng, grid)
     side = _choose_side(q_held, pv, rng)
-    prices = candidate_prices  # ascending: ties resolve to the lowest bid
+    prices = hbl_candidate_grid(memory, params.grid_mode)  # ascending: lowest bid wins ties
     if side is BID:
         valuation = pv.buy_valuation(q_held, r_hat)
     else:

@@ -210,7 +210,6 @@ def run(config: SimConfig) -> SimResult:
     advance, observe, project_final = est.advance, est.observe, est.project_final
     place_limit, cancel = book.place_limit, book.cancel
     zi_decide, hbl_decide = strategies.zi_decide, strategies.hbl_decide
-    hbl_candidate_grid = strategies.hbl_candidate_grid
     to_value = grid.to_value
     skip = strategies.SKIP.kind
 
@@ -236,13 +235,10 @@ def run(config: SimConfig) -> SimResult:
             action = zi_decide(record.q_held, record.pv, r_hat, best_bid, best_ask,
                                zi_params, record.rng, grid)
         else:
-            memory = candidates = None
             # the one "informed" gate: hbl_decide falls back to ZI without a memory
-            if len(trades) >= hbl_params.memory_length:
-                memory = history.memory(book, t)
-                candidates = hbl_candidate_grid(memory, hbl_params.grid_mode)
-            action = hbl_decide(record.q_held, record.pv, r_hat, memory, candidates,
-                                hbl_params, zi_params, record.rng, grid, best_bid, best_ask)
+            memory = history.memory(book, t) if len(trades) >= hbl_params.memory_length else None
+            action = hbl_decide(record.q_held, record.pv, r_hat, memory, hbl_params,
+                                zi_params, record.rng, grid, best_bid, best_ask)
         if trace_decisions:
             decision_trace.append((t, agent_id, record.strategy, action.kind,
                                    action.side, action.limit_price))

@@ -2,15 +2,16 @@
 
 ``RecordMemory`` answers belief queries with prefix sums over each side's
 ``MemoryOrder`` records sorted by price, the float addition order that
-fractional mode keeps, and ``tick_memory_from_orders`` lays the same sums
-on the occupied ticks as a ``TickMemory``, from scratch.  ``hbl_classify`` classifies the orders of a book's event log from
-scratch, order by order, into ``MemoryOrder`` records: those of the last
-L transactions' window, or those placed from any given time on.
-``exact_beliefs`` sums the weights of such records exactly, so a binary
-belief is a quotient of two exact counts.  The tests compare
-``OrderHistory``, which reads the book's log incrementally, ``TickMemory``,
-the decision code and whole runs against them.  ``build_script_book`` and
-``random_memory`` give the memories of the worked examples and properties.
+fractional mode keeps, without laying them on ticks.  ``hbl_classify``
+classifies the orders of a book's event log from scratch, order by order,
+into ``MemoryOrder`` records: those of the last L transactions' window, or
+those placed from any given time on.  ``exact_beliefs`` sums the weights of
+such records exactly, so a binary belief is a quotient of two exact counts.
+The tests compare ``OrderHistory``, which reads the book's log
+incrementally, the package's ``TickMemory`` (built from records with
+``TickMemory.from_orders(*order_arrays(records))``), the decision code and
+whole runs against them.  ``build_script_book`` and ``random_memory`` give
+the memories of the worked examples and properties.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cdasim.agents import HblParams, TickMemory
+from cdasim.agents import HblParams
 from cdasim.orderbook import BookEvent, EventKind, OrderBook, Side
 
 
@@ -200,33 +201,6 @@ def _classify_order(placed_at, executed_at, cancelled_at, now, grace, mode):
     if failure == 0.0:
         return None
     return 0.0, failure
-
-
-def tick_memory_from_orders(is_bid, price, success, failure) -> TickMemory:
-    """The ``TickMemory`` of these orders, given in placement order, built
-    from scratch.
-
-    Each side's weights are sorted by price, stably, and summed in that
-    order (forwards for "below", backwards for "at or above"), then read at
-    the boundary below each occupied tick and at the one above the highest,
-    so fractional weights keep one fixed float addition order.  Integer
-    weights give int64 sums, as the binary ledger keeps them.
-    """
-    ticks = np.array(sorted(set(price.tolist())), dtype=np.int64)
-    bounds = np.append(ticks, ticks[-1] + 1 if ticks.size else 0)
-    counts = np.empty((2, ticks.size), dtype=np.int64)
-    weights = np.empty((4, ticks.size + 1), dtype=np.result_type(success, failure))
-    for row, mask in enumerate((is_bid, ~is_bid)):
-        order = np.argsort(price[mask], kind="stable")
-        below = np.searchsorted(price[mask][order], bounds, side="left")
-        counts[row] = np.diff(below)
-        rising, falling = success[mask][order], failure[mask][order]
-        if row:  # asks: failures count at or below, successes at or above
-            rising, falling = falling, rising
-        weights[row] = np.concatenate(([0], np.cumsum(rising)))[below]
-        weights[2 + row] = np.concatenate(
-            ([0], np.cumsum(falling[::-1])))[below[-1] - below]
-    return TickMemory(ticks, counts, weights)
 
 
 def build_script_book():

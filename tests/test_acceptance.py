@@ -19,8 +19,9 @@ from cdasim import estimator as est
 from cdasim.agents import (
     ActionKind,
     HblParams,
+    OrderHistory,
+    TickMemory,
     ZiParams,
-    hbl_candidate_grid,
     hbl_decide,
     zi_decide,
 )
@@ -31,7 +32,7 @@ from cdasim.fundamental import DmrParams
 from cdasim.orderbook import OrderBook, Side
 from cdasim.prices import PriceGrid
 
-from hbl_oracle import build_script_book, exact_beliefs, hbl_belief, hbl_classify, random_memory
+from hbl_oracle import build_script_book, exact_beliefs, hbl_belief, order_arrays, random_memory
 from reference_run import ListBook
 from conftest import (CRITERION_LINES, HBL, PV, ZI, FixedRng, ScalarKalman, depth_snapshot,
                       ou_sample, replay, resting_ids)
@@ -75,8 +76,8 @@ def test_criterion_1_zi_golden():
 def test_criterion_2_hbl_golden():
     with criterion(2, "HBL golden example"):
         start = time.perf_counter()
-        book = build_script_book()
-        memory = hbl_classify(book.events, now=100, params=HBL)
+        memory = OrderHistory(HBL).memory(build_script_book(), 100)
+        assert len(memory) == 15
         grid = PriceGrid(0.1)
         listed = {
             1005: 1.0, 1004: 1.0, 1003: 1.0, 1002: 0.86, 1001: 0.67,
@@ -88,9 +89,7 @@ def test_criterion_2_hbl_golden():
                 assert got == pytest.approx(prob, abs=0.005), price
             else:
                 assert got == prob, price
-        candidates = hbl_candidate_grid(memory)
-        action = hbl_decide(-1, PV, 100.0, memory, candidates, HBL, ZI,
-                            FixedRng(0.0), grid)
+        action = hbl_decide(-1, PV, 100.0, memory, HBL, ZI, FixedRng(0.0), grid)
         assert action.side is Side.BID
         assert grid.to_value(action.limit_price) == 100.0
         surplus = PV.buy_valuation(-1, 100.0) - 100.0
@@ -104,13 +103,16 @@ import json, sys
 sys.path[:] = {path!r}
 import numpy
 eager = "numpy.ma" in sys.modules
-from cdasim.agents import hbl_candidate_grid, hbl_decide
+from dataclasses import replace
+from cdasim.agents import OrderHistory, hbl_decide
 from cdasim.prices import PriceGrid
 from conftest import HBL, PV, ZI, FixedRng
-from hbl_oracle import build_script_book, hbl_classify
-memory = hbl_classify(build_script_book().events, now=100, params=HBL)
-candidates = hbl_candidate_grid(memory)
-hbl_decide(-1, PV, 100.0, memory, candidates, HBL, ZI, FixedRng(0.0), PriceGrid(0.1))
+from hbl_oracle import build_script_book
+for success_mode in ("binary", "fractional"):
+    for grid_mode in ("observed", "spline"):
+        params = replace(HBL, success_mode=success_mode, grid_mode=grid_mode)
+        memory = OrderHistory(params).memory(build_script_book(), 100)
+        hbl_decide(-1, PV, 100.0, memory, params, ZI, FixedRng(0.0), PriceGrid(0.1))
 print(json.dumps({{"eager": eager, "loaded": "numpy.ma" in sys.modules}}))
 """
 
@@ -318,9 +320,14 @@ def test_criterion_10_belief_monotonicity_and_oracle():
         rng = np.random.default_rng(10)
         prices = range(985, 1016)
         for _ in range(1000):
-            memory = random_memory(rng)
-            beliefs = memory.belief_array(prices, Side.BID)
-            assert ((0.0 <= beliefs) & (beliefs <= 1.0)).all()
-            assert (np.diff(beliefs) >= -1e-12).all()
-            exact = [float(b) for b in exact_beliefs(memory.records, prices, Side.BID)]
-            assert beliefs == pytest.approx(exact, abs=1e-12)
+            reference = random_memory(rng)
+            memory = TickMemory.from_orders(*order_arrays(reference.records))
+            for side, rising in ((Side.BID, 1.0), (Side.ASK, -1.0)):
+                beliefs = memory.belief_array(prices, side)
+                assert ((0.0 <= beliefs) & (beliefs <= 1.0)).all()
+                # a higher bid (lower ask) never looks less likely to transact
+                assert (rising * np.diff(beliefs) >= -1e-12).all()
+                exact = [float(b) for b in exact_beliefs(reference.records, prices, side)]
+                assert beliefs == pytest.approx(exact, abs=1e-12)
+                assert np.array_equal(beliefs.view(np.int64),
+                                      reference.belief_array(prices, side).view(np.int64))

@@ -18,6 +18,7 @@ from cdasim.agents import (
     hbl_decide,
     natural_cubic_spline,
     OrderHistory,
+    TickMemory,
     _solve_tridiagonal,
     zi_decide,
 )
@@ -36,7 +37,6 @@ from hbl_oracle import (
     order_arrays,
     random_memory,
     records_of,
-    tick_memory_from_orders,
 )
 
 
@@ -202,9 +202,8 @@ def test_script_buyer_decision(grid_01):
     # (surplus 0.2 times success probability 0.5)
     book = build_script_book()
     memory = hbl_classify(book.events, now=100, params=HBL)
-    candidates = hbl_candidate_grid(memory)
     rng = FixedRng(random_value=0.0)
-    action = hbl_decide(-1, PV, 100.0, memory, candidates, HBL, ZI, rng, grid_01)
+    action = hbl_decide(-1, PV, 100.0, memory, HBL, ZI, rng, grid_01)
     assert action.kind is ActionKind.PLACE
     assert action.side is Side.BID
     assert action.limit_price == 1000
@@ -214,9 +213,8 @@ def test_script_seller_decision(grid_01):
     # sell valuation 99.8: best ask is 100.2 (surplus 0.4 at probability 1)
     book = build_script_book()
     memory = hbl_classify(book.events, now=100, params=HBL)
-    candidates = hbl_candidate_grid(memory)
     rng = FixedRng(random_value=0.9)
-    action = hbl_decide(2, PV, 100.0, memory, candidates, HBL, ZI, rng, grid_01)
+    action = hbl_decide(2, PV, 100.0, memory, HBL, ZI, rng, grid_01)
     assert action.side is Side.ASK
     assert action.limit_price == 1002
 
@@ -309,7 +307,7 @@ def test_classify_empty_stream():
 
 def tick_memory(records):
     """The package's ``TickMemory`` of ``MemoryOrder`` records."""
-    return tick_memory_from_orders(*order_arrays(records))
+    return TickMemory.from_orders(*order_arrays(records))
 
 
 def memories_from_prices(bid_prices, ask_prices):
@@ -378,7 +376,7 @@ def test_tick_memory_matches_oracle_edge_cases(case, grace, rng):
     for _ in range(40):
         is_bid, price = edge_orders(case, rng)
         success, failure = edge_weights(rng, price.size, grace)
-        got = tick_memory_from_orders(is_bid, price, success, failure)
+        got = TickMemory.from_orders(is_bid, price, success, failure)
         expected = RecordMemory(records_of(is_bid, price, success, failure))
         assert len(got) == len(expected) == price.size
         assert np.array_equal(got.prices, expected.prices)
@@ -406,8 +404,8 @@ def test_binary_tick_memory_is_the_exact_quotient_edge_cases(case, rng):
     for _ in range(40):
         is_bid, price = edge_orders(case, rng)
         success, failure = edge_weights(rng, price.size, None)
-        memory = tick_memory_from_orders(is_bid, price, success.astype(np.int64),
-                                         failure.astype(np.int64))
+        memory = TickMemory.from_orders(is_bid, price, success.astype(np.int64),
+                                        failure.astype(np.int64))
         assert memory._weights.dtype == np.int64
         records = records_of(is_bid, price, success, failure)
         assert_exact_quotients(memory, records, edge_queries(price))
@@ -434,32 +432,14 @@ def test_memory_prices_match_union_oracle(rng):
             assert_prices_match_union_oracle(memory, bid_prices, ask_prices)
 
 
-def test_belief_matches_rescan_oracle(rng):
-    prices = [985, 990, 995, 1000, 1005, 1010, 1015]
-    for _ in range(1000):
-        memory = random_memory(rng)
-        for side in Side:
-            expected = [float(b) for b in exact_beliefs(memory.records, prices, side)]
-            assert memory.belief_array(prices, side) == pytest.approx(expected, abs=1e-12), side
-
-
-def test_belief_monotone(rng):
-    # a higher bid (lower ask) never looks less likely to transact
-    for _ in range(200):
-        memory = random_memory(rng)
-        bid = [hbl_belief(memory, p, Side.BID) for p in range(985, 1016)]
-        ask = [hbl_belief(memory, p, Side.ASK) for p in range(985, 1016)]
-        assert all(a <= b + 1e-12 for a, b in zip(bid, bid[1:]))
-        assert all(a >= b - 1e-12 for a, b in zip(ask, ask[1:]))
-
-
 def test_belief_mirror_symmetry(rng):
     # reflecting prices and swapping sides leaves beliefs unchanged
     for _ in range(200):
-        memory = random_memory(rng)
-        mirrored = RecordMemory(
-            tuple(MemoryOrder(Side.ASK if r.side is Side.BID else Side.BID, 2000 - r.price, r.success, r.failure)
-                  for r in memory.records))
+        records = random_memory(rng).records
+        memory = tick_memory(records)
+        mirrored = tick_memory([MemoryOrder(Side.ASK if r.side is Side.BID else Side.BID,
+                                            2000 - r.price, r.success, r.failure)
+                                for r in records])
         for p in range(990, 1011):
             assert hbl_belief(memory, p, Side.BID) == pytest.approx(
                 hbl_belief(mirrored, 2000 - p, Side.ASK), abs=1e-12
@@ -467,7 +447,7 @@ def test_belief_mirror_symmetry(rng):
 
 
 def test_belief_empty_denominator():
-    memory = RecordMemory((MemoryOrder(Side.BID, 1000, 1.0, 0.0),))
+    memory = tick_memory([MemoryOrder(Side.BID, 1000, 1.0, 0.0)])
     # an ask query here has no bids above, no successful asks, no failed asks
     assert hbl_belief(memory, 1001, Side.ASK) == 0.0
 
@@ -480,7 +460,7 @@ def test_belief_empty_denominator():
 def test_hbl_fallback_consumes_rng_like_zi(grid_01):
     pv = PV
     for seed in range(30):
-        a = hbl_decide(0, pv, 100.0, None, None, HBL, ZI,
+        a = hbl_decide(0, pv, 100.0, None, HBL, ZI,
                        np.random.default_rng(seed), grid_01,
                        best_bid=995, best_ask=1005)
         b = zi_decide(0, pv, 100.0, 995, 1005, ZI,
@@ -494,25 +474,19 @@ def test_hbl_tie_break_zero_belief(grid_01):
     records = (MemoryOrder(Side.BID, 998, 0.0, 1.0),
                MemoryOrder(Side.BID, 1002, 0.0, 1.0))
     memory = RecordMemory(records)
-    candidates = hbl_candidate_grid(memory)
-    buy = hbl_decide(0, PV, 100.0, memory, candidates, HBL, ZI,
-                     FixedRng(random_value=0.0), grid_01)
-    assert buy.limit_price == min(candidates)
+    buy = hbl_decide(0, PV, 100.0, memory, HBL, ZI, FixedRng(random_value=0.0), grid_01)
+    assert buy.limit_price == min(hbl_candidate_grid(memory))
     records = (MemoryOrder(Side.ASK, 998, 0.0, 1.0),
                MemoryOrder(Side.ASK, 1002, 0.0, 1.0))
     memory = RecordMemory(records)
-    candidates = hbl_candidate_grid(memory)
-    sell = hbl_decide(0, PV, 100.0, memory, candidates, HBL, ZI,
-                      FixedRng(random_value=0.9), grid_01)
-    assert sell.limit_price == max(candidates)
+    sell = hbl_decide(0, PV, 100.0, memory, HBL, ZI, FixedRng(random_value=0.9), grid_01)
+    assert sell.limit_price == max(hbl_candidate_grid(memory))
 
 
 def test_hbl_side_flip_at_limit(grid_01):
     book = build_script_book()
     memory = hbl_classify(book.events, now=100, params=HBL)
-    candidates = hbl_candidate_grid(memory)
-    action = hbl_decide(3, PV, 100.0, memory, candidates, HBL, ZI,
-                        FixedRng(random_value=0.0), grid_01)
+    action = hbl_decide(3, PV, 100.0, memory, HBL, ZI, FixedRng(random_value=0.0), grid_01)
     assert action.side is Side.ASK
 
 
@@ -523,12 +497,10 @@ def test_every_holding_has_a_legal_side(q_max, grid_01):
     zi = ZiParams(r_min=0.0, r_max=1.0, eta=0.5, sigma_n_sq=10.0, q_max=q_max,
                   sigma_pv_sq=25.0)
     memory = hbl_classify(build_script_book().events, now=100, params=HBL)
-    candidates = hbl_candidate_grid(memory)
     for q in range(-q_max, q_max + 1):
         for coin in (0.0, 0.9):  # the coin says buy, then sell
             actions = (zi_decide(q, pv, 100.0, None, None, zi, FixedRng(coin, 0.5), grid_01),
-                       hbl_decide(q, pv, 100.0, memory, candidates, HBL, zi,
-                                  FixedRng(coin), grid_01))
+                       hbl_decide(q, pv, 100.0, memory, HBL, zi, FixedRng(coin), grid_01))
             for action in actions:
                 assert action.kind is ActionKind.PLACE
                 assert pv.can_buy(q) if action.side is Side.BID else pv.can_sell(q)
@@ -553,9 +525,7 @@ def test_spline_mode_decision_runs(grid_01):
     book = build_script_book()
     params = HblParams(memory_length=4, grace_period=5, grid_mode="spline")
     memory = hbl_classify(book.events, now=100, params=params)
-    candidates = hbl_candidate_grid(memory, mode="spline")
-    action = hbl_decide(-1, PV, 100.0, memory, candidates, params, ZI,
-                        FixedRng(random_value=0.0), grid_01)
+    action = hbl_decide(-1, PV, 100.0, memory, params, ZI, FixedRng(random_value=0.0), grid_01)
     assert action.kind is ActionKind.PLACE
     assert action.side is Side.BID
     assert 995 <= action.limit_price <= 1005
@@ -700,7 +670,7 @@ import json, sys
 sys.path[:] = {path!r}
 from dataclasses import replace
 from cdasim import agents
-from cdasim.agents import HblParams, hbl_candidate_grid, hbl_decide
+from cdasim.agents import HblParams, hbl_decide
 from cdasim.kernel import run
 from cdasim.prices import PriceGrid
 from conftest import HBL_PARAMS, PV, ZI, FixedRng, make_config
@@ -710,8 +680,7 @@ fit = agents.natural_cubic_spline
 agents.natural_cubic_spline = lambda *args: fits.append(1) or fit(*args)
 params = HblParams(memory_length=4, grace_period=5, grid_mode="spline")
 memory = hbl_classify(build_script_book().events, now=100, params=params)
-candidates = hbl_candidate_grid(memory, mode="spline")
-hbl_decide(-1, PV, 100.0, memory, candidates, params, ZI, FixedRng(0.0), PriceGrid(0.1))
+hbl_decide(-1, PV, 100.0, memory, params, ZI, FixedRng(0.0), PriceGrid(0.1))
 run(make_config(hbl_params=replace(HBL_PARAMS, grid_mode="spline")))
 print(json.dumps({{"fits": len(fits),
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}}))
@@ -801,19 +770,20 @@ def test_hbl_decide_matches_scalar_loop(grid_mode, rng, grid_01, grid_001):
     for trial in range(400):
         reference = random_memory(rng)
         memory = tick_memory(reference.records)
-        candidates = hbl_candidate_grid(memory, grid_mode)
-        if not candidates.size:
+        observed = reference.prices.tolist()
+        if not observed:
             continue
+        candidates = hbl_candidates(observed, grid_mode)  # hbl_decide builds its own
         grid = grid_01 if trial % 2 else grid_001
         r_hat = float(rng.uniform(98.5, 101.5)) * (1.0 if trial % 2 else 0.1)
         for side, coin in ((Side.BID, 0.0), (Side.ASK, 0.9)):
-            action = hbl_decide(0, PV, r_hat, memory, candidates, params, ZI,
+            action = hbl_decide(0, PV, r_hat, memory, params, ZI,
                                 FixedRng(random_value=coin), grid)
             valuation = (PV.buy_valuation(0, r_hat) if side is Side.BID
                          else PV.sell_valuation(0, r_hat))
             assert action.side is side
             assert action.limit_price == scalar_choice_oracle(
-                reference, candidates.tolist(), side, valuation, grid.tick_size,
+                reference, candidates, side, valuation, grid.tick_size,
                 grid_mode), (trial, side)
 
 

@@ -403,7 +403,8 @@ def test_trace_rows_format_each_tick_once(monkeypatch, tmp_path):
 def test_wake_call_structure(monkeypatch):
     # Per-layer tracing wraps these public names from outside the package and
     # counts wakes by mark_observation calls; every wake must call each of
-    # them through its name, in this order.
+    # them through its name, in this order.  The candidate grid is built
+    # inside an informed hbl_decide, and only there.
     targets = [
         (DmrFundamental, "value_at"),
         (kernel, "mark_observation"),
@@ -412,6 +413,7 @@ def test_wake_call_structure(monkeypatch):
         (est, "project_final"),
         (agents, "zi_decide"),
         (agents, "hbl_decide"),
+        (agents, "hbl_candidate_grid"),
         (OrderHistory, "memory"),
         (OrderBook, "place_limit"),
         (OrderBook, "cancel"),
@@ -437,8 +439,9 @@ def test_wake_call_structure(monkeypatch):
     config = make_config(n_zi=10, n_hbl=5, horizon_T=3000, arrival_rate=0.02)
     result = run(config)
 
-    top = [(name, res) for name, d, res in calls if d == 0]
-    names = [name for name, _ in top]
+    top = [(i, name, res) for i, (name, d, res) in enumerate(calls) if d == 0]
+    names = [name for _, name, _ in top]
+    assert "hbl_candidate_grid" not in names
     marks = [i for i, name in enumerate(names) if name == "mark_observation"]
     assert len(marks) == result.invariant_summary["wakes"]
     # the final settlement reads the fundamental once, after the last wake
@@ -453,16 +456,25 @@ def test_wake_call_structure(monkeypatch):
         rest = wake[5:]
         if rest[:1] == ["cancel"]:
             rest = rest[1:]
-        if rest[:1] == ["memory"]:
+        informed = rest[:1] == ["memory"]
+        if informed:
             memory_calls += 1
             rest = rest[1:]
             assert rest[:1] == ["hbl_decide"]
         assert rest[:1] in (["zi_decide"], ["hbl_decide"])
         assert rest[1:] in ([], ["place_limit"])
+        # the calls nested in the decision: one candidate grid if informed,
+        # the ZI fallback if not
+        k = end - len(rest)
+        nested = [(name, d) for name, d, _ in calls[top[k][0] + 1:top[k + 1][0]]]
+        if rest[0] == "hbl_decide":
+            assert nested == [("hbl_candidate_grid", 1) if informed else ("zi_decide", 1)]
+        else:
+            assert nested == []
     assert names.count("zi_decide") + names.count("hbl_decide") == len(marks)
     assert names.count("hbl_decide") > 0 and memory_calls > 0
     # a filled order is never cancelled: every cancel removes a resting order
-    cancels = [res for name, res in top if name == "cancel"]
+    cancels = [res for _, name, res in top if name == "cancel"]
     assert cancels and all(res is not None for res in cancels)
     assert len(cancels) == sum(e.kind is EventKind.CANCELLED for e in result.events)
 
@@ -572,6 +584,29 @@ def test_no_function_looks_up_an_enum_member_through_its_class():
                                      for f, line, lookup in sorted(set(offenders)))
 
 
+def test_only_agents_lays_out_a_tick_memory():
+    # TickMemory's weight rows are agents.py's own layout: every other file
+    # builds a memory through TickMemory.from_orders or OrderHistory.memory
+    tests = os.path.dirname(__file__)
+    src = os.path.dirname(kernel.__file__)
+    paths = [os.path.join(folder, fname) for folder in (src, tests)
+             for fname in sorted(os.listdir(folder)) if fname.endswith(".py")]
+    assert agents.__file__ in paths and __file__ in paths
+    offenders = []
+    for path in paths:
+        if path == agents.__file__:
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "TickMemory":
+                    offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert not offenders, offenders
+
+
 def assert_record_shape(record, record_type):
     assert type(record) is record_type
     assert len(record) == len(record_type._fields)
@@ -625,11 +660,9 @@ def test_wake_records_have_their_full_shape():
     book.place_limit(1, orderbook.ASK, 1000, now=2)
     book.place_limit(2, orderbook.BID, 990, now=3)
     memory = OrderHistory(HBL_PARAMS).memory(book, 5)
-    candidates = agents.hbl_candidate_grid(memory)
     sides = set()
     for _ in range(20):
-        action = agents.hbl_decide(0, pv, 100.0, memory, candidates, HBL_PARAMS, zi,
-                                   rng, grid)
+        action = agents.hbl_decide(0, pv, 100.0, memory, HBL_PARAMS, zi, rng, grid)
         assert_record_shape(action, agents.AgentAction)
         assert action.kind is agents.PLACE
         sides.add(action.side)
