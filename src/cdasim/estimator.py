@@ -7,16 +7,25 @@ of zero is used); on waking, the new noisy observation is blended in with
 precision weights.  The final fundamental is then projected by reverting
 the current estimate over the remaining steps.
 
+The filter is a scalar Kalman filter: its error variance, and so the weight
+each observation gets, depends only on the agent's wake times, never on the
+values observed.  ``gain_schedule`` builds that variance path for every
+agent before the market opens, as one coefficient triple per wake, so the
+kernel's wake updates the estimate with the same expressions and in the
+same order as ``advance``, ``observe`` and ``project_final``, which are the
+filter one wake at a time.
+
 All belief arithmetic stays in real numbers; only order limit prices are
-ever rounded to ticks.  ``advance`` and ``observe`` run on every wake and
-build their ``BeliefState`` with ``tuple.__new__``, as the order book
-builds its events.
+ever rounded to ticks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -64,7 +73,7 @@ def advance(belief: BeliefState, now: int, params: EstimatorParams) -> BeliefSta
         decay_sq = (1.0 - params.kappa) ** (2 * delta)
         shock_weight = (1.0 - decay_sq) / (1.0 - (1.0 - params.kappa) ** 2)
         var = decay_sq * sigma_tilde_sq + shock_weight * params.sigma_s_sq
-    return tuple.__new__(BeliefState, (r_tilde, var, now))
+    return BeliefState(r_tilde, var, now)
 
 
 def observe(belief: BeliefState, o_t: float, params: EstimatorParams) -> BeliefState:
@@ -78,11 +87,11 @@ def observe(belief: BeliefState, o_t: float, params: EstimatorParams) -> BeliefS
     r_tilde, sigma_tilde_sq, last_wake = belief
     total = params.sigma_n_sq + sigma_tilde_sq
     if total == 0.0:
-        return tuple.__new__(BeliefState, (o_t, 0.0, last_wake))
+        return BeliefState(o_t, 0.0, last_wake)
     obs_weight = sigma_tilde_sq / total
     r_tilde = (1.0 - obs_weight) * r_tilde + obs_weight * o_t
     var = params.sigma_n_sq * sigma_tilde_sq / total
-    return tuple.__new__(BeliefState, (r_tilde, var, last_wake))
+    return BeliefState(r_tilde, var, last_wake)
 
 
 def project_final(belief: BeliefState, params: EstimatorParams) -> float:
@@ -92,3 +101,104 @@ def project_final(belief: BeliefState, params: EstimatorParams) -> float:
         raise ValueError("belief is past the simulation horizon")
     decay = (1.0 - params.kappa) ** remaining
     return (1.0 - decay) * params.r_bar + decay * belief.r_tilde
+
+
+class GainSchedule(NamedTuple):
+    """The filter's coefficients for every wake, as float64 arrays in merged
+    wake order: the advance decay ``(1-kappa)**delta``, the observation
+    weight ``sigma_tilde_sq / (sigma_n_sq + sigma_tilde_sq)`` of the
+    advanced variance, and the projection decay ``(1-kappa)**(T-t)``.  The
+    gap since the agent's last wake and the posterior variance, the
+    estimator trace's columns, are kept only when asked for, else None."""
+
+    decay: np.ndarray
+    obs_weight: np.ndarray
+    final_decay: np.ndarray
+    delta: np.ndarray | None = None
+    sigma_tilde_sq: np.ndarray | None = None
+
+
+def gain_schedule(schedules: Sequence[np.ndarray], order: np.ndarray,
+                  params: EstimatorParams, trace: bool = False) -> GainSchedule:
+    """Every wake's filter coefficients, from each agent's wake times.
+
+    ``schedules`` holds each agent's strictly increasing wake times in
+    ``[1, horizon_T]``, and ``order`` takes their concatenation into merged
+    wake order.  Each agent starts from ``initial_belief``.  A wake then
+    updates its agent's estimate ``r`` to ``(1-w)*((1-b)*r_bar + b*r) +
+    w*o`` and projects ``(1-d)*r_bar + d*r``: the expressions of
+    ``advance``, ``observe`` and ``project_final`` in their order, so the
+    same floats while the estimate stays finite.  The observation weight is
+    1 where ``observe`` adopts the observation.
+
+    The schedules are laid out as an (agents x most wakes) array whose
+    columns step every agent's variance at once.  Each power is Python's
+    ``**``, taken once per distinct gap and per distinct wake time and
+    gathered from the tables, so it rounds as the scalar filter's does.
+    """
+    lengths = np.array([len(s) for s in schedules], dtype=np.int64)
+    occupied = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    times = np.zeros(occupied.shape, dtype=np.int64)
+    times[occupied] = np.concatenate(schedules)
+    gaps = times.copy()
+    gaps[:, 1:] -= times[:, :-1]
+    gaps[~occupied] = 0  # no wake has gap 0, so its table entries stay 0
+
+    base = 1.0 - params.kappa
+    counts = np.bincount(gaps.ravel(), minlength=1)
+    counts[0] = 0
+    steps = np.flatnonzero(counts).tolist()  # the distinct gaps
+    decay_table = np.zeros(len(counts))
+    decay_table[steps] = [base ** d for d in steps]
+    obs_weight, posterior = _variance_path(gaps, steps, params, trace)
+
+    wake = np.flatnonzero(occupied)[order]  # merged wake -> flat (agent, k) index
+    gaps = gaps.ravel()[wake]
+    times = times.ravel()[wake]
+    starts = np.flatnonzero(np.diff(times, prepend=-1))  # each distinct wake time's first wake
+    horizon_T = params.horizon_T
+    final_decays = np.fromiter((base ** (horizon_T - t) for t in memoryview(times[starts])),
+                               np.float64, len(starts))
+    return GainSchedule(
+        decay=decay_table[gaps],
+        obs_weight=obs_weight.ravel()[wake],
+        final_decay=np.repeat(final_decays, np.diff(starts, append=len(times))),
+        delta=gaps if trace else None,
+        sigma_tilde_sq=posterior.ravel()[wake] if trace else None,
+    )
+
+
+def _variance_path(gaps: np.ndarray, steps: list[int], params: EstimatorParams,
+                   trace: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The observation weight of every (agent, wake) of ``gaps``, and the
+    posterior variance if ``trace``: ``advance`` and ``observe``'s variance
+    arithmetic, stepped one column of wakes at a time, with ``advance``'s
+    powers tabled per distinct gap in ``steps``."""
+    kappa, sigma_s_sq, sigma_n_sq = params.kappa, params.sigma_s_sq, params.sigma_n_sq
+    var_decay_table = np.zeros(steps[-1] + 1 if steps else 1)
+    shock_table = np.zeros_like(var_decay_table)
+    if kappa == 0.0:
+        var_decay_table[steps] = 1.0  # advance's random-walk limit; 1.0 * var is var
+        shock_table[steps] = [d * sigma_s_sq for d in steps]
+    else:
+        base = 1.0 - kappa
+        var_decays = [base ** (2 * d) for d in steps]
+        one_step = 1.0 - base ** 2
+        var_decay_table[steps] = var_decays
+        shock_table[steps] = [(1.0 - v) / one_step * sigma_s_sq for v in var_decays]
+    obs_weight = np.ones(gaps.shape)
+    posterior = np.zeros(gaps.shape) if trace else None
+    if sigma_n_sq == 0.0:
+        return obs_weight, posterior  # the observation is exact: adopted, variance 0
+    var_decay, shock = var_decay_table[gaps.T], shock_table[gaps.T]
+    var = np.zeros(len(gaps))
+    for k in range(gaps.shape[1]):
+        prior = var_decay[k] * var
+        prior += shock[k]
+        total = prior + sigma_n_sq
+        np.divide(prior, total, out=obs_weight[:, k])
+        var = prior * sigma_n_sq
+        var /= total
+        if trace:
+            posterior[:, k] = var
+    return obs_weight, posterior

@@ -15,7 +15,11 @@ the private values of the units held, up to q_max.
 Everything is a pure function of (config, master seed): two runs with the
 same inputs produce bit-identical logs.  The fundamental is built on its
 own streams from the merged wake times, before the loop starts, so the
-agents' decisions cannot perturb it.
+agents' decisions cannot perturb it.  The agents' filter variances depend
+only on the wake times too, so the estimator's gain schedule is built
+before the loop as well.  The loop keeps one estimate per agent; a wake
+updates its agent's estimate, and projects it to the horizon, with the
+wake's three coefficients.
 """
 
 from __future__ import annotations
@@ -81,7 +85,6 @@ class AgentRecord:
     agent_id: int
     strategy: str
     pv: PrivateValues
-    belief: est.BeliefState
     rng: np.random.Generator
     q_held: int = 0
     last_order_id: int | None = None
@@ -179,7 +182,7 @@ def run(config: SimConfig) -> SimResult:
         strategy = ZI if i < config.n_zi else HBL
         rng = child_stream(config.master_seed, f"agent-{i}")
         pv = PrivateValues.draw(config.zi_params.q_max, config.zi_params.sigma_pv_sq, rng)
-        records.append(AgentRecord(i, strategy, pv, est.initial_belief(ep), rng))
+        records.append(AgentRecord(i, strategy, pv, rng))
 
     schedules = [schedule_arrivals(config.arrival_rate, config.horizon_T,
                                    child_stream(config.master_seed, f"arrivals-{i}"))
@@ -190,6 +193,7 @@ def run(config: SimConfig) -> SimResult:
     wake_times, wake_ids = wake_times[order], wake_ids[order]
     reads = wake_times.tolist()
     fundamental = config.fundamental.source(grid, config.master_seed, config.horizon_T, reads)
+    gains = est.gain_schedule(schedules, order, ep, config.output.trace_estimator)
 
     book = OrderBook()
     history = strategies.OrderHistory(config.hbl_params) if config.n_hbl else None
@@ -207,24 +211,30 @@ def run(config: SimConfig) -> SimResult:
     zi_params, hbl_params = config.zi_params, config.hbl_params
     noise_sd = math.sqrt(zi_params.sigma_n_sq)
     value_at = fundamental.value_at
-    advance, observe, project_final = est.advance, est.observe, est.project_final
     place_limit, cancel = book.place_limit, book.cancel
     zi_decide, hbl_decide = strategies.zi_decide, strategies.hbl_decide
     to_value = grid.to_value
     skip = strategies.SKIP.kind
 
-    for t, agent_id in zip(reads, wake_ids.tolist()):
+    # each agent's estimate, from initial_belief; its variance path is the schedule's
+    r_bar = ep.r_bar
+    r_tilde = [r_bar] * n_agents
+    if trace_estimator:
+        trace_columns = zip(gains.delta.tolist(), gains.sigma_tilde_sq.tolist())
+
+    for t, agent_id, b, w, d in zip(reads, wake_ids.tolist(), memoryview(gains.decay),
+                                    memoryview(gains.obs_weight),
+                                    memoryview(gains.final_decay)):
         record = records[agent_id]
         r_ticks = value_at(t)
         o_ticks = mark_observation(r_ticks, noise_sd, record.rng, grid)
-        prior = record.belief
-        belief = advance(prior, t, ep)
-        belief = observe(belief, to_value(o_ticks), ep)
-        record.belief = belief
-        r_hat = project_final(belief, ep)
+        # advance, observe and project_final, with the schedule's coefficients
+        r = (1.0 - w) * ((1.0 - b) * r_bar + b * r_tilde[agent_id]) + w * to_value(o_ticks)
+        r_tilde[agent_id] = r
+        r_hat = (1.0 - d) * r_bar + d * r
         if trace_estimator:
-            estimator_trace.append((t, agent_id, t - prior.last_wake, o_ticks,
-                                    belief.r_tilde, belief.sigma_tilde_sq, r_hat))
+            delta, var = next(trace_columns)
+            estimator_trace.append((t, agent_id, delta, o_ticks, r, var, r_hat))
 
         if record.last_order_id is not None:
             cancel(record.last_order_id, t)  # still resting: a fill clears the id
