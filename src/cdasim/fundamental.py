@@ -52,6 +52,10 @@ class DmrParams:
             raise ValueError("r_bar must be >= 0 and finite")
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError("kappa must lie in [0, 1]")
+        if 1.0 - self.kappa == 1.0 and self.kappa > 0.0:
+            # true for kappa up to 2**-54 (about 5.55e-17): 1 - (1-kappa)**2
+            # is 0, and the estimator's variance weight would divide by 0
+            raise ValueError(f"kappa = {self.kappa!r} is too small: 1 - kappa rounds to 1")
         if not 0.0 <= self.sigma_s_sq < math.inf:
             raise ValueError("sigma_s_sq must be >= 0 and finite")
 
@@ -202,6 +206,12 @@ def _dmr_blocks(params: DmrParams, grid: PriceGrid, shocks: np.ndarray) -> list[
     0.032, and kappa = 0), when there are fewer than ``_MIN_BLOCKS`` blocks,
     when that share stops falling and when a price leaves the float range
     of ``PriceGrid.to_ticks_array``.
+
+    What the blocks buy, measured with the bench at seed 11 on a 2-core
+    Xeon container (ten alternating pairs of ``--seconds 10`` runs against
+    a copy that returns ``[start]`` here): desk's median ``wall_s`` is 0.346
+    s with the blocks and 0.392 s without (+13%, the blocks faster in 9 of
+    10 pairs), and zi_crowd's 0.443 and 0.460 s (+4%, 7 of 10 pairs).
     """
     start = grid.to_ticks(params.r_bar)
     n_blocks = shocks.size // _BLOCK

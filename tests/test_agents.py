@@ -25,7 +25,7 @@ from cdasim.agents import (
 from cdasim.orderbook import BookEvent, EventKind, OrderBook, Side, Trade
 from cdasim.preferences import PrivateValues
 
-from conftest import HBL, PV, ZI, FixedRng, events_in_window, resting_ids
+from conftest import HBL, PV, ZI, FixedRng, resting_ids
 from reference_run import hbl_candidates, scalar_choice_oracle, spline_beliefs
 from hbl_oracle import (
     MemoryOrder,
@@ -195,18 +195,6 @@ def test_candidate_grid_matches_union_oracle(rng):
             continue
         assert grid.tolist() == hbl_candidates(observed, "observed")
         assert dense.tolist() == hbl_candidates(observed, "spline")
-
-
-def test_script_buyer_decision(grid_01):
-    # buy valuation 100.2: the expected-surplus maximizer is a bid at 100.0
-    # (surplus 0.2 times success probability 0.5)
-    book = build_script_book()
-    memory = hbl_classify(book.events, now=100, params=HBL)
-    rng = FixedRng(random_value=0.0)
-    action = hbl_decide(-1, PV, 100.0, memory, HBL, ZI, rng, grid_01)
-    assert action.kind is ActionKind.PLACE
-    assert action.side is Side.BID
-    assert action.limit_price == 1000
 
 
 def test_script_seller_decision(grid_01):
@@ -432,20 +420,6 @@ def test_memory_prices_match_union_oracle(rng):
             assert_prices_match_union_oracle(memory, bid_prices, ask_prices)
 
 
-def test_belief_mirror_symmetry(rng):
-    # reflecting prices and swapping sides leaves beliefs unchanged
-    for _ in range(200):
-        records = random_memory(rng).records
-        memory = tick_memory(records)
-        mirrored = tick_memory([MemoryOrder(Side.ASK if r.side is Side.BID else Side.BID,
-                                            2000 - r.price, r.success, r.failure)
-                                for r in records])
-        for p in range(990, 1011):
-            assert hbl_belief(memory, p, Side.BID) == pytest.approx(
-                hbl_belief(mirrored, 2000 - p, Side.ASK), abs=1e-12
-            )
-
-
 def test_belief_empty_denominator():
     memory = tick_memory([MemoryOrder(Side.BID, 1000, 1.0, 0.0)])
     # an ask query here has no bids above, no successful asks, no failed asks
@@ -455,17 +429,6 @@ def test_belief_empty_denominator():
 # ---------------------------------------------------------------------------
 # decision logic
 # ---------------------------------------------------------------------------
-
-
-def test_hbl_fallback_consumes_rng_like_zi(grid_01):
-    pv = PV
-    for seed in range(30):
-        a = hbl_decide(0, pv, 100.0, None, HBL, ZI,
-                       np.random.default_rng(seed), grid_01,
-                       best_bid=995, best_ask=1005)
-        b = zi_decide(0, pv, 100.0, 995, 1005, ZI,
-                      np.random.default_rng(seed), grid_01)
-        assert a == b
 
 
 def test_hbl_tie_break_zero_belief(grid_01):
@@ -519,16 +482,6 @@ def test_spline_single_point_falls_back():
     memory = RecordMemory((MemoryOrder(Side.BID, 1000, 1.0, 0.0),))
     belief = hbl_belief_spline(memory, Side.BID, [999, 1000, 1001])
     assert belief.tolist() == memory.belief_array([999, 1000, 1001], Side.BID).tolist()
-
-
-def test_spline_mode_decision_runs(grid_01):
-    book = build_script_book()
-    params = HblParams(memory_length=4, grace_period=5, grid_mode="spline")
-    memory = hbl_classify(book.events, now=100, params=params)
-    action = hbl_decide(-1, PV, 100.0, memory, params, ZI, FixedRng(random_value=0.0), grid_01)
-    assert action.kind is ActionKind.PLACE
-    assert action.side is Side.BID
-    assert 995 <= action.limit_price <= 1005
 
 
 def assert_bitwise_equal(got, expected):
@@ -785,35 +738,6 @@ def test_hbl_decide_matches_scalar_loop(grid_mode, rng, grid_01, grid_001):
             assert action.limit_price == scalar_choice_oracle(
                 reference, candidates, side, valuation, grid.tick_size,
                 grid_mode), (trial, side)
-
-
-@pytest.mark.parametrize("mode", ["binary", "fractional"])
-def test_order_history_matches_event_classification(mode, rng):
-    # the incremental ledger and the event-log rescan agree exactly on every
-    # belief, queried after every step and once more after a longer gap
-    params = HblParams(memory_length=3, grace_period=7, success_mode=mode)
-    grid = np.arange(993, 1008)
-    queried = 0
-    for trial in range(30):
-        market = LedgerMarket(params)
-        t = now = 0
-        for _ in range(60):
-            t += int(rng.integers(1, 4))
-            market.act_at_random(t, rng)
-            if not market.book.trades:
-                continue
-            now = max(now, t + int(rng.integers(0, 4)))  # queries never go back in time
-            window_start = market.window_start()
-            reference = hbl_classify(events_in_window(market.book, window_start), now, params)
-            assert_same_memory(market.memory(now), reference, grid)
-            queried += 1
-        if len(market.book.trades) < params.memory_length:
-            continue
-        window_start = market.window_start()
-        now = max(now, t + int(rng.integers(0, 12)))
-        reference = hbl_classify(events_in_window(market.book, window_start), now, params)
-        assert_same_memory(market.memory(now), reference, grid)
-    assert queried > 500
 
 
 def gap_counts(events, placed, previous, now, grace):

@@ -499,6 +499,26 @@ def test_main_tiny_gamma_exit_code(variant, gamma, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("variant, key", [("dmr", "kappa"), ("file", "est_kappa")])
+def test_main_tiny_kappa_exit_code(variant, key, tmp_path, capsys):
+    # 1 - kappa is 1.0 up to 2**-54: 5e-17 used to crash mid-run on a
+    # division by 0 in the estimator's variance weight; 5.6e-17 and 0 run
+    series = tmp_path / "series.csv"
+    series.write_text("0,100.0\n")
+    path = f"path = {series}\n" if variant == "file" else ""
+    for value, code in (("5e-17", 1), ("5.6e-17", 0), ("0", 0)):
+        config = tmp_path / "c.ini"
+        config.write_text(f"[fundamental]\nvariant = {variant}\n{key} = {value}\n{path}"
+                          "[market]\nhorizon = 200\nseed = 3\n"
+                          "[agents]\nzi_count = 5\nhbl_count = 0\narrival_rate = 0.1\n")
+        out = tmp_path / f"out-{value}"
+        assert main(["--config", str(config), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith(f"config error: fundamental.{key}: kappa = {value} is too small")
+            assert "Traceback" not in err and not out.exists()
+
+
 def test_main_missing_config_file(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")])
     assert code == 1

