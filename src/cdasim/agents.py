@@ -15,8 +15,8 @@ the ticks that hold at least one of its orders, so it grows with the
 window's occupied ticks, not with the price span.  ``OrderHistory`` keeps
 it as running int64 counts in binary mode; in fractional mode
 ``TickMemory.from_orders`` lays the window's weighted orders afresh on each
-query, summed in one float addition order.  A belief query finds each price
-among the occupied ticks and gathers the sums there.
+query, summed in one float addition order.  The decision needs beliefs only
+at those ticks and one tick beyond each end, and reads them by position.
 """
 
 from __future__ import annotations
@@ -139,9 +139,9 @@ class TickMemory:
 
     It holds, for each side, the number of included orders at each of those
     ticks, and four cumulative weights at the boundary just below each tick
-    and above the last, each running in the direction in which
-    ``belief_array`` reads it.  Binary weights are int64 counts, so a binary
-    belief is one division of two exact integers.
+    and above the last, each running in the direction in which ``beliefs``
+    reads it.  Binary weights are int64 counts, so a binary belief is one
+    division of two exact integers.
     """
 
     def __init__(self, prices: np.ndarray, counts: np.ndarray, weights: np.ndarray):
@@ -189,29 +189,35 @@ class TickMemory:
     def __len__(self) -> int:
         return int(self._counts.sum())
 
-    def belief_array(self, prices, side: Side) -> np.ndarray:
-        """Heuristic probability that a limit order at each of ``prices``
-        transacts.
+    def beliefs(self, side: Side) -> np.ndarray:
+        """Heuristic probability that a limit order transacts, read by
+        position at the n + 2 ticks from one below the lowest of the n
+        ``prices`` to one above the highest, ascending.
 
         For a bid: favorable mass is ask volume and successful bids at <= p,
-        unfavorable mass is failed bids at >= p.  Mirrored for an ask.  The
-        belief is 0 where the denominator is empty.
+        unfavorable mass is failed bids at >= p.  Mirrored for an ask.  Tick
+        ``k`` of the n + 2 lies between the boundaries ``max(k - 1, 0)`` and
+        ``min(k, n)``.  The belief is 0 where the denominator is empty.
         """
-        ticks, counts, weights = self.prices, self._counts, self._weights
-        below = ticks.searchsorted(prices)  # the boundary just below each price
-        # the boundary just above it is the next one where the price is occupied
-        above = below + (ticks.take(below, mode="clip") == prices) if ticks.size else below
-        favorable = np.zeros(ticks.size + 1, dtype=np.int64)
-        if side is BID:
+        counts, weights = self._counts, self._weights
+        favorable = np.zeros(counts.shape[1] + 1, dtype=np.int64)
+        numerator, denominator = np.empty((2, favorable.size + 1))  # holds int64 counts exactly
+        if side is BID:  # the numerator reads the boundary above, the failures the one below
             np.add.accumulate(counts[1], out=favorable[1:])
-            numerator = (favorable + weights[0])[above]
-            denominator = numerator + weights[2][below]
-        else:
+            np.add(favorable, weights[0], out=numerator[:-1])
+            numerator[-1] = numerator[-2]
+            np.add(numerator[1:], weights[2], out=denominator[1:])
+            denominator[0] = numerator[0] + weights[2, 0]
+        else:  # the numerator reads the boundary below, the failures the one above
             np.add.accumulate(counts[0, ::-1], out=favorable[-2::-1])
-            numerator = (favorable + weights[3])[below]
-            denominator = numerator + weights[1][above]
-        # an empty denominator has an empty numerator, so it reads 0 / 1
-        return numerator / np.where(denominator > 0, denominator, 1)
+            np.add(favorable, weights[3], out=numerator[1:])
+            numerator[0] = numerator[1]
+            np.add(numerator[:-1], weights[1], out=denominator[:-1])
+            denominator[-1] = numerator[-1] + weights[1, -1]
+        # an empty denominator has an empty numerator; the least positive
+        # float in its place reads 0 there and leaves every other one as it is
+        numerator /= np.maximum(denominator, 5e-324, out=denominator)
+        return numerator
 
 
 class OrderHistory:
@@ -239,7 +245,8 @@ class OrderHistory:
 
     A tick has a column from when an order there is first counted until a
     forward move of the window start empties it, so the counts grow with
-    the window's occupied ticks, not with the price span.  A fill or a
+    the window's occupied ticks, not with the price span; a sorted list of
+    the same ticks finds each column by bisection.  A fill or a
     cancellation is counted at the price its event carries, except a
     taker's fill, whose event carries the trade price.
 
@@ -264,9 +271,12 @@ class OrderHistory:
         self._read_events = 0  # events of the book's log read so far
         self._now = 0  # time of the last query
         self._start = 0  # index of the first order in the window
+        # the window start of the trade list of this length and last trade
+        self._traded, self._last_trade, self._window_start = 0, None, 0
         # binary ledger: counts of the classified orders [_start, _n)
         self._expired = 0  # orders [0, _expired) were placed over grace ago
         self._ticks = np.empty(0, dtype=np.int64)  # the tick of each column, ascending
+        self._tick_list: list[int] = []  # the same ticks, for bisect
         # rows: bid successes, ask failures, bid failures, ask successes
         self._counts = np.zeros((4, 0), dtype=np.int64)
 
@@ -300,53 +310,54 @@ class OrderHistory:
         return TickMemory(self._ticks, counts[:2] + counts[2:], weights)
 
     def _read(self, book: OrderBook) -> int:
-        """Take in the events logged since the last read and return the
-        index of the first order in the window.  New orders are stored first,
-        in one batch, as a fill or a cancellation changes only its own order."""
+        """Take in the events logged since the last read, in log order, and
+        return the index of the first order in the window."""
         events = book.events
-        placed, resolved = [], []
-        for event in events[self._read_events:]:
-            (placed if event.kind is PLACED else resolved).append(event)
+        new = events[self._read_events:]
         self._read_events = len(events)
-        if placed:
-            n, k = self._n, len(placed)
-            if n + k > self._price.size:
-                for name in self._FIELDS:
-                    grown = np.zeros(max(256, 2 * (n + k)), dtype=getattr(self, name).dtype)
-                    grown[:n] = getattr(self, name)[:n]
-                    setattr(self, name, grown)
-            _, times, _, _, sides, prices, _ = zip(*placed)
-            self._placed += times
-            self._price[n: n + k] = prices
-            self._is_bid[n: n + k] = [side is BID for side in sides]
-            self._open.update(zip(range(n, n + k), times))
-            self._n = n + k
-        binary, grace, executed = self._binary, self._grace, EXECUTED
-        pop, tally = self._open.pop, self._tally
+        n = self._n
+        if n + len(new) > self._price.size:  # room for an order per event
+            for name in self._FIELDS:
+                grown = np.zeros(max(256, 2 * (n + len(new))), dtype=getattr(self, name).dtype)
+                grown[:n] = getattr(self, name)[:n]
+                setattr(self, name, grown)
+        binary, grace, executed, tally = self._binary, self._grace, EXECUTED, self._tally
+        placed, prices, is_bid, pending = self._placed, self._price, self._is_bid, self._open
+        successes, failures = self._success, self._failure
         start, expired = self._start, self._expired
-        for kind, time, order_id, _, side, price, counterparty in resolved:
+        counted = max(start, expired)  # a cancelled order from here on is not counted yet
+        for kind, time, order_id, _, side, price, counterparty in new:
             i = order_id - 1
-            placed_at = pop(i)  # a one-unit order resolves once
+            if kind is PLACED:
+                placed.append(time)
+                prices[i], is_bid[i], pending[i] = price, side is BID, time
+                continue
+            placed_at = pending.pop(i)  # a one-unit order resolves once
             if kind is executed:
                 success = 1.0 if binary else max(0.0, 1.0 - (time - placed_at) / grace)
-                self._success[i], self._failure[i] = success, 1.0 - success
+                successes[i], failures[i] = success, 1.0 - success
                 if binary and i >= start:
                     if counterparty < order_id:  # a taker's event has the trade price
-                        price = int(self._price[i])
-                    is_bid = side is BID
+                        price = int(prices[i])
+                    bid = side is BID
                     if i < expired:  # an expired order can still fill
-                        tally(price, is_bid, failed=True, delta=-1)
-                    tally(price, is_bid, failed=False, delta=1)
+                        tally(price, bid, failed=True, delta=-1)
+                    tally(price, bid, failed=False, delta=1)
             else:
-                self._failure[i] = 1.0 if binary else min(1.0, (time - placed_at) / grace)
-                if binary and i >= max(start, expired):
+                failures[i] = 1.0 if binary else min(1.0, (time - placed_at) / grace)
+                if binary and i >= counted:
                     tally(price, side is BID, failed=True, delta=1)
-        trades = book.trades[-self.params.memory_length:]
+        self._n = len(placed)
+        trades = book.trades
         if not trades:  # no transaction to remember: the window is empty
             return self._n
-        window_start = min(self._placed[oid - 1] for trade in trades
-                           for oid in (trade.buy_order_id, trade.sell_order_id))
-        return bisect_left(self._placed, window_start)
+        if len(trades) != self._traded or trades[-1] is not self._last_trade:
+            self._traded, self._last_trade = len(trades), trades[-1]
+            window_start = min(self._placed[oid - 1]
+                               for trade in trades[-self.params.memory_length:]
+                               for oid in (trade.buy_order_id, trade.sell_order_id))
+            self._window_start = bisect_left(self._placed, window_start)
+        return self._window_start
 
     # -- binary ledger ------------------------------------------------------
 
@@ -374,18 +385,20 @@ class OrderHistory:
             ticks = ticks[_run_starts(ticks)]
             counts = np.zeros((4, ticks.size), dtype=np.int64)
             counts[:, ticks.searchsorted(self._ticks)] = self._counts
-            self._ticks, self._counts = ticks, counts
+            self._ticks, self._counts, self._tick_list = ticks, counts, ticks.tolist()
         np.add.at(self._counts, (rows, self._ticks.searchsorted(price)), delta)
         if delta < 0:  # drop the columns this emptied
             occupied = self._counts.any(axis=0)  # compress keeps the rows contiguous
             self._ticks, self._counts = self._ticks[occupied], self._counts.compress(occupied, axis=1)
+            self._tick_list = self._ticks.tolist()
 
     def _tally(self, price: int, is_bid: bool, failed: bool, delta: int) -> None:
         """Add ``delta`` orders of one class at ``price`` to the counts."""
-        ticks, counts = self._ticks, self._counts
-        column = ticks.searchsorted(price)
-        if column == ticks.size or ticks[column] != price:  # the tick's first order
-            self._ticks = np.concatenate((ticks[:column], [price], ticks[column:]))
+        ticks, counts = self._tick_list, self._counts
+        column = bisect_left(ticks, price)
+        if column == len(ticks) or ticks[column] != price:  # the tick's first order
+            ticks.insert(column, price)
+            self._ticks = np.concatenate((self._ticks[:column], [price], self._ticks[column:]))
             counts = self._counts = np.concatenate(
                 (counts[:, :column], np.zeros((4, 1), dtype=np.int64), counts[:, column:]), axis=1)
         counts[2 * (failed == is_bid) + (not is_bid), column] += delta
@@ -416,7 +429,7 @@ def hbl_candidate_grid(memory: TickMemory, mode: str = "observed") -> np.ndarray
     # observed is sorted and distinct, so only the two ends can be new
     grid = np.empty(observed.size + 2, dtype=np.int64)
     grid[0], grid[1:-1], grid[-1] = lo, observed, hi
-    return grid[lo == first: grid.size - (hi == last)]
+    return grid[lo == first:]
 
 
 def _solve_tridiagonal(dl: list, d: list, du: list, b: list) -> list:
@@ -494,12 +507,13 @@ def natural_cubic_spline(knots, values, points) -> np.ndarray:
 
 def hbl_belief_spline(memory: TickMemory, side: Side, prices) -> np.ndarray:
     """The belief at ``prices`` read off a natural cubic spline through the
-    observed (price, belief) points, clipped to [0, 1]; the raw belief with
-    fewer than two points."""
-    points = memory.prices
-    if len(points) < 2:
-        return memory.belief_array(prices, side)
-    spline = natural_cubic_spline(points, memory.belief_array(points, side), prices)
+    observed (price, belief) points, clipped to [0, 1].  With fewer than two
+    points the spline grid is the observed one, and ``prices``, that grid,
+    get the raw beliefs."""
+    beliefs = memory.beliefs(side)
+    if len(memory.prices) < 2:
+        return beliefs[beliefs.size - len(prices):]  # no tick below 0
+    spline = natural_cubic_spline(memory.prices, beliefs[1:-1], prices)
     return spline.clip(0.0, 1.0, out=spline)
 
 
@@ -523,22 +537,23 @@ def hbl_decide(
     uninformed HBL agent consumes its RNG stream exactly like a ZI agent
     would.  An informed agent builds its candidates from its memory with
     ``hbl_candidate_grid`` in ``params.grid_mode``; the memory holds the
-    orders of at least one trade, so they are never empty.
+    orders of at least one trade, so they are never empty.  The observed
+    grid is the ticks at which ``TickMemory.beliefs`` reads, less the one
+    below 0, so its beliefs are read by position.
     """
     if memory is None:
         return zi_decide(q_held, pv, r_hat, best_bid, best_ask, zi, rng, grid)
     side = _choose_side(q_held, pv, rng)
     prices = hbl_candidate_grid(memory, params.grid_mode)  # ascending: lowest bid wins ties
-    if side is BID:
-        valuation = pv.buy_valuation(q_held, r_hat)
-    else:
-        valuation = pv.sell_valuation(q_held, r_hat)
-        prices = prices[::-1]  # ties resolve to the highest ask
-    sign = 1.0 if side is BID else -1.0
     if params.grid_mode == "spline":
         beliefs = hbl_belief_spline(memory, side, prices)
-    else:
-        beliefs = memory.belief_array(prices, side)
-    expected = sign * (valuation - prices * grid.tick_size) * beliefs
+    else:  # the grid is the ticks that beliefs() reads, less any below 0
+        beliefs = memory.beliefs(side)[-prices.size:]
+    if side is BID:
+        expected = pv.buy_valuation(q_held, r_hat) - prices * grid.tick_size
+    else:  # ties resolve to the highest ask
+        prices, beliefs = prices[::-1], beliefs[::-1]
+        expected = prices * grid.tick_size - pv.sell_valuation(q_held, r_hat)
+    expected *= beliefs
     best_price = int(prices[np.argmax(expected)])  # first max keeps tie order
     return tuple.__new__(AgentAction, (PLACE, side, best_price))

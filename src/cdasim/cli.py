@@ -157,10 +157,10 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
     if variant == "dmr":
         fundamental = params(DmrParams, "fundamental")
     elif variant == "file":
-        fundamental = params(FileParams, "fundamental", model=params(
-            DmrParams, "fundamental", {"r_bar": "fundamental.est_r_bar",
-                                       "kappa": "fundamental.est_kappa",
-                                       "sigma_s_sq": "fundamental.est_sigma_s_sq"}))
+        model_keys = {"r_bar": "fundamental.est_r_bar", "kappa": "fundamental.est_kappa",
+                      "sigma_s_sq": "fundamental.est_sigma_s_sq"}
+        fundamental = params(FileParams, "fundamental",
+                             model=params(DmrParams, "fundamental", model_keys))
     else:
         fundamental = params(OuParams, "fundamental")
         if variant == "megashock":
@@ -172,6 +172,8 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
     renamed = {"horizon_T": "market.horizon", "master_seed": "market.seed",
                "n_zi": "agents.zi_count", "n_hbl": "agents.hbl_count",
                "arrival_rate": "agents.arrival_rate"}
+    for name in fundamental.levels():  # SimConfig checks the fundamental's levels in ticks
+        renamed[name] = model_keys[name] if variant == "file" else f"fundamental.{name}"
     n_hbl = _value(resolved, renamed["n_hbl"], SimConfig.__dataclass_fields__["n_hbl"])
     config = params(SimConfig, "market", renamed, fundamental=fundamental, n_hbl=n_hbl,
                     zi_params=zi, hbl_params=params(HblParams, "agents") if n_hbl > 0 else None,

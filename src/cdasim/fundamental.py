@@ -31,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .prices import PriceGrid
+from .prices import MAX_TICKS, PriceGrid
 from .rng import child_stream
 
 FUNDAMENTAL_STREAM = "fundamental"
@@ -65,6 +65,10 @@ class DmrParams:
 
     def belief_model(self) -> tuple[float, float, float]:
         return self.r_bar, self.kappa, self.sigma_s_sq
+
+    def levels(self) -> dict[str, float]:
+        """The series' mean and start value by field: r_bar is both."""
+        return {"r_bar": self.r_bar}
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,10 @@ class OuParams:
         sigma_s_sq = self.sigma_sq / (2.0 * self.gamma) * -math.expm1(-2.0 * self.gamma)
         return self.mu, kappa, sigma_s_sq
 
+    def levels(self) -> dict[str, float]:
+        """The series' mean and start value by field."""
+        return {"mu": self.mu, "q0": self.q0}
+
 
 @dataclass(frozen=True)
 class MegashockParams:
@@ -132,6 +140,9 @@ class MegashockParams:
     def belief_model(self) -> tuple[float, float, float]:
         return self.ou.belief_model()
 
+    def levels(self) -> dict[str, float]:
+        return self.ou.levels()
+
 
 @dataclass(frozen=True)
 class FileParams:
@@ -159,6 +170,10 @@ class FileParams:
 
     def belief_model(self) -> tuple[float, float, float]:
         return self.model.belief_model()
+
+    def levels(self) -> dict[str, float]:
+        """The model's mean; the file's values are checked as it is read."""
+        return self.model.levels()
 
 
 def ou_mean_var(q_prev: float, elapsed: float, params: OuParams) -> tuple[float, float]:
@@ -401,6 +416,9 @@ class FileFundamental:
             if value < 0:
                 raise ValueError(f"malformed fundamental file at line {lineno}: "
                                  f"values must be >= 0")
+            if value >= MAX_TICKS:
+                raise ValueError(f"fundamental file at line {lineno}: "
+                                 f"values must be below 2**53 ticks")
             if series and ts <= series[-1][0]:
                 raise ValueError(f"malformed fundamental file at line {lineno}: "
                                  f"timestamps must be strictly increasing")

@@ -34,7 +34,7 @@ from . import estimator as est
 from .fundamental import DmrParams, FileParams, MegashockParams, OuParams
 from .orderbook import OrderBook
 from .preferences import PrivateValues
-from .prices import PriceGrid
+from .prices import MAX_TICKS, PriceGrid
 from .rng import child_stream
 
 ZI = "ZI"
@@ -78,6 +78,10 @@ class SimConfig:
             raise ValueError("hbl_params required when n_hbl > 0")
         if type(self.fundamental) not in (DmrParams, OuParams, MegashockParams, FileParams):
             raise ValueError(f"unknown fundamental params {self.fundamental!r}")
+        for name, value in self.fundamental.levels().items():
+            if not abs(value) / self.tick_size < MAX_TICKS:
+                raise ValueError(f"{name} = {value!r} is {abs(value) / self.tick_size:.3g} ticks "
+                                 f"at tick_size {self.tick_size!r}, not below 2**53")
 
 
 @dataclass

@@ -39,6 +39,9 @@ _GUARD = 2.0 ** -30
 _FAST_LIMIT = 2.0 ** 31
 # Decimal multiplies to 28 significant digits, so format falls back beyond this.
 _EXACT_PRODUCT = 10 ** 28
+# The price domain: a config whose fundamental reaches this many ticks is
+# rejected, so tick counts stay exact as floats and fit int64 with headroom.
+MAX_TICKS = 1 << 53
 
 
 @dataclass(frozen=True)

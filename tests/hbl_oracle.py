@@ -2,10 +2,13 @@
 
 ``RecordMemory`` answers belief queries with prefix sums over each side's
 ``MemoryOrder`` records sorted by price, the float addition order that
-fractional mode keeps, without laying them on ticks.  ``hbl_classify``
-classifies the orders of a book's event log from scratch, order by order,
-into ``MemoryOrder`` records: those of the last L transactions' window, or
-those placed from any given time on.  ``exact_beliefs`` sums the weights of
+fractional mode keeps, without laying them on ticks.  ``belief_array``
+reads the belief at any price, occupied or not, by search, off a
+``RecordMemory`` or off the package's ``TickMemory``, whose own
+``beliefs`` reads only its ticks and one beyond each end, by position.
+``hbl_classify`` classifies the orders of a book's event log from scratch,
+order by order, into ``MemoryOrder`` records: those of the last L
+transactions' window, or those placed from any given time on.  ``exact_beliefs`` sums the weights of
 such records exactly, so a binary belief is a quotient of two exact counts.
 The tests compare ``OrderHistory``, which reads the book's log
 incrementally, the package's ``TickMemory`` (built from records with
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cdasim.agents import HblParams
+from cdasim.agents import HblParams, TickMemory
 from cdasim.orderbook import BookEvent, EventKind, OrderBook, Side
 
 
@@ -84,6 +87,38 @@ class RecordMemory:
         return np.divide(numerator, denominator,
                          out=np.zeros_like(numerator), where=denominator > 0.0)
 
+    def beliefs(self, side: Side) -> np.ndarray:
+        """The beliefs that ``TickMemory.beliefs`` reads by position, here
+        by search: one tick below the lowest price, at each price and one
+        tick above the highest."""
+        prices = self.prices
+        return self.belief_array(np.concatenate(([prices[0] - 1], prices, [prices[-1] + 1])),
+                                 side)
+
+
+def belief_array(memory, prices, side: Side) -> np.ndarray:
+    """The belief at each of ``prices`` of a ``RecordMemory`` or of a
+    ``TickMemory``, found by search.  A ``TickMemory`` keeps, for each
+    side, the orders at each of its ticks and four cumulative weights at
+    the boundary just below each tick and above the last."""
+    if not isinstance(memory, TickMemory):
+        return memory.belief_array(prices, side)
+    ticks, counts, weights = memory.prices, memory._counts, memory._weights
+    below = ticks.searchsorted(prices)  # the boundary just below each price
+    # the boundary just above it is the next one where the price is occupied
+    above = below + (ticks.take(below, mode="clip") == prices) if ticks.size else below
+    favorable = np.zeros(ticks.size + 1, dtype=np.int64)
+    if side is Side.BID:
+        np.add.accumulate(counts[1], out=favorable[1:])
+        numerator = (favorable + weights[0])[above]
+        denominator = numerator + weights[2][below]
+    else:
+        np.add.accumulate(counts[0, ::-1], out=favorable[-2::-1])
+        numerator = (favorable + weights[3])[below]
+        denominator = numerator + weights[1][above]
+    # an empty denominator has an empty numerator, so it reads 0 / 1
+    return numerator / np.where(denominator > 0, denominator, 1)
+
 
 def order_arrays(records):
     """Parallel arrays of sides (``True`` for a bid), prices, successes and
@@ -103,7 +138,7 @@ def records_of(is_bid, price, success, failure) -> list[MemoryOrder]:
 
 def hbl_belief(memory, p: int, side: Side) -> float:
     """Heuristic probability that a limit order at price ``p`` transacts."""
-    return float(memory.belief_array([p], side)[0])
+    return float(belief_array(memory, [p], side)[0])
 
 
 # every finite float is an integer multiple of 2**-1074

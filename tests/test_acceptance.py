@@ -32,7 +32,8 @@ from cdasim.fundamental import DmrParams
 from cdasim.orderbook import OrderBook, Side
 from cdasim.prices import PriceGrid
 
-from hbl_oracle import build_script_book, exact_beliefs, hbl_belief, order_arrays, random_memory
+from hbl_oracle import (build_script_book, belief_array, exact_beliefs, hbl_belief, order_arrays,
+                        random_memory)
 from reference_run import ListBook
 from conftest import (CRITERION_LINES, HBL, PV, ZI, FixedRng, ScalarKalman, depth_snapshot,
                       ou_sample, replay, resting_ids)
@@ -323,7 +324,7 @@ def test_criterion_10_belief_monotonicity_and_oracle():
             reference = random_memory(rng)
             memory = TickMemory.from_orders(*order_arrays(reference.records))
             for side, rising in ((Side.BID, 1.0), (Side.ASK, -1.0)):
-                beliefs = memory.belief_array(prices, side)
+                beliefs = belief_array(memory, prices, side)
                 assert ((0.0 <= beliefs) & (beliefs <= 1.0)).all()
                 # a higher bid (lower ask) never looks less likely to transact
                 assert (rising * np.diff(beliefs) >= -1e-12).all()

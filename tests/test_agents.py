@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdasim.agents import (
@@ -30,6 +30,7 @@ from reference_run import hbl_candidates, scalar_choice_oracle, spline_beliefs
 from hbl_oracle import (
     MemoryOrder,
     RecordMemory,
+    belief_array,
     build_script_book,
     exact_beliefs,
     hbl_belief,
@@ -373,9 +374,41 @@ def test_tick_memory_matches_oracle_edge_cases(case, grace, rng):
             widest = max(widest, int(price.max() - price.min()))
         queries = edge_queries(price)
         for side in Side:
-            assert_bitwise_equal(got.belief_array(queries, side),
-                                 expected.belief_array(queries, side))
+            assert_bitwise_equal(belief_array(got, queries, side),
+                                 belief_array(expected, queries, side))
     assert case != "cent ticks" or widest > 64
+
+
+# one order of a generated memory: bid or ask, its tick above the lowest,
+# whether it executed, and a weight: its success if it executed, else its failure
+GENERATED_ORDER = st.tuples(st.booleans(), st.integers(0, 12), st.booleans(),
+                            st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150)
+@example(orders=[(True, 0, True, 1.0)], fractional=False, lowest=0)  # one tick, at 0
+@example(orders=[(False, 0, False, 0.5), (True, 0, True, 0.25), (True, 3, False, 1.0)],
+         fractional=True, lowest=0)
+@given(orders=st.lists(GENERATED_ORDER, min_size=1, max_size=40), fractional=st.booleans(),
+       lowest=st.sampled_from([0, 1, 1000, 10**12]))
+def test_positional_beliefs_equal_the_search_reader(orders, fractional, lowest):
+    # beliefs() at one tick below the lowest, at each tick and one above the
+    # highest, bit for bit as the search reader finds them at those prices
+    is_bid = np.array([bid for bid, _, _, _ in orders])
+    price = np.array([lowest + offset for _, offset, _, _ in orders], dtype=np.int64)
+    executed = np.array([done for _, _, done, _ in orders])
+    weight = np.array([w for _, _, _, w in orders])
+    if fractional:  # float weights, a pending order failing by its weight
+        success = np.where(executed, weight, 0.0)
+        failure = np.where(executed, 1.0 - weight, weight)
+    else:  # int64 counts, as the binary ledger keeps them
+        success = executed.astype(np.int64)
+        failure = 1 - success
+    memory = TickMemory.from_orders(is_bid, price, success, failure)
+    ticks = memory.prices
+    points = np.concatenate(([ticks[0] - 1], ticks, [ticks[-1] + 1]))
+    for side in Side:
+        assert_bitwise_equal(memory.beliefs(side), belief_array(memory, points, side))
 
 
 def assert_exact_quotients(memory, records, prices):
@@ -383,7 +416,7 @@ def assert_exact_quotients(memory, records, prices):
     ``Fraction`` belief of ``records``."""
     for side in Side:
         expected = [float(belief) for belief in exact_beliefs(records, prices, side)]
-        assert_bitwise_equal(memory.belief_array(prices, side), expected)
+        assert_bitwise_equal(belief_array(memory, prices, side), expected)
 
 
 @pytest.mark.parametrize("case", EDGE_CASES)
@@ -473,7 +506,7 @@ def test_spline_belief_interpolates_and_clamps(grid_01):
     book = build_script_book()
     memory = hbl_classify(book.events, now=100, params=HBL)
     at_knots = hbl_belief_spline(memory, Side.BID, memory.prices)
-    assert at_knots == pytest.approx(memory.belief_array(memory.prices, Side.BID), abs=1e-9)
+    assert at_knots == pytest.approx(belief_array(memory, memory.prices, Side.BID), abs=1e-9)
     between = hbl_belief_spline(memory, Side.BID, np.arange(990, 1011))
     assert ((0.0 <= between) & (between <= 1.0)).all()
 
@@ -481,7 +514,7 @@ def test_spline_belief_interpolates_and_clamps(grid_01):
 def test_spline_single_point_falls_back():
     memory = RecordMemory((MemoryOrder(Side.BID, 1000, 1.0, 0.0),))
     belief = hbl_belief_spline(memory, Side.BID, [999, 1000, 1001])
-    assert belief.tolist() == memory.belief_array([999, 1000, 1001], Side.BID).tolist()
+    assert belief.tolist() == belief_array(memory, [999, 1000, 1001], Side.BID).tolist()
 
 
 def assert_bitwise_equal(got, expected):
@@ -587,7 +620,7 @@ def test_spline_leaves_its_inputs_unchanged(rng):
             continue
         before = [memory.prices.copy(), memory._counts.copy(), memory._weights.copy()]
         knots = memory.prices.astype(np.float64)
-        values = memory.belief_array(memory.prices, Side.BID)
+        values = belief_array(memory, memory.prices, Side.BID)
         points = np.arange(knots[0] - 2, knots[-1] + 3)
         inputs = [knots.copy(), values.copy(), points.copy()]
         first = natural_cubic_spline(knots, values, points)
@@ -612,7 +645,7 @@ def test_spline_belief_matches_scipy_on_memories(side, rng):
         if len(points) < 2:
             continue
         prices = np.array(hbl_candidate_grid(memory, mode="spline"))
-        expected = spline_beliefs(points, memory.belief_array(points, side), prices)
+        expected = spline_beliefs(points, belief_array(memory, points, side), prices)
         assert_bitwise_equal(hbl_belief_spline(memory, side, prices), expected)
         checked += 1
     assert checked > 100
@@ -713,8 +746,10 @@ def assert_same_memory(got, expected, prices):
     assert np.array_equal(got.prices, expected.prices)
     assert got.prices.dtype == np.int64
     for side in Side:
-        assert np.array_equal(got.belief_array(prices, side),
-                              expected.belief_array(prices, side)), side
+        assert np.array_equal(belief_array(got, prices, side),
+                              belief_array(expected, prices, side)), side
+        if len(got.prices):
+            assert np.array_equal(got.beliefs(side), expected.beliefs(side)), side
 
 
 @pytest.mark.parametrize("grid_mode", ["observed", "spline"])
@@ -840,6 +875,7 @@ def test_order_history_matches_classification_on_generated_streams(
         got = market.memory(now)
         reference = hbl_classify(market.book.events, now, params)
         assert_same_memory(got, reference, prices)
+        assert market.history._tick_list == market.history._ticks.tolist()
         return len(got)
 
     def replay(stream, t):
@@ -890,12 +926,13 @@ def assert_ledger_exact(market, now, window_start=None, prices=range(990, 1012))
 def test_ledger_expired_order_that_executes_turns_success():
     market = LedgerMarket(BINARY)
     market.place(Side.BID, 1000, 0)
-    assert assert_ledger_exact(market, 20, window_start=0).belief_array([1000], Side.BID)[0] == 0.0
+    memory = assert_ledger_exact(market, 20, window_start=0)
+    assert belief_array(memory, [1000], Side.BID)[0] == 0.0
     market.place(Side.ASK, 1000, 21)  # fills the expired bid
     assert len(market.book.trades) == 1
     memory = assert_ledger_exact(market, 21, window_start=0)
     assert len(memory) == 2
-    assert memory.belief_array([1000], Side.BID)[0] == 1.0
+    assert belief_array(memory, [1000], Side.BID)[0] == 1.0
 
 
 @BOTH_MODES
@@ -933,7 +970,7 @@ def test_ledger_empty_window(params):
     market = LedgerMarket(params)
     empty = assert_ledger_exact(market, 0, window_start=0)  # nothing placed yet
     assert len(empty) == 0 and empty.prices.size == 0
-    assert not empty.belief_array(np.arange(990, 1010), Side.ASK).any()
+    assert not belief_array(empty, np.arange(990, 1010), Side.ASK).any()
     market.place(Side.BID, 1000, 1)
     market.place(Side.ASK, 1000, 2)
     assert len(assert_ledger_exact(market, 2, window_start=0)) == 2
@@ -1040,7 +1077,7 @@ def test_fractional_ledger_order_placed_now_counts_at_next_query():
     assert assert_ledger_exact(market, 4).prices.tolist() == [1000]  # same time again
     memory = assert_ledger_exact(market, 5)  # failure 1/5 now
     assert len(memory) == 3 and memory.prices.tolist() == [1000, 1010]
-    assert memory.belief_array([1010], Side.BID)[0] == 1.0
+    assert belief_array(memory, [1010], Side.BID)[0] == 1.0
 
 
 def resting_price(book, is_bid, price):
@@ -1111,7 +1148,7 @@ def test_fractional_ledger_fill_after_grace_fails():
     memory = assert_ledger_exact(market, 9)
     assert market.window_start() == 2 and len(memory) == 2
     # favorable: the ask at or below 1002; unfavorable: the failed bid
-    assert memory.belief_array([1002], Side.BID)[0] == 0.5
+    assert belief_array(memory, [1002], Side.BID)[0] == 0.5
 
 
 def test_fractional_ledger_pending_failure_caps_at_one():
@@ -1120,7 +1157,7 @@ def test_fractional_ledger_pending_failure_caps_at_one():
     # filled after 1 step) over that plus the pending bid's failure
     market = fractional_market()
     market.place(Side.BID, 1005, 2)
-    beliefs = {now: assert_ledger_exact(market, now).belief_array([1005], Side.BID)[0]
+    beliefs = {now: belief_array(assert_ledger_exact(market, now), [1005], Side.BID)[0]
                for now in (3, 5, 7, 8, 40)}
     assert beliefs[3] > beliefs[5] > beliefs[7] == beliefs[8] == beliefs[40]
     assert beliefs[40] == pytest.approx(1.8 / 2.8, abs=1e-15)

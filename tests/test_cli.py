@@ -519,6 +519,32 @@ def test_main_tiny_kappa_exit_code(variant, key, tmp_path, capsys):
             assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("fundamental, market, key", [
+    ("variant = dmr\n", "tick_size = 1e-300\n", "r_bar"),
+    ("variant = dmr\nr_bar = 1e19\nsigma_s_sq = 0\n", "", "r_bar"),
+    ("variant = ou\nq0 = 1e16\n", "", "q0"),
+    ("variant = megashock\nmu = -1e16\n", "", "mu"),
+    ("variant = file\nest_r_bar = 1e16\n", "", "est_r_bar"),
+    ("variant = file\n", "", "path"),
+], ids=["tiny-tick", "dmr-r_bar", "ou-q0", "megashock-mu", "file-est_r_bar", "file-value"])
+def test_main_rejects_a_fundamental_past_2_53_ticks(fundamental, market, key, tmp_path, capsys):
+    # tick_size 1e-300 and r_bar 1e19 used to die mid-run with an
+    # OverflowError in the int64 HBL ledger; every price is below 2**53 ticks
+    series = tmp_path / "series.csv"
+    series.write_text("0,100.0\n5,1e15\n" if key == "path" else "0,100.0\n")
+    path = f"path = {series}\n" if "file" in fundamental else ""
+    config = tmp_path / "c.ini"
+    config.write_text(f"[fundamental]\n{fundamental}{path}"
+                      f"[market]\nhorizon = 300\nseed = 3\n{market}"
+                      "[agents]\nzi_count = 20\nhbl_count = 5\narrival_rate = 0.1\n")
+    code = main(["--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: fundamental.{key}: ")
+    assert "2**53" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_missing_config_file(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")])
     assert code == 1

@@ -66,3 +66,33 @@ def test_params_reject_value_naming_the_field(base, field, value):
     with pytest.raises(ValueError) as raised:
         with_value(base, field, value)
     assert str(raised.value).split()[0] == field
+
+
+DMR, MEGASHOCK, FILE, CONFIG = (CASES[i][0] for i in (0, 2, 3, 5))
+
+
+def with_level(fundamental, field, value):
+    """``fundamental`` with its mean or start value ``field`` at ``value``."""
+    if isinstance(fundamental, MegashockParams):
+        return dataclasses.replace(fundamental, ou=with_value(fundamental.ou, field, value))
+    return with_value(fundamental, field, value)
+
+
+@pytest.mark.parametrize("fundamental, field", [
+    (DMR, "r_bar"), (OU, "mu"), (OU, "q0"), (MEGASHOCK, "q0"), (FILE, "r_bar"),
+], ids=["dmr-r_bar", "ou-mu", "ou-q0", "megashock-q0", "file-model-r_bar"])
+@pytest.mark.parametrize("tick_size", [0.1, 1e-300])
+def test_sim_config_keeps_the_fundamental_below_2_53_ticks(fundamental, field, tick_size):
+    # every price is below 2**53 ticks: a mean or start value at or past it
+    # is rejected, naming its field; an OU level, which may be negative,
+    # counts by its size
+    for name in fundamental.levels():  # the other levels at one tick
+        fundamental = with_level(fundamental, name, tick_size)
+    limit = 2.0 ** 53 * tick_size
+    for value in (limit, 1e300) + ((-limit,) if field != "r_bar" else ()):
+        with pytest.raises(ValueError, match=r"not below 2\*\*53") as raised:
+            dataclasses.replace(CONFIG, tick_size=tick_size,
+                                fundamental=with_level(fundamental, field, value))
+        assert str(raised.value).split()[0] == field
+    inside = with_level(fundamental, field, 2.0 ** 52 * tick_size)
+    assert dataclasses.replace(CONFIG, tick_size=tick_size, fundamental=inside).fundamental == inside
