@@ -16,7 +16,9 @@ window's occupied ticks, not with the price span.  ``OrderHistory`` keeps
 it as running int64 counts in binary mode; in fractional mode
 ``TickMemory.from_orders`` lays the window's weighted orders afresh on each
 query, summed in one float addition order.  The decision needs beliefs only
-at those ticks and one tick beyond each end, and reads them by position.
+at those ticks and one tick beyond each end, and reads them by position;
+``TickMemory.beliefs`` is the one belief formula, a bid's, and reads an
+ask's on the memory mirrored in price.
 """
 
 from __future__ import annotations
@@ -200,24 +202,21 @@ class TickMemory:
         ``min(k, n)``.  The belief is 0 where the denominator is empty.
         """
         counts, weights = self._counts, self._weights
+        if side is not BID:  # an ask is a bid on the memory mirrored in price:
+            # sides swapped and ticks reversed, so the weights' rows reverse too
+            counts, weights = counts[::-1, ::-1], weights[::-1, ::-1]
         favorable = np.zeros(counts.shape[1] + 1, dtype=np.int64)
         numerator, denominator = np.empty((2, favorable.size + 1))  # holds int64 counts exactly
-        if side is BID:  # the numerator reads the boundary above, the failures the one below
-            np.add.accumulate(counts[1], out=favorable[1:])
-            np.add(favorable, weights[0], out=numerator[:-1])
-            numerator[-1] = numerator[-2]
-            np.add(numerator[1:], weights[2], out=denominator[1:])
-            denominator[0] = numerator[0] + weights[2, 0]
-        else:  # the numerator reads the boundary below, the failures the one above
-            np.add.accumulate(counts[0, ::-1], out=favorable[-2::-1])
-            np.add(favorable, weights[3], out=numerator[1:])
-            numerator[0] = numerator[1]
-            np.add(numerator[:-1], weights[1], out=denominator[:-1])
-            denominator[-1] = numerator[-1] + weights[1, -1]
+        # the numerator reads the boundary above, the failures the one below
+        np.add.accumulate(counts[1], out=favorable[1:])
+        np.add(favorable, weights[0], out=numerator[:-1])
+        numerator[-1] = numerator[-2]
+        np.add(numerator[1:], weights[2], out=denominator[1:])
+        denominator[0] = numerator[0] + weights[2, 0]
         # an empty denominator has an empty numerator; the least positive
         # float in its place reads 0 there and leaves every other one as it is
         numerator /= np.maximum(denominator, 5e-324, out=denominator)
-        return numerator
+        return numerator if side is BID else numerator[::-1]
 
 
 class OrderHistory:
@@ -271,8 +270,8 @@ class OrderHistory:
         self._read_events = 0  # events of the book's log read so far
         self._now = 0  # time of the last query
         self._start = 0  # index of the first order in the window
-        # the window start of the trade list of this length and last trade
-        self._traded, self._last_trade, self._window_start = 0, None, 0
+        # the window start of the trade list whose last trade is _last_trade
+        self._last_trade, self._window_start = None, 0
         # binary ledger: counts of the classified orders [_start, _n)
         self._expired = 0  # orders [0, _expired) were placed over grace ago
         self._ticks = np.empty(0, dtype=np.int64)  # the tick of each column, ascending
@@ -351,8 +350,8 @@ class OrderHistory:
         trades = book.trades
         if not trades:  # no transaction to remember: the window is empty
             return self._n
-        if len(trades) != self._traded or trades[-1] is not self._last_trade:
-            self._traded, self._last_trade = len(trades), trades[-1]
+        if trades[-1] is not self._last_trade:  # a new last trade may move the window
+            self._last_trade = trades[-1]
             window_start = min(self._placed[oid - 1]
                                for trade in trades[-self.params.memory_length:]
                                for oid in (trade.buy_order_id, trade.sell_order_id))

@@ -9,11 +9,12 @@ the current estimate over the remaining steps.
 
 The filter is a scalar Kalman filter: its error variance, and so the weight
 each observation gets, depends only on the agent's wake times, never on the
-values observed.  ``gain_schedule`` builds that variance path for every
-agent before the market opens, as one coefficient triple per wake, so the
-kernel's wake updates the estimate with the same expressions and in the
-same order as ``advance``, ``observe`` and ``project_final``, which are the
-filter one wake at a time.
+values observed.  ``gap_step`` is the rule for one gap between wakes, kappa
+= 0 included; ``gain_schedule`` tables it once per distinct gap and builds
+that variance path for every agent before the market opens, as one
+coefficient triple per wake, so the kernel's wake updates the estimate with
+the same expressions and in the same order as ``advance``, ``observe`` and
+``project_final``, which are the filter one wake at a time.
 
 All belief arithmetic stays in real numbers; only order limit prices are
 ever rounded to ticks.
@@ -51,29 +52,32 @@ def initial_belief(params: EstimatorParams) -> BeliefState:
     return BeliefState(params.r_bar, 0.0, 0)
 
 
-def advance(belief: BeliefState, now: int, params: EstimatorParams) -> BeliefState:
-    """Mentally step the belief forward from the last wake time to ``now``.
+def gap_step(delta: int, params: EstimatorParams) -> tuple[float, float, float]:
+    """The filter's rule for a gap of ``delta`` >= 1 steps: the mean decay
+    ``(1-kappa)**delta``, and the variance decay and shock variance that
+    advance a variance to ``var_decay * var + shock``.  For kappa = 0 the
+    shock weight is 0/0, so its analytic limit, a random walk accumulating
+    ``delta * sigma_s_sq``, is used, with a variance decay of 1.0."""
+    base = 1.0 - params.kappa
+    decay = base ** delta
+    if params.kappa == 0.0:
+        return decay, 1.0, delta * params.sigma_s_sq
+    var_decay = base ** (2 * delta)
+    return decay, var_decay, (1.0 - var_decay) / (1.0 - base ** 2) * params.sigma_s_sq
 
-    The mean reverts geometrically toward r_bar; the error variance mixes
-    the prior error with accumulated shock variance.  For kappa = 0 the
-    closed-form weight is 0/0, so its analytic limit (a pure random walk
-    accumulating delta * sigma_s_sq) is used instead.
-    """
+
+def advance(belief: BeliefState, now: int, params: EstimatorParams) -> BeliefState:
+    """Mentally step the belief forward from the last wake time to ``now``
+    by ``gap_step``: the mean reverts geometrically toward r_bar."""
     r_tilde, sigma_tilde_sq, last_wake = belief
     if now < last_wake:
         raise ValueError(f"time regression: now={now} < last_wake={last_wake}")
     delta = now - last_wake
     if delta == 0:
         return belief
-    decay = (1.0 - params.kappa) ** delta
+    decay, var_decay, shock = gap_step(delta, params)
     r_tilde = (1.0 - decay) * params.r_bar + decay * r_tilde
-    if params.kappa == 0.0:
-        var = sigma_tilde_sq + delta * params.sigma_s_sq
-    else:
-        decay_sq = (1.0 - params.kappa) ** (2 * delta)
-        shock_weight = (1.0 - decay_sq) / (1.0 - (1.0 - params.kappa) ** 2)
-        var = decay_sq * sigma_tilde_sq + shock_weight * params.sigma_s_sq
-    return BeliefState(r_tilde, var, now)
+    return BeliefState(r_tilde, var_decay * sigma_tilde_sq + shock, now)
 
 
 def observe(belief: BeliefState, o_t: float, params: EstimatorParams) -> BeliefState:
@@ -144,23 +148,23 @@ def gain_schedule(schedules: Sequence[np.ndarray], order: np.ndarray,
     gaps[:, 1:] -= times[:, :-1]
     gaps[~occupied] = 0  # no wake has gap 0, so its table entries stay 0
 
-    base = 1.0 - params.kappa
     counts = np.bincount(gaps.ravel(), minlength=1)
     counts[0] = 0
     steps = np.flatnonzero(counts).tolist()  # the distinct gaps
-    decay_table = np.zeros(len(counts))
-    decay_table[steps] = [base ** d for d in steps]
-    obs_weight, posterior = _variance_path(gaps, steps, params, trace)
+    # by gap: the mean decay, the variance decay and the shock variance
+    table = np.zeros((3, len(counts)))
+    table[:, steps] = np.array([gap_step(d, params) for d in steps]).reshape(-1, 3).T
+    obs_weight, posterior = _variance_path(gaps, table, params.sigma_n_sq, trace)
 
     wake = np.flatnonzero(occupied)[order]  # merged wake -> flat (agent, k) index
     gaps = gaps.ravel()[wake]
     times = times.ravel()[wake]
     starts = np.flatnonzero(np.diff(times, prepend=-1))  # each distinct wake time's first wake
-    horizon_T = params.horizon_T
+    base, horizon_T = 1.0 - params.kappa, params.horizon_T
     final_decays = np.fromiter((base ** (horizon_T - t) for t in memoryview(times[starts])),
                                np.float64, len(starts))
     return GainSchedule(
-        decay=decay_table[gaps],
+        decay=table[0][gaps],
         obs_weight=obs_weight.ravel()[wake],
         final_decay=np.repeat(final_decays, np.diff(starts, append=len(times))),
         delta=gaps if trace else None,
@@ -168,29 +172,17 @@ def gain_schedule(schedules: Sequence[np.ndarray], order: np.ndarray,
     )
 
 
-def _variance_path(gaps: np.ndarray, steps: list[int], params: EstimatorParams,
+def _variance_path(gaps: np.ndarray, table: np.ndarray, sigma_n_sq: float,
                    trace: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """The observation weight of every (agent, wake) of ``gaps``, and the
     posterior variance if ``trace``: ``advance`` and ``observe``'s variance
-    arithmetic, stepped one column of wakes at a time, with ``advance``'s
-    powers tabled per distinct gap in ``steps``."""
-    kappa, sigma_s_sq, sigma_n_sq = params.kappa, params.sigma_s_sq, params.sigma_n_sq
-    var_decay_table = np.zeros(steps[-1] + 1 if steps else 1)
-    shock_table = np.zeros_like(var_decay_table)
-    if kappa == 0.0:
-        var_decay_table[steps] = 1.0  # advance's random-walk limit; 1.0 * var is var
-        shock_table[steps] = [d * sigma_s_sq for d in steps]
-    else:
-        base = 1.0 - kappa
-        var_decays = [base ** (2 * d) for d in steps]
-        one_step = 1.0 - base ** 2
-        var_decay_table[steps] = var_decays
-        shock_table[steps] = [(1.0 - v) / one_step * sigma_s_sq for v in var_decays]
+    arithmetic, stepped one column of wakes at a time, with ``gap_step``'s
+    variance decay and shock variance read from ``table`` by gap."""
     obs_weight = np.ones(gaps.shape)
     posterior = np.zeros(gaps.shape) if trace else None
     if sigma_n_sq == 0.0:
         return obs_weight, posterior  # the observation is exact: adopted, variance 0
-    var_decay, shock = var_decay_table[gaps.T], shock_table[gaps.T]
+    var_decay, shock = table[1][gaps.T], table[2][gaps.T]
     var = np.zeros(len(gaps))
     for k in range(gaps.shape[1]):
         prior = var_decay[k] * var

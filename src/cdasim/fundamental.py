@@ -14,7 +14,9 @@ Each params type owns its variant: ``source(grid, seed, horizon_T, reads)``
 builds a table of the series from the run's read times, in time order, and
 ``value_at`` looks a time up in it; ``belief_model()`` gives the ``(r_bar,
 kappa, sigma_s_sq)`` the agents' estimator assumes.  The sparse variants
-hold 0, each read time and the horizon.  The discrete variant holds every
+hold 0, each read time and the horizon, by ``_HeldSeries``' one loop;
+``OuFundamental`` is the one OU source, with the megashock jumps when its
+params have them.  The discrete variant holds every
 step from 0 to the horizon, built in verified blocks stepped side by side
 with numpy, and steps what they leave one shock at a time; both give the
 same ticks.
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -120,8 +122,9 @@ class MegashockParams:
     shock_var: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.arrival_rate < math.inf:
-            raise ValueError("arrival_rate must be > 0 and finite")
+        if not 0.0 < self.arrival_rate <= 1.0:
+            # at most one expected jump per step: the jumps cost one draw each
+            raise ValueError("arrival_rate must be > 0 and at most 1 per step")
         if not 0.0 < self.shock_mean < math.inf:
             raise ValueError("shock_mean must be > 0 and finite")
         if not 0.0 < self.shock_var < math.inf:
@@ -293,32 +296,48 @@ class DmrFundamental:
         return list(enumerate(self._values))
 
 
+class _HeldSeries:
+    """A sparse series held at 0, at each of ``reads`` and at the horizon:
+    the one hold-at-reads loop of the sparse sources."""
+
+    def _hold(self, start: tuple[int, int], value: Callable[[int], int]) -> None:
+        """Trace ``start`` and then ``value(t)`` at each new time, in time order."""
+        self._trace = [start]
+        for t in chain(self.reads, (self.horizon_T,)):
+            if t > self._trace[-1][0]:
+                self._trace.append((t, value(t)))
+        self._ticks = dict(self._trace)
+
+    def evaluations(self) -> list[tuple[int, int]]:
+        return list(self._trace)
+
+
 @dataclass
-class OuFundamental:
+class OuFundamental(_HeldSeries):
     """Sparse OU source: the series drawn at 0, at each of ``reads`` and at
-    the horizon, one skip-ahead draw per new time.
+    the horizon, one skip-ahead draw per new time, with megashock jumps when
+    the params are ``MegashockParams``.
 
     The state is kept in real arithmetic, at the real time ``_clock``, and
     rounded to tick only in the trace.
     """
 
-    params: OuParams
+    params: OuParams | MegashockParams
     grid: PriceGrid
     seed: int
     horizon_T: int
     reads: Sequence[int]
 
     def __post_init__(self) -> None:
-        ou = self.params.ou if isinstance(self.params, MegashockParams) else self.params
-        self._ou, self._rng = ou, child_stream(self.seed, FUNDAMENTAL_STREAM)
-        self._state, self._clock = ou.q0, 0.0
-        self._trace = [(0, max(0, self.grid.to_ticks(ou.q0)))]
-        for t in chain(self.reads, (self.horizon_T,)):
-            if t > self._trace[-1][0]:
-                self._jump_until(t)
-                self._advance_to(float(t))
-                self._trace.append((t, max(0, self.grid.to_ticks(self._state))))
-        self._ticks = dict(self._trace)
+        self._shocks = self.params if isinstance(self.params, MegashockParams) else None
+        self._ou = self._shocks.ou if self._shocks else self.params
+        self._rng = child_stream(self.seed, FUNDAMENTAL_STREAM)
+        self._state, self._clock = self._ou.q0, 0.0
+        if self._shocks:
+            self._arrivals = child_stream(self.seed, MEGASHOCK_ARRIVALS_STREAM)
+            self._sizes = child_stream(self.seed, MEGASHOCK_SIZES_STREAM)
+            self._next_jump = self._arrivals.exponential(1.0 / self._shocks.arrival_rate)
+        self._hold((0, max(0, self.grid.to_ticks(self._state))), self._draw)
 
     def _advance_to(self, when: float) -> None:
         if when > self._clock:
@@ -326,20 +345,27 @@ class OuFundamental:
             self._state = mean + math.sqrt(var) * self._rng.standard_normal()
             self._clock = when
 
-    def _jump_until(self, t: int) -> None:
-        """Apply the jumps that arrive by ``t``; a plain OU series has none."""
+    def _draw(self, t: int) -> int:
+        """The value at a new time ``t``, after the jumps that arrive by ``t``."""
+        shocks = self._shocks
+        while shocks and self._next_jump <= t:
+            self._advance_to(self._next_jump)
+            sign = 1.0 if self._sizes.random() < 0.5 else -1.0
+            jump = self._sizes.normal(sign * shocks.shock_mean, math.sqrt(shocks.shock_var))
+            self._state = max(0.0, self._state + jump)
+            self._next_jump += self._arrivals.exponential(1.0 / shocks.arrival_rate)
+        self._advance_to(float(t))
+        return max(0, self.grid.to_ticks(self._state))
 
     # each class defines its own value_at, so a per-class wrapper sees one call per read
     def value_at(self, t: int) -> int:
         return self._ticks[t]
 
-    def evaluations(self) -> list[tuple[int, int]]:
-        return list(self._trace)
-
 
 @dataclass
 class MegashockFundamental(OuFundamental):
-    """OU source with Poisson-arriving bimodal jumps layered on top.
+    """OU source with Poisson-arriving bimodal jumps layered on top, by
+    ``OuFundamental``'s draw loop.
 
     Arrivals occur at real-valued times; each shock is applied as an
     instantaneous additive offset to the OU state (the shifted state then
@@ -350,27 +376,12 @@ class MegashockFundamental(OuFundamental):
 
     params: MegashockParams
 
-    def __post_init__(self) -> None:
-        self._arrivals = child_stream(self.seed, MEGASHOCK_ARRIVALS_STREAM)
-        self._sizes = child_stream(self.seed, MEGASHOCK_SIZES_STREAM)
-        self._next_arrival = self._arrivals.exponential(1.0 / self.params.arrival_rate)
-        super().__post_init__()
-
-    def _jump_until(self, t: int) -> None:
-        while self._next_arrival <= t:
-            self._advance_to(self._next_arrival)
-            sign = 1.0 if self._sizes.random() < 0.5 else -1.0
-            shock = self._sizes.normal(sign * self.params.shock_mean,
-                                       math.sqrt(self.params.shock_var))
-            self._state = max(0.0, self._state + shock)
-            self._next_arrival += self._arrivals.exponential(1.0 / self.params.arrival_rate)
-
     def value_at(self, t: int) -> int:
         return self._ticks[t]
 
 
 @dataclass
-class FileFundamental:
+class FileFundamental(_HeldSeries):
     """Historical series loaded from delimited text (``timestamp,value``),
     read at 0, at each of ``reads`` and at ``horizon_T`` by step interpolation."""
 
@@ -383,11 +394,7 @@ class FileFundamental:
         if self.series[0][0] != 0:
             raise ValueError(f"the series starts at timestamp {self.series[0][0]}, not 0")
         stamps = [stamp for stamp, _ in self.series]
-        self._trace = [self.series[0]]
-        for t in chain(self.reads, (self.horizon_T,)):
-            if t > self._trace[-1][0]:
-                self._trace.append((t, self.series[bisect_right(stamps, t) - 1][1]))
-        self._ticks = dict(self._trace)
+        self._hold(self.series[0], lambda t: self.series[bisect_right(stamps, t) - 1][1])
 
     @classmethod
     def from_text(cls, text: str, grid: PriceGrid) -> "FileFundamental":
@@ -429,9 +436,6 @@ class FileFundamental:
 
     def value_at(self, t: int) -> int:
         return self._ticks[t]
-
-    def evaluations(self) -> list[tuple[int, int]]:
-        return list(self._trace)
 
 
 def _is_number(token: str) -> bool:

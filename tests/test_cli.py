@@ -519,6 +519,12 @@ def test_main_tiny_kappa_exit_code(variant, key, tmp_path, capsys):
             assert "Traceback" not in err and not out.exists()
 
 
+def test_main_rejects_a_megashock_rate_above_one(tmp_path, capsys):
+    # 1e9 jumps a step used to keep the run building its series past 60 s
+    assert_main_rejects_key("megashock", "fundamental", "shock_arrival_rate", "1e9",
+                            tmp_path, capsys, "arrival_rate must be > 0 and at most 1 per step")
+
+
 @pytest.mark.parametrize("fundamental, market, key", [
     ("variant = dmr\n", "tick_size = 1e-300\n", "r_bar"),
     ("variant = dmr\nr_bar = 1e19\nsigma_s_sq = 0\n", "", "r_bar"),

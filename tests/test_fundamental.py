@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -41,38 +40,6 @@ def test_dmr_zero_noise_stays_at_mean(grid_01):
     params = DmrParams(r_bar=100.0, kappa=0.3, sigma_s_sq=0.0)
     fund = DmrFundamental(params, grid_01, seed=1, horizon_T=50)
     assert all(fund.value_at(t) == 1000 for t in range(51))
-
-
-@pytest.mark.parametrize("params, r_bar", [  # r_bar, when given, replaces params.r_bar
-    (DmrParams(r_bar=100.0, kappa=0.05, sigma_s_sq=1.0), None),
-    (DmrParams(r_bar=100.0, kappa=0.0, sigma_s_sq=2.0), None),
-    (DmrParams(r_bar=100.0, kappa=1.0, sigma_s_sq=1.0), None),
-    (DmrParams(r_bar=100.0, kappa=0.2, sigma_s_sq=0.0), None),
-    (DmrParams(r_bar=100.0, kappa=0.2, sigma_s_sq=0.5), 180.0),
-    (DmrParams(r_bar=0.5, kappa=0.01, sigma_s_sq=4.0), None),  # floors at zero
-])
-@pytest.mark.parametrize("seed", [1, 11, 401, 1000014])
-@pytest.mark.parametrize("queries", [
-    "horizon-first",  # one batch for the whole series
-    "ascending",  # a batch of one step per query
-    "irregular",  # batches of varied length, repeats and earlier queries
-])
-def test_dmr_batched_shocks_match_scalar_draws(params, r_bar, seed, queries):
-    grid = PriceGrid(0.01)
-    horizon_T = 2000
-    if r_bar is not None:
-        params = dataclasses.replace(params, r_bar=r_bar)
-    fund = DmrFundamental(params, grid, seed=seed, horizon_T=horizon_T)
-    if queries == "horizon-first":
-        times = [horizon_T, 0, 1000]
-    elif queries == "ascending":
-        times = range(horizon_T + 1)
-    else:
-        times = [0, 0, 3, 2, 3, 17, 900, 899, 901, 1500, 4, 1999, horizon_T, horizon_T]
-    oracle = scalar_dmr_series(params, grid.tick_size, seed, horizon_T)
-    for t in times:
-        assert fund.value_at(t) == oracle[t][1]
-    assert fund.evaluations() == oracle
 
 
 def test_dmr_contraction_toward_mean():

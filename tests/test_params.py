@@ -71,6 +71,15 @@ def test_params_reject_value_naming_the_field(base, field, value):
 DMR, MEGASHOCK, FILE, CONFIG = (CASES[i][0] for i in (0, 2, 3, 5))
 
 
+@pytest.mark.parametrize("rate", [math.nextafter(1.0, 2.0), 2.0, 1e9])
+def test_megashock_rate_is_at_most_one_per_step(rate):
+    # each jump is one loop step: a rate of 1e9 at horizon 50 ran for minutes
+    with pytest.raises(ValueError, match="at most 1 per step") as raised:
+        with_value(MEGASHOCK, "arrival_rate", rate)
+    assert str(raised.value).split()[0] == "arrival_rate"
+    assert with_value(MEGASHOCK, "arrival_rate", 1.0).arrival_rate == 1.0
+
+
 def with_level(fundamental, field, value):
     """``fundamental`` with its mean or start value ``field`` at ``value``."""
     if isinstance(fundamental, MegashockParams):
