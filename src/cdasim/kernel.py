@@ -20,10 +20,15 @@ only on the wake times too, so the estimator's gain schedule is built
 before the loop as well.  The loop keeps one estimate per agent; a wake
 updates its agent's estimate, and projects it to the horizon, with the
 wake's three coefficients.
+
+``run`` pauses the cyclic garbage collector, process-wide, for the call and
+then restores the caller's setting, also on a raise: the market makes no
+reference cycles, so a collection would only re-scan the event log.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +37,7 @@ import numpy as np
 from . import agents as strategies
 from . import estimator as est
 from .fundamental import DmrParams, FileParams, MegashockParams, OuParams
-from .orderbook import OrderBook
+from .orderbook import BookEvent, OrderBook, Trade
 from .preferences import PrivateValues
 from .prices import MAX_TICKS, PriceGrid
 from .rng import child_stream
@@ -107,8 +112,8 @@ class AgentSummary:
 class SimResult:
     final_fundamental: int  # ticks
     agents: list[AgentSummary]
-    events: tuple
-    trades: tuple
+    events: list[BookEvent]
+    trades: list[Trade]
     fundamental_trace: list[tuple[int, int]]
     grid: PriceGrid
     invariants_ok: bool
@@ -176,6 +181,17 @@ def mark_observation(r_ticks: int, noise_sd: float, rng: np.random.Generator,
 
 
 def run(config: SimConfig) -> SimResult:
+    """Simulate ``config`` to its horizon, with the cyclic collector paused."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _simulate(config)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _simulate(config: SimConfig) -> SimResult:
     grid = PriceGrid(config.tick_size)
     ep = est.EstimatorParams(*config.fundamental.belief_model(),
                              config.zi_params.sigma_n_sq, config.horizon_T)

@@ -1,3 +1,4 @@
+import gc
 import math
 import types
 from bisect import bisect_left, bisect_right
@@ -197,6 +198,15 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_runtest_teardown(item):
+    """Fail a test that leaves the cyclic garbage collector disabled, after
+    its fixtures are torn down, and turn the collector on for the next test."""
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail(f"{item.nodeid} left the cyclic garbage collector disabled", pytrace=False)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import importlib
 import itertools
 import math
@@ -462,6 +463,91 @@ def test_hbl_falls_back_until_enough_transactions(monkeypatch):
             assert fell_back == (not informed)
         # wakes before, exactly at and past the gate
         assert {np.sign(trades - memory_length) for trades, _, _ in wakes} == {-1, 0, 1}
+
+
+def test_run_pauses_the_collector_and_restores_the_callers_setting(monkeypatch):
+    # the cyclic collector is off at every wake, on again after the run,
+    # still off after a run entered with it off, and on again after a run
+    # that raises mid-loop
+    seen = []
+    for name in ("zi_decide", "hbl_decide"):
+        def wrapped(*args, decide=getattr(agents, name), name=name):
+            seen.append((name, gc.isenabled()))
+            return decide(*args)
+        monkeypatch.setattr(agents, name, wrapped)
+    config = make_config()
+    assert gc.isenabled()
+    run(config)
+    assert gc.isenabled()
+    assert {name for name, _ in seen} == {"zi_decide", "hbl_decide"}
+    assert not any(enabled for _, enabled in seen)
+
+    gc.disable()
+    try:
+        run(config)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+    calls, zi_decide = [0], agents.zi_decide
+
+    def failing(*args):
+        calls[0] += 1
+        if calls[0] == 50:
+            raise RuntimeError("wake 50")
+        return zi_decide(*args)
+
+    monkeypatch.setattr(agents, "zi_decide", failing)
+    with pytest.raises(RuntimeError, match="wake 50"):
+        run(config)
+    assert calls[0] == 50
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("grid_mode", ["observed", "spline"])
+@pytest.mark.parametrize("success_mode", ["binary", "fractional"])
+@pytest.mark.parametrize("variant", ["dmr", "ou", "megashock", "file"])
+def test_run_makes_no_reference_cycles(variant, success_mode, grid_mode, small_series):
+    # the pause is safe because the market makes no cycles: a run under a
+    # paused collector, traces on and its result dropped, leaves nothing for
+    # a collection to find
+    config = make_config(horizon_T=600, n_zi=4, n_hbl=2, arrival_rate=0.2,
+                         zi_params=ZiParams(0.0, 1.0, 0.5, 10.0, 2, 25.0),
+                         hbl_params=HblParams(1, 20, success_mode, grid_mode),
+                         fundamental=SMALL_FUNDAMENTALS[variant] or small_series,
+                         output=OutputOptions(trace_estimator=True, trace_decisions=True))
+    gc.collect()
+    gc.disable()
+    try:
+        trades = len(run(config).trades)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert trades > 0  # HBL wakes past the first trade read a memory
+    assert found == 0
+
+
+def test_run_starts_no_collection():
+    # a desk-shaped market allocates enough to start several collections
+    # while the collector runs; entered with it on, kernel.run starts none
+    config = make_config(horizon_T=5000, n_zi=25, n_hbl=5)
+    starts = []
+
+    def probe(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(probe)
+    try:
+        kernel._simulate(config)  # the run's body, with the collector on
+        unpaused = len(starts)
+        gc.collect()  # the young generation starts the run empty
+        starts.clear()
+        kernel.run(config)
+    finally:
+        gc.callbacks.remove(probe)
+    assert unpaused >= 3
+    assert starts == []
 
 
 @pytest.mark.parametrize("variant", ["dmr", "ou", "megashock", "file"])
