@@ -13,13 +13,14 @@ Three generated variants plus a file-backed one:
 Each params type owns its variant: ``source(grid, seed, horizon_T, reads)``
 builds a table of the series from the run's read times, in time order, and
 ``value_at`` looks a time up in it; ``belief_model()`` gives the ``(r_bar,
-kappa, sigma_s_sq)`` the agents' estimator assumes.  The sparse variants
-hold 0, each read time and the horizon, by ``_HeldSeries``' one loop;
-``OuFundamental`` is the one OU source, with the megashock jumps when its
-params have them.  The discrete variant holds every
-step from 0 to the horizon, built in verified blocks stepped side by side
-with numpy, and steps what they leave one shock at a time; both give the
-same ticks.
+kappa, sigma_s_sq)`` the agents' estimator assumes.  The table is also the
+run's trace, read in place: a source iterates as its ``(t, ticks)`` pairs.
+The sparse variants hold 0, each read time and the horizon, by
+``_HeldSeries``' one loop; ``OuFundamental`` is the one OU source, with the
+megashock jumps when its params have them.  The discrete variant holds
+every step from 0 to the horizon, built in verified blocks stepped side by
+side with numpy, and steps what they leave one shock at a time; both give
+the same ticks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -168,8 +169,8 @@ class FileParams:
         and its runs share that series."""
         if grid not in self._series:
             with open(self.path, encoding="utf-8") as fh:
-                self._series[grid] = FileFundamental.from_text(fh.read(), grid).series
-        return FileFundamental(self._series[grid], grid, horizon_T, reads)
+                self._series[grid] = read_series(fh.read(), grid)
+        return FileFundamental(self._series[grid], horizon_T, reads)
 
     def belief_model(self) -> tuple[float, float, float]:
         return self.model.belief_model()
@@ -198,7 +199,7 @@ def dmr_series(params: DmrParams, grid: PriceGrid, shocks: np.ndarray) -> list[i
     base, keep, tick = params.kappa * params.r_bar, 1.0 - params.kappa, grid.tick_size
     values = _dmr_blocks(params, grid, shocks)
     for noise in shocks[len(values) - 1:].tolist():
-        values.append(max(0, grid.to_ticks(max(0.0, base + keep * (values[-1] * tick) + noise))))
+        values.append(grid.to_ticks(max(0.0, base + keep * (values[-1] * tick) + noise)))
     return values
 
 
@@ -292,8 +293,8 @@ class DmrFundamental:
             raise ValueError("t must be >= 0")
         return self._values[t]
 
-    def evaluations(self) -> list[tuple[int, int]]:
-        return list(enumerate(self._values))
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return enumerate(self._values)
 
 
 class _HeldSeries:
@@ -301,15 +302,14 @@ class _HeldSeries:
     the one hold-at-reads loop of the sparse sources."""
 
     def _hold(self, start: tuple[int, int], value: Callable[[int], int]) -> None:
-        """Trace ``start`` and then ``value(t)`` at each new time, in time order."""
-        self._trace = [start]
+        """Hold ``start``, then ``value(t)`` at each new time: the reads never decrease."""
+        self._ticks = dict([start])
         for t in chain(self.reads, (self.horizon_T,)):
-            if t > self._trace[-1][0]:
-                self._trace.append((t, value(t)))
-        self._ticks = dict(self._trace)
+            if t not in self._ticks:
+                self._ticks[t] = value(t)
 
-    def evaluations(self) -> list[tuple[int, int]]:
-        return list(self._trace)
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._ticks.items())
 
 
 @dataclass
@@ -319,7 +319,7 @@ class OuFundamental(_HeldSeries):
     the params are ``MegashockParams``.
 
     The state is kept in real arithmetic, at the real time ``_clock``, and
-    rounded to tick only in the trace.
+    rounded to tick only in the table.
     """
 
     params: OuParams | MegashockParams
@@ -382,60 +382,59 @@ class MegashockFundamental(OuFundamental):
 
 @dataclass
 class FileFundamental(_HeldSeries):
-    """Historical series loaded from delimited text (``timestamp,value``),
-    read at 0, at each of ``reads`` and at ``horizon_T`` by step interpolation."""
+    """Historical series, as ``read_series`` gives it, read at 0, at each of
+    ``reads`` and at ``horizon_T`` by step interpolation."""
 
     series: list[tuple[int, int]]
-    grid: PriceGrid
-    horizon_T: int = 0
-    reads: Sequence[int] = ()
+    horizon_T: int
+    reads: Sequence[int]
 
     def __post_init__(self) -> None:
-        if self.series[0][0] != 0:
-            raise ValueError(f"the series starts at timestamp {self.series[0][0]}, not 0")
         stamps = [stamp for stamp, _ in self.series]
         self._hold(self.series[0], lambda t: self.series[bisect_right(stamps, t) - 1][1])
 
-    @classmethod
-    def from_text(cls, text: str, grid: PriceGrid) -> "FileFundamental":
-        """Parse a series of finite tick values, each >= 0, at integer
-        timestamps that start at 0 and strictly increase; the source it
-        gives reads the series at 0 only."""
-        series: list[tuple[int, int]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if lineno == 1 and not _is_number(parts[0]):
-                continue  # optional header
-            if len(parts) != 2 or not _is_number(parts[0]) or not _is_number(parts[1]):
-                raise ValueError(f"malformed fundamental file at line {lineno}: {raw!r}")
-            stamp, real = float(parts[0]), float(parts[1])
-            if not (math.isfinite(stamp) and math.isfinite(real)):
-                raise ValueError(f"malformed fundamental file at line {lineno}: "
-                                 f"timestamp and value must be finite")
-            ts = int(stamp)
-            if stamp != ts:
-                raise ValueError(f"malformed fundamental file at line {lineno}: "
-                                 f"timestamp must be an integer")
-            value = grid.to_ticks(real)
-            if value < 0:
-                raise ValueError(f"malformed fundamental file at line {lineno}: "
-                                 f"values must be >= 0")
-            if value >= MAX_TICKS:
-                raise ValueError(f"fundamental file at line {lineno}: "
-                                 f"values must be below 2**53 ticks")
-            if series and ts <= series[-1][0]:
-                raise ValueError(f"malformed fundamental file at line {lineno}: "
-                                 f"timestamps must be strictly increasing")
-            series.append((ts, value))
-        if not series:
-            raise ValueError("fundamental file contains no data rows")
-        return cls(series=series, grid=grid)
-
     def value_at(self, t: int) -> int:
         return self._ticks[t]
+
+
+def read_series(text: str, grid: PriceGrid) -> list[tuple[int, int]]:
+    """Parse delimited text (``timestamp,value``, with an optional header)
+    into ``(timestamp, ticks)`` rows: finite tick values, each >= 0 and below
+    2**53, at integer timestamps that start at 0 and strictly increase."""
+    series: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if lineno == 1 and not _is_number(parts[0]):
+            continue  # optional header
+        if len(parts) != 2 or not _is_number(parts[0]) or not _is_number(parts[1]):
+            raise ValueError(f"malformed fundamental file at line {lineno}: {raw!r}")
+        stamp, real = float(parts[0]), float(parts[1])
+        if not (math.isfinite(stamp) and math.isfinite(real)):
+            raise ValueError(f"malformed fundamental file at line {lineno}: "
+                             f"timestamp and value must be finite")
+        ts = int(stamp)
+        if stamp != ts:
+            raise ValueError(f"malformed fundamental file at line {lineno}: "
+                             f"timestamp must be an integer")
+        value = grid.to_ticks(real)
+        if value < 0:
+            raise ValueError(f"malformed fundamental file at line {lineno}: "
+                             f"values must be >= 0")
+        if value >= MAX_TICKS:
+            raise ValueError(f"fundamental file at line {lineno}: "
+                             f"values must be below 2**53 ticks")
+        if series and ts <= series[-1][0]:
+            raise ValueError(f"malformed fundamental file at line {lineno}: "
+                             f"timestamps must be strictly increasing")
+        series.append((ts, value))
+    if not series:
+        raise ValueError("fundamental file contains no data rows")
+    if series[0][0] != 0:
+        raise ValueError(f"the series starts at timestamp {series[0][0]}, not 0")
+    return series
 
 
 def _is_number(token: str) -> bool:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import gc
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,7 +115,7 @@ class SimResult:
     agents: list[AgentSummary]
     events: list[BookEvent]
     trades: list[Trade]
-    fundamental_trace: list[tuple[int, int]]
+    fundamental_trace: Iterable[tuple[int, int]]  # the source: its table, read in place
     grid: PriceGrid
     invariants_ok: bool
     invariant_summary: dict
@@ -318,7 +319,7 @@ def _simulate(config: SimConfig) -> SimResult:
         agents=summaries,
         events=book.events,
         trades=trades,
-        fundamental_trace=fundamental.evaluations(),
+        fundamental_trace=fundamental,
         grid=grid,
         invariants_ok=not breaches,
         invariant_summary={"breaches": breaches, "trades": len(trades),

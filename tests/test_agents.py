@@ -124,6 +124,12 @@ def test_zi_limit_floors_at_zero(grid_001):
     action = zi_decide(0, pv, 0.5, None, None, ZiParams(0.0, 1.0, 1.0, 0.0, 1, 0.0),
                        rng, grid_001)
     assert action.limit_price == 0
+    # an ask below 0: r_hat 0.5 and a selling private value of -5
+    rng = FixedRng(random_value=0.9, surplus_fraction=0.0)
+    pv = PrivateValues(q_max=1, values=(-5.0, -6.0))
+    action = zi_decide(0, pv, 0.5, None, None, ZiParams(0.0, 1.0, 1.0, 0.0, 1, 0.0),
+                       rng, grid_001)
+    assert (action.side, action.limit_price) == (Side.ASK, 0)
 
 
 def test_zi_statistical_shading(grid_01, rng):

@@ -26,7 +26,7 @@ from cdasim.cli import (
     parse_config,
     run_one,
 )
-from cdasim.fundamental import FileFundamental
+from cdasim import fundamental
 from cdasim.kernel import run
 from cdasim.prices import PriceGrid
 
@@ -253,9 +253,9 @@ def test_fundamental_dump_is_loadable(tmp_path):
     resolved = parse_config(SMALL)
     run_one(resolved, str(tmp_path / "run"))
     dump = tmp_path / "run" / "fundamental.csv"
-    reloaded = FileFundamental.from_text(read(dump), PriceGrid(0.1))
-    assert reloaded.series == run(build_config(resolved)).fundamental_trace
-    assert reloaded.series[0][0] == 0 and reloaded.series[-1][0] == 600
+    reloaded = fundamental.read_series(read(dump), PriceGrid(0.1))
+    assert reloaded == list(run(build_config(resolved)).fundamental_trace)
+    assert reloaded[0][0] == 0 and reloaded[-1][0] == 600
 
 
 def test_removed_fundamental_dump_key_and_flag(tmp_path, capsys):
@@ -586,13 +586,13 @@ def test_file_series_is_parsed_once(tmp_path, monkeypatch):
     config.write_text(f"[fundamental]\nvariant = file\npath = {series_path}\n"
                       + SMALL.replace("horizon = 600", "horizon = 300"))
     parsed = []
-    from_text = FileFundamental.from_text.__func__
+    read_series = fundamental.read_series
 
-    def counting(cls, text, grid):
+    def counting(text, grid):
         parsed.append(text)
-        return from_text(cls, text, grid)
+        return read_series(text, grid)
 
-    monkeypatch.setattr(FileFundamental, "from_text", classmethod(counting))
+    monkeypatch.setattr(fundamental, "read_series", counting)
     assert run_one(parse_config(config.read_text()), str(tmp_path / "one"))
     assert len(parsed) == 1
     for label, extra in (("main", []), ("sweep", ["--sweep-seeds", "3..5", "--jobs", "1"])):

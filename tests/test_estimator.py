@@ -118,6 +118,8 @@ def test_project_final():
     assert project_final(belief, one_step) == 100.0  # kappa = 1 reverts fully
     at_mean = BeliefState(r_tilde=100.0, sigma_tilde_sq=1.0, last_wake=7)
     assert project_final(at_mean, params) == 100.0  # fixed point
+    with pytest.raises(ValueError, match="past the simulation horizon"):
+        project_final(BeliefState(r_tilde=120.0, sigma_tilde_sq=1.0, last_wake=11), params)
 
 
 def test_consistency_with_perfect_observations():

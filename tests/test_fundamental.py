@@ -21,6 +21,7 @@ from cdasim.fundamental import (
     OuParams,
     dmr_series,
     ou_mean_var,
+    read_series,
 )
 from cdasim import estimator as est
 from cdasim.cli import build_config, emit_outputs, parse_config, run_one
@@ -124,7 +125,7 @@ def test_dmr_value_at_matches_step_oracle(r_bar, kappa, sigma_s_sq, tick_size, s
     if not ties:  # the source steps its own stream's shocks through the same seam
         assert fund.value_at(horizon_T // 2) == oracle[horizon_T // 2]
         assert fund.value_at(horizon_T) == oracle[horizon_T]
-        assert fund.evaluations() == list(enumerate(oracle))
+        assert list(fund) == list(enumerate(oracle))
 
 
 # the shortest horizon that dmr_series builds in blocks, and horizons just
@@ -145,7 +146,7 @@ def test_dmr_blocks_match_scalar_draws(kappa, sigma_s_sq, tick_size, horizon_T, 
     grid = PriceGrid(tick_size)
     params = DmrParams(100.0, kappa, sigma_s_sq)
     fund = DmrFundamental(params, grid, seed=seed, horizon_T=horizon_T)
-    assert fund.evaluations() == scalar_dmr_series(params, tick_size, seed, horizon_T)
+    assert list(fund) == scalar_dmr_series(params, tick_size, seed, horizon_T)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1.0])
@@ -195,6 +196,22 @@ def test_dmr_blocks_hand_a_settled_prefix_to_the_step_loop():
     assert dmr_series(params, grid, shocks) == values
 
 
+def test_dmr_blocks_stop_when_the_disagreeing_share_stops_falling():
+    # at a kappa just above the blocks' floor, rounded paths from different
+    # starts take many passes to meet; once the share of unsettled starts
+    # that disagree stops falling, the blocks hand their settled prefix to
+    # the step loop instead of settling about one block a pass
+    grid = PriceGrid(1.0)
+    params = DmrParams(100.0, 0.033, 1.0)
+    assert (1.0 - params.kappa) ** fundamental._BLOCK < 0.125
+    shocks = child_stream(4, FUNDAMENTAL_STREAM).normal(0.0, 1.0, size=BLOCK_THRESHOLD)
+    values, _ = dmr_path(params, 1.0, shocks)
+    prefix = fundamental._dmr_blocks(params, grid, shocks)
+    assert 100 * fundamental._BLOCK < len(prefix) < len(values)
+    assert prefix == values[:len(prefix)]
+    assert dmr_series(params, grid, shocks) == values
+
+
 def test_dmr_series_takes_the_block_path_where_it_pays(monkeypatch):
     # desk's DMR series is built in blocks; a kappa of 0 and prices past the
     # float range are left to the step loop
@@ -213,8 +230,8 @@ def test_dmr_series_takes_the_block_path_where_it_pays(monkeypatch):
     fund = desk.fundamental.source(grid, 11, desk.horizon_T, ())
     assert calls and len(calls) % fundamental._BLOCK == 0
     assert all(got is not None for got in calls)
-    assert fund.evaluations() == scalar_dmr_series(desk.fundamental, desk.tick_size, 11,
-                                                   desk.horizon_T)
+    assert list(fund) == scalar_dmr_series(desk.fundamental, desk.tick_size, 11,
+                                           desk.horizon_T)
 
     calls.clear()
     DmrParams(100.0, 0.0, 1.0).source(grid, 11, desk.horizon_T, ())
@@ -392,8 +409,8 @@ SAMPLE = """timestamp,value
 
 
 def test_file_step_interpolation(grid_01):
-    series = FileFundamental.from_text(SAMPLE, grid_01).series
-    fund = FileFundamental(series, grid_01, horizon_T=1000, reads=[3, 5, 11, 12])
+    series = read_series(SAMPLE, grid_01)
+    fund = FileFundamental(series, horizon_T=1000, reads=[3, 5, 11, 12])
     assert fund.value_at(0) == 1000
     assert fund.value_at(3) == 1000
     assert fund.value_at(5) == 1013
@@ -403,45 +420,47 @@ def test_file_step_interpolation(grid_01):
 
 
 def test_file_header_is_optional(grid_01):
-    no_header = FileFundamental.from_text("0,100.0\n5,101.3\n", grid_01)
-    assert no_header.series == [(0, 1000), (5, 1013)]
+    assert read_series("0,100.0\n5,101.3\n", grid_01) == [(0, 1000), (5, 1013)]
+    # blank lines, anywhere, are skipped
+    assert read_series("0,100.0\n\n  \n5,101.3\n\n", grid_01) == [(0, 1000), (5, 1013)]
 
 
 def test_file_before_first_timestamp(grid_01):
-    # a series, from a file or built by hand, starts at 0
+    # a series file starts at 0
     with pytest.raises(ValueError, match="starts at timestamp 3, not 0"):
-        FileFundamental.from_text("3,100.0\n", grid_01)
+        read_series("3,100.0\n", grid_01)
     with pytest.raises(ValueError, match="starts at timestamp 3, not 0"):
-        FileFundamental([(3, 1000), (8, 1200)], grid_01, horizon_T=10, reads=[1, 2, 5])
+        read_series("timestamp,value\n3,100.0\n8,120.0\n", grid_01)
 
 
 def test_file_trace_starts_at_zero(grid_01):
     # like the generated series, the trace holds the value at 0 and one row per read time
-    fund = FileFundamental.from_text(SAMPLE, grid_01)
-    assert fund.evaluations() == [(0, 1000)]
-    fund = FileFundamental(fund.series, grid_01, horizon_T=7, reads=[7, 7])
-    assert fund.evaluations() == [(0, 1000), (7, 1013)]
+    series = read_series(SAMPLE, grid_01)
+    assert list(FileFundamental(series, horizon_T=0, reads=())) == [(0, 1000)]
+    fund = FileFundamental(series, horizon_T=7, reads=[7, 7])
+    assert list(fund) == [(0, 1000), (7, 1013)]
+    assert list(fund) == list(fund)  # the trace reads again
 
 
 def test_file_parse_errors(grid_01):
     with pytest.raises(ValueError, match="line 3"):
-        FileFundamental.from_text("0,100.0\n1,101.0\n2,abc\n", grid_01)
+        read_series("0,100.0\n1,101.0\n2,abc\n", grid_01)
     with pytest.raises(ValueError, match="line 2"):
-        FileFundamental.from_text("0,100.0\n1\n", grid_01)
+        read_series("0,100.0\n1\n", grid_01)
     with pytest.raises(ValueError, match="strictly increasing"):
-        FileFundamental.from_text("0,100.0\n0,101.0\n", grid_01)
+        read_series("0,100.0\n0,101.0\n", grid_01)
     with pytest.raises(ValueError, match="integer"):
-        FileFundamental.from_text("0,100.0\n1.5,101.0\n", grid_01)
+        read_series("0,100.0\n1.5,101.0\n", grid_01)
     with pytest.raises(ValueError, match="no data"):
-        FileFundamental.from_text("timestamp,value\n", grid_01)
+        read_series("timestamp,value\n", grid_01)
     with pytest.raises(ValueError, match="line 2: values must be >= 0"):
-        FileFundamental.from_text("0,5.0\n10,-3.0\n", grid_01)
+        read_series("0,5.0\n10,-3.0\n", grid_01)
     # a non-finite timestamp or value (1e400 parses as inf) is named by its line
     for row in ("5,inf", "5,nan", "5,1e400", "inf,100.0", "nan,100.0"):
         with pytest.raises(ValueError, match="line 2: timestamp and value must be finite"):
-            FileFundamental.from_text(f"0,100.0\n{row}\n", grid_01)
+            read_series(f"0,100.0\n{row}\n", grid_01)
     # a value that rounds to 0 ticks is not below 0
-    assert FileFundamental.from_text("0,-0.04\n", grid_01).series == [(0, 0)]
+    assert read_series("0,-0.04\n", grid_01) == [(0, 0)]
 
 
 def test_dump_and_reload_round_trip(tmp_path, grid_01):
@@ -481,7 +500,7 @@ def test_written_series_reloads_through_file_variant(tmp_path, variant):
     config = build_config(parse_config(f"[fundamental]\nvariant = file\npath = {dump}\n"
                                        + market))
     reloaded = config.fundamental.source(result.grid, config.master_seed, config.horizon_T, ())
-    assert reloaded.series == result.fundamental_trace
+    assert reloaded.series == list(result.fundamental_trace)
     assert reloaded.series[0][0] == 0 and reloaded.series[-1][0] == 200
 
 
@@ -532,7 +551,7 @@ def test_sparse_sources_equal_scalar_reads(variant, times, arrival_rate, tick_si
     source = params.source(PriceGrid(tick_size), seed, horizon, reads)
     assert [source.value_at(t) for t in reads] == [scalar.value_at(t) for t in reads]
     assert source.value_at(horizon) == scalar.value_at(horizon)
-    assert source.evaluations() == scalar.trace
+    assert list(source) == scalar.trace
 
 
 # ---------------------------------------------------------------------------
@@ -585,5 +604,5 @@ def test_source_builds_each_variant(tmp_path, grid_01):
     a, b = file_params.source(grid_01, 3, 50, reads), file_params.source(grid_01, 3, 50, ())
     assert type(a) is FileFundamental
     assert a.series == b.series == [(0, 1000), (10, 1010)]
-    assert a.evaluations() == [(0, 1000), (4, 1000), (20, 1010), (50, 1010)]
-    assert b.evaluations() == [(0, 1000), (50, 1010)]
+    assert list(a) == [(0, 1000), (4, 1000), (20, 1010), (50, 1010)]
+    assert list(b) == [(0, 1000), (50, 1010)]

@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ def test_run_equals_reference_run(success_mode, grid_mode, variant, tick_size, s
         assert result.events == expected.events
         assert result.trades == expected.trades
         assert result.agents == expected.agents
-        assert result.fundamental_trace == expected.fundamental_trace
+        assert list(result.fundamental_trace) == expected.fundamental_trace
         assert result.invariants_ok
         assert result.invariant_summary["trades"] == len(expected.trades)
         assert_cash_conserved_in_ticks(result)
@@ -282,8 +283,8 @@ def test_sparse_fundamental_independent_of_strategy_split(variant, small_series)
     # of agents but not on their strategies: at one population size the
     # series is the same whatever the ZI/HBL split
     fundamental = SMALL_FUNDAMENTALS[variant] or small_series
-    traces = [run(make_config(horizon_T=800, n_zi=6 - n_hbl, n_hbl=n_hbl, arrival_rate=0.05,
-                              fundamental=fundamental)).fundamental_trace
+    traces = [list(run(make_config(horizon_T=800, n_zi=6 - n_hbl, n_hbl=n_hbl, arrival_rate=0.05,
+                                   fundamental=fundamental)).fundamental_trace)
               for n_hbl in (0, 1, 3)]
     assert len(traces[0]) > 100
     assert traces[0] == traces[1] == traces[2]
@@ -548,6 +549,24 @@ def test_run_starts_no_collection():
         gc.callbacks.remove(probe)
     assert unpaused >= 3
     assert starts == []
+
+
+def test_run_holds_a_bounded_memory_per_step():
+    # what a desk-shaped run at T = 100k still holds, with its result alive,
+    # by tracemalloc: about 144 B per horizon step, README's budget; a
+    # fundamental trace of one (t, ticks) tuple per step holds 227 B
+    ini = load_bench("workloads").WORKLOADS["desk"]["ini"]
+    config = build_config(parse_config(ini.replace("horizon = 30000",
+                                                   "horizon = 100000\nseed = 11")))
+    assert (config.horizon_T, config.master_seed, config.n_zi, config.n_hbl) == (100000, 11, 25, 5)
+    tracemalloc.start()
+    try:
+        result = kernel.run(config)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.invariants_ok and len(result.events) > 50000
+    assert held / config.horizon_T < 180, f"{held / config.horizon_T:.0f} B per step"
 
 
 @pytest.mark.parametrize("variant", ["dmr", "ou", "megashock", "file"])
