@@ -14,11 +14,12 @@ The HBL memory is one type, ``TickMemory``, in both success modes, laid on
 the ticks that hold at least one of its orders, so it grows with the
 window's occupied ticks, not with the price span.  ``OrderHistory`` keeps
 it as running int64 counts in binary mode; in fractional mode
-``TickMemory.from_orders`` lays the window's weighted orders afresh on each
-query, summed in one float addition order.  The decision needs beliefs only
-at those ticks and one tick beyond each end, and reads them by position;
-``TickMemory.beliefs`` is the one belief formula, a bid's, and reads an
-ask's on the memory mirrored in price.
+``TickMemory.from_orders`` lays the window's weighted orders afresh once
+per query: their ticks and counts at once, and a side's weights, summed in
+one float addition order, when that side is first read.  The decision
+needs beliefs only at those ticks and one tick beyond each end, and reads
+them by position; ``TickMemory.beliefs`` is the one belief formula, a
+bid's, and reads an ask's on the memory mirrored in price.
 """
 
 from __future__ import annotations
@@ -140,56 +141,70 @@ class TickMemory:
     """Classified orders laid on ``prices``, the ticks they occupy, ascending.
 
     It holds, for each side, the number of included orders at each of those
-    ticks, and four cumulative weights at the boundary just below each tick
-    and above the last, each running in the direction in which ``beliefs``
-    reads it.  Binary weights are int64 counts, so a binary belief is one
-    division of two exact integers.
+    ticks, and that side's cumulative successes and failures at the boundary
+    just below each tick and above the last (``weights``).  Binary weights
+    are int64 counts, so a binary belief is one division of two exact
+    integers.  A memory from ``from_orders`` lays out its ticks and counts
+    at once and a side's weights when they are first read.
     """
 
-    def __init__(self, prices: np.ndarray, counts: np.ndarray, weights: np.ndarray):
+    def __init__(self, prices: np.ndarray, counts: np.ndarray, weights: list, source=None):
         self.prices = prices  # int64, shared with the candidate grid; do not modify it
         self._counts = counts  # [bids, asks] at each of prices
-        # weights[0:2, j]: bid successes, ask failures at ticks below prices[j]
-        # weights[2:4, j]: bid failures, ask successes at ticks from prices[j] up
+        # [bids, asks]: each side's (successes, failures), as weights()
+        # returns them, or None until that side is laid out from source
         self._weights = weights
+        self._source = source
 
     @classmethod
     def from_orders(cls, is_bid, price, success, failure) -> TickMemory:
         """The memory of orders in placement order: parallel arrays of sides
-        (``True`` for a bid), int64 prices, successes and failures.  Float
-        sums depend on the order of addition, so one stable sort by price
-        puts each side in (price, placement) order and its weights are summed
-        in that order; integer weights give int64 sums, as in binary mode."""
+        (``True`` for a bid), int64 prices, successes and failures.  An order
+        of weights 0 and 0 is left out.  Float sums depend on the order of
+        addition, so one stable sort by price puts each side in (price,
+        placement) order and its weights are summed in that order; integer
+        weights give int64 sums, as in binary mode.  The weights are copied,
+        so the memory is a snapshot of its arguments."""
         lo, hi = (int(price.min()), int(price.max())) if price.size else (0, 0)
         key = price - lo
         if hi - lo < 1 << 16:
             key = key.astype(np.uint16)  # numpy radix-sorts 16-bit keys
         order = key.argsort(kind="stable")  # by price, then placement
+        dtype = np.result_type(success, failure)
+        success, failure = success.astype(dtype), failure.astype(dtype)
+        order = order[(success + failure)[order] > 0]
         price, is_bid = price[order], is_bid[order]
-        success, failure = success[order], failure[order]
-        first = _run_starts(price)
+        first = _run_starts(price).nonzero()[0]
         ticks = price[first]
         # below[:, j]: the bids and the asks at ticks below ticks[j]
         below = np.empty((2, ticks.size + 1), dtype=np.int64)
-        below[1, :-1], below[1, -1] = first.nonzero()[0], price.size
-        bids = np.zeros(price.size + 1, dtype=np.int64)
-        is_bid.cumsum(out=bids[1:])
-        below[0] = bids[below[1]]
+        below[1, :-1], below[1, -1] = first, price.size
+        below[0] = is_bid.nonzero()[0].searchsorted(below[1])
         below[1] -= below[0]
-        weights = np.empty((4, ticks.size + 1), dtype=np.result_type(success, failure))
-        for row, side in enumerate((is_bid, ~is_bid)):
-            rising, falling = success[side], failure[side]  # in (price, placement) order
-            if row:  # asks: failures count at or below, successes at or above
-                rising, falling = falling, rising
-            sums = np.zeros(rising.size + 1, dtype=weights.dtype)
-            rising.cumsum(out=sums[1:])
-            weights[row] = sums[below[row]]
-            falling[::-1].cumsum(out=sums[1:])
-            weights[2 + row] = sums[rising.size - below[row]]
-        return cls(ticks, np.diff(below), weights)
+        return cls(ticks, below[:, 1:] - below[:, :-1], [None, None],
+                   (order, is_bid, below, success, failure))
 
     def __len__(self) -> int:
         return int(self._counts.sum())
+
+    def weights(self, side: Side) -> tuple[np.ndarray, np.ndarray]:
+        """The cumulative weights of ``side``'s orders at each boundary, as
+        (successes, failures): a bid's successes below the boundary and its
+        failures from it up, and the mirror for an ask, its successes from
+        the boundary up and its failures below."""
+        row = 0 if side is BID else 1
+        weights = self._weights[row]
+        if weights is None:  # sum the side's orders in (price, placement) order
+            order, is_bid, below, success, failure = self._source
+            mine, below = order[~is_bid if row else is_bid], below[row]
+            rising, falling = (failure, success) if row else (success, failure)
+            sums = np.zeros(mine.size + 1, dtype=success.dtype)
+            rising[mine].cumsum(out=sums[1:])
+            low = sums[below]  # below the boundary
+            falling[mine][::-1].cumsum(out=sums[1:])
+            high = sums[mine.size - below]  # from the boundary up
+            weights = self._weights[row] = (high, low) if row else (low, high)
+        return weights
 
     def beliefs(self, side: Side) -> np.ndarray:
         """Heuristic probability that a limit order transacts, read by
@@ -201,18 +216,18 @@ class TickMemory:
         ``k`` of the n + 2 lies between the boundaries ``max(k - 1, 0)`` and
         ``min(k, n)``.  The belief is 0 where the denominator is empty.
         """
-        counts, weights = self._counts, self._weights
+        counts, (success, failure) = self._counts, self.weights(side)
         if side is not BID:  # an ask is a bid on the memory mirrored in price:
-            # sides swapped and ticks reversed, so the weights' rows reverse too
-            counts, weights = counts[::-1, ::-1], weights[::-1, ::-1]
+            # sides swapped and ticks reversed
+            counts, success, failure = counts[::-1, ::-1], success[::-1], failure[::-1]
         favorable = np.zeros(counts.shape[1] + 1, dtype=np.int64)
         numerator, denominator = np.empty((2, favorable.size + 1))  # holds int64 counts exactly
         # the numerator reads the boundary above, the failures the one below
         np.add.accumulate(counts[1], out=favorable[1:])
-        np.add(favorable, weights[0], out=numerator[:-1])
+        np.add(favorable, success, out=numerator[:-1])
         numerator[-1] = numerator[-2]
-        np.add(numerator[1:], weights[2], out=denominator[1:])
-        denominator[0] = numerator[0] + weights[2, 0]
+        np.add(numerator[1:], failure, out=denominator[1:])
+        denominator[0] = numerator[0] + failure[0]
         # an empty denominator has an empty numerator; the least positive
         # float in its place reads 0 there and leaves every other one as it is
         numerator /= np.maximum(denominator, 5e-324, out=denominator)
@@ -233,9 +248,9 @@ class OrderHistory:
     so the ledger entry of order ``order_id`` is ``order_id - 1``.
 
     In binary mode the ledger keeps int64 counts of the classified orders
-    placed at or after the current window start, in the row order of
-    ``TickMemory``'s weights, so a query is two cumulative sums of two rows
-    each instead of a sort of the window:
+    placed at or after the current window start, as rows of bid successes,
+    ask failures, bid failures and ask successes, so a query is two
+    cumulative sums of two rows each instead of a sort of the window:
 
     - an execution or a cancellation moves one order between classes;
     - a forward cursor fails, one at a time, the pending orders that
@@ -250,8 +265,11 @@ class OrderHistory:
     taker's fill, whose event carries the trade price.
 
     Fractional mode keeps no order between queries: each query re-weighs
-    the pending orders and lays the window's weighted orders afresh with
-    ``TickMemory.from_orders``.
+    the pending orders and hands the window, as it slices it, to
+    ``TickMemory.from_orders``, which sorts it once, lays out its ticks and
+    counts and copies its weights, so a side's weights are summed only when
+    a decision first reads that side, and the memory stays what it was at
+    the query when the ledger re-weighs its orders later.
     """
 
     _FIELDS = ("_price", "_is_bid", "_success", "_failure")
@@ -290,12 +308,10 @@ class OrderHistory:
             pending = np.fromiter(self._open, dtype=np.int64, count=len(self._open))
             placed = np.fromiter(self._open.values(), dtype=np.int64, count=len(self._open))
             self._failure[pending] = np.minimum(1.0, (now - placed) / self._grace)
-            success, failure = self._success[start:self._n], self._failure[start:self._n]
-            # an order of weights 0 and 0 (cancelled when placed, or placed now) is left out
-            weighted = success + failure > 0.0
-            return TickMemory.from_orders(self._is_bid[start:self._n][weighted],
-                                          self._price[start:self._n][weighted],
-                                          success[weighted], failure[weighted])
+            # from_orders drops an order of weights 0 and 0 (cancelled when placed, or placed now)
+            window = slice(start, self._n)
+            return TickMemory.from_orders(self._is_bid[window], self._price[window],
+                                          self._success[window], self._failure[window])
         self._expire(now)
         if start < self._start:
             self._count_range(start, self._start, 1)
@@ -306,7 +322,9 @@ class OrderHistory:
         weights = np.zeros((4, counts.shape[1] + 1), dtype=np.int64)
         np.add.accumulate(counts[:2], axis=1, out=weights[:2, 1:])
         np.add.accumulate(counts[2:, ::-1], axis=1, out=weights[2:, -2::-1])
-        return TickMemory(self._ticks, counts[:2] + counts[2:], weights)
+        # rows: bid successes, ask failures, bid failures, ask successes
+        return TickMemory(self._ticks, counts[:2] + counts[2:],
+                          [(weights[0], weights[2]), (weights[3], weights[1])])
 
     def _read(self, book: OrderBook) -> int:
         """Take in the events logged since the last read, in log order, and

@@ -22,6 +22,8 @@ import sys
 from dataclasses import fields, replace
 from functools import partial
 
+import numpy as np
+
 from . import __version__
 from .agents import HblParams, ZiParams
 from .fundamental import DmrParams, FileParams, MegashockParams, OuParams
@@ -230,6 +232,9 @@ def emit_outputs(result: SimResult, resolved: dict[str, dict[str, str]], outdir:
     with open(path("manifest.ini"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("[meta]\n")
         fh.write(f"version = {__version__}\n")
+        # the output bytes depend on numpy's streams and CPython's float repr
+        fh.write(f"numpy = {np.__version__}\n")
+        fh.write(f"python = {'.'.join(map(str, sys.version_info[:3]))}\n")
         fh.write(f"master_seed = {resolved['market']['seed']}\n")
         fh.write(f"invariants_ok = {str(result.invariants_ok).lower()}\n")
         fh.writelines(f"{key} = {value}\n"

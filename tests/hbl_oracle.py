@@ -99,23 +99,24 @@ class RecordMemory:
 def belief_array(memory, prices, side: Side) -> np.ndarray:
     """The belief at each of ``prices`` of a ``RecordMemory`` or of a
     ``TickMemory``, found by search.  A ``TickMemory`` keeps, for each
-    side, the orders at each of its ticks and four cumulative weights at
-    the boundary just below each tick and above the last."""
+    side, the orders at each of its ticks and, read with ``weights``, the
+    side's cumulative successes and failures at the boundary just below
+    each tick and above the last."""
     if not isinstance(memory, TickMemory):
         return memory.belief_array(prices, side)
-    ticks, counts, weights = memory.prices, memory._counts, memory._weights
+    ticks, counts, (success, failure) = memory.prices, memory._counts, memory.weights(side)
     below = ticks.searchsorted(prices)  # the boundary just below each price
     # the boundary just above it is the next one where the price is occupied
     above = below + (ticks.take(below, mode="clip") == prices) if ticks.size else below
     favorable = np.zeros(ticks.size + 1, dtype=np.int64)
     if side is Side.BID:
         np.add.accumulate(counts[1], out=favorable[1:])
-        numerator = (favorable + weights[0])[above]
-        denominator = numerator + weights[2][below]
+        numerator = (favorable + success)[above]
+        denominator = numerator + failure[below]
     else:
         np.add.accumulate(counts[0, ::-1], out=favorable[-2::-1])
-        numerator = (favorable + weights[3])[below]
-        denominator = numerator + weights[1][above]
+        numerator = (favorable + success)[below]
+        denominator = numerator + failure[above]
     # an empty denominator has an empty numerator, so it reads 0 / 1
     return numerator / np.where(denominator > 0, denominator, 1)
 

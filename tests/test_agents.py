@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdasim.agents import (
@@ -411,10 +411,91 @@ def test_positional_beliefs_equal_the_search_reader(orders, fractional, lowest):
         success = executed.astype(np.int64)
         failure = 1 - success
     memory = TickMemory.from_orders(is_bid, price, success, failure)
+    assume(len(memory))  # empty if every order is a pending one of weight 0, which is left out
     ticks = memory.prices
     points = np.concatenate(([ticks[0] - 1], ticks, [ticks[-1] + 1]))
     for side in Side:
         assert_bitwise_equal(memory.beliefs(side), belief_array(memory, points, side))
+
+
+# one order of a generated window: bid or ask, its tick above the lowest, its
+# class and a weight, its success if it executed, else its failure
+WINDOW_ORDER = st.tuples(st.booleans(), st.integers(0, 12),
+                         st.sampled_from(["executed", "failed", "weightless"]),
+                         st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200)
+@example(orders=[(True, 0, "weightless", 0.5)] * 3, sides="both", fractional=True,
+         first=Side.BID)
+@example(orders=[(False, 2, "failed", 0.0), (True, 0, "executed", 0.25)], sides="asks only",
+         fractional=True, first=Side.ASK)
+@given(orders=st.lists(WINDOW_ORDER, max_size=40),
+       sides=st.sampled_from(["both", "bids only", "asks only"]), fractional=st.booleans(),
+       first=st.sampled_from(list(Side)))
+def test_from_orders_lays_out_each_side_when_read(orders, sides, fractional, first):
+    # a window as the fractional ledger hands it over, weightless orders
+    # included: either side's beliefs, read first or second and read again,
+    # are the search oracle's of the weighted orders bit for bit, and the
+    # memory is the one of the window without its weightless orders
+    is_bid = np.array([bid if sides == "both" else sides == "bids only"
+                       for bid, _, _, _ in orders], dtype=bool)
+    price = np.array([1000 + offset for _, offset, _, _ in orders], dtype=np.int64)
+    kind = np.array([kind for _, _, kind, _ in orders], dtype=object)
+    weight = np.array([w if fractional else 1.0 for _, _, _, w in orders])
+    success = np.where(kind == "executed", weight, 0.0)
+    failure = np.where(kind == "executed", 1.0 - weight, np.where(kind == "failed", weight, 0.0))
+    if not fractional:  # int64 counts, as the binary ledger keeps them
+        success, failure = success.astype(np.int64), failure.astype(np.int64)
+    weighted = success + failure > 0
+    memory = TickMemory.from_orders(is_bid, price, success, failure)
+    trimmed = TickMemory.from_orders(is_bid[weighted], price[weighted], success[weighted],
+                                     failure[weighted])
+    assert len(memory) == len(trimmed) == weighted.sum()
+    assert np.array_equal(memory.prices, trimmed.prices)
+    assert np.array_equal(memory._counts, trimmed._counts)
+    if not weighted.any():
+        assert memory.prices.size == 0
+        return
+    oracle = RecordMemory(records_of(is_bid[weighted], price[weighted], success[weighted],
+                                     failure[weighted]))
+    second = Side.ASK if first is Side.BID else Side.BID
+    for side in (first, second, first, second):
+        assert_bitwise_equal(memory.beliefs(side), oracle.beliefs(side))
+        assert_bitwise_equal(trimmed.beliefs(side), oracle.beliefs(side))
+        for got, expected in zip(memory.weights(side), trimmed.weights(side)):
+            assert got.dtype == expected.dtype == success.dtype
+            assert_bitwise_equal(got, expected)
+
+
+def test_fractional_memory_is_a_snapshot_of_its_query(rng):
+    # the ledger re-weighs its pending orders in place at each query, and
+    # fixes their weights when they fill or are cancelled; a memory held
+    # from an earlier query, its sides not read yet, still reads the
+    # beliefs of the orders as they were at that query
+    params = HblParams(memory_length=3, grace_period=8, success_mode="fractional")
+    changed = 0
+    for _ in range(30):
+        market = LedgerMarket(params)
+        t = 0
+        for _ in range(60):
+            t += int(rng.integers(1, 3))
+            market.act_at_random(t, rng)
+        if not market.book.trades:
+            continue
+        held, held_at, events = market.memory(t), t, list(market.book.events)
+        resolved = {e.order_id for e in events if e.kind is not EventKind.PLACED}
+        pending = {e.order_id for e in events if e.kind is EventKind.PLACED
+                   and e.order_id not in resolved and t - e.time < params.grace_period}
+        for _ in range(int(rng.integers(1, 10))):
+            t += int(rng.integers(1, 3))
+            market.act_at_random(t, rng)
+        market.memory(t)  # re-weighs the pending orders
+        changed += bool(pending)
+        expected = hbl_classify(events, held_at, params)
+        for side in Side:
+            assert_bitwise_equal(held.beliefs(side), expected.beliefs(side))
+    assert changed > 20
 
 
 def assert_exact_quotients(memory, records, prices):
@@ -433,7 +514,7 @@ def test_binary_tick_memory_is_the_exact_quotient_edge_cases(case, rng):
         success, failure = edge_weights(rng, price.size, None)
         memory = TickMemory.from_orders(is_bid, price, success.astype(np.int64),
                                         failure.astype(np.int64))
-        assert memory._weights.dtype == np.int64
+        assert all(w.dtype == np.int64 for side in Side for w in memory.weights(side))
         records = records_of(is_bid, price, success, failure)
         assert_exact_quotients(memory, records, edge_queries(price))
 
@@ -624,7 +705,8 @@ def test_spline_leaves_its_inputs_unchanged(rng):
         memory = tick_memory(records)
         if len(memory.prices) < 2:
             continue
-        before = [memory.prices.copy(), memory._counts.copy(), memory._weights.copy()]
+        weights = [w for side in Side for w in memory.weights(side)]
+        before = [memory.prices.copy(), memory._counts.copy()] + [w.copy() for w in weights]
         knots = memory.prices.astype(np.float64)
         values = belief_array(memory, memory.prices, Side.BID)
         points = np.arange(knots[0] - 2, knots[-1] + 3)
@@ -636,7 +718,7 @@ def test_spline_leaves_its_inputs_unchanged(rng):
             assert_bitwise_equal(hbl_belief_spline(memory, side, points), belief)
             assert ((0.0 <= belief) & (belief <= 1.0)).all()
         for array, copy in zip([knots, values, points, memory.prices, memory._counts,
-                                memory._weights], inputs + before):
+                                *weights], inputs + before):
             assert_bitwise_equal(array, copy)
         checked += 1
     assert checked > 30
@@ -848,7 +930,7 @@ def test_binary_ledger_beliefs_are_exact_quotients(rng):
             if step % 3 or not market.book.trades:
                 continue
             memory = market.memory(t)
-            assert memory._weights.dtype == np.int64
+            assert all(w.dtype == np.int64 for side in Side for w in memory.weights(side))
             assert_exact_quotients(memory, hbl_classify(market.book.events, t, params).records,
                                    prices)
             checked += 1

@@ -3,6 +3,7 @@ import configparser
 import io
 import itertools
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,6 +239,15 @@ def test_manifest_echoes_defaulted_keys(tmp_path):
     assert "eta = 1.0" in manifest
     assert "invariants_ok = true" in manifest
     assert "[private_values]" in manifest
+
+
+def test_manifest_records_the_numpy_and_python_versions(tmp_path):
+    # the bytes depend on them, so the manifest names them; a reparse skips [meta]
+    run_one(parse_config(SMALL), str(tmp_path / "run"))
+    manifest = configparser.ConfigParser(interpolation=None)
+    manifest.read(tmp_path / "run" / "manifest.ini")
+    assert manifest["meta"]["numpy"] == np.__version__
+    assert manifest["meta"]["python"] == platform.python_version()
 
 
 def test_different_seeds_differ(tmp_path):

@@ -551,6 +551,25 @@ def test_run_starts_no_collection():
     assert starts == []
 
 
+def test_run_leaves_the_young_generation_empty():
+    # what the run left alive sits in the oldest generation, so the first
+    # allocations after it start no young collection over the event log;
+    # objects the caller froze stay frozen
+    config = make_config(horizon_T=5000, n_zi=25, n_hbl=5)
+    threshold = gc.get_threshold()[0]
+    result = kernel.run(config)
+    assert len(result.events) > threshold
+    assert gc.get_count()[0] < threshold
+    held = []
+    gc.freeze()
+    try:
+        kernel.run(config)
+        assert all(tracked is not held for tracked in gc.get_objects())
+    finally:
+        gc.unfreeze()
+    assert any(tracked is held for tracked in gc.get_objects())
+
+
 def test_run_holds_a_bounded_memory_per_step():
     # what a desk-shaped run at T = 100k still holds, with its result alive,
     # by tracemalloc: about 144 B per horizon step, README's budget; a
