@@ -44,6 +44,8 @@ class ActionKind(enum.Enum):
 
 
 class AgentAction(NamedTuple):
+    """The layout of a decision; the strategies return it as a plain tuple."""
+
     kind: ActionKind
     side: Side | None = None
     limit_price: int | None = None  # ticks
@@ -115,7 +117,7 @@ def zi_decide(
     params: ZiParams,
     rng: np.random.Generator,
     grid: PriceGrid,
-) -> AgentAction:
+) -> tuple[ActionKind, Side, int]:
     side = _choose_side(q_held, pv, rng)
     # numpy's own uniform(r_min, r_max), drawn from the cheaper random() call
     requested = params.r_min + (params.r_max - params.r_min) * rng.random()
@@ -123,18 +125,18 @@ def zi_decide(
         valuation = pv.buy_valuation(q_held, r_hat)
         # Strategic threshold: lock in eta * R immediately if the touch allows it.
         if best_ask is not None and valuation - grid.to_value(best_ask) >= params.eta * requested:
-            return tuple.__new__(AgentAction, (TAKE, BID, best_ask))
+            return TAKE, BID, best_ask
         limit = grid.to_ticks_down(valuation - requested)
         if limit < 0:
             limit = 0
-        return tuple.__new__(AgentAction, (PLACE, BID, limit))
+        return PLACE, BID, limit
     valuation = pv.sell_valuation(q_held, r_hat)
     if best_bid is not None and grid.to_value(best_bid) - valuation >= params.eta * requested:
-        return tuple.__new__(AgentAction, (TAKE, ASK, best_bid))
+        return TAKE, ASK, best_bid
     limit = grid.to_ticks_up(valuation + requested)
     if limit < 0:
         limit = 0
-    return tuple.__new__(AgentAction, (PLACE, ASK, limit))
+    return PLACE, ASK, limit
 
 
 class TickMemory:
@@ -545,7 +547,7 @@ def hbl_decide(
     grid: PriceGrid,
     best_bid: int | None = None,
     best_ask: int | None = None,
-) -> AgentAction:
+) -> tuple[ActionKind, Side, int]:
     """Expected-surplus-maximizing placement; ZI fallback while uninformed.
 
     ``memory`` is ``None`` while the book holds fewer than ``memory_length``
@@ -573,4 +575,4 @@ def hbl_decide(
         expected = prices * grid.tick_size - pv.sell_valuation(q_held, r_hat)
     expected *= beliefs
     best_price = int(prices[np.argmax(expected)])  # first max keeps tie order
-    return tuple.__new__(AgentAction, (PLACE, side, best_price))
+    return PLACE, side, best_price

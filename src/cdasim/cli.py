@@ -173,7 +173,7 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
     zi = params(ZiParams, "agents")
     renamed = {"horizon_T": "market.horizon", "master_seed": "market.seed",
                "n_zi": "agents.zi_count", "n_hbl": "agents.hbl_count",
-               "arrival_rate": "agents.arrival_rate"}
+               "arrival_rate": "agents.arrival_rate", "q_max": "agents.q_max"}
     for name in fundamental.levels():  # SimConfig checks the fundamental's levels in ticks
         renamed[name] = model_keys[name] if variant == "file" else f"fundamental.{name}"
     n_hbl = _value(resolved, renamed["n_hbl"], SimConfig.__dataclass_fields__["n_hbl"])

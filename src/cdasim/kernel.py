@@ -39,13 +39,16 @@ import numpy as np
 from . import agents as strategies
 from . import estimator as est
 from .fundamental import DmrParams, FileParams, MegashockParams, OuParams
-from .orderbook import BookEvent, OrderBook, Trade
+from .orderbook import EventRow, OrderBook, Trade
 from .preferences import PrivateValues
 from .prices import MAX_TICKS, PriceGrid
 from .rng import child_stream
 
 ZI = "ZI"
 HBL = "HBL"
+
+# The most private values a run draws, over all its agents: 2 * q_max each.
+MAX_PRIVATE_VALUES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,10 @@ class SimConfig:
             raise ValueError("n_hbl must be >= 0")
         if self.n_zi + self.n_hbl < 1:
             raise ValueError("n_zi + n_hbl must be >= 1: the population needs an agent")
+        n_values = 2 * self.zi_params.q_max * (self.n_zi + self.n_hbl)
+        if n_values > MAX_PRIVATE_VALUES:
+            raise ValueError(f"q_max = {self.zi_params.q_max} draws 2 * q_max * (n_zi + n_hbl) "
+                             f"= {n_values} private values, above 2**22")
         if not 0.0 < self.arrival_rate < math.inf:
             raise ValueError("arrival_rate must be > 0 and finite")
         if self.master_seed < 0:
@@ -114,7 +121,7 @@ class AgentSummary:
 class SimResult:
     final_fundamental: int  # ticks
     agents: list[AgentSummary]
-    events: list[BookEvent]
+    events: list[EventRow]  # plain tuples, laid out as BookEvent._fields
     trades: list[Trade]
     fundamental_trace: Iterable[tuple[int, int]]  # the source: its table, read in place
     grid: PriceGrid
@@ -280,15 +287,15 @@ def _simulate(config: SimConfig) -> SimResult:
             memory = history.memory(book, t) if len(trades) >= hbl_params.memory_length else None
             action = hbl_decide(record.q_held, record.pv, r_hat, memory, hbl_params,
                                 zi_params, record.rng, grid, best_bid, best_ask)
+        kind, side, limit = action  # a plain tuple, laid out as AgentAction._fields
         if trace_decisions:
-            decision_trace.append((t, agent_id, record.strategy, action.kind,
-                                   action.side, action.limit_price))
-        if action.kind is skip:
+            decision_trace.append((t, agent_id, record.strategy, kind, side, limit))
+        if kind is skip:
             continue
 
-        events = place_limit(agent_id, action.side, action.limit_price, t)
+        events = place_limit(agent_id, side, limit, t)
         if len(events) == 1:
-            record.last_order_id = events[0].order_id  # it rests
+            record.last_order_id = events[0][2]  # it rests: the PLACED row's order id
             continue
         trade = trades[-1]
         buyer = records[trade.buyer_id]

@@ -7,13 +7,15 @@ best price; otherwise it rests.  The book numbers the orders 1, 2, 3, ...
 in placement order.  Every placement, execution and cancellation is
 appended to an immutable event log; the log is sufficient to rebuild the
 book by replay and is the observation feed for belief-learning agents.
+Each row of the log is a plain tuple laid out as ``BookEvent._fields`` and
+equal to its named form, ``BookEvent._make(row)``: the book builds two or
+three rows on most wakes, and a tuple display builds one several times
+faster than any NamedTuple constructor.
 
 Each enum member is also bound to a module name (``BID is Side.BID``): on
 CPython 3.11 a member lookup through its class goes through
 ``EnumType.__getattr__`` and costs about ten global reads, so the wake path
-reads the bound names.  For the same reason the records built on every
-wake are made with ``tuple.__new__``, which skips the NamedTuple's
-Python-level ``__new__``; each such call lists every field.
+reads the bound names.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ PLACED, EXECUTED, CANCELLED = EventKind.PLACED, EventKind.EXECUTED, EventKind.CA
 
 
 class BookEvent(NamedTuple):
+    """The layout of an event-log row; the log holds the rows as plain tuples."""
+
     kind: EventKind
     time: int
     order_id: int
@@ -49,6 +53,10 @@ class BookEvent(NamedTuple):
     side: Side
     price: int
     counterparty: int | None = None
+
+
+# a row of the event log, as the book builds it
+EventRow = tuple[EventKind, int, int, int, Side, int, int | None]
 
 
 class Trade(NamedTuple):
@@ -64,13 +72,13 @@ class OrderBook:
     def __init__(self) -> None:
         # per side: price level -> FIFO queue of the resting orders' PLACED
         # events, and the occupied prices in ascending order
-        self._bid_levels: dict[int, deque[BookEvent]] = {}
-        self._ask_levels: dict[int, deque[BookEvent]] = {}
+        self._bid_levels: dict[int, deque[EventRow]] = {}
+        self._ask_levels: dict[int, deque[EventRow]] = {}
         self._bid_prices: list[int] = []
         self._ask_prices: list[int] = []
-        self._resting: dict[int, BookEvent] = {}  # order_id -> its PLACED event
+        self._resting: dict[int, EventRow] = {}  # order_id -> its PLACED event
         self._n_placed = 0  # the last order id taken
-        self._events: list[BookEvent] = []
+        self._events: list[EventRow] = []
         self._trades: list[Trade] = []
         self._last_time = 0
 
@@ -85,7 +93,7 @@ class OrderBook:
         return prices[0] if prices else None
 
     @property
-    def events(self) -> list[BookEvent]:
+    def events(self) -> list[EventRow]:
         """Append-only log; treat as read-only."""
         return self._events
 
@@ -97,7 +105,7 @@ class OrderBook:
     # -- mutations --------------------------------------------------------
 
     def place_limit(self, agent_id: int, side: Side, price: int,
-                    now: int) -> list[BookEvent]:
+                    now: int) -> list[EventRow]:
         """Place a one-unit limit order at ``price`` ticks under the next id.
         If it crosses the touch of the other side it trades with that level's
         oldest order, at the resting price; otherwise it rests.  Returns the
@@ -109,7 +117,7 @@ class OrderBook:
         self._n_placed = order_id = self._n_placed + 1
         self._last_time = now
 
-        placed = tuple.__new__(BookEvent, (PLACED, now, order_id, agent_id, side, price, None))
+        placed = (PLACED, now, order_id, agent_id, side, price, None)
         is_bid = side is BID
         # the side this order trades against, and the index of its touch
         if is_bid:
@@ -129,15 +137,14 @@ class OrderBook:
         best = prices[touch]  # the maker's price
         queue = levels[best]
         maker = queue.popleft()
-        maker_id, maker_agent = maker.order_id, maker.agent_id
+        _, _, maker_id, maker_agent, maker_side, _, _ = maker
         del self._resting[maker_id]
         if not queue:
             del levels[best]
             del prices[touch]
         events = [placed,
-                  tuple.__new__(BookEvent,
-                                (EXECUTED, now, order_id, agent_id, side, best, maker_id)),
-                  maker._replace(kind=EXECUTED, time=now, counterparty=order_id)]
+                  (EXECUTED, now, order_id, agent_id, side, best, maker_id),
+                  (EXECUTED, now, maker_id, maker_agent, maker_side, best, order_id)]
         if is_bid:
             trade = Trade(now, best, order_id, maker_id, agent_id, maker_agent)
         else:
@@ -146,7 +153,7 @@ class OrderBook:
         self._events.extend(events)
         return events
 
-    def cancel(self, order_id: int, now: int) -> BookEvent | None:
+    def cancel(self, order_id: int, now: int) -> EventRow | None:
         """Remove a resting order; returns None if unknown or already filled."""
         if now < self._last_time:
             raise ValueError(f"event time regression: {now} < {self._last_time}")
@@ -161,14 +168,13 @@ class OrderBook:
             del levels[price]
             del prices[bisect_left(prices, price)]
         self._last_time = now
-        event = tuple.__new__(BookEvent,
-                              (CANCELLED, now, order_id, agent_id, side, price, None))
+        event = (CANCELLED, now, order_id, agent_id, side, price, None)
         self._events.append(event)
         return event
 
     # -- internals --------------------------------------------------------
 
-    def _side(self, side: Side) -> tuple[dict[int, deque[BookEvent]], list[int]]:
+    def _side(self, side: Side) -> tuple[dict[int, deque[EventRow]], list[int]]:
         if side is BID:
             return self._bid_levels, self._bid_prices
         return self._ask_levels, self._ask_prices

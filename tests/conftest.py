@@ -12,7 +12,7 @@ from cdasim import agents
 from cdasim.agents import HblParams, ZiParams
 from cdasim.fundamental import DmrParams, ou_mean_var
 from cdasim.kernel import SimConfig
-from cdasim.orderbook import EventKind, OrderBook, Side
+from cdasim.orderbook import BookEvent, EventKind, OrderBook, Side
 from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
 
@@ -82,9 +82,24 @@ def load_bench(name: str) -> types.ModuleType:
     return module
 
 
+def named(rows) -> list[BookEvent]:
+    """The book's log rows, plain tuples laid out as ``BookEvent._fields``, named."""
+    return [BookEvent._make(row) for row in rows]
+
+
+def zi_action(*args, **kwargs) -> agents.AgentAction:
+    """``zi_decide``'s plain (kind, side, limit) tuple, named."""
+    return agents.AgentAction._make(agents.zi_decide(*args, **kwargs))
+
+
+def hbl_action(*args, **kwargs) -> agents.AgentAction:
+    """``hbl_decide``'s plain (kind, side, limit) tuple, named."""
+    return agents.AgentAction._make(agents.hbl_decide(*args, **kwargs))
+
+
 def events_in_window(book, start, end=None):
     """The book's events with ``start <= time`` (and ``time <= end``), in log order."""
-    events = book.events
+    events = named(book.events)
     lo = bisect_left(events, start, key=lambda e: e.time)
     hi = len(events) if end is None else bisect_right(events, end, key=lambda e: e.time)
     return events[lo:hi]
@@ -94,7 +109,7 @@ def replay(events) -> OrderBook:
     """Rebuild a book by re-driving placements and cancellations from a log.
     The book numbers the placements in log order, so they take their ids again."""
     book = OrderBook()
-    for event in events:
+    for event in named(events):
         if event.kind is EventKind.PLACED:
             book.place_limit(event.agent_id, event.side, event.price, event.time)
         elif event.kind is EventKind.CANCELLED:
@@ -106,7 +121,7 @@ def depth_snapshot(book) -> dict:
     """Resting order ids of ``book`` per side and level, in priority order."""
     sides = ((Side.BID, book._bid_levels, reversed(book._bid_prices)),
              (Side.ASK, book._ask_levels, book._ask_prices))
-    return {side.value: [(price, [placed.order_id for placed in levels[price]])
+    return {side.value: [(price, [placed.order_id for placed in named(levels[price])])
                          for price in ordered]
             for side, levels, ordered in sides}
 
@@ -130,7 +145,27 @@ def greedy_buyer(monkeypatch) -> dict:
             return zi_decide(q_held, pv, r_hat, best_bid, best_ask, params, rng, grid)
         if best_ask is None:
             return agents.SKIP
-        return agents.AgentAction(agents.ActionKind.TAKE, Side.BID, best_ask)
+        return agents.TAKE, Side.BID, best_ask
+
+    monkeypatch.setattr(agents, "zi_decide", decide)
+    return greedy
+
+
+def greedy_seller(monkeypatch, buyer: dict) -> dict:
+    """Patch ``agents.zi_decide``, after ``greedy_buyer`` made ``buyer``, so
+    that the first ZI agent to wake after the greedy buyer, other than it,
+    asks 0 on every wake, past -q_max and up to the horizon: it sells to the
+    best bid, or rests as the lowest ask, which the greedy buyer takes if it
+    wakes first.  Returns a dict that holds that agent's private values as "pv"."""
+    zi_decide = agents.zi_decide  # the greedy buyer's
+    greedy = {}
+
+    def decide(q_held, pv, r_hat, best_bid, best_ask, params, rng, grid):
+        if "pv" in buyer and pv is not buyer["pv"]:
+            greedy.setdefault("pv", pv)
+        if pv is not greedy.get("pv"):
+            return zi_decide(q_held, pv, r_hat, best_bid, best_ask, params, rng, grid)
+        return agents.PLACE, Side.ASK, 0
 
     monkeypatch.setattr(agents, "zi_decide", decide)
     return greedy

@@ -181,12 +181,13 @@ def exact_beliefs(records, prices, side: Side) -> list[Fraction]:
 
 def hbl_classify(events, now: int, params: HblParams, window_start=None) -> RecordMemory:
     """The classified orders placed at or after ``window_start``, by default
-    the placement time of the oldest order in the last L transactions."""
+    the placement time of the oldest order in the last L transactions.
+    ``events`` are the book's log rows, in ``BookEvent._fields`` order."""
     placed: dict[int, BookEvent] = {}
     executed: dict[int, int] = {}
     cancelled: dict[int, int] = {}
     transactions: list[tuple[int, int]] = []  # the order pairs of the trades
-    for event in events:
+    for event in map(BookEvent._make, events):
         if event.kind is EventKind.PLACED:
             placed[event.order_id] = event
         elif event.kind is EventKind.EXECUTED:

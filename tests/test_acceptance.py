@@ -18,11 +18,11 @@ import pytest
 from cdasim import estimator as est
 from cdasim.agents import (
     ActionKind,
+    AgentAction,
     HblParams,
     OrderHistory,
     TickMemory,
     ZiParams,
-    hbl_decide,
     zi_decide,
 )
 from cdasim.cli import parse_config, run_one
@@ -36,7 +36,7 @@ from hbl_oracle import (build_script_book, belief_array, exact_beliefs, hbl_beli
                         random_memory)
 from reference_run import ListBook
 from conftest import (CRITERION_LINES, HBL, PV, ZI, FixedRng, ScalarKalman, depth_snapshot,
-                      ou_sample, replay, resting_ids)
+                      hbl_action, ou_sample, replay, resting_ids, zi_action)
 
 
 @contextmanager
@@ -62,13 +62,14 @@ def test_criterion_1_zi_golden():
         action = zi_decide(1, PV, 100.0, None, None, zi_half,
                            FixedRng(0.0, 0.25), grid)
         elapsed = time.perf_counter() - start
+        action = AgentAction._make(action)
         assert action.kind is ActionKind.PLACE
         assert action.side is Side.BID
         assert grid.to_value(action.limit_price) == 99.55
-        take = zi_decide(1, PV, 100.0, None, grid.to_ticks(99.67), zi_half,
+        take = zi_action(1, PV, 100.0, None, grid.to_ticks(99.67), zi_half,
                          FixedRng(0.0, 0.25), grid)
         assert take.kind is ActionKind.TAKE
-        place = zi_decide(1, PV, 100.0, None, grid.to_ticks(99.70), zi_half,
+        place = zi_action(1, PV, 100.0, None, grid.to_ticks(99.70), zi_half,
                           FixedRng(0.0, 0.25), grid)
         assert place.kind is ActionKind.PLACE
         assert elapsed < 1e-3
@@ -90,7 +91,7 @@ def test_criterion_2_hbl_golden():
                 assert got == pytest.approx(prob, abs=0.005), price
             else:
                 assert got == prob, price
-        action = hbl_decide(-1, PV, 100.0, memory, HBL, ZI, FixedRng(0.0), grid)
+        action = hbl_action(-1, PV, 100.0, memory, HBL, ZI, FixedRng(0.0), grid)
         assert action.side is Side.BID
         assert grid.to_value(action.limit_price) == 100.0
         surplus = PV.buy_valuation(-1, 100.0) - 100.0

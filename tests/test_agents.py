@@ -15,17 +15,15 @@ from cdasim.agents import (
     ZiParams,
     hbl_belief_spline,
     hbl_candidate_grid,
-    hbl_decide,
     natural_cubic_spline,
     OrderHistory,
     TickMemory,
     _solve_tridiagonal,
-    zi_decide,
 )
 from cdasim.orderbook import BookEvent, EventKind, OrderBook, Side, Trade
 from cdasim.preferences import PrivateValues
 
-from conftest import HBL, PV, ZI, FixedRng, resting_ids
+from conftest import HBL, PV, ZI, FixedRng, hbl_action, named, resting_ids, zi_action
 from reference_run import hbl_candidates, scalar_choice_oracle, spline_beliefs
 from hbl_oracle import (
     MemoryOrder,
@@ -50,7 +48,7 @@ def test_zi_buy_golden(grid_001):
     # holdings 1, estimate 100.0 -> valuation 100.0 - 0.2 = 99.8; requested
     # surplus 0.25 shades the bid to 99.55
     rng = FixedRng(random_value=0.0, surplus_fraction=0.25)
-    action = zi_decide(1, PV, 100.0, best_bid=None, best_ask=None,
+    action = zi_action(1, PV, 100.0, best_bid=None, best_ask=None,
                        params=ZI, rng=rng, grid=grid_001)
     assert action.kind is ActionKind.PLACE
     assert action.side is Side.BID
@@ -61,12 +59,12 @@ def test_zi_buy_threshold_take(grid_001):
     # eta = 0.5: take the touch whenever it leaves at least 0.125 surplus,
     # i.e. any offer at or below 99.67(5)
     rng = FixedRng(random_value=0.0, surplus_fraction=0.25)
-    take = zi_decide(1, PV, 100.0, best_bid=None, best_ask=9967,
+    take = zi_action(1, PV, 100.0, best_bid=None, best_ask=9967,
                      params=ZI, rng=rng, grid=grid_001)
     assert take.kind is ActionKind.TAKE
     assert take.limit_price == 9967
     rng = FixedRng(random_value=0.0, surplus_fraction=0.25)
-    place = zi_decide(1, PV, 100.0, best_bid=None, best_ask=9968,
+    place = zi_action(1, PV, 100.0, best_bid=None, best_ask=9968,
                       params=ZI, rng=rng, grid=grid_001)
     assert place.kind is ActionKind.PLACE
     assert place.limit_price == 9955
@@ -75,12 +73,12 @@ def test_zi_buy_threshold_take(grid_001):
 def test_zi_sell_golden(grid_001):
     # holdings 2, sell valuation 99.8; ask shades up to 100.05
     rng = FixedRng(random_value=0.9, surplus_fraction=0.25)
-    action = zi_decide(2, PV, 100.0, best_bid=None, best_ask=None,
+    action = zi_action(2, PV, 100.0, best_bid=None, best_ask=None,
                        params=ZI, rng=rng, grid=grid_001)
     assert action.side is Side.ASK
     assert action.limit_price == 10005
     rng = FixedRng(random_value=0.9, surplus_fraction=0.25)
-    take = zi_decide(2, PV, 100.0, best_bid=9993, best_ask=None,
+    take = zi_action(2, PV, 100.0, best_bid=9993, best_ask=None,
                      params=ZI, rng=rng, grid=grid_001)
     assert take.kind is ActionKind.TAKE
     assert take.limit_price == 9993
@@ -89,20 +87,20 @@ def test_zi_sell_golden(grid_001):
 def test_zi_rounding_directions(grid_001):
     # bids round down to the grid, asks round up (never cross the valuation)
     rng = FixedRng(random_value=0.0, surplus_fraction=0.246)
-    bid = zi_decide(1, PV, 100.0, None, None, ZI, rng, grid_001)
+    bid = zi_action(1, PV, 100.0, None, None, ZI, rng, grid_001)
     assert bid.limit_price == 9955  # 99.554 floors
     rng = FixedRng(random_value=0.9, surplus_fraction=0.246)
-    ask = zi_decide(2, PV, 100.0, None, None, ZI, rng, grid_001)
+    ask = zi_action(2, PV, 100.0, None, None, ZI, rng, grid_001)
     assert ask.limit_price == 10005  # 100.046 ceils
 
 
 def test_zi_side_flip_at_holdings_limit(grid_001):
     # coin says buy but the agent is at +q_max, so it sells instead
     rng = FixedRng(random_value=0.0, surplus_fraction=0.5)
-    action = zi_decide(3, PV, 100.0, None, None, ZI, rng, grid_001)
+    action = zi_action(3, PV, 100.0, None, None, ZI, rng, grid_001)
     assert action.side is Side.ASK
     rng = FixedRng(random_value=0.9, surplus_fraction=0.5)
-    action = zi_decide(-3, PV, 100.0, None, None, ZI, rng, grid_001)
+    action = zi_action(-3, PV, 100.0, None, None, ZI, rng, grid_001)
     assert action.side is Side.BID
 
 
@@ -110,24 +108,24 @@ def test_zi_threshold_uses_real_arithmetic(grid_001):
     # the eta comparison happens before any tick rounding
     rng = FixedRng(random_value=0.0, surplus_fraction=0.25)
     # valuation 99.8, ask 99.675 exactly: 0.125 >= 0.125 takes
-    action = zi_decide(1, PV, 100.0, None, 9968, ZI, rng, grid_001)
+    action = zi_action(1, PV, 100.0, None, 9968, ZI, rng, grid_001)
     assert action.kind is ActionKind.PLACE  # 99.8 - 99.68 = 0.12 < 0.125
     eta_one = ZiParams(0.0, 1.0, 1.0, 10.0, 3, 25.0)
     rng = FixedRng(random_value=0.0, surplus_fraction=0.19)
-    action = zi_decide(1, PV, 100.0, None, 9960, eta_one, rng, grid_001)
+    action = zi_action(1, PV, 100.0, None, 9960, eta_one, rng, grid_001)
     assert action.kind is ActionKind.TAKE  # full surplus available at the touch
 
 
 def test_zi_limit_floors_at_zero(grid_001):
     rng = FixedRng(random_value=0.0, surplus_fraction=1.0)
     pv = PrivateValues(q_max=1, values=(0.0, 0.0))
-    action = zi_decide(0, pv, 0.5, None, None, ZiParams(0.0, 1.0, 1.0, 0.0, 1, 0.0),
+    action = zi_action(0, pv, 0.5, None, None, ZiParams(0.0, 1.0, 1.0, 0.0, 1, 0.0),
                        rng, grid_001)
     assert action.limit_price == 0
     # an ask below 0: r_hat 0.5 and a selling private value of -5
     rng = FixedRng(random_value=0.9, surplus_fraction=0.0)
     pv = PrivateValues(q_max=1, values=(-5.0, -6.0))
-    action = zi_decide(0, pv, 0.5, None, None, ZiParams(0.0, 1.0, 1.0, 0.0, 1, 0.0),
+    action = zi_action(0, pv, 0.5, None, None, ZiParams(0.0, 1.0, 1.0, 0.0, 1, 0.0),
                        rng, grid_001)
     assert (action.side, action.limit_price) == (Side.ASK, 0)
 
@@ -137,7 +135,7 @@ def test_zi_statistical_shading(grid_01, rng):
     # (valuation minus limit) averages to the midpoint
     shades = []
     for _ in range(4000):
-        action = zi_decide(0, PV, 100.0, None, None, ZI, rng, grid_01)
+        action = zi_action(0, PV, 100.0, None, None, ZI, rng, grid_01)
         if action.side is Side.BID:
             shades.append(PV.buy_valuation(0, 100.0) - 0.1 * action.limit_price)
         else:
@@ -209,7 +207,7 @@ def test_script_seller_decision(grid_01):
     book = build_script_book()
     memory = hbl_classify(book.events, now=100, params=HBL)
     rng = FixedRng(random_value=0.9)
-    action = hbl_decide(2, PV, 100.0, memory, HBL, ZI, rng, grid_01)
+    action = hbl_action(2, PV, 100.0, memory, HBL, ZI, rng, grid_01)
     assert action.side is Side.ASK
     assert action.limit_price == 1002
 
@@ -483,7 +481,7 @@ def test_fractional_memory_is_a_snapshot_of_its_query(rng):
             market.act_at_random(t, rng)
         if not market.book.trades:
             continue
-        held, held_at, events = market.memory(t), t, list(market.book.events)
+        held, held_at, events = market.memory(t), t, named(market.book.events)
         resolved = {e.order_id for e in events if e.kind is not EventKind.PLACED}
         pending = {e.order_id for e in events if e.kind is EventKind.PLACED
                    and e.order_id not in resolved and t - e.time < params.grace_period}
@@ -557,19 +555,19 @@ def test_hbl_tie_break_zero_belief(grid_01):
     records = (MemoryOrder(Side.BID, 998, 0.0, 1.0),
                MemoryOrder(Side.BID, 1002, 0.0, 1.0))
     memory = RecordMemory(records)
-    buy = hbl_decide(0, PV, 100.0, memory, HBL, ZI, FixedRng(random_value=0.0), grid_01)
+    buy = hbl_action(0, PV, 100.0, memory, HBL, ZI, FixedRng(random_value=0.0), grid_01)
     assert buy.limit_price == min(hbl_candidate_grid(memory))
     records = (MemoryOrder(Side.ASK, 998, 0.0, 1.0),
                MemoryOrder(Side.ASK, 1002, 0.0, 1.0))
     memory = RecordMemory(records)
-    sell = hbl_decide(0, PV, 100.0, memory, HBL, ZI, FixedRng(random_value=0.9), grid_01)
+    sell = hbl_action(0, PV, 100.0, memory, HBL, ZI, FixedRng(random_value=0.9), grid_01)
     assert sell.limit_price == max(hbl_candidate_grid(memory))
 
 
 def test_hbl_side_flip_at_limit(grid_01):
     book = build_script_book()
     memory = hbl_classify(book.events, now=100, params=HBL)
-    action = hbl_decide(3, PV, 100.0, memory, HBL, ZI, FixedRng(random_value=0.0), grid_01)
+    action = hbl_action(3, PV, 100.0, memory, HBL, ZI, FixedRng(random_value=0.0), grid_01)
     assert action.side is Side.ASK
 
 
@@ -582,8 +580,8 @@ def test_every_holding_has_a_legal_side(q_max, grid_01):
     memory = hbl_classify(build_script_book().events, now=100, params=HBL)
     for q in range(-q_max, q_max + 1):
         for coin in (0.0, 0.9):  # the coin says buy, then sell
-            actions = (zi_decide(q, pv, 100.0, None, None, zi, FixedRng(coin, 0.5), grid_01),
-                       hbl_decide(q, pv, 100.0, memory, HBL, zi, FixedRng(coin), grid_01))
+            actions = (zi_action(q, pv, 100.0, None, None, zi, FixedRng(coin, 0.5), grid_01),
+                       hbl_action(q, pv, 100.0, memory, HBL, zi, FixedRng(coin), grid_01))
             for action in actions:
                 assert action.kind is ActionKind.PLACE
                 assert pv.can_buy(q) if action.side is Side.BID else pv.can_sell(q)
@@ -784,7 +782,7 @@ class LedgerMarket:
 
     def place(self, side, price, t):
         """Place a unit order for agent 0 and return its id."""
-        return self.book.place_limit(0, side, price, t)[0].order_id
+        return named(self.book.place_limit(0, side, price, t))[0].order_id
 
     def place_live(self, side, price, t):
         """Place a unit order and keep ``live`` to the orders still resting."""
@@ -808,7 +806,8 @@ class LedgerMarket:
 
     def window_start(self):
         """Placement time of the oldest order in the last L trades, read off the log."""
-        placed = {e.order_id: e.time for e in self.book.events if e.kind is EventKind.PLACED}
+        placed = {e.order_id: e.time for e in named(self.book.events)
+                  if e.kind is EventKind.PLACED}
         return min(placed[oid]
                    for trade in self.book.trades[-self.params.memory_length:]
                    for oid in (trade.buy_order_id, trade.sell_order_id))
@@ -819,7 +818,7 @@ class LedgerMarket:
         empty when every order is older, so the window starts there."""
         if window_start is None:
             return self.book
-        first = next((e.order_id for e in self.book.events
+        first = next((e.order_id for e in named(self.book.events)
                       if e.kind is EventKind.PLACED and e.time >= window_start), None)
         trades = [] if first is None else [Trade(window_start, 0, first, first, first, first)]
         return SimpleNamespace(events=self.book.events, trades=trades)
@@ -853,7 +852,7 @@ def test_hbl_decide_matches_scalar_loop(grid_mode, rng, grid_01, grid_001):
         grid = grid_01 if trial % 2 else grid_001
         r_hat = float(rng.uniform(98.5, 101.5)) * (1.0 if trial % 2 else 0.1)
         for side, coin in ((Side.BID, 0.0), (Side.ASK, 0.9)):
-            action = hbl_decide(0, PV, r_hat, memory, params, ZI,
+            action = hbl_action(0, PV, r_hat, memory, params, ZI,
                                 FixedRng(random_value=coin), grid)
             valuation = (PV.buy_valuation(0, r_hat) if side is Side.BID
                          else PV.sell_valuation(0, r_hat))
@@ -897,7 +896,7 @@ def test_order_history_catches_up_at_sparse_queries(mode, rng):
             if step < next_query:
                 continue
             next_query = step + int(rng.integers(5, 15))
-            events = market.book.events
+            events = named(market.book.events)
             if previous_start is None:
                 assert len(events) > 300
             else:

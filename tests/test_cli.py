@@ -30,6 +30,7 @@ from cdasim.cli import (
 )
 from cdasim import fundamental
 from cdasim.kernel import run
+from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
 
 from conftest import greedy_buyer, settled_payoff
@@ -560,6 +561,32 @@ def test_main_rejects_a_fundamental_past_2_53_ticks(fundamental, market, key, tm
     assert err.startswith(f"config error: fundamental.{key}: ")
     assert "2**53" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_main_rejects_private_values_past_their_bound(tmp_path, capsys, monkeypatch):
+    # q_max = 3000000 used to die in PrivateValues.draw with a MemoryError;
+    # a run draws at most 2**22 private values, checked before any draw
+    def draw(*args):
+        raise AssertionError("a private value was drawn")
+
+    monkeypatch.setattr(PrivateValues, "draw", draw)
+    config = tmp_path / "c.ini"
+    config.write_text("[market]\nhorizon = 200\n[agents]\nq_max = 3000000\n")
+    code = main(["--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: agents.q_max: q_max = 3000000 draws ")
+    assert "above 2**22" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    # the bound counts every agent's 2 * q_max values, and holds at 2**22
+    for n_zi, n_hbl in ((1, 0), (3, 1)):
+        q_max = (1 << 21) // (n_zi + n_hbl)
+        resolved = parse_config(f"[agents]\nzi_count = {n_zi}\nhbl_count = {n_hbl}\n"
+                                f"q_max = {q_max}\n")
+        assert build_config(resolved).zi_params.q_max == q_max
+        resolved["agents"]["q_max"] = str(q_max + 1)
+        with pytest.raises(ConfigError, match=r"^agents\.q_max: .* above 2\*\*22$"):
+            build_config(resolved)
 
 
 def test_main_missing_config_file(tmp_path, capsys):

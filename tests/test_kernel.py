@@ -35,8 +35,8 @@ from cdasim.preferences import PrivateValues
 from cdasim.prices import PriceGrid
 from cdasim.rng import child_stream
 
-from conftest import (HBL_PARAMS, ZI_PARAMS, greedy_buyer, load_bench, make_config, replay,
-                      resting_ids, settled_payoff)
+from conftest import (HBL_PARAMS, ZI_PARAMS, greedy_buyer, greedy_seller, load_bench,
+                      make_config, named, replay, resting_ids, settled_payoff)
 from reference_run import reference_run, scalar_arrivals
 
 
@@ -421,7 +421,7 @@ def test_wake_call_structure(monkeypatch):
     # a filled order is never cancelled: every cancel removes a resting order
     cancels = [res for _, name, res in top if name == "cancel"]
     assert cancels and all(res is not None for res in cancels)
-    assert len(cancels) == sum(e.kind is EventKind.CANCELLED for e in result.events)
+    assert len(cancels) == sum(e.kind is EventKind.CANCELLED for e in named(result.events))
 
 
 def test_hbl_falls_back_until_enough_transactions(monkeypatch):
@@ -572,7 +572,7 @@ def test_run_leaves_the_young_generation_empty():
 
 def test_run_holds_a_bounded_memory_per_step():
     # what a desk-shaped run at T = 100k still holds, with its result alive,
-    # by tracemalloc: about 144 B per horizon step, README's budget; a
+    # by tracemalloc: about 130 B per horizon step, README's budget; a
     # fundamental trace of one (t, ticks) tuple per step holds 227 B
     ini = load_bench("workloads").WORKLOADS["desk"]["ini"]
     config = build_config(parse_config(ini.replace("horizon = 30000",
@@ -690,15 +690,31 @@ def test_bound_enum_members_are_the_members():
     assert agents.SKIP.kind is agents.ActionKind.SKIP
 
 
+def assert_plain_row(row, fields, types):
+    """``row`` is exactly a tuple laid out as ``fields``, each item of exactly
+    its type in ``types``: a NamedTuple, a subclass or a numpy int fails."""
+    assert type(row) is tuple
+    assert len(row) == len(fields) == len(types)
+    for item, field, allowed in zip(row, fields, types):
+        assert type(item) in allowed, (field, item, row)
+
+
 def test_wake_records_have_their_full_shape():
-    # the wake path builds these records with tuple.__new__, which checks
-    # neither the type nor the number of fields
-    result = run(make_config())
-    kinds = set()
-    for event in result.events:
-        assert_record_shape(event, orderbook.BookEvent)
-        kinds.add(event.kind)
-    assert kinds == set(EventKind)
+    # the wake path builds the book's log rows and the strategies' actions as
+    # plain tuples, laid out as BookEvent._fields and AgentAction._fields; a
+    # row that is a NamedTuple, or lacks a field, fails here
+    modes = [dataclasses.replace(HBL_PARAMS, success_mode=mode)
+             for mode in ("binary", "fractional")]
+    row_types = ({EventKind}, {int}, {int}, {int}, {orderbook.Side}, {int}, {int, type(None)})
+    for hbl in modes:
+        result = run(make_config(hbl_params=hbl))
+        kinds = set()
+        for row in result.events:
+            assert_plain_row(row, orderbook.BookEvent._fields, row_types)
+            kinds.add(row[0])
+            # an execution names its counterparty; a placement or a cancellation does not
+            assert (row[0] is EventKind.EXECUTED) == (row[-1] is not None), row
+        assert kinds == set(EventKind)
 
     # the scalar filter, which the reference run uses, builds whole records too
     params = est.EstimatorParams(100.0, 0.05, 1.0, 4.0, 1000)
@@ -710,6 +726,7 @@ def test_wake_records_have_their_full_shape():
     exact = est.BeliefState(100.0, 0.0, 3)
     assert_record_shape(est.observe(exact, 101.0, flat), est.BeliefState)  # no variance
 
+    action_types = ({agents.ActionKind}, {orderbook.Side}, {int})
     grid = PriceGrid(0.1)
     pv = PrivateValues(q_max=2, values=(0.5, 0.2, -0.1, -0.3))
     zi = ZiParams(r_min=0.0, r_max=2.0, eta=0.5, sigma_n_sq=1.0, q_max=2, sigma_pv_sq=1.0)
@@ -718,8 +735,8 @@ def test_wake_records_have_their_full_shape():
     for _ in range(200):
         for best_bid, best_ask in ((None, None), (1010, 990)):
             action = agents.zi_decide(0, pv, 100.0, best_bid, best_ask, zi, rng, grid)
-            assert_record_shape(action, agents.AgentAction)
-            seen.add((action.kind, action.side))
+            assert_plain_row(action, agents.AgentAction._fields, action_types)
+            seen.add(action[:2])
     assert seen == {(kind, side) for kind in (agents.PLACE, agents.TAKE)
                     for side in (orderbook.BID, orderbook.ASK)}
 
@@ -727,14 +744,43 @@ def test_wake_records_have_their_full_shape():
     book.place_limit(0, orderbook.BID, 1000, now=1)
     book.place_limit(1, orderbook.ASK, 1000, now=2)
     book.place_limit(2, orderbook.BID, 990, now=3)
-    memory = OrderHistory(HBL_PARAMS).memory(book, 5)
-    sides = set()
-    for _ in range(20):
-        action = agents.hbl_decide(0, pv, 100.0, memory, HBL_PARAMS, zi, rng, grid)
-        assert_record_shape(action, agents.AgentAction)
-        assert action.kind is agents.PLACE
-        sides.add(action.side)
-    assert sides == {orderbook.BID, orderbook.ASK}
+    for hbl in modes:
+        memory = OrderHistory(hbl).memory(book, 5)
+        sides = set()
+        for _ in range(20):
+            action = agents.hbl_decide(0, pv, 100.0, memory, hbl, zi, rng, grid)
+            assert_plain_row(action, agents.AgentAction._fields, action_types)
+            assert action[0] is agents.PLACE
+            sides.add(action[1])
+        assert sides == {orderbook.BID, orderbook.ASK}
+
+
+def test_both_breaches_of_one_trade_are_listed_by_agent_id(monkeypatch):
+    # a greedy buyer and a greedy seller trade with each other past q_max,
+    # so one trade takes both parties beyond it.  At seed 56 they are agents
+    # 9 and 2, whose set iterates out of order: the kernel must sort the
+    # parties to list the two breach lines in ascending agent id.
+    assert list({9, 2}) == [9, 2]
+    buyer = greedy_buyer(monkeypatch)
+    seller = greedy_seller(monkeypatch, buyer)
+    resolved = parse_config("[market]\nhorizon = 1000\nseed = 56\n[agents]\nzi_count = 10\n"
+                            "hbl_count = 0\nq_max = 1\narrival_rate = 0.02\n")
+    result = run(build_config(resolved))
+    agent_of = {values: agent for agent, values in result.private_values.items()}
+    assert (agent_of[buyer["pv"].values], agent_of[seller["pv"].values]) == (9, 2)
+    breaches = result.invariant_summary["breaches"]
+    held = dict.fromkeys(result.private_values, 0)
+    both = 0
+    for trade in result.trades:
+        held[trade.buyer_id] += 1
+        held[trade.seller_id] -= 1
+        if (trade.buyer_id, trade.seller_id) == (9, 2) and held[9] > 1 and held[2] < -1:
+            lines = [f"t={trade.time}: agent {agent} holds q={held[agent]} beyond q_max=1"
+                     for agent in (2, 9)]
+            at = breaches.index(lines[0])
+            assert breaches[at:at + 2] == lines
+            both += 1
+    assert both >= 2
 
 
 def test_config_validation():

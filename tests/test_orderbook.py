@@ -10,7 +10,7 @@ from cdasim.orderbook import (
     Trade,
 )
 
-from conftest import depth_snapshot, events_in_window, replay, resting_ids
+from conftest import depth_snapshot, events_in_window, named, replay, resting_ids
 from reference_run import ListBook
 
 
@@ -36,7 +36,7 @@ def test_rest_and_touch():
 def test_trade_at_resting_price():
     book = OrderBook()
     book.place_limit(0, Side.ASK, 1000, now=1)
-    events = book.place_limit(1, Side.BID, 1004, now=2)
+    events = named(book.place_limit(1, Side.BID, 1004, now=2))
     # the aggressive bid pays the maker's price, not its own limit
     assert len(book.trades) == 1
     trade = book.trades[0]
@@ -92,7 +92,7 @@ def test_crossing_order_trades_once_with_the_touch():
     book = OrderBook()
     book.place_limit(0, Side.ASK, 1000, now=1)
     book.place_limit(1, Side.ASK, 1001, now=2)
-    events = book.place_limit(2, Side.BID, 1005, now=3)
+    events = named(book.place_limit(2, Side.BID, 1005, now=3))
     # one unit: it fills against the best ask alone and does not rest
     assert book.trades == [Trade(3, 1000, 3, 1, 2, 0)]
     assert [e.kind for e in events] == [EventKind.PLACED, EventKind.EXECUTED,
@@ -106,7 +106,7 @@ def test_negative_limit_price_rejected():
     with pytest.raises(ValueError, match="limit price must be >= 0"):
         book.place_limit(0, Side.BID, -1, now=1)
     assert book.events == []
-    assert book.place_limit(0, Side.BID, 0, now=1)[0].order_id == 1  # the id was not taken
+    assert named(book.place_limit(0, Side.BID, 0, now=1))[0].order_id == 1  # the id was not taken
     assert book.best_bid() == 0
 
 
@@ -153,13 +153,13 @@ def test_cancel_then_trade_skips_cancelled():
 def test_ids_number_placements_in_order():
     # resting, filled and cancelled orders alike take 1, 2, 3, ... as placed
     book = OrderBook()
-    ids = [book.place_limit(0, Side.BID, 1000, now=1)[0].order_id,
-           book.place_limit(1, Side.ASK, 1002, now=2)[0].order_id]
+    ids = [named(book.place_limit(0, Side.BID, 1000, now=1))[0].order_id,
+           named(book.place_limit(1, Side.ASK, 1002, now=2))[0].order_id]
     book.cancel(1, now=3)
-    ids += [book.place_limit(2, Side.BID, 1002, now=3)[0].order_id,  # fills order 2
-            book.place_limit(3, Side.ASK, 1001, now=4)[0].order_id]
+    ids += [named(book.place_limit(2, Side.BID, 1002, now=3))[0].order_id,  # fills order 2
+            named(book.place_limit(3, Side.ASK, 1001, now=4))[0].order_id]
     assert ids == [1, 2, 3, 4]
-    placed = [e.order_id for e in book.events if e.kind is EventKind.PLACED]
+    placed = [e.order_id for e in named(book.events) if e.kind is EventKind.PLACED]
     assert placed == ids
     assert book.trades == [Trade(3, 1002, 3, 2, 2, 1)]
 
@@ -174,7 +174,7 @@ def test_rejected_placement_takes_no_id():
     with pytest.raises(ValueError, match="regression"):
         book.cancel(1, now=4)
     assert len(book.events) == 1
-    assert book.place_limit(1, Side.ASK, 1001, now=6)[0].order_id == 2
+    assert named(book.place_limit(1, Side.ASK, 1001, now=6))[0].order_id == 2
 
 
 def test_event_history_window():
@@ -235,7 +235,7 @@ def random_book_run(seed, steps=400, shadow=None):
         oid += 1
         side = Side.BID if rng.random() < 0.5 else Side.ASK
         price = int(rng.integers(980, 1021))
-        assert book.place_limit(oid % 7, side, price, t)[0].order_id == oid
+        assert named(book.place_limit(oid % 7, side, price, t))[0].order_id == oid
         if shadow is not None:
             shadow.place(oid % 7, side, price, t)
         resting = resting_ids(book)
