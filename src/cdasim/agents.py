@@ -574,5 +574,5 @@ def hbl_decide(
         prices, beliefs = prices[::-1], beliefs[::-1]
         expected = prices * grid.tick_size - pv.sell_valuation(q_held, r_hat)
     expected *= beliefs
-    best_price = int(prices[np.argmax(expected)])  # first max keeps tie order
+    best_price = int(prices[expected.argmax()])  # first max keeps tie order
     return PLACE, side, best_price

@@ -20,13 +20,17 @@ The sparse variants hold 0, each read time and the horizon, by
 megashock jumps when its params have them.  The discrete variant holds
 every step from 0 to the horizon, built in verified blocks stepped side by
 side with numpy, and steps what they leave one shock at a time; both give
-the same ticks.
+the same ticks.  Its table is an int64 ``array('q')``, 8 B a step, which
+gives Python ints as it is read.  The series is capped at ``MAX_TICKS -
+1`` ticks, so that it fits the table however large the shocks: the blocks
+stay below 2**31 ticks, and the step loop caps each step.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -192,14 +196,16 @@ def ou_mean_var(q_prev: float, elapsed: float, params: OuParams) -> tuple[float,
 def dmr_series(params: DmrParams, grid: PriceGrid, shocks: np.ndarray) -> list[int]:
     """The discrete mean reverting series in ticks from r_0 = r_bar: step
     i + 1 is ``max{0, kappa*r_bar + (1-kappa)*r_i + shocks[i]}`` in real
-    numbers from the tick value of step i, rounded once to the tick.
+    numbers from the tick value of step i, rounded once to the tick and
+    capped at ``MAX_TICKS - 1`` ticks.
 
     ``_dmr_blocks`` builds as long a prefix as its verified block passes
     settle, and this loop steps the rest one shock at a time."""
     base, keep, tick = params.kappa * params.r_bar, 1.0 - params.kappa, grid.tick_size
+    cap = MAX_TICKS - 1
     values = _dmr_blocks(params, grid, shocks)
     for noise in shocks[len(values) - 1:].tolist():
-        values.append(grid.to_ticks(max(0.0, base + keep * (values[-1] * tick) + noise)))
+        values.append(min(cap, grid.to_ticks(max(0.0, base + keep * (values[-1] * tick) + noise))))
     return values
 
 
@@ -274,6 +280,7 @@ class DmrFundamental:
     All ``horizon_T`` shocks are drawn at construction, in one call on the
     series' own stream, and ``dmr_series`` builds the series from them; a
     run reads the value at the horizon, so every step is needed anyway.
+    The series is kept as an int64 ``array('q')``, whose reads are ints.
     """
 
     params: DmrParams
@@ -284,7 +291,7 @@ class DmrFundamental:
     def __post_init__(self) -> None:
         shocks = child_stream(self.seed, FUNDAMENTAL_STREAM).normal(
             0.0, math.sqrt(self.params.sigma_s_sq), size=self.horizon_T)
-        self._values = dmr_series(self.params, self.grid, shocks)
+        self._values = array("q", dmr_series(self.params, self.grid, shocks))
 
     def value_at(self, t: int) -> int:
         if t > self.horizon_T:

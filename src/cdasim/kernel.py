@@ -229,9 +229,11 @@ def _simulate(config: SimConfig) -> SimResult:
     wake_times = np.concatenate(schedules)
     order = np.lexsort((wake_ids, wake_times))  # by time, ties by agent_id
     wake_times, wake_ids = wake_times[order], wake_ids[order]
-    reads = wake_times.tolist()
+    reads, ids = wake_times.tolist(), wake_ids.tolist()
     fundamental = config.fundamental.source(grid, config.master_seed, config.horizon_T, reads)
     gains = est.gain_schedule(schedules, order, ep, config.output.trace_estimator)
+    # the loop reads the wakes from the two lists and the schedule: free the plan
+    del schedules, order, wake_times, wake_ids
 
     book = OrderBook()
     history = strategies.OrderHistory(config.hbl_params) if config.n_hbl else None
@@ -260,7 +262,7 @@ def _simulate(config: SimConfig) -> SimResult:
     if trace_estimator:
         trace_columns = zip(gains.delta.tolist(), gains.sigma_tilde_sq.tolist())
 
-    for t, agent_id, b, w, d in zip(reads, wake_ids.tolist(), memoryview(gains.decay),
+    for t, agent_id, b, w, d in zip(reads, ids, memoryview(gains.decay),
                                     memoryview(gains.obs_weight),
                                     memoryview(gains.final_decay)):
         record = records[agent_id]
@@ -340,7 +342,7 @@ def _simulate(config: SimConfig) -> SimResult:
         grid=grid,
         invariants_ok=not breaches,
         invariant_summary={"breaches": breaches, "trades": len(trades),
-                           "events": len(book.events), "wakes": len(wake_times)},
+                           "events": len(book.events), "wakes": len(reads)},
         private_values={r.agent_id: r.pv.values for r in records},
         estimator_trace=estimator_trace,
         decision_trace=decision_trace,

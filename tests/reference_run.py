@@ -62,11 +62,15 @@ def scalar_arrivals(arrival_rate, horizon_T, rng):
         times.append(step)
 
 
+# the DMR series' cap in ticks: one below 2**53, the top of the price domain
+DMR_CAP = 2**53 - 1
+
+
 def dmr_step(prev: int, params: DmrParams, noise: float, tick_size: float) -> tuple[int, float]:
     """One reversion step from tick price ``prev``: the next price in ticks,
-    floored at zero, and the real value it rounds."""
+    floored at zero and capped at ``DMR_CAP``, and the real value it rounds."""
     real = params.kappa * params.r_bar + (1.0 - params.kappa) * (prev * tick_size) + noise
-    return max(0, to_ticks(max(0.0, real), tick_size)), real
+    return min(DMR_CAP, max(0, to_ticks(max(0.0, real), tick_size))), real
 
 
 def dmr_path(params: DmrParams, tick_size: float, shocks) -> tuple[list[int], list[float]]:

@@ -11,6 +11,7 @@ import tempfile
 import time
 import tracemalloc
 from contextlib import redirect_stderr
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from cdasim.cli import (
 from cdasim import fundamental
 from cdasim.kernel import run
 from cdasim.preferences import PrivateValues
-from cdasim.prices import PriceGrid
+from cdasim.prices import MAX_TICKS, PriceGrid
 
 from conftest import greedy_buyer, settled_payoff
 
@@ -394,6 +395,24 @@ def test_main_large_prices_conserve_cash_exactly(tmp_path):
     assert "invariants_ok = true" in manifest
     assert "breaches = []" in manifest
     assert "trades = 84" in manifest
+
+
+def test_main_caps_a_huge_dmr_shock_below_2_53_ticks(tmp_path):
+    # shocks with a standard deviation of 1e150 send every step of the
+    # series past any int64 tick count; the step loop caps each one at
+    # 2**53 - 1 ticks, so the run ends and writes every file
+    config = tmp_path / "c.ini"
+    config.write_text("[fundamental]\nvariant = dmr\nsigma_s_sq = 1e300\n"
+                      "[market]\nhorizon = 200\nseed = 3\n"
+                      "[agents]\nzi_count = 5\nhbl_count = 0\narrival_rate = 0.1\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["agents.csv", "events.csv", "fundamental.csv",
+                                       "manifest.ini", "trades.csv"]
+    rows = [line.split(",") for line in read(out / "fundamental.csv").splitlines()[1:]]
+    assert [int(t) for t, _ in rows] == list(range(201))
+    ticks = [Decimal(value) / Decimal("0.1") for _, value in rows]
+    assert max(ticks) == MAX_TICKS - 1 and min(ticks) == 0
 
 
 @pytest.mark.parametrize("tick", ["inf", "-inf", "nan", "0", "-0.1"])

@@ -240,6 +240,20 @@ def test_dmr_series_takes_the_block_path_where_it_pays(monkeypatch):
     assert [got is None for got in calls] == [True]
 
 
+@pytest.mark.parametrize("kappa", [0.05, 0.0], ids=["blocks", "step-loop"])
+def test_dmr_reads_give_python_ints(kappa):
+    # the int64 table must hand each wake and fundamental.csv a Python int,
+    # not a numpy scalar, whichever path built the series: desk's config
+    # builds it in blocks, and kappa 0 leaves it all to the step loop
+    desk = build_config(parse_config(load_bench("workloads").WORKLOADS["desk"]["ini"]))
+    params = DmrParams(desk.fundamental.r_bar, kappa, desk.fundamental.sigma_s_sq)
+    fund = params.source(PriceGrid(desk.tick_size), 11, desk.horizon_T, ())
+    rows = list(fund)
+    assert len(rows) == desk.horizon_T + 1
+    assert all(type(t) is int and type(ticks) is int for t, ticks in rows)
+    assert all(type(fund.value_at(t)) is int for t in (0, 1, desk.horizon_T // 2, desk.horizon_T))
+
+
 # ---------------------------------------------------------------------------
 # Ornstein-Uhlenbeck
 # ---------------------------------------------------------------------------
