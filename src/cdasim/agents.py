@@ -98,14 +98,12 @@ class HblParams:
 
 
 def _choose_side(q_held: int, pv: PrivateValues, rng: np.random.Generator) -> Side:
-    """Fair coin, flipping to the other side at the holdings limit; as
-    ``q_max >= 1``, at most one side is illegal at a time."""
-    side = BID if rng.random() < 0.5 else ASK
-    if side is BID and not pv.can_buy(q_held):
-        return ASK
-    if side is ASK and not pv.can_sell(q_held):
-        return BID
-    return side
+    """Fair coin, flipping to the other side at the holdings limit: an agent
+    may buy below ``q_max`` and sell above ``-q_max``.  As ``q_max >= 1``,
+    at most one side is illegal at a time."""
+    if rng.random() < 0.5:
+        return BID if q_held < pv.q_max else ASK
+    return ASK if q_held > -pv.q_max else BID
 
 
 def zi_decide(
@@ -124,14 +122,14 @@ def zi_decide(
     if side is BID:
         valuation = pv.buy_valuation(q_held, r_hat)
         # Strategic threshold: lock in eta * R immediately if the touch allows it.
-        if best_ask is not None and valuation - grid.to_value(best_ask) >= params.eta * requested:
+        if best_ask is not None and valuation - best_ask * grid.tick_size >= params.eta * requested:
             return TAKE, BID, best_ask
         limit = grid.to_ticks_down(valuation - requested)
         if limit < 0:
             limit = 0
         return PLACE, BID, limit
     valuation = pv.sell_valuation(q_held, r_hat)
-    if best_bid is not None and grid.to_value(best_bid) - valuation >= params.eta * requested:
+    if best_bid is not None and best_bid * grid.tick_size - valuation >= params.eta * requested:
         return TAKE, ASK, best_bid
     limit = grid.to_ticks_up(valuation + requested)
     if limit < 0:

@@ -173,9 +173,11 @@ def build_config(resolved: dict[str, dict[str, str]]) -> SimConfig:
     zi = params(ZiParams, "agents")
     renamed = {"horizon_T": "market.horizon", "master_seed": "market.seed",
                "n_zi": "agents.zi_count", "n_hbl": "agents.hbl_count",
-               "arrival_rate": "agents.arrival_rate", "q_max": "agents.q_max"}
-    for name in fundamental.levels():  # SimConfig checks the fundamental's levels in ticks
-        renamed[name] = model_keys[name] if variant == "file" else f"fundamental.{name}"
+               "arrival_rate": "agents.arrival_rate", "q_max": "agents.q_max",
+               "sigma_pv_sq": "agents.sigma_pv_sq"}
+    # SimConfig checks the fundamental's levels and spreads in ticks, by field
+    renamed.update(model_keys if variant == "file" else
+                   {name: f"fundamental.{name}" for name in VARIANT_KEYS[variant]})
     n_hbl = _value(resolved, renamed["n_hbl"], SimConfig.__dataclass_fields__["n_hbl"])
     config = params(SimConfig, "market", renamed, fundamental=fundamental, n_hbl=n_hbl,
                     zi_params=zi, hbl_params=params(HblParams, "agents") if n_hbl > 0 else None,

@@ -77,6 +77,10 @@ class DmrParams:
         """The series' mean and start value by field: r_bar is both."""
         return {"r_bar": self.r_bar}
 
+    def spreads(self, horizon_T: int) -> dict[str, float]:
+        """None to bound: the series is capped at ``MAX_TICKS - 1`` ticks."""
+        return {}
+
 
 @dataclass(frozen=True)
 class OuParams:
@@ -118,6 +122,12 @@ class OuParams:
         """The series' mean and start value by field."""
         return {"mu": self.mu, "q0": self.q0}
 
+    def spreads(self, horizon_T: int) -> dict[str, float]:
+        """How far the series moves by chance, in currency, by the field that
+        sets it: the standard deviation of its value at ``horizon_T`` from a
+        known start, inf where that variance overflows."""
+        return {"sigma_sq": math.sqrt(ou_mean_var(self.q0, horizon_T, self)[1])}
+
 
 @dataclass(frozen=True)
 class MegashockParams:
@@ -151,6 +161,11 @@ class MegashockParams:
     def levels(self) -> dict[str, float]:
         return self.ou.levels()
 
+    def spreads(self, horizon_T: int) -> dict[str, float]:
+        """The OU spread, and a jump's mean and standard deviation."""
+        return {**self.ou.spreads(horizon_T), "shock_mean": self.shock_mean,
+                "shock_var": math.sqrt(self.shock_var)}
+
 
 @dataclass(frozen=True)
 class FileParams:
@@ -182,6 +197,10 @@ class FileParams:
     def levels(self) -> dict[str, float]:
         """The model's mean; the file's values are checked as it is read."""
         return self.model.levels()
+
+    def spreads(self, horizon_T: int) -> dict[str, float]:
+        """None to bound: the file's values are checked as it is read."""
+        return {}
 
 
 def ou_mean_var(q_prev: float, elapsed: float, params: OuParams) -> tuple[float, float]:

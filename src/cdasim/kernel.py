@@ -96,6 +96,14 @@ class SimConfig:
             if not abs(value) / self.tick_size < MAX_TICKS:
                 raise ValueError(f"{name} = {value!r} is {abs(value) / self.tick_size:.3g} ticks "
                                  f"at tick_size {self.tick_size!r}, not below 2**53")
+        # so is the size of each random move (a standard deviation, or a
+        # jump's mean) and the standard deviation of the private values
+        spreads = self.fundamental.spreads(self.horizon_T)
+        spreads["sigma_pv_sq"] = math.sqrt(self.zi_params.sigma_pv_sq)
+        for name, spread in spreads.items():
+            if not spread / self.tick_size < MAX_TICKS:
+                raise ValueError(f"{name} spreads prices over {spread / self.tick_size:.3g} "
+                                 f"ticks at tick_size {self.tick_size!r}, not below 2**53")
 
 
 @dataclass
@@ -184,7 +192,7 @@ def mark_observation(r_ticks: int, noise_sd: float, rng: np.random.Generator,
     ``0.0 + noise_sd * z`` is numpy's own ``normal(0.0, noise_sd)``, drawn
     from the cheaper ``standard_normal`` call.
     """
-    o = grid.to_value(r_ticks) + (0.0 + noise_sd * rng.standard_normal())
+    o = r_ticks * grid.tick_size + (0.0 + noise_sd * rng.standard_normal())
     ticks = grid.to_ticks(o)
     return ticks if ticks > 0 else 0
 
@@ -249,11 +257,13 @@ def _simulate(config: SimConfig) -> SimResult:
     # Loop invariants, looked up once per run; a wrapper installed on any of
     # these functions before the run starts still sees every call.
     zi_params, hbl_params = config.zi_params, config.hbl_params
+    n_zi = config.n_zi  # agents 0 .. n_zi - 1 are ZI
     noise_sd = math.sqrt(zi_params.sigma_n_sq)
     value_at = fundamental.value_at
     place_limit, cancel = book.place_limit, book.cancel
+    best_bid, best_ask = book.best_bid, book.best_ask
     zi_decide, hbl_decide = strategies.zi_decide, strategies.hbl_decide
-    to_value = grid.to_value
+    tick_size = grid.tick_size  # ticks * tick_size is grid.to_value(ticks)
     skip = strategies.SKIP.kind
 
     # each agent's estimate, from initial_belief; its variance path is the schedule's
@@ -269,7 +279,7 @@ def _simulate(config: SimConfig) -> SimResult:
         r_ticks = value_at(t)
         o_ticks = mark_observation(r_ticks, noise_sd, record.rng, grid)
         # advance, observe and project_final, with the schedule's coefficients
-        r = (1.0 - w) * ((1.0 - b) * r_bar + b * r_tilde[agent_id]) + w * to_value(o_ticks)
+        r = (1.0 - w) * ((1.0 - b) * r_bar + b * r_tilde[agent_id]) + w * (o_ticks * tick_size)
         r_tilde[agent_id] = r
         r_hat = (1.0 - d) * r_bar + d * r
         if trace_estimator:
@@ -280,15 +290,15 @@ def _simulate(config: SimConfig) -> SimResult:
             cancel(record.last_order_id, t)  # still resting: a fill clears the id
             record.last_order_id = None
 
-        best_bid, best_ask = book.best_bid(), book.best_ask()
-        if record.strategy == ZI:
-            action = zi_decide(record.q_held, record.pv, r_hat, best_bid, best_ask,
+        bid, ask = best_bid(), best_ask()
+        if agent_id < n_zi:
+            action = zi_decide(record.q_held, record.pv, r_hat, bid, ask,
                                zi_params, record.rng, grid)
         else:
             # the one "informed" gate: hbl_decide falls back to ZI without a memory
             memory = history.memory(book, t) if len(trades) >= hbl_params.memory_length else None
             action = hbl_decide(record.q_held, record.pv, r_hat, memory, hbl_params,
-                                zi_params, record.rng, grid, best_bid, best_ask)
+                                zi_params, record.rng, grid, bid, ask)
         kind, side, limit = action  # a plain tuple, laid out as AgentAction._fields
         if trace_decisions:
             decision_trace.append((t, agent_id, record.strategy, kind, side, limit))
@@ -316,7 +326,7 @@ def _simulate(config: SimConfig) -> SimResult:
     # order, for agents.csv, and exactly, in ticks, for the conservation check.
     cash, cash_ticks = [0.0] * n_agents, [0] * n_agents
     for _, price, _, _, buyer_id, seller_id in trades:
-        value = to_value(price)
+        value = price * tick_size
         cash[buyer_id] -= value
         cash[seller_id] += value
         cash_ticks[buyer_id] -= price

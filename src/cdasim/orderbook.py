@@ -125,7 +125,10 @@ class OrderBook:
         else:
             levels, prices, touch = self._bid_levels, self._bid_prices, -1
         if not prices or ((prices[touch] > price) if is_bid else (prices[touch] < price)):
-            own_levels, own_prices = self._side(side)
+            if is_bid:
+                own_levels, own_prices = self._bid_levels, self._bid_prices
+            else:
+                own_levels, own_prices = self._ask_levels, self._ask_prices
             queue = own_levels.get(price)
             if queue is None:
                 queue = own_levels[price] = deque()
@@ -161,7 +164,10 @@ class OrderBook:
         if placed is None:
             return None
         _, _, _, agent_id, side, price, _ = placed
-        levels, prices = self._side(side)
+        if side is BID:
+            levels, prices = self._bid_levels, self._bid_prices
+        else:
+            levels, prices = self._ask_levels, self._ask_prices
         queue = levels[price]
         queue.remove(placed)  # events are equal only if their order ids are
         if not queue:
@@ -171,10 +177,3 @@ class OrderBook:
         event = (CANCELLED, now, order_id, agent_id, side, price, None)
         self._events.append(event)
         return event
-
-    # -- internals --------------------------------------------------------
-
-    def _side(self, side: Side) -> tuple[dict[int, deque[EventRow]], list[int]]:
-        if side is BID:
-            return self._bid_levels, self._bid_prices
-        return self._ask_levels, self._ask_prices

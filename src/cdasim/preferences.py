@@ -56,9 +56,3 @@ class PrivateValues:
 
     def sell_valuation(self, q_held: int, r_hat: float) -> float:
         return r_hat + self.theta(q_held)
-
-    def can_buy(self, q_held: int) -> bool:
-        return q_held < self.q_max
-
-    def can_sell(self, q_held: int) -> bool:
-        return q_held > -self.q_max

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from decimal import ROUND_FLOOR, ROUND_HALF_UP, Decimal
+from math import floor
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class PriceGrid:
         """Nearest tick, ties rounded away from zero."""
         x = value / self._fast_tick
         if -_FAST_LIMIT < x < _FAST_LIMIT:
-            n = math.floor(x)
+            n = floor(x)
             r = x - n
             if abs(r - 0.5) > _GUARD * (abs(x) + 1):
                 return n + (r > 0.5)
@@ -105,7 +106,7 @@ class PriceGrid:
     def to_ticks_down(self, value: float) -> int:
         x = value / self._fast_tick
         if -_FAST_LIMIT < x < _FAST_LIMIT:
-            n = math.floor(x)
+            n = floor(x)
             guard = _GUARD * (abs(x) + 1)
             if guard < x - n < 1 - guard:
                 return n
@@ -121,6 +122,10 @@ class PriceGrid:
         return -self.to_ticks_down(-value)
 
     def to_value(self, ticks: int) -> float:
+        """The price of ``ticks`` as the float ``ticks * tick_size``.  The
+        per-wake paths (the kernel's observation and ``zi_decide``'s and
+        ``hbl_decide``'s valuations) multiply by ``tick_size`` directly and
+        get the same float."""
         return ticks * self.tick_size
 
     def format(self, ticks: int) -> str:

@@ -278,9 +278,9 @@ def reference_run(config) -> ReferenceResult:
         best_bid, best_ask = book.best(Side.BID), book.best(Side.ASK)
 
         side = Side.BID if rng.random() < 0.5 else Side.ASK
-        if side is Side.BID and not pv.can_buy(q):
+        if side is Side.BID and not q < pv.q_max:
             side = Side.ASK
-        elif side is Side.ASK and not pv.can_sell(q):
+        elif side is Side.ASK and not q > -pv.q_max:
             side = Side.BID
         valuation = pv.buy_valuation(q, r_hat) if side is Side.BID else pv.sell_valuation(q, r_hat)
         if i >= config.n_zi and len(book.trades) >= hbl.memory_length:

@@ -608,6 +608,47 @@ def test_main_rejects_private_values_past_their_bound(tmp_path, capsys, monkeypa
             build_config(resolved)
 
 
+ZI_ONLY = "[agents]\nzi_count = 5\nhbl_count = 0\narrival_rate = 0.1\n"
+
+
+@pytest.mark.parametrize("config, key", [
+    ("[fundamental]\nvariant = ou\nsigma_sq = 1e308\n[market]\nhorizon = 200\n" + ZI_ONLY,
+     "fundamental.sigma_sq"),
+    ("[fundamental]\nvariant = ou\nsigma_sq = 1e307\n[market]\nhorizon = 200\n" + ZI_ONLY,
+     "fundamental.sigma_sq"),
+    ("[fundamental]\nvariant = megashock\nshock_mean = 1e300\nshock_arrival_rate = 0.05\n"
+     "[market]\nhorizon = 500\n", "fundamental.shock_mean"),
+    ("[agents]\nsigma_pv_sq = 1e300\n[market]\nhorizon = 2000\n", "agents.sigma_pv_sq"),
+    ("[fundamental]\nvariant = ou\ngamma = 0.05\nsigma_sq = 2.0e28\n"
+     "[market]\nhorizon = 2000\ntick_size = 0.1\n", None),
+    # shock_var above sigma_sq, or the params warn
+    ("[fundamental]\nvariant = megashock\nsigma_sq = 2.0e28\nshock_var = 3.0e28\n"
+     "[market]\nhorizon = 2000\n[agents]\nsuccess_mode = fractional\ngrid_mode = spline\n", None),
+    ("[agents]\nsigma_pv_sq = 2.0e29\n[market]\nhorizon = 2000\n", None),
+], ids=["ou-sigma_sq-1e308", "ou-sigma_sq-1e307", "megashock-shock_mean", "sigma_pv_sq",
+        "ou-inside", "megashock-inside", "sigma_pv_sq-inside"])
+def test_main_keeps_random_spreads_below_2_53_ticks(config, key, tmp_path, capsys):
+    # the rejected configs used to die mid-run: an OU variance of inf in
+    # PriceGrid.to_ticks, a finite one whose belief turned NaN in zi_decide,
+    # and a jump or a private value past the int64 ledger.  The standard
+    # deviation of the OU value at the horizon, a jump's mean and standard
+    # deviation and that of the private values are each below 2**53 ticks;
+    # a config within a factor of about 2 of the bound runs to its horizon.
+    path = tmp_path / "c.ini"
+    path.write_text(config)
+    out = tmp_path / "out"
+    code = main(["--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if key is None:
+        assert code == 0
+        assert "invariants_ok = true" in read(out / "manifest.ini")
+    else:
+        assert code == 1
+        assert err.startswith(f"config error: {key}: ")
+        assert "2**53" in err and not out.exists()
+
+
 def test_main_missing_config_file(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")])
     assert code == 1

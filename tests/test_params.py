@@ -87,21 +87,30 @@ def with_level(fundamental, field, value):
     return with_value(fundamental, field, value)
 
 
-@pytest.mark.parametrize("fundamental, field", [
-    (DMR, "r_bar"), (OU, "mu"), (OU, "q0"), (MEGASHOCK, "q0"), (FILE, "r_bar"),
-], ids=["dmr-r_bar", "ou-mu", "ou-q0", "megashock-q0", "file-model-r_bar"])
-@pytest.mark.parametrize("tick_size", [0.1, 1e-300])
+@pytest.mark.parametrize("fundamental, field, tick_size", [
+    pytest.param(fundamental, field, tick_size, id=f"{tick_size}-{name}")
+    for tick_size in (0.1, 1e-300)
+    for fundamental, field, name in ((DMR, "r_bar", "dmr-r_bar"), (OU, "mu", "ou-mu"),
+                                     (OU, "q0", "ou-q0"), (MEGASHOCK, "q0", "megashock-q0"),
+                                     (FILE, "r_bar", "file-model-r_bar"))
+    # at tick 1e-300 every megashock is refused: the square root of the
+    # least positive shock_var is about 2e138 ticks
+    if tick_size == 0.1 or fundamental is not MEGASHOCK
+])
 def test_sim_config_keeps_the_fundamental_below_2_53_ticks(fundamental, field, tick_size):
     # every price is below 2**53 ticks: a mean or start value at or past it
     # is rejected, naming its field; an OU level, which may be negative,
     # counts by its size
     for name in fundamental.levels():  # the other levels at one tick
         fundamental = with_level(fundamental, name, tick_size)
+    if "sigma_sq" in fundamental.spreads(CONFIG.horizon_T):  # and no random moves
+        fundamental = with_level(fundamental, "sigma_sq", 0.0)
+    config = dataclasses.replace(CONFIG, zi_params=dataclasses.replace(ZI, sigma_pv_sq=0.0))
     limit = 2.0 ** 53 * tick_size
     for value in (limit, 1e300) + ((-limit,) if field != "r_bar" else ()):
         with pytest.raises(ValueError, match=r"not below 2\*\*53") as raised:
-            dataclasses.replace(CONFIG, tick_size=tick_size,
+            dataclasses.replace(config, tick_size=tick_size,
                                 fundamental=with_level(fundamental, field, value))
         assert str(raised.value).split()[0] == field
     inside = with_level(fundamental, field, 2.0 ** 52 * tick_size)
-    assert dataclasses.replace(CONFIG, tick_size=tick_size, fundamental=inside).fundamental == inside
+    assert dataclasses.replace(config, tick_size=tick_size, fundamental=inside).fundamental == inside

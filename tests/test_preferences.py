@@ -88,10 +88,14 @@ def test_realized_sums_the_units_held():
 
 
 def test_holdings_limits():
-    assert EXAMPLE.can_buy(2)
-    assert not EXAMPLE.can_buy(3)
-    assert EXAMPLE.can_sell(-2)
-    assert not EXAMPLE.can_sell(-3)
+    # an agent may buy below q_max and sell above -q_max: the unit past
+    # either limit has no private value
+    assert EXAMPLE.buy_valuation(2, 0.0) == -0.4
+    with pytest.raises(HoldingsLimitError):
+        EXAMPLE.buy_valuation(3, 0.0)
+    assert EXAMPLE.sell_valuation(-2, 0.0) == 0.5
+    with pytest.raises(HoldingsLimitError):
+        EXAMPLE.sell_valuation(-3, 0.0)
 
 
 def test_validation():
